@@ -284,7 +284,7 @@ func BenchmarkE9_Server(b *testing.B) {
 	srv.Logf = func(string, ...any) {}
 	go srv.Serve(l) //nolint:errcheck
 	defer srv.Close()
-	c, err := dmclient.Dial(l.Addr().String())
+	c, err := dmclient.New(l.Addr().String())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -143,7 +143,7 @@ func TestDMServerBinary(t *testing.T) {
 		t.Fatal("server did not report its address")
 	}
 
-	c, err := dmclient.Dial(addr)
+	c, err := dmclient.New(addr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,7 +40,7 @@ func main() {
 	fmt.Printf("analysis server listening on %s\n\n", l.Addr())
 
 	// Client side: a pure consumer of the OLE DB DM command surface.
-	c, err := dmclient.Dial(l.Addr().String())
+	c, err := dmclient.New(l.Addr().String())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -85,20 +85,6 @@ func New(addr string, opts ...Option) (*Client, error) {
 	}, nil
 }
 
-// Dial connects to a dmserver at addr.
-//
-// Deprecated: use New, which takes Options.
-func Dial(addr string) (*Client, error) {
-	return New(addr)
-}
-
-// DialTimeout connects with a dial timeout.
-//
-// Deprecated: use New(addr, WithDialTimeout(timeout)).
-func DialTimeout(addr string, timeout time.Duration) (*Client, error) {
-	return New(addr, WithDialTimeout(timeout))
-}
-
 // Execute runs one DMX/SQL command on the remote provider.
 func (c *Client) Execute(command string) (*rowset.Rowset, error) {
 	c.mu.Lock()

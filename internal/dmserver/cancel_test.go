@@ -57,7 +57,7 @@ func TestBaseContextReachesStatements(t *testing.T) {
 	go func() { defer close(done); s.Serve(l) }() //nolint:errcheck
 	defer func() { s.Close(); <-done }()
 
-	c, err := dmclient.Dial(l.Addr().String())
+	c, err := dmclient.New(l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestCloseCancelsInFlightStatement(t *testing.T) {
 		done := make(chan struct{})
 		go func() { defer close(done); s.Serve(l) }() //nolint:errcheck
 
-		c, err := dmclient.Dial(l.Addr().String())
+		c, err := dmclient.New(l.Addr().String())
 		if err != nil {
 			t.Fatal(err)
 		}

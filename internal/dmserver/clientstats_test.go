@@ -15,7 +15,7 @@ import (
 func TestClientStatsAfterFailure(t *testing.T) {
 	p := providertest.MustNew()
 	_, addr := startServer(t, p)
-	c, err := dmclient.Dial(addr)
+	c, err := dmclient.New(addr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@ import (
 func TestRemotePreparedRoundTrip(t *testing.T) {
 	p := providertest.MustNew()
 	_, addr := startServer(t, p)
-	c, err := dmclient.Dial(addr)
+	c, err := dmclient.New(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestRemotePreparedRoundTrip(t *testing.T) {
 func TestRemoteParamsAllTypes(t *testing.T) {
 	p := providertest.MustNew()
 	_, addr := startServer(t, p)
-	c, err := dmclient.Dial(addr)
+	c, err := dmclient.New(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestRemoteBadVerbClosesConnection(t *testing.T) {
 func TestRemoteStaleReplanOverWire(t *testing.T) {
 	p := providertest.MustNew()
 	_, addr := startServer(t, p)
-	c, err := dmclient.Dial(addr)
+	c, err := dmclient.New(addr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,7 @@ func startServer(t *testing.T, p *provider.Provider) (*dmserver.Server, string) 
 func TestRemoteExecution(t *testing.T) {
 	p := providertest.MustNew()
 	_, addr := startServer(t, p)
-	c, err := dmclient.Dial(addr)
+	c, err := dmclient.New(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestRemoteExecution(t *testing.T) {
 func TestRemoteMiningLifecycle(t *testing.T) {
 	p := providertest.MustNew()
 	_, addr := startServer(t, p)
-	c, err := dmclient.Dial(addr)
+	c, err := dmclient.New(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestRemoteMiningLifecycle(t *testing.T) {
 func TestRemoteErrorPropagation(t *testing.T) {
 	p := providertest.MustNew()
 	_, addr := startServer(t, p)
-	c, err := dmclient.Dial(addr)
+	c, err := dmclient.New(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			c, err := dmclient.Dial(addr)
+			c, err := dmclient.New(addr)
 			if err != nil {
 				errs <- err
 				return
@@ -185,7 +185,7 @@ func TestConcurrentClients(t *testing.T) {
 func TestServerClose(t *testing.T) {
 	p := providertest.MustNew()
 	s, addr := startServer(t, p)
-	c, err := dmclient.Dial(addr)
+	c, err := dmclient.New(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestIdleReadDeadline(t *testing.T) {
 	}
 
 	// A client that stays within the deadline keeps working across requests.
-	c, err := dmclient.Dial(l.Addr().String())
+	c, err := dmclient.New(l.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}

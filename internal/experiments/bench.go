@@ -21,9 +21,8 @@ type BenchReport struct {
 	Iterations    int             `json:"iterations"`
 	Workloads     []BenchWorkload `json:"workloads"`
 	// Load carries the cmd/dmload concurrency-harness result when one has
-	// been merged in (dmload -merge). benchcompare ignores it: load numbers
-	// are wall-clock tail latencies under contention, not per-statement
-	// throughput, so they are reported rather than regression-gated.
+	// been merged in (dmload -merge): wall-clock tail latencies under
+	// contention, not per-statement throughput.
 	Load *workload.LoadReport `json:"load,omitempty"`
 }
 
@@ -73,15 +72,14 @@ var benchWorkloads = []struct {
 	},
 	{
 		// No ORDER BY, wide conjunctive filter: the shape the batch pipeline
-		// and (on multi-core hosts past the size threshold) the morsel-parallel
-		// scan are built for — selection vectors instead of per-row copies.
+		// is built for — selection vectors instead of per-row copies.
 		name: "scan-wide-filter",
 		stmt: `SELECT [Customer ID], Gender, Age FROM Customers
 	WHERE Age > 21 AND Age < 60 AND Gender = 'Male' AND [Customer ID] > 0`,
 	},
 	{
-		// Mergeable aggregates over a group key: eligible for per-morsel
-		// partial aggregation with a merge at the sink.
+		// Aggregates over a group key: per-partition partial aggregation
+		// with a merge in partition order.
 		name: "group-by-agg",
 		stmt: `SELECT Gender, COUNT(*), AVG(Age), MIN(Age), MAX(Age)
 	FROM Customers GROUP BY Gender`,

@@ -35,7 +35,7 @@ func RunE9(ctx context.Context, cfg Config) (*Result, error) {
 	srv.Logf = func(string, ...any) {}
 	go srv.Serve(l) //nolint:errcheck // closed via srv.Close below
 	defer srv.Close()
-	c, err := dmclient.Dial(l.Addr().String())
+	c, err := dmclient.New(l.Addr().String())
 	if err != nil {
 		return nil, err
 	}

@@ -83,8 +83,8 @@ var helpText = map[string]string{
 	MetricPredictionsByModel:    "PREDICTION JOIN statements, by mining model.",
 	MetricTrainingsByModel:      "Model training runs (INSERT INTO), by mining model.",
 	MetricSQLBatchesTotal:       "Row batches drained by vectorized query pipelines.",
-	MetricSQLMorselsTotal:       "Table morsels dispatched to parallel scan workers.",
-	MetricSQLParallelScansTotal: "Queries executed via the morsel-parallel path.",
+	MetricSQLMorselsTotal:       "Table morsels (scan partitions) dispatched to scan workers.",
+	MetricSQLParallelScansTotal: "Queries whose table scan ran as more than one partition.",
 	MetricFlightConsidered:      "Completed statements offered to the flight recorder.",
 	MetricFlightKept:            "Statements retained by the flight recorder, by keep reason.",
 	MetricHistorySnapshots:      "Metric-history snapshots taken by the background ticker.",

@@ -9,12 +9,14 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/storage"
 )
 
-// Morsel-eligible shapes (single table, no index pushdown): the GROUP BY
-// statement takes the morselAggregate path, the filter statement the
-// morselProject path. The JOIN statement exercises the hash-join build +
-// batch probe under the same concurrency.
+// Partitioned shapes (full scan of one base table): the GROUP BY statement
+// merges per-partition aggregate states, the filter statement per-partition
+// projections. The JOIN statement exercises the hash-join build + batch probe
+// under the same concurrency.
 const (
 	morselGroupBy = `SELECT Gender, COUNT(*), AVG(Age), MIN(Age), MAX(Age)
 		FROM Customers GROUP BY Gender ORDER BY Gender`
@@ -25,28 +27,30 @@ const (
 		ORDER BY c.[Customer ID], s.[Product Name], s.Quantity`
 )
 
-// forcedMorselProvider returns a provider whose engine always takes the
-// morsel-parallel path: Vec.Force overrides both the table-size threshold and
-// the single-core worker gate, so the fan-out machinery runs even on hosts
-// where GOMAXPROCS would disable it.
-func forcedMorselProvider(t testing.TB, rows int) *Provider {
+// morselRows puts Customers (and Sales) above the engine's partition size, so
+// full scans run as three partitions.
+const morselRows = 2*storage.DefaultMorselSize + 100
+
+// morselProvider returns a four-worker provider over morselRows customers:
+// the partition fan-out runs on goroutines even on a single-core host, because
+// the partition layout depends on the table alone.
+func morselProvider(t testing.TB) *Provider {
 	t.Helper()
 	p := MustNew(WithParallelism(4))
-	p.Engine.Vec.Force = true
-	setupCustomerData(t, p, rows)
+	setupCustomerData(t, p, morselRows)
 	return p
 }
 
-// TestMorselParallelUnderConcurrentTraining runs morsel-parallel GROUP BY and
+// TestMorselParallelUnderConcurrentTraining runs partitioned GROUP BY and
 // scans plus hash-join builds from eight concurrent sessions while a training
 // loop churns the model catalog (train, drop, re-create — two snapshot swaps
-// per round). Under -race this proves the per-morsel aggregation workers, the
-// shared table snapshot, and the join build side are race-clean against
+// per round). Under -race this proves the per-partition aggregation workers,
+// the shared table snapshot, and the join build side are race-clean against
 // catalog commits; the byte comparison against single-threaded baselines
-// proves the morsel-order merge keeps results deterministic under any
+// proves the partition-order merge keeps results deterministic under any
 // interleaving.
 func TestMorselParallelUnderConcurrentTraining(t *testing.T) {
-	p := forcedMorselProvider(t, 300)
+	p := morselProvider(t)
 	mustExec(t, p, createAgeModel)
 	mustExec(t, p, insertAgeModel)
 
@@ -122,13 +126,13 @@ func TestMorselParallelUnderConcurrentTraining(t *testing.T) {
 	}
 }
 
-// TestMorselEarlyAbandonNoGoroutineLeak abandons morsel-parallel statements
+// TestMorselEarlyAbandonNoGoroutineLeak abandons partitioned statements
 // partway — contexts cancelled at staggered points over the scan's lifetime,
 // plus TOP statements whose consumer closes the batch pipeline early after
 // the first few rows — and asserts every fan-out worker exits: the goroutine
 // count settles back to the pre-stress baseline.
 func TestMorselEarlyAbandonNoGoroutineLeak(t *testing.T) {
-	p := forcedMorselProvider(t, 300)
+	p := morselProvider(t)
 	baseline := runtime.NumGoroutine()
 
 	// TOP without ORDER BY streams: the drain stops pulling after 5 rows and

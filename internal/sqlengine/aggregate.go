@@ -1,130 +1,74 @@
 package sqlengine
 
 import (
+	"context"
 	"fmt"
 	"math"
+	"sync/atomic"
 
+	"repro/internal/obs"
 	"repro/internal/rowset"
 )
 
-// aggregate executes a SELECT with GROUP BY and/or aggregate functions.
-// Mergeable aggregates (COUNT/SUM/AVG/MIN/MAX without DISTINCT) stream: one
-// pass folds each row into per-group partial states and no input row is
-// retained beyond each group's representative. Two-pass (STDEV/VAR) and
-// DISTINCT aggregates fall back to the materializing path, where the group
-// map holds every input row until the stream ends and computeAggregate
-// re-scans the group per call site.
-func (e *Engine) aggregate(sel *SelectStmt, src rowset.Iterator) (*rowset.Rowset, error) {
+// aggregate runs the aggregating plan: every partition folds its rows into
+// per-group partial states (aggAccum), the partials merge in partition order —
+// so first-seen group order, representative rows and MIN/MAX tie winners are
+// those of a front-to-back scan — and the merged groups go through HAVING,
+// projection and ORDER BY once, then DISTINCT/TOP.
+func (e *Engine) aggregate(ctx context.Context, t *obs.Trace, sel *SelectStmt, src *source) (*rowset.Rowset, error) {
 	aggs, err := statementAggs(sel)
 	if err != nil {
 		return nil, err
 	}
-	srcSchema := src.Schema()
-	if aggsMergeable(aggs) {
-		acc := newAggAccum(sel, aggs, srcSchema)
-		if err := e.drainInto(src, acc.observe); err != nil {
-			return nil, err
-		}
-		return finishAggregate(sel, srcSchema, acc.finish(sel, srcSchema))
-	}
-
-	type group struct {
-		first rowset.Row
-		rows  []rowset.Row
-	}
-	env := &Env{Schema: srcSchema}
-	groups := make(map[string]*group)
-	var keyOrder []string
-	var keyBuf []byte
-	accum := func(r rowset.Row) error {
-		env.Row = r
-		keyBuf = keyBuf[:0]
-		for _, g := range sel.GroupBy {
-			v, err := Eval(g, env)
-			if err != nil {
-				return err
-			}
-			keyBuf = rowset.AppendKey(keyBuf, v)
-			keyBuf = append(keyBuf, '|')
-		}
-		grp, ok := groups[string(keyBuf)]
-		if !ok {
-			grp = &group{first: r}
-			k := string(keyBuf)
-			groups[k] = grp
-			keyOrder = append(keyOrder, k)
-		}
-		grp.rows = append(grp.rows, r)
-		return nil
-	}
-	if err := e.drainInto(src, accum); err != nil {
-		return nil, err
-	}
-	// Aggregation without GROUP BY over empty input still yields one group.
-	if len(sel.GroupBy) == 0 && len(groups) == 0 {
-		nulls := make(rowset.Row, srcSchema.Len())
-		groups[""] = &group{first: nulls}
-		keyOrder = append(keyOrder, "")
-	}
-
-	finished := make([]finishedGroup, 0, len(keyOrder))
-	for _, k := range keyOrder {
-		grp := groups[k]
-		vals := make(map[*FuncCall]rowset.Value, len(aggs))
-		for _, f := range aggs {
-			v, err := computeAggregate(f, grp.rows, srcSchema)
-			if err != nil {
-				return nil, err
-			}
-			vals[f] = v
-		}
-		finished = append(finished, finishedGroup{first: grp.first, vals: vals})
-	}
-	return finishAggregate(sel, srcSchema, finished)
-}
-
-// drainInto pulls src to exhaustion, feeding every row to fn. Batch-capable
-// sources drain one interface call per batch (counted into the engine's batch
-// metric); everything else walks row-at-a-time.
-func (e *Engine) drainInto(src rowset.Iterator, fn func(r rowset.Row) error) error {
-	if bc, ok := src.(rowset.BatchCursor); ok {
-		var batches int64
+	sp := t.StartSpan("group-by", "")
+	defer t.EndSpan(sp)
+	parts := make([]*aggAccum, src.n)
+	var batches atomic.Int64
+	err = e.forEachPartition(ctx, src, func(i int, cur rowset.Cursor) error {
+		defer cur.Close() //nolint:errcheck // engine cursors fail only via Next
+		acc := newAggAccum(sel, aggs, src.schema)
+		parts[i] = acc
+		bc := rowset.BatchCursorOf(cur)
 		for {
 			b, err := bc.NextBatch()
 			if err != nil {
 				return err
 			}
 			if b.Empty() {
-				break
+				return nil
 			}
-			batches++
+			batches.Add(1)
 			n := b.Len()
-			for i := 0; i < n; i++ {
-				if err := fn(b.Row(i)); err != nil {
+			for j := 0; j < n; j++ {
+				if err := acc.observe(b.Row(j)); err != nil {
 					return err
 				}
 			}
 		}
-		e.batches.Add(batches)
-		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	for {
-		r, err := src.Next()
-		if err != nil {
-			return err
-		}
-		if r == nil {
-			return nil
-		}
-		if err := fn(r); err != nil {
-			return err
-		}
+	e.batches.Add(batches.Load())
+	sink := parts[0]
+	for _, part := range parts[1:] {
+		sink.merge(part)
 	}
+	out, err := finishAggregate(sel, src.schema, sink.finish(sel, src.schema))
+	if err != nil {
+		return nil, err
+	}
+	sp.SetRows(int64(out.Len()))
+	if !sel.Distinct && (sel.Top <= 0 || out.Len() <= sel.Top) {
+		return out, nil
+	}
+	return rowset.FromCursor(tailCursor(out.Cursor(), sel))
 }
 
 // statementAggs collects every aggregate call site in the statement (items,
-// HAVING, ORDER BY). Duplicate textual calls stay distinct pointers, so each
-// site gets its own computed value.
+// HAVING, ORDER BY) and checks its arity: COUNT(*) or exactly one argument.
+// Duplicate textual calls stay distinct pointers, so each site gets its own
+// computed value.
 func statementAggs(sel *SelectStmt) ([]*FuncCall, error) {
 	var aggs []*FuncCall
 	for _, it := range sel.Items {
@@ -139,14 +83,17 @@ func statementAggs(sel *SelectStmt) ([]*FuncCall, error) {
 	for _, o := range sel.OrderBy {
 		collectAggs(o.Expr, &aggs)
 	}
+	for _, f := range aggs {
+		if !(f.Star && f.Name == "COUNT") && len(f.Args) != 1 {
+			return nil, fmt.Errorf("sqlengine: %s takes exactly one argument", f.Name)
+		}
+	}
 	return aggs, nil
 }
 
 // finishedGroup is one group ready for the aggregation tail: its first input
 // row (the representative non-aggregate expressions evaluate against) and the
-// computed value of every aggregate call site. Both the sequential and the
-// morsel-parallel paths produce these, so HAVING, projection, ORDER BY, and
-// schema inference run through exactly one implementation.
+// computed value of every aggregate call site.
 type finishedGroup struct {
 	first rowset.Row
 	vals  map[*FuncCall]rowset.Value
@@ -267,93 +214,315 @@ func substituteAggs(e Expr, vals map[*FuncCall]rowset.Value) Expr {
 	return e
 }
 
-func computeAggregate(f *FuncCall, rows []rowset.Row, schema *rowset.Schema) (rowset.Value, error) {
-	if f.Name == "COUNT" && f.Star {
-		return int64(len(rows)), nil
-	}
-	if len(f.Args) != 1 {
-		return nil, fmt.Errorf("sqlengine: %s takes exactly one argument", f.Name)
+// valuer produces one expression's value for a row. Plain column references
+// compile to a direct index (Eval's ColumnRef case is exactly env.Row[ord]
+// when resolution succeeds); everything else falls back to Eval. The closure
+// owns its Env, so each goroutine must compile its own valuers.
+type valuer func(r rowset.Row) (rowset.Value, error)
+
+func compileValuer(e Expr, schema *rowset.Schema) valuer {
+	if cr, ok := e.(*ColumnRef); ok {
+		if ord, err := ResolveColumn(schema, cr.Qualifier, cr.Name); err == nil {
+			return func(r rowset.Row) (rowset.Value, error) { return r[ord], nil }
+		}
+		// Unresolvable references still compile to the Eval fallback: the
+		// error must surface per evaluated row (empty inputs succeed).
 	}
 	env := &Env{Schema: schema}
-	var vals []rowset.Value
-	seen := make(map[string]bool)
-	for _, r := range rows {
+	return func(r rowset.Row) (rowset.Value, error) {
 		env.Row = r
-		v, err := Eval(f.Args[0], env)
-		if err != nil {
-			return nil, err
+		return Eval(e, env)
+	}
+}
+
+// aggState is one aggregate call site's mergeable partial state within one
+// group. COUNT/SUM/AVG keep the non-NULL count and running sums, MIN/MAX the
+// running winner. STDEV/VAR (two passes over the group) and DISTINCT
+// aggregates instead retain their non-NULL argument values — first
+// occurrences only under DISTINCT — in input order: merging appends the later
+// partition's list and value folds the list front to back, so their results
+// do not depend on how the input was partitioned.
+type aggState struct {
+	n      int64 // non-NULL values folded into the sums
+	fsum   float64
+	isum   int64
+	allInt bool
+	best   rowset.Value // MIN/MAX candidate; nil until a value arrives
+	vals   []rowset.Value
+	seen   map[string]struct{} // DISTINCT only: rowset.Key of every entry of vals
+}
+
+// retainsValues reports whether f's state is the retained value list rather
+// than running sums. MIN/MAX ignore DISTINCT: duplicates cannot change them.
+func retainsValues(f *FuncCall) bool {
+	switch f.Name {
+	case "STDEV", "VAR":
+		return true
+	case "MIN", "MAX":
+		return false
+	}
+	return f.Distinct
+}
+
+// observe folds one evaluated argument value into the state. The caller skips
+// COUNT(*) sites entirely (the group's row count covers them).
+func (s *aggState) observe(f *FuncCall, v rowset.Value) error {
+	if v == nil {
+		return nil
+	}
+	switch f.Name {
+	case "MIN":
+		if s.best == nil || rowset.Compare(v, s.best) < 0 {
+			s.best = v
 		}
-		if v == nil {
-			continue
+		return nil
+	case "MAX":
+		if s.best == nil || rowset.Compare(v, s.best) > 0 {
+			s.best = v
 		}
+		return nil
+	case "COUNT":
 		if f.Distinct {
-			k := rowset.Key(v)
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
+			s.retain(v, true)
+		} else {
+			s.n++
 		}
-		vals = append(vals, v)
+		return nil
+	}
+	if !retainsValues(f) {
+		return s.add(f, v)
+	}
+	if _, ok := rowset.ToFloat(v); !ok {
+		return errNotNumeric(f, v)
+	}
+	s.retain(v, f.Distinct)
+	return nil
+}
+
+func errNotNumeric(f *FuncCall, v rowset.Value) error {
+	return fmt.Errorf("sqlengine: %s requires numeric values, got %s", f.Name, rowset.TypeOf(v))
+}
+
+// add folds one value into the count and running sums.
+func (s *aggState) add(f *FuncCall, v rowset.Value) error {
+	fv, ok := rowset.ToFloat(v)
+	if !ok {
+		return errNotNumeric(f, v)
+	}
+	s.n++
+	s.fsum += fv
+	if iv, ok := v.(int64); ok {
+		s.isum += iv
+	} else {
+		s.allInt = false
+	}
+	return nil
+}
+
+// retain appends v to the value list; under DISTINCT only its first
+// occurrence.
+func (s *aggState) retain(v rowset.Value, distinct bool) {
+	if distinct {
+		k := rowset.Key(v)
+		if _, dup := s.seen[k]; dup {
+			return
+		}
+		if s.seen == nil {
+			s.seen = make(map[string]struct{})
+		}
+		s.seen[k] = struct{}{}
+	}
+	s.vals = append(s.vals, v)
+}
+
+// merge folds o — partial state from a LATER partition — into s. Keeping the
+// earlier side's best on ties reproduces a front-to-back scan's
+// strict-improvement rule for MIN/MAX.
+func (s *aggState) merge(o *aggState, f *FuncCall) {
+	s.n += o.n
+	s.fsum += o.fsum
+	s.isum += o.isum
+	s.allInt = s.allInt && o.allInt
+	if o.best != nil {
+		if s.best == nil {
+			s.best = o.best
+		} else if c := rowset.Compare(o.best, s.best); (f.Name == "MIN" && c < 0) || (f.Name == "MAX" && c > 0) {
+			s.best = o.best
+		}
+	}
+	for _, v := range o.vals {
+		s.retain(v, f.Distinct)
+	}
+}
+
+// value finalizes the state: COUNT(*) is the group's row count, aggregates
+// over no non-NULL value are NULL (COUNT: 0), an all-integer SUM stays
+// integral, and STDEV/VAR are the sample statistics (NULL below two values).
+func (s *aggState) value(f *FuncCall, groupRows int64) rowset.Value {
+	if f.Star {
+		return groupRows
+	}
+	st := *s
+	if retainsValues(f) {
+		if f.Name == "COUNT" {
+			return int64(len(s.vals))
+		}
+		st = aggState{allInt: true}
+		for _, v := range s.vals {
+			st.add(f, v) //nolint:errcheck // observe retained numeric values only
+		}
 	}
 	switch f.Name {
 	case "COUNT":
-		return int64(len(vals)), nil
+		return st.n
 	case "MIN", "MAX":
-		if len(vals) == 0 {
-			return nil, nil
+		return st.best
+	}
+	if st.n == 0 {
+		return nil
+	}
+	switch f.Name {
+	case "SUM":
+		if st.allInt {
+			return st.isum
 		}
-		best := vals[0]
-		for _, v := range vals[1:] {
-			c := rowset.Compare(v, best)
-			if (f.Name == "MIN" && c < 0) || (f.Name == "MAX" && c > 0) {
-				best = v
-			}
-		}
-		return best, nil
-	case "SUM", "AVG", "STDEV", "VAR":
-		if len(vals) == 0 {
-			return nil, nil
-		}
-		allInt := true
-		var sum float64
-		var isum int64
-		for _, v := range vals {
-			fv, ok := rowset.ToFloat(v)
-			if !ok {
-				return nil, fmt.Errorf("sqlengine: %s requires numeric values, got %s", f.Name, rowset.TypeOf(v))
-			}
-			sum += fv
-			if iv, ok := v.(int64); ok {
-				isum += iv
-			} else {
-				allInt = false
-			}
-		}
-		switch f.Name {
-		case "SUM":
-			if allInt {
-				return isum, nil
-			}
-			return sum, nil
-		case "AVG":
-			return sum / float64(len(vals)), nil
-		default: // STDEV, VAR: sample statistics
-			if len(vals) < 2 {
-				return nil, nil
-			}
-			mean := sum / float64(len(vals))
-			var ss float64
-			for _, v := range vals {
-				fv, _ := rowset.ToFloat(v)
-				d := fv - mean
-				ss += d * d
-			}
-			variance := ss / float64(len(vals)-1)
-			if f.Name == "VAR" {
-				return variance, nil
-			}
-			return math.Sqrt(variance), nil
+		return st.fsum
+	case "AVG":
+		return st.fsum / float64(st.n)
+	}
+	if st.n < 2 {
+		return nil
+	}
+	mean := st.fsum / float64(st.n)
+	var ss float64
+	for _, v := range s.vals {
+		fv, _ := rowset.ToFloat(v)
+		d := fv - mean
+		ss += d * d
+	}
+	variance := ss / float64(st.n-1)
+	if f.Name == "VAR" {
+		return variance
+	}
+	return math.Sqrt(variance)
+}
+
+// pgroup is one group's partial aggregation: its first row seen (within the
+// partition; the merge keeps the earliest partition's), the row count, and
+// one aggState per aggregate call site.
+type pgroup struct {
+	first  rowset.Row
+	count  int64
+	states []aggState
+}
+
+func newPgroup(first rowset.Row, naggs int) *pgroup {
+	pg := &pgroup{first: first, states: make([]aggState, naggs)}
+	for i := range pg.states {
+		pg.states[i].allInt = true
+	}
+	return pg
+}
+
+// aggAccum streams one partition's rows into per-group partial states.
+// Group-key expressions and aggregate arguments are compiled once (direct
+// column index for plain references), so the per-row loop does no name
+// resolution. Not goroutine-safe — one accumulator per partition.
+type aggAccum struct {
+	aggs   []*FuncCall
+	keyFns []valuer
+	argFns []valuer // nil entry = COUNT(*): no per-row work
+	groups map[string]*pgroup
+	order  []string
+	keyBuf []byte
+}
+
+func newAggAccum(sel *SelectStmt, aggs []*FuncCall, schema *rowset.Schema) *aggAccum {
+	a := &aggAccum{
+		aggs:   aggs,
+		keyFns: make([]valuer, len(sel.GroupBy)),
+		argFns: make([]valuer, len(aggs)),
+		groups: make(map[string]*pgroup),
+	}
+	for i, g := range sel.GroupBy {
+		a.keyFns[i] = compileValuer(g, schema)
+	}
+	for i, f := range aggs {
+		if !f.Star {
+			a.argFns[i] = compileValuer(f.Args[0], schema)
 		}
 	}
-	return nil, fmt.Errorf("sqlengine: unknown aggregate %s", f.Name)
+	return a
+}
+
+func (a *aggAccum) observe(r rowset.Row) error {
+	a.keyBuf = a.keyBuf[:0]
+	for _, kf := range a.keyFns {
+		v, err := kf(r)
+		if err != nil {
+			return err
+		}
+		a.keyBuf = rowset.AppendKey(a.keyBuf, v)
+		a.keyBuf = append(a.keyBuf, '|')
+	}
+	grp, ok := a.groups[string(a.keyBuf)]
+	if !ok {
+		grp = newPgroup(r, len(a.aggs))
+		k := string(a.keyBuf)
+		a.groups[k] = grp
+		a.order = append(a.order, k)
+	}
+	grp.count++
+	for ai, fn := range a.argFns {
+		if fn == nil {
+			continue
+		}
+		v, err := fn(r)
+		if err != nil {
+			return err
+		}
+		if err := grp.states[ai].observe(a.aggs[ai], v); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// merge folds o — the accumulator of the NEXT partition — into a: groups a
+// has not seen are appended in o's first-seen order, the others merge state
+// by state.
+func (a *aggAccum) merge(o *aggAccum) {
+	for _, k := range o.order {
+		pg := o.groups[k]
+		got, ok := a.groups[k]
+		if !ok {
+			a.groups[k] = pg
+			a.order = append(a.order, k)
+			continue
+		}
+		got.count += pg.count
+		for i, f := range a.aggs {
+			got.states[i].merge(&pg.states[i], f)
+		}
+	}
+}
+
+// finish applies the empty-input rule (aggregation without GROUP BY over zero
+// rows yields one all-NULL group) and finalizes every state into the
+// finishedGroup form the aggregation tail consumes.
+func (a *aggAccum) finish(sel *SelectStmt, schema *rowset.Schema) []finishedGroup {
+	if len(sel.GroupBy) == 0 && len(a.order) == 0 {
+		a.groups[""] = newPgroup(make(rowset.Row, schema.Len()), len(a.aggs))
+		a.order = append(a.order, "")
+	}
+	groups := make([]finishedGroup, 0, len(a.order))
+	for _, k := range a.order {
+		pg := a.groups[k]
+		vals := make(map[*FuncCall]rowset.Value, len(a.aggs))
+		for ai, f := range a.aggs {
+			vals[f] = pg.states[ai].value(f, pg.count)
+		}
+		groups = append(groups, finishedGroup{first: pg.first, vals: vals})
+	}
+	return groups
 }

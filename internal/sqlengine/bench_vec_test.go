@@ -30,8 +30,7 @@ func benchTable(b *testing.B, n int) *Engine {
 	return e
 }
 
-// BenchmarkScanFilterOrderBy is the sql-scan workload shape: filter plus sort,
-// so it exercises the batch pipeline but not the morsel path (ORDER BY).
+// BenchmarkScanFilterOrderBy is the sql-scan workload shape: filter plus sort.
 func BenchmarkScanFilterOrderBy(b *testing.B) {
 	e := benchTable(b, 500)
 	b.ReportAllocs()
@@ -44,7 +43,7 @@ func BenchmarkScanFilterOrderBy(b *testing.B) {
 }
 
 // BenchmarkScanWideFilter is the scan-wide-filter workload shape: conjunctive
-// predicate, no sort — morsel-eligible on multicore hosts.
+// predicate, no sort.
 func BenchmarkScanWideFilter(b *testing.B) {
 	e := benchTable(b, 500)
 	b.ReportAllocs()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/obs"
 	"repro/internal/rowset"
@@ -16,10 +17,10 @@ type Engine struct {
 	DB    *storage.Database
 	views viewCatalog
 
-	// Vec tunes the batch/morsel execution paths; the zero value means
-	// sensible defaults (GOMAXPROCS workers, storage.DefaultMorselSize
-	// morsels, parallelism only for tables past the size threshold).
-	Vec VecConfig
+	// Workers bounds the goroutines a statement's partitions and hash-join
+	// key builds run on; <= 0 means runtime.GOMAXPROCS(0). Results never
+	// depend on it.
+	Workers int
 
 	// Metric handles resolved by Instrument; nil-safe no-ops until then, so
 	// an uninstrumented engine pays nothing.
@@ -173,19 +174,33 @@ func needsAggregate(sel *SelectStmt) bool {
 	return false
 }
 
-// QueryContext executes a SELECT as a pull-based cursor pipeline: scans
-// (index-aware when a WHERE equality can be pushed down), streaming joins,
-// filter, projection, DISTINCT, and TOP pipeline row-at-a-time; only ORDER
-// BY, GROUP BY, and hash-join build sides materialize, because their
-// semantics need the whole input. TOP therefore stops upstream work as soon
-// as it has its rows.
+// QueryContext executes a SELECT through the one pipeline every statement
+// takes:
 //
-// Each executor node records one span — scan, join, filter, group-by, sort,
-// project — on the trace carried by ctx; the spans are created in plan order
-// up front and their row counts (plus per-operator time under EXPLAIN
-// ANALYZE's detailed mode) are filled in as the stream drains. With no trace
+//	source partitions → per-partition filter → per-partition project (with
+//	sort keys) or partial aggregate → merge in partition order → ORDER BY /
+//	DISTINCT / TOP
+//
+// A full scan of a base table is cut into storage.DefaultMorselSize-row
+// partitions that run on up to Workers goroutines; every other source is one
+// partition that runs inline on the calling goroutine (see partitionRanges),
+// where scan, streaming joins, filter, projection, DISTINCT and TOP pipeline
+// row- or batch-at-a-time and TOP stops upstream work as soon as it has its
+// rows. Only ORDER BY, GROUP BY, hash-join build sides and the merge of
+// several partitions materialize.
+//
+// Each executor node records one span — scan, join, filter, group-by, project,
+// sort — on the trace carried by ctx; the spans are created in plan order up
+// front and their row counts (plus per-operator time under EXPLAIN ANALYZE's
+// detailed mode) are filled in once the partitions have drained. With no trace
 // the span plumbing is nil no-ops and nothing allocates.
 func (e *Engine) QueryContext(ctx context.Context, sel *SelectStmt) (*rowset.Rowset, error) {
+	return e.query(ctx, sel, storage.DefaultMorselSize)
+}
+
+// query is QueryContext with the partition size as an argument, so tests can
+// run small fixtures through many partitions.
+func (e *Engine) query(ctx context.Context, sel *SelectStmt, partRows int) (*rowset.Rowset, error) {
 	t := obs.FromContext(ctx)
 	spSel := t.StartSpan("select", "")
 	defer t.EndSpan(spSel)
@@ -193,52 +208,16 @@ func (e *Engine) QueryContext(ctx context.Context, sel *SelectStmt) (*rowset.Row
 	if err != nil {
 		return nil, err
 	}
-	// Order-insensitive single-table statements over large tables take the
-	// morsel-parallel path (see morsel.go); everything else runs the
-	// sequential (but batch-vectorized) pipeline below.
-	if out, handled, err := e.tryMorsel(ctx, t, sel); handled {
-		if err != nil {
-			return nil, err
-		}
-		spSel.SetRows(int64(out.Len()))
-		return out, nil
-	}
-	detailed := t.Detailed()
-	src, residual, err := e.buildSourceCursor(t, sel)
+	src, err := e.planSource(t, sel, partRows)
 	if err != nil {
 		return nil, err
 	}
-	if done := ctx.Done(); done != nil {
-		// Cancellable statement: poll ctx between row batches so a Close'd
-		// server or timed-out client stops the scan mid-stream. The wrap
-		// sits above the joins, so one poll point covers the whole source
-		// pipeline.
-		src = &cancelCursor{src: src, ctx: ctx, done: done}
-	}
-	if sel.Where != nil {
-		// The filter span exists whenever the statement has a WHERE, even if
-		// index pushdown consumed every conjunct (residual == nil) — the plan
-		// shape must not depend on which indexes happened to exist.
-		spF := t.StartSpan("filter", "")
-		t.EndSpan(spF)
-		if residual != nil || spF != nil {
-			src = traced(newFilterCursor(src, residual), spF, detailed)
-		}
-	}
+	defer src.flushSpans()
 	var out *rowset.Rowset
 	if needsAggregate(sel) {
-		sp := t.StartSpan("group-by", "")
-		out, err = e.aggregate(sel, src)
-		src.Close() //nolint:errcheck // engine cursors fail only via Next
-		if err != nil {
-			t.EndSpan(sp)
-			return nil, err
-		}
-		sp.SetRows(int64(out.Len()))
-		t.EndSpan(sp)
-		out, err = finishMaterialized(out, sel)
+		out, err = e.aggregate(ctx, t, sel, src)
 	} else {
-		out, err = e.projectStream(t, sel, src)
+		out, err = e.project(ctx, t, sel, src)
 	}
 	if err != nil {
 		return nil, err
@@ -247,74 +226,81 @@ func (e *Engine) QueryContext(ctx context.Context, sel *SelectStmt) (*rowset.Row
 	return out, nil
 }
 
-// finishMaterialized applies DISTINCT and TOP to an already-materialized
-// result (the aggregation path).
-func finishMaterialized(out *rowset.Rowset, sel *SelectStmt) (*rowset.Rowset, error) {
-	if !sel.Distinct && (sel.Top <= 0 || out.Len() <= sel.Top) {
-		return out, nil
-	}
-	var cur rowset.Cursor = out.Cursor()
-	if sel.Distinct {
-		cur = newDistinctCursor(cur)
-	}
-	if sel.Top > 0 {
-		cur = &limitCursor{src: cur, n: sel.Top}
-	}
-	return rowset.FromCursor(cur)
-}
-
-// projectStream runs the non-aggregating tail of the pipeline: projection,
-// then ORDER BY (the one materializing step, and only when present), then
-// streaming DISTINCT and TOP, and finally adopts the drained rows into the
-// result rowset without re-normalizing them.
-func (e *Engine) projectStream(t *obs.Trace, sel *SelectStmt, src rowset.Cursor) (*rowset.Rowset, error) {
-	detailed := t.Detailed()
-	items, err := expandStars(sel.Items, src.Schema())
+// project runs the non-aggregating plan: every partition projects its rows
+// (computing ORDER BY keys alongside), the outputs concatenate in partition
+// order, then ORDER BY sorts and DISTINCT/TOP trim. DISTINCT and TOP run
+// exactly once: inside the lone partition when nothing has to be merged or
+// sorted first — which is what stops a TOP's scan early — and over the merged,
+// sorted rows otherwise.
+func (e *Engine) project(ctx context.Context, t *obs.Trace, sel *SelectStmt, src *source) (*rowset.Rowset, error) {
+	items, err := expandStars(sel.Items, src.schema)
 	if err != nil {
-		src.Close() //nolint:errcheck // already failing
 		return nil, err
 	}
 	names := outputNames(items)
-	srcSchema := src.Schema()
-	spProj := t.StartSpan("project", "")
-	t.EndSpan(spProj)
-	proj, err := newProjectCursor(src, items, names, sel.OrderBy)
+	spProj := src.span(t, "project", "")
+	ordered := len(sel.OrderBy) > 0
+	streamTail := !ordered && src.n == 1
+	outs := make([][]rowset.Row, src.n)
+	keys := make([][]rowset.Row, src.n)
+	var batches atomic.Int64
+	err = e.forEachPartition(ctx, src, func(i int, cur rowset.Cursor) error {
+		proj, err := newProjectCursor(cur, items, names, sel.OrderBy)
+		if err != nil {
+			cur.Close() //nolint:errcheck // already failing
+			return err
+		}
+		out := spProj.wrap(proj)
+		if streamTail {
+			out = tailCursor(out, sel)
+		}
+		var nb int64
+		outs[i], keys[i], nb, err = drainWithKeys(out, proj)
+		batches.Add(nb)
+		return err
+	})
 	if err != nil {
-		src.Close() //nolint:errcheck // already failing
 		return nil, err
 	}
-	cur := traced(proj, spProj, detailed)
-	if len(sel.OrderBy) > 0 {
+	e.batches.Add(batches.Load())
+	rows, sortKeys := concatRows(outs), concatRows(keys)
+	if ordered {
 		spSort := t.StartSpan("sort", "")
-		outs, keys, batches, err := drainWithKeys(cur, proj)
+		rowset.SortByKeys(rows, sortKeys, descFlags(sel.OrderBy))
+		spSort.SetRows(int64(len(rows)))
+		t.EndSpan(spSort)
+	}
+	if !streamTail && (sel.Distinct || sel.Top > 0) {
+		// DISTINCT and TOP never consult the schema of what they trim.
+		rows, err = drainRows(tailCursor(newSliceCursor(nil, rows), sel))
 		if err != nil {
-			t.EndSpan(spSort)
 			return nil, err
 		}
-		e.batches.Add(batches)
-		rowset.SortByKeys(outs, keys, descFlags(sel.OrderBy))
-		spSort.SetRows(int64(len(outs)))
-		t.EndSpan(spSort)
-		cur = newSliceCursor(proj.Schema(), outs)
 	}
-	if sel.Distinct {
-		cur = newDistinctCursor(cur)
-	}
-	if sel.Top > 0 {
-		cur = &limitCursor{src: cur, n: sel.Top}
-	}
-	rows, batches, err := drainRowsCounted(cur)
-	if err != nil {
-		return nil, err
-	}
-	e.batches.Add(batches)
-	schema, err := outputSchema(items, names, srcSchema, rows)
+	schema, err := outputSchema(items, names, src.schema, rows)
 	if err != nil {
 		return nil, err
 	}
 	// Rows are already canonical (projection normalizes computed values), so
 	// the result adopts them without another pass.
 	return rowset.Adopt(schema, rows), nil
+}
+
+// concatRows joins per-partition row slices in partition order; a single
+// partition's slice is returned as is.
+func concatRows(parts [][]rowset.Row) []rowset.Row {
+	if len(parts) == 1 {
+		return parts[0]
+	}
+	total := 0
+	for _, p := range parts {
+		total += len(p)
+	}
+	rows := make([]rowset.Row, 0, total)
+	for _, p := range parts {
+		rows = append(rows, p...)
+	}
+	return rows
 }
 
 // joinKindLabel names a join kind for span labels.
@@ -340,6 +326,11 @@ func (sel *SelectStmt) PlanSpan() *obs.Span {
 			sp.Add(obs.NewSpan("join", joinKindLabel(ref.Kind)))
 		}
 	}
+	return sel.addTailSpans(sp)
+}
+
+// addTailSpans appends the operators downstream of the source to a plan tree.
+func (sel *SelectStmt) addTailSpans(sp *obs.Span) *obs.Span {
 	if sel.Where != nil {
 		sp.Add(obs.NewSpan("filter", ""))
 	}
@@ -355,12 +346,14 @@ func (sel *SelectStmt) PlanSpan() *obs.Span {
 }
 
 // PlanSpan is the SELECT's cost-annotated executor plan: the span tree
-// sel.PlanSpan() declares, with scan labels carrying index-pushdown choices
-// and cardinality estimates ("cust index=id est=1") and join labels the
-// build-side decision ("inner build=left") — the same choices QueryContext
-// would make right now against the live catalog and table statistics. Falls
-// back to the shape-only sel.PlanSpan() when the catalog cannot resolve the
-// statement (EXPLAIN must not fail where execution would explain better).
+// sel.PlanSpan() declares, with scan labels carrying index-pushdown choices,
+// cardinality estimates and the partition fan-out ("cust index=id est=1",
+// "cust est=50000 morsels=13 workers=4") and join labels the build-side
+// decision ("inner build=left") — the same choices, from the same functions,
+// QueryContext would make right now against the live catalog and table
+// statistics. Falls back to the shape-only sel.PlanSpan() when the catalog
+// cannot resolve the statement (EXPLAIN must not fail where execution would
+// explain better).
 func (e *Engine) PlanSpan(sel *SelectStmt) *obs.Span {
 	if len(sel.From) == 0 {
 		return sel.PlanSpan()
@@ -378,10 +371,13 @@ func (e *Engine) PlanSpan(sel *SelectStmt) *obs.Span {
 	accSchema := scans[0].schema
 	accEst := scans[0].estimate
 	for i, cs := range scans {
-		sp.Add(obs.NewSpan("scan", cs.label()))
 		if i == 0 {
+			// An unpushed scan's estimate is its exact row count.
+			ranges := partitionRanges(sel, scans, cs.estimate, storage.DefaultMorselSize)
+			sp.Add(obs.NewSpan("scan", e.scanLabel(cs, len(ranges))))
 			continue
 		}
+		sp.Add(obs.NewSpan("scan", cs.label()))
 		strategy := "loop"
 		if cs.ref.Kind != JoinCross {
 			if _, _, ok := equiJoinOrdinals(cs.ref.On, accSchema, cs.schema); ok {
@@ -398,18 +394,7 @@ func (e *Engine) PlanSpan(sel *SelectStmt) *obs.Span {
 		}
 		accEst = joinEstimate(accEst, cs.estimate, cs.ref.Kind)
 	}
-	if sel.Where != nil {
-		sp.Add(obs.NewSpan("filter", ""))
-	}
-	if needsAggregate(sel) {
-		sp.Add(obs.NewSpan("group-by", ""))
-	} else {
-		sp.Add(obs.NewSpan("project", ""))
-		if len(sel.OrderBy) > 0 {
-			sp.Add(obs.NewSpan("sort", ""))
-		}
-	}
-	return sp
+	return sel.addTailSpans(sp)
 }
 
 func concatSchemas(a, b *rowset.Schema) (*rowset.Schema, error) {

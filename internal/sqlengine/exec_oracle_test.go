@@ -1,22 +1,26 @@
 package sqlengine
 
 import (
+	"context"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/rowset"
 	"repro/internal/storage"
 )
 
-// This file is the streaming-vs-materialized differential harness: a
-// test-only copy of the executor as it existed before the Volcano rewrite —
-// every operator builds a complete Rowset, scans never consult indexes — used
-// as the oracle for the streaming cursor pipeline. Aggregation is shared with
-// the engine (it was the same function before the rewrite and is the
-// materializing operator either way); everything the rewrite replaced — scan,
-// join, filter, project, sort, distinct, TOP — is duplicated here verbatim.
+// This file is the differential harness's reference executor: a test-only
+// copy of the executor as it existed before the Volcano rewrite — every
+// operator builds a complete Rowset, scans never consult indexes, nothing is
+// partitioned — used as the oracle for the engine's pipeline. It shares only
+// leaf helpers with the engine (Eval, name and schema inference); scan, join,
+// filter, project, sort, distinct, TOP and aggregation — grouping that keeps
+// every input row, and the two-pass computeAggregate the engine used before
+// its aggregate states became mergeable — are its own.
 
 func oracleQuery(e *Engine, sel *SelectStmt) (*rowset.Rowset, error) {
 	src, err := oracleSource(e, sel.From)
@@ -31,7 +35,7 @@ func oracleQuery(e *Engine, sel *SelectStmt) (*rowset.Rowset, error) {
 	}
 	var out *rowset.Rowset
 	if needsAggregate(sel) {
-		out, err = e.aggregate(sel, src.Iter())
+		out, err = oracleAggregate(sel, src)
 	} else {
 		out, err = oracleProject(sel, src)
 	}
@@ -251,6 +255,197 @@ func oracleProject(sel *SelectStmt, src *rowset.Rowset) (*rowset.Rowset, error) 
 	return rowset.FromRows(schema, outRows)
 }
 
+// oracleAggregate groups by materializing every group's rows, computes each
+// aggregate call site over them with computeAggregate, and applies HAVING,
+// projection and ORDER BY per group.
+func oracleAggregate(sel *SelectStmt, src *rowset.Rowset) (*rowset.Rowset, error) {
+	var aggs []*FuncCall
+	for _, it := range sel.Items {
+		if it.Star {
+			return nil, fmt.Errorf("sqlengine: SELECT * cannot be combined with aggregation")
+		}
+		collectAggs(it.Expr, &aggs)
+	}
+	if sel.Having != nil {
+		collectAggs(sel.Having, &aggs)
+	}
+	for _, o := range sel.OrderBy {
+		collectAggs(o.Expr, &aggs)
+	}
+	env := &Env{Schema: src.Schema()}
+	groups := make(map[string][]rowset.Row)
+	var keyOrder []string
+	for _, r := range src.Rows() {
+		env.Row = r
+		var b strings.Builder
+		for _, g := range sel.GroupBy {
+			v, err := Eval(g, env)
+			if err != nil {
+				return nil, err
+			}
+			b.WriteString(rowset.Key(v))
+			b.WriteByte('|')
+		}
+		k := b.String()
+		if _, ok := groups[k]; !ok {
+			keyOrder = append(keyOrder, k)
+		}
+		groups[k] = append(groups[k], r)
+	}
+	// Aggregation without GROUP BY over empty input still yields one group.
+	if len(sel.GroupBy) == 0 && len(keyOrder) == 0 {
+		keyOrder = append(keyOrder, "")
+	}
+	names := outputNames(sel.Items)
+	var outRows, keyRows []rowset.Row
+	for _, k := range keyOrder {
+		rows := groups[k]
+		vals := make(map[*FuncCall]rowset.Value, len(aggs))
+		for _, f := range aggs {
+			v, err := computeAggregate(f, rows, src.Schema())
+			if err != nil {
+				return nil, err
+			}
+			vals[f] = v
+		}
+		genv := &Env{Schema: src.Schema(), Row: make(rowset.Row, src.Schema().Len())}
+		if len(rows) > 0 {
+			genv.Row = rows[0]
+		}
+		if sel.Having != nil {
+			hv, err := Eval(substituteAggs(sel.Having, vals), genv)
+			if err != nil {
+				return nil, err
+			}
+			ok, err := Truthy(hv)
+			if err != nil {
+				return nil, err
+			}
+			if !ok {
+				continue
+			}
+		}
+		out := make(rowset.Row, len(sel.Items))
+		for i, it := range sel.Items {
+			v, err := Eval(substituteAggs(it.Expr, vals), genv)
+			if err != nil {
+				return nil, err
+			}
+			out[i] = v
+		}
+		order := make([]OrderItem, len(sel.OrderBy))
+		for i, o := range sel.OrderBy {
+			order[i] = OrderItem{Expr: substituteAggs(o.Expr, vals), Desc: o.Desc}
+		}
+		keys, err := orderKeys(order, sel.Items, names, out, genv)
+		if err != nil {
+			return nil, err
+		}
+		outRows = append(outRows, out)
+		keyRows = append(keyRows, keys)
+	}
+	oracleSort(outRows, keyRows, sel.OrderBy)
+	schema, err := outputSchema(sel.Items, names, src.Schema(), outRows)
+	if err != nil {
+		return nil, err
+	}
+	return rowset.FromRows(schema, outRows)
+}
+
+// computeAggregate is the engine's pre-partitioning aggregate: one call site
+// over one group's retained rows, SUM/AVG folded front to back, STDEV/VAR in
+// two passes.
+func computeAggregate(f *FuncCall, rows []rowset.Row, schema *rowset.Schema) (rowset.Value, error) {
+	if f.Name == "COUNT" && f.Star {
+		return int64(len(rows)), nil
+	}
+	if len(f.Args) != 1 {
+		return nil, fmt.Errorf("sqlengine: %s takes exactly one argument", f.Name)
+	}
+	env := &Env{Schema: schema}
+	var vals []rowset.Value
+	seen := make(map[string]bool)
+	for _, r := range rows {
+		env.Row = r
+		v, err := Eval(f.Args[0], env)
+		if err != nil {
+			return nil, err
+		}
+		if v == nil {
+			continue
+		}
+		if f.Distinct {
+			k := rowset.Key(v)
+			if seen[k] {
+				continue
+			}
+			seen[k] = true
+		}
+		vals = append(vals, v)
+	}
+	switch f.Name {
+	case "COUNT":
+		return int64(len(vals)), nil
+	case "MIN", "MAX":
+		if len(vals) == 0 {
+			return nil, nil
+		}
+		best := vals[0]
+		for _, v := range vals[1:] {
+			c := rowset.Compare(v, best)
+			if (f.Name == "MIN" && c < 0) || (f.Name == "MAX" && c > 0) {
+				best = v
+			}
+		}
+		return best, nil
+	case "SUM", "AVG", "STDEV", "VAR":
+		if len(vals) == 0 {
+			return nil, nil
+		}
+		allInt := true
+		var sum float64
+		var isum int64
+		for _, v := range vals {
+			fv, ok := rowset.ToFloat(v)
+			if !ok {
+				return nil, fmt.Errorf("sqlengine: %s requires numeric values, got %s", f.Name, rowset.TypeOf(v))
+			}
+			sum += fv
+			if iv, ok := v.(int64); ok {
+				isum += iv
+			} else {
+				allInt = false
+			}
+		}
+		switch f.Name {
+		case "SUM":
+			if allInt {
+				return isum, nil
+			}
+			return sum, nil
+		case "AVG":
+			return sum / float64(len(vals)), nil
+		default: // STDEV, VAR: sample statistics
+			if len(vals) < 2 {
+				return nil, nil
+			}
+			mean := sum / float64(len(vals))
+			var ss float64
+			for _, v := range vals {
+				fv, _ := rowset.ToFloat(v)
+				d := fv - mean
+				ss += d * d
+			}
+			variance := ss / float64(len(vals)-1)
+			if f.Name == "VAR" {
+				return variance, nil
+			}
+			return math.Sqrt(variance), nil
+		}
+	}
+	return nil, fmt.Errorf("sqlengine: unknown aggregate %s", f.Name)
+}
+
 func oracleSort(rows []rowset.Row, keys []rowset.Row, order []OrderItem) {
 	if len(order) == 0 {
 		return
@@ -349,9 +544,14 @@ func differentialDB(t *testing.T) *Engine {
 	return e
 }
 
-// differentialFixtures is the query corpus: every operator the streaming
-// rewrite touched, with and without index pushdown, plus the pushdown
-// refusal shapes (OR, LEFT JOIN right side, views, ambiguity via self-join).
+// differentialFixtures is the query corpus: every operator of the pipeline,
+// with and without index pushdown, plus the pushdown refusal shapes (OR, LEFT
+// JOIN right side, views, ambiguity via self-join), and every aggregate over
+// ties, all-NULL groups and empty input. SUM/AVG without DISTINCT only ever
+// see doubles that are exact in binary here (C.score, never O.amount): their
+// partial sums reassociate across partitions, which the oracle does not.
+// STDEV/VAR and DISTINCT aggregates fold one retained list front to back, so
+// O.amount is fair game for them.
 var differentialFixtures = []string{
 	"SELECT * FROM C",
 	"SELECT name, age FROM C",
@@ -369,11 +569,14 @@ var differentialFixtures = []string{
 	"SELECT name, age FROM C ORDER BY age DESC, name",
 	"SELECT age AS a FROM C ORDER BY a DESC",
 	"SELECT city, score FROM C ORDER BY score",
+	"SELECT name FROM C ORDER BY age * -1, id",
 	"SELECT DISTINCT city FROM C",
 	"SELECT DISTINCT city, age FROM C WHERE city = 'lima'",
 	"SELECT TOP 5 name FROM C ORDER BY age DESC",
 	"SELECT TOP 7 name FROM C",
+	"SELECT TOP 7 name FROM C WHERE age > 40",
 	"SELECT DISTINCT TOP 3 city FROM C",
+	"SELECT DISTINCT TOP 3 city FROM C ORDER BY city DESC",
 	"SELECT C.name, O.item FROM C JOIN O ON C.id = O.cid",
 	"SELECT C.name, O.item, O.amount FROM C JOIN O ON C.id = O.cid WHERE city = 'rome'",
 	"SELECT C.name, O.item FROM C JOIN O ON C.id = O.cid WHERE O.cid = 3",
@@ -391,14 +594,49 @@ var differentialFixtures = []string{
 	"SELECT * FROM V WHERE city = 'rome'",
 	"SELECT id, city FROM V ORDER BY id",
 	"SELECT 1 + 2 AS three, 'x' AS s",
+
+	// Two-pass and DISTINCT aggregates.
+	"SELECT STDEV(score), VAR(score), STDEV(age), VAR(age) FROM C",
+	"SELECT STDEV(amount), VAR(amount), SUM(DISTINCT amount), AVG(DISTINCT amount) FROM O",
+	"SELECT city, STDEV(score), VAR(age) FROM C GROUP BY city ORDER BY city",
+	"SELECT item, STDEV(amount), COUNT(DISTINCT cid) FROM O GROUP BY item",
+	"SELECT COUNT(DISTINCT city), COUNT(DISTINCT name), COUNT(city), COUNT(DISTINCT score) FROM C",
+	"SELECT city, COUNT(DISTINCT age), SUM(DISTINCT age), AVG(DISTINCT score), MIN(DISTINCT age) FROM C GROUP BY city",
+	"SELECT C.city, COUNT(DISTINCT O.item), STDEV(O.amount) FROM C JOIN O ON C.id = O.cid GROUP BY C.city",
+	// MIN/MAX ties: every age occurs at least twice, every name two or three times; the
+	// representative row (name, id) is the group's first.
+	"SELECT MIN(age), MAX(age), MIN(name), MAX(name), MIN(score), MAX(score) FROM C",
+	"SELECT age, name, id, MIN(id), MAX(id), MAX(city) FROM C GROUP BY age",
+	// All-NULL groups: every ninth row has no score, and is its own group here.
+	"SELECT id, COUNT(*), COUNT(score), SUM(score), AVG(score), MIN(score), MAX(score), STDEV(score), COUNT(DISTINCT score), SUM(DISTINCT score) FROM C WHERE id < 30 GROUP BY id",
+	"SELECT city, COUNT(*), COUNT(city), MIN(city) FROM C GROUP BY city",
+	// Empty input: one all-NULL group without GROUP BY, no group with it.
+	"SELECT COUNT(*), COUNT(score), SUM(score), AVG(score), MIN(score), MAX(score), STDEV(score), VAR(score), COUNT(DISTINCT city), SUM(DISTINCT age) FROM C WHERE age > 1000",
+	"SELECT 'none' AS k, COUNT(*) FROM C WHERE age > 1000 HAVING COUNT(*) = 0",
+	"SELECT city, COUNT(*), STDEV(score) FROM C WHERE age > 1000 GROUP BY city",
+	// A lone value has no sample variance.
+	"SELECT id, STDEV(score), VAR(score), AVG(score) FROM C WHERE id = 5 OR id = 7 GROUP BY id",
+	// HAVING, ORDER BY, DISTINCT and TOP over those.
+	"SELECT city, STDEV(score) AS sd FROM C GROUP BY city HAVING COUNT(DISTINCT age) > 10 ORDER BY VAR(score) DESC, city",
+	"SELECT name, COUNT(DISTINCT city) FROM C GROUP BY name HAVING STDEV(age) > 5 ORDER BY COUNT(DISTINCT city) DESC, name",
+	"SELECT name, MIN(age) FROM C GROUP BY name HAVING MIN(age) = MAX(age) ORDER BY name",
+	"SELECT TOP 3 city, SUM(DISTINCT age) FROM C GROUP BY city ORDER BY SUM(DISTINCT age) DESC",
+	"SELECT DISTINCT TOP 2 COUNT(*) FROM C GROUP BY city",
+	"SELECT DISTINCT COUNT(DISTINCT city) FROM C GROUP BY age",
 }
 
-// TestDifferentialStreamingVsMaterialized runs every fixture through the
-// streaming cursor pipeline and through the pre-rewrite materialized oracle
-// and requires byte-identical results: same column names, same declared
-// types, same rows in the same order.
-func TestDifferentialStreamingVsMaterialized(t *testing.T) {
+// TestDifferentialOracle is the two-way oracle: every fixture runs through
+// the reference executor above and through the engine — once at the default
+// partition size (the fixtures fit in one partition) and once cut into
+// 16-row partitions on four workers — and the engine must agree with the
+// reference byte for byte: same column names, same declared types, same rows
+// in the same order. Merging in partition order makes the partitioned runs'
+// row order identical too, so no fixture needs an unordered comparison.
+func TestDifferentialOracle(t *testing.T) {
 	e := differentialDB(t)
+	e.Workers = 4
+	reg := obs.NewRegistry(0)
+	e.Instrument(reg)
 	for _, q := range differentialFixtures {
 		stmt, err := Parse(q)
 		if err != nil {
@@ -412,11 +650,18 @@ func TestDifferentialStreamingVsMaterialized(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: oracle: %v", q, err)
 		}
-		got, err := e.Query(sel)
-		if err != nil {
-			t.Fatalf("%s: engine: %v", q, err)
+		for _, partRows := range []int{storage.DefaultMorselSize, smallPartRows} {
+			got, err := queryAt(context.Background(), e, q, partRows)
+			if err != nil {
+				t.Fatalf("%s: engine, %d-row partitions: %v", q, partRows, err)
+			}
+			diffRowsets(t, fmt.Sprintf("%s [%d-row partitions]", q, partRows), got, want)
 		}
-		diffRowsets(t, q, got, want)
+	}
+	// The 16-row runs must actually have partitioned: most fixtures are full
+	// scans of one base table.
+	if n := reg.Counter(obs.MetricSQLMorselsTotal).Value(); n == 0 {
+		t.Fatal("no fixture ran as more than one partition")
 	}
 }
 
@@ -450,30 +695,42 @@ func diffRowsets(t *testing.T, q string, got, want *rowset.Rowset) {
 	}
 }
 
-// TestDifferentialErrorsAgree checks that queries the materialized executor
-// rejected are still rejected by the streaming pipeline — pushdown and lazy
-// column resolution must not mask ambiguity or unknown-column errors.
+// TestDifferentialErrorsAgree checks that queries the reference executor
+// rejects are rejected by the pipeline with the same error text at both
+// partition sizes — pushdown, lazy column resolution and partitioning must
+// not mask ambiguity, unknown-column or malformed-aggregate errors.
 func TestDifferentialErrorsAgree(t *testing.T) {
 	e := differentialDB(t)
+	e.Workers = 4
 	for _, q := range []string{
 		"SELECT name FROM C AS a, C AS b WHERE city = 'rome'", // ambiguous everywhere
 		"SELECT nope FROM C",
 		"SELECT name FROM C WHERE nope = 'rome'",
 		"SELECT name FROM C JOIN O ON C.id = O.cid WHERE id = 3 AND bogus = 1",
+		"SELECT *, COUNT(*) FROM C",
+		"SELECT STDEV(nope) FROM C",
+		"SELECT COUNT(DISTINCT nope) FROM C GROUP BY city",
+		"SELECT city, COUNT(*) FROM C GROUP BY nope",
+		"SELECT SUM(name) FROM C",
+		"SELECT VAR(DISTINCT name) FROM C",
+		"SELECT SUM(*) FROM C",
+		"SELECT AVG(age, id) FROM C",
+		"SELECT name FROM C ORDER BY nope",
 	} {
 		stmt, err := Parse(q)
 		if err != nil {
 			t.Fatalf("%s: parse: %v", q, err)
 		}
-		sel := stmt.(*SelectStmt)
-		_, oErr := oracleQuery(e, sel)
-		_, gErr := e.Query(sel)
-		if oErr == nil || gErr == nil {
-			t.Errorf("%s: oracle err=%v, engine err=%v (want both non-nil)", q, oErr, gErr)
-			continue
-		}
-		if oErr.Error() != gErr.Error() {
-			t.Errorf("%s: error mismatch\n  oracle: %v\n  engine: %v", q, oErr, gErr)
+		_, oErr := oracleQuery(e, stmt.(*SelectStmt))
+		for _, partRows := range []int{storage.DefaultMorselSize, smallPartRows} {
+			_, gErr := queryAt(context.Background(), e, q, partRows)
+			if oErr == nil || gErr == nil {
+				t.Errorf("%s: oracle err=%v, engine err=%v (want both non-nil)", q, oErr, gErr)
+				continue
+			}
+			if oErr.Error() != gErr.Error() {
+				t.Errorf("%s [%d-row partitions]: error mismatch\n  oracle: %v\n  engine: %v", q, partRows, oErr, gErr)
+			}
 		}
 	}
 }

@@ -25,9 +25,10 @@ import (
 // sizes decide the hash-join build side when both are known; otherwise the
 // planner's cardinality estimates (lest/rest, negative = unknown) stand in,
 // turning the build-side choice into a cost-based decision instead of a
-// build-right default. Both inputs are owned by the returned cursor (closed
-// on Close or exhaustion); on error the caller still owns them.
-func newJoinCursor(left, right rowset.Cursor, kind JoinKind, on Expr, lest, rest int) (rowset.Cursor, string, error) {
+// build-right default. workers bounds the parallel key precompute of a large
+// hash-join build. Both inputs are owned by the returned cursor (closed on
+// Close or exhaustion); on error the caller still owns them.
+func newJoinCursor(left, right rowset.Cursor, kind JoinKind, on Expr, lest, rest, workers int) (rowset.Cursor, string, error) {
 	schema, err := concatSchemas(left.Schema(), right.Schema())
 	if err != nil {
 		return nil, "", err
@@ -37,12 +38,12 @@ func newJoinCursor(left, right rowset.Cursor, kind JoinKind, on Expr, lest, rest
 			if buildLeft(cursorSize(left), cursorSize(right), lest, rest) {
 				return &hashJoinBuildLeft{
 					left: left, right: right, schema: schema,
-					lo: lo, ro: ro, leftOuter: kind == JoinLeft,
+					lo: lo, ro: ro, leftOuter: kind == JoinLeft, workers: workers,
 				}, "build=left", nil
 			}
 			return &hashJoinStream{
 				left: left, right: right, schema: schema,
-				lo: lo, ro: ro, leftOuter: kind == JoinLeft,
+				lo: lo, ro: ro, leftOuter: kind == JoinLeft, workers: workers,
 				nullRight: make(rowset.Row, right.Schema().Len()),
 			}, "build=right", nil
 		}

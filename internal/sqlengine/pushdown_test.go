@@ -206,7 +206,7 @@ func BenchmarkSkewedJoinBuildSide(b *testing.B) {
 	}
 	b.Run("build-small", func(b *testing.B) {
 		run(b, func() (rowset.Cursor, error) {
-			c, _, err := newJoinCursor(newSliceCursor(sq, smallRows), newSliceCursor(bq, bigRows), JoinInner, on, -1, -1)
+			c, _, err := newJoinCursor(newSliceCursor(sq, smallRows), newSliceCursor(bq, bigRows), JoinInner, on, -1, -1, 1)
 			return c, err
 		})
 	})

@@ -106,3 +106,40 @@ func TestPlanSpanMirrorsExecution(t *testing.T) {
 		}
 	}
 }
+
+// TestPlanSpanStatesPartitioning: EXPLAIN's cost-annotated plan and an
+// executed trace state the same strategy — the scan of a table above the
+// partition size carries morsels=N workers=W in both, decided by the same
+// partitionRanges, and a streaming TOP over the same table carries neither.
+func TestPlanSpanStatesPartitioning(t *testing.T) {
+	e := bigTable(t, 2*storage.DefaultMorselSize+1)
+	e.Workers = 3
+	for q, fanOut := range map[string]string{
+		"SELECT a FROM T WHERE b > 10 ORDER BY b": " morsels=3 workers=3",
+		"SELECT g, STDEV(b) FROM T GROUP BY g":    " morsels=3 workers=3",
+		"SELECT TOP 5 a FROM T WHERE b > 10":      "",
+	} {
+		st, err := Parse(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		planned := e.PlanSpan(st.(*SelectStmt))
+		tr := obs.NewTrace("q", "")
+		if _, err := e.ExecContext(obs.WithTrace(t.Context(), tr), q); err != nil {
+			t.Fatal(err)
+		}
+		executed := tr.Root().Children[0]
+		if pk, ek := spanKinds(planned), spanKinds(executed); pk != ek {
+			t.Errorf("query %q: plan %s != executed %s", q, pk, ek)
+		}
+		want := "T est=8193" + fanOut
+		if got := planned.Children[0].Label; got != want {
+			t.Errorf("query %q: planned scan label %q, want %q", q, got, want)
+		}
+		// The executed label may additionally count the batches that flowed.
+		got := executed.Children[0].Label
+		if !strings.HasPrefix(got, want) || strings.Contains(got, "morsels=") != (fanOut != "") {
+			t.Errorf("query %q: executed scan label %q, want %q (+ batches)", q, got, want)
+		}
+	}
+}

@@ -1,9 +1,9 @@
 package sqlengine
 
-// This file is the streaming (Volcano-style) SELECT executor: the FROM/WHERE/
-// project/sort/distinct/TOP pipeline is compiled into a chain of pull-based
-// rowset.Cursor operators, and rows flow through one at a time instead of
-// being materialized into a fresh Rowset at every operator boundary.
+// This file holds the pull-based rowset.Cursor operators of the SELECT
+// pipeline (exec.go assembles them) and the planning of its source half: the
+// FROM clause resolved into scans and joins, index pushdown, and the partition
+// rule.
 //
 // Operators that pipeline: scan, filter, equi-join probe side, projection,
 // DISTINCT, and TOP (which stops pulling — and therefore stops all upstream
@@ -20,10 +20,13 @@ package sqlengine
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/rowset"
 	"repro/internal/storage"
 )
@@ -74,26 +77,6 @@ func (c *sliceCursor) NextBatch() (rowset.Batch, error) {
 	b := rowset.Batch{Rows: c.rows[c.i:hi]}
 	c.i = hi
 	return b, nil
-}
-
-// schemaCursor renames a stream's schema (table columns -> "alias.column")
-// without touching the rows.
-type schemaCursor struct {
-	src    rowset.Cursor
-	schema *rowset.Schema
-	bsrc   rowset.BatchCursor
-}
-
-func (c *schemaCursor) Next() (rowset.Row, error) { return c.src.Next() }
-func (c *schemaCursor) Schema() *rowset.Schema    { return c.schema }
-func (c *schemaCursor) Close() error              { return c.src.Close() }
-func (c *schemaCursor) Size() int                 { return cursorSize(c.src) }
-
-func (c *schemaCursor) NextBatch() (rowset.Batch, error) {
-	if c.bsrc == nil {
-		c.bsrc = rowset.BatchCursorOf(c.src)
-	}
-	return c.bsrc.NextBatch()
 }
 
 // cancelCursor threads context cancellation into the pull pipeline: Next
@@ -195,13 +178,6 @@ const smallDrainSize = 64
 // of the producer-owned batches, which is safe to retain because engine rows
 // are immutable.
 func drainRows(c rowset.Cursor) ([]rowset.Row, error) {
-	rows, _, err := drainRowsCounted(c)
-	return rows, err
-}
-
-// drainRowsCounted is drainRows reporting how many batches flowed (0 on the
-// row path), for the engine's sql_batches_total counter.
-func drainRowsCounted(c rowset.Cursor) ([]rowset.Row, int64, error) {
 	defer c.Close() //nolint:errcheck // Close after exhaustion is a no-op
 	var rows []rowset.Row
 	n := cursorSize(c)
@@ -209,16 +185,14 @@ func drainRowsCounted(c rowset.Cursor) ([]rowset.Row, int64, error) {
 		rows = make([]rowset.Row, 0, n) // upper bound: filters shrink it
 	}
 	if bc, ok := c.(rowset.BatchCursor); ok && (n < 0 || n > smallDrainSize) {
-		var batches int64
 		for {
 			b, err := bc.NextBatch()
 			if err != nil {
-				return nil, batches, err
+				return nil, err
 			}
 			if b.Empty() {
-				return rows, batches, nil
+				return rows, nil
 			}
-			batches++
 			if b.Sel == nil {
 				rows = append(rows, b.Rows...)
 			} else {
@@ -231,10 +205,10 @@ func drainRowsCounted(c rowset.Cursor) ([]rowset.Row, int64, error) {
 	for {
 		r, err := c.Next()
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		if r == nil {
-			return rows, 0, nil
+			return rows, nil
 		}
 		rows = append(rows, r)
 	}
@@ -242,96 +216,110 @@ func drainRowsCounted(c rowset.Cursor) ([]rowset.Row, int64, error) {
 
 // ---------- span accounting ----------
 
-// opCursor decorates an operator cursor with span accounting: the rows that
-// actually flow through the operator, and — only under EXPLAIN ANALYZE's
-// detailed mode, because it costs two clock reads per row — the operator's
-// inclusive time (its own work plus upstream pulls). The span was opened and
-// closed at pipeline build time; its Rows/Elapsed fields are patched when the
-// stream ends, which is before anyone reads the tree (EXPLAIN ANALYZE reads
-// after execution, DM_TRACE retains trees only after the statement finishes).
-type opCursor struct {
-	src     rowset.Cursor
-	sp      *obs.Span
-	rows    int64
-	timed   bool
-	elapsed time.Duration
+// opSpan is one operator's span plus the totals its cursors — one per
+// partition — report. The span was opened and closed at plan time; a
+// partition's cursor adds its counts to the atomic totals when it ends, and
+// the statement's goroutine copies them onto the span (flush) once every
+// partition has finished, which is before anyone reads the tree (EXPLAIN
+// ANALYZE reads after execution, DM_TRACE retains trees only after the
+// statement finishes). Partition workers therefore never touch the span.
+type opSpan struct {
+	sp    *obs.Span
+	timed bool // EXPLAIN ANALYZE's detailed mode: two clock reads per pull
 
-	bsrc    rowset.BatchCursor
-	batches int64
-	labeled bool
+	rows, batches, nanos atomic.Int64
 }
 
-// traced wraps c with span accounting, or returns c unchanged when the
-// statement is untraced (sp nil) so untraced execution pays nothing.
-func traced(c rowset.Cursor, sp *obs.Span, timed bool) rowset.Cursor {
-	if sp == nil {
+// wrap decorates one partition's operator cursor with span accounting: the
+// rows that actually flow through it and, when timed, its inclusive time (its
+// own work plus upstream pulls). A nil opSpan — the statement is untraced —
+// returns c unchanged, so untraced execution pays nothing.
+func (o *opSpan) wrap(c rowset.Cursor) rowset.Cursor {
+	if o == nil {
 		return c
 	}
-	return &opCursor{src: c, sp: sp, timed: timed}
+	return &opCursor{src: c, op: o}
 }
 
-func (o *opCursor) Next() (rowset.Row, error) {
-	var start time.Time
+// flush copies the totals onto the span; over several partitions Elapsed is
+// the sum of their inclusive times.
+func (o *opSpan) flush() {
+	o.sp.Rows = o.rows.Load()
 	if o.timed {
-		start = time.Now()
+		o.sp.Elapsed = time.Duration(o.nanos.Load())
 	}
-	r, err := o.src.Next()
-	if o.timed {
-		o.elapsed += time.Since(start)
-	}
-	if r != nil {
-		o.rows++
-	} else {
-		o.flush()
-	}
-	return r, err
-}
-
-// NextBatch accounts batch pulls the same way Next accounts rows, and also
-// counts batches so the span label can record the operator's batch fan-in.
-func (o *opCursor) NextBatch() (rowset.Batch, error) {
-	if o.bsrc == nil {
-		o.bsrc = rowset.BatchCursorOf(o.src)
-	}
-	var start time.Time
-	if o.timed {
-		start = time.Now()
-	}
-	b, err := o.bsrc.NextBatch()
-	if o.timed {
-		o.elapsed += time.Since(start)
-	}
-	if !b.Empty() {
-		o.rows += int64(b.Len())
-		o.batches++
-	} else {
-		o.flush()
-	}
-	return b, err
-}
-
-func (o *opCursor) Schema() *rowset.Schema { return o.src.Schema() }
-
-func (o *opCursor) Close() error {
-	o.flush()
-	return o.src.Close()
-}
-
-func (o *opCursor) Size() int { return cursorSize(o.src) }
-
-func (o *opCursor) flush() {
-	o.sp.Rows = o.rows
-	if o.timed {
-		o.sp.Elapsed = o.elapsed
-	}
-	if o.batches > 0 && !o.labeled {
-		o.labeled = true
-		label := fmt.Sprintf("batches=%d", o.batches)
+	if n := o.batches.Load(); n > 0 {
+		label := fmt.Sprintf("batches=%d", n)
 		if o.sp.Label != "" {
 			label = o.sp.Label + " " + label
 		}
 		o.sp.SetLabel(label)
 	}
+}
+
+type opCursor struct {
+	src  rowset.Cursor
+	op   *opSpan
+	bsrc rowset.BatchCursor
+
+	rows, batches int64
+	elapsed       time.Duration
+}
+
+func (c *opCursor) Next() (rowset.Row, error) {
+	var start time.Time
+	if c.op.timed {
+		start = time.Now()
+	}
+	r, err := c.src.Next()
+	if c.op.timed {
+		c.elapsed += time.Since(start)
+	}
+	if r != nil {
+		c.rows++
+	} else {
+		c.report()
+	}
+	return r, err
+}
+
+func (c *opCursor) NextBatch() (rowset.Batch, error) {
+	if c.bsrc == nil {
+		c.bsrc = rowset.BatchCursorOf(c.src)
+	}
+	var start time.Time
+	if c.op.timed {
+		start = time.Now()
+	}
+	b, err := c.bsrc.NextBatch()
+	if c.op.timed {
+		c.elapsed += time.Since(start)
+	}
+	if !b.Empty() {
+		c.rows += int64(b.Len())
+		c.batches++
+	} else {
+		c.report()
+	}
+	return b, err
+}
+
+func (c *opCursor) Schema() *rowset.Schema { return c.src.Schema() }
+
+func (c *opCursor) Close() error {
+	c.report()
+	return c.src.Close()
+}
+
+func (c *opCursor) Size() int { return cursorSize(c.src) }
+
+// report adds the counts gathered since the last report to the operator's
+// totals; it runs at end of stream and again, adding nothing, on Close.
+func (c *opCursor) report() {
+	c.op.rows.Add(c.rows)
+	c.op.batches.Add(c.batches)
+	c.op.nanos.Add(int64(c.elapsed))
+	c.rows, c.batches, c.elapsed = 0, 0, 0
 }
 
 // ---------- filter ----------
@@ -511,6 +499,17 @@ func (c *distinctCursor) Next() (rowset.Row, error) {
 func (c *distinctCursor) Schema() *rowset.Schema { return c.src.Schema() }
 func (c *distinctCursor) Close() error           { return c.src.Close() }
 
+// tailCursor applies the statement's streaming DISTINCT and TOP to cur.
+func tailCursor(cur rowset.Cursor, sel *SelectStmt) rowset.Cursor {
+	if sel.Distinct {
+		cur = newDistinctCursor(cur)
+	}
+	if sel.Top > 0 {
+		cur = &limitCursor{src: cur, n: sel.Top}
+	}
+	return cur
+}
+
 // ---------- scans and pushdown ----------
 
 // pushedEq is a `col = literal` predicate applied at the scan through the
@@ -587,28 +586,18 @@ func (e *Engine) resolveScan(ref TableRef) (*compiledScan, error) {
 	return cs, nil
 }
 
-// open builds the scan's cursor and records its span. Rows pass through
-// shared and un-renormalized: table rows were coerced on insert, view rows
-// were normalized when the view query materialized.
-func (cs *compiledScan) open(t *obs.Trace, detailed bool) (rowset.Cursor, error) {
-	sp := t.StartSpan("scan", cs.label())
-	var cur rowset.Cursor
+// rows returns the scan's input: the view's materialized rows, the index
+// bucket of a pushed equality, or the table's snapshot. Rows are shared and
+// un-renormalized: table rows were coerced on insert, view rows were
+// normalized when the view query materialized.
+func (cs *compiledScan) rows() ([]rowset.Row, error) {
 	switch {
 	case cs.view != nil:
-		cur = newSliceCursor(cs.schema, cs.view.Rows())
+		return cs.view.Rows(), nil
 	case cs.pushed != nil:
-		rows, err := cs.tbl.LookupEqualRows(cs.pushed.col, cs.pushed.val)
-		if err != nil {
-			t.EndSpan(sp)
-			return nil, err
-		}
-		cur = newSliceCursor(cs.schema, rows)
-	default:
-		cur = &schemaCursor{src: cs.tbl.Cursor(), schema: cs.schema}
+		return cs.tbl.LookupEqualRows(cs.pushed.col, cs.pushed.val)
 	}
-	sp.SetRows(int64(cursorSize(cur)))
-	t.EndSpan(sp)
-	return traced(cur, sp, detailed), nil
+	return cs.tbl.Snapshot(), nil
 }
 
 // label renders the scan for span output: the FROM alias, the pushed index
@@ -619,6 +608,15 @@ func (cs *compiledScan) label() string {
 		label += " index=" + cs.pushed.col
 	}
 	return fmt.Sprintf("%s est=%d", label, cs.estimate)
+}
+
+// scanLabel is cs.label() plus, when the scan runs as more than one
+// partition, the fan-out.
+func (e *Engine) scanLabel(cs *compiledScan, partitions int) string {
+	if partitions <= 1 {
+		return cs.label()
+	}
+	return fmt.Sprintf("%s morsels=%d workers=%d", cs.label(), partitions, e.workers())
 }
 
 // planPushdown splits the WHERE conjunction and pushes eligible equality
@@ -787,56 +785,168 @@ func indexableEq(colType rowset.Type, v rowset.Value) bool {
 	return false
 }
 
-// buildSourceCursor compiles the FROM clause into one cursor whose columns
-// are qualified "alias.column", recording scan and join spans in the same
-// order PlanSpan declares them. It returns the residual WHERE predicate after
-// index pushdown.
-func (e *Engine) buildSourceCursor(t *obs.Trace, sel *SelectStmt) (rowset.Cursor, Expr, error) {
+// partitionRanges is the partition rule, a function of the statement and its
+// input only (never of the worker count): a full scan of a base table is cut
+// into contiguous ranges of partRows rows; every other source — an index
+// probe, a view, a join — is one partition, as is a non-aggregating TOP
+// without ORDER BY, whose early exit needs one front-to-back stream. nil means
+// one partition: the whole input.
+func partitionRanges(sel *SelectStmt, scans []*compiledScan, rows, partRows int) []storage.Morsel {
+	if len(scans) != 1 || scans[0].tbl == nil || scans[0].pushed != nil {
+		return nil
+	}
+	if sel.Top > 0 && len(sel.OrderBy) == 0 && !needsAggregate(sel) {
+		return nil
+	}
+	if ranges := storage.MorselRanges(rows, partRows); len(ranges) > 1 {
+		return ranges
+	}
+	return nil
+}
+
+// source is the planned FROM/WHERE half of a SELECT: n partitions of input
+// rows under one schema of "alias.column" names, and the predicate left to
+// filter them by after index pushdown. Partitions are contiguous and ordered,
+// so consuming them in index order reproduces a front-to-back scan.
+type source struct {
+	schema   *rowset.Schema
+	n        int
+	open     func(i int) rowset.Cursor
+	residual Expr
+	filter   *opSpan   // non-nil iff the statement is traced and has a WHERE
+	ops      []*opSpan // every operator span of the statement, for flushSpans
+}
+
+// span records an operator span in plan order (nil on an untraced statement).
+func (src *source) span(t *obs.Trace, kind, label string) *opSpan {
+	sp := t.StartSpan(kind, label)
+	if sp == nil {
+		return nil
+	}
+	t.EndSpan(sp)
+	o := &opSpan{sp: sp, timed: t.Detailed()}
+	src.ops = append(src.ops, o)
+	return o
+}
+
+// flushSpans patches every operator span with what its cursors counted.
+func (src *source) flushSpans() {
+	for _, o := range src.ops {
+		o.flush()
+	}
+}
+
+// workers resolves the engine's worker bound (<= 0 means GOMAXPROCS).
+func (e *Engine) workers() int {
+	if e.Workers > 0 {
+		return e.Workers
+	}
+	return runtime.GOMAXPROCS(0)
+}
+
+// planSource compiles the FROM and WHERE clauses, recording scan, join and
+// filter spans in the same order PlanSpan declares them.
+func (e *Engine) planSource(t *obs.Trace, sel *SelectStmt, partRows int) (*source, error) {
+	src := &source{n: 1, residual: sel.Where}
 	if len(sel.From) == 0 {
 		// FROM-less SELECT evaluates items once against an empty row.
-		return newSliceCursor(rowset.MustSchema(), []rowset.Row{{}}), sel.Where, nil
-	}
-	detailed := t.Detailed()
-	scans := make([]*compiledScan, len(sel.From))
-	for i, ref := range sel.From {
-		cs, err := e.resolveScan(ref)
-		if err != nil {
-			return nil, nil, err
+		src.schema = rowset.MustSchema()
+		src.open = func(int) rowset.Cursor { return newSliceCursor(src.schema, []rowset.Row{{}}) }
+	} else {
+		scans := make([]*compiledScan, len(sel.From))
+		for i, ref := range sel.From {
+			cs, err := e.resolveScan(ref)
+			if err != nil {
+				return nil, err
+			}
+			scans[i] = cs
 		}
-		scans[i] = cs
+		src.residual = planPushdown(sel.Where, scans)
+		first := scans[0]
+		rows, err := first.rows()
+		if err != nil {
+			return nil, err
+		}
+		ranges := partitionRanges(sel, scans, len(rows), partRows)
+		if ranges != nil {
+			src.n = len(ranges)
+			e.parScans.Inc()
+			e.morsels.Add(int64(src.n))
+		}
+		spScan := src.span(t, "scan", e.scanLabel(first, src.n))
+		src.schema = first.schema
+		src.open = func(i int) rowset.Cursor {
+			part := rows
+			if ranges != nil {
+				part = rows[ranges[i].Lo:ranges[i].Hi]
+			}
+			return spScan.wrap(newSliceCursor(first.schema, part))
+		}
+		if len(scans) > 1 {
+			acc, err := e.planJoins(t, src, scans)
+			if err != nil {
+				return nil, err
+			}
+			src.schema = acc.Schema()
+			src.open = func(int) rowset.Cursor { return acc }
+		}
 	}
-	residual := planPushdown(sel.Where, scans)
+	if sel.Where != nil {
+		// The filter span exists whenever the statement has a WHERE, even if
+		// index pushdown consumed every conjunct (residual == nil) — the plan
+		// shape must not depend on which indexes happened to exist.
+		src.filter = src.span(t, "filter", "")
+	}
+	return src, nil
+}
 
-	acc, err := scans[0].open(t, detailed)
-	if err != nil {
-		return nil, nil, err
-	}
+// planJoins folds scans[1:] onto the first scan (src.open(0)) left to right.
+func (e *Engine) planJoins(t *obs.Trace, src *source, scans []*compiledScan) (rowset.Cursor, error) {
+	acc := src.open(0)
 	accEst := scans[0].estimate
 	for _, cs := range scans[1:] {
-		right, err := cs.open(t, detailed)
+		rows, err := cs.rows()
 		if err != nil {
 			acc.Close() //nolint:errcheck // already failing
-			return nil, nil, err
+			return nil, err
 		}
-		jc, strategy, err := newJoinCursor(acc, right, cs.ref.Kind, cs.ref.On, accEst, cs.estimate)
+		right := src.span(t, "scan", cs.label()).wrap(newSliceCursor(cs.schema, rows))
+		// Large hash-join builds precompute their keys on parallel workers.
+		jc, strategy, err := newJoinCursor(acc, right, cs.ref.Kind, cs.ref.On, accEst, cs.estimate, e.workers())
 		if err != nil {
 			acc.Close()   //nolint:errcheck // already failing
 			right.Close() //nolint:errcheck // already failing
-			return nil, nil, err
+			return nil, err
 		}
-		// Large hash-join builds precompute their keys on parallel workers.
-		switch hj := jc.(type) {
-		case *hashJoinStream:
-			hj.workers = e.vecWorkers()
-		case *hashJoinBuildLeft:
-			hj.workers = e.vecWorkers()
-		}
-		sp := t.StartSpan("join", joinLabel(cs.ref.Kind, strategy))
-		t.EndSpan(sp)
-		acc = traced(jc, sp, detailed)
+		acc = src.span(t, "join", joinLabel(cs.ref.Kind, strategy)).wrap(jc)
 		accEst = joinEstimate(accEst, cs.estimate, cs.ref.Kind)
 	}
-	return acc, residual, nil
+	return acc, nil
+}
+
+// forEachPartition opens every partition of src — its scan (or join) cursor,
+// the cancellation poll, the residual filter — and hands it to fn, which owns
+// the cursor. Partitions run on up to e.Workers goroutines through
+// par.ForEachCtx; a single partition runs inline on the calling goroutine. fn
+// is called at most once per index and must only write state of its own
+// partition; par.ForEachCtx's lowest-index-error rule surfaces the error a
+// front-to-back scan would have hit first.
+func (e *Engine) forEachPartition(ctx context.Context, src *source, fn func(i int, cur rowset.Cursor) error) error {
+	done := ctx.Done()
+	return par.ForEachCtx(ctx, src.n, e.Workers, func(i int) error {
+		cur := src.open(i)
+		if done != nil {
+			// Cancellable statement: poll ctx between row batches so a Close'd
+			// server or timed-out client stops the scan mid-stream. The wrap
+			// sits above the joins, so one poll point covers the whole source
+			// pipeline.
+			cur = &cancelCursor{src: cur, ctx: ctx, done: done}
+		}
+		if src.residual != nil || src.filter != nil {
+			cur = src.filter.wrap(newFilterCursor(cur, src.residual))
+		}
+		return fn(i, cur)
+	})
 }
 
 // joinLabel renders a join span label: the join kind plus the strategy the
