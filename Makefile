@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race bench bench-parallel bench-smoke bench-json loadsmoke lint vulncheck check
+.PHONY: build test vet race bench bench-parallel bench-smoke loadsmoke lint vulncheck check
 
 build:
 	$(GO) build ./...
@@ -34,13 +34,6 @@ bench-parallel:
 # the whole recorder+history pipeline.
 bench-smoke:
 	BENCH_SMOKE=1 $(GO) test -run TestObsOverheadSmoke -v .
-
-# Machine-readable benchmark report (schema documented in EXPERIMENTS.md).
-# Overwrites BENCH_PR10.json with a single fresh run; the checked-in report
-# is a per-workload best-of-N composite (see EXPERIMENTS.md "PR10"), so only
-# commit a regeneration deliberately.
-bench-json:
-	$(GO) run ./cmd/dmbench -scale 500 -json BENCH_PR10.json
 
 # Concurrency smoke: five seconds of mixed dmload traffic (8 reader
 # connections + a training loop) against an in-process dmserver. Fails on

@@ -9,16 +9,12 @@
 //	dmbench -exp e2,e8      # run a subset
 //	dmbench -scale 10000    # more customers
 //	dmbench -list           # list experiments
-//	dmbench -json out.json  # benchmark workloads, machine-readable report
 //
-// -json skips the experiments and instead times the benchmark workloads
-// (sql-scan, scan-wide-filter, group-by-agg, shape-caseset, train, ...), writing a BenchReport
-// JSON file whose schema EXPERIMENTS.md documents.
+// Performance is measured by the repository's benchmark, `go run ./bench`.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -33,32 +29,7 @@ func main() {
 	scale := flag.Int("scale", 2000, "base customer count for synthetic workloads")
 	seed := flag.Int64("seed", 1, "workload generation seed")
 	list := flag.Bool("list", false, "list experiments and exit")
-	jsonPath := flag.String("json", "", "benchmark workloads and write a JSON report to this path")
 	flag.Parse()
-
-	if *jsonPath != "" {
-		report, err := experiments.RunBench(context.Background(), experiments.Config{Scale: *scale, Seed: *seed})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-			os.Exit(1)
-		}
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*jsonPath, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-			os.Exit(1)
-		}
-		for _, w := range report.Workloads {
-			fmt.Printf("%-14s %8d rows  %10.0f rows/sec  p50 %7dus  p95 %7dus\n",
-				w.Name, w.Rows, w.RowsPerSec, w.P50Micros, w.P95Micros)
-		}
-		fmt.Printf("wrote %s (scale %d, %d iterations/workload)\n",
-			*jsonPath, report.Scale, report.Iterations)
-		return
-	}
 
 	if *list {
 		for _, id := range experiments.IDs() {

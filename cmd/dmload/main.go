@@ -17,7 +17,7 @@
 //
 //	go run ./cmd/dmload -conns 8 -duration 10s
 //	go run ./cmd/dmload -conns 16 -rate 2000 -json load.json
-//	go run ./cmd/dmload -merge BENCH_PR8.json -check-ratio 5
+//	go run ./cmd/dmload -check-ratio 5
 package main
 
 import (
@@ -33,7 +33,6 @@ import (
 
 	"repro/internal/dmclient"
 	"repro/internal/dmserver"
-	"repro/internal/experiments"
 	"repro/internal/provider"
 	"repro/internal/rowset"
 	"repro/internal/workload"
@@ -51,7 +50,6 @@ func main() {
 		rate        = flag.Float64("rate", 0, "open-loop aggregate target in ops/sec (0 = closed loop)")
 		maxInflight = flag.Int("max-inflight", 0, "per-connection admission bound (in-process server only, 0 = unbounded)")
 		jsonPath    = flag.String("json", "", "write the LoadReport as JSON to this file")
-		mergePath   = flag.String("merge", "", "merge the LoadReport into this dmbench BenchReport JSON file")
 		checkRatio  = flag.Float64("check-ratio", 0, "fail unless training-phase read p95 is within this factor of idle p95 (0 = no check)")
 		slo         = flag.Duration("slo", 0, "log statements slower than this with their server seq (0 = off)")
 		checkRec    = flag.Bool("check-recorder", false, "after the run, assert $SYSTEM.DM_FLIGHT_RECORDER is non-empty and joins DM_QUERY_LOG on SEQ")
@@ -112,12 +110,6 @@ func main() {
 			fatal(err)
 		}
 		fmt.Printf("wrote %s\n", *jsonPath)
-	}
-	if *mergePath != "" {
-		if err := mergeBench(*mergePath, report); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("merged load section into %s\n", *mergePath)
 	}
 
 	switch {
@@ -551,24 +543,4 @@ func writeJSON(path string, rep *workload.LoadReport) error {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// mergeBench attaches the load report to an existing dmbench BenchReport
-// file (its workloads untouched), so one BENCH_PR8.json carries both the
-// single-statement throughput numbers and the concurrency-harness result.
-func mergeBench(path string, rep *workload.LoadReport) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("dmload: -merge target: %w (run `make bench-json` first)", err)
-	}
-	var bench experiments.BenchReport
-	if err := json.Unmarshal(data, &bench); err != nil {
-		return fmt.Errorf("dmload: -merge target %s: %w", path, err)
-	}
-	bench.Load = rep
-	out, err := json.MarshalIndent(&bench, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(out, '\n'), 0o644)
 }

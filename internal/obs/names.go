@@ -82,7 +82,7 @@ var helpText = map[string]string{
 	MetricStatementsByOrigin:    "Statements executed, by session origin.",
 	MetricPredictionsByModel:    "PREDICTION JOIN statements, by mining model.",
 	MetricTrainingsByModel:      "Model training runs (INSERT INTO), by mining model.",
-	MetricSQLBatchesTotal:       "Row batches drained by vectorized query pipelines.",
+	MetricSQLBatchesTotal:       "Row batches pulled by SELECT drains; every SELECT counts, point probes included.",
 	MetricSQLMorselsTotal:       "Table morsels (scan partitions) dispatched to scan workers.",
 	MetricSQLParallelScansTotal: "Queries whose table scan ran as more than one partition.",
 	MetricFlightConsidered:      "Completed statements offered to the flight recorder.",

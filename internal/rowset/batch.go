@@ -3,7 +3,9 @@ package rowset
 // Batch-at-a-time cursors. The Volcano Cursor contract pays an interface
 // call per row per operator; BatchCursor amortizes that over up to
 // DefaultBatchSize rows, and a selection vector lets filters drop rows
-// without copying the survivors into a fresh slice.
+// without copying the survivors into a fresh slice. It is the one protocol
+// between the SQL engine's operators; Cursor is the edge (materialized
+// rowsets, storage table cursors), and the edge's cursors implement both.
 //
 // Ownership rule (the "Batch ownership rule" dmlint's batchown analyzer
 // enforces): a Batch returned by NextBatch is OWNED BY THE PRODUCER. Its
@@ -69,84 +71,6 @@ type BatchCursor interface {
 	Schema() *Schema
 	Close() error
 }
-
-// BatchCursorOf adapts a Cursor into a BatchCursor. Cursors that natively
-// produce batches (table scans, slice cursors, the engine's vectorized
-// operators) pass through unchanged; anything else is wrapped in a batcher
-// that assembles reused DefaultBatchSize batches from row-at-a-time pulls.
-func BatchCursorOf(c Cursor) BatchCursor {
-	if bc, ok := c.(BatchCursor); ok {
-		return bc
-	}
-	return &rowBatcher{src: c}
-}
-
-// rowBatcher assembles batches from a row-at-a-time source. The batch buffer
-// is reused across NextBatch calls, honoring the producer-owned contract.
-type rowBatcher struct {
-	src Cursor
-	buf []Row
-}
-
-func (rb *rowBatcher) NextBatch() (Batch, error) {
-	if rb.buf == nil {
-		rb.buf = make([]Row, 0, DefaultBatchSize)
-	}
-	rb.buf = rb.buf[:0]
-	for len(rb.buf) < cap(rb.buf) {
-		r, err := rb.src.Next()
-		if err != nil {
-			return Batch{}, err
-		}
-		if r == nil {
-			break
-		}
-		rb.buf = append(rb.buf, r)
-	}
-	if len(rb.buf) == 0 {
-		return Batch{}, nil
-	}
-	return Batch{Rows: rb.buf}, nil
-}
-
-func (rb *rowBatcher) Schema() *Schema { return rb.src.Schema() }
-func (rb *rowBatcher) Close() error    { return rb.src.Close() }
-
-// RowCursor adapts a BatchCursor into a row-at-a-time Cursor. Hybrid
-// producers that already implement Cursor pass through unchanged. A consumer
-// must drive a cursor through one interface only — interleaving Next and
-// NextBatch pulls on the same cursor is undefined.
-func RowCursor(bc BatchCursor) Cursor {
-	if c, ok := bc.(Cursor); ok {
-		return c
-	}
-	return &batchRowCursor{src: bc}
-}
-
-type batchRowCursor struct {
-	src BatchCursor
-	cur Batch
-	i   int
-}
-
-func (c *batchRowCursor) Next() (Row, error) {
-	for c.i >= c.cur.Len() {
-		b, err := c.src.NextBatch()
-		if err != nil {
-			return nil, err
-		}
-		if b.Empty() {
-			return nil, nil
-		}
-		c.cur, c.i = b, 0
-	}
-	r := c.cur.Row(c.i)
-	c.i++
-	return r, nil
-}
-
-func (c *batchRowCursor) Schema() *Schema { return c.src.Schema() }
-func (c *batchRowCursor) Close() error    { return c.src.Close() }
 
 // NextBatch makes the materialized-rowset cursor a native batch producer:
 // each batch is a zero-copy subslice of the rowset's backing rows.

@@ -46,10 +46,10 @@ func TestBatchSelectionVector(t *testing.T) {
 
 func TestSliceIterNextBatch(t *testing.T) {
 	rs := batchTestRowset(t, 2*DefaultBatchSize+5)
-	bc := BatchCursorOf(rs.Cursor())
-	// The rowset cursor is batch-native: no wrapper, zero-copy subslices.
-	if _, wrapped := bc.(*rowBatcher); wrapped {
-		t.Fatal("sliceIter was wrapped instead of passing through")
+	// The rowset cursor is batch-native: zero-copy subslices.
+	bc, ok := rs.Cursor().(BatchCursor)
+	if !ok {
+		t.Fatal("the materialized-rowset cursor does not produce batches")
 	}
 	total, batches := 0, 0
 	for {
@@ -74,64 +74,6 @@ func TestSliceIterNextBatch(t *testing.T) {
 	}
 	if err := bc.Close(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestBatchAdaptersRoundTrip(t *testing.T) {
-	rs := batchTestRowset(t, DefaultBatchSize+37)
-
-	// Row → batch → row: plainIter hides both Close and NextBatch, so both
-	// adapters must actually wrap.
-	bc := BatchCursorOf(CursorOf(plainIter{rs.Iter()}))
-	if _, ok := bc.(*rowBatcher); !ok {
-		t.Fatal("expected rowBatcher wrapper for a row-only source")
-	}
-	rc := RowCursor(onlyBatch{bc})
-	out, err := FromCursor(rc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Len() != rs.Len() {
-		t.Fatalf("round-trip len = %d, want %d", out.Len(), rs.Len())
-	}
-	for i := range rs.Rows() {
-		if Compare(out.Row(i)[0], rs.Row(i)[0]) != 0 {
-			t.Fatalf("row %d mismatch", i)
-		}
-	}
-
-	// A hybrid cursor passes through both adapters unchanged.
-	c := rs.Cursor()
-	if RowCursor(BatchCursorOf(c)) != c {
-		t.Fatal("hybrid cursor did not pass through adapters")
-	}
-}
-
-// onlyBatch hides the Next method so RowCursor sees a batch-only source.
-type onlyBatch struct{ bc BatchCursor }
-
-func (o onlyBatch) NextBatch() (Batch, error) { return o.bc.NextBatch() }
-func (o onlyBatch) Schema() *Schema           { return o.bc.Schema() }
-func (o onlyBatch) Close() error              { return o.bc.Close() }
-
-func TestRowBatcherReusesBuffer(t *testing.T) {
-	rs := batchTestRowset(t, DefaultBatchSize+10)
-	rb := &rowBatcher{src: CursorOf(plainIter{rs.Iter()})}
-	b1, err := rb.NextBatch()
-	if err != nil || b1.Len() != DefaultBatchSize {
-		t.Fatalf("first batch = %d rows, err %v", b1.Len(), err)
-	}
-	first := &b1.Rows[0]
-	b2, err := rb.NextBatch()
-	if err != nil || b2.Len() != 10 {
-		t.Fatalf("second batch = %d rows, err %v", b2.Len(), err)
-	}
-	// Producer-owned: the second batch reuses the first batch's backing array.
-	if &b2.Rows[0] != first {
-		t.Fatal("rowBatcher allocated a fresh buffer per batch")
-	}
-	if b3, err := rb.NextBatch(); err != nil || !b3.Empty() {
-		t.Fatalf("expected end of stream, got %d rows, err %v", b3.Len(), err)
 	}
 }
 

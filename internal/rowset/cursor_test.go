@@ -144,6 +144,39 @@ func TestAppendKeyMatchesKey(t *testing.T) {
 	}
 }
 
+// TestAppendKeyPartKeepsComponentsApart: a composite key is shared exactly by
+// value lists that are pairwise equal — text holding what looks like another
+// component's tag, separator or length bytes included — and LONG/DOUBLE of
+// equal magnitude still meet.
+func TestAppendKeyPartKeepsComponentsApart(t *testing.T) {
+	composite := func(vals ...Value) string {
+		var buf []byte
+		for _, v := range vals {
+			buf = AppendKeyPart(buf, v)
+		}
+		return string(buf)
+	}
+	lists := [][]Value{
+		{"x|sy", "z"}, {"x", "y|sz"},
+		{"", "|"}, {"|", ""},
+		{"a", nil}, {nil, "a"}, {"a\x00"},
+		{"ab", "c"}, {"a", "bc"}, {"abc"},
+		{"\x00\x00\x00\x02sa", "b"}, {"", "\x00\x00\x00\x02sasb"},
+		{int64(1), int64(2)}, {int64(12)},
+	}
+	seen := make(map[string]int)
+	for i, l := range lists {
+		k := composite(l...)
+		if j, dup := seen[k]; dup {
+			t.Errorf("%v and %v share the composite key %q", lists[j], l, k)
+		}
+		seen[k] = i
+	}
+	if composite(int64(42), "a") != composite(float64(42), "a") {
+		t.Error("42 (LONG) and 42.0 (DOUBLE) components differ")
+	}
+}
+
 func mustSchema(t *testing.T, cols ...Column) *Schema {
 	t.Helper()
 	s, err := NewSchema(cols...)

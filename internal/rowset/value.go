@@ -9,6 +9,7 @@
 package rowset
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"strconv"
@@ -440,4 +441,16 @@ func AppendKey(dst []byte, v Value) []byte {
 		}
 	}
 	return fmt.Appendf(dst, "?%v", v)
+}
+
+// AppendKeyPart appends Key(v) to dst as one component of a composite key —
+// the key of a whole row, or of a GROUP BY list: four length bytes, then the
+// key bytes. The length prefix keeps components from running into each other
+// whatever bytes a TEXT value holds, so two value lists share a composite key
+// exactly when they are pairwise equal under Key.
+func AppendKeyPart(dst []byte, v Value) []byte {
+	at := len(dst)
+	dst = AppendKey(append(dst, 0, 0, 0, 0), v)
+	binary.BigEndian.PutUint32(dst[at:], uint32(len(dst)-at-4))
+	return dst
 }

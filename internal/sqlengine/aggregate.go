@@ -24,13 +24,12 @@ func (e *Engine) aggregate(ctx context.Context, t *obs.Trace, sel *SelectStmt, s
 	defer t.EndSpan(sp)
 	parts := make([]*aggAccum, src.n)
 	var batches atomic.Int64
-	err = e.forEachPartition(ctx, src, func(i int, cur rowset.Cursor) error {
-		defer cur.Close() //nolint:errcheck // engine cursors fail only via Next
+	err = e.forEachPartition(ctx, src, func(i int, cur rowset.BatchCursor) error {
+		defer cur.Close() //nolint:errcheck // engine cursors fail only via NextBatch
 		acc := newAggAccum(sel, aggs, src.schema)
 		parts[i] = acc
-		bc := rowset.BatchCursorOf(cur)
 		for {
-			b, err := bc.NextBatch()
+			b, err := cur.NextBatch()
 			if err != nil {
 				return err
 			}
@@ -62,7 +61,11 @@ func (e *Engine) aggregate(ctx context.Context, t *obs.Trace, sel *SelectStmt, s
 	if !sel.Distinct && (sel.Top <= 0 || out.Len() <= sel.Top) {
 		return out, nil
 	}
-	return rowset.FromCursor(tailCursor(out.Cursor(), sel))
+	rows, err := tailRows(out.Rows(), sel)
+	if err != nil {
+		return nil, err
+	}
+	return rowset.Adopt(out.Schema(), rows), nil
 }
 
 // statementAggs collects every aggregate call site in the statement (items,
@@ -462,8 +465,7 @@ func (a *aggAccum) observe(r rowset.Row) error {
 		if err != nil {
 			return err
 		}
-		a.keyBuf = rowset.AppendKey(a.keyBuf, v)
-		a.keyBuf = append(a.keyBuf, '|')
+		a.keyBuf = rowset.AppendKeyPart(a.keyBuf, v)
 	}
 	grp, ok := a.groups[string(a.keyBuf)]
 	if !ok {

@@ -67,3 +67,36 @@ func BenchmarkGroupByAgg(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPointIndexed is the point-lookup shape: an index probe on id plus
+// a residual conjunct, one row out. Its allocs/op is the per-statement cost
+// of the batch protocol on the smallest input there is.
+func BenchmarkPointIndexed(b *testing.B) {
+	const n = 5000
+	e := benchTable(b, n)
+	tbl, err := e.DB.Table("T")
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := tbl.CreateIndex("id"); err != nil {
+		b.Fatal(err)
+	}
+	stmts := make([]Statement, 64)
+	for i := range stmts {
+		stmts[i], err = Parse(fmt.Sprintf("SELECT id, g, age FROM T WHERE id = %d AND age > 0", i*(n/len(stmts))))
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rs, err := e.ExecStmt(stmts[i%len(stmts)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rs.Len() != 1 {
+			b.Fatalf("point lookup yielded %d rows", rs.Len())
+		}
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/rowset"
 	"repro/internal/storage"
 )
@@ -60,52 +61,17 @@ func TestExecContextPreCancelledAbortsScan(t *testing.T) {
 
 // TestCancelCursorStopsMidStream exercises the poll point directly: cancel
 // after some rows have streamed and assert the cursor surfaces the
-// cancellation within one poll interval instead of draining its source.
+// cancellation within one poll interval instead of draining its source. The
+// source yields DefaultBatchSize-row batches; the cancel cursor doles them out
+// in windows of at most pollEvery rows with a poll before each, so a 1024-row
+// batch does not stretch the poll interval 16×.
 func TestCancelCursorStopsMidStream(t *testing.T) {
-	e := newBigEngine(t, 300)
+	e := newBigEngine(t, 4*rowset.DefaultBatchSize)
 	rs := mustQuery(t, e, "SELECT * FROM Big")
 	ctx, cancel := context.WithCancel(context.Background())
-	c := &cancelCursor{src: rs.Cursor(), ctx: ctx, done: ctx.Done()}
+	c := &cancelCursor{src: newSliceCursor(rs.Schema(), rs.Rows()), ctx: ctx, done: ctx.Done()}
 	defer c.Close() //nolint:errcheck
 
-	const before = 10
-	for i := 0; i < before; i++ {
-		if r, err := c.Next(); err != nil || r == nil {
-			t.Fatalf("row %d: r=%v err=%v", i, r, err)
-		}
-	}
-	cancel()
-	// The next poll lands within pollEvery rows of the cancellation.
-	for i := 0; i <= pollEvery; i++ {
-		r, err := c.Next()
-		if err != nil {
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("err = %v, want context.Canceled", err)
-			}
-			return
-		}
-		if r == nil {
-			t.Fatal("source drained before the cancellation was observed")
-		}
-	}
-	t.Fatalf("no cancellation surfaced within %d rows", pollEvery+1)
-}
-
-// TestCancelCursorBatchLatency is the batching regression test for
-// cancellation latency: with a batch-capable source yielding
-// DefaultBatchSize-row batches, the cancel cursor must still observe a
-// cancellation within pollEvery rows — it doles upstream batches out in
-// sub-batch windows and polls per window, instead of letting a 1024-row batch
-// stretch the poll interval 16×.
-func TestCancelCursorBatchLatency(t *testing.T) {
-	e := newBigEngine(t, 4*int(rowset.DefaultBatchSize))
-	rs := mustQuery(t, e, "SELECT * FROM Big")
-	ctx, cancel := context.WithCancel(context.Background())
-	c := &cancelCursor{src: rs.Cursor(), ctx: ctx, done: ctx.Done()}
-	defer c.Close() //nolint:errcheck
-
-	// First pull: the upstream batch is DefaultBatchSize rows, but the window
-	// handed downstream must not exceed the poll stride.
 	b, err := c.NextBatch()
 	if err != nil {
 		t.Fatal(err)
@@ -117,30 +83,52 @@ func TestCancelCursorBatchLatency(t *testing.T) {
 	// The very next pull starts with a poll, so at most one more window —
 	// pollEvery rows — can flow after the cancellation.
 	rows := 0
-	for i := 0; i < 3; i++ {
-		b, err = c.NextBatch()
+	for rows <= pollEvery {
+		b, err := c.NextBatch()
 		if err != nil {
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("err = %v, want context.Canceled", err)
 			}
-			if rows > pollEvery {
-				t.Fatalf("%d rows flowed after cancellation, want <= %d", rows, pollEvery)
-			}
 			return
+		}
+		if b.Empty() {
+			t.Fatal("source drained before the cancellation was observed")
 		}
 		rows += b.Len()
 	}
-	t.Fatalf("no cancellation surfaced after %d rows", rows)
+	t.Fatalf("%d rows flowed after cancellation, want <= %d", rows, pollEvery)
 }
 
-// TestCancelCursorBatchPreCancelled: a pre-cancelled context aborts the batch
-// path before any row flows.
-func TestCancelCursorBatchPreCancelled(t *testing.T) {
+// TestLoopJoinPreCancelled: the poll sits above the joins, so a pre-cancelled
+// statement over a nested-loop join — cross or non-equi — aborts before the
+// join hands on a single batch, whatever its pair space.
+func TestLoopJoinPreCancelled(t *testing.T) {
+	e := newBigEngine(t, 200)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, q := range []string{
+		"SELECT a.id, b.id FROM Big AS a, Big AS b",
+		"SELECT a.id, b.id FROM Big AS a LEFT JOIN Big AS b ON a.id < b.id",
+	} {
+		reg := obs.NewRegistry(0)
+		e.Instrument(reg)
+		if _, err := e.ExecContext(ctx, q); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: err = %v, want context.Canceled", q, err)
+		}
+		if n := reg.Counter(obs.MetricSQLBatchesTotal).Value(); n != 0 {
+			t.Errorf("%s: %d batches flowed under a cancelled context", q, n)
+		}
+	}
+}
+
+// TestCancelCursorPreCancelled: a pre-cancelled context aborts before any row
+// flows.
+func TestCancelCursorPreCancelled(t *testing.T) {
 	e := newBigEngine(t, 100)
 	rs := mustQuery(t, e, "SELECT * FROM Big")
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	c := &cancelCursor{src: rs.Cursor(), ctx: ctx, done: ctx.Done()}
+	c := &cancelCursor{src: newSliceCursor(rs.Schema(), rs.Rows()), ctx: ctx, done: ctx.Done()}
 	defer c.Close() //nolint:errcheck
 	if b, err := c.NextBatch(); !errors.Is(err, context.Canceled) || b.Len() != 0 {
 		t.Fatalf("NextBatch = %d rows, err %v; want 0 rows and context.Canceled", b.Len(), err)

@@ -185,9 +185,9 @@ func needsAggregate(sel *SelectStmt) bool {
 // partitions that run on up to Workers goroutines; every other source is one
 // partition that runs inline on the calling goroutine (see partitionRanges),
 // where scan, streaming joins, filter, projection, DISTINCT and TOP pipeline
-// row- or batch-at-a-time and TOP stops upstream work as soon as it has its
-// rows. Only ORDER BY, GROUP BY, hash-join build sides and the merge of
-// several partitions materialize.
+// batch-at-a-time and TOP stops upstream work as soon as it has its rows.
+// Only ORDER BY, GROUP BY, hash-join build sides and the merge of several
+// partitions materialize.
 //
 // Each executor node records one span — scan, join, filter, group-by, project,
 // sort — on the trace carried by ctx; the spans are created in plan order up
@@ -244,7 +244,7 @@ func (e *Engine) project(ctx context.Context, t *obs.Trace, sel *SelectStmt, src
 	outs := make([][]rowset.Row, src.n)
 	keys := make([][]rowset.Row, src.n)
 	var batches atomic.Int64
-	err = e.forEachPartition(ctx, src, func(i int, cur rowset.Cursor) error {
+	err = e.forEachPartition(ctx, src, func(i int, cur rowset.BatchCursor) error {
 		proj, err := newProjectCursor(cur, items, names, sel.OrderBy)
 		if err != nil {
 			cur.Close() //nolint:errcheck // already failing
@@ -271,8 +271,7 @@ func (e *Engine) project(ctx context.Context, t *obs.Trace, sel *SelectStmt, src
 		t.EndSpan(spSort)
 	}
 	if !streamTail && (sel.Distinct || sel.Top > 0) {
-		// DISTINCT and TOP never consult the schema of what they trim.
-		rows, err = drainRows(tailCursor(newSliceCursor(nil, rows), sel))
+		rows, err = tailRows(rows, sel)
 		if err != nil {
 			return nil, err
 		}
@@ -688,7 +687,7 @@ func (e *Engine) execUpdate(st *UpdateStmt) (*rowset.Rowset, error) {
 	}
 	cur := tbl.Cursor()
 	defer cur.Close() //nolint:errcheck // table cursors never fail to close
-	rows := make([]rowset.Row, 0, cursorSize(cur))
+	rows := make([]rowset.Row, 0, tbl.Len())
 	n := 0
 	for {
 		r, err := cur.Next()

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -20,7 +19,8 @@ import (
 // leaf helpers with the engine (Eval, name and schema inference); scan, join,
 // filter, project, sort, distinct, TOP and aggregation — grouping that keeps
 // every input row, and the two-pass computeAggregate the engine used before
-// its aggregate states became mergeable — are its own.
+// its aggregate states became mergeable — are its own, and rows and groups are
+// told apart value by value (sameValues), never through a composite key.
 
 func oracleQuery(e *Engine, sel *SelectStmt) (*rowset.Rowset, error) {
 	src, err := oracleSource(e, sel.From)
@@ -273,33 +273,42 @@ func oracleAggregate(sel *SelectStmt, src *rowset.Rowset) (*rowset.Rowset, error
 		collectAggs(o.Expr, &aggs)
 	}
 	env := &Env{Schema: src.Schema()}
-	groups := make(map[string][]rowset.Row)
-	var keyOrder []string
+	type group struct {
+		key  []rowset.Value
+		rows []rowset.Row
+	}
+	var groups []*group
 	for _, r := range src.Rows() {
 		env.Row = r
-		var b strings.Builder
-		for _, g := range sel.GroupBy {
+		key := make([]rowset.Value, len(sel.GroupBy))
+		for i, g := range sel.GroupBy {
 			v, err := Eval(g, env)
 			if err != nil {
 				return nil, err
 			}
-			b.WriteString(rowset.Key(v))
-			b.WriteByte('|')
+			key[i] = v
 		}
-		k := b.String()
-		if _, ok := groups[k]; !ok {
-			keyOrder = append(keyOrder, k)
+		var grp *group
+		for _, g := range groups {
+			if sameValues(g.key, key) {
+				grp = g
+				break
+			}
 		}
-		groups[k] = append(groups[k], r)
+		if grp == nil {
+			grp = &group{key: key}
+			groups = append(groups, grp)
+		}
+		grp.rows = append(grp.rows, r)
 	}
 	// Aggregation without GROUP BY over empty input still yields one group.
-	if len(sel.GroupBy) == 0 && len(keyOrder) == 0 {
-		keyOrder = append(keyOrder, "")
+	if len(sel.GroupBy) == 0 && len(groups) == 0 {
+		groups = append(groups, &group{})
 	}
 	names := outputNames(sel.Items)
 	var outRows, keyRows []rowset.Row
-	for _, k := range keyOrder {
-		rows := groups[k]
+	for _, grp := range groups {
+		rows := grp.rows
 		vals := make(map[*FuncCall]rowset.Value, len(aggs))
 		for _, f := range aggs {
 			v, err := computeAggregate(f, rows, src.Schema())
@@ -476,20 +485,32 @@ func oracleSort(rows []rowset.Row, keys []rowset.Row, order []OrderItem) {
 
 func oracleDistinct(rs *rowset.Rowset) *rowset.Rowset {
 	out := rowset.New(rs.Schema())
-	seen := make(map[string]bool, rs.Len())
 	for _, r := range rs.Rows() {
-		var b strings.Builder
-		for _, v := range r {
-			b.WriteString(rowset.Key(v))
-			b.WriteByte('|')
+		dup := false
+		for _, kept := range out.Rows() {
+			if sameValues(kept, r) {
+				dup = true
+				break
+			}
 		}
-		k := b.String()
-		if !seen[k] {
-			seen[k] = true
+		if !dup {
 			_ = out.Append(r) //nolint:errcheck // rows came from a valid rowset
 		}
 	}
 	return out
+}
+
+// sameValues reports whether two value lists are pairwise the same value, the
+// reference's notion of "same row" and "same group": it compares value by
+// value instead of building a composite key, so it cannot share an encoding
+// bug with the engine.
+func sameValues(a, b []rowset.Value) bool {
+	for i := range a {
+		if rowset.Key(a[i]) != rowset.Key(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // differentialDB stages tables (two of them indexed), NULLs, and a view so
@@ -541,6 +562,10 @@ func differentialDB(t *testing.T) *Engine {
 		t.Fatal(err)
 	}
 	mustOK("CREATE VIEW V AS SELECT id, city, age FROM C WHERE age > 30")
+	// Text that contains what a naive composite key would use as separator and
+	// type tag: ('x|sy', 'z') and ('x', 'y|sz') are different rows.
+	mustOK("CREATE TABLE P (a TEXT, b TEXT, n LONG)")
+	mustOK("INSERT INTO P VALUES ('x|sy', 'z', 1), ('x', 'y|sz', 2), ('x', 'y|sz', 3), ('', '|', 4), ('|', '', 5)")
 	return e
 }
 
@@ -623,6 +648,29 @@ var differentialFixtures = []string{
 	"SELECT TOP 3 city, SUM(DISTINCT age) FROM C GROUP BY city ORDER BY SUM(DISTINCT age) DESC",
 	"SELECT DISTINCT TOP 2 COUNT(*) FROM C GROUP BY city",
 	"SELECT DISTINCT COUNT(DISTINCT city) FROM C GROUP BY age",
+
+	// Composite keys keep their components apart whatever the text holds.
+	"SELECT DISTINCT a, b FROM P",
+	"SELECT a, b, COUNT(*), SUM(n) FROM P GROUP BY a, b",
+	// Nested-loop joins whose output crosses the 1024-row batch size: a cross
+	// join, and a non-equi LEFT JOIN that leaves ids 59..69 unmatched.
+	"SELECT C.id, O.oid FROM C, O",
+	"SELECT C.id, O.oid, O.cid FROM C LEFT JOIN O ON C.id + 20 < O.cid",
+	"SELECT C.id, O.oid FROM C LEFT JOIN O ON C.id + 20 < O.cid WHERE O.oid IS NULL OR O.oid > 1080",
+	// TOP over a cross join: within the first batch, and past it.
+	"SELECT TOP 5 C.name, O.item FROM C, O",
+	"SELECT TOP 1500 C.id, O.oid FROM C, O",
+	"SELECT DISTINCT TOP 4 C.city, O.item FROM C, O",
+	// DISTINCT and TOP over several partitions, over selection vectors
+	// (identity projection under a filter), with and without ORDER BY.
+	"SELECT DISTINCT name, city FROM C",
+	"SELECT DISTINCT name, city FROM C ORDER BY name DESC, city",
+	"SELECT DISTINCT * FROM C WHERE age > 30",
+	"SELECT TOP 7 * FROM C WHERE age > 40",
+	"SELECT DISTINCT TOP 30 name FROM C",
+	"SELECT DISTINCT TOP 30 name FROM C WHERE age > 25",
+	"SELECT DISTINCT TOP 4 age FROM C ORDER BY age",
+	"SELECT DISTINCT TOP 4 city, name FROM C WHERE score IS NOT NULL ORDER BY name, city DESC",
 }
 
 // TestDifferentialOracle is the two-way oracle: every fixture runs through

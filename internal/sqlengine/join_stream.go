@@ -5,14 +5,16 @@ package sqlengine
 // followed by its matches in right scan order) so results stay byte-identical:
 //
 //   - hashJoinStream: equi-join that builds a hash table over the right input
-//     and probes left rows one at a time — the probe side never materializes.
+//     and probes left rows a batch at a time — the probe side never
+//     materializes.
 //   - hashJoinBuildLeft: equi-join that builds over the LEFT input when a
 //     cardinality hint proves it is the smaller side. Building left while
 //     emitting left-major forces full materialization, so this strategy is
 //     chosen only when the build-side saving (a smaller hash table) is known,
 //     not guessed.
 //   - loopJoin: cross joins and general ON expressions; materializes the right
-//     side once and streams the left.
+//     side once and streams the left, at most DefaultBatchSize joined rows per
+//     pull.
 
 import (
 	"repro/internal/par"
@@ -28,7 +30,7 @@ import (
 // build-right default. workers bounds the parallel key precompute of a large
 // hash-join build. Both inputs are owned by the returned cursor (closed on
 // Close or exhaustion); on error the caller still owns them.
-func newJoinCursor(left, right rowset.Cursor, kind JoinKind, on Expr, lest, rest, workers int) (rowset.Cursor, string, error) {
+func newJoinCursor(left, right rowset.BatchCursor, kind JoinKind, on Expr, lest, rest, workers int) (rowset.BatchCursor, string, error) {
 	schema, err := concatSchemas(left.Schema(), right.Schema())
 	if err != nil {
 		return nil, "", err
@@ -52,6 +54,7 @@ func newJoinCursor(left, right rowset.Cursor, kind JoinKind, on Expr, lest, rest
 		left: left, right: right, schema: schema,
 		env:       &Env{Schema: schema},
 		nullRight: make(rowset.Row, right.Schema().Len()),
+		probe:     make(rowset.Row, 0, schema.Len()),
 	}
 	if kind != JoinCross {
 		lj.on = on
@@ -81,25 +84,20 @@ func joinRows(l, r rowset.Row) rowset.Row {
 }
 
 // hashJoinStream drains the right side into a hash table on first pull, then
-// streams left rows through it. NULL keys never match (SQL equi-join
+// streams left batches through it. NULL keys never match (SQL equi-join
 // semantics), matching the filter the build loop applies.
 type hashJoinStream struct {
-	left, right rowset.Cursor
+	left, right rowset.BatchCursor
 	schema      *rowset.Schema
 	lo, ro      int
 	leftOuter   bool
 	nullRight   rowset.Row
 	workers     int // parallel key workers for the build side (0 = sequential)
 
-	built    bool
-	ht       map[string][]rowset.Row
-	pendLeft rowset.Row
-	pend     []rowset.Row
-	pi       int
-	scratch  []byte
-
-	bleft  rowset.BatchCursor
-	outBuf []rowset.Row
+	built   bool
+	ht      map[string][]rowset.Row
+	scratch []byte
+	outBuf  []rowset.Row
 }
 
 func (j *hashJoinStream) build() error {
@@ -153,37 +151,6 @@ func buildKeys(rows []rowset.Row, ord, workers int) []string {
 	return keys
 }
 
-func (j *hashJoinStream) Next() (rowset.Row, error) {
-	if !j.built {
-		if err := j.build(); err != nil {
-			return nil, err
-		}
-	}
-	for {
-		if j.pi < len(j.pend) {
-			r := joinRows(j.pendLeft, j.pend[j.pi])
-			j.pi++
-			return r, nil
-		}
-		l, err := j.left.Next()
-		if err != nil || l == nil {
-			return nil, err
-		}
-		var matches []rowset.Row
-		if l[j.lo] != nil {
-			// map[string(bytes)] probes compile without materializing the key.
-			matches = j.ht[string(rowset.AppendKey(j.scratch[:0], l[j.lo]))]
-		}
-		if len(matches) == 0 {
-			if j.leftOuter {
-				return joinRows(l, j.nullRight), nil
-			}
-			continue
-		}
-		j.pendLeft, j.pend, j.pi = l, matches, 0
-	}
-}
-
 // NextBatch probes a whole left batch against the hash table, assembling the
 // joined rows into a reused output buffer. A batch's worth of probes per
 // interface call; the joined rows themselves are freshly allocated (they are
@@ -194,11 +161,8 @@ func (j *hashJoinStream) NextBatch() (rowset.Batch, error) {
 			return rowset.Batch{}, err
 		}
 	}
-	if j.bleft == nil {
-		j.bleft = rowset.BatchCursorOf(j.left)
-	}
 	for {
-		b, err := j.bleft.NextBatch()
+		b, err := j.left.NextBatch()
 		if err != nil || b.Empty() {
 			return b, err
 		}
@@ -208,6 +172,7 @@ func (j *hashJoinStream) NextBatch() (rowset.Batch, error) {
 			l := b.Row(i)
 			var matches []rowset.Row
 			if l[j.lo] != nil {
+				// map[string(bytes)] probes compile without materializing the key.
 				matches = j.ht[string(rowset.AppendKey(j.scratch[:0], l[j.lo]))]
 			}
 			if len(matches) == 0 {
@@ -231,7 +196,7 @@ func (j *hashJoinStream) NextBatch() (rowset.Batch, error) {
 func (j *hashJoinStream) Schema() *rowset.Schema { return j.schema }
 
 func (j *hashJoinStream) Close() error {
-	j.pend, j.pendLeft, j.ht = nil, nil, nil
+	j.ht = nil
 	err := j.left.Close()
 	if rerr := j.right.Close(); err == nil {
 		err = rerr
@@ -244,7 +209,7 @@ func (j *hashJoinStream) Close() error {
 // collecting each left row's matches. Output is emitted left-major afterward,
 // so the result order is identical to probing left-to-right.
 type hashJoinBuildLeft struct {
-	left, right rowset.Cursor
+	left, right rowset.BatchCursor
 	schema      *rowset.Schema
 	lo, ro      int
 	leftOuter   bool
@@ -274,9 +239,8 @@ func (j *hashJoinBuildLeft) run() error {
 	}
 	matches := make([][]rowset.Row, len(leftRows))
 	var scratch []byte
-	brc := rowset.BatchCursorOf(j.right)
 	for {
-		b, err := brc.NextBatch()
+		b, err := j.right.NextBatch()
 		if err != nil {
 			return err
 		}
@@ -312,20 +276,6 @@ func (j *hashJoinBuildLeft) run() error {
 	return nil
 }
 
-func (j *hashJoinBuildLeft) Next() (rowset.Row, error) {
-	if !j.ran {
-		if err := j.run(); err != nil {
-			return nil, err
-		}
-	}
-	if j.oi >= len(j.out) {
-		return nil, nil
-	}
-	r := j.out[j.oi]
-	j.oi++
-	return r, nil
-}
-
 // NextBatch streams the materialized output in zero-copy windows.
 func (j *hashJoinBuildLeft) NextBatch() (rowset.Batch, error) {
 	if !j.ran {
@@ -357,10 +307,12 @@ func (j *hashJoinBuildLeft) Close() error {
 }
 
 // loopJoin handles cross joins (on == nil: every pair) and arbitrary ON
-// expressions. The right side is materialized once; left rows stream through
-// it with a reusable probe row for ON evaluation.
+// expressions. The right side is materialized once; left batches stream
+// through it with a reusable probe row for ON evaluation. The position in the
+// pair space — left batch, left row, right row — lives in the cursor, so a
+// pull stops at DefaultBatchSize joined rows and the next one resumes there.
 type loopJoin struct {
-	left, right rowset.Cursor
+	left, right rowset.BatchCursor
 	schema      *rowset.Schema
 	on          Expr
 	leftOuter   bool
@@ -369,75 +321,78 @@ type loopJoin struct {
 
 	built     bool
 	rightRows []rowset.Row
-	cur       rowset.Row
-	ri        int
-	matched   bool
+	lb        rowset.Batch // current left batch
+	li        int          // current left row: lb.Row(li)
+	ri        int          // next right row to pair it with
+	matched   bool         // the current left row has joined at least once
 	probe     rowset.Row
+	outBuf    []rowset.Row
 }
 
-func (j *loopJoin) Next() (rowset.Row, error) {
+func (j *loopJoin) NextBatch() (rowset.Batch, error) {
 	if !j.built {
 		rows, err := drainRows(j.right)
 		if err != nil {
-			return nil, err
+			return rowset.Batch{}, err
 		}
-		j.rightRows = rows
-		j.probe = make(rowset.Row, 0, j.schema.Len())
-		j.built = true
+		j.rightRows, j.built = rows, true
 	}
-	for {
-		if j.cur == nil {
-			l, err := j.left.Next()
-			if err != nil || l == nil {
-				return nil, err
+	out := j.outBuf[:0]
+	for len(out) < rowset.DefaultBatchSize {
+		if j.li >= j.lb.Len() {
+			b, err := j.left.NextBatch()
+			if err != nil {
+				return rowset.Batch{}, err
 			}
-			j.cur, j.ri, j.matched = l, 0, false
+			if b.Empty() {
+				break
+			}
+			j.lb, j.li, j.ri, j.matched = b, 0, 0, false
 		}
-		for j.ri < len(j.rightRows) {
+		l := j.lb.Row(j.li)
+		for j.ri < len(j.rightRows) && len(out) < rowset.DefaultBatchSize {
 			r := j.rightRows[j.ri]
 			j.ri++
-			if j.on == nil {
-				return joinRows(j.cur, r), nil
-			}
-			j.probe = append(append(j.probe[:0], j.cur...), r...)
-			j.env.Row = j.probe
-			v, err := Eval(j.on, j.env)
-			if err != nil {
-				return nil, err
-			}
-			ok, err := Truthy(v)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
+			if j.on != nil {
+				j.probe = append(append(j.probe[:0], l...), r...)
+				j.env.Row = j.probe
+				v, err := Eval(j.on, j.env)
+				if err != nil {
+					return rowset.Batch{}, err
+				}
+				ok, err := Truthy(v)
+				if err != nil {
+					return rowset.Batch{}, err
+				}
+				if !ok {
+					continue
+				}
 				j.matched = true
-				return joinRows(j.cur, r), nil
 			}
+			out = append(out, joinRows(l, r))
 		}
-		l := j.cur
-		j.cur = nil
+		if j.ri < len(j.rightRows) {
+			break // out is full mid-row: resume at (li, ri) on the next pull
+		}
 		if !j.matched && j.leftOuter {
-			return joinRows(l, j.nullRight), nil
+			out = append(out, joinRows(l, j.nullRight))
 		}
+		j.li, j.ri, j.matched = j.li+1, 0, false
 	}
+	j.outBuf = out
+	if len(out) == 0 {
+		return rowset.Batch{}, nil
+	}
+	return rowset.Batch{Rows: out}, nil
 }
 
 func (j *loopJoin) Schema() *rowset.Schema { return j.schema }
 
 func (j *loopJoin) Close() error {
-	j.rightRows, j.cur = nil, nil
+	j.rightRows, j.lb = nil, rowset.Batch{}
 	err := j.left.Close()
 	if rerr := j.right.Close(); err == nil {
 		err = rerr
 	}
 	return err
 }
-
-// compile-time interface checks
-var (
-	_ rowset.Cursor      = (*hashJoinStream)(nil)
-	_ rowset.Cursor      = (*hashJoinBuildLeft)(nil)
-	_ rowset.Cursor      = (*loopJoin)(nil)
-	_ rowset.BatchCursor = (*hashJoinStream)(nil)
-	_ rowset.BatchCursor = (*hashJoinBuildLeft)(nil)
-)

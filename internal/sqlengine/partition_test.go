@@ -235,7 +235,9 @@ func TestResultsIndependentOfWorkers(t *testing.T) {
 
 // TestTopStopsEarly: TOP n without ORDER BY stops after O(n) source rows at
 // every worker count — the statement runs as one streaming partition, so the
-// scan hands out at most one batch however large the table is.
+// scan hands out at most one batch however large the table is. Over a cross
+// join that is the left scan: the nested loop stops at a batch of pairs and
+// never comes back for the second left batch.
 func TestTopStopsEarly(t *testing.T) {
 	e := bigTable(t, 50000)
 	for _, workers := range []int{1, 4} {
@@ -243,6 +245,7 @@ func TestTopStopsEarly(t *testing.T) {
 			"SELECT TOP 5 a, b FROM T",
 			"SELECT TOP 5 a FROM T WHERE g = 'd'",
 			"SELECT DISTINCT TOP 3 g FROM T",
+			"SELECT TOP 5 x.a, y.b FROM T AS x, T AS y",
 		} {
 			e.Workers = workers
 			reg := obs.NewRegistry(0)

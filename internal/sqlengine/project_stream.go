@@ -20,18 +20,17 @@ type orderPlanEntry struct {
 	expr   Expr
 }
 
-// projectCursor evaluates SELECT items over its source rows. When ORDER BY is
-// present it also computes the row's sort keys, exposed via lastKeys so the
-// sort drain can collect rows and keys in one pass.
+// projectCursor evaluates SELECT items over its source batches. When ORDER BY
+// is present it also computes each row's sort keys, exposed via batchKeys so
+// the sort drain can collect rows and keys in one pass.
 type projectCursor struct {
-	src    rowset.Cursor
+	src    rowset.BatchCursor
 	items  []SelectItem
 	ords   []int // source ordinal per item; -1 = computed (evaluate per row)
 	schema *rowset.Schema
 	env    *Env
 
 	orderPlan []orderPlanEntry
-	lastKeys  rowset.Row
 
 	// keyOrds non-nil means every ORDER BY key is a projected output column
 	// (keys[k] == out[keyOrds[k]]): the cursor skips per-row key work
@@ -45,10 +44,9 @@ type projectCursor struct {
 	// clones before writing), so sharing them with the result is safe.
 	identity bool
 
-	// batch mode state: the batched source, the reused output-row buffer,
-	// and the per-batch sort keys (parallel to the last returned batch's
-	// live rows; read via batchKeys before the next pull, like lastKeys).
-	bsrc   rowset.BatchCursor
+	// The reused output-row buffer, and the per-batch sort keys (parallel to
+	// the last returned batch's live rows; read via batchKeys before the next
+	// pull).
 	outBuf []rowset.Row
 	keyBuf []rowset.Row
 }
@@ -57,7 +55,7 @@ type projectCursor struct {
 // resolve are left as computed items rather than rejected here: the old
 // executor surfaced resolution errors only when a row was actually evaluated,
 // so a query over an empty table must still succeed.
-func newProjectCursor(src rowset.Cursor, items []SelectItem, names []string, order []OrderItem) (*projectCursor, error) {
+func newProjectCursor(src rowset.BatchCursor, items []SelectItem, names []string, order []OrderItem) (*projectCursor, error) {
 	srcSchema := src.Schema()
 	p := &projectCursor{
 		src:   src,
@@ -149,39 +147,8 @@ func keysForOrds(outs []rowset.Row, ords []int) []rowset.Row {
 	return keys
 }
 
-func (p *projectCursor) Next() (rowset.Row, error) {
-	r, err := p.src.Next()
-	if err != nil || r == nil {
-		return r, err
-	}
-	out, err := p.projectRow(r)
-	if err != nil {
-		return nil, err
-	}
-	if len(p.orderPlan) > 0 {
-		keys, err := p.keysFor(out, r)
-		if err != nil {
-			return nil, err
-		}
-		p.lastKeys = keys
-	}
-	return out, nil
-}
-
-// projectRow shapes one source row into an output row (nil error only).
-func (p *projectCursor) projectRow(r rowset.Row) (rowset.Row, error) {
-	if p.identity {
-		return r, nil
-	}
-	out := make(rowset.Row, len(p.items))
-	if err := p.projectInto(r, out); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// projectInto shapes one source row into the caller-provided output row (the
-// batch path carves output rows out of one per-batch arena allocation).
+// projectInto shapes one source row into the caller-provided output row
+// (NextBatch carves output rows out of one per-batch arena allocation).
 func (p *projectCursor) projectInto(r, out rowset.Row) error {
 	p.env.Row = r
 	for i, it := range p.items {
@@ -196,15 +163,6 @@ func (p *projectCursor) projectInto(r, out rowset.Row) error {
 		out[i] = rowset.Normalize(v)
 	}
 	return nil
-}
-
-// keysFor computes the ORDER BY keys for one output row and its source row.
-func (p *projectCursor) keysFor(out, src rowset.Row) (rowset.Row, error) {
-	keys := make(rowset.Row, len(p.orderPlan))
-	if err := p.keysInto(out, src, keys); err != nil {
-		return nil, err
-	}
-	return keys, nil
 }
 
 // keysInto fills the caller-provided key row for one output/source row pair.
@@ -230,10 +188,7 @@ func (p *projectCursor) keysInto(out, src, keys rowset.Row) error {
 // order plan is active, batchKeys() exposes the keys for the returned
 // batch's live rows, valid until the next pull.
 func (p *projectCursor) NextBatch() (rowset.Batch, error) {
-	if p.bsrc == nil {
-		p.bsrc = rowset.BatchCursorOf(p.src)
-	}
-	b, err := p.bsrc.NextBatch()
+	b, err := p.src.NextBatch()
 	if err != nil || b.Empty() {
 		return b, err
 	}
@@ -304,50 +259,29 @@ func descFlags(order []OrderItem) []bool {
 
 // drainWithKeys pulls the projection to exhaustion, collecting output rows
 // and their parallel sort keys (read off proj after each pull — cur may be a
-// tracing wrapper around proj). Batch-capable pipelines drain batch-at-a-time,
-// reading proj.batchKeys() after each batch; batches reports how many batches
-// flowed (0 on the row path).
-func drainWithKeys(cur rowset.Cursor, proj *projectCursor) (outs, keys []rowset.Row, batches int64, err error) {
+// tracing wrapper around proj, or its DISTINCT/TOP tail on an unordered
+// statement); batches reports how many batches flowed.
+func drainWithKeys(cur rowset.BatchCursor, proj *projectCursor) (outs, keys []rowset.Row, batches int64, err error) {
 	defer cur.Close() //nolint:errcheck // Close after exhaustion is a no-op
 	keyed := len(proj.orderPlan) > 0
-	n := cursorSize(cur)
-	if n > 0 {
+	if n := cursorSize(cur); n > 0 {
 		outs = make([]rowset.Row, 0, n) // upper bound: filters shrink it
 		if keyed {
 			keys = make([]rowset.Row, 0, n)
 		}
 	}
-	if bc, ok := cur.(rowset.BatchCursor); ok && (n < 0 || n > smallDrainSize) {
-		for {
-			b, err := bc.NextBatch()
-			if err != nil {
-				return nil, nil, batches, err
-			}
-			if b.Empty() {
-				break
-			}
-			batches++
-			n := b.Len()
-			for i := 0; i < n; i++ {
-				outs = append(outs, b.Row(i))
-			}
-			if keyed {
-				keys = append(keys, proj.batchKeys()...)
-			}
+	for {
+		b, err := cur.NextBatch()
+		if err != nil {
+			return nil, nil, batches, err
 		}
-	} else {
-		for {
-			r, err := cur.Next()
-			if err != nil {
-				return nil, nil, 0, err
-			}
-			if r == nil {
-				break
-			}
-			outs = append(outs, r)
-			if keyed {
-				keys = append(keys, proj.lastKeys)
-			}
+		if b.Empty() {
+			break
+		}
+		batches++
+		outs = appendLive(outs, b)
+		if keyed {
+			keys = append(keys, proj.batchKeys()...)
 		}
 	}
 	// keyOrds fast path: no keys flowed per row; gather them from the

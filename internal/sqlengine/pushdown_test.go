@@ -187,7 +187,7 @@ func BenchmarkSkewedJoinBuildSide(b *testing.B) {
 	}
 	sq, bq := qualify(ss, "S"), qualify(bs, "B")
 
-	run := func(b *testing.B, mk func() (rowset.Cursor, error)) {
+	run := func(b *testing.B, mk func() (rowset.BatchCursor, error)) {
 		b.Helper()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -205,13 +205,13 @@ func BenchmarkSkewedJoinBuildSide(b *testing.B) {
 		}
 	}
 	b.Run("build-small", func(b *testing.B) {
-		run(b, func() (rowset.Cursor, error) {
+		run(b, func() (rowset.BatchCursor, error) {
 			c, _, err := newJoinCursor(newSliceCursor(sq, smallRows), newSliceCursor(bq, bigRows), JoinInner, on, -1, -1, 1)
 			return c, err
 		})
 	})
 	b.Run("build-big", func(b *testing.B) {
-		run(b, func() (rowset.Cursor, error) {
+		run(b, func() (rowset.BatchCursor, error) {
 			// Forced build-on-right with the big input on the right: the
 			// pre-rewrite executor's only strategy.
 			schema, err := concatSchemas(sq, bq)

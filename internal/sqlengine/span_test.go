@@ -17,7 +17,9 @@ func spanKinds(root *obs.Span) string {
 }
 
 // TestQueryContextSpans: one span per executor node, nested under the select,
-// with row counts from the actual operator outputs.
+// with row counts from the actual operator outputs and — every operator
+// speaks batches, however small the input — the batches that flowed through
+// it on its label.
 func TestQueryContextSpans(t *testing.T) {
 	e := NewEngine(storage.NewDatabase())
 	for _, s := range []string{
@@ -48,6 +50,9 @@ func TestQueryContextSpans(t *testing.T) {
 	got := map[string]int64{}
 	for _, c := range sel.Children {
 		got[c.Kind] = c.Rows
+		if c.Kind != "sort" && !strings.HasSuffix(c.Label, "batches=1") {
+			t.Errorf("%s span label = %q, want it to end in batches=1", c.Kind, c.Label)
+		}
 	}
 	for k, rows := range want {
 		r, ok := got[k]

@@ -1,9 +1,11 @@
 package sqlengine
 
-// This file holds the pull-based rowset.Cursor operators of the SELECT
-// pipeline (exec.go assembles them) and the planning of its source half: the
-// FROM clause resolved into scans and joins, index pushdown, and the partition
-// rule.
+// This file holds the pull-based operators of the SELECT pipeline (exec.go
+// assembles them) and the planning of its source half: the FROM clause
+// resolved into scans and joins, index pushdown, and the partition rule. Every
+// operator speaks rowset.BatchCursor and nothing else; the row-at-a-time
+// rowset.Cursor survives only at the package's edges (storage table cursors in
+// DELETE/UPDATE, materialized rowsets).
 //
 // Operators that pipeline: scan, filter, equi-join probe side, projection,
 // DISTINCT, and TOP (which stops pulling — and therefore stops all upstream
@@ -21,6 +23,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -33,8 +36,8 @@ import (
 
 // ---------- generic cursors ----------
 
-// sliceCursor streams a pre-built row slice under an arbitrary schema. Rows
-// are shared, never copied.
+// sliceCursor streams a pre-built row slice under an arbitrary schema in
+// zero-copy DefaultBatchSize windows. Rows are shared, never copied.
 type sliceCursor struct {
 	schema *rowset.Schema
 	rows   []rowset.Row
@@ -45,27 +48,6 @@ func newSliceCursor(schema *rowset.Schema, rows []rowset.Row) *sliceCursor {
 	return &sliceCursor{schema: schema, rows: rows}
 }
 
-func (c *sliceCursor) Next() (rowset.Row, error) {
-	if c.i >= len(c.rows) {
-		return nil, nil
-	}
-	r := c.rows[c.i]
-	c.i++
-	return r, nil
-}
-
-func (c *sliceCursor) Schema() *rowset.Schema { return c.schema }
-
-func (c *sliceCursor) Close() error {
-	c.i = len(c.rows)
-	c.rows = nil
-	return nil
-}
-
-// Size reports the exact number of rows the cursor will yield.
-func (c *sliceCursor) Size() int { return len(c.rows) }
-
-// NextBatch yields zero-copy subslices of the backing rows.
 func (c *sliceCursor) NextBatch() (rowset.Batch, error) {
 	if c.i >= len(c.rows) {
 		return rowset.Batch{}, nil
@@ -79,25 +61,31 @@ func (c *sliceCursor) NextBatch() (rowset.Batch, error) {
 	return b, nil
 }
 
-// cancelCursor threads context cancellation into the pull pipeline: Next
-// polls ctx.Done() every pollEvery rows, so a cancelled statement stops
-// pulling — and therefore stops every upstream operator — mid-stream
-// instead of running the scan to completion. QueryContext inserts it only
-// when the context is actually cancellable (Done() != nil), keeping the
-// common Background path allocation- and branch-free.
+func (c *sliceCursor) Schema() *rowset.Schema { return c.schema }
+
+func (c *sliceCursor) Close() error {
+	c.i = len(c.rows)
+	c.rows = nil
+	return nil
+}
+
+// Size reports the exact number of rows the cursor will yield.
+func (c *sliceCursor) Size() int { return len(c.rows) }
+
+// cancelCursor threads context cancellation into the pull pipeline: upstream
+// batches are doled out in windows of at most pollEvery rows with a poll of
+// ctx.Done() before each, so a cancelled statement stops pulling — and
+// therefore stops every upstream operator — within pollEvery rows instead of
+// running the scan to completion. forEachPartition inserts it only when the
+// context is actually cancellable (Done() != nil), keeping the common
+// Background path allocation- and branch-free.
 type cancelCursor struct {
-	src  rowset.Cursor
+	src  rowset.BatchCursor
 	ctx  context.Context
 	done <-chan struct{}
-	n    uint
 
-	// batch mode: upstream batches are doled out in sub-batch windows of at
-	// most pollEvery rows, with a poll before each window, so cancellation
-	// latency stays at the row path's bound instead of stretching by the
-	// batch size.
-	bsrc    rowset.BatchCursor
-	pending rowset.Batch
-	wlo     int
+	pending rowset.Batch // upstream batch being doled out
+	wlo     int          // first live row of pending not yet handed on
 }
 
 // pollEvery is the row stride between cancellation polls: frequent enough
@@ -105,22 +93,7 @@ type cancelCursor struct {
 // no measurable per-row cost.
 const pollEvery = 64
 
-func (c *cancelCursor) Next() (rowset.Row, error) {
-	if c.n%pollEvery == 0 {
-		select {
-		case <-c.done:
-			return nil, c.ctx.Err()
-		default:
-		}
-	}
-	c.n++
-	return c.src.Next()
-}
-
 func (c *cancelCursor) NextBatch() (rowset.Batch, error) {
-	if c.bsrc == nil {
-		c.bsrc = rowset.BatchCursorOf(c.src)
-	}
 	for {
 		// One poll per loop turn: before the first window of every upstream
 		// batch (which also aborts a pre-cancelled statement before any row
@@ -139,7 +112,7 @@ func (c *cancelCursor) NextBatch() (rowset.Batch, error) {
 			c.wlo = hi
 			return b, nil
 		}
-		b, err := c.bsrc.NextBatch()
+		b, err := c.src.NextBatch()
 		if err != nil || b.Empty() {
 			return b, err
 		}
@@ -157,61 +130,44 @@ func (c *cancelCursor) Size() int              { return cursorSize(c.src) }
 type sized interface{ Size() int }
 
 // cursorSize returns the cursor's exact cardinality, or -1 when unknown.
-func cursorSize(c rowset.Cursor) int {
+func cursorSize(c rowset.BatchCursor) int {
 	if s, ok := c.(sized); ok {
 		return s.Size()
 	}
 	return -1
 }
 
-// smallDrainSize is the source cardinality below which drains stay
-// row-at-a-time even over a batch-capable pipeline: the batch path's fixed
-// per-statement setup (adapter wrappers, selection vectors, output arenas)
-// costs more than the per-row interface calls it amortizes. Indexed point
-// lookups — whose probe gives an exact size hint of a few rows — are the
-// case that matters.
-const smallDrainSize = 64
-
 // drainRows pulls a cursor to exhaustion, returning the yielded rows. The
-// cursor is closed in every case. Batch-capable cursors drain batch-at-a-time
-// (one interface call per batch instead of per row); live rows are copied out
-// of the producer-owned batches, which is safe to retain because engine rows
-// are immutable.
-func drainRows(c rowset.Cursor) ([]rowset.Row, error) {
+// cursor is closed in every case. Live rows are copied out of the
+// producer-owned batches, which is safe to retain because engine rows are
+// immutable.
+func drainRows(c rowset.BatchCursor) ([]rowset.Row, error) {
 	defer c.Close() //nolint:errcheck // Close after exhaustion is a no-op
 	var rows []rowset.Row
-	n := cursorSize(c)
-	if n > 0 {
+	if n := cursorSize(c); n > 0 {
 		rows = make([]rowset.Row, 0, n) // upper bound: filters shrink it
 	}
-	if bc, ok := c.(rowset.BatchCursor); ok && (n < 0 || n > smallDrainSize) {
-		for {
-			b, err := bc.NextBatch()
-			if err != nil {
-				return nil, err
-			}
-			if b.Empty() {
-				return rows, nil
-			}
-			if b.Sel == nil {
-				rows = append(rows, b.Rows...)
-			} else {
-				for _, i := range b.Sel {
-					rows = append(rows, b.Rows[i])
-				}
-			}
-		}
-	}
 	for {
-		r, err := c.Next()
+		b, err := c.NextBatch()
 		if err != nil {
 			return nil, err
 		}
-		if r == nil {
+		if b.Empty() {
 			return rows, nil
 		}
-		rows = append(rows, r)
+		rows = appendLive(rows, b)
 	}
+}
+
+// appendLive copies the batch's live rows onto dst.
+func appendLive(dst []rowset.Row, b rowset.Batch) []rowset.Row {
+	if b.Sel == nil {
+		return append(dst, b.Rows...)
+	}
+	for _, i := range b.Sel {
+		dst = append(dst, b.Rows[i])
+	}
+	return dst
 }
 
 // ---------- span accounting ----------
@@ -234,7 +190,7 @@ type opSpan struct {
 // rows that actually flow through it and, when timed, its inclusive time (its
 // own work plus upstream pulls). A nil opSpan — the statement is untraced —
 // returns c unchanged, so untraced execution pays nothing.
-func (o *opSpan) wrap(c rowset.Cursor) rowset.Cursor {
+func (o *opSpan) wrap(c rowset.BatchCursor) rowset.BatchCursor {
 	if o == nil {
 		return c
 	}
@@ -249,49 +205,30 @@ func (o *opSpan) flush() {
 		o.sp.Elapsed = time.Duration(o.nanos.Load())
 	}
 	if n := o.batches.Load(); n > 0 {
-		label := fmt.Sprintf("batches=%d", n)
-		if o.sp.Label != "" {
-			label = o.sp.Label + " " + label
+		// Every traced SELECT gets here once per operator: one concatenation.
+		count := strconv.FormatInt(n, 10)
+		if o.sp.Label == "" {
+			o.sp.SetLabel("batches=" + count)
+		} else {
+			o.sp.SetLabel(o.sp.Label + " batches=" + count)
 		}
-		o.sp.SetLabel(label)
 	}
 }
 
 type opCursor struct {
-	src  rowset.Cursor
-	op   *opSpan
-	bsrc rowset.BatchCursor
+	src rowset.BatchCursor
+	op  *opSpan
 
 	rows, batches int64
 	elapsed       time.Duration
 }
 
-func (c *opCursor) Next() (rowset.Row, error) {
-	var start time.Time
-	if c.op.timed {
-		start = time.Now()
-	}
-	r, err := c.src.Next()
-	if c.op.timed {
-		c.elapsed += time.Since(start)
-	}
-	if r != nil {
-		c.rows++
-	} else {
-		c.report()
-	}
-	return r, err
-}
-
 func (c *opCursor) NextBatch() (rowset.Batch, error) {
-	if c.bsrc == nil {
-		c.bsrc = rowset.BatchCursorOf(c.src)
-	}
 	var start time.Time
 	if c.op.timed {
 		start = time.Now()
 	}
-	b, err := c.bsrc.NextBatch()
+	b, err := c.src.NextBatch()
 	if c.op.timed {
 		c.elapsed += time.Since(start)
 	}
@@ -325,7 +262,7 @@ func (c *opCursor) report() {
 // ---------- filter ----------
 
 type filterCursor struct {
-	src  rowset.Cursor
+	src  rowset.BatchCursor
 	cond Expr // nil passes everything (the whole WHERE was pushed into a scan)
 	env  *Env
 
@@ -333,11 +270,10 @@ type filterCursor struct {
 	// it (see pred.go): same rows pass, no Env, no error paths.
 	pred func(rowset.Row) bool
 
-	bsrc rowset.BatchCursor
-	sel  []int
+	sel []int
 }
 
-func newFilterCursor(src rowset.Cursor, cond Expr) *filterCursor {
+func newFilterCursor(src rowset.BatchCursor, cond Expr) *filterCursor {
 	c := &filterCursor{src: src, cond: cond, env: &Env{Schema: src.Schema()}}
 	if cond != nil {
 		c.pred, _ = compilePred(cond, src.Schema())
@@ -345,46 +281,13 @@ func newFilterCursor(src rowset.Cursor, cond Expr) *filterCursor {
 	return c
 }
 
-func (c *filterCursor) Next() (rowset.Row, error) {
-	for {
-		r, err := c.src.Next()
-		if err != nil || r == nil {
-			return r, err
-		}
-		if c.cond == nil {
-			return r, nil
-		}
-		if c.pred != nil {
-			if c.pred(r) {
-				return r, nil
-			}
-			continue
-		}
-		c.env.Row = r
-		v, err := Eval(c.cond, c.env)
-		if err != nil {
-			return nil, err
-		}
-		ok, err := Truthy(v)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			return r, nil
-		}
-	}
-}
-
 // NextBatch filters a whole upstream batch with a selection vector: survivors
 // are marked, not copied. The returned batch aliases the upstream batch's
 // rows, which stay valid until this cursor's next pull — exactly the window
 // the ownership rule grants the consumer.
 func (c *filterCursor) NextBatch() (rowset.Batch, error) {
-	if c.bsrc == nil {
-		c.bsrc = rowset.BatchCursorOf(c.src)
-	}
 	for {
-		b, err := c.bsrc.NextBatch()
+		b, err := c.src.NextBatch()
 		if err != nil || b.Empty() {
 			return b, err
 		}
@@ -446,61 +349,89 @@ func (c *filterCursor) Size() int { return cursorSize(c.src) }
 
 // ---------- limit / distinct ----------
 
+// limitCursor passes the first n live rows on and then releases upstream
+// state without draining it: the early exit costs at most the one upstream
+// batch the nth row arrived in.
 type limitCursor struct {
-	src rowset.Cursor
+	src rowset.BatchCursor
 	n   int
 }
 
-func (c *limitCursor) Next() (rowset.Row, error) {
+func (c *limitCursor) NextBatch() (rowset.Batch, error) {
 	if c.n <= 0 {
-		// Early exit: release upstream state without draining it.
-		return nil, c.src.Close()
+		return rowset.Batch{}, c.src.Close()
 	}
-	r, err := c.src.Next()
-	if r != nil {
-		c.n--
+	b, err := c.src.NextBatch()
+	if err != nil || b.Empty() {
+		return b, err
 	}
-	return r, err
+	if b.Len() > c.n {
+		b = b.Slice(0, c.n)
+	}
+	c.n -= b.Len()
+	return b, nil
 }
 
 func (c *limitCursor) Schema() *rowset.Schema { return c.src.Schema() }
 func (c *limitCursor) Close() error           { return c.src.Close() }
 
+// distinctCursor keeps each row's first occurrence: a selection vector over
+// the upstream batch marks the rows not seen before.
 type distinctCursor struct {
-	src     rowset.Cursor
+	src     rowset.BatchCursor
 	seen    map[string]struct{}
 	scratch []byte
+	sel     []int
 }
 
-func newDistinctCursor(src rowset.Cursor) *distinctCursor {
+func newDistinctCursor(src rowset.BatchCursor) *distinctCursor {
 	return &distinctCursor{src: src, seen: make(map[string]struct{})}
 }
 
-func (c *distinctCursor) Next() (rowset.Row, error) {
+func (c *distinctCursor) NextBatch() (rowset.Batch, error) {
 	for {
-		r, err := c.src.Next()
-		if err != nil || r == nil {
-			return r, err
+		b, err := c.src.NextBatch()
+		if err != nil || b.Empty() {
+			return b, err
 		}
-		buf := c.scratch[:0]
-		for _, v := range r {
-			buf = rowset.AppendKey(buf, v)
-			buf = append(buf, '|')
+		sel := c.sel[:0]
+		n := b.Len()
+		for i := 0; i < n; i++ {
+			ri := i
+			if b.Sel != nil {
+				ri = b.Sel[i]
+			}
+			buf := c.scratch[:0]
+			for _, v := range b.Rows[ri] {
+				buf = rowset.AppendKeyPart(buf, v)
+			}
+			c.scratch = buf
+			if _, dup := c.seen[string(buf)]; dup {
+				continue
+			}
+			c.seen[string(buf)] = struct{}{}
+			sel = append(sel, ri)
 		}
-		c.scratch = buf
-		if _, dup := c.seen[string(buf)]; dup {
-			continue
+		c.sel = sel
+		if len(sel) == 0 {
+			continue // nothing new in this batch: keep pulling
 		}
-		c.seen[string(buf)] = struct{}{}
-		return r, nil
+		return rowset.Batch{Rows: b.Rows, Sel: sel}, nil
 	}
 }
 
 func (c *distinctCursor) Schema() *rowset.Schema { return c.src.Schema() }
 func (c *distinctCursor) Close() error           { return c.src.Close() }
 
+// tailRows applies the statement's DISTINCT and TOP to materialized rows —
+// merged, sorted or aggregated ones. Neither consults the schema of what it
+// trims.
+func tailRows(rows []rowset.Row, sel *SelectStmt) ([]rowset.Row, error) {
+	return drainRows(tailCursor(newSliceCursor(nil, rows), sel))
+}
+
 // tailCursor applies the statement's streaming DISTINCT and TOP to cur.
-func tailCursor(cur rowset.Cursor, sel *SelectStmt) rowset.Cursor {
+func tailCursor(cur rowset.BatchCursor, sel *SelectStmt) rowset.BatchCursor {
 	if sel.Distinct {
 		cur = newDistinctCursor(cur)
 	}
@@ -811,7 +742,7 @@ func partitionRanges(sel *SelectStmt, scans []*compiledScan, rows, partRows int)
 type source struct {
 	schema   *rowset.Schema
 	n        int
-	open     func(i int) rowset.Cursor
+	open     func(i int) rowset.BatchCursor
 	residual Expr
 	filter   *opSpan   // non-nil iff the statement is traced and has a WHERE
 	ops      []*opSpan // every operator span of the statement, for flushSpans
@@ -851,7 +782,7 @@ func (e *Engine) planSource(t *obs.Trace, sel *SelectStmt, partRows int) (*sourc
 	if len(sel.From) == 0 {
 		// FROM-less SELECT evaluates items once against an empty row.
 		src.schema = rowset.MustSchema()
-		src.open = func(int) rowset.Cursor { return newSliceCursor(src.schema, []rowset.Row{{}}) }
+		src.open = func(int) rowset.BatchCursor { return newSliceCursor(src.schema, []rowset.Row{{}}) }
 	} else {
 		scans := make([]*compiledScan, len(sel.From))
 		for i, ref := range sel.From {
@@ -875,7 +806,7 @@ func (e *Engine) planSource(t *obs.Trace, sel *SelectStmt, partRows int) (*sourc
 		}
 		spScan := src.span(t, "scan", e.scanLabel(first, src.n))
 		src.schema = first.schema
-		src.open = func(i int) rowset.Cursor {
+		src.open = func(i int) rowset.BatchCursor {
 			part := rows
 			if ranges != nil {
 				part = rows[ranges[i].Lo:ranges[i].Hi]
@@ -888,7 +819,7 @@ func (e *Engine) planSource(t *obs.Trace, sel *SelectStmt, partRows int) (*sourc
 				return nil, err
 			}
 			src.schema = acc.Schema()
-			src.open = func(int) rowset.Cursor { return acc }
+			src.open = func(int) rowset.BatchCursor { return acc }
 		}
 	}
 	if sel.Where != nil {
@@ -901,7 +832,7 @@ func (e *Engine) planSource(t *obs.Trace, sel *SelectStmt, partRows int) (*sourc
 }
 
 // planJoins folds scans[1:] onto the first scan (src.open(0)) left to right.
-func (e *Engine) planJoins(t *obs.Trace, src *source, scans []*compiledScan) (rowset.Cursor, error) {
+func (e *Engine) planJoins(t *obs.Trace, src *source, scans []*compiledScan) (rowset.BatchCursor, error) {
 	acc := src.open(0)
 	accEst := scans[0].estimate
 	for _, cs := range scans[1:] {
@@ -931,7 +862,7 @@ func (e *Engine) planJoins(t *obs.Trace, src *source, scans []*compiledScan) (ro
 // is called at most once per index and must only write state of its own
 // partition; par.ForEachCtx's lowest-index-error rule surfaces the error a
 // front-to-back scan would have hit first.
-func (e *Engine) forEachPartition(ctx context.Context, src *source, fn func(i int, cur rowset.Cursor) error) error {
+func (e *Engine) forEachPartition(ctx context.Context, src *source, fn func(i int, cur rowset.BatchCursor) error) error {
 	done := ctx.Done()
 	return par.ForEachCtx(ctx, src.n, e.Workers, func(i int) error {
 		cur := src.open(i)

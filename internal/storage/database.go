@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"net/url"
 	"os"
 	"path/filepath"
 	"sort"
@@ -71,25 +72,46 @@ func (db *Database) Names() []string {
 	return names
 }
 
-// Save persists every table to dir as one <name>.tbl file each, in the rowset
-// binary format. dir is created if missing. Tables removed since the last
-// save are not cleaned up; Load only reads .tbl files present.
+// Save persists every table to dir as one <escaped name>.tbl file each, in the
+// rowset binary format, then removes the .tbl files of tables dropped since
+// the last save — after the live set is written, so a failed save never loses
+// a table — because Load would resurrect them. dir is created if missing.
 func (db *Database) Save(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("storage: save: %w", err)
 	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
+	live := make(map[string]bool, len(db.tables))
 	for _, t := range db.tables {
-		if err := saveTable(dir, t); err != nil {
+		file := tableFileName(t.Name())
+		if err := saveTable(filepath.Join(dir, file), t); err != nil {
 			return err
+		}
+		live[file] = true
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return fmt.Errorf("storage: save: %w", err)
+	}
+	for _, e := range entries {
+		if e.IsDir() || !strings.HasSuffix(e.Name(), ".tbl") || live[e.Name()] {
+			continue
+		}
+		if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
+			return fmt.Errorf("storage: save: %w", err)
 		}
 	}
 	return nil
 }
 
-func saveTable(dir string, t *Table) error {
-	path := filepath.Join(dir, t.Name()+".tbl")
+// tableFileName maps a table name — any text a bracketed identifier can hold,
+// path separators and ".." included — to a single path element: percent-
+// escaping keeps the file inside the save directory and lets Load recover the
+// name exactly.
+func tableFileName(name string) string { return url.PathEscape(name) + ".tbl" }
+
+func saveTable(path string, t *Table) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
@@ -121,7 +143,10 @@ func (db *Database) Load(dir string) error {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".tbl") {
 			continue
 		}
-		name := strings.TrimSuffix(e.Name(), ".tbl")
+		name, err := url.PathUnescape(strings.TrimSuffix(e.Name(), ".tbl"))
+		if err != nil {
+			return fmt.Errorf("storage: load table file %s: %w", e.Name(), err)
+		}
 		f, err := os.Open(filepath.Join(dir, e.Name()))
 		if err != nil {
 			return fmt.Errorf("storage: load table %s: %w", name, err)

@@ -65,7 +65,10 @@ func TestTableCursorNextBatch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	bc := rowset.BatchCursorOf(tbl.Cursor())
+	bc, ok := tbl.Cursor().(rowset.BatchCursor)
+	if !ok {
+		t.Fatal("the table cursor does not produce batches")
+	}
 	snap := tbl.Snapshot()
 	total, batches := 0, 0
 	for {

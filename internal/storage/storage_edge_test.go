@@ -111,3 +111,79 @@ func TestSaveReplacesAtomically(t *testing.T) {
 		t.Errorf("reloaded rows = %d", got.Len())
 	}
 }
+
+// TestSaveEscapesTableNames: a table name is any text a bracketed identifier
+// can hold; Save must keep its file inside the save directory and Load must
+// get the name back.
+func TestSaveEscapesTableNames(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "tables")
+	db := NewDatabase()
+	names := []string{"../escaped", "a/b", "50%", "plain name", ".."}
+	for i, name := range names {
+		tbl, err := db.CreateTable(name, testSchema())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tbl.Insert(rowset.Row{int64(i), name, 1.0}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	if outside, _ := os.ReadDir(root); len(outside) != 1 {
+		t.Errorf("Save wrote outside its directory: %v", outside)
+	}
+	if files, _ := os.ReadDir(dir); len(files) != len(names) {
+		t.Errorf("save directory holds %v, want %d table files", files, len(names))
+	}
+	db2 := NewDatabase()
+	if err := db2.Load(dir); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names {
+		got, err := db2.Table(name)
+		if err != nil {
+			t.Errorf("table %q did not survive Save/Load: %v", name, err)
+			continue
+		}
+		if got.Len() != 1 || got.Scan().Row(0)[1] != name {
+			t.Errorf("table %q reloaded as %v", name, got.Scan().Rows())
+		}
+	}
+}
+
+// TestSaveSweepsDroppedTables: a table dropped between two saves must not come
+// back on Load; files that are not tables are left alone.
+func TestSaveSweepsDroppedTables(t *testing.T) {
+	dir := t.TempDir()
+	db := NewDatabase()
+	for _, name := range []string{"Keep", "Gone"} {
+		if _, err := db.CreateTable(name, testSchema()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "notes.txt"), []byte("hi"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.DropTable("Gone"); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	db2 := NewDatabase()
+	if err := db2.Load(dir); err != nil {
+		t.Fatal(err)
+	}
+	if names := db2.Names(); len(names) != 1 || names[0] != "Keep" {
+		t.Errorf("reloaded tables = %v, want [Keep]", names)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "notes.txt")); err != nil {
+		t.Errorf("Save removed a file that is not a table: %v", err)
+	}
+}

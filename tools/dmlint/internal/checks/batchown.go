@@ -32,13 +32,6 @@ func runBatchOwn(p *analysis.Pass) error {
 	if !strings.HasPrefix(p.Pkg.Path(), "repro/internal/") {
 		return nil
 	}
-	if p.Pkg.Path() == "repro/internal/rowset" {
-		// The contract's home package hosts the adapters (RowCursor's
-		// batchRowCursor) whose whole job is to hold the current batch
-		// between their own pulls — they ARE the pull loop the rule
-		// protects, which a per-function analysis cannot see.
-		return nil
-	}
 	for _, f := range p.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)

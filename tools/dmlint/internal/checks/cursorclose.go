@@ -8,9 +8,10 @@ import (
 	"repro/tools/dmlint/internal/analysis"
 )
 
-// CursorClose proves that every rowset.Cursor a function acquires — from
-// (*Rowset).Cursor(), (*Table).Cursor(), rowset.CursorOf, or any operator
-// constructor whose result implements the Cursor interface — reaches
+// CursorClose proves that every cursor a function acquires — a
+// rowset.Cursor from (*Rowset).Cursor(), (*Table).Cursor() or
+// rowset.CursorOf, or a rowset.BatchCursor from any SQL operator
+// constructor: anything whose result implements either interface — reaches
 // Close on every path out of the function, including error returns and
 // early TOP/cancellation exits. Passing a cursor to another call,
 // returning it, or storing it in a field/slice/map/closure transfers
@@ -20,12 +21,14 @@ import (
 // repro/internal/ — the streaming executor's highest-risk leak class.
 var CursorClose = &analysis.Analyzer{
 	Name: "cursorclose",
-	Doc:  "every acquired rowset.Cursor must reach Close on all paths",
+	Doc:  "every acquired rowset.Cursor or rowset.BatchCursor must reach Close on all paths",
 	Run:  runCursorClose,
 }
 
+// cursorSpec tracks values implementing any of ifaces: the row protocol at
+// the edges, the batch protocol between the engine's operators.
 type cursorSpec struct {
-	iface *types.Interface
+	ifaces []*types.Interface
 }
 
 func (cursorSpec) noun() string { return "cursor" }
@@ -38,7 +41,12 @@ func (s cursorSpec) acquires(p *analysis.Pass, call *ast.CallExpr, i int) bool {
 	if t == nil {
 		return false
 	}
-	return types.Implements(t, s.iface)
+	for _, iface := range s.ifaces {
+		if types.Implements(t, iface) {
+			return true
+		}
+	}
+	return false
 }
 
 func (cursorSpec) releases(_ *analysis.Pass, call *ast.CallExpr) []*ast.Ident {
@@ -57,10 +65,15 @@ func runCursorClose(p *analysis.Pass) error {
 	if !strings.HasPrefix(p.Pkg.Path(), "repro/internal/") {
 		return nil
 	}
-	iface := lookupInterface(p, "repro/internal/rowset", "Cursor")
-	if iface == nil {
+	var spec cursorSpec
+	for _, name := range []string{"Cursor", "BatchCursor"} {
+		if iface := lookupInterface(p, "repro/internal/rowset", name); iface != nil {
+			spec.ifaces = append(spec.ifaces, iface)
+		}
+	}
+	if spec.ifaces == nil {
 		return nil // package does not touch cursors
 	}
-	checkResourceFlow(p, cursorSpec{iface: iface})
+	checkResourceFlow(p, spec)
 	return nil
 }

@@ -1,6 +1,6 @@
 // Package cursorfixture exercises the cursorclose analyzer: every
-// acquired rowset.Cursor must reach Close (or an ownership transfer) on
-// every path out of the function.
+// acquired rowset.Cursor or rowset.BatchCursor must reach Close (or an
+// ownership transfer) on every path out of the function.
 package cursorfixture
 
 import (
@@ -14,6 +14,12 @@ func open() rowset.Cursor { return nil }
 func openErr() (rowset.Cursor, error) { return nil, nil }
 
 func sink(c rowset.Cursor) {}
+
+// openBatch and wrapBatch stand for the engine's batch-only operators: their
+// results implement rowset.BatchCursor and not rowset.Cursor.
+func openBatch() rowset.BatchCursor { return nil }
+
+func wrapBatch(src rowset.BatchCursor) rowset.BatchCursor { return src }
 
 type holder struct {
 	cur rowset.Cursor
@@ -60,6 +66,34 @@ func leakLoop(items []int) {
 			continue
 		}
 	} // want "cursor c .*end of loop iteration"
+}
+
+func leakBatchEarlyReturn(b bool) error {
+	bc := openBatch()
+	if b {
+		return errors.New("early") // want "cursor bc .*not released"
+	}
+	return bc.Close()
+}
+
+func leakBatchDiscard() {
+	_ = openBatch() // want "cursor returned by this call is discarded"
+}
+
+func goodBatchTransferWrap() rowset.BatchCursor {
+	bc := openBatch()
+	return wrapBatch(bc)
+}
+
+func goodBatchDrain() error {
+	bc := wrapBatch(openBatch())
+	defer bc.Close()
+	for {
+		b, err := bc.NextBatch()
+		if err != nil || b.Empty() {
+			return err
+		}
+	}
 }
 
 func goodDefer() error {
