@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race bench bench-parallel bench-smoke loadsmoke lint vulncheck check
+.PHONY: build test vet race fuzz-smoke bench bench-parallel bench-smoke loadsmoke lint vulncheck check
 
 build:
 	$(GO) build ./...
@@ -15,6 +15,18 @@ vet:
 # predict-vs-retrain stress test in internal/provider.
 race:
 	$(GO) test -race ./...
+
+# Every Fuzz* target in the module, ten seconds each, so the fuzzers run past
+# their seed corpus somewhere other than a developer's laptop. Minimizing an
+# input that merely adds coverage is capped at a second: the default minute
+# would eat the whole budget.
+fuzz-smoke:
+	@set -e; for dir in $$(grep -rl --include='*_test.go' '^func Fuzz' . | xargs -n1 dirname | sort -u); do \
+		for target in $$(grep -ho '^func Fuzz[A-Za-z0-9_]*' $$dir/*_test.go | cut -c6-); do \
+			echo "fuzz $$dir $$target"; \
+			$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime 10s -fuzzminimizetime 1s $$dir; \
+		done; \
+	done
 
 # The repository's benchmark (bench/README.md, BENCHMARK.json): seven named
 # workloads at 50k customers, end-to-end metrics, every output checked. A

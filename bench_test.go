@@ -39,7 +39,9 @@ func benchWarehouse(b *testing.B, n int) *provider.Provider {
 
 func mustExecB(b *testing.B, p *provider.Provider, cmd string) *rowset.Rowset {
 	b.Helper()
-	rs, err := p.ExecuteContext(context.Background(), cmd)
+	s := p.NewSession()
+	defer s.Close() //nolint:errcheck // Close never fails
+	rs, err := s.Execute(context.Background(), cmd)
 	if err != nil {
 		b.Fatalf("Execute(%.60q): %v", cmd, err)
 	}

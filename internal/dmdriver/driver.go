@@ -100,12 +100,14 @@ func (*Driver) Open(dsn string) (driver.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &conn{p: p}, nil
+	return &conn{s: p.NewSession(provider.WithSessionOrigin("database/sql"))}, nil
 }
 
-// conn implements driver.Conn, driver.QueryerContext and driver.ExecerContext.
+// conn implements driver.Conn, driver.QueryerContext and driver.ExecerContext
+// over its own provider session: statement handles are scoped to the
+// connection and released with it.
 type conn struct {
-	p      *provider.Provider
+	s      *provider.Session
 	closed bool
 }
 
@@ -123,7 +125,7 @@ func (c *conn) PrepareContext(ctx context.Context, query string) (driver.Stmt, e
 		return nil, driver.ErrBadConn
 	}
 	name := fmt.Sprintf("go_stmt_%d", stmtSeq.Add(1))
-	n, err := c.p.PrepareContext(ctx, name, query, provider.WithOrigin("database/sql"))
+	n, err := c.s.Prepare(ctx, name, query)
 	if err != nil {
 		return nil, err
 	}
@@ -133,7 +135,7 @@ func (c *conn) PrepareContext(ctx context.Context, query string) (driver.Stmt, e
 // Close implements driver.Conn.
 func (c *conn) Close() error {
 	c.closed = true
-	return nil
+	return c.s.Close()
 }
 
 // Begin implements driver.Conn. The provider has no transactions; Begin
@@ -173,13 +175,13 @@ func (c *conn) execute(ctx context.Context, query string, args []driver.NamedVal
 		return nil, driver.ErrBadConn
 	}
 	if len(args) == 0 {
-		return c.p.ExecuteContext(ctx, query, provider.WithOrigin("database/sql"))
+		return c.s.Execute(ctx, query)
 	}
 	vals, err := argValues(args)
 	if err != nil {
 		return nil, err
 	}
-	return c.p.ExecuteParamsContext(ctx, query, vals, provider.WithOrigin("database/sql"))
+	return c.s.ExecuteParams(ctx, query, vals)
 }
 
 // argValues converts driver arguments to provider values. Arguments must be
@@ -211,13 +213,13 @@ type stmt struct {
 
 // Close implements driver.Stmt, releasing the provider-side handle.
 // Deallocation is idempotent, so a handle that was already dropped (for
-// example by DEALLOCATE through another connection) does not error here.
+// example by a DEALLOCATE statement on this connection) does not error here.
 func (s *stmt) Close() error {
 	if s.closed {
 		return nil
 	}
 	s.closed = true
-	return s.c.p.Deallocate(s.name)
+	return s.c.s.Deallocate(s.name)
 }
 
 func (s *stmt) NumInput() int { return s.numInput }
@@ -256,7 +258,7 @@ func (s *stmt) run(ctx context.Context, args []driver.NamedValue) (*rowset.Rowse
 	if err != nil {
 		return nil, err
 	}
-	return s.c.p.ExecutePreparedContext(ctx, s.name, vals, provider.WithOrigin("database/sql"))
+	return s.c.s.ExecutePrepared(ctx, s.name, vals)
 }
 
 func named(args []driver.Value) []driver.NamedValue {

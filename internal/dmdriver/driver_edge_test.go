@@ -189,7 +189,7 @@ func TestPlaceholderCountSkipsQuoted(t *testing.T) {
 }
 
 func TestQueryOnClosedConn(t *testing.T) {
-	c := &conn{p: nil, closed: true}
+	c := &conn{closed: true}
 	if _, err := c.Prepare("SELECT 1"); err != driver.ErrBadConn {
 		t.Errorf("prepare on closed conn = %v", err)
 	}

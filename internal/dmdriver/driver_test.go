@@ -173,7 +173,8 @@ func TestSharedProviderAcrossConnections(t *testing.T) {
 
 func TestRegisteredProvider(t *testing.T) {
 	p := providertest.MustNew()
-	if _, err := p.ExecuteContext(context.Background(), "CREATE TABLE R (x LONG)"); err != nil {
+	s := p.NewSession()
+	if _, err := s.Execute(context.Background(), "CREATE TABLE R (x LONG)"); err != nil {
 		t.Fatal(err)
 	}
 	RegisterProvider(t.Name(), p)
@@ -181,7 +182,7 @@ func TestRegisteredProvider(t *testing.T) {
 	if _, err := db.Exec("INSERT INTO R VALUES (42)"); err != nil {
 		t.Fatal(err)
 	}
-	rs, err := p.ExecuteContext(context.Background(), "SELECT COUNT(*) FROM R")
+	rs, err := s.Execute(context.Background(), "SELECT COUNT(*) FROM R")
 	if err != nil || rs.Row(0)[0] != int64(1) {
 		t.Errorf("provider sharing failed: %v %v", rs, err)
 	}

@@ -19,7 +19,8 @@ import (
 func bigProvider(t *testing.T, rows int) *provider.Provider {
 	t.Helper()
 	p := providertest.MustNew()
-	if _, err := p.ExecuteContext(context.Background(), "CREATE TABLE Big (id LONG, v TEXT)"); err != nil {
+	s := p.NewSession()
+	if _, err := s.Execute(context.Background(), "CREATE TABLE Big (id LONG, v TEXT)"); err != nil {
 		t.Fatal(err)
 	}
 	var b strings.Builder
@@ -30,7 +31,7 @@ func bigProvider(t *testing.T, rows int) *provider.Provider {
 		}
 		fmt.Fprintf(&b, "(%d, 'r%d')", i, i)
 	}
-	if _, err := p.ExecuteContext(context.Background(), b.String()); err != nil {
+	if _, err := s.Execute(context.Background(), b.String()); err != nil {
 		t.Fatal(err)
 	}
 	return p

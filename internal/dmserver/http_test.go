@@ -16,7 +16,7 @@ import (
 // containing the statement counters, with the right content type.
 func TestDiagnosticsMetrics(t *testing.T) {
 	p := providertest.MustNew()
-	if _, err := p.ExecuteContext(context.Background(), "SELECT 1 + 1"); err != nil {
+	if _, err := p.NewSession().Execute(context.Background(), "SELECT 1 + 1"); err != nil {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(dmserver.DiagnosticsHandler(p.Obs()))

@@ -146,7 +146,8 @@ func errorsAs(err error, target **dmserver.RemoteError) bool {
 
 func TestConcurrentClients(t *testing.T) {
 	p := providertest.MustNew()
-	if _, err := p.ExecuteContext(context.Background(), "CREATE TABLE C (x LONG)"); err != nil {
+	s := p.NewSession()
+	if _, err := s.Execute(context.Background(), "CREATE TABLE C (x LONG)"); err != nil {
 		t.Fatal(err)
 	}
 	_, addr := startServer(t, p)
@@ -176,7 +177,7 @@ func TestConcurrentClients(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	rs, err := p.ExecuteContext(context.Background(), "SELECT COUNT(*) FROM C")
+	rs, err := s.Execute(context.Background(), "SELECT COUNT(*) FROM C")
 	if err != nil || rs.Row(0)[0] != int64(160) {
 		t.Errorf("count = %v err=%v", rs.Row(0), err)
 	}

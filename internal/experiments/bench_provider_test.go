@@ -10,7 +10,7 @@ import (
 // per-statement overhead the engine-level benchmarks in internal/sqlengine
 // do not see.
 func BenchmarkProviderSQLScan(b *testing.B) {
-	p, _, err := freshWarehouse(Config{Scale: 500, Seed: 1}.withDefaults(), 0)
+	_, sess, _, err := freshWarehouse(Config{Scale: 500, Seed: 1}.withDefaults(), 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -19,7 +19,7 @@ func BenchmarkProviderSQLScan(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.ExecuteContext(ctx, stmt); err != nil {
+		if _, err := sess.Execute(ctx, stmt); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -29,6 +29,7 @@ func RunE1(ctx context.Context, _ Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	sess := p.NewSession()
 	setup := []string{
 		"CREATE TABLE Customers ([Customer ID] LONG, Gender TEXT, [Hair Color] TEXT, Age DOUBLE, [Age Prob] DOUBLE)",
 		"CREATE TABLE Sales (CustID LONG, [Product Name] TEXT, Quantity DOUBLE, [Product Type] TEXT)",
@@ -43,11 +44,11 @@ func RunE1(ctx context.Context, _ Config) (*Result, error) {
 		"INSERT INTO Cars VALUES (1, 'Truck', 1.0), (1, 'Van', 0.5), (2, 'Sedan', 1.0), (2, 'Bike', 0.5)",
 	}
 	for _, s := range setup {
-		if _, err := p.ExecuteContext(ctx, s); err != nil {
+		if _, err := sess.Execute(ctx, s); err != nil {
 			return nil, err
 		}
 	}
-	flat, err := p.ExecuteContext(ctx, `SELECT c.[Customer ID], c.Gender, c.[Hair Color], c.Age,
+	flat, err := sess.Execute(ctx, `SELECT c.[Customer ID], c.Gender, c.[Hair Color], c.Age,
 			s.[Product Name], s.Quantity, s.[Product Type], k.Car, k.[Car Prob]
 		FROM Customers c
 		JOIN Sales s ON c.[Customer ID] = s.CustID
@@ -101,7 +102,7 @@ func renderCase(rs *rowset.Rowset, row int) string {
 // re-parse, and client-side case assembly, and leaves a file trail whose
 // size we report as data moved.
 func RunE2(ctx context.Context, cfg Config) (*Result, error) {
-	p, _, err := freshWarehouse(cfg, 0)
+	p, sess, _, err := freshWarehouse(cfg, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -120,10 +121,10 @@ func RunE2(ctx context.Context, cfg Config) (*Result, error) {
 
 	// Path A: in-provider.
 	start := time.Now()
-	if _, err := p.ExecuteContext(ctx, createModel); err != nil {
+	if _, err := sess.Execute(ctx, createModel); err != nil {
 		return nil, err
 	}
-	if _, err := p.ExecuteContext(ctx, insertModel); err != nil {
+	if _, err := sess.Execute(ctx, insertModel); err != nil {
 		return nil, err
 	}
 	inDB := time.Since(start)

@@ -92,15 +92,15 @@ func RunE3(ctx context.Context, cfg Config) (*Result, error) {
 			if n < 10 {
 				n = 10
 			}
-			p, _, err := freshWarehouse(Config{Scale: n, Seed: cfg.Seed}, 0)
+			_, sess, _, err := freshWarehouse(Config{Scale: n, Seed: cfg.Seed}, 0)
 			if err != nil {
 				return nil, err
 			}
-			if _, err := p.ExecuteContext(ctx, m.create); err != nil {
+			if _, err := sess.Execute(ctx, m.create); err != nil {
 				return nil, err
 			}
 			start := time.Now()
-			if _, err := p.ExecuteContext(ctx, m.insert); err != nil {
+			if _, err := sess.Execute(ctx, m.insert); err != nil {
 				return nil, err
 			}
 			dur := time.Since(start)
@@ -126,14 +126,14 @@ func RunE3(ctx context.Context, cfg Config) (*Result, error) {
 // against NATURAL binding (which the paper introduces to obviate the ON
 // clause when names line up).
 func RunE4(ctx context.Context, cfg Config) (*Result, error) {
-	p, _, err := freshWarehouse(cfg, 0)
+	_, sess, _, err := freshWarehouse(cfg, 0)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := p.ExecuteContext(ctx, e3Models[0].create); err != nil {
+	if _, err := sess.Execute(ctx, e3Models[0].create); err != nil {
 		return nil, err
 	}
-	if _, err := p.ExecuteContext(ctx, e3Models[0].insert); err != nil {
+	if _, err := sess.Execute(ctx, e3Models[0].insert); err != nil {
 		return nil, err
 	}
 
@@ -154,7 +154,7 @@ func RunE4(ctx context.Context, cfg Config) (*Result, error) {
 		{"NATURAL (nested caseset input)", nestedQuery},
 	} {
 		start := time.Now()
-		rs, err := p.ExecuteContext(ctx, q.query)
+		rs, err := sess.Execute(ctx, q.query)
 		if err != nil {
 			return nil, err
 		}
@@ -184,7 +184,7 @@ func RunE4(ctx context.Context, cfg Config) (*Result, error) {
 func RunE5(ctx context.Context, cfg Config) (*Result, error) {
 	t := newTable("MINIMUM_SUPPORT", "content nodes", "rowset build", "XML encode", "XML bytes", "round trip ok")
 	for _, minSupport := range []string{"64", "16", "4"} {
-		p, _, err := freshWarehouse(cfg, 0)
+		p, sess, _, err := freshWarehouse(cfg, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -193,19 +193,19 @@ func RunE5(ctx context.Context, cfg Config) (*Result, error) {
 			[Age] DOUBLE DISCRETIZED PREDICT,
 			[Product Purchases] TABLE([Product Name] TEXT KEY)
 		) USING [Decision_Trees] (MINIMUM_SUPPORT = %s)`, minSupport)
-		if _, err := p.ExecuteContext(ctx, create); err != nil {
+		if _, err := sess.Execute(ctx, create); err != nil {
 			return nil, err
 		}
 		insert := `INSERT INTO [E5] ([Customer ID], [Gender], [Age], [Product Purchases]([Product Name]))
 		SHAPE {SELECT [Customer ID], Gender, Age FROM Customers ORDER BY [Customer ID]}
 		APPEND ({SELECT CustID, [Product Name] FROM Sales ORDER BY CustID}
 			RELATE [Customer ID] TO [CustID]) AS [Product Purchases]`
-		if _, err := p.ExecuteContext(ctx, insert); err != nil {
+		if _, err := sess.Execute(ctx, insert); err != nil {
 			return nil, err
 		}
 
 		start := time.Now()
-		rs, err := p.ExecuteContext(ctx, "SELECT * FROM [E5].CONTENT")
+		rs, err := sess.Execute(ctx, "SELECT * FROM [E5].CONTENT")
 		if err != nil {
 			return nil, err
 		}

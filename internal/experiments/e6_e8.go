@@ -39,7 +39,7 @@ func RunE6(ctx context.Context, cfg Config) (*Result, error) {
 }
 
 func e6Once(ctx context.Context, cfg Config, method string) (accuracy float64, buckets int, err error) {
-	p, truth, err := freshWarehouse(cfg, 0)
+	p, sess, truth, err := freshWarehouse(cfg, 0)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -50,12 +50,12 @@ func e6Once(ctx context.Context, cfg Config, method string) (accuracy float64, b
 		[Archetype Hint] TEXT DISCRETE PREDICT,
 		[Age] DOUBLE DISCRETIZED(%s, 4) PREDICT
 	) USING [Decision_Trees]`, method)
-	if _, err := p.ExecuteContext(ctx, create); err != nil {
+	if _, err := sess.Execute(ctx, create); err != nil {
 		return 0, 0, err
 	}
 	// The archetype hint gives the ENTROPY method labels to discretize
 	// against (and the tree a second target), mirroring supervised use.
-	if _, err := p.ExecuteContext(ctx, "CREATE TABLE Hints (HID LONG, Hint TEXT)"); err != nil {
+	if _, err := sess.Execute(ctx, "CREATE TABLE Hints (HID LONG, Hint TEXT)"); err != nil {
 		return 0, 0, err
 	}
 	hints, err := p.DB.Table("Hints")
@@ -71,7 +71,7 @@ func e6Once(ctx context.Context, cfg Config, method string) (accuracy float64, b
 		SELECT c.[Customer ID], c.Gender, h.Hint, c.Age
 		FROM Customers c JOIN Hints h ON c.[Customer ID] = h.HID
 		WHERE c.[Customer ID] > %d`, holdout)
-	if _, err := p.ExecuteContext(ctx, insert); err != nil {
+	if _, err := sess.Execute(ctx, insert); err != nil {
 		return 0, 0, err
 	}
 
@@ -89,7 +89,7 @@ func e6Once(ctx context.Context, cfg Config, method string) (accuracy float64, b
 	// Holdout: customers 1..holdout, unseen in training. The prediction
 	// input carries gender and the archetype hint, so accuracy reflects
 	// how well each bucketing aligns with the planted age segments.
-	pred, err := p.ExecuteContext(ctx, fmt.Sprintf(`SELECT t.[Customer ID], Predict([Age]) FROM [E6]
+	pred, err := sess.Execute(ctx, fmt.Sprintf(`SELECT t.[Customer ID], Predict([Age]) FROM [E6]
 		NATURAL PREDICTION JOIN (SELECT c.[Customer ID], c.Gender, h.Hint AS [Archetype Hint]
 			FROM Customers c JOIN Hints h ON c.[Customer ID] = h.HID
 			WHERE c.[Customer ID] <= %d) AS t`, holdout))
@@ -127,15 +127,15 @@ func bucketLabelOf(v float64, cuts []float64, labels []string) string {
 func RunE7(ctx context.Context, cfg Config) (*Result, error) {
 	t := newTable("noise products", "join rows", "caseset rows", "SHAPE time", "join+regroup time")
 	for _, noise := range []int{0, 25, 50} {
-		p, _, err := freshWarehouse(Config{Scale: cfg.Scale, Seed: cfg.Seed}, noise)
+		_, sess, _, err := freshWarehouse(Config{Scale: cfg.Scale, Seed: cfg.Seed}, noise)
 		if err != nil {
 			return nil, err
 		}
-		shapeDur, shaped, err := timeExec(ctx, p, workload.PaperShape)
+		shapeDur, shaped, err := timeExec(ctx, sess, workload.PaperShape)
 		if err != nil {
 			return nil, err
 		}
-		joinDur, flat, err := timeExec(ctx, p, `SELECT c.[Customer ID], c.Gender, c.Age,
+		joinDur, flat, err := timeExec(ctx, sess, `SELECT c.[Customer ID], c.Gender, c.Age,
 				s.[Product Name], s.Quantity, k.Car
 			FROM Customers c
 			JOIN Sales s ON c.[Customer ID] = s.CustID
@@ -176,7 +176,7 @@ func RunE7(ctx context.Context, cfg Config) (*Result, error) {
 // models": the six bundled services each recover their planted structure
 // from the same warehouse through the same statements.
 func RunE8(ctx context.Context, cfg Config) (*Result, error) {
-	p, truth, err := freshWarehouse(cfg, 0)
+	_, sess, truth, err := freshWarehouse(cfg, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -184,70 +184,70 @@ func RunE8(ctx context.Context, cfg Config) (*Result, error) {
 
 	// Decision trees: gender classification accuracy (holdout).
 	holdout := cfg.Scale / 5
-	if _, err := p.ExecuteContext(ctx, `CREATE MINING MODEL [E8 Trees] (
+	if _, err := sess.Execute(ctx, `CREATE MINING MODEL [E8 Trees] (
 		[Customer ID] LONG KEY, [Age] DOUBLE CONTINUOUS, [Gender] TEXT DISCRETE PREDICT
 	) USING [Decision_Trees]`); err != nil {
 		return nil, err
 	}
-	if _, err := p.ExecuteContext(ctx, fmt.Sprintf(`INSERT INTO [E8 Trees] ([Customer ID], [Age], [Gender])
+	if _, err := sess.Execute(ctx, fmt.Sprintf(`INSERT INTO [E8 Trees] ([Customer ID], [Age], [Gender])
 		SELECT [Customer ID], Age, Gender FROM Customers WHERE [Customer ID] > %d`, holdout)); err != nil {
 		return nil, err
 	}
-	treeAcc, err := genderAccuracy(ctx, p, "E8 Trees", truth, holdout)
+	treeAcc, err := genderAccuracy(ctx, sess, "E8 Trees", truth, holdout)
 	if err != nil {
 		return nil, err
 	}
 	t.add("Decision_Trees", "gender from age", "holdout accuracy", fmt.Sprintf("%.3f", treeAcc))
 
 	// Naive Bayes: same task, same data.
-	if _, err := p.ExecuteContext(ctx, `CREATE MINING MODEL [E8 Bayes] (
+	if _, err := sess.Execute(ctx, `CREATE MINING MODEL [E8 Bayes] (
 		[Customer ID] LONG KEY, [Age] DOUBLE CONTINUOUS, [Gender] TEXT DISCRETE PREDICT
 	) USING [Naive_Bayes]`); err != nil {
 		return nil, err
 	}
-	if _, err := p.ExecuteContext(ctx, fmt.Sprintf(`INSERT INTO [E8 Bayes] ([Customer ID], [Age], [Gender])
+	if _, err := sess.Execute(ctx, fmt.Sprintf(`INSERT INTO [E8 Bayes] ([Customer ID], [Age], [Gender])
 		SELECT [Customer ID], Age, Gender FROM Customers WHERE [Customer ID] > %d`, holdout)); err != nil {
 		return nil, err
 	}
-	nbAcc, err := genderAccuracy(ctx, p, "E8 Bayes", truth, holdout)
+	nbAcc, err := genderAccuracy(ctx, sess, "E8 Bayes", truth, holdout)
 	if err != nil {
 		return nil, err
 	}
 	t.add("Naive_Bayes", "gender from age", "holdout accuracy", fmt.Sprintf("%.3f", nbAcc))
 
 	// Clustering: cluster purity against planted archetypes.
-	if _, err := p.ExecuteContext(ctx, `CREATE MINING MODEL [E8 Cluster] (
+	if _, err := sess.Execute(ctx, `CREATE MINING MODEL [E8 Cluster] (
 		[Customer ID] LONG KEY, [Age] DOUBLE CONTINUOUS,
 		[Product Purchases] TABLE([Product Name] TEXT KEY)
 	) USING [Clustering] (CLUSTER_COUNT = 3)`); err != nil {
 		return nil, err
 	}
-	if _, err := p.ExecuteContext(ctx, `INSERT INTO [E8 Cluster] ([Customer ID], [Age], [Product Purchases]([Product Name]))
+	if _, err := sess.Execute(ctx, `INSERT INTO [E8 Cluster] ([Customer ID], [Age], [Product Purchases]([Product Name]))
 		SHAPE {SELECT [Customer ID], Age FROM Customers ORDER BY [Customer ID]}
 		APPEND ({SELECT CustID, [Product Name] FROM Sales ORDER BY CustID}
 			RELATE [Customer ID] TO [CustID]) AS [Product Purchases]`); err != nil {
 		return nil, err
 	}
-	purity, err := clusterPurity(ctx, p, truth)
+	purity, err := clusterPurity(ctx, sess, truth)
 	if err != nil {
 		return nil, err
 	}
 	t.add("Clustering", "recover 3 archetypes", "cluster purity", fmt.Sprintf("%.3f", purity))
 
 	// Association rules: recall of the planted Beer⇒Chips rule.
-	if _, err := p.ExecuteContext(ctx, `CREATE MINING MODEL [E8 Assoc] (
+	if _, err := sess.Execute(ctx, `CREATE MINING MODEL [E8 Assoc] (
 		[Customer ID] LONG KEY,
 		[Product Purchases] TABLE([Product Name] TEXT KEY) PREDICT
 	) USING [Association_Rules] (MINIMUM_SUPPORT = 0.05, MINIMUM_PROBABILITY = 0.5)`); err != nil {
 		return nil, err
 	}
-	if _, err := p.ExecuteContext(ctx, `INSERT INTO [E8 Assoc] ([Customer ID], [Product Purchases]([Product Name]))
+	if _, err := sess.Execute(ctx, `INSERT INTO [E8 Assoc] ([Customer ID], [Product Purchases]([Product Name]))
 		SHAPE {SELECT [Customer ID] FROM Customers ORDER BY [Customer ID]}
 		APPEND ({SELECT CustID, [Product Name] FROM Sales ORDER BY CustID}
 			RELATE [Customer ID] TO [CustID]) AS [Product Purchases]`); err != nil {
 		return nil, err
 	}
-	rec, err := p.ExecuteContext(ctx, `SELECT Predict([Product Purchases], 1) AS r FROM [E8 Assoc]
+	rec, err := sess.Execute(ctx, `SELECT Predict([Product Purchases], 1) AS r FROM [E8 Assoc]
 		NATURAL PREDICTION JOIN
 		(SHAPE {SELECT 1 AS [Customer ID]}
 		 APPEND ({SELECT 1 AS CustID, 'Beer' AS [Product Name]}
@@ -265,40 +265,40 @@ func RunE8(ctx context.Context, cfg Config) (*Result, error) {
 		fmt.Sprintf("%v / %.2f", found, conf))
 
 	// Linear regression: age from gender + basket (archetype proxies).
-	if _, err := p.ExecuteContext(ctx, `CREATE MINING MODEL [E8 LinReg] (
+	if _, err := sess.Execute(ctx, `CREATE MINING MODEL [E8 LinReg] (
 		[Customer ID] LONG KEY, [Gender] TEXT DISCRETE,
 		[Product Purchases] TABLE([Product Name] TEXT KEY),
 		[Age] DOUBLE CONTINUOUS PREDICT
 	) USING [Linear_Regression]`); err != nil {
 		return nil, err
 	}
-	if _, err := p.ExecuteContext(ctx, fmt.Sprintf(`INSERT INTO [E8 LinReg] ([Customer ID], [Gender], [Age],
+	if _, err := sess.Execute(ctx, fmt.Sprintf(`INSERT INTO [E8 LinReg] ([Customer ID], [Gender], [Age],
 		[Product Purchases]([Product Name]))
 		SHAPE {SELECT [Customer ID], Gender, Age FROM Customers WHERE [Customer ID] > %d ORDER BY [Customer ID]}
 		APPEND ({SELECT CustID, [Product Name] FROM Sales ORDER BY CustID}
 			RELATE [Customer ID] TO [CustID]) AS [Product Purchases]`, holdout)); err != nil {
 		return nil, err
 	}
-	mae, err := regressionMAE(ctx, p, truth, holdout)
+	mae, err := regressionMAE(ctx, sess, truth, holdout)
 	if err != nil {
 		return nil, err
 	}
 	t.add("Linear_Regression", "age from gender+basket", "holdout MAE (years)", fmt.Sprintf("%.2f", mae))
 
 	// Sequence analysis: does the chain recover the planted transitions?
-	if _, err := p.ExecuteContext(ctx, `CREATE MINING MODEL [E8 Seq] (
+	if _, err := sess.Execute(ctx, `CREATE MINING MODEL [E8 Seq] (
 		[Customer ID] LONG KEY,
 		[Visits] TABLE([Page] TEXT KEY, [Step] LONG SEQUENCE_TIME) PREDICT
 	) USING [Sequence_Analysis]`); err != nil {
 		return nil, err
 	}
-	if _, err := p.ExecuteContext(ctx, `INSERT INTO [E8 Seq] ([Customer ID], [Visits]([Page], [Step]))
+	if _, err := sess.Execute(ctx, `INSERT INTO [E8 Seq] ([Customer ID], [Visits]([Page], [Step]))
 		SHAPE {SELECT [Customer ID] FROM Customers ORDER BY [Customer ID]}
 		APPEND ({SELECT CustID, Page, Step FROM Visits ORDER BY CustID}
 			RELATE [Customer ID] TO [CustID]) AS [Visits]`); err != nil {
 		return nil, err
 	}
-	recovered, total, err := transitionsRecovered(ctx, p, truth)
+	recovered, total, err := transitionsRecovered(ctx, sess, truth)
 	if err != nil {
 		return nil, err
 	}
@@ -320,8 +320,8 @@ func RunE8(ctx context.Context, cfg Config) (*Result, error) {
 	}, nil
 }
 
-func genderAccuracy(ctx context.Context, p *provider.Provider, model string, truth *workload.Truth, holdout int) (float64, error) {
-	pred, err := p.ExecuteContext(ctx, fmt.Sprintf(`SELECT t.[Customer ID], Predict([Gender]) FROM [%s]
+func genderAccuracy(ctx context.Context, sess *provider.Session, model string, truth *workload.Truth, holdout int) (float64, error) {
+	pred, err := sess.Execute(ctx, fmt.Sprintf(`SELECT t.[Customer ID], Predict([Gender]) FROM [%s]
 		NATURAL PREDICTION JOIN (SELECT [Customer ID], Age FROM Customers
 			WHERE [Customer ID] <= %d) AS t`, model, holdout))
 	if err != nil {
@@ -339,8 +339,8 @@ func genderAccuracy(ctx context.Context, p *provider.Provider, model string, tru
 	return float64(correct) / float64(pred.Len()), nil
 }
 
-func clusterPurity(ctx context.Context, p *provider.Provider, truth *workload.Truth) (float64, error) {
-	pred, err := p.ExecuteContext(ctx, `SELECT t.[Customer ID], Cluster() FROM [E8 Cluster]
+func clusterPurity(ctx context.Context, sess *provider.Session, truth *workload.Truth) (float64, error) {
+	pred, err := sess.Execute(ctx, `SELECT t.[Customer ID], Cluster() FROM [E8 Cluster]
 		NATURAL PREDICTION JOIN
 		(SHAPE {SELECT [Customer ID], Age FROM Customers ORDER BY [Customer ID]}
 		 APPEND ({SELECT CustID, [Product Name] FROM Sales ORDER BY CustID}
@@ -376,8 +376,8 @@ func clusterPurity(ctx context.Context, p *provider.Provider, truth *workload.Tr
 
 // regressionMAE measures mean absolute error of the E8 linreg model on the
 // holdout customers.
-func regressionMAE(ctx context.Context, p *provider.Provider, truth *workload.Truth, holdout int) (float64, error) {
-	pred, err := p.ExecuteContext(ctx, fmt.Sprintf(`SELECT t.[Customer ID], Predict([Age]) FROM [E8 LinReg]
+func regressionMAE(ctx context.Context, sess *provider.Session, truth *workload.Truth, holdout int) (float64, error) {
+	pred, err := sess.Execute(ctx, fmt.Sprintf(`SELECT t.[Customer ID], Predict([Age]) FROM [E8 LinReg]
 		NATURAL PREDICTION JOIN
 		(SHAPE {SELECT [Customer ID], Gender FROM Customers WHERE [Customer ID] <= %d ORDER BY [Customer ID]}
 		 APPEND ({SELECT CustID, [Product Name] FROM Sales ORDER BY CustID}
@@ -403,18 +403,18 @@ func regressionMAE(ctx context.Context, p *provider.Provider, truth *workload.Tr
 
 // transitionsRecovered checks, for each planted page transition, whether the
 // sequence model's top next-page prediction matches.
-func transitionsRecovered(ctx context.Context, p *provider.Provider, truth *workload.Truth) (recovered, total int, err error) {
+func transitionsRecovered(ctx context.Context, sess *provider.Session, truth *workload.Truth) (recovered, total int, err error) {
 	for from, want := range truth.NextPage {
 		total++
-		if _, err := p.ExecuteContext(ctx, "DELETE FROM SeqProbe"); err != nil {
-			if _, cerr := p.ExecuteContext(ctx, "CREATE TABLE SeqProbe (CustID LONG, Page TEXT, Step LONG)"); cerr != nil {
+		if _, err := sess.Execute(ctx, "DELETE FROM SeqProbe"); err != nil {
+			if _, cerr := sess.Execute(ctx, "CREATE TABLE SeqProbe (CustID LONG, Page TEXT, Step LONG)"); cerr != nil {
 				return 0, 0, cerr
 			}
 		}
-		if _, err := p.ExecuteContext(ctx, fmt.Sprintf("INSERT INTO SeqProbe VALUES (1, '%s', 0)", from)); err != nil {
+		if _, err := sess.Execute(ctx, fmt.Sprintf("INSERT INTO SeqProbe VALUES (1, '%s', 0)", from)); err != nil {
 			return 0, 0, err
 		}
-		rs, err := p.ExecuteContext(ctx, `SELECT Predict([Visits], 1) AS nxt FROM [E8 Seq]
+		rs, err := sess.Execute(ctx, `SELECT Predict([Visits], 1) AS nxt FROM [E8 Seq]
 			NATURAL PREDICTION JOIN
 			(SHAPE {SELECT 1 AS [Customer ID]}
 			 APPEND ({SELECT CustID, Page, Step FROM SeqProbe ORDER BY CustID}

@@ -16,14 +16,14 @@ import (
 // overhead for a cheap statement (single-case prediction) and an expensive
 // one (full-table prediction join).
 func RunE9(ctx context.Context, cfg Config) (*Result, error) {
-	p, _, err := freshWarehouse(cfg, 0)
+	p, sess, _, err := freshWarehouse(cfg, 0)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := p.ExecuteContext(ctx, e3Models[1].create); err != nil { // Naive_Bayes gender model
+	if _, err := sess.Execute(ctx, e3Models[1].create); err != nil { // Naive_Bayes gender model
 		return nil, err
 	}
-	if _, err := p.ExecuteContext(ctx, e3Models[1].insert); err != nil {
+	if _, err := sess.Execute(ctx, e3Models[1].insert); err != nil {
 		return nil, err
 	}
 
@@ -55,7 +55,7 @@ func RunE9(ctx context.Context, cfg Config) (*Result, error) {
 		{fmt.Sprintf("%d-case prediction join", cfg.Scale), large, 5},
 	} {
 		inProc, err := timeRepeated(q.iters, func() error {
-			_, err := p.ExecuteContext(ctx, q.query)
+			_, err := sess.Execute(ctx, q.query)
 			return err
 		})
 		if err != nil {
@@ -133,14 +133,14 @@ ON [Age Prediction].Gender = t.Gender and
 // RunE10 executes the paper's listings and reports what each produced —
 // reproduction of the running example itself.
 func RunE10(ctx context.Context, cfg Config) (*Result, error) {
-	p, _, err := freshWarehouse(cfg, 0)
+	_, sess, _, err := freshWarehouse(cfg, 0)
 	if err != nil {
 		return nil, err
 	}
 	t := newTable("paper listing", "result")
 	var predicted int
 	for _, st := range paperStatements {
-		rs, err := p.ExecuteContext(ctx, st.text)
+		rs, err := sess.Execute(ctx, st.text)
 		if err != nil {
 			return nil, fmt.Errorf("paper statement %q failed: %w", st.label, err)
 		}
@@ -154,15 +154,15 @@ func RunE10(ctx context.Context, cfg Config) (*Result, error) {
 		t.add(st.label, desc)
 	}
 	// Follow-up checks from the same sections: DELETE resets, CONTENT browses.
-	if _, err := p.ExecuteContext(ctx, "SELECT * FROM [Age Prediction].CONTENT"); err != nil {
+	if _, err := sess.Execute(ctx, "SELECT * FROM [Age Prediction].CONTENT"); err != nil {
 		return nil, err
 	}
 	t.add("SELECT * FROM <model>.CONTENT (Section 3.3)", "browsable")
-	if _, err := p.ExecuteContext(ctx, "DELETE FROM [Age Prediction]"); err != nil {
+	if _, err := sess.Execute(ctx, "DELETE FROM [Age Prediction]"); err != nil {
 		return nil, err
 	}
 	t.add("DELETE FROM <model> (Section 2)", "model reset")
-	if _, err := p.ExecuteContext(ctx, "DROP MINING MODEL [Age Prediction]"); err != nil {
+	if _, err := sess.Execute(ctx, "DROP MINING MODEL [Age Prediction]"); err != nil {
 		return nil, err
 	}
 	t.add("DROP MINING MODEL (Section 2)", "model dropped")

@@ -157,11 +157,12 @@ func (t *table) render() (string, error) {
 	return t.rs.String(), nil
 }
 
-// freshWarehouse builds a provider over a freshly generated warehouse.
-func freshWarehouse(cfg Config, extraNoise int) (*provider.Provider, *workload.Truth, error) {
+// freshWarehouse builds a provider over a freshly generated warehouse and
+// opens the session the experiment's statements run on.
+func freshWarehouse(cfg Config, extraNoise int) (*provider.Provider, *provider.Session, *workload.Truth, error) {
 	p, err := provider.New()
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	truth, err := workload.Populate(p.DB, workload.Config{
 		Customers:          cfg.Scale,
@@ -169,9 +170,9 @@ func freshWarehouse(cfg Config, extraNoise int) (*provider.Provider, *workload.T
 		ExtraNoiseProducts: extraNoise,
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	return p, truth, nil
+	return p, p.NewSession(), truth, nil
 }
 
 // freshDatabase builds only the storage layer.
@@ -207,9 +208,9 @@ const msRound = time.Millisecond
 var nowFn = time.Now
 
 // timeExec runs one command and reports its wall time and result.
-func timeExec(ctx context.Context, p *provider.Provider, cmd string) (time.Duration, *rowset.Rowset, error) {
+func timeExec(ctx context.Context, sess *provider.Session, cmd string) (time.Duration, *rowset.Rowset, error) {
 	start := time.Now()
-	rs, err := p.ExecuteContext(ctx, cmd)
+	rs, err := sess.Execute(ctx, cmd)
 	return time.Since(start), rs, err
 }
 

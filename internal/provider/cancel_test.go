@@ -23,7 +23,7 @@ func TestCancelledContextAbortsBeforeWork(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	before := p.Obs().QueryLog().Total()
-	_, err := p.ExecuteContext(ctx, cancelStressQuery)
+	_, err := p.NewSession().Execute(ctx, cancelStressQuery)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -37,7 +37,7 @@ func TestCancelledContextAbortsBeforeWork(t *testing.T) {
 	}
 }
 
-// TestConcurrentCancellationStress hammers ExecuteContext from many
+// TestConcurrentCancellationStress hammers one session's Execute from many
 // goroutines while their contexts are cancelled mid-PREDICTION JOIN. Run
 // under -race, it asserts three properties: every call returns (either the
 // rowset or a cancellation/deadline error, never anything else), no worker
@@ -45,6 +45,7 @@ func TestCancelledContextAbortsBeforeWork(t *testing.T) {
 // statement, monotonically increasing sequence numbers.
 func TestConcurrentCancellationStress(t *testing.T) {
 	p := trainedProviderWorkers(t, 8, 120)
+	s := p.NewSession()
 	baseline := runtime.NumGoroutine()
 	logBefore := p.Obs().QueryLog().Total()
 
@@ -65,7 +66,7 @@ func TestConcurrentCancellationStress(t *testing.T) {
 				// fire immediately, some mid-scan, some likely after.
 				delay := time.Duration((c*perCall+i)%12) * 200 * time.Microsecond
 				timer := time.AfterFunc(delay, cancel)
-				_, err := p.ExecuteContext(ctx, cancelStressQuery)
+				_, err := s.Execute(ctx, cancelStressQuery)
 				timer.Stop()
 				cancel()
 				if err != nil && !errors.Is(err, context.Canceled) {
@@ -127,7 +128,7 @@ func TestDeadlineExceededClassifiesCancelled(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancel()
 	time.Sleep(time.Microsecond) // ensure the deadline has passed
-	_, err := p.ExecuteContext(ctx, cancelStressQuery)
+	_, err := p.NewSession().Execute(ctx, cancelStressQuery)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}

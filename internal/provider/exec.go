@@ -42,36 +42,6 @@ func WithSeqOut(seq *int64) ExecOption {
 	return func(c *execConfig) { c.seqOut = seq }
 }
 
-// ---------- flat Provider entry points (wrappers over an internal session) ----------
-//
-// The Session API is the primary surface; these delegate to a provider-owned
-// session so existing embedders keep working. They share that one session's
-// prepared-statement namespace and admission gate.
-
-// ExecuteContext runs one statement on the provider's internal session.
-//
-// Deprecated: use [Provider.NewSession] and [Session.Execute]; sessions scope
-// prepared statements and admission per consumer.
-func (p *Provider) ExecuteContext(ctx context.Context, command string, opts ...ExecOption) (*rowset.Rowset, error) {
-	return p.session.Execute(ctx, command, opts...)
-}
-
-// ExecuteScriptContext runs a multi-statement script on the provider's
-// internal session.
-//
-// Deprecated: use [Provider.NewSession] and [Session.ExecuteScript].
-func (p *Provider) ExecuteScriptContext(ctx context.Context, script string, opts ...ExecOption) (*rowset.Rowset, error) {
-	return p.session.ExecuteScript(ctx, script, opts...)
-}
-
-// ExecuteParamsContext runs one command with positional arguments on the
-// provider's internal session.
-//
-// Deprecated: use [Provider.NewSession] and [Session.ExecuteParams].
-func (p *Provider) ExecuteParamsContext(ctx context.Context, command string, args []rowset.Value, opts ...ExecOption) (*rowset.Rowset, error) {
-	return p.session.ExecuteParams(ctx, command, args, opts...)
-}
-
 // ---------- statement pipeline (session-scoped) ----------
 
 // executeTracedArgs dispatches one command, attributing stage time to the

@@ -8,18 +8,25 @@ import (
 )
 
 // Context-free execution shims, compiled only into the test binary. The
-// production surface is context-first (Session.Execute and the deprecated
-// Provider.ExecuteContext wrappers); tests exercising statement behavior
-// rather than cancellation keep the short spelling.
+// production surface is Session's context-first methods; tests exercising
+// statement behavior rather than sessions or cancellation keep the short
+// spelling, each call on a session of its own (so nothing a session scopes —
+// prepared statements, admission — carries from one call to the next).
 
 func (p *Provider) Execute(command string) (*rowset.Rowset, error) {
-	return p.ExecuteContext(context.Background(), command)
+	s := p.NewSession()
+	defer s.Close()
+	return s.Execute(context.Background(), command)
 }
 
 func (p *Provider) ExecuteScript(script string) (*rowset.Rowset, error) {
-	return p.ExecuteScriptContext(context.Background(), script)
+	s := p.NewSession()
+	defer s.Close()
+	return s.ExecuteScript(context.Background(), script)
 }
 
 func (p *Provider) ExecuteDMX(st dmx.Statement) (*rowset.Rowset, error) {
-	return p.session.execDMXChecked(context.Background(), st)
+	s := p.NewSession()
+	defer s.Close()
+	return s.execDMXChecked(context.Background(), st)
 }

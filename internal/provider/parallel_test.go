@@ -5,7 +5,6 @@ import (
 	"errors"
 	"testing"
 
-	"repro/internal/dmx"
 	"repro/internal/rowset"
 	"repro/internal/sqlengine"
 )
@@ -130,15 +129,8 @@ func TestPredictionNestedColumnTypeError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pp := &predictPlan{
-		provider: p,
-		entry:    e,
-		ps:       &dmx.PredictionSelect{Model: "Age Prediction"},
-		plan:     plan,
-		binder:   binder,
-		schema:   srcSchema,
-		items:    []sqlengine.SelectItem{{Expr: &sqlengine.ColumnRef{Name: "Gender"}}},
-	}
+	pp := &predictPlan{entry: e, plan: plan, binder: binder}
+	pp.compile(srcSchema, "Age Prediction", nil, []sqlengine.SelectItem{{Expr: &sqlengine.ColumnRef{Name: "Gender"}}}, nil)
 	// The schema claims a nested table but the cell carries a string.
 	_, err = pp.evalCase(rowset.Row{"Male", "not-a-rowset"})
 	var nte *NestedColumnTypeError

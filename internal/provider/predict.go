@@ -104,23 +104,15 @@ func (p *Provider) predictionSelect(ctx context.Context, ps *dmx.PredictionSelec
 		}
 	}
 
-	// The binding is resolved once and shared read-only by every worker;
-	// each case gets its own predictionContext (prediction cache) and Env.
+	// The binding and the compiled expressions are resolved once and shared
+	// read-only by every worker; each case gets its own predictionContext
+	// (prediction cache) and Env.
 	binder, err := frozen.NewCaseBinder(modelSchema)
 	if err != nil {
 		return nil, err
 	}
-	pp := &predictPlan{
-		provider: p,
-		entry:    e,
-		ps:       ps,
-		plan:     plan,
-		binder:   binder,
-		schema:   evalSchema,
-		items:    items,
-		where:    where,
-		orderBy:  orderBy,
-	}
+	pp := &predictPlan{entry: e, plan: plan, binder: binder}
+	pp.compile(evalSchema, ps.Model, where, items, orderBy)
 
 	rows := src.Rows()
 	results := make([]caseResult, len(rows))
@@ -245,18 +237,45 @@ func (p *Provider) indexPredictionKeys(src dmx.Source, def *core.ModelDef, bindi
 }
 
 // predictPlan is the per-statement read-only state shared by every prediction
-// worker: resolved bindings, frozen-tokenizer case binder, pre-resolved
-// WHERE/ORDER BY expressions, and the projection items.
+// worker: resolved bindings, the frozen-tokenizer case binder, and the WHERE,
+// select-list and ORDER BY closures, compiled once with the model's columns
+// and the prediction functions resolved (see resolve).
 type predictPlan struct {
-	provider *Provider
-	entry    *modelEntry
-	ps       *dmx.PredictionSelect
-	plan     []boundCol
-	binder   *core.CaseBinder
-	schema   *rowset.Schema // alias-qualified source schema
-	items    []sqlengine.SelectItem
-	where    sqlengine.Expr
-	orderBy  []sqlengine.OrderItem
+	entry  *modelEntry
+	plan   []boundCol
+	binder *core.CaseBinder
+
+	where   sqlengine.Compiled // nil keeps every case
+	items   []sqlengine.Compiled
+	orderBy []sqlengine.Compiled
+
+	// Compile-time state: the alias-qualified source schema and model name
+	// expressions resolve against, and every model column they predict.
+	schema  *rowset.Schema
+	model   string
+	targets map[string]*predTarget
+}
+
+// compile builds the statement's closures over schema, the alias-qualified
+// source schema.
+func (pp *predictPlan) compile(schema *rowset.Schema, model string, where sqlengine.Expr, items []sqlengine.SelectItem, orderBy []sqlengine.OrderItem) {
+	pp.schema, pp.model = schema, model
+	pp.targets = make(map[string]*predTarget)
+	if where != nil {
+		pp.where = pp.compileExpr(where)
+	}
+	pp.items = make([]sqlengine.Compiled, len(items))
+	for i, it := range items {
+		pp.items[i] = pp.compileExpr(it.Expr)
+	}
+	pp.orderBy = make([]sqlengine.Compiled, len(orderBy))
+	for i, o := range orderBy {
+		pp.orderBy[i] = pp.compileExpr(o.Expr)
+	}
+}
+
+func (pp *predictPlan) compileExpr(e sqlengine.Expr) sqlengine.Compiled {
+	return sqlengine.Compile(e, pp.schema, pp.resolve)
 }
 
 // caseResult is one source row's evaluated output: whether WHERE kept it, the
@@ -295,50 +314,31 @@ func (pp *predictPlan) evalCase(srcRow rowset.Row) (caseResult, error) {
 		return caseResult{}, err
 	}
 
-	pc := &predictionContext{
-		provider: pp.provider,
-		entry:    pp.entry,
-		c:        c,
-		cache:    make(map[string]core.Prediction),
-	}
-	env := &sqlengine.Env{
-		Schema:   pp.schema,
-		Row:      srcRow,
-		External: pc.resolveExternal(pp.ps.Model, pp.ps.Alias),
-		Funcs:    pc.callUDF,
-	}
+	env := sqlengine.Env{Row: srcRow, Ext: &predictionContext{
+		entry: pp.entry,
+		c:     c,
+		preds: make([]cachedPrediction, len(pp.targets)),
+	}}
 	if pp.where != nil {
-		v, err := sqlengine.Eval(pp.where, env)
-		if err != nil {
+		keep, err := pp.where.Test(&env)
+		if err != nil || !keep {
 			return caseResult{}, err
-		}
-		keep, err := sqlengine.Truthy(v)
-		if err != nil {
-			return caseResult{}, err
-		}
-		if !keep {
-			return caseResult{}, nil
 		}
 	}
-	row := make(rowset.Row, len(pp.items))
-	for i, it := range pp.items {
-		v, err := sqlengine.Eval(it.Expr, env)
+	res := caseResult{keep: true, row: make(rowset.Row, len(pp.items)), keys: make(rowset.Row, len(pp.orderBy))}
+	for i, fn := range pp.items {
+		v, err := fn(&env)
 		if err != nil {
 			return caseResult{}, err
 		}
-		row[i] = rowset.Normalize(v)
+		res.row[i] = rowset.Normalize(v)
 	}
-	res := caseResult{keep: true, row: row}
-	if len(pp.orderBy) > 0 {
-		keys := make(rowset.Row, len(pp.orderBy))
-		for i, o := range pp.orderBy {
-			v, err := sqlengine.Eval(o.Expr, env)
-			if err != nil {
-				return caseResult{}, err
-			}
-			keys[i] = rowset.Normalize(v)
+	for i, fn := range pp.orderBy {
+		v, err := fn(&env)
+		if err != nil {
+			return caseResult{}, err
 		}
-		res.keys = keys
+		res.keys[i] = rowset.Normalize(v)
 	}
 	return res, nil
 }
@@ -510,291 +510,307 @@ func stripAlias(path []string, alias string) []string {
 	return path
 }
 
-// predictionContext evaluates the DMX prediction functions for one case.
-type predictionContext struct {
-	provider *Provider
-	entry    *modelEntry
-	c        core.Case
-	cache    map[string]core.Prediction
+// predTarget is one model column a statement predicts, resolved when the
+// statement compiles: how to predict it and which slot of a case's prediction
+// cache holds the answer.
+type predTarget struct {
+	slot int
+	mc   *core.ColumnDef
+	attr int   // trained attribute index; scalar columns only
+	err  error // the column cannot be predicted; reported when first evaluated
 }
 
-// predictFor resolves a model column name to a Prediction, caching per case.
-func (pc *predictionContext) predictFor(column string) (core.Prediction, error) {
+// target resolves a model column name to its predTarget; every spelling of one
+// column shares a target, and so a cache slot.
+func (pp *predictPlan) target(column string) *predTarget {
 	key := strings.ToLower(column)
-	if p, ok := pc.cache[key]; ok {
-		return p, nil
+	if t, ok := pp.targets[key]; ok {
+		return t
 	}
-	def := pc.entry.model.Def
+	t := &predTarget{slot: len(pp.targets)}
+	pp.targets[key] = t
+	def := pp.entry.model.Def
 	mc, ok := def.Column(column)
 	if !ok {
-		return core.Prediction{}, fmt.Errorf("provider: model %s has no column %q", def.Name, column)
+		t.err = fmt.Errorf("provider: model %s has no column %q", def.Name, column)
+		return t
 	}
-	var p core.Prediction
-	var err error
-	if mc.Content == core.ContentTable {
-		p, err = pc.entry.model.Trained.PredictTable(pc.c, mc.Name)
-	} else {
-		idx, ok := pc.entry.model.Space.Lookup(mc.Name)
-		if !ok {
-			return core.Prediction{}, fmt.Errorf("provider: column %q has no trained attribute", column)
+	t.mc = mc
+	if mc.Content != core.ContentTable {
+		if t.attr, ok = pp.entry.model.Space.Lookup(mc.Name); !ok {
+			t.err = fmt.Errorf("provider: column %q has no trained attribute", column)
 		}
-		p, err = pc.entry.model.Trained.Predict(pc.c, idx)
 	}
-	if err != nil {
-		return core.Prediction{}, err
-	}
-	pc.cache[key] = p
-	return p, nil
+	return t
 }
 
-// resolveExternal answers column references outside the source schema:
-// [Model].[Col] and bare references to the model's PREDICT columns yield the
-// prediction estimate.
-func (pc *predictionContext) resolveExternal(model, alias string) func(string, string) (rowset.Value, bool, error) {
-	return func(qualifier, name string) (rowset.Value, bool, error) {
-		def := pc.entry.model.Def
-		switch {
-		case strings.EqualFold(qualifier, model):
-		case qualifier == "":
-			mc, ok := def.Column(name)
-			if !ok || !mc.IsOutput() {
-				return nil, false, nil
-			}
-		default:
-			return nil, false, nil
+// predictionContext is one case's frame state (sqlengine.Env.Ext): the
+// tokenized case and the predictions already made for it.
+type predictionContext struct {
+	entry *modelEntry
+	c     core.Case
+	preds []cachedPrediction // by predTarget.slot
+}
+
+type cachedPrediction struct {
+	p    core.Prediction
+	done bool
+}
+
+func caseOf(env *sqlengine.Env) *predictionContext { return env.Ext.(*predictionContext) }
+
+// predict returns the case's prediction for t, computing it at most once.
+func (pc *predictionContext) predict(t *predTarget) (core.Prediction, error) {
+	if t.err != nil {
+		return core.Prediction{}, t.err
+	}
+	cp := &pc.preds[t.slot]
+	if !cp.done {
+		var err error
+		if t.mc.Content == core.ContentTable {
+			cp.p, err = pc.entry.model.Trained.PredictTable(pc.c, t.mc.Name)
+		} else {
+			cp.p, err = pc.entry.model.Trained.Predict(pc.c, t.attr)
 		}
-		mc, ok := def.Column(name)
-		if !ok {
-			return nil, false, nil
-		}
-		if mc.Content == core.ContentTable {
-			return pc.predictTableRowset(mc, 0)
-		}
-		p, err := pc.predictFor(name)
 		if err != nil {
-			return nil, false, err
+			return core.Prediction{}, err
 		}
-		return p.Estimate, true, nil
+		cp.done = true
+	}
+	return cp.p, nil
+}
+
+// resolve is the statement's sqlengine.Resolver. Column references outside the
+// source schema — [Model].[Col], and bare references to the model's PREDICT
+// columns — compile to the prediction estimate, and the DMX prediction
+// functions to closures over the case in the frame. Which function a call
+// names, which model column it is about and its literal arguments are settled
+// here, once per statement; what is wrong with a call is reported when a case
+// first evaluates it, after the arguments evaluated before it.
+func (pp *predictPlan) resolve(e sqlengine.Expr) sqlengine.Compiled {
+	switch x := e.(type) {
+	case *sqlengine.ColumnRef:
+		mc, ok := pp.entry.model.Def.Column(x.Name)
+		if !ok || !(strings.EqualFold(x.Qualifier, pp.model) || x.Qualifier == "" && mc.IsOutput()) {
+			return nil
+		}
+		return estimate(pp.target(x.Name), nil)
+	case *sqlengine.FuncCall:
+		if dmx.IsPredictionFunc(x.Name) {
+			return pp.predictionFunc(x)
+		}
+	}
+	return nil
+}
+
+// estimate compiles the prediction of t: the estimate of a scalar column, the
+// first maxRows (all when nil or <= 0) predicted rows of a nested table.
+func estimate(t *predTarget, maxRows func(*sqlengine.Env) (int, error)) sqlengine.Compiled {
+	if t.mc == nil || t.mc.Content != core.ContentTable {
+		return statistic(t, func(p core.Prediction) rowset.Value { return p.Estimate })
+	}
+	return func(env *sqlengine.Env) (rowset.Value, error) {
+		n := 0
+		if maxRows != nil {
+			var err error
+			if n, err = maxRows(env); err != nil {
+				return nil, err
+			}
+		}
+		p, err := caseOf(env).predict(t)
+		if err != nil {
+			return nil, err
+		}
+		return tableRowset(t.mc, p, n)
 	}
 }
 
-// callUDF dispatches the DMX prediction functions.
-func (pc *predictionContext) callUDF(f *sqlengine.FuncCall, env *sqlengine.Env) (rowset.Value, bool, error) {
-	if !dmx.IsPredictionFunc(f.Name) {
-		return nil, false, nil
-	}
-	argColumn := func() (string, error) {
-		if len(f.Args) < 1 {
-			return "", fmt.Errorf("provider: %s needs a model column argument", f.Name)
+// statistic compiles one figure of t's prediction.
+func statistic(t *predTarget, get func(core.Prediction) rowset.Value) sqlengine.Compiled {
+	return func(env *sqlengine.Env) (rowset.Value, error) {
+		p, err := caseOf(env).predict(t)
+		if err != nil {
+			return nil, err
 		}
-		cr, ok := f.Args[0].(*sqlengine.ColumnRef)
+		return get(p), nil
+	}
+}
+
+// predictionFunc compiles a call to one of the DMX prediction functions.
+func (pp *predictPlan) predictionFunc(f *sqlengine.FuncCall) sqlengine.Compiled {
+	switch f.Name {
+	case dmx.FuncTopCount:
+		return pp.topCount(f)
+	case dmx.FuncCluster, dmx.FuncClusterProbability:
+		cp, ok := pp.entry.model.Trained.(core.ClusterPredictor)
 		if !ok {
-			return "", fmt.Errorf("provider: %s: first argument must be a model column reference", f.Name)
+			return sqlengine.Failing(fmt.Errorf("provider: model %s (%s) is not a clustering model",
+				pp.entry.model.Def.Name, pp.entry.model.Trained.AlgorithmName()))
 		}
-		return cr.Name, nil
+		wantID := f.Name == dmx.FuncCluster
+		return func(env *sqlengine.Env) (rowset.Value, error) {
+			p, err := cp.PredictCluster(caseOf(env).c)
+			if err != nil {
+				return nil, err
+			}
+			if wantID {
+				return p.Estimate, nil
+			}
+			return p.Prob, nil
+		}
 	}
+	// Every other function is about the model column its first argument names.
+	if len(f.Args) < 1 {
+		return sqlengine.Failing(fmt.Errorf("provider: %s needs a model column argument", f.Name))
+	}
+	cr, ok := f.Args[0].(*sqlengine.ColumnRef)
+	if !ok {
+		return sqlengine.Failing(fmt.Errorf("provider: %s: first argument must be a model column reference", f.Name))
+	}
+	t := pp.target(cr.Name)
 	switch f.Name {
 	case dmx.FuncPredict, dmx.FuncPredictAssociation:
-		col, err := argColumn()
-		if err != nil {
-			return nil, false, err
+		if t.mc == nil {
+			return sqlengine.Failing(t.err)
 		}
-		def := pc.entry.model.Def
-		mc, ok := def.Column(col)
-		if !ok {
-			return nil, false, fmt.Errorf("provider: model %s has no column %q", def.Name, col)
-		}
-		if mc.Content == core.ContentTable {
-			maxRows := 0
-			if len(f.Args) > 1 {
-				n, err := intArg(f.Args[1], env)
-				if err != nil {
-					return nil, false, err
-				}
-				maxRows = n
-			}
-			v, _, err := pc.predictTableRowset(mc, maxRows)
-			return v, true, err
-		}
-		p, err := pc.predictFor(col)
-		if err != nil {
-			return nil, false, err
-		}
-		return p.Estimate, true, nil
-	case dmx.FuncPredictProbability:
-		col, err := argColumn()
-		if err != nil {
-			return nil, false, err
-		}
-		p, err := pc.predictFor(col)
-		if err != nil {
-			return nil, false, err
-		}
+		var maxRows func(*sqlengine.Env) (int, error)
 		if len(f.Args) > 1 {
-			want, err := sqlengine.Eval(f.Args[1], env)
+			maxRows = pp.intArg(f.Args[1])
+		}
+		return estimate(t, maxRows)
+	case dmx.FuncPredictProbability:
+		if len(f.Args) == 1 {
+			return statistic(t, func(p core.Prediction) rowset.Value { return p.Prob })
+		}
+		want := pp.compileExpr(f.Args[1])
+		return func(env *sqlengine.Env) (rowset.Value, error) {
+			p, err := caseOf(env).predict(t)
 			if err != nil {
-				return nil, false, err
+				return nil, err
 			}
+			v, err := want(env)
+			if err != nil {
+				return nil, err
+			}
+			v = rowset.Normalize(v)
 			for _, b := range p.Histogram {
-				if rowset.Equal(b.Value, rowset.Normalize(want)) {
-					return b.Prob, true, nil
+				if rowset.Equal(b.Value, v) {
+					return b.Prob, nil
 				}
 			}
-			return 0.0, true, nil
+			return 0.0, nil
 		}
-		return p.Prob, true, nil
 	case dmx.FuncPredictSupport:
-		col, err := argColumn()
-		if err != nil {
-			return nil, false, err
-		}
-		p, err := pc.predictFor(col)
-		if err != nil {
-			return nil, false, err
-		}
-		return p.Support, true, nil
+		return statistic(t, func(p core.Prediction) rowset.Value { return p.Support })
 	case dmx.FuncPredictStdev:
-		col, err := argColumn()
-		if err != nil {
-			return nil, false, err
-		}
-		p, err := pc.predictFor(col)
-		if err != nil {
-			return nil, false, err
-		}
-		return p.Stdev, true, nil
+		return statistic(t, func(p core.Prediction) rowset.Value { return p.Stdev })
 	case dmx.FuncPredictVariance:
-		col, err := argColumn()
-		if err != nil {
-			return nil, false, err
-		}
-		p, err := pc.predictFor(col)
-		if err != nil {
-			return nil, false, err
-		}
-		return p.Stdev * p.Stdev, true, nil
+		return statistic(t, func(p core.Prediction) rowset.Value { return p.Stdev * p.Stdev })
 	case dmx.FuncPredictHistogram:
-		col, err := argColumn()
-		if err != nil {
-			return nil, false, err
+		return func(env *sqlengine.Env) (rowset.Value, error) {
+			p, err := caseOf(env).predict(t)
+			if err != nil {
+				return nil, err
+			}
+			return histogramRowset(cr.Name, p)
 		}
-		p, err := pc.predictFor(col)
+	}
+	return pp.rangeOf(f.Name, cr.Name, t)
+}
+
+// topCount compiles TopCount(<table>, <rank column>, <n>): the n rows of the
+// table expression ranking highest on the column.
+func (pp *predictPlan) topCount(f *sqlengine.FuncCall) sqlengine.Compiled {
+	if len(f.Args) != 3 {
+		return sqlengine.Failing(fmt.Errorf("provider: TopCount(<table>, <rank column>, <n>)"))
+	}
+	tableArg := pp.compileExpr(f.Args[0])
+	rankRef, isRef := f.Args[1].(*sqlengine.ColumnRef)
+	count := pp.intArg(f.Args[2])
+	return func(env *sqlengine.Env) (rowset.Value, error) {
+		tv, err := tableArg(env)
 		if err != nil {
-			return nil, false, err
-		}
-		hs, err := histogramRowset(col, p)
-		if err != nil {
-			return nil, false, err
-		}
-		return hs, true, nil
-	case dmx.FuncTopCount:
-		if len(f.Args) != 3 {
-			return nil, false, fmt.Errorf("provider: TopCount(<table>, <rank column>, <n>)")
-		}
-		tv, err := sqlengine.Eval(f.Args[0], env)
-		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		table, ok := tv.(*rowset.Rowset)
 		if !ok {
-			return nil, false, fmt.Errorf("provider: TopCount: first argument is %s, not a table", rowset.TypeOf(tv))
+			return nil, fmt.Errorf("provider: TopCount: first argument is %s, not a table", rowset.TypeOf(tv))
 		}
-		rankRef, ok := f.Args[1].(*sqlengine.ColumnRef)
-		if !ok {
-			return nil, false, fmt.Errorf("provider: TopCount: second argument must be a column of the table")
+		if !isRef {
+			return nil, fmt.Errorf("provider: TopCount: second argument must be a column of the table")
 		}
-		n, err := intArg(f.Args[2], env)
+		n, err := count(env)
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		ord, ok := table.Schema().Lookup(rankRef.Name)
 		if !ok {
-			return nil, false, fmt.Errorf("provider: TopCount: table has no column %q", rankRef.Name)
+			return nil, fmt.Errorf("provider: TopCount: table has no column %q", rankRef.Name)
 		}
 		sorted := table.Clone()
 		sorted.Sort([]int{ord}, []bool{true})
 		out := rowset.New(sorted.Schema())
 		for i := 0; i < sorted.Len() && i < n; i++ {
 			if err := out.Append(sorted.Row(i)); err != nil {
-				return nil, false, err
+				return nil, err
 			}
 		}
-		return out, true, nil
-	case dmx.FuncRangeMid, dmx.FuncRangeMin, dmx.FuncRangeMax:
-		col, err := argColumn()
+		return out, nil
+	}
+}
+
+// intArg compiles an integer argument; a literal is checked and converted
+// here, once.
+func (pp *predictPlan) intArg(e sqlengine.Expr) func(*sqlengine.Env) (int, error) {
+	arg := pp.compileExpr(e)
+	get := func(env *sqlengine.Env) (int, error) {
+		v, err := arg(env)
 		if err != nil {
-			return nil, false, err
+			return 0, err
 		}
-		return pc.rangeOf(f.Name, col)
-	case dmx.FuncCluster, dmx.FuncClusterProbability:
-		cp, ok := pc.entry.model.Trained.(core.ClusterPredictor)
+		n, ok := rowset.Normalize(v).(int64)
 		if !ok {
-			return nil, false, fmt.Errorf("provider: model %s (%s) is not a clustering model",
-				pc.entry.model.Def.Name, pc.entry.model.Trained.AlgorithmName())
+			return 0, fmt.Errorf("provider: expected an integer argument, got %s", rowset.TypeOf(v))
 		}
-		p, err := cp.PredictCluster(pc.c)
-		if err != nil {
-			return nil, false, err
-		}
-		if f.Name == dmx.FuncCluster {
-			return p.Estimate, true, nil
-		}
-		return p.Prob, true, nil
+		return int(n), nil
 	}
-	return nil, false, nil
+	if _, ok := e.(*sqlengine.Literal); ok {
+		n, err := get(nil) // a literal reads nothing from the frame
+		return func(*sqlengine.Env) (int, error) { return n, err }
+	}
+	return get
 }
 
-func intArg(e sqlengine.Expr, env *sqlengine.Env) (int, error) {
-	v, err := sqlengine.Eval(e, env)
-	if err != nil {
-		return 0, err
-	}
-	n, ok := rowset.Normalize(v).(int64)
-	if !ok {
-		return 0, fmt.Errorf("provider: expected an integer argument, got %s", rowset.TypeOf(v))
-	}
-	return int(n), nil
-}
-
-// rangeOf implements RangeMin/RangeMid/RangeMax: the numeric bounds of the
+// rangeOf compiles RangeMin/RangeMid/RangeMax: the numeric bounds of the
 // predicted DISCRETIZED bucket, turning a bucket label back into a usable
 // number (the open first/last buckets close over the observed data range).
-func (pc *predictionContext) rangeOf(fn, column string) (rowset.Value, bool, error) {
-	idx, ok := pc.entry.model.Space.Lookup(column)
+func (pp *predictPlan) rangeOf(fn, column string, t *predTarget) sqlengine.Compiled {
+	idx, ok := pp.entry.model.Space.Lookup(column)
 	if !ok {
-		return nil, false, fmt.Errorf("provider: column %q has no trained attribute", column)
+		return sqlengine.Failing(fmt.Errorf("provider: column %q has no trained attribute", column))
 	}
-	a := pc.entry.model.Space.Attr(idx)
+	a := pp.entry.model.Space.Attr(idx)
 	if len(a.Cuts) == 0 {
-		return nil, false, fmt.Errorf("provider: %s requires a DISCRETIZED column, %q is not", fn, column)
+		return sqlengine.Failing(fmt.Errorf("provider: %s requires a DISCRETIZED column, %q is not", fn, column))
 	}
-	p, err := pc.predictFor(column)
-	if err != nil {
-		return nil, false, err
-	}
-	label, _ := p.Estimate.(string)
-	bucket := a.StateIndex(label)
-	lo, hi, ok := a.BucketBounds(bucket)
-	if !ok {
-		return nil, true, nil
-	}
-	switch fn {
-	case dmx.FuncRangeMin:
-		return lo, true, nil
-	case dmx.FuncRangeMax:
-		return hi, true, nil
-	default:
-		return (lo + hi) / 2, true, nil
-	}
+	return statistic(t, func(p core.Prediction) rowset.Value {
+		label, _ := p.Estimate.(string)
+		lo, hi, ok := a.BucketBounds(a.StateIndex(label))
+		switch {
+		case !ok:
+			return nil
+		case fn == dmx.FuncRangeMin:
+			return lo
+		case fn == dmx.FuncRangeMax:
+			return hi
+		}
+		return (lo + hi) / 2
+	})
 }
 
-// predictTableRowset renders a nested-table prediction as a rowset whose key
-// column carries the model's nested key column name.
-func (pc *predictionContext) predictTableRowset(mc *core.ColumnDef, maxRows int) (rowset.Value, bool, error) {
-	p, err := pc.predictFor(mc.Name)
-	if err != nil {
-		return nil, false, err
-	}
+// tableRowset renders a nested-table prediction as a rowset whose key column
+// carries the model's nested key column name.
+func tableRowset(mc *core.ColumnDef, p core.Prediction, maxRows int) (rowset.Value, error) {
 	keyName := "KEY"
 	for i := range mc.Table {
 		if mc.Table[i].Content == core.ContentKey {
@@ -813,10 +829,10 @@ func (pc *predictionContext) predictTableRowset(mc *core.ColumnDef, maxRows int)
 			break
 		}
 		if err := out.AppendVals(rowset.FormatValue(b.Value), b.Prob, b.Support); err != nil {
-			return nil, false, err
+			return nil, err
 		}
 	}
-	return out, true, nil
+	return out, nil
 }
 
 // histogramRowset renders PredictHistogram output (Section 3.2.4: "a

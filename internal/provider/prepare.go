@@ -479,37 +479,3 @@ func (s *Session) PreparedNames() []string {
 	sort.Strings(names)
 	return names
 }
-
-// ---------- flat Provider entry points (wrappers over the internal session) ----------
-
-// PrepareContext compiles command and registers it on the provider's
-// internal session.
-//
-// Deprecated: use [Provider.NewSession] and [Session.Prepare]; handles are
-// session-scoped.
-func (p *Provider) PrepareContext(ctx context.Context, name, command string, opts ...ExecOption) (int, error) {
-	return p.session.Prepare(ctx, name, command, opts...)
-}
-
-// ExecutePreparedContext runs a statement prepared on the provider's
-// internal session.
-//
-// Deprecated: use [Provider.NewSession] and [Session.ExecutePrepared].
-func (p *Provider) ExecutePreparedContext(ctx context.Context, name string, args []rowset.Value, opts ...ExecOption) (*rowset.Rowset, error) {
-	return p.session.ExecutePrepared(ctx, name, args, opts...)
-}
-
-// Deallocate drops a prepared statement from the provider's internal
-// session. Unknown names are a no-op.
-//
-// Deprecated: use [Provider.NewSession] and [Session.Deallocate].
-func (p *Provider) Deallocate(name string) error {
-	return p.session.Deallocate(name)
-}
-
-// PreparedNames lists the internal session's prepared statements, sorted.
-//
-// Deprecated: use [Provider.NewSession] and [Session.PreparedNames].
-func (p *Provider) PreparedNames() []string {
-	return p.session.PreparedNames()
-}

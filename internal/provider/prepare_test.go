@@ -13,9 +13,21 @@ import (
 	"repro/internal/rowset"
 )
 
-func newPrepProvider(t *testing.T, opts ...provider.Option) *provider.Provider {
+// prepSession is one session over a fresh provider: PREPARE handles are
+// session-scoped, so a test runs all its statements through it.
+type prepSession struct {
+	*provider.Session
+	p *provider.Provider
+}
+
+func (s prepSession) Execute(command string) (*rowset.Rowset, error) {
+	return s.Session.Execute(context.Background(), command)
+}
+
+func newPrepProvider(t *testing.T, opts ...provider.Option) prepSession {
 	t.Helper()
-	p := providertest.MustNew(opts...)
+	pr := providertest.MustNew(opts...)
+	p := prepSession{Session: pr.NewSession(), p: pr}
 	steps := []string{
 		"CREATE TABLE People (id LONG, name TEXT, age DOUBLE)",
 		"INSERT INTO People VALUES (1, 'Ann', 30), (2, 'O''Brien', 41), (3, 'Bea', 52)",
@@ -72,7 +84,7 @@ func TestExecuteStringArgsCarryQuotes(t *testing.T) {
 		t.Errorf("quoted-name lookup = %v", rs)
 	}
 	// Through the API the value carries its quote with no escaping at all.
-	rs, err = p.ExecutePreparedContext(context.Background(), "by_name", []rowset.Value{"O'Brien"})
+	rs, err = p.ExecutePrepared(context.Background(), "by_name", []rowset.Value{"O'Brien"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,25 +95,25 @@ func TestExecuteStringArgsCarryQuotes(t *testing.T) {
 
 func TestPrepareReportsParamCountAndTypeErrors(t *testing.T) {
 	p := newPrepProvider(t)
-	n, err := p.PrepareContext(context.Background(), "q1", "SELECT name FROM People WHERE id = ? AND age > ?")
+	n, err := p.Prepare(context.Background(), "q1", "SELECT name FROM People WHERE id = ? AND age > ?")
 	if err != nil || n != 2 {
-		t.Fatalf("PrepareContext = %d, %v; want 2 params", n, err)
+		t.Fatalf("Prepare = %d, %v; want 2 params", n, err)
 	}
 	// Arguments coerce to the inferred column type; an uncoercible value is
 	// a parameter error naming the slot.
-	if _, err := p.ExecutePreparedContext(context.Background(), "q1", []rowset.Value{"not a number", 0.0}); err == nil || !strings.Contains(err.Error(), "parameter") {
+	if _, err := p.ExecutePrepared(context.Background(), "q1", []rowset.Value{"not a number", 0.0}); err == nil || !strings.Contains(err.Error(), "parameter") {
 		t.Errorf("uncoercible arg = %v", err)
 	}
 	// Statements that cannot parse are rejected at prepare time.
-	if _, err := p.PrepareContext(context.Background(), "q2", "SELECT FROM WHERE"); err == nil {
+	if _, err := p.Prepare(context.Background(), "q2", "SELECT FROM WHERE"); err == nil {
 		t.Error("prepare must parse the statement")
 	}
 	// Unknown columns surface as a clean error on execution, never a panic
 	// or wrong rows.
-	if _, err := p.PrepareContext(context.Background(), "q3", "SELECT nope FROM People"); err != nil {
+	if _, err := p.Prepare(context.Background(), "q3", "SELECT nope FROM People"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.ExecutePreparedContext(context.Background(), "q3", nil); err == nil {
+	if _, err := p.ExecutePrepared(context.Background(), "q3", nil); err == nil {
 		t.Error("executing a statement with an unknown column must error")
 	}
 	// Executing a parameterized statement without arguments is an error.
@@ -122,13 +134,13 @@ func TestPreparedDMXPredictionWithParams(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	n, err := p.PrepareContext(context.Background(), "predict_one",
+	n, err := p.Prepare(context.Background(), "predict_one",
 		`SELECT Predict([age]) FROM [AgeModel]
 		NATURAL PREDICTION JOIN (SELECT name FROM People WHERE name = ?) AS t`)
 	if err != nil || n != 1 {
 		t.Fatalf("prepare prediction = %d, %v", n, err)
 	}
-	rs, err := p.ExecutePreparedContext(context.Background(), "predict_one", []rowset.Value{"Ann"})
+	rs, err := p.ExecutePrepared(context.Background(), "predict_one", []rowset.Value{"Ann"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,14 +200,14 @@ func TestStalePlanDroppedObjectErrors(t *testing.T) {
 	if _, err := p.Execute("DROP TABLE People"); err != nil {
 		t.Fatal(err)
 	}
-	replans := metricValue(t, p, "prepared_replans_total")
+	replans := metricValue(t, p.p, "prepared_replans_total")
 	_, err := p.Execute("EXECUTE all_people")
 	if err == nil || !strings.Contains(err.Error(), "People") {
 		t.Errorf("execute after drop = %v, want the dropped table's error", err)
 	}
 	// The stale plan was detected and replanned (the replan compiles — table
 	// resolution is lazy — and execution then reports the missing table).
-	if got := metricValue(t, p, "prepared_replans_total"); got != replans+1 {
+	if got := metricValue(t, p.p, "prepared_replans_total"); got != replans+1 {
 		t.Errorf("prepared_replans_total = %d, want %d", got, replans+1)
 	}
 }
@@ -279,7 +291,7 @@ func TestPlanCacheMetricsQueryable(t *testing.T) {
 
 func TestPlanCacheMetricsAndNormalization(t *testing.T) {
 	p := newPrepProvider(t)
-	base := metricValue(t, p, "plan_cache_hits_total")
+	base := metricValue(t, p.p, "plan_cache_hits_total")
 	if _, err := p.Execute("SELECT name FROM People WHERE id = 1"); err != nil {
 		t.Fatal(err)
 	}
@@ -287,19 +299,19 @@ func TestPlanCacheMetricsAndNormalization(t *testing.T) {
 	if _, err := p.Execute("select   name from people WHERE id=1"); err != nil {
 		t.Fatal(err)
 	}
-	if hits := metricValue(t, p, "plan_cache_hits_total"); hits != base+1 {
+	if hits := metricValue(t, p.p, "plan_cache_hits_total"); hits != base+1 {
 		t.Errorf("hits = %d, want %d (normalized re-execution must hit)", hits, base+1)
 	}
 	// A different string literal is a different plan: quoted text must not
 	// case-fold into a collision.
-	misses := metricValue(t, p, "plan_cache_misses_total")
+	misses := metricValue(t, p.p, "plan_cache_misses_total")
 	if _, err := p.Execute("SELECT id FROM People WHERE name = 'Ann'"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := p.Execute("SELECT id FROM People WHERE name = 'ANN'"); err != nil {
 		t.Fatal(err)
 	}
-	if got := metricValue(t, p, "plan_cache_misses_total"); got < misses+2 {
+	if got := metricValue(t, p.p, "plan_cache_misses_total"); got < misses+2 {
 		t.Errorf("misses = %d, want >= %d (literal case must not share a plan)", got, misses+2)
 	}
 	// DDL invalidates cached plans for the table.
@@ -309,11 +321,11 @@ func TestPlanCacheMetricsAndNormalization(t *testing.T) {
 	if _, err := p.Execute("CREATE TABLE People (id LONG, name TEXT, age DOUBLE)"); err != nil {
 		t.Fatal(err)
 	}
-	inv := metricValue(t, p, "plan_cache_invalidations_total")
+	inv := metricValue(t, p.p, "plan_cache_invalidations_total")
 	if _, err := p.Execute("SELECT name FROM People WHERE id = 1"); err != nil {
 		t.Fatal(err)
 	}
-	if got := metricValue(t, p, "plan_cache_invalidations_total"); got != inv+1 {
+	if got := metricValue(t, p.p, "plan_cache_invalidations_total"); got != inv+1 {
 		t.Errorf("invalidations = %d, want %d", got, inv+1)
 	}
 }
@@ -326,10 +338,10 @@ func TestPreparedMetricsVisible(t *testing.T) {
 	if _, err := p.Execute("EXECUTE q (1)"); err != nil {
 		t.Fatal(err)
 	}
-	if n := metricValue(t, p, "prepared_statements_total"); n != 1 {
+	if n := metricValue(t, p.p, "prepared_statements_total"); n != 1 {
 		t.Errorf("prepared_statements_total = %d", n)
 	}
-	if n := metricValue(t, p, "prepared_exec_total"); n != 1 {
+	if n := metricValue(t, p.p, "prepared_exec_total"); n != 1 {
 		t.Errorf("prepared_exec_total = %d", n)
 	}
 }
@@ -354,7 +366,7 @@ func TestConcurrentExecuteUnderEvictionPressure(t *testing.T) {
 			for i := 0; i < 60; i++ {
 				switch i % 4 {
 				case 0, 1:
-					rs, err := p.ExecutePreparedContext(context.Background(), fmt.Sprintf("q%d", i%3), []rowset.Value{int64(i%3 + 1)})
+					rs, err := p.ExecutePrepared(context.Background(), fmt.Sprintf("q%d", i%3), []rowset.Value{int64(i%3 + 1)})
 					if err != nil {
 						t.Errorf("execute: %v", err)
 						return
@@ -381,7 +393,7 @@ func TestConcurrentExecuteUnderEvictionPressure(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if n := metricValue(t, p, "plan_cache_evictions_total"); n == 0 {
+	if n := metricValue(t, p.p, "plan_cache_evictions_total"); n == 0 {
 		t.Error("capacity-2 cache under churn must evict")
 	}
 }

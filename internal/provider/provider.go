@@ -60,11 +60,6 @@ type Provider struct {
 	commitMu sync.Mutex
 	catalog  map[string]*modelEntry // keyed by lower-cased model name
 
-	// session is the provider's internal default session, behind the
-	// deprecated flat Execute* wrappers. Real consumers create their own
-	// (NewSession), which scopes prepared-statement names per consumer.
-	session *Session
-
 	// versions tracks catalog-object versions (models, tables, and views in
 	// one namespace) and planCache maps normalized statement text to compiled
 	// plans validated against those versions. planCacheCap overrides the
@@ -248,7 +243,6 @@ func New(opts ...Option) (*Provider, error) {
 	// Table and view DDL executed by the SQL engine invalidates dependent
 	// cached plans; model DDL bumps versions in createModel/dropModel.
 	p.Engine.SetDDLHook(p.versions.Bump)
-	p.session = p.NewSession()
 	if p.dir != "" {
 		if err := p.load(); err != nil {
 			return nil, err

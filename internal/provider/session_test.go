@@ -52,10 +52,9 @@ func TestSessionPreparedScoped(t *testing.T) {
 	}
 	want(s2, 20.0) // the sibling session's handle survives
 
-	// The provider-level flat wrappers run on their own internal session and
-	// never saw "q".
-	if names := p.PreparedNames(); len(names) != 0 {
-		t.Fatalf("provider internal session has prepared statements %v, want none", names)
+	// A third session never saw "q".
+	if names := p.NewSession().PreparedNames(); len(names) != 0 {
+		t.Fatalf("fresh session has prepared statements %v, want none", names)
 	}
 }
 

@@ -20,13 +20,14 @@ func (e *Engine) aggregate(ctx context.Context, t *obs.Trace, sel *SelectStmt, s
 	if err != nil {
 		return nil, err
 	}
+	plan := newAggPlan(sel, aggs, src.schema)
 	sp := t.StartSpan("group-by", "")
 	defer t.EndSpan(sp)
 	parts := make([]*aggAccum, src.n)
 	var batches atomic.Int64
 	err = e.forEachPartition(ctx, src, func(i int, cur rowset.BatchCursor) error {
 		defer cur.Close() //nolint:errcheck // engine cursors fail only via NextBatch
-		acc := newAggAccum(sel, aggs, src.schema)
+		acc := newAggAccum(plan)
 		parts[i] = acc
 		for {
 			b, err := cur.NextBatch()
@@ -53,7 +54,7 @@ func (e *Engine) aggregate(ctx context.Context, t *obs.Trace, sel *SelectStmt, s
 	for _, part := range parts[1:] {
 		sink.merge(part)
 	}
-	out, err := finishAggregate(sel, src.schema, sink.finish(sel, src.schema))
+	out, err := finishAggregate(sel, src.schema, aggs, sink.finish(sel, src.schema))
 	if err != nil {
 		return nil, err
 	}
@@ -96,27 +97,47 @@ func statementAggs(sel *SelectStmt) ([]*FuncCall, error) {
 
 // finishedGroup is one group ready for the aggregation tail: its first input
 // row (the representative non-aggregate expressions evaluate against) and the
-// computed value of every aggregate call site.
+// computed value of every aggregate call site, in statementAggs order.
 type finishedGroup struct {
 	first rowset.Row
-	vals  map[*FuncCall]rowset.Value
+	vals  []rowset.Value
 }
 
-// finishAggregate applies HAVING, evaluates the projection with aggregates
-// substituted, sorts by ORDER BY, and materializes the result. Groups must
-// arrive in first-seen input order.
-func finishAggregate(sel *SelectStmt, srcSchema *rowset.Schema, groups []finishedGroup) (*rowset.Rowset, error) {
+// finishAggregate applies HAVING, evaluates the projection, sorts by ORDER BY
+// and materializes the result. HAVING, the items and the ORDER BY keys compile
+// once, against the source schema, with every aggregate call site resolved to
+// its slot of the current group's values (the frame's Ext). Groups must arrive
+// in first-seen input order.
+func finishAggregate(sel *SelectStmt, srcSchema *rowset.Schema, aggs []*FuncCall, groups []finishedGroup) (*rowset.Rowset, error) {
+	slots := make(map[*FuncCall]int, len(aggs))
+	for i, f := range aggs {
+		slots[f] = i
+	}
+	aggSlot := func(e Expr) Compiled {
+		f, _ := e.(*FuncCall)
+		slot, ok := slots[f]
+		if !ok {
+			return nil
+		}
+		return func(env *Env) (rowset.Value, error) { return env.Ext.(*finishedGroup).vals[slot], nil }
+	}
+	var having Compiled
+	if sel.Having != nil {
+		having = Compile(sel.Having, srcSchema, aggSlot)
+	}
+	items := make([]Compiled, len(sel.Items))
+	for i, it := range sel.Items {
+		items[i] = Compile(it.Expr, srcSchema, aggSlot)
+	}
 	names := outputNames(sel.Items)
+	order := compileOrderKeys(sel.OrderBy, names, srcSchema, aggSlot)
+
 	var outRows []rowset.Row
 	var keyRows []rowset.Row
-	for _, grp := range groups {
-		genv := &Env{Schema: srcSchema, Row: grp.first}
-		if sel.Having != nil {
-			hv, err := Eval(substituteAggs(sel.Having, grp.vals), genv)
-			if err != nil {
-				return nil, err
-			}
-			ok, err := Truthy(hv)
+	for gi := range groups {
+		env := Env{Row: groups[gi].first, Ext: &groups[gi]}
+		if having != nil {
+			ok, err := having.Test(&env)
 			if err != nil {
 				return nil, err
 			}
@@ -124,20 +145,16 @@ func finishAggregate(sel *SelectStmt, srcSchema *rowset.Schema, groups []finishe
 				continue
 			}
 		}
-		out := make(rowset.Row, len(sel.Items))
-		for i, it := range sel.Items {
-			v, err := Eval(substituteAggs(it.Expr, grp.vals), genv)
+		out := make(rowset.Row, len(items))
+		for i, fn := range items {
+			v, err := fn(&env)
 			if err != nil {
 				return nil, err
 			}
 			out[i] = v
 		}
-		subOrder := make([]OrderItem, len(sel.OrderBy))
-		for i, o := range sel.OrderBy {
-			subOrder[i] = OrderItem{Expr: substituteAggs(o.Expr, grp.vals), Desc: o.Desc}
-		}
-		keys, err := orderKeys(subOrder, sel.Items, names, out, genv)
-		if err != nil {
+		keys := make(rowset.Row, len(order))
+		if err := evalOrderKeys(order, out, &env, keys); err != nil {
 			return nil, err
 		}
 		outRows = append(outRows, out)
@@ -180,61 +197,6 @@ func collectAggs(e Expr, out *[]*FuncCall) {
 		for _, i := range x.List {
 			collectAggs(i, out)
 		}
-	}
-}
-
-// substituteAggs returns a copy of e with aggregate calls replaced by their
-// computed values. Non-aggregate subtrees are shared, not copied.
-func substituteAggs(e Expr, vals map[*FuncCall]rowset.Value) Expr {
-	switch x := e.(type) {
-	case *FuncCall:
-		if v, ok := vals[x]; ok {
-			return &Literal{Val: v}
-		}
-		args := make([]Expr, len(x.Args))
-		for i, a := range x.Args {
-			args[i] = substituteAggs(a, vals)
-		}
-		return &FuncCall{Name: x.Name, Args: args, Star: x.Star, Distinct: x.Distinct, Pos: x.Pos}
-	case *Binary:
-		return &Binary{Op: x.Op, L: substituteAggs(x.L, vals), R: substituteAggs(x.R, vals)}
-	case *Unary:
-		return &Unary{Op: x.Op, X: substituteAggs(x.X, vals)}
-	case *IsNull:
-		return &IsNull{X: substituteAggs(x.X, vals), Negate: x.Negate}
-	case *Between:
-		return &Between{
-			X: substituteAggs(x.X, vals), Lo: substituteAggs(x.Lo, vals),
-			Hi: substituteAggs(x.Hi, vals), Negate: x.Negate,
-		}
-	case *In:
-		list := make([]Expr, len(x.List))
-		for i, it := range x.List {
-			list[i] = substituteAggs(it, vals)
-		}
-		return &In{X: substituteAggs(x.X, vals), List: list, Negate: x.Negate}
-	}
-	return e
-}
-
-// valuer produces one expression's value for a row. Plain column references
-// compile to a direct index (Eval's ColumnRef case is exactly env.Row[ord]
-// when resolution succeeds); everything else falls back to Eval. The closure
-// owns its Env, so each goroutine must compile its own valuers.
-type valuer func(r rowset.Row) (rowset.Value, error)
-
-func compileValuer(e Expr, schema *rowset.Schema) valuer {
-	if cr, ok := e.(*ColumnRef); ok {
-		if ord, err := ResolveColumn(schema, cr.Qualifier, cr.Name); err == nil {
-			return func(r rowset.Row) (rowset.Value, error) { return r[ord], nil }
-		}
-		// Unresolvable references still compile to the Eval fallback: the
-		// error must surface per evaluated row (empty inputs succeed).
-	}
-	env := &Env{Schema: schema}
-	return func(r rowset.Row) (rowset.Value, error) {
-		env.Row = r
-		return Eval(e, env)
 	}
 }
 
@@ -427,41 +389,50 @@ func newPgroup(first rowset.Row, naggs int) *pgroup {
 	return pg
 }
 
-// aggAccum streams one partition's rows into per-group partial states.
-// Group-key expressions and aggregate arguments are compiled once (direct
-// column index for plain references), so the per-row loop does no name
-// resolution. Not goroutine-safe — one accumulator per partition.
-type aggAccum struct {
+// aggPlan is the statement's compiled group keys and aggregate arguments,
+// built once and shared read-only by every partition's accumulator.
+type aggPlan struct {
 	aggs   []*FuncCall
-	keyFns []valuer
-	argFns []valuer // nil entry = COUNT(*): no per-row work
+	keyFns []Compiled
+	argFns []Compiled // nil entry = COUNT(*): no per-row work
+}
+
+func newAggPlan(sel *SelectStmt, aggs []*FuncCall, schema *rowset.Schema) *aggPlan {
+	p := &aggPlan{
+		aggs:   aggs,
+		keyFns: make([]Compiled, len(sel.GroupBy)),
+		argFns: make([]Compiled, len(aggs)),
+	}
+	for i, g := range sel.GroupBy {
+		p.keyFns[i] = Compile(g, schema, nil)
+	}
+	for i, f := range aggs {
+		if !f.Star {
+			p.argFns[i] = Compile(f.Args[0], schema, nil)
+		}
+	}
+	return p
+}
+
+// aggAccum streams one partition's rows into per-group partial states. Not
+// goroutine-safe — one accumulator per partition.
+type aggAccum struct {
+	*aggPlan
+	env    Env
 	groups map[string]*pgroup
 	order  []string
 	keyBuf []byte
 }
 
-func newAggAccum(sel *SelectStmt, aggs []*FuncCall, schema *rowset.Schema) *aggAccum {
-	a := &aggAccum{
-		aggs:   aggs,
-		keyFns: make([]valuer, len(sel.GroupBy)),
-		argFns: make([]valuer, len(aggs)),
-		groups: make(map[string]*pgroup),
-	}
-	for i, g := range sel.GroupBy {
-		a.keyFns[i] = compileValuer(g, schema)
-	}
-	for i, f := range aggs {
-		if !f.Star {
-			a.argFns[i] = compileValuer(f.Args[0], schema)
-		}
-	}
-	return a
+func newAggAccum(p *aggPlan) *aggAccum {
+	return &aggAccum{aggPlan: p, groups: make(map[string]*pgroup)}
 }
 
 func (a *aggAccum) observe(r rowset.Row) error {
+	a.env.Row = r
 	a.keyBuf = a.keyBuf[:0]
 	for _, kf := range a.keyFns {
-		v, err := kf(r)
+		v, err := kf(&a.env)
 		if err != nil {
 			return err
 		}
@@ -479,7 +450,7 @@ func (a *aggAccum) observe(r rowset.Row) error {
 		if fn == nil {
 			continue
 		}
-		v, err := fn(r)
+		v, err := fn(&a.env)
 		if err != nil {
 			return err
 		}
@@ -520,9 +491,9 @@ func (a *aggAccum) finish(sel *SelectStmt, schema *rowset.Schema) []finishedGrou
 	groups := make([]finishedGroup, 0, len(a.order))
 	for _, k := range a.order {
 		pg := a.groups[k]
-		vals := make(map[*FuncCall]rowset.Value, len(a.aggs))
+		vals := make([]rowset.Value, len(a.aggs))
 		for ai, f := range a.aggs {
-			vals[f] = pg.states[ai].value(f, pg.count)
+			vals[ai] = pg.states[ai].value(f, pg.count)
 		}
 		groups = append(groups, finishedGroup{first: pg.first, vals: vals})
 	}

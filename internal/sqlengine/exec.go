@@ -238,6 +238,10 @@ func (e *Engine) project(ctx context.Context, t *obs.Trace, sel *SelectStmt, src
 		return nil, err
 	}
 	names := outputNames(items)
+	plan, err := compileProjection(src.schema, items, names, sel.OrderBy)
+	if err != nil {
+		return nil, err
+	}
 	spProj := src.span(t, "project", "")
 	ordered := len(sel.OrderBy) > 0
 	streamTail := !ordered && src.n == 1
@@ -245,16 +249,13 @@ func (e *Engine) project(ctx context.Context, t *obs.Trace, sel *SelectStmt, src
 	keys := make([][]rowset.Row, src.n)
 	var batches atomic.Int64
 	err = e.forEachPartition(ctx, src, func(i int, cur rowset.BatchCursor) error {
-		proj, err := newProjectCursor(cur, items, names, sel.OrderBy)
-		if err != nil {
-			cur.Close() //nolint:errcheck // already failing
-			return err
-		}
+		proj := newProjectCursor(cur, plan)
 		out := spProj.wrap(proj)
 		if streamTail {
 			out = tailCursor(out, sel)
 		}
 		var nb int64
+		var err error
 		outs[i], keys[i], nb, err = drainWithKeys(out, proj)
 		batches.Add(nb)
 		return err
@@ -517,39 +518,6 @@ func outputSchema(items []SelectItem, names []string, srcSchema *rowset.Schema, 
 	return rowset.NewSchema(cols...)
 }
 
-// orderKeys evaluates ORDER BY expressions for one row (the aggregation path;
-// the streaming path precompiles this lookup into an order plan). Each key
-// expression resolves first against the projected output (aliases), then the
-// source row.
-func orderKeys(order []OrderItem, items []SelectItem, names []string, out rowset.Row, srcEnv *Env) (rowset.Row, error) {
-	if len(order) == 0 {
-		return nil, nil
-	}
-	keys := make(rowset.Row, len(order))
-	for i, o := range order {
-		// Alias reference?
-		if cr, ok := o.Expr.(*ColumnRef); ok && cr.Qualifier == "" {
-			found := false
-			for j, n := range names {
-				if strings.EqualFold(n, cr.Name) {
-					keys[i] = out[j]
-					found = true
-					break
-				}
-			}
-			if found {
-				continue
-			}
-		}
-		v, err := Eval(o.Expr, srcEnv)
-		if err != nil {
-			return nil, err
-		}
-		keys[i] = v
-	}
-	return keys, nil
-}
-
 // ---------- DML ----------
 
 func (e *Engine) execInsert(st *InsertStmt) (*rowset.Rowset, error) {
@@ -604,11 +572,11 @@ func (e *Engine) execInsert(st *InsertStmt) (*rowset.Rowset, error) {
 		}
 		return affected(n)
 	}
-	env := &Env{Schema: rowset.MustSchema(), Row: rowset.Row{}}
+	noCols := rowset.MustSchema()
 	for _, exprs := range st.Rows {
 		vals := make(rowset.Row, len(exprs))
 		for i, ex := range exprs {
-			v, err := Eval(ex, env)
+			v, err := Eval(ex, noCols, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -638,7 +606,8 @@ func (e *Engine) execDelete(st *DeleteStmt) (*rowset.Rowset, error) {
 	}
 	cur := tbl.Cursor()
 	defer cur.Close() //nolint:errcheck // table cursors never fail to close
-	env := &Env{Schema: tbl.Schema()}
+	where := Compile(st.Where, tbl.Schema(), nil)
+	var env Env
 	var keep []rowset.Row
 	removed := 0
 	for {
@@ -650,11 +619,7 @@ func (e *Engine) execDelete(st *DeleteStmt) (*rowset.Rowset, error) {
 			break
 		}
 		env.Row = r
-		v, err := Eval(st.Where, env)
-		if err != nil {
-			return nil, err
-		}
-		ok, err := Truthy(v)
+		ok, err := where.Test(&env)
 		if err != nil {
 			return nil, err
 		}
@@ -676,15 +641,21 @@ func (e *Engine) execUpdate(st *UpdateStmt) (*rowset.Rowset, error) {
 		return nil, err
 	}
 	schema := tbl.Schema()
-	env := &Env{Schema: schema}
 	setOrds := make([]int, len(st.Set))
+	setFns := make([]Compiled, len(st.Set))
 	for i, sc := range st.Set {
 		o, ok := schema.Lookup(sc.Column)
 		if !ok {
 			return nil, fmt.Errorf("sqlengine: table %s has no column %q", st.Table, sc.Column)
 		}
 		setOrds[i] = o
+		setFns[i] = Compile(sc.Value, schema, nil)
 	}
+	var where Compiled
+	if st.Where != nil {
+		where = Compile(st.Where, schema, nil)
+	}
+	var env Env
 	cur := tbl.Cursor()
 	defer cur.Close() //nolint:errcheck // table cursors never fail to close
 	rows := make([]rowset.Row, 0, tbl.Len())
@@ -699,13 +670,8 @@ func (e *Engine) execUpdate(st *UpdateStmt) (*rowset.Rowset, error) {
 		}
 		match := true
 		env.Row = r
-		if st.Where != nil {
-			v, err := Eval(st.Where, env)
-			if err != nil {
-				return nil, err
-			}
-			match, err = Truthy(v)
-			if err != nil {
+		if where != nil {
+			if match, err = where.Test(&env); err != nil {
 				return nil, err
 			}
 		}
@@ -714,8 +680,8 @@ func (e *Engine) execUpdate(st *UpdateStmt) (*rowset.Rowset, error) {
 			continue
 		}
 		nr := r.Clone()
-		for j, sc := range st.Set {
-			v, err := Eval(sc.Value, env)
+		for j, fn := range setFns {
+			v, err := fn(&env)
 			if err != nil {
 				return nil, err
 			}

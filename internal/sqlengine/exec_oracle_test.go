@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -18,9 +19,11 @@ import (
 // partitioned — used as the oracle for the engine's pipeline. It shares only
 // leaf helpers with the engine (Eval, name and schema inference); scan, join,
 // filter, project, sort, distinct, TOP and aggregation — grouping that keeps
-// every input row, and the two-pass computeAggregate the engine used before
-// its aggregate states became mergeable — are its own, and rows and groups are
-// told apart value by value (sameValues), never through a composite key.
+// every input row, the two-pass computeAggregate the engine used before its
+// aggregate states became mergeable, and the substituteAggs tree rewrite it
+// used before aggregate call sites compiled to slots — are its own, and rows
+// and groups are told apart value by value (sameValues), never through a
+// composite key.
 
 func oracleQuery(e *Engine, sel *SelectStmt) (*rowset.Rowset, error) {
 	src, err := oracleSource(e, sel.From)
@@ -166,7 +169,6 @@ func oracleJoin(left, right *rowset.Rowset, kind JoinKind, on Expr) (*rowset.Row
 		return out, nil
 	}
 
-	env := &Env{Schema: schema}
 	probe := make(rowset.Row, 0, schema.Len())
 	for _, l := range left.Rows() {
 		matched := false
@@ -174,8 +176,7 @@ func oracleJoin(left, right *rowset.Rowset, kind JoinKind, on Expr) (*rowset.Row
 			probe = probe[:0]
 			probe = append(probe, l...)
 			probe = append(probe, r...)
-			env.Row = probe
-			v, err := Eval(on, env)
+			v, err := Eval(on, schema, probe)
 			if err != nil {
 				return nil, err
 			}
@@ -201,10 +202,8 @@ func oracleJoin(left, right *rowset.Rowset, kind JoinKind, on Expr) (*rowset.Row
 
 func oracleFilter(src *rowset.Rowset, cond Expr) (*rowset.Rowset, error) {
 	out := rowset.New(src.Schema())
-	env := &Env{Schema: src.Schema()}
 	for _, r := range src.Rows() {
-		env.Row = r
-		v, err := Eval(cond, env)
+		v, err := Eval(cond, src.Schema(), r)
 		if err != nil {
 			return nil, err
 		}
@@ -227,20 +226,18 @@ func oracleProject(sel *SelectStmt, src *rowset.Rowset) (*rowset.Rowset, error) 
 		return nil, err
 	}
 	names := outputNames(items)
-	env := &Env{Schema: src.Schema()}
 	outRows := make([]rowset.Row, 0, src.Len())
 	keyRows := make([]rowset.Row, 0, src.Len())
 	for _, r := range src.Rows() {
-		env.Row = r
 		out := make(rowset.Row, len(items))
 		for i, it := range items {
-			v, err := Eval(it.Expr, env)
+			v, err := Eval(it.Expr, src.Schema(), r)
 			if err != nil {
 				return nil, err
 			}
 			out[i] = v
 		}
-		keys, err := orderKeys(sel.OrderBy, items, names, out, env)
+		keys, err := oracleOrderKeys(sel.OrderBy, names, out, src.Schema(), r)
 		if err != nil {
 			return nil, err
 		}
@@ -272,17 +269,15 @@ func oracleAggregate(sel *SelectStmt, src *rowset.Rowset) (*rowset.Rowset, error
 	for _, o := range sel.OrderBy {
 		collectAggs(o.Expr, &aggs)
 	}
-	env := &Env{Schema: src.Schema()}
 	type group struct {
 		key  []rowset.Value
 		rows []rowset.Row
 	}
 	var groups []*group
 	for _, r := range src.Rows() {
-		env.Row = r
 		key := make([]rowset.Value, len(sel.GroupBy))
 		for i, g := range sel.GroupBy {
-			v, err := Eval(g, env)
+			v, err := Eval(g, src.Schema(), r)
 			if err != nil {
 				return nil, err
 			}
@@ -317,12 +312,12 @@ func oracleAggregate(sel *SelectStmt, src *rowset.Rowset) (*rowset.Rowset, error
 			}
 			vals[f] = v
 		}
-		genv := &Env{Schema: src.Schema(), Row: make(rowset.Row, src.Schema().Len())}
+		first := make(rowset.Row, src.Schema().Len())
 		if len(rows) > 0 {
-			genv.Row = rows[0]
+			first = rows[0]
 		}
 		if sel.Having != nil {
-			hv, err := Eval(substituteAggs(sel.Having, vals), genv)
+			hv, err := Eval(substituteAggs(sel.Having, vals), src.Schema(), first)
 			if err != nil {
 				return nil, err
 			}
@@ -336,7 +331,7 @@ func oracleAggregate(sel *SelectStmt, src *rowset.Rowset) (*rowset.Rowset, error
 		}
 		out := make(rowset.Row, len(sel.Items))
 		for i, it := range sel.Items {
-			v, err := Eval(substituteAggs(it.Expr, vals), genv)
+			v, err := Eval(substituteAggs(it.Expr, vals), src.Schema(), first)
 			if err != nil {
 				return nil, err
 			}
@@ -346,7 +341,7 @@ func oracleAggregate(sel *SelectStmt, src *rowset.Rowset) (*rowset.Rowset, error
 		for i, o := range sel.OrderBy {
 			order[i] = OrderItem{Expr: substituteAggs(o.Expr, vals), Desc: o.Desc}
 		}
-		keys, err := orderKeys(order, sel.Items, names, out, genv)
+		keys, err := oracleOrderKeys(order, names, out, src.Schema(), first)
 		if err != nil {
 			return nil, err
 		}
@@ -361,6 +356,71 @@ func oracleAggregate(sel *SelectStmt, src *rowset.Rowset) (*rowset.Rowset, error
 	return rowset.FromRows(schema, outRows)
 }
 
+// substituteAggs returns a copy of e with aggregate calls replaced by their
+// computed values — the per-group tree rewrite the engine did before aggregate
+// call sites compiled to slots. Non-aggregate subtrees are shared, not copied.
+func substituteAggs(e Expr, vals map[*FuncCall]rowset.Value) Expr {
+	switch x := e.(type) {
+	case *FuncCall:
+		if v, ok := vals[x]; ok {
+			return &Literal{Val: v}
+		}
+		args := make([]Expr, len(x.Args))
+		for i, a := range x.Args {
+			args[i] = substituteAggs(a, vals)
+		}
+		return &FuncCall{Name: x.Name, Args: args, Star: x.Star, Distinct: x.Distinct, Pos: x.Pos}
+	case *Binary:
+		return &Binary{Op: x.Op, L: substituteAggs(x.L, vals), R: substituteAggs(x.R, vals)}
+	case *Unary:
+		return &Unary{Op: x.Op, X: substituteAggs(x.X, vals)}
+	case *IsNull:
+		return &IsNull{X: substituteAggs(x.X, vals), Negate: x.Negate}
+	case *Between:
+		return &Between{
+			X: substituteAggs(x.X, vals), Lo: substituteAggs(x.Lo, vals),
+			Hi: substituteAggs(x.Hi, vals), Negate: x.Negate,
+		}
+	case *In:
+		list := make([]Expr, len(x.List))
+		for i, it := range x.List {
+			list[i] = substituteAggs(it, vals)
+		}
+		return &In{X: substituteAggs(x.X, vals), List: list, Negate: x.Negate}
+	}
+	return e
+}
+
+// oracleOrderKeys evaluates ORDER BY expressions for one row: each key
+// resolves first against the projected output (aliases), then the source row.
+func oracleOrderKeys(order []OrderItem, names []string, out rowset.Row, schema *rowset.Schema, row rowset.Row) (rowset.Row, error) {
+	if len(order) == 0 {
+		return nil, nil
+	}
+	keys := make(rowset.Row, len(order))
+	for i, o := range order {
+		if cr, ok := o.Expr.(*ColumnRef); ok && cr.Qualifier == "" {
+			found := false
+			for j, n := range names {
+				if strings.EqualFold(n, cr.Name) {
+					keys[i] = out[j]
+					found = true
+					break
+				}
+			}
+			if found {
+				continue
+			}
+		}
+		v, err := Eval(o.Expr, schema, row)
+		if err != nil {
+			return nil, err
+		}
+		keys[i] = v
+	}
+	return keys, nil
+}
+
 // computeAggregate is the engine's pre-partitioning aggregate: one call site
 // over one group's retained rows, SUM/AVG folded front to back, STDEV/VAR in
 // two passes.
@@ -371,12 +431,10 @@ func computeAggregate(f *FuncCall, rows []rowset.Row, schema *rowset.Schema) (ro
 	if len(f.Args) != 1 {
 		return nil, fmt.Errorf("sqlengine: %s takes exactly one argument", f.Name)
 	}
-	env := &Env{Schema: schema}
 	var vals []rowset.Value
 	seen := make(map[string]bool)
 	for _, r := range rows {
-		env.Row = r
-		v, err := Eval(f.Args[0], env)
+		v, err := Eval(f.Args[0], schema, r)
 		if err != nil {
 			return nil, err
 		}

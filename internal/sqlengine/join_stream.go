@@ -52,12 +52,11 @@ func newJoinCursor(left, right rowset.BatchCursor, kind JoinKind, on Expr, lest,
 	}
 	lj := &loopJoin{
 		left: left, right: right, schema: schema,
-		env:       &Env{Schema: schema},
 		nullRight: make(rowset.Row, right.Schema().Len()),
 		probe:     make(rowset.Row, 0, schema.Len()),
 	}
 	if kind != JoinCross {
-		lj.on = on
+		lj.on = Compile(on, schema, nil)
 		lj.leftOuter = kind == JoinLeft
 	}
 	return lj, "loop", nil
@@ -314,9 +313,9 @@ func (j *hashJoinBuildLeft) Close() error {
 type loopJoin struct {
 	left, right rowset.BatchCursor
 	schema      *rowset.Schema
-	on          Expr
+	on          Compiled
 	leftOuter   bool
-	env         *Env
+	env         Env
 	nullRight   rowset.Row
 
 	built     bool
@@ -356,11 +355,7 @@ func (j *loopJoin) NextBatch() (rowset.Batch, error) {
 			if j.on != nil {
 				j.probe = append(append(j.probe[:0], l...), r...)
 				j.env.Row = j.probe
-				v, err := Eval(j.on, j.env)
-				if err != nil {
-					return rowset.Batch{}, err
-				}
-				ok, err := Truthy(v)
+				ok, err := j.on.Test(&j.env)
 				if err != nil {
 					return rowset.Batch{}, err
 				}

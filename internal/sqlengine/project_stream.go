@@ -11,26 +11,61 @@ import (
 	"repro/internal/rowset"
 )
 
-// orderPlanEntry says how to produce one ORDER BY key for a row: either copy
-// a projected output value (alias references resolve against the projection,
-// like the old per-row orderKeys lookup) or evaluate an expression against
-// the source row.
-type orderPlanEntry struct {
+// orderKey says how to produce one ORDER BY key for a row: either copy a
+// projected output value (an unqualified reference to an output name resolves
+// against the projection first) or run a compiled expression against the
+// source row.
+type orderKey struct {
 	outOrd int // >= 0: key is out[outOrd]
-	expr   Expr
+	fn     Compiled
 }
 
-// projectCursor evaluates SELECT items over its source batches. When ORDER BY
-// is present it also computes each row's sort keys, exposed via batchKeys so
-// the sort drain can collect rows and keys in one pass.
-type projectCursor struct {
-	src    rowset.BatchCursor
-	items  []SelectItem
-	ords   []int // source ordinal per item; -1 = computed (evaluate per row)
-	schema *rowset.Schema
-	env    *Env
+// compileOrderKeys plans the statement's ORDER BY keys over output columns
+// named names and source rows of schema.
+func compileOrderKeys(order []OrderItem, names []string, schema *rowset.Schema, resolve Resolver) []orderKey {
+	keys := make([]orderKey, len(order))
+	for i, o := range order {
+		keys[i].outOrd = -1
+		if cr, ok := o.Expr.(*ColumnRef); ok && cr.Qualifier == "" {
+			for j, n := range names {
+				if strings.EqualFold(n, cr.Name) {
+					keys[i].outOrd = j
+					break
+				}
+			}
+		}
+		if keys[i].outOrd < 0 {
+			keys[i].fn = Compile(o.Expr, schema, resolve)
+		}
+	}
+	return keys
+}
 
-	orderPlan []orderPlanEntry
+// evalOrderKeys fills keys for one output row and the frame it was projected
+// from.
+func evalOrderKeys(plan []orderKey, out rowset.Row, env *Env, keys rowset.Row) error {
+	for i, k := range plan {
+		if k.outOrd >= 0 {
+			keys[i] = out[k.outOrd]
+			continue
+		}
+		v, err := k.fn(env)
+		if err != nil {
+			return err
+		}
+		keys[i] = v
+	}
+	return nil
+}
+
+// projection is a statement's compiled SELECT list and ORDER BY keys, built
+// once and shared read-only by every partition's projectCursor.
+type projection struct {
+	ords   []int      // source ordinal per item; -1 = computed (run fns[i] per row)
+	fns    []Compiled // nil where ords[i] >= 0
+	schema *rowset.Schema
+
+	orderPlan []orderKey
 
 	// keyOrds non-nil means every ORDER BY key is a projected output column
 	// (keys[k] == out[keyOrds[k]]): the cursor skips per-row key work
@@ -43,51 +78,38 @@ type projectCursor struct {
 	// pass through unshaped. The engine never mutates stored rows (UPDATE
 	// clones before writing), so sharing them with the result is safe.
 	identity bool
-
-	// The reused output-row buffer, and the per-batch sort keys (parallel to
-	// the last returned batch's live rows; read via batchKeys before the next
-	// pull).
-	outBuf []rowset.Row
-	keyBuf []rowset.Row
 }
 
-// newProjectCursor compiles the projection. Column references that fail to
-// resolve are left as computed items rather than rejected here: the old
-// executor surfaced resolution errors only when a row was actually evaluated,
-// so a query over an empty table must still succeed.
-func newProjectCursor(src rowset.BatchCursor, items []SelectItem, names []string, order []OrderItem) (*projectCursor, error) {
-	srcSchema := src.Schema()
-	p := &projectCursor{
-		src:   src,
-		items: items,
-		ords:  make([]int, len(items)),
-		env:   &Env{Schema: srcSchema},
+// compileProjection compiles the projection. Column references that fail to
+// resolve compile to failing closures rather than being rejected here:
+// resolution errors surface only when a row is actually evaluated, so a query
+// over an empty table still succeeds.
+func compileProjection(srcSchema *rowset.Schema, items []SelectItem, names []string, order []OrderItem) (*projection, error) {
+	p := &projection{
+		ords: make([]int, len(items)),
+		fns:  make([]Compiled, len(items)),
 	}
-	identity := len(items) == srcSchema.Len()
-	for i, it := range items {
-		p.ords[i] = -1
-		if cr, ok := it.Expr.(*ColumnRef); ok {
-			if ord, err := ResolveColumn(srcSchema, cr.Qualifier, cr.Name); err == nil {
-				p.ords[i] = ord
-			}
-		}
-		if p.ords[i] != i {
-			identity = false
-		}
-	}
-	p.identity = identity
-
+	p.identity = len(items) == srcSchema.Len()
 	// Provisional output schema: declared types for direct column references,
 	// TypeNull placeholders for computed items (outputSchema refines those
 	// from values after the drain).
 	cols := make([]rowset.Column, len(items))
-	for i := range items {
-		col := rowset.Column{Name: names[i], Type: rowset.TypeNull}
-		if o := p.ords[i]; o >= 0 {
-			col.Type = srcSchema.Column(o).Type
-			col.Nested = srcSchema.Column(o).Nested
+	for i, it := range items {
+		p.ords[i] = -1
+		cols[i] = rowset.Column{Name: names[i], Type: rowset.TypeNull}
+		if cr, ok := it.Expr.(*ColumnRef); ok {
+			if ord, err := ResolveColumn(srcSchema, cr.Qualifier, cr.Name); err == nil {
+				p.ords[i] = ord
+				cols[i].Type = srcSchema.Column(ord).Type
+				cols[i].Nested = srcSchema.Column(ord).Nested
+			}
 		}
-		cols[i] = col
+		if p.ords[i] < 0 {
+			p.fns[i] = Compile(it.Expr, srcSchema, nil)
+		}
+		if p.ords[i] != i {
+			p.identity = false
+		}
 	}
 	schema, err := rowset.NewSchema(cols...)
 	if err != nil {
@@ -96,31 +118,39 @@ func newProjectCursor(src rowset.BatchCursor, items []SelectItem, names []string
 	p.schema = schema
 
 	if len(order) > 0 {
-		p.orderPlan = make([]orderPlanEntry, len(order))
+		p.orderPlan = compileOrderKeys(order, names, srcSchema, nil)
 		allOut := true
-		for i, o := range order {
-			p.orderPlan[i] = orderPlanEntry{outOrd: -1, expr: o.Expr}
-			if cr, ok := o.Expr.(*ColumnRef); ok && cr.Qualifier == "" {
-				for j, n := range names {
-					if strings.EqualFold(n, cr.Name) {
-						p.orderPlan[i] = orderPlanEntry{outOrd: j}
-						break
-					}
-				}
-			}
-			if p.orderPlan[i].outOrd < 0 {
-				allOut = false
-			}
+		for _, k := range p.orderPlan {
+			allOut = allOut && k.outOrd >= 0
 		}
 		if allOut {
 			p.keyOrds = make([]int, len(p.orderPlan))
-			for i, pe := range p.orderPlan {
-				p.keyOrds[i] = pe.outOrd
+			for i, k := range p.orderPlan {
+				p.keyOrds[i] = k.outOrd
 			}
 			p.orderPlan = nil
 		}
 	}
 	return p, nil
+}
+
+// projectCursor evaluates a projection over its source batches. When ORDER BY
+// is present it also computes each row's sort keys, exposed via batchKeys so
+// the sort drain can collect rows and keys in one pass.
+type projectCursor struct {
+	*projection
+	src rowset.BatchCursor
+	env Env
+
+	// The reused output-row buffer, and the per-batch sort keys (parallel to
+	// the last returned batch's live rows; read via batchKeys before the next
+	// pull).
+	outBuf []rowset.Row
+	keyBuf []rowset.Row
+}
+
+func newProjectCursor(src rowset.BatchCursor, p *projection) *projectCursor {
+	return &projectCursor{projection: p, src: src}
 }
 
 // keysForOrds gathers ORDER BY key rows from projected output columns after
@@ -147,37 +177,19 @@ func keysForOrds(outs []rowset.Row, ords []int) []rowset.Row {
 	return keys
 }
 
-// projectInto shapes one source row into the caller-provided output row
-// (NextBatch carves output rows out of one per-batch arena allocation).
-func (p *projectCursor) projectInto(r, out rowset.Row) error {
-	p.env.Row = r
-	for i, it := range p.items {
-		if o := p.ords[i]; o >= 0 {
-			out[i] = r[o] // already canonical: coerced on insert or normalized upstream
+// projectInto shapes the frame's source row into the caller-provided output
+// row (NextBatch carves output rows out of one per-batch arena allocation).
+func (p *projectCursor) projectInto(out rowset.Row) error {
+	for i, o := range p.ords {
+		if o >= 0 {
+			out[i] = p.env.Row[o] // already canonical: coerced on insert or normalized upstream
 			continue
 		}
-		v, err := Eval(it.Expr, p.env)
+		v, err := p.fns[i](&p.env)
 		if err != nil {
 			return err
 		}
 		out[i] = rowset.Normalize(v)
-	}
-	return nil
-}
-
-// keysInto fills the caller-provided key row for one output/source row pair.
-func (p *projectCursor) keysInto(out, src, keys rowset.Row) error {
-	p.env.Row = src
-	for i, pe := range p.orderPlan {
-		if pe.outOrd >= 0 {
-			keys[i] = out[pe.outOrd]
-			continue
-		}
-		v, err := Eval(pe.expr, p.env)
-		if err != nil {
-			return err
-		}
-		keys[i] = v
 	}
 	return nil
 }
@@ -207,9 +219,9 @@ func (p *projectCursor) NextBatch() (rowset.Batch, error) {
 	}
 	if p.identity {
 		for i := 0; i < n; i++ {
-			r := b.Row(i)
+			p.env.Row = b.Row(i)
 			keys := keyArena[i*kk : (i+1)*kk : (i+1)*kk]
-			if err := p.keysInto(r, r, keys); err != nil {
+			if err := evalOrderKeys(p.orderPlan, p.env.Row, &p.env, keys); err != nil {
 				return rowset.Batch{}, err
 			}
 			p.keyBuf = append(p.keyBuf, keys)
@@ -220,18 +232,18 @@ func (p *projectCursor) NextBatch() (rowset.Batch, error) {
 		p.outBuf = make([]rowset.Row, 0, n)
 	}
 	p.outBuf = p.outBuf[:0]
-	w := len(p.items)
+	w := len(p.ords)
 	arena := make(rowset.Row, n*w)
 	for i := 0; i < n; i++ {
-		r := b.Row(i)
+		p.env.Row = b.Row(i)
 		out := arena[i*w : (i+1)*w : (i+1)*w]
-		if err := p.projectInto(r, out); err != nil {
+		if err := p.projectInto(out); err != nil {
 			return rowset.Batch{}, err
 		}
 		p.outBuf = append(p.outBuf, out)
 		if p.orderPlan != nil {
 			keys := keyArena[i*kk : (i+1)*kk : (i+1)*kk]
-			if err := p.keysInto(out, r, keys); err != nil {
+			if err := evalOrderKeys(p.orderPlan, out, &p.env, keys); err != nil {
 				return rowset.Batch{}, err
 			}
 			p.keyBuf = append(p.keyBuf, keys)

@@ -263,22 +263,13 @@ func (c *opCursor) report() {
 
 type filterCursor struct {
 	src  rowset.BatchCursor
-	cond Expr // nil passes everything (the whole WHERE was pushed into a scan)
-	env  *Env
-
-	// pred is the compiled form of cond when the predicate compiler admits
-	// it (see pred.go): same rows pass, no Env, no error paths.
-	pred func(rowset.Row) bool
-
-	sel []int
+	cond Compiled // nil passes everything (the whole WHERE was pushed into a scan)
+	env  Env
+	sel  []int
 }
 
-func newFilterCursor(src rowset.BatchCursor, cond Expr) *filterCursor {
-	c := &filterCursor{src: src, cond: cond, env: &Env{Schema: src.Schema()}}
-	if cond != nil {
-		c.pred, _ = compilePred(cond, src.Schema())
-	}
-	return c
+func newFilterCursor(src rowset.BatchCursor, cond Compiled) *filterCursor {
+	return &filterCursor{src: src, cond: cond}
 }
 
 // NextBatch filters a whole upstream batch with a selection vector: survivors
@@ -295,41 +286,19 @@ func (c *filterCursor) NextBatch() (rowset.Batch, error) {
 			return b, nil
 		}
 		sel := c.sel[:0]
-		if c.pred != nil {
-			if b.Sel == nil {
-				for i, r := range b.Rows {
-					if c.pred(r) {
-						sel = append(sel, i)
-					}
-				}
-			} else {
-				for _, i := range b.Sel {
-					if c.pred(b.Rows[i]) {
-						sel = append(sel, i)
-					}
-				}
+		n := b.Len()
+		for i := 0; i < n; i++ {
+			ri := i
+			if b.Sel != nil {
+				ri = b.Sel[i]
 			}
-		} else {
-			n := b.Len()
-			for i := 0; i < n; i++ {
-				r := b.Row(i)
-				c.env.Row = r
-				v, err := Eval(c.cond, c.env)
-				if err != nil {
-					return rowset.Batch{}, err
-				}
-				ok, err := Truthy(v)
-				if err != nil {
-					return rowset.Batch{}, err
-				}
-				if !ok {
-					continue
-				}
-				if b.Sel == nil {
-					sel = append(sel, i)
-				} else {
-					sel = append(sel, b.Sel[i])
-				}
+			c.env.Row = b.Rows[ri]
+			ok, err := c.cond.Test(&c.env)
+			if err != nil {
+				return rowset.Batch{}, err
+			}
+			if ok {
+				sel = append(sel, ri)
 			}
 		}
 		c.sel = sel
@@ -736,14 +705,15 @@ func partitionRanges(sel *SelectStmt, scans []*compiledScan, rows, partRows int)
 }
 
 // source is the planned FROM/WHERE half of a SELECT: n partitions of input
-// rows under one schema of "alias.column" names, and the predicate left to
-// filter them by after index pushdown. Partitions are contiguous and ordered,
-// so consuming them in index order reproduces a front-to-back scan.
+// rows under one schema of "alias.column" names, and the compiled predicate
+// left to filter them by after index pushdown (nil: nothing left), shared by
+// every partition. Partitions are contiguous and ordered, so consuming them in
+// index order reproduces a front-to-back scan.
 type source struct {
 	schema   *rowset.Schema
 	n        int
 	open     func(i int) rowset.BatchCursor
-	residual Expr
+	residual Compiled
 	filter   *opSpan   // non-nil iff the statement is traced and has a WHERE
 	ops      []*opSpan // every operator span of the statement, for flushSpans
 }
@@ -778,7 +748,8 @@ func (e *Engine) workers() int {
 // planSource compiles the FROM and WHERE clauses, recording scan, join and
 // filter spans in the same order PlanSpan declares them.
 func (e *Engine) planSource(t *obs.Trace, sel *SelectStmt, partRows int) (*source, error) {
-	src := &source{n: 1, residual: sel.Where}
+	src := &source{n: 1}
+	residual := sel.Where
 	if len(sel.From) == 0 {
 		// FROM-less SELECT evaluates items once against an empty row.
 		src.schema = rowset.MustSchema()
@@ -792,7 +763,7 @@ func (e *Engine) planSource(t *obs.Trace, sel *SelectStmt, partRows int) (*sourc
 			}
 			scans[i] = cs
 		}
-		src.residual = planPushdown(sel.Where, scans)
+		residual = planPushdown(sel.Where, scans)
 		first := scans[0]
 		rows, err := first.rows()
 		if err != nil {
@@ -821,6 +792,9 @@ func (e *Engine) planSource(t *obs.Trace, sel *SelectStmt, partRows int) (*sourc
 			src.schema = acc.Schema()
 			src.open = func(int) rowset.BatchCursor { return acc }
 		}
+	}
+	if residual != nil {
+		src.residual = Compile(residual, src.schema, nil)
 	}
 	if sel.Where != nil {
 		// The filter span exists whenever the statement has a WHERE, even if

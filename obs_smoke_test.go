@@ -38,19 +38,21 @@ func TestObsOverheadSmoke(t *testing.T) {
 		if _, err := workload.Populate(p.DB, workload.Config{Customers: scale, Seed: 1}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := p.ExecuteContext(context.Background(), benchCreateAge); err != nil {
+		s := p.NewSession()
+		if _, err := s.Execute(context.Background(), benchCreateAge); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := p.ExecuteContext(context.Background(), benchInsertAge); err != nil {
+		if _, err := s.Execute(context.Background(), benchInsertAge); err != nil {
 			t.Fatal(err)
 		}
 		return p
 	}
 
 	measure := func(p *provider.Provider) float64 {
+		s := p.NewSession()
 		r := testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := p.ExecuteContext(context.Background(), q); err != nil {
+				if _, err := s.Execute(context.Background(), q); err != nil {
 					b.Fatal(err)
 				}
 			}
