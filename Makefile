@@ -1,12 +1,24 @@
 GO ?= go
 
-.PHONY: build test vet race fuzz-smoke bench bench-parallel bench-smoke loadsmoke lint vulncheck check
+.PHONY: build test vet race fuzz-smoke bench bench-parallel bench-smoke loadsmoke lint vulncheck check loc
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# Code-line counts the simplicity PRs quote: non-test Go with blank and
+# //-comment lines dropped, for the two packages that hold the executors, the
+# worker pool, and everything outside bench/.
+loc:
+	@count() { cat "$$@" | grep -v '^[[:space:]]*$$' | grep -vc '^[[:space:]]*//'; }; \
+	src() { find "$$@" -name '*.go' ! -name '*_test.go' ! -path './bench/*'; }; \
+	printf '%-32s %6d\n' internal/provider/predict.go $$(count internal/provider/predict.go) \
+		internal/provider $$(count $$(src internal/provider)) \
+		internal/sqlengine $$(count $$(src internal/sqlengine)) \
+		internal/par $$(count $$(src internal/par)) \
+		'all outside bench/' $$(count $$(src .))
 
 vet:
 	$(GO) vet ./...

@@ -319,10 +319,11 @@ func BenchmarkE10_PaperLifecycle(b *testing.B) {
 
 // ---------- parallel PREDICTION JOIN (worker-pool scan) ----------
 
-// BenchmarkPredictionJoinParallel measures batch-scoring throughput of the
-// chunked worker-pool scan against the sequential baseline, on a large
-// source with nested-table inputs. rows/sec is reported explicitly so the
-// EXPERIMENTS.md before/after record is read straight off the output.
+// BenchmarkPredictionJoinParallel measures batch-scoring throughput at several
+// worker bounds on a source with nested-table inputs, reporting rows/sec. The
+// fan-out is the SQL engine's (4096-case partitions), so at benchScale cases —
+// one partition — the worker counts run the same code; `go run ./bench`
+// (predict_batch) measures the partitioned path.
 func BenchmarkPredictionJoinParallel(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {

@@ -71,8 +71,9 @@ type PredictionSelect struct {
 	Where sqlengine.Expr
 	// OrderBy sorts output rows; expressions may use prediction functions.
 	OrderBy []sqlengine.OrderItem
-	// Top limits the result (SELECT TOP n ...), applied after OrderBy.
-	Top int
+	// Top limits the result (SELECT TOP n ...), applied after OrderBy; nil
+	// when the statement has no TOP clause.
+	Top *int
 	// ModelPos locates the model name token.
 	ModelPos lex.Pos
 }

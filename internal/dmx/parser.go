@@ -554,7 +554,7 @@ func parseSelect(s *lex.Scanner, isModel func(string) bool) (Statement, error) {
 	restore := s.Mark()
 	s.Accept("SELECT")
 
-	top := 0
+	var top *int
 	if s.Accept("TOP") {
 		t, err := s.Next()
 		if err != nil {
@@ -564,7 +564,8 @@ func parseSelect(s *lex.Scanner, isModel func(string) bool) (Statement, error) {
 		if t.Kind != lex.Number || nerr != nil || n < 0 {
 			return nil, lex.Errorf(t, "bad TOP count %s", t)
 		}
-		top = int(n)
+		count := int(n)
+		top = &count
 	}
 
 	// Collect select items with the SQL item parser; DMX items are a

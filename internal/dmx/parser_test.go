@@ -225,8 +225,8 @@ func TestParseTopPrediction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.(*PredictionSelect).Top != 3 {
-		t.Errorf("top = %d", st.(*PredictionSelect).Top)
+	if top := st.(*PredictionSelect).Top; top == nil || *top != 3 {
+		t.Errorf("top = %v", top)
 	}
 }
 

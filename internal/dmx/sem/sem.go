@@ -182,8 +182,28 @@ func (c *checker) checkPrediction(ps *dmx.PredictionSelect) {
 		c.walkExpr(ps.Where, pc)
 	}
 	for _, o := range ps.OrderBy {
+		if cr, ok := o.Expr.(*sqlengine.ColumnRef); ok && cr.Qualifier == "" && namesItem(ps.Items, cr.Name) {
+			continue
+		}
 		c.walkExpr(o.Expr, pc)
 	}
+}
+
+// namesItem reports whether name is one of the statement's output columns —
+// an item's alias, or the column an un-aliased reference names — which is what
+// an unqualified ORDER BY reference resolves to first, ahead of the source and
+// the model, exactly as in the SQL engine that sorts the result.
+func namesItem(items []sqlengine.SelectItem, name string) bool {
+	for _, it := range items {
+		out := it.Alias
+		if cr, ok := it.Expr.(*sqlengine.ColumnRef); ok && out == "" {
+			out = cr.Name
+		}
+		if out != "" && strings.EqualFold(out, name) {
+			return true
+		}
+	}
+	return false
 }
 
 // qualifySchema mirrors the executor's alias qualification of the source

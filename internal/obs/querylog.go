@@ -62,8 +62,8 @@ type Record struct {
 	RowsIn int64
 	// RowsOut is the number of result rows produced.
 	RowsOut int64
-	// Parallelism is the worker count used by the statement's scan loops
-	// (0 when no parallel path ran).
+	// Parallelism is the most goroutines any one of the statement's scans ran
+	// on: 1 for a single partition, 0 for a statement that scanned nothing.
 	Parallelism int
 }
 

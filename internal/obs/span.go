@@ -12,16 +12,18 @@ import (
 // cannot disagree.
 //
 // Ownership rule: a span tree belongs to the goroutine executing the
-// statement. Parallel scan workers never touch spans — the scan loop opens
-// one span before the workers fork and closes it after they join, recording
-// the fan-out in the span's label — so spans need no synchronization while
-// they are being built. Once the statement finishes the tree is immutable and
-// may be read freely (the DM_TRACE rowset and EXPLAIN ANALYZE both do).
+// statement. Partition workers never touch spans — an operator's span is
+// opened and closed before the workers fork, with the fan-out in its label,
+// and its row counts are copied on after they join — so spans need no
+// synchronization while they are being built. Once the statement finishes
+// the tree is immutable and may be read freely (the DM_TRACE rowset and
+// EXPLAIN ANALYZE both do).
 type Span struct {
 	// Kind is the operator kind (lower-case, stable: "scan", "filter", ...).
 	Kind string
 	// Label carries operator detail: a table name for scans, the APPEND name
-	// for shape children, "model=... workers=N" for prediction scans.
+	// for shape children, "model=... morsels=N workers=W" for a partitioned
+	// prediction.
 	Label string
 	// Elapsed is the operator's wall time; zero until the span ends (and
 	// always zero in plan-only trees built for bare EXPLAIN).

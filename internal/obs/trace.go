@@ -7,9 +7,9 @@ import (
 
 // Trace accumulates one statement's timings while it executes; when the
 // statement finishes the provider turns it into a query-log Record. A Trace
-// is owned by the goroutine executing the statement — parallel scan workers
-// never touch it (the scan loop reports rows and parallelism once, after the
-// workers join) — so its fields need no synchronization.
+// is owned by the goroutine executing the statement — partition workers never
+// touch it (the statement's goroutine records the fan-out before they fork and
+// their row counts after they join) — so its fields need no synchronization.
 //
 // Besides the flat per-stage timers, a trace grows a hierarchical span tree
 // (see span.go): StartSpan/EndSpan push and pop operator spans under a root
@@ -128,9 +128,10 @@ func (t *Trace) SetRowsOut(n int64) {
 	}
 }
 
-// SetParallelism records the worker count used by the statement's scan.
+// SetParallelism records the goroutines one of the statement's scans ran on;
+// the statement's parallelism is the widest of them.
 func (t *Trace) SetParallelism(workers int) {
-	if t != nil {
+	if t != nil && workers > t.parallelism {
 		t.parallelism = workers
 	}
 }

@@ -1,8 +1,8 @@
-// Package par provides the bounded worker pool used by the provider's
-// parallel scan paths (PREDICTION JOIN case evaluation, INSERT INTO row
-// reshaping). The index space is split into contiguous chunks, one goroutine
-// per chunk up to the worker bound, so results keep their source order and
-// callers can merge deterministically.
+// Package par provides the bounded worker pool behind every parallel scan:
+// the SQL engine's statement partitions and hash-join key builds, and the
+// provider's INSERT INTO row reshaping. The index space is split into
+// contiguous chunks, one goroutine per chunk up to the worker bound, so results
+// keep their source order and callers can merge deterministically.
 package par
 
 import (
@@ -18,12 +18,6 @@ import (
 // 32 rows keeps cancellation prompt (a row is a full model evaluation) at
 // negligible cost.
 const cancelPollMask = 31
-
-// ForEach runs fn(i) for every i in [0, n) on up to workers goroutines.
-// It is ForEachCtx without a cancellation context.
-func ForEach(n, workers int, fn func(i int) error) error {
-	return ForEachCtx(context.Background(), n, workers, fn) //dmlint:allow ctxflow — documented context-free convenience form; ForEachCtx is the primary API.
-}
 
 // ForEachCtx runs fn(i) for every i in [0, n) on up to workers goroutines.
 // workers <= 0 means runtime.GOMAXPROCS(0). The index space is partitioned

@@ -1,6 +1,7 @@
 package par
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -11,7 +12,7 @@ func TestForEachCoversEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{0, 1, 3, 8, 100} {
 		n := 57
 		counts := make([]atomic.Int32, n)
-		err := ForEach(n, workers, func(i int) error {
+		err := ForEachCtx(context.Background(), n, workers, func(i int) error {
 			counts[i].Add(1)
 			return nil
 		})
@@ -28,10 +29,10 @@ func TestForEachCoversEveryIndexOnce(t *testing.T) {
 
 func TestForEachZeroAndNegativeN(t *testing.T) {
 	called := false
-	if err := ForEach(0, 4, func(int) error { called = true; return nil }); err != nil {
+	if err := ForEachCtx(context.Background(), 0, 4, func(int) error { called = true; return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if err := ForEach(-3, 4, func(int) error { called = true; return nil }); err != nil {
+	if err := ForEachCtx(context.Background(), -3, 4, func(int) error { called = true; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if called {
@@ -44,7 +45,7 @@ func TestForEachReturnsLowestIndexError(t *testing.T) {
 	// scheduling, matching what a sequential scan would report.
 	bad := map[int]bool{5: true, 20: true, 41: true}
 	for _, workers := range []int{2, 4, 16} {
-		err := ForEach(50, workers, func(i int) error {
+		err := ForEachCtx(context.Background(), 50, workers, func(i int) error {
 			if bad[i] {
 				return fmt.Errorf("fail at %d", i)
 			}
@@ -59,7 +60,7 @@ func TestForEachReturnsLowestIndexError(t *testing.T) {
 func TestForEachSequentialStopsAtFirstError(t *testing.T) {
 	var ran []int
 	sentinel := errors.New("stop")
-	err := ForEach(10, 1, func(i int) error {
+	err := ForEachCtx(context.Background(), 10, 1, func(i int) error {
 		ran = append(ran, i)
 		if i == 3 {
 			return sentinel

@@ -97,7 +97,11 @@ func (p *Provider) planSpan(ex *dmx.Explain) (*obs.Span, error) {
 	case *dmx.PredictionSelect:
 		root.SetLabel("PREDICT")
 		root.Add(sourcePlanSpan(st.Source))
-		root.Add(obs.NewSpan("predict", "model="+st.Model))
+		// The SELECT the engine runs over the cases, as it would record it: the
+		// relation's bind operator, then its own filter, project and sort.
+		sel := (&sqlengine.SelectStmt{Items: st.Items, Where: st.Where, OrderBy: st.OrderBy}).PlanSpan()
+		sel.Children = append([]*obs.Span{obs.NewSpan("predict", "model="+st.Model)}, sel.Children...)
+		root.Add(sel)
 		return root, nil
 	case *dmx.InsertInto:
 		root.SetLabel("INSERT MODEL")

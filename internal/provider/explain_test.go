@@ -96,6 +96,13 @@ func TestExplainPlanOnly(t *testing.T) {
 			t.Fatalf("plan-only span %s has measured values %v/%v, want NULL", r.operator, r.elapsedUS, r.rows)
 		}
 	}
+	// A prediction statement lists the source's operators, then the predict
+	// operator and the SQL engine's own filter, project and sort — the order
+	// execution records them in.
+	rows = decodeExplain(t, mustExec(t, p, "EXPLAIN "+predictAgeQuery+" WHERE t.Age > 30 ORDER BY Predict([Age])"))
+	if got, want := operators(rows), "statement,caseset,select,scan,project,select,predict,filter,project,sort"; got != want {
+		t.Errorf("EXPLAIN of a prediction join lists %s, want %s", got, want)
+	}
 	// The statement was planned, not run: the model must still be untrained.
 	if _, err := p.Execute(predictAgeQuery); err == nil ||
 		!strings.Contains(err.Error(), "not populated") {
@@ -122,9 +129,14 @@ func TestExplainAnalyzePredict(t *testing.T) {
 			t.Fatalf("measured tree misses operator %q (have %s)", op, operators(rows))
 		}
 	}
+	// The same operators, in the same order, as bare EXPLAIN lists.
+	planned := decodeExplain(t, mustExec(t, p, "EXPLAIN "+predictAgeQuery))
+	if got, want := operators(rows), operators(planned); got != want {
+		t.Errorf("EXPLAIN ANALYZE ran %s, EXPLAIN planned %s", got, want)
+	}
 	pr := findOp(rows, "predict")
-	if !strings.Contains(pr.label, "model=Age Prediction") {
-		t.Errorf("predict span label = %q, want model name", pr.label)
+	if pr.label != "model=Age Prediction batches=1" {
+		t.Errorf("predict span label = %q, want the model name and, like any executed operator, its batches", pr.label)
 	}
 	if pr.rows.(int64) != 60 {
 		t.Errorf("predict span rows = %v, want 60", pr.rows)
@@ -175,6 +187,37 @@ func TestExplainAnalyzePredict(t *testing.T) {
 	}
 	if !logged {
 		t.Fatal("EXPLAIN ANALYZE statement missing from DM_QUERY_LOG")
+	}
+}
+
+// TestExplainAnalyzePredictPartitioned: a source above the partition size runs
+// the predict operator as partitions on the engine's workers; its span says so
+// the way a scan's does, ORDER BY adds the engine's sort, and DM_QUERY_LOG
+// records the goroutines the partitions ran on.
+func TestExplainAnalyzePredictPartitioned(t *testing.T) {
+	p := trainedProviderWorkers(t, 2, manyCustomers)
+	rows := decodeExplain(t, mustExec(t, p, "EXPLAIN ANALYZE "+predictAgeQuery+
+		" WHERE t.Age > 30 ORDER BY Predict([Age]), t.[Customer ID]"))
+	if got, want := operators(rows), "statement,caseset,select,scan,project,select,predict,filter,project,sort"; got != want {
+		t.Errorf("operators = %s, want %s", got, want)
+	}
+	pr := findOp(rows, "predict")
+	if !strings.HasPrefix(pr.label, "model=Age Prediction morsels=3 workers=2 batches=") {
+		t.Errorf("predict span label = %q, want model, fan-out and batches", pr.label)
+	}
+	if pr.rows.(int64) != manyCustomers {
+		t.Errorf("predict span rows = %v, want %d", pr.rows, manyCustomers)
+	}
+	if f, s := findOp(rows, "filter"), findOp(rows, "sort"); f.rows.(int64) >= manyCustomers || s.rows != f.rows {
+		t.Errorf("filter passed %v of %d cases and sort saw %v", f.rows, manyCustomers, s.rows)
+	}
+	mustExec(t, p, predictAgeQuery)
+	// One partition end to end: a streaming TOP over a streaming TOP.
+	mustExec(t, p, "SELECT TOP 3 t.[Customer ID] FROM [Age Prediction] NATURAL PREDICTION JOIN (SELECT TOP 9 * FROM Customers) AS t")
+	log := p.Obs().QueryLog().Snapshot()
+	if full, top := log[len(log)-2], log[len(log)-1]; full.Parallelism != 2 || top.Parallelism != 1 {
+		t.Errorf("PARALLELISM logged: %d for the partitioned join, %d for the streaming TOP; want 2 and 1",
+			full.Parallelism, top.Parallelism)
 	}
 }
 

@@ -249,29 +249,9 @@ func applyBindings(ctx context.Context, def *core.ModelDef, bindings []dmx.Bindi
 	}
 	rows := make([]rowset.Row, len(srcRows))
 	err = par.ForEachCtx(ctx, len(srcRows), workers, func(i int) error {
-		r := srcRows[i]
-		row := make(rowset.Row, 0, len(plan))
-		for _, b := range plan {
-			v := r[b.srcOrd]
-			if b.nestedSchema != nil {
-				nested, ok := v.(*rowset.Rowset)
-				if v == nil {
-					nested = rowset.New(b.nestedSrcSchema)
-					ok = true
-				}
-				if !ok {
-					return &NestedColumnTypeError{Column: b.name, Got: rowset.TypeOf(v).String()}
-				}
-				nv, err := reshapeNested(nested, b)
-				if err != nil {
-					return err
-				}
-				v = nv
-			}
-			row = append(row, v)
-		}
-		rows[i] = row
-		return nil
+		var err error
+		rows[i], err = bindRow(plan, srcRows[i], make(rowset.Row, 0, len(plan)))
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -280,6 +260,32 @@ func applyBindings(ctx context.Context, def *core.ModelDef, bindings []dmx.Bindi
 	// source rowset, so the result adopts them instead of re-normalizing every
 	// cell a second time.
 	return rowset.Adopt(outSchema, rows), nil
+}
+
+// bindRow appends to dst the model-layout row plan makes of one source row:
+// each bound column's cell, nested tables reshaped through their nested
+// binding (a NULL cell is an empty table). INSERT INTO's reshaping and the
+// prediction join's case binder both go through it.
+func bindRow(plan []boundCol, src, dst rowset.Row) (rowset.Row, error) {
+	for _, b := range plan {
+		v := src[b.srcOrd]
+		if b.nestedSchema != nil {
+			nested, ok := v.(*rowset.Rowset)
+			switch {
+			case v == nil:
+				nested = rowset.New(b.nestedSrcSchema)
+			case !ok:
+				return nil, &NestedColumnTypeError{Column: b.name, Got: rowset.TypeOf(v).String()}
+			}
+			nv, err := reshapeNested(nested, b)
+			if err != nil {
+				return nil, err
+			}
+			v = nv
+		}
+		dst = append(dst, v)
+	}
+	return dst, nil
 }
 
 // boundCol is one resolved binding: which source ordinal feeds which model

@@ -6,12 +6,13 @@ import (
 	"testing"
 
 	"repro/internal/rowset"
-	"repro/internal/sqlengine"
+	"repro/internal/storage"
 )
 
-// predictionQueries covers the prediction-join surface the parallel scan must
+// predictionQueries covers the prediction-join surface every worker count must
 // keep byte-identical: natural and ON joins, nested-table inputs, prediction
-// functions, WHERE filters, ORDER BY, and TOP (with and without ORDER BY).
+// functions, WHERE filters, ORDER BY (by expression and by select-item alias),
+// and TOP (with and without ORDER BY, and TOP 0).
 var predictionQueries = []string{
 	`SELECT t.[Customer ID], Predict([Age]) FROM [Age Prediction]
 		NATURAL PREDICTION JOIN (SELECT * FROM Customers) AS t`,
@@ -28,7 +29,17 @@ var predictionQueries = []string{
 		NATURAL PREDICTION JOIN (SELECT * FROM Customers) AS t`,
 	`SELECT t.[Customer ID], PredictHistogram([Age]) FROM [Age Prediction]
 		NATURAL PREDICTION JOIN (SELECT * FROM Customers) AS t`,
+	`SELECT t.[Customer ID], PredictProbability([Age]) AS pr FROM [Age Prediction]
+		NATURAL PREDICTION JOIN (SELECT * FROM Customers) AS t
+		ORDER BY pr DESC, t.[Customer ID]`,
+	`SELECT TOP 0 t.[Customer ID], Predict([Age]) FROM [Age Prediction]
+		NATURAL PREDICTION JOIN (SELECT * FROM Customers) AS t`,
 }
+
+// manyCustomers is a source large enough to run as three partitions
+// (storage.DefaultMorselSize rows each), so the tests below exercise the
+// partitioned path and its merge, not one inline partition.
+const manyCustomers = 2*storage.DefaultMorselSize + 500
 
 // trainedProvider builds a provider at the given parallelism with identical
 // data and a populated [Age Prediction] model.
@@ -41,24 +52,27 @@ func trainedProviderWorkers(t *testing.T, workers, n int) *Provider {
 	return p
 }
 
-// TestParallelPredictionMatchesSequential asserts the parallel scan produces
-// byte-identical rowsets to the sequential path (ISSUE acceptance criterion).
+func encoded(t *testing.T, rs *rowset.Rowset) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := rs.Encode(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+// TestParallelPredictionMatchesSequential asserts a multi-partition prediction
+// join returns byte-identical rowsets on one, two and eight workers.
 func TestParallelPredictionMatchesSequential(t *testing.T) {
-	seq := trainedProviderWorkers(t, 1, 60)
-	parl := trainedProviderWorkers(t, 8, 60)
-	for _, q := range predictionQueries {
-		want := mustExec(t, seq, q)
-		got := mustExec(t, parl, q)
-		var wb, gb bytes.Buffer
-		if err := want.Encode(&wb); err != nil {
-			t.Fatal(err)
-		}
-		if err := got.Encode(&gb); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(wb.Bytes(), gb.Bytes()) {
-			t.Errorf("query %.60q...: parallel rowset differs from sequential (%d vs %d rows)",
-				q, got.Len(), want.Len())
+	seq := trainedProviderWorkers(t, 1, manyCustomers)
+	for _, workers := range []int{2, 8} {
+		parl := trainedProviderWorkers(t, workers, manyCustomers)
+		for _, q := range predictionQueries {
+			want, got := mustExec(t, seq, q), mustExec(t, parl, q)
+			if !bytes.Equal(encoded(t, want), encoded(t, got)) {
+				t.Errorf("query %.60q...: rowset on %d workers differs from one worker's (%d vs %d rows)",
+					q, workers, got.Len(), want.Len())
+			}
 		}
 	}
 }
@@ -69,15 +83,7 @@ func TestParallelInsertMatchesSequential(t *testing.T) {
 	seq := trainedProviderWorkers(t, 1, 60)
 	parl := trainedProviderWorkers(t, 8, 60)
 	q := "SELECT * FROM [Age Prediction].CONTENT"
-	want, got := mustExec(t, seq, q), mustExec(t, parl, q)
-	var wb, gb bytes.Buffer
-	if err := want.Encode(&wb); err != nil {
-		t.Fatal(err)
-	}
-	if err := got.Encode(&gb); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(wb.Bytes(), gb.Bytes()) {
+	if !bytes.Equal(encoded(t, mustExec(t, seq, q)), encoded(t, mustExec(t, parl, q))) {
 		t.Errorf("model content differs between sequential and parallel training scans")
 	}
 }
@@ -88,8 +94,8 @@ func TestParallelErrorIsDeterministic(t *testing.T) {
 	q := `SELECT t.[Customer ID] FROM [Age Prediction]
 		NATURAL PREDICTION JOIN (SELECT * FROM Customers) AS t
 		WHERE PredictProbability([Nope]) > 0`
-	seq := trainedProviderWorkers(t, 1, 40)
-	parl := trainedProviderWorkers(t, 8, 40)
+	seq := trainedProviderWorkers(t, 1, manyCustomers)
+	parl := trainedProviderWorkers(t, 8, manyCustomers)
 	_, errSeq := seq.Execute(q)
 	_, errPar := parl.Execute(q)
 	if errSeq == nil || errPar == nil {
@@ -102,7 +108,8 @@ func TestParallelErrorIsDeterministic(t *testing.T) {
 
 // TestPredictionNestedColumnTypeError covers the former silent-empty bug: a
 // source cell bound to a nested TABLE column whose value is not a rowset must
-// surface a typed error naming the column, not predict from an empty basket.
+// surface a typed error naming the column (from bindRow, which the prediction
+// join and INSERT INTO share), not predict from an empty basket.
 func TestPredictionNestedColumnTypeError(t *testing.T) {
 	p := trainedProviderWorkers(t, 1, 30)
 	e, err := p.entry("Age Prediction")
@@ -115,24 +122,12 @@ func TestPredictionNestedColumnTypeError(t *testing.T) {
 		rowset.Column{Name: "Product Purchases", Type: rowset.TypeTable, Nested: nestedSrc},
 	)
 	bindings := naturalBindings(e.model.Def, srcSchema)
-	plan, outCols, err := bindColumns(e.model.Def.Name, e.model.Def.Columns, bindings, srcSchema, true)
+	plan, _, err := bindColumns(e.model.Def.Name, e.model.Def.Columns, bindings, srcSchema, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	modelSchema, err := rowset.NewSchema(outCols...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	frozen := *e.tokenizer
-	frozen.Freeze()
-	binder, err := frozen.NewCaseBinder(modelSchema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pp := &predictPlan{entry: e, plan: plan, binder: binder}
-	pp.compile(srcSchema, "Age Prediction", nil, []sqlengine.SelectItem{{Expr: &sqlengine.ColumnRef{Name: "Gender"}}}, nil)
 	// The schema claims a nested table but the cell carries a string.
-	_, err = pp.evalCase(rowset.Row{"Male", "not-a-rowset"})
+	_, err = bindRow(plan, rowset.Row{"Male", "not-a-rowset"}, nil)
 	var nte *NestedColumnTypeError
 	if !errors.As(err, &nte) {
 		t.Fatalf("err = %v, want *NestedColumnTypeError", err)
@@ -141,7 +136,7 @@ func TestPredictionNestedColumnTypeError(t *testing.T) {
 		t.Errorf("error names column %q, want Product Purchases", nte.Column)
 	}
 	// A nil cell still means an empty basket, not an error.
-	if _, err := pp.evalCase(rowset.Row{"Male", nil}); err != nil {
+	if _, err := bindRow(plan, rowset.Row{"Male", nil}, nil); err != nil {
 		t.Errorf("nil nested cell: %v", err)
 	}
 }

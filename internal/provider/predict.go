@@ -8,16 +8,18 @@ import (
 	"repro/internal/core"
 	"repro/internal/dmx"
 	"repro/internal/obs"
-	"repro/internal/par"
 	"repro/internal/rowset"
 	"repro/internal/sqlengine"
 )
 
 // predictionSelect executes SELECT ... FROM <model> PREDICTION JOIN
-// (<source>) — the paper's Section 3.3 prediction operation. Each source
-// case is bound to the model (by the ON clause or by name for NATURAL
-// joins), tokenized through the model's frozen attribute space, and the
-// select items are evaluated with the DMX prediction functions available.
+// (<source>) — the paper's Section 3.3 prediction operation — as a SELECT of
+// the SQL engine over a relation the provider supplies (sqlengine.Relation):
+// the rows are the source cases, the resolver gives the model's columns and the
+// DMX prediction functions their meaning, and the binder tokenizes each case
+// through the model's frozen attribute space. Partitioning, cancellation,
+// filter, projection, ORDER BY and TOP are the engine's, shared with every SQL
+// SELECT; a singleton join is the one-row, one-partition case.
 func (p *Provider) predictionSelect(ctx context.Context, ps *dmx.PredictionSelect) (*rowset.Rowset, error) {
 	t := obs.FromContext(ctx)
 	e, err := p.entry(ps.Model)
@@ -71,6 +73,10 @@ func (p *Provider) predictionSelect(ctx context.Context, ps *dmx.PredictionSelec
 	// Frozen tokenizer view: prediction never grows the attribute space.
 	frozen := *e.tokenizer
 	frozen.Freeze()
+	binder, err := frozen.NewCaseBinder(modelSchema)
+	if err != nil {
+		return nil, err
+	}
 
 	// Qualify the source schema with the join alias so t.[col] resolves.
 	evalSchema := src.Schema()
@@ -85,128 +91,23 @@ func (p *Provider) predictionSelect(ctx context.Context, ps *dmx.PredictionSelec
 		}
 	}
 
-	items, err := expandPredictionItems(ps.Items, e.model.Def, evalSchema)
-	if err != nil {
-		return nil, err
+	pp := &predictPlan{
+		entry: e, plan: plan, binder: binder,
+		schema: evalSchema, model: ps.Model, targets: make(map[string]*predTarget),
 	}
-	names := itemNames(items)
-
-	// Uncorrelated SQL subqueries in the WHERE/ORDER BY clauses resolve once
-	// against the relational engine before the per-case loop.
-	where, err := p.Engine.ResolveSubqueries(ps.Where)
-	if err != nil {
-		return nil, err
-	}
-	orderBy := append([]sqlengine.OrderItem(nil), ps.OrderBy...)
-	for i := range orderBy {
-		if orderBy[i].Expr, err = p.Engine.ResolveSubqueries(orderBy[i].Expr); err != nil {
-			return nil, err
-		}
-	}
-
-	// The binding and the compiled expressions are resolved once and shared
-	// read-only by every worker; each case gets its own predictionContext
-	// (prediction cache) and Env.
-	binder, err := frozen.NewCaseBinder(modelSchema)
-	if err != nil {
-		return nil, err
-	}
-	pp := &predictPlan{entry: e, plan: plan, binder: binder}
-	pp.compile(evalSchema, ps.Model, where, items, orderBy)
-
-	rows := src.Rows()
-	results := make([]caseResult, len(rows))
-	workers := p.workers()
-	// The scan span is opened before the worker fork and closed after the
-	// join: workers never touch the trace (spans are statement-goroutine
-	// owned); the fan-out is recorded in the span label instead.
-	spScan := t.StartSpanStage(obs.StageScan, "predict", "model="+ps.Model)
-	if workers > 1 && len(rows) >= minParallelCases {
-		t.SetParallelism(workers)
-		spScan.SetLabel(fmt.Sprintf("model=%s workers=%d", ps.Model, workers))
-		// Parallel scan: contiguous chunks, merged back in source order below,
-		// so output (and therefore ORDER BY/TOP semantics) is byte-identical
-		// to the sequential path. TOP without ORDER BY cannot short-circuit a
-		// chunked scan; every case is evaluated and the merge truncates.
-		err = par.ForEachCtx(ctx, len(rows), workers, func(i int) error {
-			r, cerr := pp.evalCase(rows[i])
-			if cerr != nil {
-				return cerr
-			}
-			results[i] = r
-			return nil
+	// The frozen bench and DM_QUERY_LOG read the prediction scan's time from
+	// the scan stage, like a SQL SELECT's.
+	defer t.StartStage(obs.StageScan)()
+	return p.Engine.QueryRelation(ctx,
+		&sqlengine.SelectStmt{Top: ps.Top, Items: ps.Items, Where: ps.Where, OrderBy: ps.OrderBy},
+		sqlengine.Relation{
+			Schema: evalSchema, Rows: src.Rows(),
+			Resolve: pp.resolve, Bind: pp.caseBinder,
+			Kind: "predict", Label: "model=" + ps.Model,
+			// A DMX result declares a type for every column.
+			Untyped: rowset.TypeText,
 		})
-		if err != nil {
-			t.EndSpan(spScan)
-			return nil, err
-		}
-	} else {
-		t.SetParallelism(1)
-		done := ctx.Done()
-		kept := 0
-		for i, srcRow := range rows {
-			if done != nil && i&31 == 0 {
-				select {
-				case <-done:
-					t.EndSpan(spScan)
-					return nil, ctx.Err()
-				default:
-				}
-			}
-			r, cerr := pp.evalCase(srcRow)
-			if cerr != nil {
-				t.EndSpan(spScan)
-				return nil, cerr
-			}
-			results[i] = r
-			if r.keep {
-				kept++
-			}
-			// Without ORDER BY, TOP short-circuits the scan; with it, every
-			// row must be seen before the sort decides the winners.
-			if len(orderBy) == 0 && ps.Top > 0 && kept >= ps.Top {
-				break
-			}
-		}
-	}
-	t.EndSpan(spScan)
-
-	// Merge in source order.
-	out := make([]rowset.Row, 0, len(rows))
-	var orderKeys []rowset.Row
-	for i := range results {
-		if !results[i].keep {
-			continue
-		}
-		out = append(out, results[i].row)
-		if len(orderBy) > 0 {
-			orderKeys = append(orderKeys, results[i].keys)
-		}
-		if len(orderBy) == 0 && ps.Top > 0 && len(out) >= ps.Top {
-			break
-		}
-	}
-
-	if len(orderBy) > 0 {
-		sortPredictionRows(out, orderKeys, orderBy)
-		if ps.Top > 0 && len(out) > ps.Top {
-			out = out[:ps.Top]
-		}
-	}
-	spScan.SetRows(int64(len(out)))
-
-	schema, err := predictionOutputSchema(items, names, evalSchema, out)
-	if err != nil {
-		return nil, err
-	}
-	// evalCase normalized every projected cell; adopt the rows rather than
-	// normalizing them all a second time.
-	return rowset.Adopt(schema, out), nil
 }
-
-// minParallelCases is the source size below which the goroutine fan-out costs
-// more than the scan; tiny inputs stay on the calling goroutine.
-const minParallelCases = 8
 
 // indexPredictionKeys auto-creates a hash index on each source-table column
 // bound to one of the model's KEY columns. Best-effort: only a bare
@@ -236,122 +137,45 @@ func (p *Provider) indexPredictionKeys(src dmx.Source, def *core.ModelDef, bindi
 	}
 }
 
-// predictPlan is the per-statement read-only state shared by every prediction
-// worker: resolved bindings, the frozen-tokenizer case binder, and the WHERE,
-// select-list and ORDER BY closures, compiled once with the model's columns
-// and the prediction functions resolved (see resolve).
+// predictPlan is the per-statement state behind the relation: the resolved
+// bindings, the frozen-tokenizer case binder, and what the statement's
+// expressions resolve against. The engine compiles every expression of the
+// statement (through resolve) before it opens the first partition; after that
+// the plan is read-only and shared by every partition.
 type predictPlan struct {
 	entry  *modelEntry
 	plan   []boundCol
 	binder *core.CaseBinder
 
-	where   sqlengine.Compiled // nil keeps every case
-	items   []sqlengine.Compiled
-	orderBy []sqlengine.Compiled
-
-	// Compile-time state: the alias-qualified source schema and model name
-	// expressions resolve against, and every model column they predict.
+	// The alias-qualified source schema and model name expressions resolve
+	// against, and every model column they predict.
 	schema  *rowset.Schema
 	model   string
 	targets map[string]*predTarget
-}
-
-// compile builds the statement's closures over schema, the alias-qualified
-// source schema.
-func (pp *predictPlan) compile(schema *rowset.Schema, model string, where sqlengine.Expr, items []sqlengine.SelectItem, orderBy []sqlengine.OrderItem) {
-	pp.schema, pp.model = schema, model
-	pp.targets = make(map[string]*predTarget)
-	if where != nil {
-		pp.where = pp.compileExpr(where)
-	}
-	pp.items = make([]sqlengine.Compiled, len(items))
-	for i, it := range items {
-		pp.items[i] = pp.compileExpr(it.Expr)
-	}
-	pp.orderBy = make([]sqlengine.Compiled, len(orderBy))
-	for i, o := range orderBy {
-		pp.orderBy[i] = pp.compileExpr(o.Expr)
-	}
 }
 
 func (pp *predictPlan) compileExpr(e sqlengine.Expr) sqlengine.Compiled {
 	return sqlengine.Compile(e, pp.schema, pp.resolve)
 }
 
-// caseResult is one source row's evaluated output: whether WHERE kept it, the
-// projected row, and its ORDER BY keys.
-type caseResult struct {
-	keep bool
-	row  rowset.Row
-	keys rowset.Row
-}
-
-// evalCase tokenizes and evaluates one source row. It reads only shared
-// immutable state (plan, binder, trained model) and is safe to call from
-// concurrent workers.
-func (pp *predictPlan) evalCase(srcRow rowset.Row) (caseResult, error) {
+// caseBinder is the relation's per-partition hook: the binder it returns
+// reshapes a source row into the model's layout (in a buffer the partition
+// reuses) and tokenizes it, and its result — the case and an empty prediction
+// cache — is the frame WHERE, the select items and the ORDER BY keys of that row
+// all evaluate against. It reads only shared immutable state.
+func (pp *predictPlan) caseBinder() func(rowset.Row) (any, error) {
 	modelRow := make(rowset.Row, 0, len(pp.plan))
-	for _, b := range pp.plan {
-		v := srcRow[b.srcOrd]
-		if b.nestedSchema != nil {
-			nested, ok := v.(*rowset.Rowset)
-			switch {
-			case v == nil:
-				nested = rowset.New(b.nestedSrcSchema)
-			case !ok:
-				return caseResult{}, &NestedColumnTypeError{Column: b.name, Got: rowset.TypeOf(v).String()}
-			}
-			nv, nerr := reshapeNested(nested, b)
-			if nerr != nil {
-				return caseResult{}, nerr
-			}
-			v = nv
+	return func(srcRow rowset.Row) (any, error) {
+		var err error
+		if modelRow, err = bindRow(pp.plan, srcRow, modelRow[:0]); err != nil {
+			return nil, err
 		}
-		modelRow = append(modelRow, v)
-	}
-	c, err := pp.binder.TokenizeRow(modelRow)
-	if err != nil {
-		return caseResult{}, err
-	}
-
-	env := sqlengine.Env{Row: srcRow, Ext: &predictionContext{
-		entry: pp.entry,
-		c:     c,
-		preds: make([]cachedPrediction, len(pp.targets)),
-	}}
-	if pp.where != nil {
-		keep, err := pp.where.Test(&env)
-		if err != nil || !keep {
-			return caseResult{}, err
-		}
-	}
-	res := caseResult{keep: true, row: make(rowset.Row, len(pp.items)), keys: make(rowset.Row, len(pp.orderBy))}
-	for i, fn := range pp.items {
-		v, err := fn(&env)
+		c, err := pp.binder.TokenizeRow(modelRow)
 		if err != nil {
-			return caseResult{}, err
+			return nil, err
 		}
-		res.row[i] = rowset.Normalize(v)
+		return &predictionContext{entry: pp.entry, c: c, preds: make([]cachedPrediction, len(pp.targets))}, nil
 	}
-	for i, fn := range pp.orderBy {
-		v, err := fn(&env)
-		if err != nil {
-			return caseResult{}, err
-		}
-		res.keys[i] = rowset.Normalize(v)
-	}
-	return res, nil
-}
-
-// sortPredictionRows stable-sorts rows by the precomputed key columns through
-// the module-wide key sort (single-key fast path, shared NULL/numeric
-// comparison semantics).
-func sortPredictionRows(rows []rowset.Row, keys []rowset.Row, order []sqlengine.OrderItem) {
-	desc := make([]bool, len(order))
-	for i, o := range order {
-		desc[i] = o.Desc
-	}
-	rowset.SortByKeys(rows, keys, desc)
 }
 
 // naturalBindings binds model columns to same-named source columns; nested
@@ -856,82 +680,4 @@ func histogramRowset(column string, p core.Prediction) (*rowset.Rowset, error) {
 		}
 	}
 	return out, nil
-}
-
-// expandPredictionItems expands * into the source columns.
-func expandPredictionItems(items []sqlengine.SelectItem, def *core.ModelDef, evalSchema *rowset.Schema) ([]sqlengine.SelectItem, error) {
-	var out []sqlengine.SelectItem
-	for _, it := range items {
-		if !it.Star {
-			out = append(out, it)
-			continue
-		}
-		for _, c := range evalSchema.Columns {
-			name := c.Name
-			if dot := strings.LastIndex(name, "."); dot >= 0 {
-				name = name[dot+1:]
-			}
-			out = append(out, sqlengine.SelectItem{
-				Expr:  &sqlengine.ColumnRef{Name: c.Name},
-				Alias: name,
-			})
-		}
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("provider: prediction select has no items")
-	}
-	return out, nil
-}
-
-func itemNames(items []sqlengine.SelectItem) []string {
-	names := make([]string, len(items))
-	seen := map[string]int{}
-	for i, it := range items {
-		n := it.Alias
-		if n == "" {
-			if cr, ok := it.Expr.(*sqlengine.ColumnRef); ok {
-				n = cr.Name
-			} else {
-				n = it.Expr.String()
-			}
-		}
-		key := strings.ToLower(n)
-		if c := seen[key]; c > 0 {
-			seen[key] = c + 1
-			n = fmt.Sprintf("%s_%d", n, c+1)
-			key = strings.ToLower(n)
-		}
-		seen[key]++
-		names[i] = n
-	}
-	return names
-}
-
-func predictionOutputSchema(items []sqlengine.SelectItem, names []string, evalSchema *rowset.Schema, rows []rowset.Row) (*rowset.Schema, error) {
-	cols := make([]rowset.Column, len(items))
-	for i, it := range items {
-		col := rowset.Column{Name: names[i], Type: rowset.TypeNull}
-		if cr, ok := it.Expr.(*sqlengine.ColumnRef); ok {
-			if ord, err := sqlengine.ResolveColumn(evalSchema, cr.Qualifier, cr.Name); err == nil {
-				col.Type = evalSchema.Column(ord).Type
-				col.Nested = evalSchema.Column(ord).Nested
-			}
-		}
-		if col.Type == rowset.TypeNull {
-			for _, r := range rows {
-				if r[i] != nil {
-					col.Type = rowset.TypeOf(r[i])
-					if nested, ok := r[i].(*rowset.Rowset); ok {
-						col.Nested = nested.Schema()
-					}
-					break
-				}
-			}
-		}
-		if col.Type == rowset.TypeNull {
-			col.Type = rowset.TypeText
-		}
-		cols[i] = col
-	}
-	return rowset.NewSchema(cols...)
 }

@@ -1,6 +1,12 @@
 package provider
 
 import (
+	"bytes"
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"strings"
 	"testing"
 
@@ -188,5 +194,144 @@ func TestPredictionOrderBy(t *testing.T) {
 	ORDER BY t.[Customer ID] DESC`)
 	if out.Row(0)[0].(int64) != 60 {
 		t.Errorf("desc order head = %v", out.Row(0)[0])
+	}
+}
+
+// TestPredictionOrderByAlias: ORDER BY resolves an unqualified name against the
+// select list first, as the SQL engine's SELECT does — the statement and its
+// spelled-out twin sort alike.
+func TestPredictionOrderByAlias(t *testing.T) {
+	p := trainedProvider(t, 60)
+	const head = `SELECT t.[Customer ID], PredictProbability([Age]) AS pr FROM [Age Prediction]
+	NATURAL PREDICTION JOIN (SELECT [Customer ID], Gender FROM Customers) AS t `
+	byAlias := mustExec(t, p, head+`ORDER BY pr DESC, t.[Customer ID]`)
+	spelled := mustExec(t, p, head+`ORDER BY PredictProbability([Age]) DESC, t.[Customer ID]`)
+	if byAlias.Len() != 60 || !bytes.Equal(encoded(t, byAlias), encoded(t, spelled)) {
+		t.Errorf("ORDER BY pr returns %d rows, differing from ORDER BY PredictProbability([Age])", byAlias.Len())
+	}
+	// A name that is neither an output column, a source column nor a model
+	// output is still the binder's to reject.
+	if _, err := p.Execute(head + `ORDER BY nope`); err == nil || !strings.Contains(err.Error(), `unknown column "nope"`) {
+		t.Errorf("ORDER BY nope: err = %v", err)
+	}
+}
+
+// TestPredictionTopZero: TOP 0 is an empty result with its columns, not the
+// whole source.
+func TestPredictionTopZero(t *testing.T) {
+	p := trainedProvider(t, 60)
+	out := mustExec(t, p, `SELECT TOP 0 t.[Customer ID], Predict([Age]) AS age FROM [Age Prediction]
+	NATURAL PREDICTION JOIN (SELECT [Customer ID], Gender FROM Customers) AS t`)
+	if out.Len() != 0 || strings.Join(out.Schema().Names(), ",") != "Customer ID,age" {
+		t.Errorf("TOP 0: %d rows under %v", out.Len(), out.Schema().Names())
+	}
+}
+
+// TestPredictionWherePartitions: for a predicate p over predictions, the cases
+// passing p, NOT p and (p) IS NULL are disjoint and together are the source —
+// over three partitions, on one worker and four.
+func TestPredictionWherePartitions(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		p := trainedProviderWorkers(t, workers, manyCustomers)
+		label := mustExec(t, p, `SELECT TOP 1 Predict([Age]) FROM [Age Prediction]
+			NATURAL PREDICTION JOIN (SELECT [Customer ID], Gender FROM Customers) AS t`).Row(0)[0].(string)
+		for _, pred := range []string{
+			fmt.Sprintf("Predict([Age]) = '%s'", label),
+			"PredictProbability([Age]) > 0.9 AND t.[Customer ID] > 100",
+			"RangeMid([Age]) > t.Age",
+			// NULL for every case of gender 'Male'.
+			"IIF(t.Gender = 'Male', NULL, PredictSupport([Age])) > 1",
+		} {
+			seen := make(map[int64]int)
+			for _, arm := range []string{pred, "NOT (" + pred + ")", "(" + pred + ") IS NULL"} {
+				out := mustExec(t, p, `SELECT t.[Customer ID] FROM [Age Prediction]
+					NATURAL PREDICTION JOIN (SELECT * FROM Customers) AS t WHERE `+arm)
+				for _, r := range out.Rows() {
+					seen[r[0].(int64)]++
+				}
+			}
+			if len(seen) != manyCustomers {
+				t.Errorf("workers=%d %s: the three arms return %d distinct cases of %d", workers, pred, len(seen), manyCustomers)
+			}
+			for id, n := range seen {
+				if n != 1 {
+					t.Fatalf("workers=%d %s: case %d is in %d arms", workers, pred, id, n)
+				}
+			}
+		}
+	}
+}
+
+// TestPredictionTopStopsEarly: SELECT TOP n ... PREDICTION JOIN without ORDER
+// BY tokenizes at most one batch of a 22,500-case source at every worker count
+// (counted by the predict operator's span, not timed), and logs one goroutine.
+func TestPredictionTopStopsEarly(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		p := trainedProviderWorkers(t, workers, 150)
+		rows := decodeExplain(t, mustExec(t, p, `EXPLAIN ANALYZE SELECT TOP 5 t.[Customer ID], Predict([Age])
+			FROM [Age Prediction] NATURAL PREDICTION JOIN
+			(SELECT c.[Customer ID], c.Gender FROM Customers AS c, Customers AS d) AS t
+			WHERE t.Gender = 'Female'`))
+		if cs := findOp(rows, "caseset"); cs.rows.(int64) != 150*150 {
+			t.Fatalf("workers=%d: caseset has %v cases, want %d", workers, cs.rows, 150*150)
+		}
+		pr := findOp(rows, "predict")
+		if n := pr.rows.(int64); n == 0 || n > rowset.DefaultBatchSize {
+			t.Errorf("workers=%d: predict tokenized %d cases for TOP 5, want at most one batch (%d)",
+				workers, n, rowset.DefaultBatchSize)
+		}
+		if strings.Contains(pr.label, "morsels=") {
+			t.Errorf("workers=%d: predict label %q: a streaming TOP is one partition", workers, pr.label)
+		}
+		if rows[0].rows.(int64) != 5 {
+			t.Errorf("workers=%d: statement returned %v rows, want 5", workers, rows[0].rows)
+		}
+	}
+}
+
+// TestPredictionRunsOnThePipeline guards the one-executor rule: predict.go
+// builds a relation and hands it to the SQL engine. It starts no goroutine,
+// imports no worker pool, and sorts, adopts and resolves nothing itself; the
+// pieces of the second executor it used to be stay deleted.
+func TestPredictionRunsOnThePipeline(t *testing.T) {
+	fset := token.NewFileSet()
+	file, err := parser.ParseFile(fset, "predict.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, imp := range file.Imports {
+		if imp.Path.Value == `"repro/internal/par"` {
+			t.Errorf("predict.go imports internal/par")
+		}
+	}
+	ast.Inspect(file, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.GoStmt:
+			t.Errorf("%s: predict.go starts a goroutine", fset.Position(x.Pos()))
+		case *ast.SelectorExpr:
+			if pkg, ok := x.X.(*ast.Ident); ok {
+				switch pkg.Name + "." + x.Sel.Name {
+				case "rowset.SortByKeys", "rowset.Adopt", "sqlengine.ResolveColumn":
+					t.Errorf("%s: predict.go calls %s.%s", fset.Position(x.Pos()), pkg.Name, x.Sel.Name)
+				}
+			}
+		}
+		return true
+	})
+	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool { return !strings.HasSuffix(fi.Name(), "_test.go") }, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gone := map[string]bool{
+		"minParallelCases": true, "caseResult": true, "sortPredictionRows": true,
+		"expandPredictionItems": true, "itemNames": true, "predictionOutputSchema": true,
+	}
+	for _, pkg := range pkgs {
+		ast.Inspect(pkg, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && gone[id.Name] {
+				t.Errorf("%s: identifier %s is back", fset.Position(id.Pos()), id.Name)
+			}
+			return true
+		})
 	}
 }

@@ -53,7 +53,7 @@ func compileRelatePlan(e *sqlengine.Engine, ap Append) *relatePlan {
 	}
 	sel := ap.Child.Root
 	if len(sel.From) != 1 || sel.Where != nil || len(sel.GroupBy) != 0 ||
-		sel.Having != nil || sel.Distinct || sel.Top > 0 || len(sel.Items) == 0 {
+		sel.Having != nil || sel.Distinct || sel.Top != nil || len(sel.Items) == 0 {
 		return nil
 	}
 	ref := sel.From[0]

@@ -25,7 +25,7 @@ func (e *Engine) aggregate(ctx context.Context, t *obs.Trace, sel *SelectStmt, s
 	defer t.EndSpan(sp)
 	parts := make([]*aggAccum, src.n)
 	var batches atomic.Int64
-	err = e.forEachPartition(ctx, src, func(i int, cur rowset.BatchCursor) error {
+	err = e.forEachPartition(ctx, t, src, func(i int, cur rowset.BatchCursor, _ *frames) error {
 		defer cur.Close() //nolint:errcheck // engine cursors fail only via NextBatch
 		acc := newAggAccum(plan)
 		parts[i] = acc
@@ -59,7 +59,7 @@ func (e *Engine) aggregate(ctx context.Context, t *obs.Trace, sel *SelectStmt, s
 		return nil, err
 	}
 	sp.SetRows(int64(out.Len()))
-	if !sel.Distinct && (sel.Top <= 0 || out.Len() <= sel.Top) {
+	if !sel.Distinct && (sel.Top == nil || out.Len() <= *sel.Top) {
 		return out, nil
 	}
 	rows, err := tailRows(out.Rows(), sel)
@@ -164,7 +164,7 @@ func finishAggregate(sel *SelectStmt, srcSchema *rowset.Schema, aggs []*FuncCall
 		rowset.SortByKeys(outRows, keyRows, descFlags(sel.OrderBy))
 	}
 
-	schema, err := outputSchema(sel.Items, names, srcSchema, outRows)
+	schema, err := outputSchema(sel.Items, names, srcSchema, outRows, rowset.TypeNull)
 	if err != nil {
 		return nil, err
 	}

@@ -141,7 +141,7 @@ type In struct {
 	List   []Expr
 	Negate bool
 	// Subquery, when set, supplies the list at execution time (the engine
-	// resolves it via ResolveSubqueries before evaluation).
+	// resolves it before evaluation).
 	Subquery *SelectStmt
 }
 
@@ -267,7 +267,7 @@ type Statement interface{ stmt() }
 // SelectStmt is a SELECT query.
 type SelectStmt struct {
 	Distinct bool
-	Top      int // 0 = no limit
+	Top      *int // nil = no TOP clause; TOP 0 is an empty result
 	Items    []SelectItem
 	From     []TableRef // empty means a FROM-less scalar select
 	Where    Expr

@@ -80,8 +80,16 @@ func ResolveColumn(schema *rowset.Schema, qualifier, name string) (int, error) {
 			return found, nil
 		}
 	}
-	return 0, fmt.Errorf("sqlengine: unknown column %q", full)
+	return 0, unknownColumn(full)
 }
+
+// unknownColumn is ResolveColumn's usual failure. It is formatted only when it
+// is reported, which it mostly is not: a projection asks about every item
+// before the resolver does, and a model column fails here on its way to the
+// embedder's Resolver.
+type unknownColumn string
+
+func (c unknownColumn) Error() string { return fmt.Sprintf("sqlengine: unknown column %q", string(c)) }
 
 // Compile turns e into a closure over rows of schema. Names, literals, LIKE
 // patterns, function names and arities and the resolver's hooks are settled

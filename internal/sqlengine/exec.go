@@ -195,12 +195,21 @@ func needsAggregate(sel *SelectStmt) bool {
 // detailed mode) are filled in once the partitions have drained. With no trace
 // the span plumbing is nil no-ops and nothing allocates.
 func (e *Engine) QueryContext(ctx context.Context, sel *SelectStmt) (*rowset.Rowset, error) {
-	return e.query(ctx, sel, storage.DefaultMorselSize)
+	return e.query(ctx, sel, nil, storage.DefaultMorselSize)
 }
 
-// query is QueryContext with the partition size as an argument, so tests can
-// run small fixtures through many partitions.
-func (e *Engine) query(ctx context.Context, sel *SelectStmt, partRows int) (*rowset.Rowset, error) {
+// QueryRelation runs sel — its items, WHERE, ORDER BY, DISTINCT and TOP; FROM
+// is ignored — over the rows of rel instead of a FROM clause, through the same
+// pipeline QueryContext runs: the same partition rule and worker bound, the
+// same filter, projection, sort and TOP operators, the same spans. See Relation
+// for what the embedder supplies.
+func (e *Engine) QueryRelation(ctx context.Context, sel *SelectStmt, rel Relation) (*rowset.Rowset, error) {
+	return e.query(ctx, sel, &rel, storage.DefaultMorselSize)
+}
+
+// query is QueryContext (rel == nil) and QueryRelation with the partition size
+// as an argument, so tests can run small fixtures through many partitions.
+func (e *Engine) query(ctx context.Context, sel *SelectStmt, rel *Relation, partRows int) (*rowset.Rowset, error) {
 	t := obs.FromContext(ctx)
 	spSel := t.StartSpan("select", "")
 	defer t.EndSpan(spSel)
@@ -208,13 +217,13 @@ func (e *Engine) query(ctx context.Context, sel *SelectStmt, partRows int) (*row
 	if err != nil {
 		return nil, err
 	}
-	src, err := e.planSource(t, sel, partRows)
+	src, err := e.planSource(ctx, t, sel, rel, partRows)
 	if err != nil {
 		return nil, err
 	}
 	defer src.flushSpans()
 	var out *rowset.Rowset
-	if needsAggregate(sel) {
+	if rel == nil && needsAggregate(sel) {
 		out, err = e.aggregate(ctx, t, sel, src)
 	} else {
 		out, err = e.project(ctx, t, sel, src)
@@ -238,18 +247,15 @@ func (e *Engine) project(ctx context.Context, t *obs.Trace, sel *SelectStmt, src
 		return nil, err
 	}
 	names := outputNames(items)
-	plan, err := compileProjection(src.schema, items, names, sel.OrderBy)
-	if err != nil {
-		return nil, err
-	}
+	plan := compileProjection(src.schema, items, names, sel.OrderBy, src.resolve)
 	spProj := src.span(t, "project", "")
 	ordered := len(sel.OrderBy) > 0
 	streamTail := !ordered && src.n == 1
 	outs := make([][]rowset.Row, src.n)
 	keys := make([][]rowset.Row, src.n)
 	var batches atomic.Int64
-	err = e.forEachPartition(ctx, src, func(i int, cur rowset.BatchCursor) error {
-		proj := newProjectCursor(cur, plan)
+	err = e.forEachPartition(ctx, t, src, func(i int, cur rowset.BatchCursor, fr *frames) error {
+		proj := &projectCursor{projection: plan, src: cur, frames: fr}
 		out := spProj.wrap(proj)
 		if streamTail {
 			out = tailCursor(out, sel)
@@ -271,13 +277,13 @@ func (e *Engine) project(ctx context.Context, t *obs.Trace, sel *SelectStmt, src
 		spSort.SetRows(int64(len(rows)))
 		t.EndSpan(spSort)
 	}
-	if !streamTail && (sel.Distinct || sel.Top > 0) {
+	if !streamTail && (sel.Distinct || sel.Top != nil) {
 		rows, err = tailRows(rows, sel)
 		if err != nil {
 			return nil, err
 		}
 	}
-	schema, err := outputSchema(items, names, src.schema, rows)
+	schema, err := outputSchema(items, names, src.schema, rows, src.untyped)
 	if err != nil {
 		return nil, err
 	}
@@ -373,8 +379,8 @@ func (e *Engine) PlanSpan(sel *SelectStmt) *obs.Span {
 	for i, cs := range scans {
 		if i == 0 {
 			// An unpushed scan's estimate is its exact row count.
-			ranges := partitionRanges(sel, scans, cs.estimate, storage.DefaultMorselSize)
-			sp.Add(obs.NewSpan("scan", e.scanLabel(cs, len(ranges))))
+			ranges := partitionRanges(sel, wholeTable(scans), cs.estimate, storage.DefaultMorselSize)
+			sp.Add(obs.NewSpan("scan", e.fanoutLabel(cs.label(), len(ranges))))
 			continue
 		}
 		sp.Add(obs.NewSpan("scan", cs.label()))
@@ -491,8 +497,9 @@ func outputNames(items []SelectItem) []string {
 }
 
 // outputSchema infers output column types: declared types for direct column
-// references, value-based inference otherwise.
-func outputSchema(items []SelectItem, names []string, srcSchema *rowset.Schema, rows []rowset.Row) (*rowset.Schema, error) {
+// references, value-based inference otherwise, and untyped for a column no row
+// gave a value.
+func outputSchema(items []SelectItem, names []string, srcSchema *rowset.Schema, rows []rowset.Row, untyped rowset.Type) (*rowset.Schema, error) {
 	cols := make([]rowset.Column, len(items))
 	for i, it := range items {
 		col := rowset.Column{Name: names[i], Type: rowset.TypeNull}
@@ -512,6 +519,9 @@ func outputSchema(items []SelectItem, names []string, srcSchema *rowset.Schema, 
 					break
 				}
 			}
+		}
+		if col.Type == rowset.TypeNull {
+			col.Type = untyped
 		}
 		cols[i] = col
 	}

@@ -48,9 +48,9 @@ func oracleQuery(e *Engine, sel *SelectStmt) (*rowset.Rowset, error) {
 	if sel.Distinct {
 		out = oracleDistinct(out)
 	}
-	if sel.Top > 0 && out.Len() > sel.Top {
+	if sel.Top != nil && out.Len() > *sel.Top {
 		trimmed := rowset.New(out.Schema())
-		for i := 0; i < sel.Top; i++ {
+		for i := 0; i < *sel.Top; i++ {
 			if err := trimmed.Append(out.Row(i)); err != nil {
 				return nil, err
 			}
@@ -245,7 +245,7 @@ func oracleProject(sel *SelectStmt, src *rowset.Rowset) (*rowset.Rowset, error) 
 		keyRows = append(keyRows, keys)
 	}
 	oracleSort(outRows, keyRows, sel.OrderBy)
-	schema, err := outputSchema(items, names, src.Schema(), outRows)
+	schema, err := outputSchema(items, names, src.Schema(), outRows, rowset.TypeNull)
 	if err != nil {
 		return nil, err
 	}
@@ -349,7 +349,7 @@ func oracleAggregate(sel *SelectStmt, src *rowset.Rowset) (*rowset.Rowset, error
 		keyRows = append(keyRows, keys)
 	}
 	oracleSort(outRows, keyRows, sel.OrderBy)
-	schema, err := outputSchema(sel.Items, names, src.Schema(), outRows)
+	schema, err := outputSchema(sel.Items, names, src.Schema(), outRows, rowset.TypeNull)
 	if err != nil {
 		return nil, err
 	}
@@ -729,6 +729,11 @@ var differentialFixtures = []string{
 	"SELECT DISTINCT TOP 30 name FROM C WHERE age > 25",
 	"SELECT DISTINCT TOP 4 age FROM C ORDER BY age",
 	"SELECT DISTINCT TOP 4 city, name FROM C WHERE score IS NOT NULL ORDER BY name, city DESC",
+	// TOP 0 is a clause, not the absence of one: no rows, the schema intact.
+	"SELECT TOP 0 name, age AS years FROM C",
+	"SELECT TOP 0 * FROM C WHERE age > 40 ORDER BY age",
+	"SELECT TOP 0 city, COUNT(*) FROM C GROUP BY city",
+	"SELECT DISTINCT TOP 0 city FROM C",
 }
 
 // TestDifferentialOracle is the two-way oracle: every fixture runs through

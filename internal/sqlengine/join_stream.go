@@ -17,6 +17,8 @@ package sqlengine
 //     pull.
 
 import (
+	"context"
+
 	"repro/internal/par"
 	"repro/internal/rowset"
 	"repro/internal/storage"
@@ -28,9 +30,10 @@ import (
 // planner's cardinality estimates (lest/rest, negative = unknown) stand in,
 // turning the build-side choice into a cost-based decision instead of a
 // build-right default. workers bounds the parallel key precompute of a large
-// hash-join build. Both inputs are owned by the returned cursor (closed on
-// Close or exhaustion); on error the caller still owns them.
-func newJoinCursor(left, right rowset.BatchCursor, kind JoinKind, on Expr, lest, rest, workers int) (rowset.BatchCursor, string, error) {
+// hash-join build, which cancelling ctx stops. Both inputs are owned by the
+// returned cursor (closed on Close or exhaustion); on error the caller still
+// owns them.
+func newJoinCursor(ctx context.Context, left, right rowset.BatchCursor, kind JoinKind, on Expr, lest, rest, workers int) (rowset.BatchCursor, string, error) {
 	schema, err := concatSchemas(left.Schema(), right.Schema())
 	if err != nil {
 		return nil, "", err
@@ -39,12 +42,12 @@ func newJoinCursor(left, right rowset.BatchCursor, kind JoinKind, on Expr, lest,
 		if lo, ro, ok := equiJoinOrdinals(on, left.Schema(), right.Schema()); ok {
 			if buildLeft(cursorSize(left), cursorSize(right), lest, rest) {
 				return &hashJoinBuildLeft{
-					left: left, right: right, schema: schema,
+					ctx: ctx, left: left, right: right, schema: schema,
 					lo: lo, ro: ro, leftOuter: kind == JoinLeft, workers: workers,
 				}, "build=left", nil
 			}
 			return &hashJoinStream{
-				left: left, right: right, schema: schema,
+				ctx: ctx, left: left, right: right, schema: schema,
 				lo: lo, ro: ro, leftOuter: kind == JoinLeft, workers: workers,
 				nullRight: make(rowset.Row, right.Schema().Len()),
 			}, "build=right", nil
@@ -86,6 +89,7 @@ func joinRows(l, r rowset.Row) rowset.Row {
 // streams left batches through it. NULL keys never match (SQL equi-join
 // semantics), matching the filter the build loop applies.
 type hashJoinStream struct {
+	ctx         context.Context // the statement's, for the parallel key precompute
 	left, right rowset.BatchCursor
 	schema      *rowset.Schema
 	lo, ro      int
@@ -104,7 +108,10 @@ func (j *hashJoinStream) build() error {
 	if err != nil {
 		return err
 	}
-	keys := buildKeys(rows, j.ro, j.workers)
+	keys, err := buildKeys(j.ctx, rows, j.ro, j.workers)
+	if err != nil {
+		return err
+	}
 	j.ht = make(map[string][]rowset.Row, len(rows))
 	for i, r := range rows {
 		if r[j.ro] == nil {
@@ -125,8 +132,8 @@ const parallelKeyMin = 4096
 // large build sides compute keys on parallel workers over contiguous ranges;
 // the hash-table INSERTION afterward stays sequential in row order, keeping
 // bucket order — and therefore probe output order — identical to a
-// sequential build.
-func buildKeys(rows []rowset.Row, ord, workers int) []string {
+// sequential build. Cancelling ctx abandons the precompute.
+func buildKeys(ctx context.Context, rows []rowset.Row, ord, workers int) ([]string, error) {
 	keys := make([]string, len(rows))
 	fill := func(lo, hi int) {
 		var scratch []byte
@@ -139,15 +146,14 @@ func buildKeys(rows []rowset.Row, ord, workers int) []string {
 	}
 	if workers > 1 && len(rows) >= parallelKeyMin {
 		ms := storage.MorselRanges(len(rows), 0)
-		// fn never returns an error, so neither does ForEach.
-		_ = par.ForEach(len(ms), workers, func(mi int) error {
+		err := par.ForEachCtx(ctx, len(ms), workers, func(mi int) error {
 			fill(ms[mi].Lo, ms[mi].Hi)
 			return nil
 		})
-		return keys
+		return keys, err
 	}
 	fill(0, len(rows))
-	return keys
+	return keys, nil
 }
 
 // NextBatch probes a whole left batch against the hash table, assembling the
@@ -208,6 +214,7 @@ func (j *hashJoinStream) Close() error {
 // collecting each left row's matches. Output is emitted left-major afterward,
 // so the result order is identical to probing left-to-right.
 type hashJoinBuildLeft struct {
+	ctx         context.Context // the statement's, for the parallel key precompute
 	left, right rowset.BatchCursor
 	schema      *rowset.Schema
 	lo, ro      int
@@ -228,7 +235,10 @@ func (j *hashJoinBuildLeft) run() error {
 	if err != nil {
 		return err
 	}
-	keys := buildKeys(leftRows, j.lo, j.workers)
+	keys, err := buildKeys(j.ctx, leftRows, j.lo, j.workers)
+	if err != nil {
+		return err
+	}
 	ht := make(map[string][]int, len(leftRows))
 	for i, l := range leftRows {
 		if l[j.lo] == nil {

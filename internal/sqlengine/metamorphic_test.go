@@ -151,9 +151,49 @@ func metamorphicTable(t *testing.T, n int) *Engine {
 	return e
 }
 
+// withoutColumnA is table T as an embedder's relation that keeps column a out
+// of the rows and in the frame: the binder looks a row's a up, and the resolver
+// compiles every reference to a into a read of the frame. A predicate then
+// means over the relation what it means over the table, with every use of a
+// going through the bind operator, the frames and the resolver.
+func withoutColumnA(t *testing.T, e *Engine) *Relation {
+	t.Helper()
+	tbl, err := e.DB.Table("T")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cols []rowset.Column
+	for i, c := range tbl.Schema().Columns {
+		if i != 1 {
+			cols = append(cols, rowset.Column{Name: "T." + c.Name, Type: c.Type})
+		}
+	}
+	var rows []rowset.Row
+	aOf := make(map[int64]rowset.Value)
+	for _, r := range tbl.Snapshot() {
+		aOf[r[0].(int64)] = r[1]
+		rows = append(rows, append(rowset.Row{r[0]}, r[2:]...))
+	}
+	return &Relation{
+		Schema: rowset.MustSchema(cols...),
+		Rows:   rows,
+		Resolve: func(x Expr) Compiled {
+			if cr, ok := x.(*ColumnRef); ok && strings.EqualFold(cr.Name, "a") {
+				return func(env *Env) (rowset.Value, error) { return env.Ext, nil }
+			}
+			return nil
+		},
+		Bind: func() func(rowset.Row) (any, error) {
+			return func(r rowset.Row) (any, error) { return aOf[r[0].(int64)], nil }
+		},
+		Kind: "bind",
+	}
+}
+
 // TestMetamorphicPredicates checks ternary partitioning: for any predicate p,
 // the rows passing p, NOT p and (p) IS NULL are disjoint and together are the
-// table — whatever p is made of, at any worker count and partition size. A
+// table — whatever p is made of, at any worker count and partition size, over
+// the table and over the same rows as an embedder's relation. A
 // predicate that fails must fail with the same error in all three arms (the
 // arms evaluate p on the same rows in the same order) and in every
 // configuration (the lowest failing partition wins).
@@ -165,14 +205,25 @@ func TestMetamorphicPredicates(t *testing.T) {
 	}
 	e := metamorphicTable(t, rows)
 	g := &predGen{rng: rand.New(rand.NewSource(20260926))}
-	configs := []struct{ workers, partRows int }{
-		{1, storage.DefaultMorselSize},
-		{4, storage.DefaultMorselSize},
-		{4, smallPartRows},
+	configs := []struct {
+		workers, partRows int
+		rel               *Relation // non-nil: run over this relation, not FROM T
+	}{
+		{1, storage.DefaultMorselSize, nil},
+		{4, storage.DefaultMorselSize, nil},
+		{4, smallPartRows, nil},
+		{4, storage.DefaultMorselSize, withoutColumnA(t, e)},
+		{4, smallPartRows, withoutColumnA(t, e)},
 	}
-	ids := func(q string, workers, partRows int) ([]int64, error) {
+	ids := func(q string, workers, partRows int, rel *Relation) ([]int64, error) {
 		e.Workers = workers
-		rs, err := queryAt(context.Background(), e, q, partRows)
+		var rs *rowset.Rowset
+		var err error
+		if rel == nil {
+			rs, err = queryAt(context.Background(), e, q, partRows)
+		} else {
+			rs, err = e.query(context.Background(), mustSelect(t, q), rel, partRows)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -197,7 +248,7 @@ func TestMetamorphicPredicates(t *testing.T) {
 			total := 0
 			var errs [3]string
 			for ai, q := range arms {
-				got, err := ids(q, cfg.workers, cfg.partRows)
+				got, err := ids(q, cfg.workers, cfg.partRows, cfg.rel)
 				if err != nil {
 					errs[ai] = err.Error()
 					continue

@@ -64,7 +64,8 @@ func ParseSelect(s *lex.Scanner) (*SelectStmt, error) {
 		if err != nil || n < 0 {
 			return nil, lex.Errorf(t, "invalid TOP count %q", t.Text)
 		}
-		sel.Top = int(n)
+		top := int(n)
+		sel.Top = &top
 	}
 	for {
 		item, err := parseSelectItem(s)

@@ -93,8 +93,8 @@ func TestParseWhereGroupHaving(t *testing.T) {
 
 func TestParseDistinctTop(t *testing.T) {
 	sel := parseSelect(t, "SELECT DISTINCT TOP 5 Gender FROM c")
-	if !sel.Distinct || sel.Top != 5 {
-		t.Errorf("distinct=%v top=%d", sel.Distinct, sel.Top)
+	if !sel.Distinct || sel.Top == nil || *sel.Top != 5 {
+		t.Errorf("distinct=%v top=%v", sel.Distinct, sel.Top)
 	}
 }
 

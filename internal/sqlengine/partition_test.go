@@ -24,7 +24,7 @@ func queryAt(ctx context.Context, e *Engine, q string, partRows int) (*rowset.Ro
 	if err != nil {
 		return nil, err
 	}
-	return e.query(ctx, stmt.(*SelectStmt), partRows)
+	return e.query(ctx, stmt.(*SelectStmt), nil, partRows)
 }
 
 // TestPartitionRule pins down the partition rule: a full scan of a base table
@@ -155,8 +155,14 @@ func TestBuildKeysParallelMatchesSequential(t *testing.T) {
 		}
 		rows[i] = rowset.Row{v}
 	}
-	seq := buildKeys(rows, 0, 1)
-	par := buildKeys(rows, 0, 4)
+	seq, err := buildKeys(context.Background(), rows, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := buildKeys(context.Background(), rows, 0, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(seq) != len(par) {
 		t.Fatalf("len %d != %d", len(seq), len(par))
 	}
@@ -266,6 +272,30 @@ func TestTopStopsEarly(t *testing.T) {
 				t.Errorf("workers=%d %s: %s span read %d rows, want at most one batch (%d)",
 					workers, q, scan.Kind, scan.Rows, rowset.DefaultBatchSize)
 			}
+		}
+	}
+}
+
+// TestTopZero: TOP 0 is a TOP clause — no rows, the columns intact — not the
+// absence of one, and the streaming form never reads the table.
+func TestTopZero(t *testing.T) {
+	e := bigTable(t, 2000)
+	for q, cols := range map[string]string{
+		"SELECT TOP 0 a, b FROM T":                        "a b",
+		"SELECT TOP 0 a FROM T WHERE g = 'd' ORDER BY b":  "a",
+		"SELECT TOP 0 g, COUNT(*) AS n FROM T GROUP BY g": "g n",
+		"SELECT DISTINCT TOP 0 g FROM T":                  "g",
+	} {
+		tr := obs.NewTrace("q", "")
+		rs, err := e.ExecContext(obs.WithTrace(context.Background(), tr), q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		if rs.Len() != 0 || strings.Join(rs.Schema().Names(), " ") != cols {
+			t.Errorf("%s: %d rows under columns %v, want none under %q", q, rs.Len(), rs.Schema().Names(), cols)
+		}
+		if scan := tr.Root().Children[0].Children[0]; q == "SELECT TOP 0 a, b FROM T" && scan.Rows != 0 {
+			t.Errorf("%s: scan read %d rows, want 0", q, scan.Rows)
 		}
 	}
 }

@@ -61,9 +61,8 @@ func evalOrderKeys(plan []orderKey, out rowset.Row, env *Env, keys rowset.Row) e
 // projection is a statement's compiled SELECT list and ORDER BY keys, built
 // once and shared read-only by every partition's projectCursor.
 type projection struct {
-	ords   []int      // source ordinal per item; -1 = computed (run fns[i] per row)
-	fns    []Compiled // nil where ords[i] >= 0
-	schema *rowset.Schema
+	ords []int      // source ordinal per item; -1 = computed (run fns[i] per row)
+	fns  []Compiled // nil where ords[i] >= 0
 
 	orderPlan []orderKey
 
@@ -80,45 +79,33 @@ type projection struct {
 	identity bool
 }
 
-// compileProjection compiles the projection. Column references that fail to
-// resolve compile to failing closures rather than being rejected here:
-// resolution errors surface only when a row is actually evaluated, so a query
-// over an empty table still succeeds.
-func compileProjection(srcSchema *rowset.Schema, items []SelectItem, names []string, order []OrderItem) (*projection, error) {
+// compileProjection compiles the projection; resolve is the embedder's hook
+// when the source is a Relation. Column references that fail to resolve compile
+// to failing closures rather than being rejected here: resolution errors
+// surface only when a row is actually evaluated, so a query over an empty table
+// still succeeds.
+func compileProjection(srcSchema *rowset.Schema, items []SelectItem, names []string, order []OrderItem, resolve Resolver) *projection {
 	p := &projection{
 		ords: make([]int, len(items)),
 		fns:  make([]Compiled, len(items)),
 	}
 	p.identity = len(items) == srcSchema.Len()
-	// Provisional output schema: declared types for direct column references,
-	// TypeNull placeholders for computed items (outputSchema refines those
-	// from values after the drain).
-	cols := make([]rowset.Column, len(items))
 	for i, it := range items {
 		p.ords[i] = -1
-		cols[i] = rowset.Column{Name: names[i], Type: rowset.TypeNull}
 		if cr, ok := it.Expr.(*ColumnRef); ok {
 			if ord, err := ResolveColumn(srcSchema, cr.Qualifier, cr.Name); err == nil {
 				p.ords[i] = ord
-				cols[i].Type = srcSchema.Column(ord).Type
-				cols[i].Nested = srcSchema.Column(ord).Nested
 			}
 		}
 		if p.ords[i] < 0 {
-			p.fns[i] = Compile(it.Expr, srcSchema, nil)
+			p.fns[i] = Compile(it.Expr, srcSchema, resolve)
 		}
 		if p.ords[i] != i {
 			p.identity = false
 		}
 	}
-	schema, err := rowset.NewSchema(cols...)
-	if err != nil {
-		return nil, err
-	}
-	p.schema = schema
-
 	if len(order) > 0 {
-		p.orderPlan = compileOrderKeys(order, names, srcSchema, nil)
+		p.orderPlan = compileOrderKeys(order, names, srcSchema, resolve)
 		allOut := true
 		for _, k := range p.orderPlan {
 			allOut = allOut && k.outOrd >= 0
@@ -131,7 +118,7 @@ func compileProjection(srcSchema *rowset.Schema, items []SelectItem, names []str
 			p.orderPlan = nil
 		}
 	}
-	return p, nil
+	return p
 }
 
 // projectCursor evaluates a projection over its source batches. When ORDER BY
@@ -139,18 +126,16 @@ func compileProjection(srcSchema *rowset.Schema, items []SelectItem, names []str
 // the sort drain can collect rows and keys in one pass.
 type projectCursor struct {
 	*projection
-	src rowset.BatchCursor
-	env Env
+	src    rowset.BatchCursor
+	frames *frames
+	env    Env
+	failed error // see cutShort
 
 	// The reused output-row buffer, and the per-batch sort keys (parallel to
 	// the last returned batch's live rows; read via batchKeys before the next
 	// pull).
 	outBuf []rowset.Row
 	keyBuf []rowset.Row
-}
-
-func newProjectCursor(src rowset.BatchCursor, p *projection) *projectCursor {
-	return &projectCursor{projection: p, src: src}
 }
 
 // keysForOrds gathers ORDER BY key rows from projected output columns after
@@ -200,6 +185,9 @@ func (p *projectCursor) projectInto(out rowset.Row) error {
 // order plan is active, batchKeys() exposes the keys for the returned
 // batch's live rows, valid until the next pull.
 func (p *projectCursor) NextBatch() (rowset.Batch, error) {
+	if p.failed != nil {
+		return rowset.Batch{}, p.failed
+	}
 	b, err := p.src.NextBatch()
 	if err != nil || b.Empty() {
 		return b, err
@@ -219,10 +207,10 @@ func (p *projectCursor) NextBatch() (rowset.Batch, error) {
 	}
 	if p.identity {
 		for i := 0; i < n; i++ {
-			p.env.Row = b.Row(i)
+			p.frames.load(&p.env, b, i)
 			keys := keyArena[i*kk : (i+1)*kk : (i+1)*kk]
 			if err := evalOrderKeys(p.orderPlan, p.env.Row, &p.env, keys); err != nil {
-				return rowset.Batch{}, err
+				return cutShort(b, i, err, &p.failed)
 			}
 			p.keyBuf = append(p.keyBuf, keys)
 		}
@@ -235,17 +223,18 @@ func (p *projectCursor) NextBatch() (rowset.Batch, error) {
 	w := len(p.ords)
 	arena := make(rowset.Row, n*w)
 	for i := 0; i < n; i++ {
-		p.env.Row = b.Row(i)
+		p.frames.load(&p.env, b, i)
 		out := arena[i*w : (i+1)*w : (i+1)*w]
-		if err := p.projectInto(out); err != nil {
-			return rowset.Batch{}, err
+		keys := keyArena[i*kk : (i+1)*kk : (i+1)*kk]
+		err := p.projectInto(out)
+		if err == nil {
+			err = evalOrderKeys(p.orderPlan, out, &p.env, keys)
+		}
+		if err != nil {
+			return cutShort(rowset.Batch{Rows: p.outBuf}, i, err, &p.failed)
 		}
 		p.outBuf = append(p.outBuf, out)
 		if p.orderPlan != nil {
-			keys := keyArena[i*kk : (i+1)*kk : (i+1)*kk]
-			if err := evalOrderKeys(p.orderPlan, out, &p.env, keys); err != nil {
-				return rowset.Batch{}, err
-			}
 			p.keyBuf = append(p.keyBuf, keys)
 		}
 	}
@@ -256,7 +245,9 @@ func (p *projectCursor) NextBatch() (rowset.Batch, error) {
 // last returned by NextBatch.
 func (p *projectCursor) batchKeys() []rowset.Row { return p.keyBuf }
 
-func (p *projectCursor) Schema() *rowset.Schema { return p.schema }
+// Schema is nil: output column types are inferred from the drained rows
+// (outputSchema), and no operator above a projection asks for its schema.
+func (p *projectCursor) Schema() *rowset.Schema { return nil }
 func (p *projectCursor) Close() error           { return p.src.Close() }
 func (p *projectCursor) Size() int              { return cursorSize(p.src) }
 

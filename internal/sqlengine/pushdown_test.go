@@ -1,6 +1,7 @@
 package sqlengine
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -206,7 +207,7 @@ func BenchmarkSkewedJoinBuildSide(b *testing.B) {
 	}
 	b.Run("build-small", func(b *testing.B) {
 		run(b, func() (rowset.BatchCursor, error) {
-			c, _, err := newJoinCursor(newSliceCursor(sq, smallRows), newSliceCursor(bq, bigRows), JoinInner, on, -1, -1, 1)
+			c, _, err := newJoinCursor(context.Background(), newSliceCursor(sq, smallRows), newSliceCursor(bq, bigRows), JoinInner, on, -1, -1, 1)
 			return c, err
 		})
 	})

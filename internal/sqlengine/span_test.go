@@ -146,5 +146,13 @@ func TestPlanSpanStatesPartitioning(t *testing.T) {
 		if !strings.HasPrefix(got, want) || strings.Contains(got, "morsels=") != (fanOut != "") {
 			t.Errorf("query %q: executed scan label %q, want %q (+ batches)", q, got, want)
 		}
+		// The query log's PARALLELISM is the goroutines the partitions ran on.
+		wantPar := 1
+		if fanOut != "" {
+			wantPar = 3
+		}
+		if got := tr.Finish("").Parallelism; got != wantPar {
+			t.Errorf("query %q: recorded parallelism %d, want %d", q, got, wantPar)
+		}
 	}
 }

@@ -259,17 +259,84 @@ func (c *opCursor) report() {
 	c.rows, c.batches, c.elapsed = 0, 0, 0
 }
 
+// ---------- frames ----------
+
+// frames carries a partition's per-row frame values (Env.Ext) from the bind
+// operator that makes them to the filter and projection above it: ext[i]
+// belongs to Rows[i] of the batch the bind operator returned last, so the
+// values live exactly as long as that batch. A nil *frames — every plain
+// SELECT — binds nothing.
+type frames struct{ ext []any }
+
+// load points env at live row i of b and returns the row's position in b.Rows.
+func (f *frames) load(env *Env, b rowset.Batch, i int) int {
+	if b.Sel != nil {
+		i = b.Sel[i]
+	}
+	env.Row = b.Rows[i]
+	if f != nil {
+		env.Ext = f.ext[i]
+	}
+	return i
+}
+
+// bindCursor is the embedder's operator of a Relation query: it asks the
+// relation's binder for each source row's frame value, once, before the
+// filter, so WHERE, select items and ORDER BY keys of one row share it. It sits
+// directly on the partition's scan, whose batches carry no selection vector.
+type bindCursor struct {
+	src  rowset.BatchCursor
+	bind func(rowset.Row) (any, error)
+	frames
+	failed error // see cutShort
+}
+
+func (c *bindCursor) NextBatch() (rowset.Batch, error) {
+	if c.failed != nil {
+		return rowset.Batch{}, c.failed
+	}
+	b, err := c.src.NextBatch()
+	if err != nil || b.Empty() {
+		return b, err
+	}
+	if cap(c.ext) < len(b.Rows) {
+		c.ext = make([]any, len(b.Rows))
+	}
+	c.ext = c.ext[:len(b.Rows)]
+	for i, r := range b.Rows {
+		if c.ext[i], err = c.bind(r); err != nil {
+			return cutShort(b, i, err, &c.failed)
+		}
+	}
+	return b, nil
+}
+
+func (c *bindCursor) Schema() *rowset.Schema { return c.src.Schema() }
+func (c *bindCursor) Close() error           { return c.src.Close() }
+func (c *bindCursor) Size() int              { return cursorSize(c.src) }
+
+// cutShort is how a per-row operator reports an error met on live row n of
+// the batch it is producing: the n rows before it go downstream first and the
+// error is returned by the next pull (the operator keeps it in *failed), so
+// errors surface — and a TOP stops short of them — in row order, exactly as if
+// the operators ran one row at a time.
+func cutShort(b rowset.Batch, n int, err error, failed *error) (rowset.Batch, error) {
+	if n == 0 {
+		return rowset.Batch{}, err
+	}
+	*failed = err
+	return b.Slice(0, n), nil
+}
+
 // ---------- filter ----------
 
 type filterCursor struct {
-	src  rowset.BatchCursor
-	cond Compiled // nil passes everything (the whole WHERE was pushed into a scan)
-	env  Env
-	sel  []int
-}
-
-func newFilterCursor(src rowset.BatchCursor, cond Compiled) *filterCursor {
-	return &filterCursor{src: src, cond: cond}
+	src    rowset.BatchCursor
+	cond   Compiled // nil passes everything (the whole WHERE was pushed into a scan)
+	frames *frames
+	env    Env
+	sel    []int
+	failed error // see cutShort
 }
 
 // NextBatch filters a whole upstream batch with a selection vector: survivors
@@ -277,6 +344,9 @@ func newFilterCursor(src rowset.BatchCursor, cond Compiled) *filterCursor {
 // rows, which stay valid until this cursor's next pull — exactly the window
 // the ownership rule grants the consumer.
 func (c *filterCursor) NextBatch() (rowset.Batch, error) {
+	if c.failed != nil {
+		return rowset.Batch{}, c.failed
+	}
 	for {
 		b, err := c.src.NextBatch()
 		if err != nil || b.Empty() {
@@ -288,14 +358,11 @@ func (c *filterCursor) NextBatch() (rowset.Batch, error) {
 		sel := c.sel[:0]
 		n := b.Len()
 		for i := 0; i < n; i++ {
-			ri := i
-			if b.Sel != nil {
-				ri = b.Sel[i]
-			}
-			c.env.Row = b.Rows[ri]
+			ri := c.frames.load(&c.env, b, i)
 			ok, err := c.cond.Test(&c.env)
 			if err != nil {
-				return rowset.Batch{}, err
+				c.sel = sel
+				return cutShort(rowset.Batch{Rows: b.Rows, Sel: sel}, len(sel), err, &c.failed)
 			}
 			if ok {
 				sel = append(sel, ri)
@@ -404,8 +471,8 @@ func tailCursor(cur rowset.BatchCursor, sel *SelectStmt) rowset.BatchCursor {
 	if sel.Distinct {
 		cur = newDistinctCursor(cur)
 	}
-	if sel.Top > 0 {
-		cur = &limitCursor{src: cur, n: sel.Top}
+	if sel.Top != nil {
+		cur = &limitCursor{src: cur, n: *sel.Top}
 	}
 	return cur
 }
@@ -510,13 +577,13 @@ func (cs *compiledScan) label() string {
 	return fmt.Sprintf("%s est=%d", label, cs.estimate)
 }
 
-// scanLabel is cs.label() plus, when the scan runs as more than one
-// partition, the fan-out.
-func (e *Engine) scanLabel(cs *compiledScan, partitions int) string {
+// fanoutLabel is label plus, when the input runs as more than one partition,
+// the fan-out.
+func (e *Engine) fanoutLabel(label string, partitions int) string {
 	if partitions <= 1 {
-		return cs.label()
+		return label
 	}
-	return fmt.Sprintf("%s morsels=%d workers=%d", cs.label(), partitions, e.workers())
+	return fmt.Sprintf("%s morsels=%d workers=%d", label, partitions, e.workers())
 }
 
 // planPushdown splits the WHERE conjunction and pushes eligible equality
@@ -686,22 +753,27 @@ func indexableEq(colType rowset.Type, v rowset.Value) bool {
 }
 
 // partitionRanges is the partition rule, a function of the statement and its
-// input only (never of the worker count): a full scan of a base table is cut
-// into contiguous ranges of partRows rows; every other source — an index
-// probe, a view, a join — is one partition, as is a non-aggregating TOP
-// without ORDER BY, whose early exit needs one front-to-back stream. nil means
-// one partition: the whole input.
-func partitionRanges(sel *SelectStmt, scans []*compiledScan, rows, partRows int) []storage.Morsel {
-	if len(scans) != 1 || scans[0].tbl == nil || scans[0].pushed != nil {
+// input only (never of the worker count): a full scan — of a base table or of
+// the rows of an embedder's Relation — is cut into contiguous ranges of
+// partRows rows; every other source — an index probe, a view, a join — is one
+// partition, as is a non-aggregating TOP without ORDER BY, whose early exit
+// needs one front-to-back stream. nil means one partition: the whole input.
+func partitionRanges(sel *SelectStmt, fullScan bool, rows, partRows int) []storage.Morsel {
+	if !fullScan || rows <= partRows {
 		return nil
 	}
-	if sel.Top > 0 && len(sel.OrderBy) == 0 && !needsAggregate(sel) {
+	if sel.Top != nil && len(sel.OrderBy) == 0 && !needsAggregate(sel) {
 		return nil
 	}
 	if ranges := storage.MorselRanges(rows, partRows); len(ranges) > 1 {
 		return ranges
 	}
 	return nil
+}
+
+// wholeTable reports whether the FROM clause reads one whole base table.
+func wholeTable(scans []*compiledScan) bool {
+	return len(scans) == 1 && scans[0].tbl != nil && scans[0].pushed == nil
 }
 
 // source is the planned FROM/WHERE half of a SELECT: n partitions of input
@@ -714,8 +786,18 @@ type source struct {
 	n        int
 	open     func(i int) rowset.BatchCursor
 	residual Compiled
-	filter   *opSpan   // non-nil iff the statement is traced and has a WHERE
-	ops      []*opSpan // every operator span of the statement, for flushSpans
+	filter   *opSpan    // non-nil iff the statement is traced and has a WHERE
+	ops      []*opSpan  // every operator span of the statement, for flushSpans
+	opsBuf   [4]*opSpan // backs ops for the usual scan, filter, project
+
+	// Set when the input is an embedder's Relation: its resolver, which every
+	// expression of the statement compiles with, its per-partition binder, the
+	// bind operator's span, and the type it declares for an all-NULL column
+	// (the zero value is a SELECT's: rowset.TypeNull).
+	resolve  Resolver
+	bind     func() func(rowset.Row) (any, error)
+	bindSpan *opSpan
+	untyped  rowset.Type
 }
 
 // span records an operator span in plan order (nil on an untraced statement).
@@ -745,16 +827,67 @@ func (e *Engine) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// planSource compiles the FROM and WHERE clauses, recording scan, join and
-// filter spans in the same order PlanSpan declares them.
-func (e *Engine) planSource(t *obs.Trace, sel *SelectStmt, partRows int) (*source, error) {
+// Relation is a row source an embedder supplies in place of a FROM clause, for
+// QueryRelation to run the filter → project → ORDER BY / DISTINCT / TOP half of
+// the pipeline over. The DMX provider's PREDICTION JOIN is one: the rows are
+// the cases, the resolver gives model columns and prediction functions their
+// meaning, and the binder tokenizes each case.
+type Relation struct {
+	// Schema names the columns of Rows as expressions see them
+	// ("alias.column", like a FROM entry's).
+	Schema *rowset.Schema
+	Rows   []rowset.Row
+	// Resolve serves what Schema cannot: see Resolver.
+	Resolve Resolver
+	// Bind is called once per partition, on the goroutine that runs it, and
+	// returns that partition's binder. The binder is called exactly once for
+	// every row the partition reads, in order and before the filter; what it
+	// returns is the row's Env.Ext for WHERE, the select items and the ORDER BY
+	// keys alike. The engine drops the value with the batch the row came in.
+	Bind func() func(rowset.Row) (any, error)
+	// Kind and Label name the bind operator's span.
+	Kind, Label string
+	// Untyped is the type declared for a computed output column no row gave a
+	// value (a SELECT declares rowset.TypeNull).
+	Untyped rowset.Type
+}
+
+// partition cuts rows — the statement's whole input when the source is a
+// single scan — by the partition rule and returns the partitions' opener.
+func (e *Engine) partition(src *source, sel *SelectStmt, schema *rowset.Schema, rows []rowset.Row, fullScan bool, partRows int) func(i int) rowset.BatchCursor {
+	ranges := partitionRanges(sel, fullScan, len(rows), partRows)
+	if ranges != nil {
+		src.n = len(ranges)
+		e.parScans.Inc()
+		e.morsels.Add(int64(src.n))
+	}
+	src.schema = schema
+	return func(i int) rowset.BatchCursor {
+		part := rows
+		if ranges != nil {
+			part = rows[ranges[i].Lo:ranges[i].Hi]
+		}
+		return newSliceCursor(schema, part)
+	}
+}
+
+// planSource compiles the statement's input — rel, or else the FROM clause —
+// and its WHERE clause, recording scan, join and filter spans in the same
+// order PlanSpan declares them.
+func (e *Engine) planSource(ctx context.Context, t *obs.Trace, sel *SelectStmt, rel *Relation, partRows int) (*source, error) {
 	src := &source{n: 1}
+	src.ops = src.opsBuf[:0]
 	residual := sel.Where
-	if len(sel.From) == 0 {
+	switch {
+	case rel != nil:
+		src.resolve, src.bind, src.untyped = rel.Resolve, rel.Bind, rel.Untyped
+		src.open = e.partition(src, sel, rel.Schema, rel.Rows, true, partRows)
+		src.bindSpan = src.span(t, rel.Kind, e.fanoutLabel(rel.Label, src.n))
+	case len(sel.From) == 0:
 		// FROM-less SELECT evaluates items once against an empty row.
 		src.schema = rowset.MustSchema()
 		src.open = func(int) rowset.BatchCursor { return newSliceCursor(src.schema, []rowset.Row{{}}) }
-	} else {
+	default:
 		scans := make([]*compiledScan, len(sel.From))
 		for i, ref := range sel.From {
 			cs, err := e.resolveScan(ref)
@@ -769,23 +902,11 @@ func (e *Engine) planSource(t *obs.Trace, sel *SelectStmt, partRows int) (*sourc
 		if err != nil {
 			return nil, err
 		}
-		ranges := partitionRanges(sel, scans, len(rows), partRows)
-		if ranges != nil {
-			src.n = len(ranges)
-			e.parScans.Inc()
-			e.morsels.Add(int64(src.n))
-		}
-		spScan := src.span(t, "scan", e.scanLabel(first, src.n))
-		src.schema = first.schema
-		src.open = func(i int) rowset.BatchCursor {
-			part := rows
-			if ranges != nil {
-				part = rows[ranges[i].Lo:ranges[i].Hi]
-			}
-			return spScan.wrap(newSliceCursor(first.schema, part))
-		}
+		open := e.partition(src, sel, first.schema, rows, wholeTable(scans), partRows)
+		spScan := src.span(t, "scan", e.fanoutLabel(first.label(), src.n))
+		src.open = func(i int) rowset.BatchCursor { return spScan.wrap(open(i)) }
 		if len(scans) > 1 {
-			acc, err := e.planJoins(t, src, scans)
+			acc, err := e.planJoins(ctx, t, src, scans)
 			if err != nil {
 				return nil, err
 			}
@@ -794,7 +915,7 @@ func (e *Engine) planSource(t *obs.Trace, sel *SelectStmt, partRows int) (*sourc
 		}
 	}
 	if residual != nil {
-		src.residual = Compile(residual, src.schema, nil)
+		src.residual = Compile(residual, src.schema, src.resolve)
 	}
 	if sel.Where != nil {
 		// The filter span exists whenever the statement has a WHERE, even if
@@ -806,7 +927,7 @@ func (e *Engine) planSource(t *obs.Trace, sel *SelectStmt, partRows int) (*sourc
 }
 
 // planJoins folds scans[1:] onto the first scan (src.open(0)) left to right.
-func (e *Engine) planJoins(t *obs.Trace, src *source, scans []*compiledScan) (rowset.BatchCursor, error) {
+func (e *Engine) planJoins(ctx context.Context, t *obs.Trace, src *source, scans []*compiledScan) (rowset.BatchCursor, error) {
 	acc := src.open(0)
 	accEst := scans[0].estimate
 	for _, cs := range scans[1:] {
@@ -817,7 +938,7 @@ func (e *Engine) planJoins(t *obs.Trace, src *source, scans []*compiledScan) (ro
 		}
 		right := src.span(t, "scan", cs.label()).wrap(newSliceCursor(cs.schema, rows))
 		// Large hash-join builds precompute their keys on parallel workers.
-		jc, strategy, err := newJoinCursor(acc, right, cs.ref.Kind, cs.ref.On, accEst, cs.estimate, e.workers())
+		jc, strategy, err := newJoinCursor(ctx, acc, right, cs.ref.Kind, cs.ref.On, accEst, cs.estimate, e.workers())
 		if err != nil {
 			acc.Close()   //nolint:errcheck // already failing
 			right.Close() //nolint:errcheck // already failing
@@ -830,13 +951,21 @@ func (e *Engine) planJoins(t *obs.Trace, src *source, scans []*compiledScan) (ro
 }
 
 // forEachPartition opens every partition of src — its scan (or join) cursor,
-// the cancellation poll, the residual filter — and hands it to fn, which owns
-// the cursor. Partitions run on up to e.Workers goroutines through
-// par.ForEachCtx; a single partition runs inline on the calling goroutine. fn
-// is called at most once per index and must only write state of its own
-// partition; par.ForEachCtx's lowest-index-error rule surfaces the error a
-// front-to-back scan would have hit first.
-func (e *Engine) forEachPartition(ctx context.Context, src *source, fn func(i int, cur rowset.BatchCursor) error) error {
+// the cancellation poll, a Relation's bind operator, the residual filter — and
+// hands it to fn, which owns the cursor; fr is the partition's frame values
+// (nil unless the source is a Relation), for the operators fn stacks on top.
+// Partitions run on up to e.Workers goroutines through par.ForEachCtx — the
+// statement's parallelism, which the trace records — and a single partition
+// runs inline on the calling goroutine. fn is called at most once per index and
+// must only write state of its own partition; par.ForEachCtx's
+// lowest-index-error rule surfaces the error a front-to-back scan would have
+// hit first.
+func (e *Engine) forEachPartition(ctx context.Context, t *obs.Trace, src *source, fn func(i int, cur rowset.BatchCursor, fr *frames) error) error {
+	if src.n == 1 {
+		t.SetParallelism(1)
+	} else {
+		t.SetParallelism(min(e.workers(), src.n))
+	}
 	done := ctx.Done()
 	return par.ForEachCtx(ctx, src.n, e.Workers, func(i int) error {
 		cur := src.open(i)
@@ -844,13 +973,18 @@ func (e *Engine) forEachPartition(ctx context.Context, src *source, fn func(i in
 			// Cancellable statement: poll ctx between row batches so a Close'd
 			// server or timed-out client stops the scan mid-stream. The wrap
 			// sits above the joins, so one poll point covers the whole source
-			// pipeline.
+			// pipeline, and below the bind operator, whose work it paces.
 			cur = &cancelCursor{src: cur, ctx: ctx, done: done}
 		}
-		if src.residual != nil || src.filter != nil {
-			cur = src.filter.wrap(newFilterCursor(cur, src.residual))
+		var fr *frames
+		if src.bind != nil {
+			bc := &bindCursor{src: cur, bind: src.bind()}
+			cur, fr = src.bindSpan.wrap(bc), &bc.frames
 		}
-		return fn(i, cur)
+		if src.residual != nil || src.filter != nil {
+			cur = src.filter.wrap(&filterCursor{src: cur, cond: src.residual, frames: fr})
+		}
+		return fn(i, cur, fr)
 	})
 }
 

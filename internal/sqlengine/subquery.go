@@ -27,16 +27,6 @@ func (*Exists) expr() {}
 
 func (e *Exists) String() string { return "EXISTS (<subquery>)" }
 
-// ResolveSubqueries executes every subquery in the expression once and
-// returns a tree with the results substituted. Expressions without
-// subqueries are returned unchanged (and unallocated).
-func (e *Engine) ResolveSubqueries(expr Expr) (Expr, error) {
-	if expr == nil || !containsSubquery(expr) {
-		return expr, nil
-	}
-	return e.resolveSub(expr)
-}
-
 func containsSubquery(expr Expr) bool {
 	switch x := expr.(type) {
 	case *Subquery, *Exists:
@@ -68,6 +58,8 @@ func containsSubquery(expr Expr) bool {
 	return false
 }
 
+// resolveSub executes every subquery in the expression once and returns a
+// tree with the results substituted.
 func (e *Engine) resolveSub(expr Expr) (Expr, error) {
 	switch x := expr.(type) {
 	case *Subquery:
@@ -193,28 +185,28 @@ func (e *Engine) resolveStatementSubqueries(sel *SelectStmt) (*SelectStmt, error
 		if out.Items[i].Star {
 			continue
 		}
-		r, err := e.ResolveSubqueries(out.Items[i].Expr)
+		r, err := e.resolveSub(out.Items[i].Expr)
 		if err != nil {
 			return nil, err
 		}
 		out.Items[i].Expr = r
 	}
 	var err error
-	if out.Where, err = e.ResolveSubqueries(sel.Where); err != nil {
+	if out.Where, err = e.resolveSub(sel.Where); err != nil {
 		return nil, err
 	}
-	if out.Having, err = e.ResolveSubqueries(sel.Having); err != nil {
+	if out.Having, err = e.resolveSub(sel.Having); err != nil {
 		return nil, err
 	}
 	out.GroupBy = append([]Expr(nil), sel.GroupBy...)
 	for i := range out.GroupBy {
-		if out.GroupBy[i], err = e.ResolveSubqueries(out.GroupBy[i]); err != nil {
+		if out.GroupBy[i], err = e.resolveSub(out.GroupBy[i]); err != nil {
 			return nil, err
 		}
 	}
 	out.OrderBy = append([]OrderItem(nil), sel.OrderBy...)
 	for i := range out.OrderBy {
-		if out.OrderBy[i].Expr, err = e.ResolveSubqueries(out.OrderBy[i].Expr); err != nil {
+		if out.OrderBy[i].Expr, err = e.resolveSub(out.OrderBy[i].Expr); err != nil {
 			return nil, err
 		}
 	}
