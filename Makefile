@@ -9,13 +9,17 @@ test:
 	$(GO) test ./...
 
 # Code-line counts the simplicity PRs quote: non-test Go with blank and
-# //-comment lines dropped, for the two packages that hold the executors, the
-# worker pool, and everything outside bench/.
+# //-comment lines dropped, for the packages that hold the executors and the
+# model path (core + provider + algo share one line budget), the worker pool,
+# and everything outside bench/.
 loc:
 	@count() { cat "$$@" | grep -v '^[[:space:]]*$$' | grep -vc '^[[:space:]]*//'; }; \
 	src() { find "$$@" -name '*.go' ! -name '*_test.go' ! -path './bench/*'; }; \
 	printf '%-32s %6d\n' internal/provider/predict.go $$(count internal/provider/predict.go) \
 		internal/provider $$(count $$(src internal/provider)) \
+		internal/core $$(count $$(src internal/core)) \
+		internal/algo $$(count $$(src internal/algo)) \
+		'core + provider + algo' $$(count $$(src internal/core internal/provider internal/algo)) \
 		internal/sqlengine $$(count $$(src internal/sqlengine)) \
 		internal/par $$(count $$(src internal/par)) \
 		'all outside bench/' $$(count $$(src .))
@@ -47,9 +51,11 @@ bench:
 	$(GO) run ./bench
 
 # One pass of the parallel PREDICTION JOIN benchmark (workers=1/2/4/8),
-# reporting rows/sec. Numbers are recorded in EXPERIMENTS.md.
+# reporting rows/sec, and of the two case-path benchmarks (tokenize and
+# Decision_Trees training on the nested caseset, with allocations) so they
+# keep compiling and running. Numbers are recorded in EXPERIMENTS.md.
 bench-parallel:
-	$(GO) test -run '^$$' -bench BenchmarkPredictionJoinParallel -benchtime=1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkPredictionJoinParallel|BenchmarkTokenizeNested|BenchmarkTrainDecisionTreesNested' -benchtime=1x -benchmem .
 
 # Instrumentation-overhead guard: fails when enabling the obs registry slows
 # the PREDICTION JOIN scan by more than 10% over WithObsRegistry(nil). The

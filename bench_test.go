@@ -12,7 +12,10 @@ import (
 	"net"
 	"testing"
 
+	"repro/internal/algo/discretize"
+	"repro/internal/algo/dtree"
 	"repro/internal/content"
+	"repro/internal/core"
 	"repro/internal/dmclient"
 	"repro/internal/dmserver"
 	"repro/internal/dmx"
@@ -260,6 +263,69 @@ func BenchmarkE7_CaseAssembly(b *testing.B) {
 		}
 		if rs.Len() != benchScale {
 			b.Fatalf("cases = %d", rs.Len())
+		}
+	}
+}
+
+// nestedCaseset is the paper's nested caseset at 5,000 customers — what the
+// dt_nested_tenth statement of `go run ./bench -workload train_nested` trains
+// on — as the source rowset an INSERT INTO hands the tokenizer, and the model
+// definition it tokenizes for.
+func nestedCaseset(b *testing.B) (*core.ModelDef, *rowset.Rowset) {
+	b.Helper()
+	p := benchWarehouse(b, 5000)
+	mustExecB(b, p, `CREATE MINING MODEL [Bench Nested] ([Customer ID] LONG KEY, [Gender] TEXT DISCRETE,
+		[Age] DOUBLE DISCRETIZED PREDICT,
+		[Product Purchases] TABLE([Product Name] TEXT KEY, [Quantity] DOUBLE CONTINUOUS)) USING [Decision_Trees]`)
+	def, err := p.ModelDef("Bench Nested")
+	if err != nil {
+		b.Fatal(err)
+	}
+	rs, err := shape.ExecuteString(p.Engine, `SHAPE {SELECT [Customer ID], Gender, Age FROM Customers ORDER BY [Customer ID]}
+		APPEND ({SELECT CustID, [Product Name], Quantity FROM Sales ORDER BY CustID}
+			RELATE [Customer ID] TO [CustID]) AS [Product Purchases]`)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return def, rs
+}
+
+// BenchmarkTokenizeNested is the case path alone: source rows to coded cases,
+// attribute space growing as it goes. Run with -benchmem: allocations per op
+// are the number to watch.
+func BenchmarkTokenizeNested(b *testing.B) {
+	def, rs := nestedCaseset(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cs, err := core.NewTokenizer(def).Tokenize(rs)
+		if err != nil || cs.Len() != rs.Len() {
+			b.Fatalf("cases = %d, err = %v", cs.Len(), err)
+		}
+	}
+}
+
+// BenchmarkTrainDecisionTreesNested is the trainer alone, over cases tokenized
+// and discretized once.
+func BenchmarkTrainDecisionTreesNested(b *testing.B) {
+	def, rs := nestedCaseset(b)
+	cs, err := core.NewTokenizer(def).Tokenize(rs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	age, _ := cs.Space.Lookup("Age")
+	var ages []float64
+	for i := 0; i < cs.Len(); i++ {
+		if v, ok := cs.Case(i).Continuous(age); ok {
+			ages = append(ages, v)
+		}
+	}
+	cs.DiscretizeAttr(age, discretize.EqualAreas(ages, discretize.DefaultBuckets))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := dtree.New().Train(cs, cs.Space.Targets(), nil); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

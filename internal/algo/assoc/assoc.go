@@ -133,8 +133,8 @@ func (*Algorithm) Train(cs *core.Caseset, targets []int, p map[string]string) (c
 		w     float64
 	}
 	txns := make([]txn, 0, cs.Len())
-	for ci := range cs.Cases {
-		c := &cs.Cases[ci]
+	for ci := 0; ci < cs.Len(); ci++ {
+		c := cs.Case(ci)
 		var t []int
 		for _, it := range items {
 			if c.Has(it) {

@@ -28,21 +28,21 @@ func marketCaseset(n int) *core.Caseset {
 	for i := 0; i < n; i++ {
 		c := core.NewCase()
 		if i%2 == 0 {
-			c.Values[idx("beer")] = true
+			c.Set(idx("beer"), true)
 			if rng.Float64() < 0.9 {
-				c.Values[idx("chips")] = true
+				c.Set(idx("chips"), true)
 			}
 		}
 		if rng.Float64() < 0.5 {
-			c.Values[idx("milk")] = true
+			c.Set(idx("milk"), true)
 		}
 		if rng.Float64() < 0.3 {
-			c.Values[idx("bread")] = true
+			c.Set(idx("bread"), true)
 		}
 		if i == 0 {
-			c.Values[idx("caviar")] = true // singleton, below support
+			c.Set(idx("caviar"), true) // singleton, below support
 		}
-		cs.Cases = append(cs.Cases, c)
+		cs.Append(c)
 	}
 	return cs
 }
@@ -107,7 +107,7 @@ func TestPredictTableRecommendsChips(t *testing.T) {
 	m := trainAssoc(t, cs, map[string]string{"MINIMUM_SUPPORT": "0.1"})
 	bi, _ := cs.Space.Lookup("Products(beer)")
 	c := core.NewCase()
-	c.Values[bi] = true
+	c.Set(bi, true)
 	p, err := m.PredictTable(c, "Products")
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +146,7 @@ func TestPredictItem(t *testing.T) {
 	bi, _ := cs.Space.Lookup("Products(beer)")
 	ci, _ := cs.Space.Lookup("Products(chips)")
 	c := core.NewCase()
-	c.Values[bi] = true
+	c.Set(bi, true)
 	p, err := m.Predict(c, ci)
 	if err != nil {
 		t.Fatal(err)
@@ -206,7 +206,8 @@ func TestErrors(t *testing.T) {
 	// No existence attributes.
 	sp := core.NewAttributeSpace()
 	sp.Add(core.Attribute{Name: "x", Column: "x", Kind: core.KindDiscrete, States: []string{"a"}})
-	flat := &core.Caseset{Space: sp, Cases: []core.Case{core.NewCase()}}
+	flat := &core.Caseset{Space: sp}
+	flat.Append(core.NewCase())
 	if _, err := New().Train(flat, nil, nil); err == nil {
 		t.Error("no existence attributes must fail")
 	}

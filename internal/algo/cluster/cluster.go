@@ -105,8 +105,8 @@ func buildFeatureMap(cs *core.Caseset) *featureMap {
 	// Normalization statistics for continuous dims.
 	count := make([]float64, fm.dims)
 	sumsq := make([]float64, fm.dims)
-	for ci := range cs.Cases {
-		c := &cs.Cases[ci]
+	for ci := 0; ci < cs.Len(); ci++ {
+		c := cs.Case(ci)
 		for i := range sp.Attrs {
 			if sp.Attr(i).Kind != core.KindContinuous {
 				continue
@@ -184,9 +184,10 @@ func (*Algorithm) Train(cs *core.Caseset, targets []int, p map[string]string) (c
 	fm := buildFeatureMap(cs)
 	points := make([][]float64, cs.Len())
 	weights := make([]float64, cs.Len())
-	for i := range cs.Cases {
-		points[i] = fm.embed(&cs.Cases[i])
-		weights[i] = cs.Cases[i].Weight
+	for i := 0; i < cs.Len(); i++ {
+		c := cs.Case(i)
+		points[i] = fm.embed(&c)
+		weights[i] = c.Weight
 	}
 	k := prm.k
 	if k > len(points) {

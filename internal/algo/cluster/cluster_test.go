@@ -24,15 +24,15 @@ func blobs(n int) *core.Caseset {
 	for i := 0; i < n; i++ {
 		c := core.NewCase()
 		if i%2 == 0 {
-			c.Values[xi] = rng.NormFloat64()
-			c.Values[yi] = rng.NormFloat64()
-			c.Values[si] = int64(0)
+			c.Set(xi, rng.NormFloat64())
+			c.Set(yi, rng.NormFloat64())
+			c.Set(si, int64(0))
 		} else {
-			c.Values[xi] = 50 + rng.NormFloat64()
-			c.Values[yi] = 50 + rng.NormFloat64()
-			c.Values[si] = int64(1)
+			c.Set(xi, 50+rng.NormFloat64())
+			c.Set(yi, 50+rng.NormFloat64())
+			c.Set(si, int64(1))
 		}
-		cs.Cases = append(cs.Cases, c)
+		cs.Append(c)
 	}
 	return cs
 }
@@ -57,11 +57,11 @@ func TestSeparatesBlobs(t *testing.T) {
 	xi, _ := cs.Space.Lookup("x")
 	yi, _ := cs.Space.Lookup("y")
 	cA := core.NewCase()
-	cA.Values[xi] = 0.0
-	cA.Values[yi] = 0.0
+	cA.Set(xi, 0.0)
+	cA.Set(yi, 0.0)
 	cB := core.NewCase()
-	cB.Values[xi] = 50.0
-	cB.Values[yi] = 50.0
+	cB.Set(xi, 50.0)
+	cB.Set(yi, 50.0)
 	pA, err := m.PredictCluster(cA)
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +94,7 @@ func TestPredictContinuousFromClusters(t *testing.T) {
 	yi, _ := cs.Space.Lookup("y")
 	// Knowing x≈50 should predict y≈50 via the right-blob cluster.
 	c := core.NewCase()
-	c.Values[xi] = 50.0
+	c.Set(xi, 50.0)
 	p, err := m.Predict(c, yi)
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +111,7 @@ func TestPredictDiscreteFromClusters(t *testing.T) {
 	xi, _ := cs.Space.Lookup("x")
 	si, _ := cs.Space.Lookup("seg")
 	c := core.NewCase()
-	c.Values[xi] = 50.0
+	c.Set(xi, 50.0)
 	p, err := m.Predict(c, si)
 	if err != nil {
 		t.Fatal(err)

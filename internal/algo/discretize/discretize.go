@@ -16,6 +16,7 @@ package discretize
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -83,7 +84,7 @@ func EqualAreas(values []float64, k int) []float64 {
 		return nil
 	}
 	sorted := append([]float64(nil), values...)
-	sort.Float64s(sorted)
+	slices.Sort(sorted)
 	cuts := make([]float64, 0, k-1)
 	n := len(sorted)
 	for i := 1; i < k; i++ {

@@ -10,6 +10,7 @@ package dtree
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -93,6 +94,9 @@ type Model struct {
 	// targetOrder preserves the Train targets order for content rendering.
 	targetOrder []int
 	caseCount   int
+	// partitions counts the selections split while training: one per
+	// interior node, whatever the number of splits weighed.
+	partitions int
 }
 
 // node is one tree node. Leaves have attr == -1.
@@ -109,6 +113,9 @@ type node struct {
 	n, sum, sumsq float64
 	// score is the split gain (interior) recorded for content browsing.
 	score float64
+	// pred is what Predict answers for a case routed to this leaf, built
+	// once; every caller shares it and none may write to it.
+	pred core.Prediction
 }
 
 // Train implements core.Algorithm.
@@ -166,70 +173,176 @@ func targetStates(a *core.Attribute) int {
 	return len(a.States)
 }
 
-// label returns the class index of the case for a discrete-like target, or
-// -1 when missing.
-func label(c *core.Case, a *core.Attribute, idx int) int {
-	if a.Kind == core.KindExistence {
-		if c.Has(idx) {
-			return 1
-		}
-		return 0
+// grower builds the tree of one target. A selection's statistics are a
+// vector — total weight then per-class weights for a discrete-like target,
+// (n, Σy, Σy²) for a continuous one — and a candidate split is a table of
+// such vectors, one row per branch. One pass over the cells of a node's cases
+// fills the tables of every discrete-like input at once and gathers the
+// values of every continuous one.
+type grower struct {
+	m      *Model
+	cs     *core.Caseset
+	target int
+	inputs []int
+	// regress marks a continuous target; width is the vector length.
+	regress bool
+	width   int
+	// class[i] is case i's target state (-1: missing), y[i] its target value
+	// and leafW[i] the weight it adds to a leaf's distribution, read out of
+	// the cases once for the whole tree.
+	class []int
+	y     []float64
+	leafW []float64
+
+	// in is indexed by attribute ordinal. For a discrete-like input, rows is
+	// its number of states (exist: absent and present) and at the offset of
+	// its first row in table; for a continuous one rows is 0 and at its index
+	// in vals and have; for anything else at is -1. The three buffers are the
+	// current node's.
+	in    []input
+	table []float64
+	vals  [][]float64 // values of a continuous input among the node's cases
+	have  [][]int     // the cases that have them, in step with vals
+}
+
+type input struct {
+	at, rows int
+	exist    bool
+}
+
+// plan lays the node buffers out for the tree's inputs.
+func (g *grower) plan() {
+	g.in = make([]input, g.m.space.Len())
+	for a := range g.in {
+		g.in[a].at = -1
 	}
-	return c.Discrete(idx)
+	size := 0
+	for _, a := range g.inputs {
+		if sa := g.m.space.Attr(a); sa.Kind == core.KindContinuous {
+			g.in[a].at = len(g.vals)
+			g.vals, g.have = append(g.vals, nil), append(g.have, nil)
+		} else if rows := targetStates(sa); rows >= 2 {
+			g.in[a] = input{size, rows, sa.Kind == core.KindExistence}
+			size += rows * g.width
+		}
+	}
+	g.table = make([]float64, size)
 }
 
 func (m *Model) growTree(cs *core.Caseset, target int) (*node, error) {
 	ta := m.space.Attr(target)
-	inputs := m.inputAttrs(target)
+	g := &grower{m: m, cs: cs, target: target, inputs: m.inputAttrs(target)}
 	sel := make([]int, 0, cs.Len())
-	if ta.Kind == core.KindContinuous {
-		for i := range cs.Cases {
-			if _, ok := cs.Cases[i].Continuous(target); ok {
+	switch {
+	case ta.Kind == core.KindContinuous:
+		g.regress, g.width = true, 3
+		g.y, g.leafW = make([]float64, cs.Len()), cs.Weights
+		for i := range g.y {
+			var ok bool
+			if g.y[i], ok = cs.Case(i).Continuous(target); ok {
 				sel = append(sel, i)
 			}
 		}
-		return m.grow(cs, sel, target, inputs, 0), nil
-	}
-	// Discrete-like target.
-	if ta.Kind == core.KindDiscrete && len(ta.States) == 0 {
+	case ta.Kind == core.KindDiscrete && len(ta.States) == 0:
 		return nil, fmt.Errorf("dtree: target %q has no observed states", ta.Name)
-	}
-	for i := range cs.Cases {
-		if label(&cs.Cases[i], ta, target) >= 0 {
-			sel = append(sel, i)
+	default: // discrete-like
+		g.width = targetStates(ta) + 1
+		g.class, g.leafW = make([]int, cs.Len()), make([]float64, cs.Len())
+		for i := range g.class {
+			c := cs.Case(i)
+			g.leafW[i] = c.Weight * c.ProbOf(target)
+			if ta.Kind == core.KindExistence {
+				if c.Has(target) {
+					g.class[i] = 1
+				}
+			} else if g.class[i] = c.Discrete(target); g.class[i] >= g.width-1 {
+				g.class[i] = -1
+			}
+			if g.class[i] >= 0 {
+				sel = append(sel, i)
+			}
 		}
 	}
-	return m.grow(cs, sel, target, inputs, 0), nil
+	g.plan()
+	return g.grow(sel, 0), nil
+}
+
+// add counts case i into the statistics vector v.
+func (g *grower) add(v []float64, i int) {
+	w := g.cs.Weights[i]
+	v[0] += w
+	if g.regress {
+		v[1] += g.y[i] * w
+		v[2] += g.y[i] * g.y[i] * w
+	} else {
+		v[1+g.class[i]] += w
+	}
+}
+
+// impurity is entropy/Gini for discrete-like targets, variance for
+// continuous ones.
+func (g *grower) impurity(v []float64) float64 {
+	n := v[0]
+	if n <= 0 {
+		return 0
+	}
+	if g.regress {
+		mean := v[1] / n
+		return v[2]/n - mean*mean
+	}
+	counts := v[1:]
+	if g.m.prm.scoreGini {
+		gini := 1.0
+		for _, c := range counts {
+			p := c / n
+			gini -= p * p
+		}
+		return gini
+	}
+	var h float64
+	for _, c := range counts {
+		if c > 0 {
+			p := c / n
+			h -= p * math.Log2(p)
+		}
+	}
+	return h
 }
 
 // grow recursively builds a subtree over the selected case indexes.
-func (m *Model) grow(cs *core.Caseset, sel []int, target int, inputs []int, depth int) *node {
-	ta := m.space.Attr(target)
-	n := m.makeLeaf(cs, sel, target)
-	if n.support < m.prm.minSupport || depth >= m.prm.maxDepth || pure(n, ta) {
-		return n
+func (g *grower) grow(sel []int, depth int) *node {
+	n := g.makeLeaf(sel)
+	if !g.split(n, sel, depth) {
+		n.pred = g.m.leafPrediction(n, g.target)
 	}
-	attr, thr, gain, ok := m.bestSplit(cs, sel, target, inputs)
+	return n
+}
+
+// split turns the leaf n over sel into an interior node if a split is worth
+// it, growing the children; it reports whether it did.
+func (g *grower) split(n *node, sel []int, depth int) bool {
+	m := g.m
+	if n.support < m.prm.minSupport || depth >= m.prm.maxDepth || pure(n, g.regress) {
+		return false
+	}
+	attr, thr, gain, ok := g.bestSplit(sel)
 	if !ok || gain <= m.prm.penalty {
-		return n
+		return false
 	}
-	parts, missingSel := m.partition(cs, sel, attr, thr)
-	// A split where all data lands in one part is useless.
-	nonEmpty := 0
-	for _, p := range parts {
+	parts, missingSel := g.partition(sel, attr, thr)
+	// A split where all data lands in one part is useless. Missing values
+	// follow the heaviest child.
+	nonEmpty, heaviest := 0, 0
+	for i, p := range parts {
 		if len(p) > 0 {
 			nonEmpty++
 		}
+		if len(p) > len(parts[heaviest]) {
+			heaviest = i
+		}
 	}
 	if nonEmpty < 2 {
-		return n
-	}
-	// Missing values follow the heaviest child.
-	heaviest, heaviestLen := 0, -1
-	for i, p := range parts {
-		if len(p) > heaviestLen {
-			heaviest, heaviestLen = i, len(p)
-		}
+		return false
 	}
 	parts[heaviest] = append(parts[heaviest], missingSel...)
 
@@ -239,46 +352,33 @@ func (m *Model) grow(cs *core.Caseset, sel []int, target int, inputs []int, dept
 	n.score = gain
 	n.children = make([]*node, len(parts))
 	for i, p := range parts {
-		n.children[i] = m.grow(cs, p, target, inputs, depth+1)
+		n.children[i] = g.grow(p, depth+1)
 	}
-	return n
+	return true
 }
 
 // makeLeaf computes leaf statistics over the selection.
-func (m *Model) makeLeaf(cs *core.Caseset, sel []int, target int) *node {
-	ta := m.space.Attr(target)
+func (g *grower) makeLeaf(sel []int) *node {
 	n := &node{attr: -1}
-	if ta.Kind == core.KindContinuous {
-		for _, i := range sel {
-			c := &cs.Cases[i]
-			v, ok := c.Continuous(target)
-			if !ok {
-				continue
-			}
-			w := c.Weight
-			n.n += w
-			n.sum += v * w
-			n.sumsq += v * v * w
-			n.support += w
-		}
-		return n
+	if !g.regress {
+		n.classCounts = make([]float64, g.width-1)
 	}
-	n.classCounts = make([]float64, targetStates(ta))
 	for _, i := range sel {
-		c := &cs.Cases[i]
-		l := label(c, ta, target)
-		if l < 0 || l >= len(n.classCounts) {
-			continue
-		}
-		w := c.Weight * c.ProbOf(target)
-		n.classCounts[l] += w
+		w := g.leafW[i]
 		n.support += w
+		if g.regress {
+			n.n += w
+			n.sum += g.y[i] * w
+			n.sumsq += g.y[i] * g.y[i] * w
+		} else {
+			n.classCounts[g.class[i]] += w
+		}
 	}
 	return n
 }
 
-func pure(n *node, ta *core.Attribute) bool {
-	if ta.Kind == core.KindContinuous {
+func pure(n *node, regress bool) bool {
+	if regress {
 		if n.n <= 0 {
 			return true
 		}
@@ -295,14 +395,56 @@ func pure(n *node, ta *core.Attribute) bool {
 }
 
 // bestSplit scans every input attribute for the highest-gain split.
-func (m *Model) bestSplit(cs *core.Caseset, sel []int, target int, inputs []int) (attr int, thr float64, gain float64, ok bool) {
-	base := m.impurity(cs, sel, target)
+func (g *grower) bestSplit(sel []int) (attr int, thr float64, gain float64, ok bool) {
+	w := g.width
+	clear(g.table)
+	for s := range g.vals {
+		g.vals[s], g.have[s] = g.vals[s][:0], g.have[s][:0]
+	}
+	all := make([]float64, w)
+	for _, i := range sel {
+		g.add(all, i)
+		for _, cell := range g.cs.Case(i).Cells() {
+			switch in := g.in[cell.Attr]; {
+			case in.at < 0:
+			case in.rows == 0:
+				g.vals[in.at] = append(g.vals[in.at], cell.Value())
+				g.have[in.at] = append(g.have[in.at], i)
+			case in.exist:
+				g.add(g.table[in.at+w:in.at+2*w], i)
+			case cell.Code >= 0 && int(cell.Code) < in.rows:
+				g.add(g.table[in.at+int(cell.Code)*w:in.at+(int(cell.Code)+1)*w], i)
+			}
+		}
+	}
+	base := g.impurity(all)
 	bestGain := 0.0
 	bestAttr, bestThr := -1, 0.0
-	for _, a := range inputs {
-		g, t, valid := m.splitGain(cs, sel, target, a, base)
-		if valid && g > bestGain {
-			bestGain, bestAttr, bestThr = g, a, t
+	for _, a := range g.inputs {
+		in := g.in[a]
+		if in.at < 0 {
+			continue
+		}
+		var gain, t float64
+		valid := true
+		if in.rows == 0 {
+			gain, t, valid = g.continuousGain(g.vals[in.at], g.have[in.at], base)
+		} else {
+			rows := g.table[in.at : in.at+in.rows*w]
+			if in.exist {
+				// No cell says "absent": it is everything not present.
+				for x := range all {
+					rows[x] = all[x] - rows[w+x]
+				}
+			}
+			var total, acc float64
+			for st := 0; st < in.rows; st++ {
+				total, acc = g.addPart(rows[st*w:(st+1)*w], total, acc)
+			}
+			gain = gainOf(base, total, acc)
+		}
+		if valid && gain > bestGain {
+			bestGain, bestAttr, bestThr = gain, a, t
 		}
 	}
 	if bestAttr < 0 {
@@ -311,157 +453,85 @@ func (m *Model) bestSplit(cs *core.Caseset, sel []int, target int, inputs []int)
 	return bestAttr, bestThr, bestGain, true
 }
 
-// impurity is entropy/Gini for discrete-like targets, variance for
-// continuous ones, over the selection.
-func (m *Model) impurity(cs *core.Caseset, sel []int, target int) float64 {
-	ta := m.space.Attr(target)
-	if ta.Kind == core.KindContinuous {
-		var n, sum, sumsq float64
-		for _, i := range sel {
-			c := &cs.Cases[i]
-			if v, ok := c.Continuous(target); ok {
-				n += c.Weight
-				sum += v * c.Weight
-				sumsq += v * v * c.Weight
-			}
-		}
-		if n <= 0 {
-			return 0
-		}
-		mean := sum / n
-		return sumsq/n - mean*mean
+// addPart adds one branch's weight, and its weighted impurity, to a split's
+// running totals; an empty branch adds nothing.
+func (g *grower) addPart(v []float64, total, acc float64) (float64, float64) {
+	if w := v[0]; w != 0 {
+		return total + w, acc + w*g.impurity(v)
 	}
-	counts := make([]float64, targetStates(ta))
-	var n float64
-	for _, i := range sel {
-		c := &cs.Cases[i]
-		if l := label(c, ta, target); l >= 0 && l < len(counts) {
-			counts[l] += c.Weight
-			n += c.Weight
-		}
-	}
-	return m.nodeImpurity(counts, n)
+	return total, acc
 }
 
-func (m *Model) nodeImpurity(counts []float64, n float64) float64 {
-	if n <= 0 {
-		return 0
-	}
-	if m.prm.scoreGini {
-		g := 1.0
-		for _, c := range counts {
-			p := c / n
-			g -= p * p
-		}
-		return g
-	}
-	var h float64
-	for _, c := range counts {
-		if c > 0 {
-			p := c / n
-			h -= p * math.Log2(p)
-		}
-	}
-	return h
-}
-
-// splitGain evaluates splitting the selection on attribute a.
-func (m *Model) splitGain(cs *core.Caseset, sel []int, target, a int, base float64) (gain, thr float64, ok bool) {
-	sa := m.space.Attr(a)
-	switch sa.Kind {
-	case core.KindContinuous:
-		return m.continuousGain(cs, sel, target, a, base)
-	default:
-		return m.discreteGain(cs, sel, target, a, base)
-	}
-}
-
-func (m *Model) discreteGain(cs *core.Caseset, sel []int, target, a int, base float64) (float64, float64, bool) {
-	sa := m.space.Attr(a)
-	nStates := targetStates(sa)
-	if sa.Kind == core.KindDiscrete {
-		nStates = len(sa.States)
-	}
-	if nStates < 2 {
-		return 0, 0, false
-	}
-	parts, _ := m.partition(cs, sel, a, 0)
-	return m.gainOfParts(cs, parts, target, base), 0, true
-}
-
-func (m *Model) continuousGain(cs *core.Caseset, sel []int, target, a int, base float64) (float64, float64, bool) {
-	vals := make([]float64, 0, len(sel))
-	for _, i := range sel {
-		if v, ok := cs.Cases[i].Continuous(a); ok {
-			vals = append(vals, v)
-		}
-	}
-	if len(vals) < 2 {
-		return 0, 0, false
-	}
-	sort.Float64s(vals)
-	// Candidate thresholds: up to maxThresh quantile midpoints.
-	var cands []float64
-	step := len(vals) / (m.prm.maxThresh + 1)
-	if step < 1 {
-		step = 1
-	}
-	for i := step; i < len(vals); i += step {
-		if vals[i] != vals[i-1] {
-			cands = append(cands, (vals[i]+vals[i-1])/2)
-		}
-	}
-	if len(cands) == 0 {
-		lo, hi := vals[0], vals[len(vals)-1]
-		if hi > lo {
-			cands = append(cands, (lo+hi)/2)
-		} else {
-			return 0, 0, false
-		}
-	}
-	bestGain, bestThr := -1.0, 0.0
-	for _, t := range cands {
-		parts, _ := m.partition(cs, sel, a, t)
-		g := m.gainOfParts(cs, parts, target, base)
-		if g > bestGain {
-			bestGain, bestThr = g, t
-		}
-	}
-	return bestGain, bestThr, bestGain >= 0
-}
-
-// gainOfParts computes base impurity minus the weighted impurity of parts.
-func (m *Model) gainOfParts(cs *core.Caseset, parts [][]int, target int, base float64) float64 {
-	var total float64
-	var acc float64
-	for _, p := range parts {
-		if len(p) == 0 {
-			continue
-		}
-		var w float64
-		for _, i := range p {
-			w += cs.Cases[i].Weight
-		}
-		total += w
-		acc += w * m.impurity(cs, p, target)
-	}
+// gainOf is base impurity minus the weighted impurity of the branches.
+func gainOf(base, total, acc float64) float64 {
 	if total <= 0 {
 		return 0
 	}
 	return base - acc/total
 }
 
+// continuousGain weighs splitting at up to maxThresh quantile midpoints of a
+// continuous attribute, given its values among the node's cases and the cases
+// that have them. One pass drops every case into the interval between two
+// neighbouring candidates; the branches of a candidate are then prefix sums
+// over the intervals, so no candidate costs a pass.
+func (g *grower) continuousGain(vals []float64, have []int, base float64) (float64, float64, bool) {
+	if len(vals) < 2 {
+		return 0, 0, false
+	}
+	sorted := slices.Clone(vals)
+	slices.Sort(sorted)
+	var cands []float64
+	step := max(len(sorted)/(g.m.prm.maxThresh+1), 1)
+	for i := step; i < len(sorted); i += step {
+		if sorted[i] != sorted[i-1] {
+			cands = append(cands, (sorted[i]+sorted[i-1])/2)
+		}
+	}
+	if len(cands) == 0 {
+		lo, hi := sorted[0], sorted[len(sorted)-1]
+		if hi <= lo {
+			return 0, 0, false
+		}
+		cands = append(cands, (lo+hi)/2)
+	}
+	// Interval j holds the values in (cands[j-1], cands[j]].
+	w := g.width
+	table := make([]float64, (len(cands)+3)*w)
+	left, right := table[:w], table[w:2*w]
+	table = table[2*w:]
+	for j, i := range have {
+		iv := sort.SearchFloat64s(cands, vals[j])
+		g.add(table[iv*w:(iv+1)*w], i)
+		g.add(right, i)
+	}
+	bestGain, bestThr := -1.0, 0.0
+	for j, t := range cands {
+		for x, v := range table[j*w : (j+1)*w] {
+			left[x] += v
+			right[x] -= v
+		}
+		total, acc := g.addPart(left, 0, 0)
+		total, acc = g.addPart(right, total, acc)
+		if gain := gainOf(base, total, acc); gain > bestGain {
+			bestGain, bestThr = gain, t
+		}
+	}
+	return bestGain, bestThr, bestGain >= 0
+}
+
 // partition splits the selection by attribute value. For discrete-like
 // attributes there is one part per state (existence: absent/present); for
 // continuous ones two parts (<= thr, > thr). Cases with the attribute
 // missing are returned separately.
-func (m *Model) partition(cs *core.Caseset, sel []int, a int, thr float64) (parts [][]int, missing []int) {
-	sa := m.space.Attr(a)
+func (g *grower) partition(sel []int, a int, thr float64) (parts [][]int, missing []int) {
+	g.m.partitions++
+	sa := g.m.space.Attr(a)
 	switch sa.Kind {
 	case core.KindContinuous:
 		parts = make([][]int, 2)
 		for _, i := range sel {
-			v, ok := cs.Cases[i].Continuous(a)
+			v, ok := g.cs.Case(i).Continuous(a)
 			switch {
 			case !ok:
 				missing = append(missing, i)
@@ -474,7 +544,7 @@ func (m *Model) partition(cs *core.Caseset, sel []int, a int, thr float64) (part
 	case core.KindExistence:
 		parts = make([][]int, 2)
 		for _, i := range sel {
-			if cs.Cases[i].Has(a) {
+			if g.cs.Case(i).Has(a) {
 				parts[1] = append(parts[1], i)
 			} else {
 				parts[0] = append(parts[0], i)
@@ -483,7 +553,7 @@ func (m *Model) partition(cs *core.Caseset, sel []int, a int, thr float64) (part
 	default:
 		parts = make([][]int, len(sa.States))
 		for _, i := range sel {
-			st := cs.Cases[i].Discrete(a)
+			st := g.cs.Case(i).Discrete(a)
 			if st < 0 || st >= len(parts) {
 				missing = append(missing, i)
 				continue

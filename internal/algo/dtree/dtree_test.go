@@ -25,9 +25,9 @@ func buildCaseset(attrs []core.Attribute, rows []map[string]rowset.Value) *core.
 			if !ok {
 				panic("unknown attr " + name)
 			}
-			c.Values[i] = v
+			c.Set(i, v)
 		}
-		cs.Cases = append(cs.Cases, c)
+		cs.Append(c)
 	}
 	return cs
 }
@@ -80,7 +80,7 @@ func TestClassificationLearnsRule(t *testing.T) {
 	colorIdx, _ := cs.Space.Lookup("color")
 	for color := int64(0); color < 2; color++ {
 		c := core.NewCase()
-		c.Values[colorIdx] = color
+		c.Set(colorIdx, color)
 		p, err := m.Predict(c, target)
 		if err != nil {
 			t.Fatal(err)
@@ -137,7 +137,7 @@ func TestContinuousSplit(t *testing.T) {
 		want string
 	}{{10, "low"}, {90, "high"}} {
 		c := core.NewCase()
-		c.Values[xIdx] = tc.x
+		c.Set(xIdx, tc.x)
 		p, _ := m.Predict(c, target)
 		if p.Estimate != tc.want {
 			t.Errorf("x=%v → %v want %s", tc.x, p.Estimate, tc.want)
@@ -170,7 +170,7 @@ func TestRegression(t *testing.T) {
 
 	colorIdx, _ := cs.Space.Lookup("color")
 	c := core.NewCase()
-	c.Values[colorIdx] = int64(1)
+	c.Set(colorIdx, int64(1))
 	p, err := m.Predict(c, target)
 	if err != nil {
 		t.Fatal(err)
@@ -183,7 +183,7 @@ func TestRegression(t *testing.T) {
 		t.Errorf("stdev = %v want small", p.Stdev)
 	}
 	c2 := core.NewCase()
-	c2.Values[colorIdx] = int64(0)
+	c2.Set(colorIdx, int64(0))
 	p2, _ := m.Predict(c2, target)
 	if e := p2.Estimate.(float64); e < 5 || e > 15 {
 		t.Errorf("red estimate = %v want ~10", e)
@@ -264,7 +264,7 @@ func TestGiniScoreMethod(t *testing.T) {
 	m := train(t, cs, []int{target}, map[string]string{"SCORE_METHOD": "GINI"})
 	colorIdx, _ := cs.Space.Lookup("color")
 	c := core.NewCase()
-	c.Values[colorIdx] = int64(0)
+	c.Set(colorIdx, int64(0))
 	p, _ := m.Predict(c, target)
 	if p.Estimate != "hi" {
 		t.Errorf("gini tree predicts %v", p.Estimate)
@@ -288,17 +288,17 @@ func basketCaseset(n int) *core.Caseset {
 		if i%2 == 0 { // beer ⇒ chips
 			bi, _ := sp.Lookup("Products(beer)")
 			ci, _ := sp.Lookup("Products(chips)")
-			c.Values[bi] = true
-			c.Values[ci] = true
+			c.Set(bi, true)
+			c.Set(ci, true)
 		} else {
 			mi, _ := sp.Lookup("Products(milk)")
-			c.Values[mi] = true
+			c.Set(mi, true)
 			if rng.Float64() < 0.5 {
 				bi, _ := sp.Lookup("Products(bread)")
-				c.Values[bi] = true
+				c.Set(bi, true)
 			}
 		}
-		cs.Cases = append(cs.Cases, c)
+		cs.Append(c)
 	}
 	return cs
 }
@@ -308,7 +308,7 @@ func TestPredictTable(t *testing.T) {
 	m := train(t, cs, cs.Space.Targets(), nil)
 	bi, _ := cs.Space.Lookup("Products(beer)")
 	c := core.NewCase()
-	c.Values[bi] = true
+	c.Set(bi, true)
 	p, err := m.PredictTable(c, "Products")
 	if err != nil {
 		t.Fatal(err)
@@ -376,8 +376,8 @@ func TestWeightedCases(t *testing.T) {
 		{"class": int64(0)},
 		{"class": int64(1)},
 	})
-	cs.Cases[0].Weight = 9
-	cs.Cases[1].Weight = 1
+	cs.Weights[0] = 9
+	cs.Weights[1] = 1
 	target, _ := cs.Space.Lookup("class")
 	m := train(t, cs, []int{target}, nil)
 	p, _ := m.Predict(core.NewCase(), target)
@@ -413,7 +413,7 @@ func TestRegressionWithContinuousInput(t *testing.T) {
 		x, lo, hi float64
 	}{{20, 3, 7}, {80, 48, 52}} {
 		c := core.NewCase()
-		c.Values[xIdx] = tc.x
+		c.Set(xIdx, tc.x)
 		p, err := m.Predict(c, target)
 		if err != nil {
 			t.Fatal(err)
@@ -444,5 +444,82 @@ func TestSupportConservation(t *testing.T) {
 	}
 	if got, want := walk(root), root.support; math.Abs(got-want) > 1e-9 {
 		t.Errorf("leaf support sum %v != root support %v", got, want)
+	}
+}
+
+// interiorNodes counts the split nodes of every tree of the model.
+func interiorNodes(m *Model) int {
+	var rec func(*node) int
+	rec = func(n *node) int {
+		if n.attr < 0 {
+			return 0
+		}
+		total := 1
+		for _, c := range n.children {
+			total += rec(c)
+		}
+		return total
+	}
+	total := 0
+	for _, tree := range m.trees {
+		total += rec(tree)
+	}
+	return total
+}
+
+// TestPartitionOncePerInteriorNode: candidate splits are weighed from
+// contingency tables; only the split a node settles on partitions its cases.
+func TestPartitionOncePerInteriorNode(t *testing.T) {
+	// A noisy rule over a discrete and a continuous input: a deep tree with
+	// dozens of thresholds weighed at every node.
+	attrs := []core.Attribute{
+		discreteAttr("color", []string{"red", "blue", "green"}, false),
+		contAttr("x", false),
+		discreteAttr("class", []string{"hi", "lo"}, true),
+	}
+	rng := rand.New(rand.NewSource(5))
+	var rows []map[string]rowset.Value
+	for i := 0; i < 600; i++ {
+		x, color := rng.Float64()*100, int64(rng.Intn(3))
+		class := int64(0)
+		if (x > 40) != (color == 1) || rng.Float64() < 0.1 {
+			class = 1
+		}
+		rows = append(rows, map[string]rowset.Value{"color": color, "x": x, "class": class})
+	}
+	classification := buildCaseset(attrs, rows)
+	// The same inputs with a continuous target: y steps at x = 40.
+	attrs[2] = contAttr("class", true)
+	for _, r := range rows {
+		r["class"] = r["x"].(float64)/10 + 50*float64(r["class"].(int64))
+	}
+	regression := buildCaseset(attrs, rows)
+	for name, cs := range map[string]*core.Caseset{
+		"classification": classification, "regression": regression, "existence": basketCaseset(200),
+	} {
+		m := train(t, cs, cs.Space.Targets(), map[string]string{"MINIMUM_SUPPORT": "2", "COMPLEXITY_PENALTY": "0"})
+		if interior := interiorNodes(m); interior < 2 || m.partitions != interior {
+			t.Errorf("%s: %d partition calls for %d interior nodes", name, m.partitions, interior)
+		}
+	}
+}
+
+// TestPredictSharesTheLeafPrediction: a prediction is built with the tree, not
+// per case.
+func TestPredictSharesTheLeafPrediction(t *testing.T) {
+	cs := colorCaseset(200)
+	target, _ := cs.Space.Lookup("class")
+	m := train(t, cs, []int{target}, nil)
+	c := cs.Case(3)
+	want, err := m.Predict(c, target)
+	if err != nil || len(want.Histogram) != 2 {
+		t.Fatalf("prediction = %+v, %v", want, err)
+	}
+	if n := testing.AllocsPerRun(200, func() { _, _ = m.Predict(c, target) }); n > 1 {
+		t.Errorf("%v allocations per Predict, want at most 1", n)
+	}
+	again, _ := m.Predict(cs.Case(5), target)
+	if &again.Histogram[0] != &want.Histogram[0] {
+		t.Error("two cases in one leaf got separate histograms")
 	}
 }

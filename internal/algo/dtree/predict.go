@@ -9,15 +9,16 @@ import (
 )
 
 // Predict implements core.TrainedModel: route the case to a leaf of the
-// target's tree and return the leaf's distribution as a histogram.
+// target's tree and return the leaf's distribution as a histogram. The
+// prediction was built with the tree and is shared by every case that reaches
+// the leaf: callers read it, never write it.
 func (m *Model) Predict(c core.Case, target int) (core.Prediction, error) {
 	tree, ok := m.trees[target]
 	if !ok {
 		return core.Prediction{}, fmt.Errorf("dtree: attribute %q is not a prediction target",
 			m.space.Attr(target).Name)
 	}
-	leaf := m.route(tree, c)
-	return m.leafPrediction(leaf, target), nil
+	return m.route(tree, c).pred, nil
 }
 
 // route walks the case down to a leaf.

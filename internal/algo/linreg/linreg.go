@@ -180,8 +180,8 @@ func fit(cs *core.Caseset, target int, prm params) (*regression, error) {
 			continue
 		}
 		var n, sum, sumsq float64
-		for ci := range cs.Cases {
-			if v, ok := cs.Cases[ci].Continuous(f.attr); ok {
+		for ci := 0; ci < cs.Len(); ci++ {
+			if v, ok := cs.Case(ci).Continuous(f.attr); ok {
 				n++
 				sum += v
 				sumsq += v * v
@@ -205,8 +205,8 @@ func fit(cs *core.Caseset, target int, prm params) (*regression, error) {
 	xty := make([]float64, k)
 	row := make([]float64, k)
 	var n, ySum, ySumsq float64
-	for ci := range cs.Cases {
-		c := &cs.Cases[ci]
+	for ci := 0; ci < cs.Len(); ci++ {
+		c := cs.Case(ci)
 		y, ok := c.Continuous(target)
 		if !ok {
 			continue
@@ -214,7 +214,7 @@ func fit(cs *core.Caseset, target int, prm params) (*regression, error) {
 		w := c.Weight
 		row[0] = 1
 		for fi := range feats {
-			row[fi+1] = featureValue(c, &feats[fi], sp)
+			row[fi+1] = featureValue(&c, &feats[fi], sp)
 		}
 		for i := 0; i < k; i++ {
 			for j := i; j < k; j++ {
@@ -245,13 +245,13 @@ func fit(cs *core.Caseset, target int, prm params) (*regression, error) {
 	reg.targetVar = ySumsq/n - yMean*yMean
 	// Residuals.
 	var ss float64
-	for ci := range cs.Cases {
-		c := &cs.Cases[ci]
+	for ci := 0; ci < cs.Len(); ci++ {
+		c := cs.Case(ci)
 		y, ok := c.Continuous(target)
 		if !ok {
 			continue
 		}
-		d := y - reg.predictOne(c, sp)
+		d := y - reg.predictOne(&c, sp)
 		ss += c.Weight * d * d
 	}
 	reg.rmse = math.Sqrt(ss / n)

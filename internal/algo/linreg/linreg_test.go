@@ -46,11 +46,11 @@ func linearCaseset(n int, noise float64) *core.Caseset {
 		if color == 0 {
 			shift = 7
 		}
-		c.Values[x1i] = x1
-		c.Values[x2i] = x2
-		c.Values[ci] = color
-		c.Values[yi] = 3 + 2*x1 - 4*x2 + shift + rng.NormFloat64()*noise
-		cs.Cases = append(cs.Cases, c)
+		c.Set(x1i, x1)
+		c.Set(x2i, x2)
+		c.Set(ci, color)
+		c.Set(yi, 3+2*x1-4*x2+shift+rng.NormFloat64()*noise)
+		cs.Append(c)
 	}
 	return cs
 }
@@ -71,9 +71,9 @@ func TestRecoversLinearModel(t *testing.T) {
 	x2i, _ := cs.Space.Lookup("x2")
 	ci, _ := cs.Space.Lookup("color")
 	c := core.NewCase()
-	c.Values[x1i] = 4.0
-	c.Values[x2i] = 1.0
-	c.Values[ci] = int64(0)
+	c.Set(x1i, 4.0)
+	c.Set(x2i, 1.0)
+	c.Set(ci, int64(0))
 	p, err := m.Predict(c, yi)
 	if err != nil {
 		t.Fatal(err)
@@ -115,8 +115,8 @@ func TestMissingInputsUseMeans(t *testing.T) {
 		t.Fatal(err)
 	}
 	var mean float64
-	for i := range cs.Cases {
-		v, _ := cs.Cases[i].Continuous(yi)
+	for i := 0; i < cs.Len(); i++ {
+		v, _ := cs.Case(i).Continuous(yi)
 		mean += v
 	}
 	mean /= float64(cs.Len())
@@ -203,18 +203,18 @@ func TestExistenceFeature(t *testing.T) {
 		c := core.NewCase()
 		y := 10.0
 		if i%2 == 0 {
-			c.Values[bi] = true
+			c.Set(bi, true)
 			y += 5
 		}
-		c.Values[yi] = y + rng.NormFloat64()*0.1
-		cs.Cases = append(cs.Cases, c)
+		c.Set(yi, y+rng.NormFloat64()*0.1)
+		cs.Append(c)
 	}
 	tm, err := New().Train(cs, []int{yi}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := core.NewCase()
-	c.Values[bi] = true
+	c.Set(bi, true)
 	p, _ := tm.Predict(c, yi)
 	if y := p.Estimate.(float64); math.Abs(y-15) > 0.2 {
 		t.Errorf("with item = %v want ~15", y)

@@ -99,8 +99,9 @@ func (*Algorithm) Train(cs *core.Caseset, targets []int, p map[string]string) (c
 		return nil, fmt.Errorf("markov: empty caseset")
 	}
 	m := &Model{space: cs.Space, prm: prm, chains: make(map[string]*chain), caseCount: cs.Len()}
-	for ci := range cs.Cases {
-		for table, keys := range cs.Cases[ci].Sequences {
+	for ci := 0; ci < cs.Len(); ci++ {
+		for _, seq := range cs.Case(ci).Sequences {
+			table := seq.Table
 			key := strings.ToLower(table)
 			ch, ok := m.chains[key]
 			if !ok {
@@ -108,7 +109,7 @@ func (*Algorithm) Train(cs *core.Caseset, targets []int, p map[string]string) (c
 				m.chains[key] = ch
 				m.order = append(m.order, table)
 			}
-			ch.observe(keys, cs.Cases[ci].Weight)
+			ch.observe(seq.Keys, cs.Weights[ci])
 		}
 	}
 	if len(m.chains) == 0 {

@@ -20,8 +20,8 @@ func cyclicCases(n int) *core.Caseset {
 		for j := 0; j < length; j++ {
 			seq[j] = cycle[(i+j)%3]
 		}
-		c.Sequences = map[string][]string{"Clicks": seq}
-		cs.Cases = append(cs.Cases, c)
+		c.Sequences = []core.Sequence{{Table: "Clicks", Keys: seq}}
+		cs.Append(c)
 	}
 	return cs
 }
@@ -35,7 +35,7 @@ func TestLearnsTransitions(t *testing.T) {
 	m := tm.(*Model)
 	// After "A" the next item is always "B".
 	c := core.NewCase()
-	c.Sequences = map[string][]string{"Clicks": {"C", "A"}}
+	c.Sequences = []core.Sequence{{Table: "Clicks", Keys: []string{"C", "A"}}}
 	p, err := m.PredictTable(c, "Clicks")
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +77,7 @@ func TestUnknownLastStateFallsBack(t *testing.T) {
 	cs := cyclicCases(60)
 	tm, _ := New().Train(cs, nil, nil)
 	c := core.NewCase()
-	c.Sequences = map[string][]string{"Clicks": {"ZZZ"}}
+	c.Sequences = []core.Sequence{{Table: "Clicks", Keys: []string{"ZZZ"}}}
 	p, err := tm.PredictTable(c, "Clicks")
 	if err != nil || len(p.Histogram) == 0 {
 		t.Errorf("fallback prediction = %+v, %v", p, err)
@@ -89,16 +89,17 @@ func TestCaseWeightCounts(t *testing.T) {
 	cs := &core.Caseset{Space: sp}
 	heavy := core.NewCase()
 	heavy.Weight = 9
-	heavy.Sequences = map[string][]string{"S": {"x", "y"}}
+	heavy.Sequences = []core.Sequence{{Table: "S", Keys: []string{"x", "y"}}}
 	light := core.NewCase()
-	light.Sequences = map[string][]string{"S": {"x", "z"}}
-	cs.Cases = append(cs.Cases, heavy, light)
+	light.Sequences = []core.Sequence{{Table: "S", Keys: []string{"x", "z"}}}
+	cs.Append(heavy)
+	cs.Append(light)
 	tm, err := New().Train(cs, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := core.NewCase()
-	c.Sequences = map[string][]string{"S": {"x"}}
+	c.Sequences = []core.Sequence{{Table: "S", Keys: []string{"x"}}}
 	p, _ := tm.PredictTable(c, "S")
 	if p.Estimate != "y" {
 		t.Errorf("weighted transition = %v", p.Estimate)
@@ -140,7 +141,8 @@ func TestErrors(t *testing.T) {
 		t.Error("empty caseset must fail")
 	}
 	// No sequences at all.
-	noSeq := &core.Caseset{Space: core.NewAttributeSpace(), Cases: []core.Case{core.NewCase()}}
+	noSeq := &core.Caseset{Space: core.NewAttributeSpace()}
+	noSeq.Append(core.NewCase())
 	if _, err := New().Train(noSeq, nil, nil); err == nil {
 		t.Error("caseset without sequences must fail")
 	}
@@ -157,11 +159,11 @@ func TestMultipleChains(t *testing.T) {
 	sp := core.NewAttributeSpace()
 	cs := &core.Caseset{Space: sp}
 	c := core.NewCase()
-	c.Sequences = map[string][]string{
-		"Pages":  {"home", "cart"},
-		"Clicks": {"a", "b"},
+	c.Sequences = []core.Sequence{
+		{Table: "Pages", Keys: []string{"home", "cart"}},
+		{Table: "Clicks", Keys: []string{"a", "b"}},
 	}
-	cs.Cases = append(cs.Cases, c)
+	cs.Append(c)
 	tm, err := New().Train(cs, nil, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -65,7 +65,8 @@ func parseParams(p map[string]string) (params, error) {
 	return out, nil
 }
 
-// classifier is the trained state for one target attribute.
+// classifier is the trained state for one target attribute. The per-input
+// tables are slices indexed by attribute ordinal, nil for what is no input.
 type classifier struct {
 	target int
 	// prior[s] is the weighted count of class s.
@@ -73,12 +74,23 @@ type classifier struct {
 	total float64
 	// disc[input][s][state] counts input states per class (discrete and
 	// existence inputs; existence uses states {0,1}).
-	disc map[int][][]float64
+	disc [][][]float64
 	// gauss[input][s] is a running Gaussian estimate per class.
-	gauss map[int][]gaussStat
+	gauss [][]gaussStat
 	// inputs in deterministic order, for content rendering.
 	inputs []int
+
+	// What Predict adds up, computed once when training ends: the log prior
+	// of each class, logDisc[input][s][state] the smoothed log-likelihood of
+	// a state, norm[input][s] the Gaussian of a continuous input.
+	logPrior []float64
+	logDisc  [][][]float64
+	norm     [][]gaussNorm
 }
+
+// gaussNorm is a class-conditional Gaussian ready to evaluate: logNorm is
+// -½·log(2πσ²).
+type gaussNorm struct{ mean, variance, logNorm float64 }
 
 type gaussStat struct{ n, sum, sumsq float64 }
 
@@ -164,11 +176,12 @@ func (m *Model) trainOne(cs *core.Caseset, target int) (*classifier, error) {
 	if k == 0 {
 		return nil, fmt.Errorf("nbayes: target %q has no observed states", ta.Name)
 	}
+	n := m.space.Len()
 	cl := &classifier{
 		target: target,
 		prior:  make([]float64, k),
-		disc:   make(map[int][][]float64),
-		gauss:  make(map[int][]gaussStat),
+		disc:   make([][][]float64, n),
+		gauss:  make([][]gaussStat, n),
 	}
 	for i := range m.space.Attrs {
 		a := m.space.Attr(i)
@@ -189,36 +202,83 @@ func (m *Model) trainOne(cs *core.Caseset, target int) (*classifier, error) {
 			cl.disc[i] = table
 		}
 	}
-	for ci := range cs.Cases {
-		c := &cs.Cases[ci]
-		s := stateOf(c, ta, target)
+	// One pass over each case's cells. An existence input absent from a case
+	// has no cell to visit: its "absent" count is the class total less what
+	// the present cases weighed, settled after the pass.
+	for ci := 0; ci < cs.Len(); ci++ {
+		c := cs.Case(ci)
+		s := stateOf(&c, ta, target)
 		if s < 0 || s >= k {
 			continue
 		}
 		w := c.Weight * c.ProbOf(target)
 		cl.prior[s] += w
 		cl.total += w
-		for _, in := range cl.inputs {
-			a := m.space.Attr(in)
-			if a.Kind == core.KindContinuous {
-				if v, ok := c.Continuous(in); ok {
-					g := cl.gauss[in]
-					g[s].n += w
-					g[s].sum += v * w
-					g[s].sumsq += v * v * w
-				}
+		for _, cell := range c.Cells() {
+			in := int(cell.Attr)
+			if g := cl.gauss[in]; g != nil {
+				v := cell.Value()
+				g[s].n += w
+				g[s].sum += v * w
+				g[s].sumsq += v * v * w
 				continue
 			}
-			st := stateOf(c, a, in)
-			if st >= 0 && st < len(cl.disc[in][s]) {
-				cl.disc[in][s][st] += w * c.ProbOf(in)
+			table := cl.disc[in]
+			switch {
+			case table == nil:
+			case m.space.Attr(in).Kind == core.KindExistence:
+				table[s][1] += w * cell.Prob
+				table[s][0] -= w
+			case cell.Code >= 0 && int(cell.Code) < len(table[s]):
+				table[s][cell.Code] += w * cell.Prob
 			}
 		}
 	}
 	if cl.total <= 0 {
 		return nil, fmt.Errorf("nbayes: no labeled cases for target %q", ta.Name)
 	}
+	for _, in := range cl.inputs {
+		if m.space.Attr(in).Kind == core.KindExistence {
+			for s := range cl.prior {
+				cl.disc[in][s][0] = max(cl.disc[in][s][0]+cl.prior[s], 0) // rounding may leave -ε
+			}
+		}
+	}
+	cl.prepare(m.prm)
 	return cl, nil
+}
+
+// prepare computes the tables Predict reads.
+func (cl *classifier) prepare(prm params) {
+	k := len(cl.prior)
+	cl.logPrior = make([]float64, k)
+	for s := range cl.logPrior {
+		cl.logPrior[s] = math.Log((cl.prior[s] + prm.laplace) / (cl.total + prm.laplace*float64(k)))
+	}
+	cl.logDisc = make([][][]float64, len(cl.disc))
+	cl.norm = make([][]gaussNorm, len(cl.gauss))
+	for _, in := range cl.inputs {
+		if g := cl.gauss[in]; g != nil {
+			cl.norm[in] = make([]gaussNorm, k)
+			for s := range g {
+				mean, variance := g[s].meanVar(prm.minVariance)
+				cl.norm[in][s] = gaussNorm{mean, variance, -0.5 * math.Log(2*math.Pi*variance)}
+			}
+			continue
+		}
+		cl.logDisc[in] = make([][]float64, k)
+		for s, table := range cl.disc[in] {
+			var rowTotal float64
+			for _, v := range table {
+				rowTotal += v
+			}
+			ll := make([]float64, len(table))
+			for st := range table {
+				ll[st] = math.Log((table[st] + prm.laplace) / (rowTotal + prm.laplace*float64(len(table))))
+			}
+			cl.logDisc[in][s] = ll
+		}
+	}
 }
 
 // AlgorithmName implements core.TrainedModel.
@@ -234,40 +294,43 @@ func (m *Model) Predict(c core.Case, target int) (core.Prediction, error) {
 	}
 	ta := m.space.Attr(target)
 	k := len(cl.prior)
-	logp := make([]float64, k)
-	for s := 0; s < k; s++ {
-		logp[s] = math.Log((cl.prior[s] + m.prm.laplace) / (cl.total + m.prm.laplace*float64(k)))
-	}
+	logp := append(make([]float64, 0, k), cl.logPrior...)
+	// Inputs and the case's cells are both in attribute order: walk them
+	// together, adding the terms in the order they were always added in.
+	cells, j := c.Cells(), 0
 	for _, in := range cl.inputs {
-		a := m.space.Attr(in)
-		if a.Kind == core.KindContinuous {
-			v, ok := c.Continuous(in)
-			if !ok {
-				continue
-			}
-			for s := 0; s < k; s++ {
-				mean, variance := cl.gauss[in][s].meanVar(m.prm.minVariance)
-				logp[s] += -0.5*math.Log(2*math.Pi*variance) - (v-mean)*(v-mean)/(2*variance)
+		for j < len(cells) && int(cells[j].Attr) < in {
+			j++
+		}
+		present := j < len(cells) && int(cells[j].Attr) == in
+		if g := cl.norm[in]; g != nil {
+			if present {
+				v := cells[j].Value()
+				for s := range g {
+					logp[s] += g[s].logNorm - (v-g[s].mean)*(v-g[s].mean)/(2*g[s].variance)
+				}
 			}
 			continue
 		}
-		st := stateOf(&c, a, in)
 		// Discrete missing values contribute nothing; existence attributes
 		// are never missing (absent = state 0) and always contribute.
-		if a.Kind != core.KindExistence && st < 0 {
+		st := -1
+		switch {
+		case m.space.Attr(in).Kind == core.KindExistence:
+			st = 0
+			if present {
+				st = 1
+			}
+		case present:
+			st = int(cells[j].Code)
+		}
+		if st < 0 {
 			continue
 		}
-		for s := 0; s < k; s++ {
-			table := cl.disc[in][s]
-			if st >= len(table) {
-				continue
+		for s, ll := range cl.logDisc[in] {
+			if st < len(ll) {
+				logp[s] += ll[st]
 			}
-			var rowTotal float64
-			for _, v := range table {
-				rowTotal += v
-			}
-			p := (table[st] + m.prm.laplace) / (rowTotal + m.prm.laplace*float64(len(table)))
-			logp[s] += math.Log(p)
 		}
 	}
 	// Softmax in log space.

@@ -44,14 +44,14 @@ func spamCaseset(n int) *core.Caseset {
 		if isSpam && rng.Float64() < 0.95 || !isSpam && rng.Float64() < 0.05 {
 			offer = 1
 		}
-		c.Values[oi] = offer
-		c.Values[ni] = int64(rng.Intn(2))
+		c.Set(oi, offer)
+		c.Set(ni, int64(rng.Intn(2)))
 		if isSpam {
-			c.Values[ci] = int64(1)
+			c.Set(ci, int64(1))
 		} else {
-			c.Values[ci] = int64(0)
+			c.Set(ci, int64(0))
 		}
-		cs.Cases = append(cs.Cases, c)
+		cs.Append(c)
 	}
 	return cs
 }
@@ -65,7 +65,7 @@ func TestClassification(t *testing.T) {
 	}
 	oi, _ := cs.Space.Lookup("offer")
 	c := core.NewCase()
-	c.Values[oi] = int64(1)
+	c.Set(oi, int64(1))
 	p, err := tm.Predict(c, ci)
 	if err != nil {
 		t.Fatal(err)
@@ -74,7 +74,7 @@ func TestClassification(t *testing.T) {
 		t.Errorf("offer=yes → %v (%v), want spam", p.Estimate, p.Prob)
 	}
 	c2 := core.NewCase()
-	c2.Values[oi] = int64(0)
+	c2.Set(oi, int64(0))
 	p2, _ := tm.Predict(c2, ci)
 	if p2.Estimate != "ham" {
 		t.Errorf("offer=no → %v, want ham", p2.Estimate)
@@ -94,13 +94,13 @@ func TestGaussianLikelihood(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		c := core.NewCase()
 		if i%2 == 0 {
-			c.Values[hi] = 160 + rng.NormFloat64()*5
-			c.Values[ci] = int64(0)
+			c.Set(hi, 160+rng.NormFloat64()*5)
+			c.Set(ci, int64(0))
 		} else {
-			c.Values[hi] = 180 + rng.NormFloat64()*5
-			c.Values[ci] = int64(1)
+			c.Set(hi, 180+rng.NormFloat64()*5)
+			c.Set(ci, int64(1))
 		}
-		cs.Cases = append(cs.Cases, c)
+		cs.Append(c)
 	}
 	tm, err := New().Train(cs, []int{ci}, nil)
 	if err != nil {
@@ -111,7 +111,7 @@ func TestGaussianLikelihood(t *testing.T) {
 		want string
 	}{{158, "a"}, {183, "b"}} {
 		c := core.NewCase()
-		c.Values[hi] = tc.h
+		c.Set(hi, tc.h)
 		p, _ := tm.Predict(c, ci)
 		if p.Estimate != tc.want {
 			t.Errorf("height %v → %v want %v", tc.h, p.Estimate, tc.want)
@@ -147,13 +147,13 @@ func TestMissingInputsFallBackToPrior(t *testing.T) {
 	ci, _ := sp.Lookup("class")
 	for i := 0; i < 100; i++ {
 		c := core.NewCase()
-		c.Values[xi] = int64(i % 2)
+		c.Set(xi, int64(i%2))
 		if i%5 == 0 {
-			c.Values[ci] = int64(1)
+			c.Set(ci, int64(1))
 		} else {
-			c.Values[ci] = int64(0)
+			c.Set(ci, int64(0))
 		}
-		cs.Cases = append(cs.Cases, c)
+		cs.Append(c)
 	}
 	tm, _ := New().Train(cs, []int{ci}, nil)
 	p, _ := tm.Predict(core.NewCase(), ci)
@@ -169,7 +169,8 @@ func TestContinuousTargetRejected(t *testing.T) {
 	sp := space(continuous("y"))
 	a := sp.Attr(0)
 	a.IsTarget = true
-	cs := &core.Caseset{Space: sp, Cases: []core.Case{core.NewCase()}}
+	cs := &core.Caseset{Space: sp}
+	cs.Append(core.NewCase())
 	if _, err := New().Train(cs, []int{0}, nil); err == nil {
 		t.Error("continuous target must be rejected")
 	}
@@ -241,19 +242,19 @@ func TestExistenceInputs(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		c := core.NewCase()
 		if i%2 == 0 {
-			c.Values[bi] = true
-			c.Values[ci] = int64(1)
+			c.Set(bi, true)
+			c.Set(ci, int64(1))
 		} else {
-			c.Values[ci] = int64(0)
+			c.Set(ci, int64(0))
 		}
-		cs.Cases = append(cs.Cases, c)
+		cs.Append(c)
 	}
 	tm, err := New().Train(cs, []int{ci}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := core.NewCase()
-	c.Values[bi] = true
+	c.Set(bi, true)
 	p, _ := tm.Predict(c, ci)
 	if p.Estimate != "b" {
 		t.Errorf("beer buyer → %v want b", p.Estimate)
@@ -277,16 +278,16 @@ func TestConstantContinuousColumn(t *testing.T) {
 	ci, _ := sp.Lookup("class")
 	for i := 0; i < 20; i++ {
 		c := core.NewCase()
-		c.Values[fi] = 42.0 // constant for every case and both classes
-		c.Values[ci] = int64(i % 2)
-		cs.Cases = append(cs.Cases, c)
+		c.Set(fi, 42.0) // constant for every case and both classes
+		c.Set(ci, int64(i%2))
+		cs.Append(c)
 	}
 	m, err := (&Algorithm{}).Train(cs, []int{ci}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	q := core.NewCase()
-	q.Values[fi] = 42.0
+	q.Set(fi, 42.0)
 	p, err := m.Predict(q, ci)
 	if err != nil {
 		t.Fatal(err)

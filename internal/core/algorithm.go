@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -51,11 +52,16 @@ func (p Prediction) Best() Bucket {
 // SortHistogram orders the histogram by descending probability (stable on
 // value for determinism) and sets Estimate/Prob/Support from the top bucket.
 func (p *Prediction) SortHistogram() {
-	sort.SliceStable(p.Histogram, func(i, j int) bool {
-		if p.Histogram[i].Prob != p.Histogram[j].Prob {
-			return p.Histogram[i].Prob > p.Histogram[j].Prob
+	slices.SortStableFunc(p.Histogram, func(a, b Bucket) int {
+		switch {
+		case a.Prob > b.Prob:
+			return -1
+		case a.Prob < b.Prob:
+			return 1
+		case a.Prob != b.Prob: // a NaN orders with nothing
+			return 0
 		}
-		return rowset.Compare(p.Histogram[i].Value, p.Histogram[j].Value) < 0
+		return rowset.Compare(a.Value, b.Value)
 	})
 	if len(p.Histogram) > 0 {
 		p.Estimate = p.Histogram[0].Value

@@ -57,6 +57,10 @@ type Attribute struct {
 	// States is the value dictionary for discrete attributes, in first-seen
 	// order. Existence attributes have implicit states {absent, present}.
 	States []string
+	// stateOf inverts States. Only addState and indexStates write it, and a
+	// space is fully indexed before it is published, so concurrent
+	// predictions only ever read it.
+	stateOf map[string]int32
 	// Cuts are discretization boundaries for DISCRETIZED attributes,
 	// filled in by the training pipeline; len(Cuts)+1 buckets. Lo and Hi
 	// record the observed value range so the RangeMin/RangeMid/RangeMax
@@ -69,12 +73,39 @@ type Attribute struct {
 
 // StateIndex returns the index of state s in the dictionary, or -1.
 func (a *Attribute) StateIndex(s string) int {
-	for i, v := range a.States {
-		if v == s {
-			return i
-		}
+	if i, ok := a.stateOf[s]; ok {
+		return int(i)
 	}
 	return -1
+}
+
+// addState appends a new state and returns its index.
+func (a *Attribute) addState(s string) int32 {
+	a.States = append(a.States, s)
+	a.stateOf[s] = int32(len(a.States) - 1)
+	return int32(len(a.States) - 1)
+}
+
+// indexStates rebuilds the dictionary from States; of two equal labels the
+// first keeps the name.
+func (a *Attribute) indexStates() {
+	a.stateOf = make(map[string]int32, len(a.States))
+	for i := len(a.States) - 1; i >= 0; i-- {
+		a.stateOf[a.States[i]] = int32(i)
+	}
+}
+
+// codeOf looks v up in a dictionary keyed by display text (FormatValue). A
+// value that is not already a string is formatted into a stack buffer, so the
+// probe does not allocate.
+func codeOf(dict map[string]int32, v rowset.Value) (int32, bool) {
+	if s, ok := v.(string); ok {
+		i, ok := dict[s]
+		return i, ok
+	}
+	var buf [40]byte
+	i, ok := dict[string(rowset.AppendFormat(buf[:0], v))]
+	return i, ok
 }
 
 // AttributeSpace is the tokenized schema of a model: the full list of
@@ -84,14 +115,25 @@ func (a *Attribute) StateIndex(s string) int {
 type AttributeSpace struct {
 	Attrs  []Attribute
 	byName map[string]int
+	// nested holds one dictionary per TABLE column (existence attributes)
+	// and per nested attribute column of it (valued attributes), from nested
+	// key to attribute ordinal: what a nested row costs to tokenize is a map
+	// probe per column, not a name built and hashed.
+	nested map[nestedColumn]map[string]int32
 	// Relations maps "column\x00keyValue" to the relation value, e.g.
 	// Product Purchases/"Ham" -> "Food".
 	Relations map[string]string
 }
 
+// nestedColumn names a nested-key dictionary: a TABLE column and, for valued
+// attributes, the nested attribute column ("" for existence attributes).
+type nestedColumn struct{ table, column string }
+
 // NewAttributeSpace returns an empty space.
 func NewAttributeSpace() *AttributeSpace {
-	return &AttributeSpace{byName: make(map[string]int), Relations: make(map[string]string)}
+	s := &AttributeSpace{}
+	s.Reindex()
+	return s
 }
 
 // Add appends an attribute and returns its index. Duplicate names return the
@@ -102,8 +144,30 @@ func (s *AttributeSpace) Add(a Attribute) int {
 	}
 	s.Attrs = append(s.Attrs, a)
 	i := len(s.Attrs) - 1
-	s.byName[a.Name] = i
+	s.index(i)
 	return i
+}
+
+// index enters attribute i into the name index, its nested-key dictionary
+// and its own state dictionary.
+func (s *AttributeSpace) index(i int) {
+	a := &s.Attrs[i]
+	s.byName[a.Name] = i
+	if a.Name != a.Column { // derived from a nested row
+		s.nestedKeys(a.Column, a.NestedColumn)[a.NestedKey] = int32(i)
+	}
+	a.indexStates()
+}
+
+// nestedKeys returns the nested-key dictionary of a TABLE column's existence
+// attributes (column "") or of one of its valued attribute columns, making
+// it if need be — so not to be called on a published space.
+func (s *AttributeSpace) nestedKeys(table, column string) map[string]int32 {
+	k := nestedColumn{table, column}
+	if s.nested[k] == nil {
+		s.nested[k] = make(map[string]int32)
+	}
+	return s.nested[k]
 }
 
 // Lookup returns the index of the named attribute.
@@ -157,13 +221,12 @@ func (s *AttributeSpace) setRelation(column, key, value string) {
 }
 
 // Clone deep-copies the space: attributes (including their state
-// dictionaries and cut points), the name index, and the relation map. The
+// dictionaries and cut points), the indexes, and the relation map. The
 // copy-on-write training path clones the published space before growing it,
 // so concurrent predictions keep reading the old snapshot untouched.
 func (s *AttributeSpace) Clone() *AttributeSpace {
 	out := &AttributeSpace{
 		Attrs:     make([]Attribute, len(s.Attrs)),
-		byName:    make(map[string]int, len(s.byName)),
 		Relations: make(map[string]string, len(s.Relations)),
 	}
 	copy(out.Attrs, s.Attrs)
@@ -172,150 +235,22 @@ func (s *AttributeSpace) Clone() *AttributeSpace {
 		a.States = append([]string(nil), a.States...)
 		a.Cuts = append([]float64(nil), a.Cuts...)
 	}
-	for k, v := range s.byName {
-		out.byName[k] = v
-	}
 	for k, v := range s.Relations {
 		out.Relations[k] = v
 	}
+	out.Reindex()
 	return out
 }
 
-// rebuildIndex restores the name index after decoding a persisted space.
-func (s *AttributeSpace) rebuildIndex() {
+// Reindex rebuilds every index and dictionary from Attrs — all a decoded
+// space arrives with. It must run before the space is shared.
+func (s *AttributeSpace) Reindex() {
 	s.byName = make(map[string]int, len(s.Attrs))
+	s.nested = make(map[nestedColumn]map[string]int32)
 	for i := range s.Attrs {
-		s.byName[s.Attrs[i].Name] = i
+		s.index(i)
 	}
 	if s.Relations == nil {
 		s.Relations = make(map[string]string)
 	}
-}
-
-// Case is one tokenized observation: a sparse attribute-index → value map.
-// Discrete attribute values are state indexes (int64 into Attribute.States);
-// continuous values are float64; existence attributes present in the case
-// hold true. Absent existence attributes mean "not purchased"; absent scalar
-// attributes mean SQL NULL / missing.
-type Case struct {
-	Values map[int]rowset.Value
-	// Prob holds per-attribute certainty from PROBABILITY qualifiers
-	// (attribute index → [0,1]); missing entries mean certainty 1.
-	Prob map[int]float64
-	// Weight is the case replication factor from SUPPORT qualifiers.
-	Weight float64
-	// Key is the case's KEY column value, kept for reporting.
-	Key rowset.Value
-	// Sequences holds, per nested TABLE column that carries a SEQUENCE_TIME
-	// attribute, the nested keys ordered by that time — the raw material of
-	// the paper's "sequence analysis" capability. Keys are table column
-	// names; values are ordered nested-key strings.
-	Sequences map[string][]string
-}
-
-// Sequence returns the ordered nested keys recorded for a table column.
-func (c Case) Sequence(tableColumn string) []string {
-	if c.Sequences == nil {
-		return nil
-	}
-	return c.Sequences[tableColumn]
-}
-
-// NewCase returns an empty case of weight 1.
-func NewCase() Case {
-	return Case{Values: make(map[int]rowset.Value), Weight: 1}
-}
-
-// Clone deep-copies the case: the value, probability, and sequence maps are
-// fresh, so mutating the copy (discretization rewrites Values in place) never
-// reaches the original.
-func (c Case) Clone() Case {
-	out := c
-	if c.Values != nil {
-		out.Values = make(map[int]rowset.Value, len(c.Values))
-		for k, v := range c.Values {
-			out.Values[k] = v
-		}
-	}
-	if c.Prob != nil {
-		out.Prob = make(map[int]float64, len(c.Prob))
-		for k, v := range c.Prob {
-			out.Prob[k] = v
-		}
-	}
-	if c.Sequences != nil {
-		out.Sequences = make(map[string][]string, len(c.Sequences))
-		for k, v := range c.Sequences {
-			out.Sequences[k] = append([]string(nil), v...)
-		}
-	}
-	return out
-}
-
-// CloneCases deep-copies a case slice (see Case.Clone).
-func CloneCases(cases []Case) []Case {
-	out := make([]Case, len(cases))
-	for i := range cases {
-		out[i] = cases[i].Clone()
-	}
-	return out
-}
-
-// Discrete returns the state index of attribute i in the case, or -1 when
-// the attribute is absent/NULL or not discrete-valued.
-func (c Case) Discrete(i int) int {
-	v, ok := c.Values[i]
-	if !ok {
-		return -1
-	}
-	if n, ok := v.(int64); ok {
-		return int(n)
-	}
-	return -1
-}
-
-// Continuous returns the numeric value of attribute i, with ok=false when
-// absent or non-numeric.
-func (c Case) Continuous(i int) (float64, bool) {
-	v, ok := c.Values[i]
-	if !ok {
-		return 0, false
-	}
-	return rowset.ToFloat(v)
-}
-
-// Has reports whether attribute i is present in the case.
-func (c Case) Has(i int) bool {
-	_, ok := c.Values[i]
-	return ok
-}
-
-// ProbOf returns the certainty attached to attribute i (default 1).
-func (c Case) ProbOf(i int) float64 {
-	if c.Prob == nil {
-		return 1
-	}
-	if p, ok := c.Prob[i]; ok {
-		return p
-	}
-	return 1
-}
-
-// Caseset is a tokenized training or prediction set: the attribute space
-// plus the cases expressed in it.
-type Caseset struct {
-	Space *AttributeSpace
-	Cases []Case
-}
-
-// Len returns the number of cases.
-func (cs *Caseset) Len() int { return len(cs.Cases) }
-
-// TotalWeight sums case weights (SUPPORT-adjusted case count).
-func (cs *Caseset) TotalWeight() float64 {
-	var w float64
-	for i := range cs.Cases {
-		w += cs.Cases[i].Weight
-	}
-	return w
 }

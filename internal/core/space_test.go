@@ -19,8 +19,9 @@ func TestAttributeSpaceAddDedupes(t *testing.T) {
 }
 
 func TestStateIndex(t *testing.T) {
-	a := Attribute{States: []string{"x", "y"}}
-	if a.StateIndex("y") != 1 || a.StateIndex("z") != -1 {
+	a := Attribute{States: []string{"x", "y", "x"}}
+	a.indexStates()
+	if a.StateIndex("y") != 1 || a.StateIndex("z") != -1 || a.StateIndex("x") != 0 {
 		t.Error("StateIndex")
 	}
 }
@@ -89,10 +90,9 @@ func TestFrozenTokenizerFromPersistedSpace(t *testing.T) {
 	space := &AttributeSpace{Attrs: []Attribute{
 		{Name: "g", Column: "g", Kind: KindDiscrete, States: []string{"a", "b"}, IsInput: true},
 	}}
-	tk := NewFrozenTokenizer(def, space)
-	if !tk.Frozen() {
-		t.Fatal("must be frozen")
-	}
+	space.Reindex()
+	tk := NewTokenizerWithSpace(def, space)
+	tk.Freeze()
 	rs := rowset.New(rowset.MustSchema(
 		rowset.Column{Name: "id", Type: rowset.TypeLong},
 		rowset.Column{Name: "g", Type: rowset.TypeText},
@@ -106,8 +106,8 @@ func TestFrozenTokenizerFromPersistedSpace(t *testing.T) {
 	if !ok {
 		t.Fatal("index not rebuilt")
 	}
-	if cs.Cases[0].Discrete(gi) != 1 {
-		t.Errorf("state = %d", cs.Cases[0].Discrete(gi))
+	if cs.Case(0).Discrete(gi) != 1 {
+		t.Errorf("state = %d", cs.Case(0).Discrete(gi))
 	}
 }
 
@@ -125,16 +125,28 @@ func TestCaseAccessors(t *testing.T) {
 	if c.ProbOf(3) != 1 {
 		t.Error("default prob = 1")
 	}
-	c.Values[0] = 2.5
+	c.Set(0, 2.5)
 	if c.Discrete(0) != -1 {
 		t.Error("float value is not a discrete state")
 	}
 	if v, ok := c.Continuous(0); !ok || v != 2.5 {
 		t.Error("continuous read")
 	}
-	c.Prob = map[int]float64{0: 0.5}
-	if c.ProbOf(0) != 0.5 {
+	c.SetProb(0, 0.5)
+	c.SetProb(7, 0.25) // no value, nothing to qualify
+	if c.ProbOf(0) != 0.5 || c.ProbOf(7) != 1 {
 		t.Error("prob read")
+	}
+	// Cells stay sorted whatever order values arrive in; a repeated attribute
+	// overwrites the value and keeps the certainty.
+	c.Set(9, int64(4))
+	c.Set(3, true)
+	c.Set(0, 7.0)
+	if got := c.Cells(); len(got) != 3 || got[0].Attr != 0 || got[1].Attr != 3 || got[2].Attr != 9 {
+		t.Errorf("cells = %+v", got)
+	}
+	if v, _ := c.Continuous(0); v != 7 || c.ProbOf(0) != 0.5 || c.Discrete(9) != 4 || !c.Has(3) {
+		t.Errorf("after overwrite: %+v", c.Cells())
 	}
 }
 
@@ -143,7 +155,7 @@ func TestTotalWeight(t *testing.T) {
 	for _, w := range []float64{1, 2, 3.5} {
 		c := NewCase()
 		c.Weight = w
-		cs.Cases = append(cs.Cases, c)
+		cs.Append(c)
 	}
 	if cs.TotalWeight() != 6.5 || cs.Len() != 3 {
 		t.Errorf("total = %v len = %d", cs.TotalWeight(), cs.Len())

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -41,16 +42,9 @@ func NewTokenizer(def *ModelDef) *Tokenizer {
 	return tk
 }
 
-// NewFrozenTokenizer rebinds a persisted attribute space for prediction.
-func NewFrozenTokenizer(def *ModelDef, space *AttributeSpace) *Tokenizer {
-	space.rebuildIndex()
-	return &Tokenizer{Def: def, Space: space, frozen: true}
-}
-
-// NewTokenizerWithSpace rebinds a persisted attribute space for continued
-// training (the space may still grow).
+// NewTokenizerWithSpace rebinds an attribute space for continued training
+// (the space may still grow). A decoded space must be Reindexed first.
 func NewTokenizerWithSpace(def *ModelDef, space *AttributeSpace) *Tokenizer {
-	space.rebuildIndex()
 	return &Tokenizer{Def: def, Space: space}
 }
 
@@ -83,142 +77,262 @@ func scalarAttribute(c *ColumnDef) Attribute {
 	return a
 }
 
-// Tokenize converts every row of a hierarchical caseset rowset into a Case.
-// Column binding is by name; the input must carry the model's KEY column and,
-// unless the tokenizer is frozen, every input attribute column.
+// Tokenize converts every row of a hierarchical caseset rowset into a Case,
+// binding columns by name.
 func (tk *Tokenizer) Tokenize(rs *rowset.Rowset) (*Caseset, error) {
+	cb, err := tk.NewCaseBinder(BindByName(tk.Def.Columns, rs.Schema()))
+	if err != nil {
+		return nil, err
+	}
 	out := &Caseset{Space: tk.Space}
-	out.Cases = make([]Case, 0, rs.Len())
-	b, err := tk.bind(rs.Schema())
-	if err != nil {
-		return nil, err
-	}
-	for _, row := range rs.Rows() {
-		c, err := tk.tokenizeRow(b, row)
-		if err != nil {
-			return nil, err
+	return out, cb.TokenizeRows(rs.Rows(), &out.Cases)
+}
+
+// ColumnSource says where one model column's values are in a source row: the
+// ordinal of the source column (-1 when nothing is bound to the model column)
+// and, for a TABLE column, the ordinal inside the nested rowset of each of its
+// nested columns.
+type ColumnSource struct {
+	Ord    int
+	Nested []int
+}
+
+// BindByName binds every model column to the source column of the same name,
+// nested columns included. A column the source lacks stays unbound, and so
+// does a TABLE column whose source column is no nested table or has none of
+// its nested columns: prediction inputs are partial by design, and training
+// reports what it misses.
+func BindByName(cols []ColumnDef, src *rowset.Schema) []ColumnSource {
+	out := make([]ColumnSource, len(cols))
+	for i := range cols {
+		out[i].Ord = -1
+		ord, ok := src.Lookup(cols[i].Name)
+		if ok && cols[i].Content == ContentTable {
+			ok = false
+			if nested := src.Column(ord).Nested; nested != nil {
+				for _, ns := range BindByName(cols[i].Table, nested) {
+					out[i].Nested = append(out[i].Nested, ns.Ord)
+					ok = ok || ns.Ord >= 0
+				}
+			}
 		}
-		out.Cases = append(out.Cases, c)
+		if ok {
+			out[i].Ord = ord
+		}
 	}
-	return out, nil
+	return out
 }
 
-// TokenizeCase converts a single row (prediction input). The schema binding
-// is recomputed per call; batch callers should use Tokenize or a CaseBinder.
-func (tk *Tokenizer) TokenizeCase(schema *rowset.Schema, row rowset.Row) (Case, error) {
-	cb, err := tk.NewCaseBinder(schema)
-	if err != nil {
-		return Case{}, err
-	}
-	return cb.TokenizeRow(row)
+// NestedColumnTypeError reports a source column that is bound to a nested
+// TABLE model column but whose cell value is not a nested rowset. Before this
+// error existed, a mistyped nested column was silently treated as an empty
+// nested table, which yields wrong predictions instead of a diagnosis.
+type NestedColumnTypeError struct {
+	// Column is the model's TABLE column name.
+	Column string
+	// Got is the rowset type name of the offending value.
+	Got string
 }
 
-// CaseBinder is a schema binding resolved once and reused across rows. The
-// binding itself is read-only after construction, so a single CaseBinder over
-// a frozen tokenizer may be shared by concurrent goroutines: frozen
-// tokenization touches no tokenizer or space state (unseen states and nested
-// keys are treated as missing, relations are ignored — see tokenizeRow).
+func (e *NestedColumnTypeError) Error() string {
+	return fmt.Sprintf("provider: column %q is bound to a nested TABLE column but the source value is %s, not a nested table",
+		e.Column, e.Got)
+}
+
+// CaseBinder turns source rows into cases in one step: the statement's column
+// binding and the model's tokenization, resolved against each other once. It
+// reads the source row where the executor left it — no intermediate rowset in
+// the model's layout — and resolves nested keys to attribute ordinals through
+// the space's dictionaries.
+//
+// The binder itself is read-only after construction, so one over a frozen
+// tokenizer may be shared by concurrent goroutines: frozen tokenization writes
+// nothing but the caller's case (unseen states and nested keys are missing
+// values, relations are ignored).
 type CaseBinder struct {
-	tk *Tokenizer
-	b  *binding
+	tk     *Tokenizer
+	keyOrd int
+	cols   []columnBinding
 }
 
-// NewCaseBinder resolves the model-column → input-ordinal binding for schema.
-func (tk *Tokenizer) NewCaseBinder(schema *rowset.Schema) (*CaseBinder, error) {
-	b, err := tk.bind(schema)
-	if err != nil {
-		return nil, err
-	}
-	return &CaseBinder{tk: tk, b: b}, nil
+// columnBinding is one bound model column other than the key. Attributes and
+// tables come first, in model order, so attributes are minted in the order
+// they always were; qualifiers and relations need their targets and follow.
+type columnBinding struct {
+	def *ColumnDef
+	ord int
+	// attr is the attribute a scalar column tokenizes into, or the one a
+	// qualifier qualifies (-1: the case as a whole).
+	attr int
+	// related and relOrd are the column a relation classifies and where its
+	// values are in the source row.
+	related string
+	relOrd  int
+	table   *tableBinding
 }
 
-// TokenizeRow converts one row through the pre-resolved binding.
-func (cb *CaseBinder) TokenizeRow(row rowset.Row) (Case, error) {
-	return cb.tk.tokenizeRow(cb.b, row)
-}
-
-// binding caches the model-column → input-ordinal mapping for one schema.
-type binding struct {
-	// scalar[i] is the input ordinal for model column i (-1 = absent).
-	scalar []int
-	// nested[i] describes the nested binding for TABLE model columns.
-	nested []*nestedBinding
+type tableBinding struct {
+	keyOrd, seqOrd int
+	exists         map[string]int32
+	// cols are the bound nested columns other than the key, attributes first.
+	cols []nestedBinding
 }
 
 type nestedBinding struct {
-	tableCol *ColumnDef
-	keyOrd   int
-	// cols[j] is the input ordinal (in the nested schema) for nested model
-	// column j; -1 = absent.
-	cols []int
+	def *ColumnDef
+	ord int
+	// keys is the dictionary of the valued attributes an attribute column
+	// mints, or of the attributes a qualifier column qualifies.
+	keys map[string]int32
 }
 
-func (tk *Tokenizer) bind(schema *rowset.Schema) (*binding, error) {
-	b := &binding{
-		scalar: make([]int, len(tk.Def.Columns)),
-		nested: make([]*nestedBinding, len(tk.Def.Columns)),
-	}
+// NewCaseBinder resolves what the values of every model column tokenize into,
+// given where they are in a source row (cols, one entry per model column).
+func (tk *Tokenizer) NewCaseBinder(cols []ColumnSource) (*CaseBinder, error) {
+	cb := &CaseBinder{tk: tk, keyOrd: -1}
+	var late []columnBinding
 	for i := range tk.Def.Columns {
 		c := &tk.Def.Columns[i]
-		ord, ok := schema.Lookup(c.Name)
-		if !ok {
-			b.scalar[i] = -1
+		b := columnBinding{def: c, ord: cols[i].Ord, attr: -1}
+		if b.ord < 0 {
 			if !tk.frozen && c.Content != ContentQualifier && c.Content != ContentRelation {
 				return nil, fmt.Errorf("core: model %s: training input lacks column %q", tk.Def.Name, c.Name)
 			}
 			continue
 		}
-		b.scalar[i] = ord
-		if c.Content != ContentTable {
-			continue
-		}
-		inCol := schema.Column(ord)
-		if inCol.Type != rowset.TypeTable || inCol.Nested == nil {
-			return nil, fmt.Errorf("core: model %s: column %q must be a nested table", tk.Def.Name, c.Name)
-		}
-		nb := &nestedBinding{tableCol: c, keyOrd: -1, cols: make([]int, len(c.Table))}
-		for j := range c.Table {
-			nc := &c.Table[j]
-			nord, ok := inCol.Nested.Lookup(nc.Name)
-			if !ok {
-				nb.cols[j] = -1
-				if !tk.frozen && nc.Content == ContentKey {
-					return nil, fmt.Errorf("core: model %s: nested table %q input lacks key column %q",
-						tk.Def.Name, c.Name, nc.Name)
+		switch c.Content {
+		case ContentKey:
+			cb.keyOrd = b.ord
+		case ContentAttribute:
+			var ok bool
+			if b.attr, ok = tk.Space.Lookup(c.Name); !ok {
+				return nil, fmt.Errorf("core: attribute %q missing from space", c.Name)
+			}
+			cb.cols = append(cb.cols, b)
+		case ContentTable:
+			var err error
+			if b.table, err = tk.bindTable(c, cols[i].Nested); err != nil {
+				return nil, err
+			}
+			cb.cols = append(cb.cols, b)
+		case ContentQualifier:
+			if a, ok := tk.Space.Lookup(c.QualifierOf); ok {
+				b.attr = a
+			}
+			late = append(late, b)
+		case ContentRelation:
+			// Relations are training metadata; a frozen space is shared
+			// read-only, so prediction inputs carrying them are ignored.
+			for j := range tk.Def.Columns {
+				if t := &tk.Def.Columns[j]; !tk.frozen && cols[j].Ord >= 0 && strings.EqualFold(t.Name, c.RelatedTo) {
+					b.related, b.relOrd = t.Name, cols[j].Ord
+					late = append(late, b)
+					break
 				}
-				continue
-			}
-			nb.cols[j] = nord
-			if nc.Content == ContentKey {
-				nb.keyOrd = nord
 			}
 		}
-		if nb.keyOrd < 0 {
-			return nil, fmt.Errorf("core: model %s: nested table %q input lacks its key column",
-				tk.Def.Name, c.Name)
-		}
-		b.nested[i] = nb
 	}
-	return b, nil
+	cb.cols = append(cb.cols, late...)
+	return cb, nil
 }
 
-func (tk *Tokenizer) tokenizeRow(b *binding, row rowset.Row) (Case, error) {
-	c := NewCase()
-	// First pass: keys, attributes, tables. Qualifiers and relations need
-	// their targets and run second.
-	for i := range tk.Def.Columns {
-		col := &tk.Def.Columns[i]
-		ord := b.scalar[i]
-		if ord < 0 {
-			continue
+func (tk *Tokenizer) bindTable(c *ColumnDef, ords []int) (*tableBinding, error) {
+	tb := &tableBinding{keyOrd: -1, seqOrd: -1}
+	// The dictionaries of a published space are complete: a column without
+	// one has no attributes to find.
+	keysOf := func(column string) map[string]int32 {
+		if tk.frozen {
+			return tk.Space.nested[nestedColumn{c.Name, column}]
 		}
-		v := row[ord]
-		switch col.Content {
-		case ContentKey:
-			c.Key = v
+		return tk.Space.nestedKeys(c.Name, column)
+	}
+	tb.exists = keysOf("")
+	var late []nestedBinding
+	for j := range c.Table {
+		nc := &c.Table[j]
+		ord := -1
+		if j < len(ords) {
+			ord = ords[j]
+		}
+		nb := nestedBinding{def: nc, ord: ord}
+		switch {
+		case ord < 0:
+			if !tk.frozen && nc.Content == ContentKey {
+				return nil, fmt.Errorf("core: model %s: nested table %q input lacks key column %q",
+					tk.Def.Name, c.Name, nc.Name)
+			}
+		case nc.Content == ContentKey:
+			tb.keyOrd = ord
+		case nc.Content == ContentAttribute:
+			if nc.AttrType == AttrSequenceTime && tb.seqOrd < 0 {
+				tb.seqOrd = ord
+			}
+			nb.keys = keysOf(nc.Name)
+			tb.cols = append(tb.cols, nb)
+		case nc.Content == ContentQualifier:
+			// A qualifier of the nested key qualifies the existence
+			// attribute; one of a nested attribute, the derived valued one.
+			nb.keys = tb.exists
+			if t, ok := findColumn(c.Table, nc.QualifierOf); ok && t.Content != ContentKey {
+				nb.keys = keysOf(t.Name)
+			}
+			late = append(late, nb)
+		case !tk.frozen: // ContentRelation
+			late = append(late, nb)
+		}
+	}
+	if tb.keyOrd < 0 {
+		return nil, fmt.Errorf("core: model %s: nested table %q input lacks its key column", tk.Def.Name, c.Name)
+	}
+	tb.cols = append(tb.cols, late...)
+	return tb, nil
+}
+
+// TokenizeRows appends the case of every row to out, in order. The arena is
+// sized first, from the most cells the rows could make: grown by appending, it
+// would be reallocated — and copied — a few dozen times on the way.
+func (cb *CaseBinder) TokenizeRows(rows []rowset.Row, out *Cases) error {
+	cells := 0
+	for _, row := range rows {
+		cells += len(cb.cols)
+		for i := range cb.cols {
+			if tb := cb.cols[i].table; tb != nil {
+				if nested, ok := row[cb.cols[i].ord].(*rowset.Rowset); ok {
+					cells += nested.Len() * (1 + len(tb.cols))
+				}
+			}
+		}
+	}
+	out.Cells = slices.Grow(out.Cells, cells)
+	out.Ends = slices.Grow(out.Ends, len(rows))
+	out.Weights = slices.Grow(out.Weights, len(rows))
+	out.Keys = slices.Grow(out.Keys, len(rows))
+	var c Case
+	for _, row := range rows {
+		if err := cb.TokenizeRow(row, &c); err != nil {
+			return err
+		}
+		out.Append(c)
+	}
+	return nil
+}
+
+// TokenizeRow overwrites c with the case of one source row, reusing c's cell
+// buffer: over a frozen tokenizer it allocates nothing once the buffer has
+// grown to fit (a SEQUENCE_TIME column's ordered keys excepted).
+func (cb *CaseBinder) TokenizeRow(row rowset.Row, c *Case) error {
+	tk := cb.tk
+	c.reset()
+	if cb.keyOrd >= 0 {
+		c.Key = row[cb.keyOrd]
+	}
+	for i := range cb.cols {
+		b := &cb.cols[i]
+		v := row[b.ord]
+		switch b.def.Content {
 		case ContentAttribute:
-			if err := tk.setScalar(&c, col, v); err != nil {
-				return Case{}, err
+			if err := tk.setScalar(c, b.def, b.attr, v); err != nil {
+				return err
 			}
 		case ContentTable:
 			if v == nil {
@@ -226,64 +340,33 @@ func (tk *Tokenizer) tokenizeRow(b *binding, row rowset.Row) (Case, error) {
 			}
 			nested, ok := v.(*rowset.Rowset)
 			if !ok {
-				return Case{}, fmt.Errorf("core: column %q: expected nested table, got %s",
-					col.Name, rowset.TypeOf(v))
+				return &NestedColumnTypeError{Column: b.def.Name, Got: rowset.TypeOf(v).String()}
 			}
-			if err := tk.tokenizeNested(&c, b.nested[i], nested); err != nil {
-				return Case{}, err
+			if err := tk.tokenizeNested(c, b.def, b.table, nested); err != nil {
+				return err
 			}
-		}
-	}
-	// Second pass: top-level qualifiers and relations.
-	for i := range tk.Def.Columns {
-		col := &tk.Def.Columns[i]
-		ord := b.scalar[i]
-		if ord < 0 || row[ord] == nil {
-			continue
-		}
-		switch col.Content {
 		case ContentQualifier:
-			tk.applyQualifier(&c, col, col.QualifierOf, row[ord])
+			if v != nil {
+				applyQualifier(c, b.def, b.attr, v)
+			}
 		case ContentRelation:
-			// Relations are training metadata. A frozen space is shared
-			// read-only across concurrent prediction workers and must not be
-			// written; prediction inputs carrying RELATED TO columns are
-			// simply ignored.
-			if tk.frozen {
-				continue
-			}
-			if target, ok := findColumn(tk.Def.Columns, col.RelatedTo); ok {
-				if tOrd, ok2 := lookupOrd(b, tk.Def.Columns, target.Name); ok2 && row[tOrd] != nil {
-					tk.Space.setRelation(target.Name, rowset.FormatValue(row[tOrd]), rowset.FormatValue(row[ord]))
-				}
+			if v != nil && row[b.relOrd] != nil {
+				tk.Space.setRelation(b.related, rowset.FormatValue(row[b.relOrd]), rowset.FormatValue(v))
 			}
 		}
 	}
-	return c, nil
-}
-
-func lookupOrd(b *binding, cols []ColumnDef, name string) (int, bool) {
-	for i := range cols {
-		if strings.EqualFold(cols[i].Name, name) && b.scalar[i] >= 0 {
-			return b.scalar[i], true
-		}
-	}
-	return 0, false
+	return nil
 }
 
 // setScalar tokenizes one scalar attribute value into the case.
-func (tk *Tokenizer) setScalar(c *Case, col *ColumnDef, v rowset.Value) error {
-	idx, ok := tk.Space.Lookup(col.Name)
-	if !ok {
-		return fmt.Errorf("core: attribute %q missing from space", col.Name)
-	}
-	a := tk.Space.Attr(idx)
+func (tk *Tokenizer) setScalar(c *Case, col *ColumnDef, idx int, v rowset.Value) error {
 	if v == nil {
 		if col.NotNull && !tk.frozen {
 			return fmt.Errorf("core: column %q is NOT_NULL but the input has a NULL", col.Name)
 		}
 		return nil
 	}
+	a := tk.Space.Attr(idx)
 	// Discretized attributes with installed cut points bucket incoming
 	// numeric values no matter their current Kind (training rewrites the
 	// kind to discrete; prediction inputs still arrive as raw numbers).
@@ -293,32 +376,36 @@ func (tk *Tokenizer) setScalar(c *Case, col *ColumnDef, v rowset.Value) error {
 			return fmt.Errorf("core: column %q: non-numeric value %v for discretized attribute",
 				col.Name, v)
 		}
-		c.Values[idx] = int64(bucketOf(f, a.Cuts))
+		c.put(idx, int32(bucketOf(f, a.Cuts)), 0)
 		return nil
 	}
 	switch a.Kind {
 	case KindExistence:
-		c.Values[idx] = true
+		c.put(idx, numCode, 1)
 	case KindContinuous:
 		f, ok := rowset.ToFloat(v)
 		if !ok {
 			return fmt.Errorf("core: column %q: non-numeric value %v for continuous attribute",
 				col.Name, v)
 		}
-		c.Values[idx] = f
+		c.put(idx, numCode, f)
 	default: // KindDiscrete
-		s := rowset.FormatValue(v)
-		st := a.StateIndex(s)
-		if st < 0 {
-			if tk.frozen {
-				return nil // unseen state at prediction time = missing
-			}
-			a.States = append(a.States, s)
-			st = len(a.States) - 1
-		}
-		c.Values[idx] = int64(st)
+		tk.setState(c, a, idx, v)
 	}
 	return nil
+}
+
+// setState gives discrete attribute idx the state v names, a new one while
+// training; a state unseen at prediction time is a missing value.
+func (tk *Tokenizer) setState(c *Case, a *Attribute, idx int, v rowset.Value) {
+	st, ok := codeOf(a.stateOf, v)
+	if !ok {
+		if tk.frozen {
+			return
+		}
+		st = a.addState(rowset.FormatValue(v))
+	}
+	c.put(idx, st, 0)
 }
 
 // tokenizeNested converts a nested table cell into existence and valued
@@ -326,118 +413,55 @@ func (tk *Tokenizer) setScalar(c *Case, col *ColumnDef, v rowset.Value) error {
 // nested keys are also recorded on the case in time order (Case.Sequences),
 // preserving the ordering that existence attributes alone discard — the raw
 // material for sequence-analysis services.
-func (tk *Tokenizer) tokenizeNested(c *Case, nb *nestedBinding, nested *rowset.Rowset) error {
-	tcol := nb.tableCol
-	seqOrd := -1
-	for j := range tcol.Table {
-		nc := &tcol.Table[j]
-		if nc.Content == ContentAttribute && nc.AttrType == AttrSequenceTime && nb.cols[j] >= 0 {
-			seqOrd = nb.cols[j]
-			break
-		}
-	}
+func (tk *Tokenizer) tokenizeNested(c *Case, tcol *ColumnDef, tb *tableBinding, nested *rowset.Rowset) error {
 	type seqEntry struct {
 		t   float64
 		key string
 	}
 	var seq []seqEntry
 	for _, nrow := range nested.Rows() {
-		kv := nrow[nb.keyOrd]
+		kv := nrow[tb.keyOrd]
 		if kv == nil {
 			continue
 		}
-		key := rowset.FormatValue(kv)
-		if seqOrd >= 0 {
-			if ts, ok := rowset.ToFloat(nrow[seqOrd]); ok {
-				seq = append(seq, seqEntry{t: ts, key: key})
+		if tb.seqOrd >= 0 {
+			if ts, ok := rowset.ToFloat(nrow[tb.seqOrd]); ok {
+				seq = append(seq, seqEntry{t: ts, key: rowset.FormatValue(kv)})
 			}
 		}
-		exName := fmt.Sprintf("%s(%s)", tcol.Name, key)
-		exIdx, ok := tk.Space.Lookup(exName)
+		ex, ok := codeOf(tb.exists, kv)
 		if !ok {
 			if tk.frozen {
 				continue // unseen nested key at prediction time
 			}
-			exIdx = tk.Space.Add(Attribute{
-				Name:      exName,
+			key := rowset.FormatValue(kv)
+			ex = int32(tk.Space.Add(Attribute{
+				Name:      tcol.Name + "(" + key + ")",
 				Column:    tcol.Name,
 				NestedKey: key,
 				Kind:      KindExistence,
 				IsTarget:  tcol.IsOutput(),
 				IsInput:   tcol.IsInput(),
-			})
+			}))
 		}
-		c.Values[exIdx] = true
+		c.put(int(ex), numCode, 1)
 
-		for j := range tcol.Table {
-			ncol := &tcol.Table[j]
-			ord := nb.cols[j]
-			if ord < 0 || ncol.Content == ContentKey {
-				continue
-			}
-			v := nrow[ord]
+		for j := range tb.cols {
+			nb := &tb.cols[j]
+			v := nrow[nb.ord]
 			if v == nil {
 				continue
 			}
-			switch ncol.Content {
+			switch nb.def.Content {
 			case ContentRelation:
-				if tk.frozen {
-					continue // read-only space at prediction time
-				}
-				tk.Space.setRelation(tcol.Name, key, rowset.FormatValue(v))
+				tk.Space.setRelation(tcol.Name, rowset.FormatValue(kv), rowset.FormatValue(v))
 			case ContentQualifier:
-				// Qualifier of the nested key qualifies the existence
-				// attribute; qualifier of a nested attribute qualifies the
-				// derived valued attribute.
-				target := ncol.QualifierOf
-				if kc, ok := findColumn(tcol.Table, target); ok && kc.Content == ContentKey {
-					tk.applyQualifierIdx(c, ncol, exIdx, v)
-				} else {
-					name := fmt.Sprintf("%s(%s).%s", tcol.Name, key, target)
-					if idx, ok := tk.Space.Lookup(name); ok {
-						tk.applyQualifierIdx(c, ncol, idx, v)
-					}
+				if idx, ok := codeOf(nb.keys, kv); ok {
+					applyQualifier(c, nb.def, int(idx), v)
 				}
 			case ContentAttribute:
-				name := fmt.Sprintf("%s(%s).%s", tcol.Name, key, ncol.Name)
-				idx, ok := tk.Space.Lookup(name)
-				if !ok {
-					if tk.frozen {
-						continue
-					}
-					kind := KindDiscrete
-					if ncol.AttrType.IsNumericLike() {
-						kind = KindContinuous
-					}
-					idx = tk.Space.Add(Attribute{
-						Name:         name,
-						Column:       tcol.Name,
-						NestedColumn: ncol.Name,
-						NestedKey:    key,
-						Kind:         kind,
-						IsTarget:     tcol.IsOutput() || ncol.IsOutput(),
-						IsInput:      tcol.IsInput(),
-						Distribution: ncol.Distribution,
-					})
-				}
-				a := tk.Space.Attr(idx)
-				if a.Kind == KindContinuous {
-					f, ok := rowset.ToFloat(v)
-					if !ok {
-						return fmt.Errorf("core: nested column %q: non-numeric value %v", ncol.Name, v)
-					}
-					c.Values[idx] = f
-				} else {
-					s := rowset.FormatValue(v)
-					st := a.StateIndex(s)
-					if st < 0 {
-						if tk.frozen {
-							continue
-						}
-						a.States = append(a.States, s)
-						st = len(a.States) - 1
-					}
-					c.Values[idx] = int64(st)
+				if err := tk.setNested(c, tcol, nb, kv, v); err != nil {
+					return err
 				}
 			}
 		}
@@ -448,42 +472,66 @@ func (tk *Tokenizer) tokenizeNested(c *Case, nb *nestedBinding, nested *rowset.R
 		for i, e := range seq {
 			keys[i] = e.key
 		}
-		if c.Sequences == nil {
-			c.Sequences = make(map[string][]string)
-		}
-		c.Sequences[tcol.Name] = keys
+		c.Sequences = append(c.Sequences, Sequence{Table: tcol.Name, Keys: keys})
 	}
 	return nil
 }
 
-func (tk *Tokenizer) applyQualifier(c *Case, col *ColumnDef, target string, v rowset.Value) {
-	if idx, ok := tk.Space.Lookup(target); ok {
-		tk.applyQualifierIdx(c, col, idx, v)
-		return
-	}
-	// SUPPORT may qualify the case as a whole (target may be the key).
-	if col.Qualifier == QualSupport {
-		if f, ok := rowset.ToFloat(v); ok && f > 0 {
-			c.Weight = f
+// setNested tokenizes the value v of nested attribute column nb in the nested
+// row keyed kv, minting the valued attribute the first time training sees the
+// (key, column) pair.
+func (tk *Tokenizer) setNested(c *Case, tcol *ColumnDef, nb *nestedBinding, kv, v rowset.Value) error {
+	ncol := nb.def
+	i, ok := codeOf(nb.keys, kv)
+	if !ok {
+		if tk.frozen {
+			return nil
 		}
+		kind := KindDiscrete
+		if ncol.AttrType.IsNumericLike() {
+			kind = KindContinuous
+		}
+		key := rowset.FormatValue(kv)
+		i = int32(tk.Space.Add(Attribute{
+			Name:         tcol.Name + "(" + key + ")." + ncol.Name,
+			Column:       tcol.Name,
+			NestedColumn: ncol.Name,
+			NestedKey:    key,
+			Kind:         kind,
+			IsTarget:     tcol.IsOutput() || ncol.IsOutput(),
+			IsInput:      tcol.IsInput(),
+			Distribution: ncol.Distribution,
+		}))
 	}
+	idx := int(i)
+	a := tk.Space.Attr(idx)
+	if a.Kind != KindContinuous {
+		tk.setState(c, a, idx, v)
+		return nil
+	}
+	f, ok := rowset.ToFloat(v)
+	if !ok {
+		return fmt.Errorf("core: nested column %q: non-numeric value %v", ncol.Name, v)
+	}
+	c.put(idx, numCode, f)
+	return nil
 }
 
-func (tk *Tokenizer) applyQualifierIdx(c *Case, col *ColumnDef, idx int, v rowset.Value) {
+// applyQualifier applies qualifier column col's value v to attribute idx of
+// the case; idx < 0 — the qualifier's target is no attribute, e.g. the key —
+// lets SUPPORT qualify the case as a whole.
+func applyQualifier(c *Case, col *ColumnDef, idx int, v rowset.Value) {
 	f, ok := rowset.ToFloat(v)
 	if !ok {
 		return
 	}
-	switch col.Qualifier {
-	case QualProbability:
-		if c.Prob == nil {
-			c.Prob = make(map[int]float64)
-		}
-		c.Prob[idx] = clamp01(f)
-	case QualSupport:
+	switch {
+	case col.Qualifier == QualSupport:
 		if f > 0 {
 			c.Weight = f
 		}
+	case col.Qualifier == QualProbability && idx >= 0:
+		c.SetProb(idx, min(max(f, 0), 1))
 	default:
 		// VARIANCE, PROBABILITY_VARIANCE, and ORDER are accepted and
 		// recorded nowhere: our reference algorithms do not consume them,
@@ -491,47 +539,10 @@ func (tk *Tokenizer) applyQualifierIdx(c *Case, col *ColumnDef, idx int, v rowse
 	}
 }
 
-func clamp01(f float64) float64 {
-	if f < 0 {
-		return 0
-	}
-	if f > 1 {
-		return 1
-	}
-	return f
-}
-
 // bucketOf returns the discretization bucket of f given ascending cuts:
 // bucket i covers (cuts[i-1], cuts[i]]; bucket len(cuts) is the overflow.
 func bucketOf(f float64, cuts []float64) int {
 	return sort.SearchFloat64s(cuts, math.Nextafter(f, math.Inf(-1)))
-}
-
-// DiscretizeAttr installs cut points for attribute idx and rewrites every
-// case's value for it from a raw float to a bucket state. Bucket labels
-// become the attribute's discrete states.
-func (cs *Caseset) DiscretizeAttr(idx int, cuts []float64) {
-	a := cs.Space.Attr(idx)
-	a.Cuts = append([]float64(nil), cuts...)
-	a.Kind = KindDiscrete
-	a.States = BucketLabels(cuts)
-	first := true
-	for ci := range cs.Cases {
-		v, ok := cs.Cases[ci].Values[idx]
-		if !ok {
-			continue
-		}
-		if f, ok := rowset.ToFloat(v); ok {
-			if first || f < a.Lo {
-				a.Lo = f
-			}
-			if first || f > a.Hi {
-				a.Hi = f
-			}
-			first = false
-			cs.Cases[ci].Values[idx] = int64(bucketOf(f, cuts))
-		}
-	}
 }
 
 // BucketBounds returns the numeric bounds of discretization bucket i,

@@ -81,7 +81,7 @@ func TestTokenizePaperCase(t *testing.T) {
 		t.Fatalf("cases = %d", cs.Len())
 	}
 	sp := cs.Space
-	c1 := cs.Cases[0]
+	c1 := cs.Case(0)
 
 	// Scalar attributes.
 	gIdx, ok := sp.Lookup("Gender")
@@ -107,7 +107,7 @@ func TestTokenizePaperCase(t *testing.T) {
 	if !c1.Has(tvIdx) {
 		t.Error("customer 1 bought a TV")
 	}
-	c2 := cs.Cases[1]
+	c2 := cs.Case(1)
 	beerIdx, _ := sp.Lookup("Product Purchases(Beer)")
 	if c2.Has(beerIdx) {
 		t.Error("customer 2 did not buy beer")
@@ -190,7 +190,7 @@ func TestFrozenTokenizerAllowsSubset(t *testing.T) {
 		t.Fatal(err)
 	}
 	gIdx, _ := tk.Space.Lookup("Gender")
-	if cs.Cases[0].Discrete(gIdx) != 0 {
+	if cs.Case(0).Discrete(gIdx) != 0 {
 		t.Error("frozen tokenizer must reuse state dictionary")
 	}
 	// Unseen state is missing, not a new state.
@@ -200,7 +200,7 @@ func TestFrozenTokenizerAllowsSubset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cs2.Cases[0].Has(gIdx) {
+	if cs2.Case(0).Has(gIdx) {
 		t.Error("unseen state must tokenize as missing when frozen")
 	}
 	if len(tk.Space.Attr(gIdx).States) != 2 {
@@ -236,7 +236,7 @@ func TestDiscretizeAttr(t *testing.T) {
 	}
 	wantBuckets := []int{0, 0, 1, 1, 2}
 	for i, w := range wantBuckets {
-		if got := cs.Cases[i].Discrete(vIdx); got != w {
+		if got := cs.Case(i).Discrete(vIdx); got != w {
 			t.Errorf("case %d bucket = %d want %d", i, got, w)
 		}
 	}
@@ -248,8 +248,8 @@ func TestDiscretizeAttr(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cs2.Cases[0].Discrete(vIdx) != 1 {
-		t.Errorf("frozen bucket = %d want 1", cs2.Cases[0].Discrete(vIdx))
+	if cs2.Case(0).Discrete(vIdx) != 1 {
+		t.Errorf("frozen bucket = %d want 1", cs2.Case(0).Discrete(vIdx))
 	}
 }
 
@@ -288,8 +288,8 @@ func TestSupportQualifierSetsWeight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cs.Cases[0].Weight != 3 || cs.Cases[1].Weight != 1 {
-		t.Errorf("weights = %v %v", cs.Cases[0].Weight, cs.Cases[1].Weight)
+	if cs.Case(0).Weight != 3 || cs.Case(1).Weight != 1 {
+		t.Errorf("weights = %v %v", cs.Case(0).Weight, cs.Case(1).Weight)
 	}
 	if cs.TotalWeight() != 4 {
 		t.Errorf("total weight = %v", cs.TotalWeight())
@@ -336,10 +336,10 @@ func TestModelExistenceOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	idx, _ := tk.Space.Lookup("Age")
-	if v, ok := cs.Cases[0].Values[idx]; !ok || v != true {
+	if v, ok := cs.Case(0).Continuous(idx); !ok || v != 1 || cs.Case(0).Discrete(idx) != -1 {
 		t.Errorf("existence-only value = %v %v", v, ok)
 	}
-	if cs.Cases[1].Has(idx) {
+	if cs.Case(1).Has(idx) {
 		t.Error("NULL must be absent for existence-only attribute")
 	}
 }
@@ -443,7 +443,12 @@ func TestFrozenTokenizationIsReadOnly(t *testing.T) {
 	mustAppend(basket, "Spaceship", 1.0, "Vehicle") // unseen key + new relation value
 	mustAppend(basket, "TV", 1.0, "Refurbished")    // seen key, contradicting relation value
 	row := rowset.Row{int64(9), "Nonbinary", 40.0, basket}
-	if _, err := frozen.TokenizeCase(schema, row); err != nil {
+	cb, err := frozen.NewCaseBinder(BindByName(frozen.Def.Columns, schema))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var c Case
+	if err := cb.TokenizeRow(row, &c); err != nil {
 		t.Fatal(err)
 	}
 

@@ -265,8 +265,8 @@ func outsideModelDef() *core.ModelDef {
 // the outside path.
 func equalAreasCutsFromCases(cs *core.Caseset, attr, buckets int) []float64 {
 	var vals []float64
-	for i := range cs.Cases {
-		if v, ok := cs.Cases[i].Continuous(attr); ok {
+	for i := 0; i < cs.Len(); i++ {
+		if v, ok := cs.Case(i).Continuous(attr); ok {
 			vals = append(vals, v)
 		}
 	}

@@ -30,17 +30,13 @@ func (p *Provider) casesRowset(name string) (*rowset.Rowset, error) {
 	)
 	out := rowset.New(schema)
 	space := e.tokenizer.Space
-	for ci := range e.cases {
-		c := &e.cases[ci]
+	for ci := 0; ci < e.cases.Len(); ci++ {
+		c := e.cases.Case(ci)
 		key := rowset.FormatValue(c.Key)
-		// Deterministic attribute order: space index order.
-		for idx := 0; idx < space.Len(); idx++ {
-			v, ok := c.Values[idx]
-			if !ok {
-				continue
-			}
-			a := space.Attr(idx)
-			if err := out.AppendVals(key, a.Name, renderCaseValue(a, v), c.ProbOf(idx), c.Weight); err != nil {
+		// Cells are in space index order: a deterministic attribute order.
+		for _, cell := range c.Cells() {
+			a := space.Attr(int(cell.Attr))
+			if err := out.AppendVals(key, a.Name, renderCaseValue(a, cell), cell.Prob, c.Weight); err != nil {
 				return nil, err
 			}
 		}
@@ -49,16 +45,14 @@ func (p *Provider) casesRowset(name string) (*rowset.Rowset, error) {
 }
 
 // renderCaseValue maps a tokenized value back to its display form.
-func renderCaseValue(a *core.Attribute, v rowset.Value) string {
-	switch a.Kind {
-	case core.KindExistence:
+func renderCaseValue(a *core.Attribute, cell core.Cell) string {
+	switch {
+	case a.Kind == core.KindExistence:
 		return "present"
-	case core.KindDiscrete:
-		if st, ok := v.(int64); ok && int(st) >= 0 && int(st) < len(a.States) {
-			return a.States[st]
-		}
+	case cell.Code >= 0 && int(cell.Code) < len(a.States):
+		return a.States[cell.Code]
 	}
-	return rowset.FormatValue(v)
+	return rowset.FormatValue(cell.Value())
 }
 
 // pmmlRowset renders a trained model's content graph as a single-cell XML

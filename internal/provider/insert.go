@@ -3,6 +3,7 @@ package provider
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/algo/discretize"
@@ -10,7 +11,6 @@ import (
 	"repro/internal/dmx"
 	"repro/internal/lex"
 	"repro/internal/obs"
-	"repro/internal/par"
 	"repro/internal/rowset"
 )
 
@@ -38,18 +38,14 @@ func (p *Provider) insertInto(ctx context.Context, ins *dmx.InsertInto) (*rowset
 	spSource.SetRows(int64(src.Len()))
 	t.EndSpan(spSource)
 	t.AddRowsIn(int64(src.Len()))
-	workers := p.workers()
-	t.SetParallelism(workers)
-	// Like the predict scan, the bind span brackets the worker fork/join; the
-	// workers themselves never touch the trace.
-	spBind := t.StartSpan("bind", fmt.Sprintf("workers=%d", workers))
-	bound, err := applyBindings(ctx, e.model.Def, ins.Bindings, src, workers)
+	// The statement's column list and the model's columns compose into one
+	// plan over the source's own rows; nothing is copied or reshaped here.
+	spBind := t.StartSpan("bind", "")
+	cols, err := bindColumns(e.model.Def.Name, e.model.Def.Columns, ins.Bindings, src.Schema(), false)
+	t.EndSpan(spBind)
 	if err != nil {
-		t.EndSpan(spBind)
 		return nil, err
 	}
-	spBind.SetRows(int64(bound.Len()))
-	t.EndSpan(spBind)
 
 	spTrain := t.StartSpanStage(obs.StageTrain, "train", "algorithm="+e.model.Def.Algorithm)
 	// The deferred EndSpan covers every error return below; any "tokenize"
@@ -76,28 +72,30 @@ func (p *Provider) insertInto(ctx context.Context, ins *dmx.InsertInto) (*rowset
 	}
 
 	// Clone the published space and cases before touching them: tokenization
-	// grows the attribute space and discretization rewrites case values in
-	// place, and both would otherwise reach through the live snapshot into a
+	// grows the attribute space and discretization rewrites cells in place,
+	// and both would otherwise reach through the live snapshot into a
 	// concurrent prediction's working state.
 	space := cur.tokenizer.Space.Clone()
 	tok := core.NewTokenizerWithSpace(def, space)
-	cases := core.CloneCases(cur.cases)
+	full := &core.Caseset{Space: space, Cases: cur.cases.Clone()}
+	before := full.Len()
 
 	// Tokenization stays on this single consumer goroutine: it grows the
 	// cloned attribute space, and state dictionaries are built in first-seen
 	// order, so a parallel tokenize would make attribute indexes depend on
-	// scheduling. The parallelizable part of the training scan — per-row
-	// binding and nested reshaping — already ran above, outside the lock.
+	// scheduling.
 	spTok := t.StartSpan("tokenize", "")
-	cs, err := tok.Tokenize(bound)
+	binder, err := tok.NewCaseBinder(cols)
+	if err == nil {
+		err = binder.TokenizeRows(src.Rows(), &full.Cases)
+	}
 	if err != nil {
 		t.EndSpan(spTok)
 		return nil, err
 	}
-	spTok.SetRows(int64(len(cs.Cases)))
+	consumed := full.Len() - before
+	spTok.SetRows(int64(consumed))
 	t.EndSpan(spTok)
-	cases = append(cases, cs.Cases...)
-	full := &core.Caseset{Space: space, Cases: cases}
 
 	if err := p.discretizePipeline(def, full); err != nil {
 		return nil, err
@@ -113,9 +111,9 @@ func (p *Provider) insertInto(ctx context.Context, ins *dmx.InsertInto) (*rowset
 		return nil, err
 	}
 	fresh := &modelEntry{
-		model:     &core.Model{Def: def, Space: space, Trained: trained, CaseCount: len(cases)},
+		model:     &core.Model{Def: def, Space: space, Trained: trained, CaseCount: full.Len()},
 		tokenizer: tok,
-		cases:     cases,
+		cases:     full.Cases,
 	}
 	if err := p.saveModel(fresh); err != nil {
 		return nil, err
@@ -123,9 +121,9 @@ func (p *Provider) insertInto(ctx context.Context, ins *dmx.InsertInto) (*rowset
 	p.catalog[key] = fresh
 	p.publishLocked()
 
-	spTrain.SetRows(int64(len(cs.Cases)))
+	spTrain.SetRows(int64(consumed))
 	rs := rowset.New(rowset.MustSchema(rowset.Column{Name: "cases consumed", Type: rowset.TypeLong}))
-	if err := rs.AppendVals(int64(len(cs.Cases))); err != nil {
+	if err := rs.AppendVals(int64(consumed)); err != nil {
 		return nil, err
 	}
 	return rs, nil
@@ -160,10 +158,10 @@ func (p *Provider) discretizePipeline(def *core.ModelDef, full *core.Caseset) er
 		if len(attr.Cuts) > 0 {
 			continue // already discretized in an earlier INSERT
 		}
-		var values []float64
-		for ci := range full.Cases {
-			if v, ok := full.Cases[ci].Continuous(idx); ok {
-				values = append(values, v)
+		values := make([]float64, 0, full.Len())
+		for i := range full.Cells {
+			if int(full.Cells[i].Attr) == idx {
+				values = append(values, full.Cells[i].Value())
 			}
 		}
 		if len(values) == 0 {
@@ -196,212 +194,73 @@ func (p *Provider) entropyLabels(full *core.Caseset, exclude int) []int {
 		return nil
 	}
 	labels := make([]int, 0, full.Len())
-	for ci := range full.Cases {
-		if _, ok := full.Cases[ci].Continuous(exclude); !ok {
+	for ci := 0; ci < full.Len(); ci++ {
+		c := full.Case(ci)
+		if !c.Has(exclude) {
 			continue
 		}
-		st := full.Cases[ci].Discrete(labelAttr)
-		if st < 0 {
-			st = 0
-		}
-		labels = append(labels, st)
+		labels = append(labels, max(c.Discrete(labelAttr), 0))
 	}
 	return labels
 }
 
-// applyBindings reshapes the source rowset into the model's caseset layout.
-// With an explicit binding list, bindings map positionally onto the source
-// columns when the counts line up (SKIP entries consume unbound source
-// columns, the DMX idiom for RELATE keys); otherwise, and when no bindings
-// are given, columns bind by name. The per-row projection (including nested
-// reshaping, the expensive part of a hierarchical training scan) runs on the
-// workers pool; rows keep their source order.
-func applyBindings(ctx context.Context, def *core.ModelDef, bindings []dmx.Binding, src *rowset.Rowset, workers int) (*rowset.Rowset, error) {
+// bindColumns resolves a binding list against one level of columns — the
+// model's, or a TABLE column's — and a source schema: for every column, where
+// in a source row its values are (Ord -1: nothing binds it). With no binding
+// list every column binds the source column of its name. INSERT INTO binds
+// positionally when the binding list covers every source column (the DMX
+// convention, with SKIP consuming unbound columns — the idiom for RELATE
+// keys) and by name otherwise; prediction joins pass byNameOnly because their
+// bindings are derived from names in the first place.
+func bindColumns(model string, cols []core.ColumnDef, bindings []dmx.Binding, src *rowset.Schema, byNameOnly bool) ([]core.ColumnSource, error) {
 	if len(bindings) == 0 {
-		bindings = make([]dmx.Binding, 0, len(def.Columns))
-		for i := range def.Columns {
-			bindings = append(bindings, dmx.Binding{Name: def.Columns[i].Name})
+		for i := range cols {
+			bindings = append(bindings, dmx.Binding{Name: cols[i].Name})
 		}
 	}
-	plan, outCols, err := bindColumns(def.Name, def.Columns, bindings, src.Schema(), false)
-	if err != nil {
-		return nil, err
-	}
-	outSchema, err := rowset.NewSchema(outCols...)
-	if err != nil {
-		return nil, err
-	}
-	srcRows := src.Rows()
-	// Identity plan — every model column binds the same-ordinal scalar source
-	// column — passes the source rows through unshaped: the caseset shares the
-	// executor's rows under the model-named schema, no per-row copy at all.
-	if len(plan) == src.Schema().Len() {
-		identity := true
-		for i, b := range plan {
-			if b.srcOrd != i || b.nestedSchema != nil {
-				identity = false
-				break
-			}
-		}
-		if identity {
-			return rowset.Adopt(outSchema, srcRows), nil
-		}
-	}
-	rows := make([]rowset.Row, len(srcRows))
-	err = par.ForEachCtx(ctx, len(srcRows), workers, func(i int) error {
-		var err error
-		rows[i], err = bindRow(plan, srcRows[i], make(rowset.Row, 0, len(plan)))
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	// The projected rows reuse values straight out of the (already canonical)
-	// source rowset, so the result adopts them instead of re-normalizing every
-	// cell a second time.
-	return rowset.Adopt(outSchema, rows), nil
-}
-
-// bindRow appends to dst the model-layout row plan makes of one source row:
-// each bound column's cell, nested tables reshaped through their nested
-// binding (a NULL cell is an empty table). INSERT INTO's reshaping and the
-// prediction join's case binder both go through it.
-func bindRow(plan []boundCol, src, dst rowset.Row) (rowset.Row, error) {
-	for _, b := range plan {
-		v := src[b.srcOrd]
-		if b.nestedSchema != nil {
-			nested, ok := v.(*rowset.Rowset)
-			switch {
-			case v == nil:
-				nested = rowset.New(b.nestedSrcSchema)
-			case !ok:
-				return nil, &NestedColumnTypeError{Column: b.name, Got: rowset.TypeOf(v).String()}
-			}
-			nv, err := reshapeNested(nested, b)
-			if err != nil {
-				return nil, err
-			}
-			v = nv
-		}
-		dst = append(dst, v)
-	}
-	return dst, nil
-}
-
-// boundCol is one resolved binding: which source ordinal feeds which model
-// column, plus the nested projection for TABLE columns.
-type boundCol struct {
-	name            string
-	srcOrd          int
-	nestedSchema    *rowset.Schema // output nested schema (model names)
-	nestedSrcSchema *rowset.Schema // source nested schema
-	nestedOrds      []int          // source ordinals inside the nested table
-}
-
-// bindColumns resolves a binding list against model columns and a source
-// schema, returning the projection plan and the output columns. INSERT INTO
-// binds positionally when the binding list covers every source column (the
-// DMX convention, with SKIP consuming unbound columns) and by name
-// otherwise; prediction joins pass byNameOnly because their bindings are
-// derived from names in the first place.
-func bindColumns(model string, cols []core.ColumnDef, bindings []dmx.Binding, src *rowset.Schema, byNameOnly bool) ([]boundCol, []rowset.Column, error) {
 	positional := !byNameOnly && len(bindings) == len(src.Columns)
-	var plan []boundCol
-	var outCols []rowset.Column
+	out := make([]core.ColumnSource, len(cols))
+	for i := range out {
+		out[i].Ord = -1
+	}
+	bound := false
 	for bi, b := range bindings {
 		if b.Skip {
 			if !positional {
-				return nil, nil, fmt.Errorf("provider: model %s: SKIP requires the binding list to match the source column count", model)
+				return nil, fmt.Errorf("provider: model %s: SKIP requires the binding list to match the source column count", model)
 			}
 			continue
 		}
-		mc, ok := findColumnDef(cols, b.Name)
-		if !ok {
-			return nil, nil, fmt.Errorf("provider: model %s has no column %q", model, b.Name)
+		ci := slices.IndexFunc(cols, func(c core.ColumnDef) bool { return strings.EqualFold(c.Name, b.Name) })
+		if ci < 0 {
+			return nil, fmt.Errorf("provider: model %s has no column %q", model, b.Name)
 		}
-		var srcOrd int
-		if positional {
-			srcOrd = bi
-		} else {
-			srcOrd, ok = src.Lookup(b.Name)
-			if !ok {
-				return nil, nil, fmt.Errorf("provider: source has no column %q for model %s (source columns: %v)",
+		srcOrd := bi
+		if !positional {
+			var ok bool
+			if srcOrd, ok = src.Lookup(b.Name); !ok {
+				return nil, fmt.Errorf("provider: source has no column %q for model %s (source columns: %v)",
 					b.Name, model, src.Names())
 			}
 		}
-		bc := boundCol{name: mc.Name, srcOrd: srcOrd}
-		outCol := rowset.Column{Name: mc.Name, Type: src.Column(srcOrd).Type, Nested: src.Column(srcOrd).Nested}
-		if mc.Content == core.ContentTable {
-			nestedSrc := src.Column(srcOrd).Nested
-			if nestedSrc == nil {
-				return nil, nil, fmt.Errorf("provider: model %s column %q: source column is not a nested table", model, mc.Name)
-			}
-			nb := b.Nested
-			if len(nb) == 0 {
-				nb = make([]dmx.Binding, 0, len(mc.Table))
-				for i := range mc.Table {
-					nb = append(nb, dmx.Binding{Name: mc.Table[i].Name})
-				}
-			}
-			nplan, ncols, err := bindColumns(model, mc.Table, nb, nestedSrc, byNameOnly)
-			if err != nil {
-				return nil, nil, err
-			}
-			nschema, err := rowset.NewSchema(ncols...)
-			if err != nil {
-				return nil, nil, err
-			}
-			bc.nestedSchema = nschema
-			bc.nestedSrcSchema = nestedSrc
-			for _, np := range nplan {
-				bc.nestedOrds = append(bc.nestedOrds, np.srcOrd)
-			}
-			outCol.Type = rowset.TypeTable
-			outCol.Nested = nschema
+		out[ci].Ord, bound = srcOrd, true
+		if cols[ci].Content != core.ContentTable {
+			continue
 		}
-		plan = append(plan, bc)
-		outCols = append(outCols, outCol)
-	}
-	if len(plan) == 0 {
-		return nil, nil, fmt.Errorf("provider: model %s: binding list binds no columns", model)
-	}
-	return plan, outCols, nil
-}
-
-func findColumnDef(cols []core.ColumnDef, name string) (*core.ColumnDef, bool) {
-	for i := range cols {
-		if strings.EqualFold(cols[i].Name, name) {
-			return &cols[i], true
+		nestedSrc := src.Column(srcOrd).Nested
+		if nestedSrc == nil {
+			return nil, fmt.Errorf("provider: model %s column %q: source column is not a nested table", model, cols[ci].Name)
+		}
+		nested, err := bindColumns(model, cols[ci].Table, b.Nested, nestedSrc, byNameOnly)
+		if err != nil {
+			return nil, err
+		}
+		for _, n := range nested {
+			out[ci].Nested = append(out[ci].Nested, n.Ord)
 		}
 	}
-	return nil, false
-}
-
-// reshapeNested projects a nested source rowset through the nested binding.
-// Identity projections share the nested rows under the model-named schema;
-// either way the values are adopted, not re-normalized — they came out of the
-// executor canonical.
-func reshapeNested(nested *rowset.Rowset, b boundCol) (*rowset.Rowset, error) {
-	src := nested.Rows()
-	if len(b.nestedOrds) == nested.Schema().Len() {
-		identity := true
-		for i, o := range b.nestedOrds {
-			if o != i {
-				identity = false
-				break
-			}
-		}
-		if identity {
-			return rowset.Adopt(b.nestedSchema, src), nil
-		}
+	if !bound {
+		return nil, fmt.Errorf("provider: model %s: binding list binds no columns", model)
 	}
-	rows := make([]rowset.Row, len(src))
-	for i, r := range src {
-		row := make(rowset.Row, len(b.nestedOrds))
-		for j, o := range b.nestedOrds {
-			row[j] = r[o]
-		}
-		rows[i] = row
-	}
-	return rowset.Adopt(b.nestedSchema, rows), nil
+	return out, nil
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/rowset"
 	"repro/internal/storage"
 )
@@ -108,8 +109,8 @@ func TestParallelErrorIsDeterministic(t *testing.T) {
 
 // TestPredictionNestedColumnTypeError covers the former silent-empty bug: a
 // source cell bound to a nested TABLE column whose value is not a rowset must
-// surface a typed error naming the column (from bindRow, which the prediction
-// join and INSERT INTO share), not predict from an empty basket.
+// surface a typed error naming the column (from the case binder, which the
+// prediction join and INSERT INTO share), not predict from an empty basket.
 func TestPredictionNestedColumnTypeError(t *testing.T) {
 	p := trainedProviderWorkers(t, 1, 30)
 	e, err := p.entry("Age Prediction")
@@ -121,14 +122,17 @@ func TestPredictionNestedColumnTypeError(t *testing.T) {
 		rowset.Column{Name: "Gender", Type: rowset.TypeText},
 		rowset.Column{Name: "Product Purchases", Type: rowset.TypeTable, Nested: nestedSrc},
 	)
-	bindings := naturalBindings(e.model.Def, srcSchema)
-	plan, _, err := bindColumns(e.model.Def.Name, e.model.Def.Columns, bindings, srcSchema, true)
+	cols := core.BindByName(e.model.Def.Columns, srcSchema)
+	frozen := *e.tokenizer
+	frozen.Freeze()
+	binder, err := frozen.NewCaseBinder(cols)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The schema claims a nested table but the cell carries a string.
-	_, err = bindRow(plan, rowset.Row{"Male", "not-a-rowset"}, nil)
-	var nte *NestedColumnTypeError
+	var c core.Case
+	err = binder.TokenizeRow(rowset.Row{"Male", "not-a-rowset"}, &c)
+	var nte *core.NestedColumnTypeError
 	if !errors.As(err, &nte) {
 		t.Fatalf("err = %v, want *NestedColumnTypeError", err)
 	}
@@ -136,7 +140,7 @@ func TestPredictionNestedColumnTypeError(t *testing.T) {
 		t.Errorf("error names column %q, want Product Purchases", nte.Column)
 	}
 	// A nil cell still means an empty basket, not an error.
-	if _, err := bindRow(plan, rowset.Row{"Male", nil}, nil); err != nil {
+	if err := binder.TokenizeRow(rowset.Row{"Male", nil}, &c); err != nil {
 		t.Errorf("nil nested cell: %v", err)
 	}
 }

@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/rowset"
 )
 
 // Model persistence: each model is one gob file under <dir>/models holding
@@ -19,7 +21,8 @@ import (
 // storage engine's binary format; call Save to snapshot them.
 
 func init() {
-	// Case.Values carries rowset.Value (any); register the concrete types.
+	// Case keys (and a legacy file's case values) are rowset.Value (any);
+	// register the concrete types.
 	gob.Register(int64(0))
 	gob.Register(float64(0))
 	gob.Register("")
@@ -27,12 +30,56 @@ func init() {
 	gob.Register(time.Time{})
 }
 
+// modelFormat is the version saveModel writes. Version 0 — files from before
+// the field existed — kept each case as maps (legacyCase); loadModel converts
+// those, and refuses a version it does not know rather than guess.
+const modelFormat = 1
+
 // modelFile is the on-disk model representation.
 type modelFile struct {
-	Def       *core.ModelDef
-	Space     *core.AttributeSpace
-	Cases     []core.Case
+	Version int
+	Def     *core.ModelDef
+	Space   *core.AttributeSpace
+	// Coded is the training cases; Cases is where a version-0 file has them.
+	Coded     core.Cases
+	Cases     []legacyCase
 	CaseCount int
+}
+
+// legacyCase is a version-0 case: attribute index → state index (int64),
+// number (float64) or presence (true), with certainties beside them.
+type legacyCase struct {
+	Values    map[int]rowset.Value
+	Prob      map[int]float64
+	Weight    float64
+	Key       rowset.Value
+	Sequences map[string][]string
+}
+
+func (lc *legacyCase) coded() core.Case {
+	c := core.Case{Weight: lc.Weight, Key: lc.Key}
+	for attr, v := range lc.Values {
+		c.Set(attr, v)
+	}
+	for attr, p := range lc.Prob {
+		c.SetProb(attr, p)
+	}
+	for table, keys := range lc.Sequences {
+		c.Sequences = append(c.Sequences, core.Sequence{Table: table, Keys: keys})
+	}
+	sort.Slice(c.Sequences, func(i, j int) bool { return c.Sequences[i].Table < c.Sequences[j].Table })
+	return c
+}
+
+// ModelFormatError reports a model file written in a format this build does
+// not read.
+type ModelFormatError struct {
+	Path    string
+	Version int
+}
+
+func (e *ModelFormatError) Error() string {
+	return fmt.Sprintf("provider: load model %s: format version %d, this build reads up to %d", e.Path, e.Version, modelFormat)
 }
 
 func (p *Provider) modelsDir() string { return filepath.Join(p.dir, "models") }
@@ -72,9 +119,10 @@ func (p *Provider) saveModel(e *modelEntry) error {
 		return fmt.Errorf("provider: save model: %w", err)
 	}
 	mf := modelFile{
+		Version:   modelFormat,
 		Def:       e.model.Def,
 		Space:     e.tokenizer.Space,
-		Cases:     e.cases,
+		Coded:     e.cases,
 		CaseCount: e.model.CaseCount,
 	}
 	if err := gob.NewEncoder(f).Encode(&mf); err != nil {
@@ -141,15 +189,28 @@ func (p *Provider) loadModel(path string) error {
 	if err := gob.NewDecoder(f).Decode(&mf); err != nil {
 		return fmt.Errorf("provider: load model %s: %w", path, err)
 	}
+	if mf.Version > modelFormat || mf.Version < 0 {
+		return &ModelFormatError{Path: path, Version: mf.Version}
+	}
+	if mf.Def == nil || mf.Space == nil {
+		return fmt.Errorf("provider: load model %s: no model definition in the file", path)
+	}
 	if err := mf.Def.Validate(); err != nil {
 		return fmt.Errorf("provider: load model %s: %w", path, err)
 	}
+	for i := range mf.Cases {
+		mf.Coded.Append(mf.Cases[i].coded())
+	}
+	if err := mf.Coded.Check(mf.Space.Len()); err != nil {
+		return fmt.Errorf("provider: load model %s: %w", path, err)
+	}
+	mf.Space.Reindex()
 	e := &modelEntry{
 		model:     &core.Model{Def: mf.Def, Space: mf.Space, CaseCount: mf.CaseCount},
 		tokenizer: core.NewTokenizerWithSpace(mf.Def, mf.Space),
-		cases:     mf.Cases,
+		cases:     mf.Coded,
 	}
-	if len(e.cases) > 0 {
+	if e.cases.Len() > 0 {
 		algo, err := p.Registry.Lookup(mf.Def.Algorithm)
 		if err != nil {
 			return fmt.Errorf("provider: load model %s: %w", mf.Def.Name, err)

@@ -3,6 +3,7 @@ package provider
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
@@ -44,36 +45,33 @@ func (p *Provider) predictionSelect(ctx context.Context, ps *dmx.PredictionSelec
 	t.EndSpan(spSource)
 	t.AddRowsIn(int64(src.Len()))
 
-	var bindings []dmx.Binding
+	// A NATURAL join binds by name whatever the source has; an ON clause says
+	// what it binds.
+	def := e.model.Def
+	var cols []core.ColumnSource
 	if ps.Natural {
-		bindings = naturalBindings(e.model.Def, src.Schema())
+		cols = core.BindByName(def.Columns, src.Schema())
 	} else {
-		bindings, err = onClauseBindings(e.model.Def, ps.Model, ps.Alias, ps.On, src.Schema())
+		bindings, err := onClauseBindings(def, ps.Model, ps.Alias, ps.On, src.Schema())
 		if err != nil {
 			return nil, err
 		}
+		if cols, err = bindColumns(def.Name, def.Columns, bindings, src.Schema(), true); err != nil {
+			return nil, err
+		}
 	}
-	if len(bindings) == 0 {
+	if !slices.ContainsFunc(cols, func(c core.ColumnSource) bool { return c.Ord >= 0 }) {
 		return nil, fmt.Errorf("provider: prediction join binds no model columns (source columns: %v)",
 			src.Schema().Names())
 	}
 	// Repeated prediction joins (and singleton WHERE <key> = ... statements)
 	// probe the source table by case key; make sure the key column is indexed
 	// so those probes are bucket lookups, not heap scans.
-	p.indexPredictionKeys(ps.Source, e.model.Def, bindings)
-	plan, outCols, err := bindColumns(e.model.Def.Name, e.model.Def.Columns, bindings, src.Schema(), true)
-	if err != nil {
-		return nil, err
-	}
-	modelSchema, err := rowset.NewSchema(outCols...)
-	if err != nil {
-		return nil, err
-	}
-
+	p.indexPredictionKeys(ps.Source, def, cols)
 	// Frozen tokenizer view: prediction never grows the attribute space.
 	frozen := *e.tokenizer
 	frozen.Freeze()
-	binder, err := frozen.NewCaseBinder(modelSchema)
+	binder, err := frozen.NewCaseBinder(cols)
 	if err != nil {
 		return nil, err
 	}
@@ -81,18 +79,18 @@ func (p *Provider) predictionSelect(ctx context.Context, ps *dmx.PredictionSelec
 	// Qualify the source schema with the join alias so t.[col] resolves.
 	evalSchema := src.Schema()
 	if ps.Alias != "" {
-		cols := make([]rowset.Column, evalSchema.Len())
+		qualified := make([]rowset.Column, evalSchema.Len())
 		for i, c := range evalSchema.Columns {
-			cols[i] = rowset.Column{Name: ps.Alias + "." + c.Name, Type: c.Type, Nested: c.Nested}
+			qualified[i] = rowset.Column{Name: ps.Alias + "." + c.Name, Type: c.Type, Nested: c.Nested}
 		}
-		evalSchema, err = rowset.NewSchema(cols...)
+		evalSchema, err = rowset.NewSchema(qualified...)
 		if err != nil {
 			return nil, err
 		}
 	}
 
 	pp := &predictPlan{
-		entry: e, plan: plan, binder: binder,
+		entry: e, binder: binder,
 		schema: evalSchema, model: ps.Model, targets: make(map[string]*predTarget),
 	}
 	// The frozen bench and DM_QUERY_LOG read the prediction scan's time from
@@ -113,7 +111,7 @@ func (p *Provider) predictionSelect(ctx context.Context, ps *dmx.PredictionSelec
 // bound to one of the model's KEY columns. Best-effort: only a bare
 // single-table source names a table to index, and a failure to build the
 // index never fails the statement — the scan path works without it.
-func (p *Provider) indexPredictionKeys(src dmx.Source, def *core.ModelDef, bindings []dmx.Binding) {
+func (p *Provider) indexPredictionKeys(src dmx.Source, def *core.ModelDef, cols []core.ColumnSource) {
 	if src.Select == nil || len(src.Select.From) != 1 {
 		return
 	}
@@ -121,12 +119,12 @@ func (p *Provider) indexPredictionKeys(src dmx.Source, def *core.ModelDef, bindi
 	if !ok {
 		return
 	}
-	for _, b := range bindings {
-		mc, ok := def.Column(b.Name)
-		if !ok || mc.Content != core.ContentKey {
+	for i := range def.Columns {
+		if def.Columns[i].Content != core.ContentKey || cols[i].Ord < 0 {
 			continue
 		}
-		ord, ok := tbl.Schema().Lookup(b.Name)
+		// A prediction join binds a model column to the source column of its name.
+		ord, ok := tbl.Schema().Lookup(def.Columns[i].Name)
 		if !ok {
 			continue
 		}
@@ -137,14 +135,13 @@ func (p *Provider) indexPredictionKeys(src dmx.Source, def *core.ModelDef, bindi
 	}
 }
 
-// predictPlan is the per-statement state behind the relation: the resolved
-// bindings, the frozen-tokenizer case binder, and what the statement's
-// expressions resolve against. The engine compiles every expression of the
-// statement (through resolve) before it opens the first partition; after that
-// the plan is read-only and shared by every partition.
+// predictPlan is the per-statement state behind the relation: the case binder
+// (the statement's bindings composed with the frozen tokenizer) and what the
+// statement's expressions resolve against. The engine compiles every
+// expression of the statement (through resolve) before it opens the first
+// partition; after that the plan is read-only and shared by every partition.
 type predictPlan struct {
 	entry  *modelEntry
-	plan   []boundCol
 	binder *core.CaseBinder
 
 	// The alias-qualified source schema and model name expressions resolve
@@ -159,54 +156,18 @@ func (pp *predictPlan) compileExpr(e sqlengine.Expr) sqlengine.Compiled {
 }
 
 // caseBinder is the relation's per-partition hook: the binder it returns
-// reshapes a source row into the model's layout (in a buffer the partition
-// reuses) and tokenizes it, and its result — the case and an empty prediction
-// cache — is the frame WHERE, the select items and the ORDER BY keys of that row
-// all evaluate against. It reads only shared immutable state.
+// tokenizes a source row where it lies, into a buffer the partition reuses,
+// and its result — a copy of the case, sized to fit, and an empty prediction
+// cache — is the frame WHERE, the select items and the ORDER BY keys of that
+// row all evaluate against. It reads only shared immutable state.
 func (pp *predictPlan) caseBinder() func(rowset.Row) (any, error) {
-	modelRow := make(rowset.Row, 0, len(pp.plan))
+	var scratch core.Case
 	return func(srcRow rowset.Row) (any, error) {
-		var err error
-		if modelRow, err = bindRow(pp.plan, srcRow, modelRow[:0]); err != nil {
+		if err := pp.binder.TokenizeRow(srcRow, &scratch); err != nil {
 			return nil, err
 		}
-		c, err := pp.binder.TokenizeRow(modelRow)
-		if err != nil {
-			return nil, err
-		}
-		return &predictionContext{entry: pp.entry, c: c, preds: make([]cachedPrediction, len(pp.targets))}, nil
+		return &predictionContext{entry: pp.entry, c: scratch.Clone(), preds: make([]cachedPrediction, len(pp.targets))}, nil
 	}
-}
-
-// naturalBindings binds model columns to same-named source columns; nested
-// tables bind their nested columns by name too. Missing columns are simply
-// absent (prediction inputs are partial by design).
-func naturalBindings(def *core.ModelDef, src *rowset.Schema) []dmx.Binding {
-	var out []dmx.Binding
-	for i := range def.Columns {
-		mc := &def.Columns[i]
-		ord, ok := src.Lookup(mc.Name)
-		if !ok {
-			continue
-		}
-		b := dmx.Binding{Name: mc.Name}
-		if mc.Content == core.ContentTable {
-			nestedSrc := src.Column(ord).Nested
-			if nestedSrc == nil {
-				continue
-			}
-			for j := range mc.Table {
-				if _, ok := nestedSrc.Lookup(mc.Table[j].Name); ok {
-					b.Nested = append(b.Nested, dmx.Binding{Name: mc.Table[j].Name})
-				}
-			}
-			if len(b.Nested) == 0 {
-				continue
-			}
-		}
-		out = append(out, b)
-	}
-	return out
 }
 
 // onClauseBindings interprets the ON clause: a conjunction of equalities

@@ -14,7 +14,6 @@ package provider
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -110,14 +109,6 @@ type Provider struct {
 	trainsByModel *obs.CounterVec
 }
 
-// workers returns the effective worker-pool bound.
-func (p *Provider) workers() int {
-	if p.parallelism > 0 {
-		return p.parallelism
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // catalogSnapshot is one published, immutable view of the model catalog.
 // The map and every entry in it are read-only after the snapshot is stored;
 // a catalog change builds a new map (sharing unchanged entries) and swaps
@@ -135,7 +126,7 @@ type catalogSnapshot struct {
 type modelEntry struct {
 	model     *core.Model
 	tokenizer *core.Tokenizer
-	cases     []core.Case
+	cases     core.Cases
 }
 
 // Option configures a Provider.

@@ -278,29 +278,37 @@ func ToFloat(v Value) (float64, bool) {
 // NULL for nil, %g for doubles, RFC 3339 for dates, and "#rows=<n>" summary
 // for nested tables.
 func FormatValue(v Value) string {
+	if s, ok := v.(string); ok {
+		return s
+	}
+	var buf [32]byte
+	return string(AppendFormat(buf[:0], v))
+}
+
+// AppendFormat appends FormatValue(v) to dst. A caller that only needs the
+// text to probe a map (m[string(b)]) formats into a stack buffer and never
+// allocates.
+func AppendFormat(dst []byte, v Value) []byte {
 	switch x := v.(type) {
 	case nil:
-		return "NULL"
+		return append(dst, "NULL"...)
 	case int64:
-		return strconv.FormatInt(x, 10)
+		return strconv.AppendInt(dst, x, 10)
 	case float64:
 		if x == math.Trunc(x) && math.Abs(x) < 1e15 {
-			return strconv.FormatFloat(x, 'f', 1, 64)
+			return strconv.AppendFloat(dst, x, 'f', 1, 64)
 		}
-		return strconv.FormatFloat(x, 'g', -1, 64)
+		return strconv.AppendFloat(dst, x, 'g', -1, 64)
 	case string:
-		return x
+		return append(dst, x...)
 	case bool:
-		if x {
-			return "true"
-		}
-		return "false"
+		return strconv.AppendBool(dst, x)
 	case time.Time:
-		return x.Format(time.RFC3339)
+		return x.AppendFormat(dst, time.RFC3339)
 	case *Rowset:
-		return fmt.Sprintf("#rows=%d", x.Len())
+		return fmt.Appendf(dst, "#rows=%d", x.Len())
 	}
-	return fmt.Sprintf("%v", v)
+	return fmt.Appendf(dst, "%v", v)
 }
 
 // Compare orders two scalar values. It returns a negative number when a<b,
