@@ -383,38 +383,6 @@ func BenchmarkE10_PaperLifecycle(b *testing.B) {
 	}
 }
 
-// ---------- parallel PREDICTION JOIN (worker-pool scan) ----------
-
-// BenchmarkPredictionJoinParallel measures batch-scoring throughput at several
-// worker bounds on a source with nested-table inputs, reporting rows/sec. The
-// fan-out is the SQL engine's (4096-case partitions), so at benchScale cases —
-// one partition — the worker counts run the same code; `go run ./bench`
-// (predict_batch) measures the partitioned path.
-func BenchmarkPredictionJoinParallel(b *testing.B) {
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			p := providertest.MustNew(provider.WithParallelism(workers))
-			if _, err := workload.Populate(p.DB, workload.Config{Customers: benchScale, Seed: 1}); err != nil {
-				b.Fatal(err)
-			}
-			mustExecB(b, p, benchCreateAge)
-			mustExecB(b, p, benchInsertAge)
-			q := `SELECT t.[Customer ID], Predict([Age]), PredictProbability([Age]) FROM [Bench Age]
-				NATURAL PREDICTION JOIN (
-					SHAPE {SELECT [Customer ID], Gender FROM Customers ORDER BY [Customer ID]}
-					APPEND ({SELECT CustID, [Product Name] FROM Sales ORDER BY CustID}
-						RELATE [Customer ID] TO [CustID]) AS [Product Purchases]) AS t`
-			b.ResetTimer()
-			var rows int
-			for i := 0; i < b.N; i++ {
-				rs := mustExecB(b, p, q)
-				rows += rs.Len()
-			}
-			b.ReportMetric(float64(rows)/b.Elapsed().Seconds(), "rows/sec")
-		})
-	}
-}
-
 // ---------- micro-benchmarks for hot paths ----------
 
 func BenchmarkMicroSQLSelectWhere(b *testing.B) {

@@ -1,10 +1,12 @@
 // Package dmx implements the Data Mining Extensions language proposed by the
-// paper: the CREATE MINING MODEL / INSERT INTO / PREDICTION JOIN / SELECT
-// FROM <model>.CONTENT / DELETE FROM / DROP MINING MODEL statement family,
-// including the SHAPE-based hierarchical sources and the prediction
-// functions (Predict, PredictProbability, PredictHistogram, TopCount,
-// Cluster, ...). It parses command text into ASTs executed by the provider
-// package.
+// paper: the CREATE MINING MODEL / INSERT INTO / PREDICTION JOIN / DELETE
+// FROM / DROP MINING MODEL statement family, including the SHAPE-based
+// hierarchical sources and the prediction functions (Predict,
+// PredictProbability, PredictHistogram, TopCount, Cluster, ...), and SELECTs
+// over the rowsets the provider exposes (a model's content, columns, cases and
+// PMML; the $SYSTEM schema rowsets). A SELECT's clauses are the SQL engine's:
+// this package parses only what DMX adds between them, its FROM. It parses
+// command text into ASTs executed by the provider package.
 package dmx
 
 import (
@@ -56,9 +58,13 @@ type InsertInto struct {
 func (*InsertInto) dmxStmt() {}
 
 // PredictionSelect is SELECT <items> FROM <model> [NATURAL] PREDICTION JOIN
-// (<source>) AS <alias> [ON <cond>] [WHERE <cond>].
+// (<source>) [AS <alias>] [ON <cond>] [WHERE <cond>] [ORDER BY ...]: the
+// SELECT the SQL engine runs over the source cases.
 type PredictionSelect struct {
-	Items   []sqlengine.SelectItem
+	// Select holds the statement's own clauses — DISTINCT, TOP, the items,
+	// WHERE, ORDER BY (and GROUP BY/HAVING, which the binder rejects); its
+	// From is empty. Expressions may use the prediction functions.
+	Select  *sqlengine.SelectStmt
 	Model   string
 	Natural bool
 	Source  Source
@@ -66,61 +72,36 @@ type PredictionSelect struct {
 	// On is a conjunction of equality pairs binding model columns to source
 	// columns; nil for NATURAL joins.
 	On sqlengine.Expr
-	// Where filters output rows (evaluated over both model predictions and
-	// source columns).
-	Where sqlengine.Expr
-	// OrderBy sorts output rows; expressions may use prediction functions.
-	OrderBy []sqlengine.OrderItem
-	// Top limits the result (SELECT TOP n ...), applied after OrderBy; nil
-	// when the statement has no TOP clause.
-	Top *int
 	// ModelPos locates the model name token.
 	ModelPos lex.Pos
 }
 
 func (*PredictionSelect) dmxStmt() {}
 
-// ContentSelect is SELECT * FROM <model>.CONTENT — model browsing.
-type ContentSelect struct {
-	Model string
+// RowsetSelect is a SELECT over one of the rowsets the provider exposes:
+// FROM <model>.<accessor> — CONTENT (the model's content graph), COLUMNS (its
+// column metadata), CASES (the training cases it consumed, tokenized) or PMML
+// (its content as one XML document) — or FROM $SYSTEM.<name>, the OLE DB
+// schema rowsets by which "a provider describes information about itself".
+// Select holds every other clause; its From is empty.
+type RowsetSelect struct {
+	Model  string // empty for $SYSTEM
+	Rowset string // upper-cased accessor or schema rowset name
+	Select *sqlengine.SelectStmt
 }
 
-func (*ContentSelect) dmxStmt() {}
+func (*RowsetSelect) dmxStmt() {}
 
-// ColumnsSelect is SELECT * FROM <model>.COLUMNS: the model's column
-// metadata as a rowset (a convenience beyond the paper's CONTENT).
-type ColumnsSelect struct {
-	Model string
+// Name is the rowset as FROM names it: <model>.<accessor> or $SYSTEM.<name>.
+func (r *RowsetSelect) Name() string {
+	if r.Model == "" {
+		return "$SYSTEM." + r.Rowset
+	}
+	return r.Model + "." + r.Rowset
 }
 
-func (*ColumnsSelect) dmxStmt() {}
-
-// CasesSelect is SELECT * FROM <model>.CASES: the training cases the model
-// has consumed, rendered in tokenized attribute/value form — the OLE DB DM
-// specification's case-browsing accessor.
-type CasesSelect struct {
-	Model string
-}
-
-func (*CasesSelect) dmxStmt() {}
-
-// PMMLSelect is SELECT * FROM <model>.PMML: the model's content graph as a
-// single-cell PMML-inspired XML document — the paper's Section 4 nod to PMML
-// as "an open persistence format", exposed through the command surface so
-// remote consumers can extract models too.
-type PMMLSelect struct {
-	Model string
-}
-
-func (*PMMLSelect) dmxStmt() {}
-
-// SchemaRowsetSelect is SELECT * FROM $SYSTEM.<rowset>: the OLE DB schema
-// rowsets by which "a provider describes information about itself".
-type SchemaRowsetSelect struct {
-	Rowset string
-}
-
-func (*SchemaRowsetSelect) dmxStmt() {}
+// Accessors are the names FROM <model>.<accessor> accepts.
+var Accessors = []string{"CONTENT", "COLUMNS", "CASES", "PMML"}
 
 // DeleteFrom is DELETE FROM <model>: reset (empty) the mining model.
 type DeleteFrom struct {

@@ -62,6 +62,22 @@ func TestParseErrorPositions(t *testing.T) {
 			want: "expected expression",
 		},
 		{
+			name: "lexical error after EXECUTE arguments",
+			src:  "EXECUTE A!00",
+			line: 1, col: 10,
+		},
+		{
+			name: "lexical error after EXPLAIN",
+			src:  "EXPLAIN ANALYZE !",
+			line: 1, col: 17,
+		},
+		{
+			name: "unknown model accessor",
+			src:  "SELECT * FROM [M].NOPE",
+			line: 1, col: 19,
+			want: "unknown model accessor",
+		},
+		{
 			name: "insert trailing comma in bindings",
 			src:  "INSERT INTO M (Age,) SELECT Age FROM t",
 			line: 1, col: 20,

@@ -1,6 +1,7 @@
 package dmx
 
 import (
+	"slices"
 	"strings"
 
 	"repro/internal/core"
@@ -37,8 +38,8 @@ func Parse(src string, isModel func(string) bool) (Statement, error) {
 	if st == nil {
 		return nil, nil
 	}
-	if !s.AtEOF() {
-		return nil, lex.Errorf(s.Peek(), "unexpected input after statement: %s", s.Peek())
+	if err := s.ExpectEOF("statement"); err != nil {
+		return nil, err
 	}
 	return st, nil
 }
@@ -53,6 +54,9 @@ func parseExplain(s *lex.Scanner, src string, isModel func(string) bool) (Statem
 		return nil, err
 	}
 	analyze := s.Accept("ANALYZE")
+	if err := s.Err(); err != nil {
+		return nil, err
+	}
 	if s.AtEOF() {
 		return nil, lex.Errorf(s.Peek(), "EXPLAIN needs a statement to explain")
 	}
@@ -79,6 +83,9 @@ func parsePrepare(s *lex.Scanner, src string) (Statement, error) {
 		return nil, err
 	}
 	if err := s.Expect("AS"); err != nil {
+		return nil, err
+	}
+	if err := s.Err(); err != nil {
 		return nil, err
 	}
 	if s.AtEOF() {
@@ -120,8 +127,8 @@ func parseExecute(s *lex.Scanner) (Statement, error) {
 			}
 		}
 	}
-	if !s.AtEOF() {
-		return nil, lex.Errorf(s.Peek(), "unexpected input after EXECUTE: %s", s.Peek())
+	if err := s.ExpectEOF("EXECUTE"); err != nil {
+		return nil, err
 	}
 	return ex, nil
 }
@@ -177,8 +184,8 @@ func parseDeallocate(s *lex.Scanner) (Statement, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !s.AtEOF() {
-		return nil, lex.Errorf(s.Peek(), "unexpected input after DEALLOCATE: %s", s.Peek())
+	if err := s.ExpectEOF("DEALLOCATE"); err != nil {
+		return nil, err
 	}
 	return &Deallocate{Name: name}, nil
 }
@@ -236,10 +243,11 @@ func parseStatement(s *lex.Scanner, isModel func(string) bool) (Statement, error
 // ---------- CREATE MINING MODEL ----------
 
 func parseCreateModel(s *lex.Scanner) (Statement, error) {
-	name, err := s.Name()
+	nameTok, err := s.NameToken()
 	if err != nil {
 		return nil, err
 	}
+	name := nameTok.Text
 	if err := s.ExpectPunct("("); err != nil {
 		return nil, err
 	}
@@ -285,7 +293,7 @@ func parseCreateModel(s *lex.Scanner) (Statement, error) {
 		}
 	}
 	if err := def.Validate(); err != nil {
-		return nil, err
+		return nil, lex.Errorf(nameTok, "%v", err)
 	}
 	return &CreateModel{Def: def}, nil
 }
@@ -548,67 +556,27 @@ func parseSource(s *lex.Scanner) (Source, error) {
 	return Source{}, lex.Errorf(s.Peek(), "expected SHAPE or SELECT source, found %s", s.Peek())
 }
 
-// ---------- SELECT (prediction join, content, schema rowsets) ----------
+// ---------- SELECT (prediction join, provider rowsets) ----------
 
+// parseSelect parses the SELECTs DMX owns. Their clauses are the SQL engine's
+// (sqlengine.ParseSelectHead and ParseSelectTail); what this reads is the FROM
+// between them. A SELECT whose FROM is none of DMX's is left to the SQL
+// parser: (nil, nil) with the scanner restored.
 func parseSelect(s *lex.Scanner, isModel func(string) bool) (Statement, error) {
 	restore := s.Mark()
-	s.Accept("SELECT")
-
-	var top *int
-	if s.Accept("TOP") {
-		t, err := s.Next()
-		if err != nil {
-			return nil, err
-		}
-		n, nerr := t.Int()
-		if t.Kind != lex.Number || nerr != nil || n < 0 {
-			return nil, lex.Errorf(t, "bad TOP count %s", t)
-		}
-		count := int(n)
-		top = &count
-	}
-
-	// Collect select items with the SQL item parser; DMX items are a
-	// superset only in semantics, not syntax.
-	var items []sqlengine.SelectItem
-	star := false
-	for {
-		if s.AcceptPunct("*") {
-			star = true
-			items = append(items, sqlengine.SelectItem{Star: true})
-		} else {
-			e, err := sqlengine.ParseExpr(s)
-			if err != nil {
-				restore()
-				return nil, nil // not parseable as DMX; let SQL report errors
-			}
-			item := sqlengine.SelectItem{Expr: e}
-			if s.Accept("AS") {
-				a, err := s.Name()
-				if err != nil {
-					return nil, err
-				}
-				item.Alias = a
-			}
-			items = append(items, item)
-		}
-		if !s.AcceptPunct(",") {
-			break
-		}
-	}
-	if !s.Accept("FROM") {
+	sel, err := sqlengine.ParseSelectHead(s)
+	if err != nil || !s.Accept("FROM") {
 		restore()
-		return nil, nil
+		return nil, nil // not DMX, or malformed: the SQL parser reports it
 	}
-	modelTok, err := s.NameToken()
+	nameTok, err := s.NameToken()
 	if err != nil {
 		restore()
 		return nil, nil
 	}
-	modelName := modelTok.Text
-
-	// $SYSTEM schema rowsets.
-	if strings.EqualFold(modelName, "$SYSTEM") || strings.EqualFold(modelName, "SYSTEM") {
+	name := nameTok.Text
+	switch {
+	case strings.EqualFold(name, "$SYSTEM"):
 		if err := s.ExpectPunct("."); err != nil {
 			return nil, err
 		}
@@ -616,27 +584,17 @@ func parseSelect(s *lex.Scanner, isModel func(string) bool) (Statement, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &SchemaRowsetSelect{Rowset: strings.ToUpper(rs)}, nil
-	}
-
-	// <model>.CONTENT / <model>.COLUMNS
-	if s.AcceptPunct(".") {
+		return selectTail(s, &RowsetSelect{Rowset: strings.ToUpper(rs), Select: sel}, sel)
+	case s.AcceptPunct("."):
+		t := s.Peek()
 		what, err := s.Name()
 		if err != nil {
 			return nil, err
 		}
-		switch strings.ToUpper(what) {
-		case "CONTENT":
-			return &ContentSelect{Model: modelName}, nil
-		case "COLUMNS":
-			return &ColumnsSelect{Model: modelName}, nil
-		case "CASES":
-			return &CasesSelect{Model: modelName}, nil
-		case "PMML":
-			return &PMMLSelect{Model: modelName}, nil
-		default:
-			return nil, lex.Errorf(s.Peek(), "unknown model accessor %q (want CONTENT, COLUMNS, CASES, or PMML)", what)
+		if !slices.Contains(Accessors, strings.ToUpper(what)) {
+			return nil, lex.Errorf(t, "unknown model accessor %q (want CONTENT, COLUMNS, CASES, or PMML)", what)
 		}
+		return selectTail(s, &RowsetSelect{Model: name, Rowset: strings.ToUpper(what), Select: sel}, sel)
 	}
 
 	natural := false
@@ -648,74 +606,39 @@ func parseSelect(s *lex.Scanner, isModel func(string) bool) (Statement, error) {
 		// SELECT ... FROM <model> with no join: only valid if the name is a
 		// model (content-style browse is not supported without .CONTENT).
 		restore()
-		if isModel(modelName) {
+		if isModel(name) {
 			return nil, lex.Errorf(s.Peek(), "SELECT FROM a mining model requires PREDICTION JOIN or .CONTENT")
 		}
 		return nil, nil
 	}
-	_ = star
-
-	ps := &PredictionSelect{Items: items, Model: modelName, Natural: natural, Top: top, ModelPos: modelTok.Position()}
-	src, err := parseSource(s)
-	if err != nil {
+	ps := &PredictionSelect{Select: sel, Model: name, Natural: natural, ModelPos: nameTok.Position()}
+	if ps.Source, err = parseSource(s); err != nil {
 		return nil, err
 	}
-	ps.Source = src
 	if s.Accept("AS") {
-		a, err := s.Name()
-		if err != nil {
+		if ps.Alias, err = s.Name(); err != nil {
 			return nil, err
 		}
-		ps.Alias = a
-	} else if t := s.Peek(); t.Kind == lex.Ident && !t.Is("ON") && !t.Is("WHERE") && t.Kind != lex.EOF {
-		// Implicit alias.
-		if t.Quoted || !isReserved(t.Text) {
-			s.Next()
-			ps.Alias = t.Text
-		}
+	} else if t := s.Peek(); t.Kind == lex.Ident && !sqlengine.IsClauseKeyword(t) {
+		s.Next() // implicit alias
+		ps.Alias = t.Text
 	}
 	if !natural {
 		if err := s.Expect("ON"); err != nil {
 			return nil, err
 		}
-		on, err := sqlengine.ParseExpr(s)
-		if err != nil {
+		if ps.On, err = sqlengine.ParseExpr(s); err != nil {
 			return nil, err
 		}
-		ps.On = on
 	}
-	if s.Accept("WHERE") {
-		w, err := sqlengine.ParseExpr(s)
-		if err != nil {
-			return nil, err
-		}
-		ps.Where = w
-	}
-	if s.AcceptSeq("ORDER", "BY") {
-		for {
-			e, err := sqlengine.ParseExpr(s)
-			if err != nil {
-				return nil, err
-			}
-			item := sqlengine.OrderItem{Expr: e}
-			if s.Accept("DESC") {
-				item.Desc = true
-			} else {
-				s.Accept("ASC")
-			}
-			ps.OrderBy = append(ps.OrderBy, item)
-			if !s.AcceptPunct(",") {
-				break
-			}
-		}
-	}
-	return ps, nil
+	return selectTail(s, ps, sel)
 }
 
-func isReserved(word string) bool {
-	switch strings.ToUpper(word) {
-	case "ON", "WHERE", "ORDER", "GROUP", "SELECT", "FROM", "AS", "NATURAL", "PREDICTION", "JOIN":
-		return true
+// selectTail parses sel's clauses after the FROM and returns st, the
+// statement that holds sel.
+func selectTail(s *lex.Scanner, st Statement, sel *sqlengine.SelectStmt) (Statement, error) {
+	if err := sqlengine.ParseSelectTail(s, sel); err != nil {
+		return nil, err
 	}
-	return false
+	return st, nil
 }

@@ -194,8 +194,8 @@ func TestParsePaperPredictionJoin(t *testing.T) {
 	if ps.Source.Shape == nil || ps.On == nil {
 		t.Error("source/on missing")
 	}
-	if len(ps.Items) != 2 {
-		t.Errorf("items = %d", len(ps.Items))
+	if len(ps.Select.Items) != 2 {
+		t.Errorf("items = %d", len(ps.Select.Items))
 	}
 }
 
@@ -207,10 +207,10 @@ func TestParseNaturalPredictionJoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	ps := st.(*PredictionSelect)
-	if !ps.Natural || ps.On != nil || ps.Where == nil {
+	if !ps.Natural || ps.On != nil || ps.Select.Where == nil {
 		t.Errorf("ps = %+v", ps)
 	}
-	f := ps.Items[0].Expr.(*sqlengine.FuncCall)
+	f := ps.Select.Items[0].Expr.(*sqlengine.FuncCall)
 	if f.Name != "PREDICT" || !IsPredictionFunc(f.Name) {
 		t.Errorf("func = %+v", f)
 	}
@@ -225,7 +225,7 @@ func TestParseTopPrediction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if top := st.(*PredictionSelect).Top; top == nil || *top != 3 {
+	if top := st.(*PredictionSelect).Select.Top; top == nil || *top != 3 {
 		t.Errorf("top = %v", top)
 	}
 }
@@ -235,15 +235,15 @@ func TestParseContentAndColumns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.(*ContentSelect).Model != "m" {
-		t.Error("content model")
+	if rs := st.(*RowsetSelect); rs.Model != "m" || rs.Rowset != "CONTENT" {
+		t.Errorf("content = %+v", rs)
 	}
 	st, err = Parse("SELECT * FROM [m].COLUMNS", isModelNamed("m"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.(*ColumnsSelect).Model != "m" {
-		t.Error("columns model")
+	if rs := st.(*RowsetSelect); rs.Model != "m" || rs.Rowset != "COLUMNS" {
+		t.Errorf("columns = %+v", rs)
 	}
 	if _, err := Parse("SELECT * FROM [m].WHATEVER", isModelNamed("m")); err == nil {
 		t.Error("unknown accessor must fail")
@@ -255,7 +255,7 @@ func TestParseSchemaRowset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.(*SchemaRowsetSelect).Rowset != "MINING_MODELS" {
+	if rs := st.(*RowsetSelect); rs.Model != "" || rs.Rowset != "MINING_MODELS" {
 		t.Errorf("rowset = %+v", st)
 	}
 }
@@ -406,7 +406,7 @@ func TestParseCasesAccessor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.(*CasesSelect).Model != "m" {
+	if rs := st.(*RowsetSelect); rs.Model != "m" || rs.Rowset != "CASES" {
 		t.Errorf("cases model = %+v", st)
 	}
 }

@@ -8,11 +8,10 @@ import (
 	"repro/internal/rowset"
 )
 
-// TestDDLRoundTrip checks that core.ModelDef.DDL() output reparses to an
-// equivalent definition — the invariant that lets the dmsql shell's \d
-// output be fed straight back into a provider.
-func TestDDLRoundTrip(t *testing.T) {
-	defs := []*core.ModelDef{
+// roundTripDefs are model definitions that between them use every column
+// modifier DDL renders.
+func roundTripDefs() []*core.ModelDef {
+	return []*core.ModelDef{
 		{
 			Name: "Simple", Algorithm: "Naive_Bayes",
 			Columns: []core.ColumnDef{
@@ -49,7 +48,13 @@ func TestDDLRoundTrip(t *testing.T) {
 			},
 		},
 	}
-	for _, def := range defs {
+}
+
+// TestDDLRoundTrip checks that core.ModelDef.DDL() output reparses to an
+// equivalent definition — the invariant that lets the dmsql shell's \d
+// output be fed straight back into a provider.
+func TestDDLRoundTrip(t *testing.T) {
+	for _, def := range roundTripDefs() {
 		if err := def.Validate(); err != nil {
 			t.Fatalf("%s: fixture invalid: %v", def.Name, err)
 		}

@@ -169,7 +169,8 @@ func (c *checker) checkPrediction(ps *dmx.PredictionSelect) {
 	pc.src = c.sourceSchema(ps.Source)
 	pc.eval = qualifySchema(pc.src, ps.Alias)
 
-	for _, it := range ps.Items {
+	sel := ps.Select
+	for _, it := range sel.Items {
 		if it.Star {
 			continue
 		}
@@ -178,11 +179,17 @@ func (c *checker) checkPrediction(ps *dmx.PredictionSelect) {
 	if !ps.Natural && ps.On != nil {
 		c.checkOn(ps.On, pc)
 	}
-	if ps.Where != nil {
-		c.walkExpr(ps.Where, pc)
+	if sel.Where != nil {
+		c.walkExpr(sel.Where, pc)
 	}
-	for _, o := range ps.OrderBy {
-		if cr, ok := o.Expr.(*sqlengine.ColumnRef); ok && cr.Qualifier == "" && namesItem(ps.Items, cr.Name) {
+	if len(sel.GroupBy) > 0 {
+		c.errorf(exprPos(sel.GroupBy[0]), "GROUP BY is not supported on a PREDICTION JOIN")
+	}
+	if sel.Having != nil {
+		c.errorf(exprPos(sel.Having), "HAVING is not supported on a PREDICTION JOIN")
+	}
+	for _, o := range sel.OrderBy {
+		if cr, ok := o.Expr.(*sqlengine.ColumnRef); ok && cr.Qualifier == "" && namesItem(sel.Items, cr.Name) {
 			continue
 		}
 		c.walkExpr(o.Expr, pc)
@@ -237,6 +244,10 @@ func (c *checker) walkExpr(e sqlengine.Expr, pc *predCtx) {
 	case *sqlengine.FuncCall:
 		if dmx.IsPredictionFunc(x.Name) {
 			c.checkPredFunc(x, pc)
+			return
+		}
+		if sqlengine.IsAggregate(x) {
+			c.errorf(x.Pos, "aggregate %s is not supported on a PREDICTION JOIN", x.Name)
 			return
 		}
 		for _, a := range x.Args {

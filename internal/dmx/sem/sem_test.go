@@ -115,6 +115,20 @@ func TestCheck(t *testing.T) {
 				"(SELECT * FROM People) AS t WHERE t.Age > 30 ORDER BY PredictProbability(Risk) DESC",
 		},
 		{
+			name: "group by and having on a prediction join",
+			src: "SELECT Predict(Risk) FROM CreditRisk NATURAL PREDICTION JOIN (SELECT * FROM People) AS t " +
+				"GROUP BY t.Age HAVING t.Age > 1",
+			want: []string{
+				"1:99: GROUP BY is not supported on a PREDICTION JOIN",
+				"1:112: HAVING is not supported on a PREDICTION JOIN",
+			},
+		},
+		{
+			name: "aggregate on a prediction join",
+			src:  "SELECT COUNT(*) FROM CreditRisk NATURAL PREDICTION JOIN (SELECT * FROM People) AS t",
+			want: []string{"1:8: aggregate COUNT is not supported on a PREDICTION JOIN"},
+		},
+		{
 			name: "unknown model",
 			src:  "SELECT Predict(Risk) FROM NoSuchModel NATURAL PREDICTION JOIN (SELECT * FROM People) AS t",
 			want: []string{`1:27: unknown mining model "NoSuchModel"`},

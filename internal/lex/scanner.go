@@ -130,6 +130,18 @@ func (s *Scanner) NameToken() (Token, error) {
 	return t, nil
 }
 
+// ExpectEOF returns the pending lexical error, or an error at the current
+// token unless all input has been consumed; after names what was parsed.
+func (s *Scanner) ExpectEOF(after string) error {
+	if s.Err() != nil {
+		return s.Err()
+	}
+	if t := s.Peek(); t.Kind != EOF {
+		return Errorf(t, "unexpected input after %s: %s", after, t)
+	}
+	return nil
+}
+
 // AtEOF reports whether all input has been consumed.
 func (s *Scanner) AtEOF() bool {
 	return s.Err() == nil && s.Peek().Kind == EOF

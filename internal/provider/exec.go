@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/content"
 	"repro/internal/core"
 	"repro/internal/dmx"
 	"repro/internal/dmx/sem"
@@ -14,7 +13,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/plancache"
 	"repro/internal/rowset"
-	"repro/internal/schemarowset"
 	"repro/internal/shape"
 )
 
@@ -128,31 +126,8 @@ func (s *Session) execDMX(ctx context.Context, st dmx.Statement) (*rowset.Rowset
 		return p.insertInto(ctx, st)
 	case *dmx.PredictionSelect:
 		return p.predictionSelect(ctx, st)
-	case *dmx.ContentSelect:
-		e, err := p.entry(st.Model)
-		if err != nil {
-			return nil, err
-		}
-		trained := e.model.Trained
-		if trained == nil {
-			return nil, fmt.Errorf("provider: model %q is not populated; INSERT INTO it first", st.Model)
-		}
-		return content.Rowset(e.model.Def.Name, trained.Content())
-	case *dmx.ColumnsSelect:
-		e, err := p.entry(st.Model)
-		if err != nil {
-			return nil, err
-		}
-		return schemarowset.ModelColumns(e.model)
-	case *dmx.CasesSelect:
-		return p.casesRowset(st.Model)
-	case *dmx.PMMLSelect:
-		return p.pmmlRowset(st.Model)
-	case *dmx.SchemaRowsetSelect:
-		// allModels hands back entries from one atomic snapshot: Build sees a
-		// consistent catalog even while a training commit publishes the next
-		// one, and never blocks behind it.
-		return schemarowset.Build(st.Rowset, p.allModels(), p.Registry, p.obs)
+	case *dmx.RowsetSelect:
+		return p.rowsetSelect(ctx, st)
 	case *dmx.DeleteFrom:
 		return p.deleteFrom(st.Model)
 	case *dmx.DropModel:
@@ -172,7 +147,7 @@ func (s *Session) execDMX(ctx context.Context, st dmx.Statement) (*rowset.Rowset
 
 // statementKind labels a DMX statement class for the query log.
 func statementKind(st dmx.Statement) string {
-	switch st.(type) {
+	switch st := st.(type) {
 	case *dmx.Explain:
 		return "EXPLAIN"
 	case *dmx.CreateModel:
@@ -181,16 +156,11 @@ func statementKind(st dmx.Statement) string {
 		return "INSERT MODEL"
 	case *dmx.PredictionSelect:
 		return "PREDICT"
-	case *dmx.ContentSelect:
-		return "CONTENT"
-	case *dmx.ColumnsSelect:
-		return "COLUMNS"
-	case *dmx.CasesSelect:
-		return "CASES"
-	case *dmx.PMMLSelect:
-		return "PMML"
-	case *dmx.SchemaRowsetSelect:
-		return "SCHEMA ROWSET"
+	case *dmx.RowsetSelect:
+		if st.Model == "" {
+			return "SCHEMA ROWSET"
+		}
+		return st.Rowset // CONTENT, COLUMNS, CASES or PMML
 	case *dmx.DeleteFrom:
 		return "DELETE MODEL"
 	case *dmx.DropModel:

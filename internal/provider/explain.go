@@ -97,11 +97,11 @@ func (p *Provider) planSpan(ex *dmx.Explain) (*obs.Span, error) {
 	case *dmx.PredictionSelect:
 		root.SetLabel("PREDICT")
 		root.Add(sourcePlanSpan(st.Source))
-		// The SELECT the engine runs over the cases, as it would record it: the
-		// relation's bind operator, then its own filter, project and sort.
-		sel := (&sqlengine.SelectStmt{Items: st.Items, Where: st.Where, OrderBy: st.OrderBy}).PlanSpan()
-		sel.Children = append([]*obs.Span{obs.NewSpan("predict", "model="+st.Model)}, sel.Children...)
-		root.Add(sel)
+		root.Add(relationPlanSpan(st.Select, "predict", "model="+st.Model))
+		return root, nil
+	case *dmx.RowsetSelect:
+		root.SetLabel(statementKind(st))
+		root.Add(relationPlanSpan(st.Select, "rowset", st.Name()))
 		return root, nil
 	case *dmx.InsertInto:
 		root.SetLabel("INSERT MODEL")
@@ -121,6 +121,15 @@ func (p *Provider) planSpan(ex *dmx.Explain) (*obs.Span, error) {
 		root.Add(obs.NewSpan("dmx", statementKind(st)))
 		return root, nil
 	}
+}
+
+// relationPlanSpan is the SELECT the engine runs over a relation, as it would
+// record it: the relation's operator, then the select's own filter, project or
+// group-by, and sort.
+func relationPlanSpan(sel *sqlengine.SelectStmt, kind, label string) *obs.Span {
+	sp := sel.PlanSpan()
+	sp.Children = append([]*obs.Span{obs.NewSpan(kind, label)}, sp.Children...)
+	return sp
 }
 
 // sourcePlanSpan plans the caseset assembly feeding a mining statement.

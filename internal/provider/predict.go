@@ -31,8 +31,8 @@ func (p *Provider) predictionSelect(ctx context.Context, ps *dmx.PredictionSelec
 	// trains against private clones and publishes a replacement entry, so
 	// this statement reads a consistent (model, tokenizer, cases) triple for
 	// its whole lifetime without taking any lock.
-	if !e.model.IsTrained() {
-		return nil, fmt.Errorf("provider: model %q is not populated; INSERT INTO it first", ps.Model)
+	if err := populated(e); err != nil {
+		return nil, err
 	}
 	p.predsByModel.With(e.model.Def.Name).Inc()
 	spSource := t.StartSpanStage(obs.StageSource, "caseset", "")
@@ -96,8 +96,7 @@ func (p *Provider) predictionSelect(ctx context.Context, ps *dmx.PredictionSelec
 	// The frozen bench and DM_QUERY_LOG read the prediction scan's time from
 	// the scan stage, like a SQL SELECT's.
 	defer t.StartStage(obs.StageScan)()
-	return p.Engine.QueryRelation(ctx,
-		&sqlengine.SelectStmt{Top: ps.Top, Items: ps.Items, Where: ps.Where, OrderBy: ps.OrderBy},
+	return p.Engine.QueryRelation(ctx, ps.Select,
 		sqlengine.Relation{
 			Schema: evalSchema, Rows: src.Rows(),
 			Resolve: pp.resolve, Bind: pp.caseBinder,

@@ -335,3 +335,74 @@ func TestPredictionRunsOnThePipeline(t *testing.T) {
 		})
 	}
 }
+
+// TestRowsetsRunOnThePipeline guards the one-SELECT rule for provider
+// rowsets: the five statement kinds that each accepted only SELECT * stay
+// deleted, dmx parses no SELECT clause of its own (sqlengine's head and tail
+// parsers do), and the provider tells its rowsets apart in one place, the
+// resolver providerRowset.
+func TestRowsetsRunOnThePipeline(t *testing.T) {
+	fset := token.NewFileSet()
+	nonTest := func(fi fs.FileInfo) bool { return !strings.HasSuffix(fi.Name(), "_test.go") }
+	parse := func(dir string) map[string]*ast.Package {
+		pkgs, err := parser.ParseDir(fset, dir, nonTest, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pkgs
+	}
+	gone := map[string]bool{
+		"ContentSelect": true, "ColumnsSelect": true, "CasesSelect": true, "PMMLSelect": true,
+		"SchemaRowsetSelect": true, "isReserved": true, "ModelColumns": true,
+	}
+	clauses := map[string]bool{`Accept("TOP")`: true, `Accept("WHERE")`: true, `AcceptSeq("ORDER","BY")`: true}
+	accessors := map[string]bool{`"CONTENT"`: true, `"COLUMNS"`: true, `"CASES"`: true, `"PMML"`: true}
+	for _, dir := range []string{"../dmx", ".", "../schemarowset"} {
+		for _, pkg := range parse(dir) {
+			for _, file := range pkg.Files {
+				for _, decl := range file.Decls {
+					fn, _ := decl.(*ast.FuncDecl)
+					// tested reports an accessor name a provider switch arm or
+					// comparison tests for, outside the resolver.
+					tested := func(es ...ast.Expr) {
+						if dir != "." || fn != nil && fn.Name.Name == "providerRowset" {
+							return
+						}
+						for _, e := range es {
+							if lit, ok := e.(*ast.BasicLit); ok && accessors[lit.Value] {
+								t.Errorf("%s: provider tests for accessor %s outside providerRowset", fset.Position(lit.Pos()), lit.Value)
+							}
+						}
+					}
+					ast.Inspect(decl, func(n ast.Node) bool {
+						switch x := n.(type) {
+						case *ast.Ident:
+							if gone[x.Name] {
+								t.Errorf("%s: identifier %s is back", fset.Position(x.Pos()), x.Name)
+							}
+						case *ast.CallExpr:
+							sel, ok := x.Fun.(*ast.SelectorExpr)
+							if !ok || dir != "../dmx" {
+								break
+							}
+							var args []string
+							for _, a := range x.Args {
+								if lit, ok := a.(*ast.BasicLit); ok {
+									args = append(args, lit.Value)
+								}
+							}
+							if call := sel.Sel.Name + "(" + strings.Join(args, ",") + ")"; clauses[call] {
+								t.Errorf("%s: dmx parses a SELECT clause itself: %s", fset.Position(x.Pos()), call)
+							}
+						case *ast.CaseClause:
+							tested(x.List...)
+						case *ast.BinaryExpr:
+							tested(x.X, x.Y)
+						}
+						return true
+					})
+				}
+			}
+		}
+	}
+}

@@ -129,17 +129,7 @@ func (p *Provider) compileDMX(ctx context.Context, t *obs.Trace, st dmx.Statemen
 		if s.Source.Shape != nil && shapeHasParams(s.Source.Shape) {
 			return nil, fmt.Errorf("provider: parameters are not supported inside SHAPE sources")
 		}
-		var roots []sqlengine.Expr
-		for _, it := range s.Items {
-			if !it.Star {
-				roots = append(roots, it.Expr)
-			}
-		}
-		roots = append(roots, s.On, s.Where)
-		for _, o := range s.OrderBy {
-			roots = append(roots, o.Expr)
-		}
-		slots, tables, err := p.dmxParams(roots, s.Source.Select)
+		slots, tables, err := p.dmxParams([]sqlengine.Expr{&sqlengine.Subquery{Query: s.Select}, s.On}, s.Source.Select)
 		if err != nil {
 			return nil, err
 		}
@@ -157,16 +147,15 @@ func (p *Provider) compileDMX(ctx context.Context, t *obs.Trace, st dmx.Statemen
 		pl.params = slots
 		pl.deps = deps(append([]string{s.Model}, append(tables, shapeTables(s.Source.Shape)...)...)...)
 		pl.cacheable = true
-	case *dmx.ContentSelect:
-		pl.deps, pl.cacheable = deps(s.Model), true
-	case *dmx.ColumnsSelect:
-		pl.deps, pl.cacheable = deps(s.Model), true
-	case *dmx.CasesSelect:
-		pl.deps, pl.cacheable = deps(s.Model), true
-	case *dmx.PMMLSelect:
-		pl.deps, pl.cacheable = deps(s.Model), true
-	case *dmx.SchemaRowsetSelect:
-		pl.cacheable = true
+	case *dmx.RowsetSelect:
+		slots, err := sqlengine.AssignParams(s.Select)
+		if err != nil {
+			return nil, err
+		}
+		pl.params, pl.cacheable = slots, true
+		if s.Model != "" {
+			pl.deps = deps(s.Model)
+		}
 	default:
 		// EXPLAIN, model DDL, DELETE FROM, and control statements compile but
 		// are not cached and take no parameters.
@@ -337,16 +326,10 @@ func bindDMX(st dmx.Statement, args []rowset.Value) (dmx.Statement, error) {
 	case *dmx.PredictionSelect:
 		out := *s
 		var err error
-		if out.Items, err = sqlengine.BindSelectItems(s.Items, args); err != nil {
+		if out.Select, err = sqlengine.BindSelect(s.Select, args); err != nil {
 			return nil, err
 		}
 		if out.On, err = sqlengine.BindExpr(s.On, args); err != nil {
-			return nil, err
-		}
-		if out.Where, err = sqlengine.BindExpr(s.Where, args); err != nil {
-			return nil, err
-		}
-		if out.OrderBy, err = sqlengine.BindOrderBy(s.OrderBy, args); err != nil {
 			return nil, err
 		}
 		if s.Source.Select != nil {
@@ -355,6 +338,13 @@ func bindDMX(st dmx.Statement, args []rowset.Value) (dmx.Statement, error) {
 				return nil, err
 			}
 			out.Source = dmx.Source{Shape: s.Source.Shape, Select: sel}
+		}
+		return &out, nil
+	case *dmx.RowsetSelect:
+		out := *s
+		var err error
+		if out.Select, err = sqlengine.BindSelect(s.Select, args); err != nil {
+			return nil, err
 		}
 		return &out, nil
 	case *dmx.InsertInto:

@@ -1,16 +1,24 @@
 package provider
 
 import (
+	"bytes"
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/content"
+	"repro/internal/core"
+	"repro/internal/dmx"
+	"repro/internal/lex"
 	"repro/internal/rowset"
+	"repro/internal/schemarowset"
 )
 
 // setupCustomerData stages the paper's Customers/Sales schema with a planted
@@ -337,6 +345,239 @@ func TestSchemaRowsets(t *testing.T) {
 	}
 	if _, err := p.Execute("SELECT * FROM $SYSTEM.NOPE"); err == nil {
 		t.Error("unknown schema rowset must fail")
+	}
+}
+
+// TestRowsetSelectClauses: a SELECT over a provider rowset is a SQL SELECT —
+// its items, WHERE, GROUP BY, ORDER BY, DISTINCT and TOP are honoured, checked
+// against what they compute by hand over the SELECT * rows, and a column,
+// accessor or rowset that does not exist is an error, never ignored.
+func TestRowsetSelectClauses(t *testing.T) {
+	p := MustNew()
+	setupCustomerData(t, p, 80)
+	mustExec(t, p, createAgeModel)
+	mustExec(t, p, insertAgeModel)
+
+	// These clauses used to be parsed and dropped: every column, every row.
+	if rs, err := p.Execute("SELECT TOP 1 MODEL_NAME FROM $SYSTEM.MINING_SERVICES"); err == nil ||
+		!strings.Contains(err.Error(), "MODEL_NAME") {
+		t.Errorf("unknown column: err = %v, result %v; want an unknown-column error", err, rs)
+	}
+	services := mustExec(t, p, "SELECT * FROM $SYSTEM.MINING_SERVICES")
+	var names []string
+	for _, r := range services.Rows() {
+		names = append(names, r[0].(string))
+	}
+	sort.Sort(sort.Reverse(sort.StringSlice(names)))
+	top := mustExec(t, p, "SELECT TOP 2 SERVICE_NAME FROM $SYSTEM.MINING_SERVICES ORDER BY SERVICE_NAME DESC")
+	if top.Schema().Len() != 1 || fmt.Sprint(top.Rows()) != fmt.Sprint([][]any{{names[0]}, {names[1]}}) {
+		t.Errorf("TOP 2 ... ORDER BY DESC = %v, want %v", top.Rows(), names[:2])
+	}
+
+	// CONTENT: the children of the root node, largest first, and the node
+	// count of every NODE_TYPE.
+	content := mustExec(t, p, "SELECT * FROM [Age Prediction].CONTENT")
+	col := func(rs *rowset.Rowset, name string) int {
+		ord, ok := rs.Schema().Lookup(name)
+		if !ok {
+			t.Fatalf("no column %s in %v", name, rs.Schema())
+		}
+		return ord
+	}
+	uniq, parent, supp, typ := col(content, "NODE_UNIQUE_NAME"), col(content, "PARENT_UNIQUE_NAME"),
+		col(content, "NODE_SUPPORT"), col(content, "NODE_TYPE")
+	root := content.Row(0)[uniq].(string)
+	var children []rowset.Row
+	counts := map[int64]int64{}
+	var types []int64
+	for _, r := range content.Rows() {
+		if r[parent] == root {
+			children = append(children, rowset.Row{r[uniq], r[supp]})
+		}
+		nt := r[typ].(int64)
+		if counts[nt] == 0 {
+			types = append(types, nt)
+		}
+		counts[nt]++
+	}
+	sort.SliceStable(children, func(i, j int) bool {
+		a, b := children[i][1].(float64), children[j][1].(float64)
+		return a > b || a == b && children[i][0].(string) < children[j][0].(string)
+	})
+	if len(children) == 0 || len(types) < 2 {
+		t.Fatalf("content fixture too small: %d children of the root, node types %v", len(children), types)
+	}
+	got := mustExec(t, p, fmt.Sprintf(`SELECT NODE_UNIQUE_NAME, NODE_SUPPORT FROM [Age Prediction].CONTENT
+		WHERE PARENT_UNIQUE_NAME = '%s' ORDER BY NODE_SUPPORT DESC, NODE_UNIQUE_NAME`, root))
+	if fmt.Sprint(got.Rows()) != fmt.Sprint(children) {
+		t.Errorf("children of the root = %v, want %v", got.Rows(), children)
+	}
+	grouped := mustExec(t, p, "SELECT NODE_TYPE, COUNT(*) AS n FROM [Age Prediction].CONTENT GROUP BY NODE_TYPE")
+	if grouped.Len() != len(types) {
+		t.Errorf("GROUP BY NODE_TYPE: %d groups, want %d", grouped.Len(), len(types))
+	}
+	for i, r := range grouped.Rows() {
+		if r[0] != types[i] || r[1] != counts[types[i]] {
+			t.Errorf("GROUP BY NODE_TYPE row %d = %v, want [%d %d]", i, r, types[i], counts[types[i]])
+		}
+	}
+	distinct := mustExec(t, p, "SELECT DISTINCT NODE_TYPE FROM [Age Prediction].CONTENT")
+	if distinct.Len() != len(types) {
+		t.Errorf("DISTINCT NODE_TYPE: %d rows, want %d", distinct.Len(), len(types))
+	}
+
+	// CASES: one attribute's values for the first cases in key order.
+	cases := mustExec(t, p, "SELECT * FROM [Age Prediction].CASES")
+	attr := cases.Row(0)[1].(string)
+	var want []rowset.Row
+	for _, r := range cases.Rows() {
+		if r[1] == attr {
+			want = append(want, rowset.Row{r[0], r[2]})
+		}
+	}
+	sort.SliceStable(want, func(i, j int) bool { return want[i][0].(string) < want[j][0].(string) })
+	got = mustExec(t, p, fmt.Sprintf(`SELECT TOP 5 CASE_KEY, VALUE FROM [Age Prediction].CASES
+		WHERE ATTRIBUTE = '%s' ORDER BY CASE_KEY`, attr))
+	if fmt.Sprint(got.Rows()) != fmt.Sprint(want[:5]) {
+		t.Errorf("CASES of %s = %v, want %v", attr, got.Rows(), want[:5])
+	}
+
+	// DM_QUERY_LOG: the most recent CONTENT statements, newest first, and the
+	// statement kinds the log has seen.
+	log := mustExec(t, p, "SELECT TOP 2 SEQ, KIND FROM $SYSTEM.DM_QUERY_LOG WHERE KIND = 'CONTENT' ORDER BY SEQ DESC")
+	if log.Len() != 2 || log.Row(0)[1] != "CONTENT" || log.Row(0)[0].(int64) <= log.Row(1)[0].(int64) {
+		t.Errorf("recent CONTENT statements = %v", log.Rows())
+	}
+	kinds := map[any]int{}
+	for _, r := range mustExec(t, p, "SELECT DISTINCT KIND FROM $SYSTEM.DM_QUERY_LOG").Rows() {
+		kinds[r[0]]++
+	}
+	for _, k := range []string{"SQL", "CREATE MODEL", "INSERT MODEL", "CONTENT", "CASES", "SCHEMA ROWSET"} {
+		if kinds[k] != 1 {
+			t.Errorf("DISTINCT KIND lists %q %d times, want once (%v)", k, kinds[k], kinds)
+		}
+	}
+
+	// Names that do not exist are typed errors.
+	var nf *core.NotFoundError
+	for _, q := range []string{"SELECT * FROM $SYSTEM.NOPE", "SELECT * FROM [Nope].CONTENT"} {
+		if _, err := p.Execute(q); !errors.As(err, &nf) {
+			t.Errorf("%s: err = %v, want a *core.NotFoundError", q, err)
+		}
+	}
+	var le *lex.Error
+	if _, err := p.Execute("SELECT * FROM [Age Prediction].NOPE"); !errors.As(err, &le) {
+		t.Errorf("unknown accessor: err = %v, want a *lex.Error", err)
+	}
+}
+
+// TestRowsetSelectStar: SELECT * over a provider rowset returns the rowset its
+// builder makes, schema and rows byte for byte, for every model accessor and
+// every schema rowset. (Observability is off, so the rowsets built from the
+// flight recorder and the query log compare their schemas.)
+func TestRowsetSelectStar(t *testing.T) {
+	p := MustNew(WithObsRegistry(nil))
+	setupCustomerData(t, p, 40)
+	mustExec(t, p, createAgeModel)
+	mustExec(t, p, insertAgeModel)
+	encode := func(rs *rowset.Rowset) string {
+		var b bytes.Buffer
+		if err := rs.Encode(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	check := func(model, name, from string) {
+		want, err := p.providerRowset(model, name)
+		if err != nil {
+			t.Fatalf("%s: %v", from, err)
+		}
+		if got := mustExec(t, p, "SELECT * FROM "+from); encode(got) != encode(want) {
+			t.Errorf("SELECT * FROM %s:\n got %v\nwant %v", from, got, want)
+		}
+	}
+	for _, a := range dmx.Accessors {
+		check("Age Prediction", a, "[Age Prediction]."+a)
+	}
+	for _, name := range schemarowset.Names() {
+		check("", name, "$SYSTEM."+name)
+	}
+}
+
+// TestRowsetKindsInQueryLog: each provider rowset logs the DM_QUERY_LOG.KIND it
+// always has.
+func TestRowsetKindsInQueryLog(t *testing.T) {
+	p := MustNew()
+	setupCustomerData(t, p, 30)
+	mustExec(t, p, createAgeModel)
+	mustExec(t, p, insertAgeModel)
+	want := map[string]string{
+		"SELECT * FROM [Age Prediction].CONTENT": "CONTENT",
+		"SELECT * FROM [Age Prediction].COLUMNS": "COLUMNS",
+		"SELECT * FROM [Age Prediction].CASES":   "CASES",
+		"SELECT * FROM [Age Prediction].PMML":    "PMML",
+		"SELECT * FROM $SYSTEM.MINING_MODELS":    "SCHEMA ROWSET",
+	}
+	for q := range want {
+		mustExec(t, p, q)
+	}
+	log := mustExec(t, p, "SELECT STATEMENT, KIND FROM $SYSTEM.DM_QUERY_LOG")
+	seen := 0
+	for _, r := range log.Rows() {
+		if k, ok := want[r[0].(string)]; ok {
+			seen++
+			if r[1] != k {
+				t.Errorf("%s logged as %v, want %s", r[0], r[1], k)
+			}
+		}
+	}
+	if seen != len(want) {
+		t.Errorf("%d of %d rowset statements logged", seen, len(want))
+	}
+}
+
+// TestPreparedSystemQuery: a placeholder in the WHERE of a $SYSTEM query binds
+// like one in any SELECT.
+func TestPreparedSystemQuery(t *testing.T) {
+	p := MustNew()
+	setupCustomerData(t, p, 20)
+	s := p.NewSession()
+	defer s.Close()
+	exec := func(q string) *rowset.Rowset {
+		t.Helper()
+		rs, err := s.Execute(context.Background(), q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		return rs
+	}
+	exec("PREPARE slow AS SELECT SEQ FROM $SYSTEM.DM_QUERY_LOG WHERE ELAPSED_US >= ? ORDER BY SEQ")
+	if rs := exec("EXECUTE slow (0)"); rs.Len() == 0 {
+		t.Error("no logged statement at or above 0us")
+	}
+	if rs := exec("EXECUTE slow (1000000000000)"); rs.Len() != 0 {
+		t.Errorf("statements slower than 11 days: %v", rs.Rows())
+	}
+	if _, err := s.Execute(context.Background(), "EXECUTE slow"); err == nil {
+		t.Error("EXECUTE without its argument must fail")
+	}
+}
+
+// TestModelNamedSystem: only $SYSTEM names the schema-rowset namespace; a
+// model called SYSTEM is a model like any other.
+func TestModelNamedSystem(t *testing.T) {
+	p := MustNew()
+	setupCustomerData(t, p, 40)
+	mustExec(t, p, strings.ReplaceAll(createAgeModel, "[Age Prediction]", "[SYSTEM]"))
+	mustExec(t, p, strings.ReplaceAll(insertAgeModel, "[Age Prediction]", "[SYSTEM]"))
+	if rs := mustExec(t, p, "SELECT * FROM [SYSTEM].CONTENT"); rs.Len() < 3 {
+		t.Errorf("content rows = %d", rs.Len())
+	}
+	if rs := mustExec(t, p, "SELECT COLUMN_NAME FROM SYSTEM.COLUMNS"); rs.Len() != 7 {
+		t.Errorf("columns rows = %d", rs.Len())
+	}
+	if rs := mustExec(t, p, "SELECT MODEL_NAME FROM [$SYSTEM].MINING_MODELS"); rs.Len() != 1 || rs.Row(0)[0] != "SYSTEM" {
+		t.Errorf("models = %v", rs.Rows())
 	}
 }
 

@@ -102,7 +102,8 @@ func MiningModels(models []*core.Model) (*rowset.Rowset, error) {
 }
 
 // MiningColumns lists the column metadata of every model — the Section 3.2
-// meta-information as a browsable rowset.
+// meta-information as a browsable rowset. Over one model it is that model's
+// COLUMNS accessor.
 func MiningColumns(models []*core.Model) (*rowset.Rowset, error) {
 	rs := rowset.New(rowset.MustSchema(
 		rowset.Column{Name: "MODEL_NAME", Type: rowset.TypeText},
@@ -126,12 +127,6 @@ func MiningColumns(models []*core.Model) (*rowset.Rowset, error) {
 		}
 	}
 	return rs, nil
-}
-
-// ModelColumns is MiningColumns restricted to one model — the result of
-// SELECT * FROM <model>.COLUMNS.
-func ModelColumns(m *core.Model) (*rowset.Rowset, error) {
-	return MiningColumns([]*core.Model{m})
 }
 
 func appendColumns(rs *rowset.Rowset, model, containing string, cols []core.ColumnDef) error {

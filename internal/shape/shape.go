@@ -122,8 +122,8 @@ func ParseString(src string) (*Query, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !s.AtEOF() {
-		return nil, lex.Errorf(s.Peek(), "unexpected input after SHAPE statement: %s", s.Peek())
+	if err := s.ExpectEOF("SHAPE statement"); err != nil {
+		return nil, err
 	}
 	return q, nil
 }

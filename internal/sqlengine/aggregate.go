@@ -20,14 +20,14 @@ func (e *Engine) aggregate(ctx context.Context, t *obs.Trace, sel *SelectStmt, s
 	if err != nil {
 		return nil, err
 	}
-	plan := newAggPlan(sel, aggs, src.schema)
+	plan := newAggPlan(sel, aggs, src.schema, src.resolve)
 	sp := t.StartSpan("group-by", "")
 	defer t.EndSpan(sp)
 	parts := make([]*aggAccum, src.n)
 	var batches atomic.Int64
-	err = e.forEachPartition(ctx, t, src, func(i int, cur rowset.BatchCursor, _ *frames) error {
+	err = e.forEachPartition(ctx, t, src, func(i int, cur rowset.BatchCursor, fr *frames) error {
 		defer cur.Close() //nolint:errcheck // engine cursors fail only via NextBatch
-		acc := newAggAccum(plan)
+		acc := &aggAccum{aggPlan: plan, frames: fr, groups: make(map[string]*pgroup)}
 		parts[i] = acc
 		for {
 			b, err := cur.NextBatch()
@@ -40,7 +40,7 @@ func (e *Engine) aggregate(ctx context.Context, t *obs.Trace, sel *SelectStmt, s
 			batches.Add(1)
 			n := b.Len()
 			for j := 0; j < n; j++ {
-				if err := acc.observe(b.Row(j)); err != nil {
+				if err := acc.observe(b, j); err != nil {
 					return err
 				}
 			}
@@ -54,7 +54,7 @@ func (e *Engine) aggregate(ctx context.Context, t *obs.Trace, sel *SelectStmt, s
 	for _, part := range parts[1:] {
 		sink.merge(part)
 	}
-	out, err := finishAggregate(sel, src.schema, aggs, sink.finish(sel, src.schema))
+	out, err := finishAggregate(sel, src, aggs, sink.finish(sel, src.schema))
 	if err != nil {
 		return nil, err
 	}
@@ -96,41 +96,56 @@ func statementAggs(sel *SelectStmt) ([]*FuncCall, error) {
 }
 
 // finishedGroup is one group ready for the aggregation tail: its first input
-// row (the representative non-aggregate expressions evaluate against) and the
-// computed value of every aggregate call site, in statementAggs order.
+// row and that row's frame value (the representative non-aggregate expressions
+// evaluate against) and the computed value of every aggregate call site, in
+// statementAggs order.
 type finishedGroup struct {
 	first rowset.Row
+	ext   any
 	vals  []rowset.Value
 }
 
 // finishAggregate applies HAVING, evaluates the projection, sorts by ORDER BY
 // and materializes the result. HAVING, the items and the ORDER BY keys compile
 // once, against the source schema, with every aggregate call site resolved to
-// its slot of the current group's values (the frame's Ext). Groups must arrive
-// in first-seen input order.
-func finishAggregate(sel *SelectStmt, srcSchema *rowset.Schema, aggs []*FuncCall, groups []finishedGroup) (*rowset.Rowset, error) {
+// its slot of the current group's values (the frame's Ext) and a Relation's
+// own resolver serving the rest against the group's first frame value. Groups
+// must arrive in first-seen input order.
+func finishAggregate(sel *SelectStmt, src *source, aggs []*FuncCall, groups []finishedGroup) (*rowset.Rowset, error) {
+	srcSchema := src.schema
 	slots := make(map[*FuncCall]int, len(aggs))
 	for i, f := range aggs {
 		slots[f] = i
 	}
-	aggSlot := func(e Expr) Compiled {
+	resolve := func(e Expr) Compiled {
 		f, _ := e.(*FuncCall)
-		slot, ok := slots[f]
-		if !ok {
+		if slot, ok := slots[f]; ok {
+			return func(env *Env) (rowset.Value, error) { return env.Ext.(*finishedGroup).vals[slot], nil }
+		}
+		if src.resolve == nil {
 			return nil
 		}
-		return func(env *Env) (rowset.Value, error) { return env.Ext.(*finishedGroup).vals[slot], nil }
+		if fn := src.resolve(e); fn != nil {
+			return func(env *Env) (rowset.Value, error) {
+				g := env.Ext.(*finishedGroup)
+				if g.ext == nil && src.bind != nil {
+					return nil, nil // the all-NULL group of an empty input has no frame
+				}
+				return fn(&Env{Row: env.Row, Ext: g.ext})
+			}
+		}
+		return nil
 	}
 	var having Compiled
 	if sel.Having != nil {
-		having = Compile(sel.Having, srcSchema, aggSlot)
+		having = Compile(sel.Having, srcSchema, resolve)
 	}
 	items := make([]Compiled, len(sel.Items))
 	for i, it := range sel.Items {
-		items[i] = Compile(it.Expr, srcSchema, aggSlot)
+		items[i] = Compile(it.Expr, srcSchema, resolve)
 	}
 	names := outputNames(sel.Items)
-	order := compileOrderKeys(sel.OrderBy, names, srcSchema, aggSlot)
+	order := compileOrderKeys(sel.OrderBy, names, srcSchema, resolve)
 
 	var outRows []rowset.Row
 	var keyRows []rowset.Row
@@ -164,7 +179,7 @@ func finishAggregate(sel *SelectStmt, srcSchema *rowset.Schema, aggs []*FuncCall
 		rowset.SortByKeys(outRows, keyRows, descFlags(sel.OrderBy))
 	}
 
-	schema, err := outputSchema(sel.Items, names, srcSchema, outRows, rowset.TypeNull)
+	schema, err := outputSchema(sel.Items, names, srcSchema, outRows, src.untyped)
 	if err != nil {
 		return nil, err
 	}
@@ -377,12 +392,13 @@ func (s *aggState) value(f *FuncCall, groupRows int64) rowset.Value {
 // one aggState per aggregate call site.
 type pgroup struct {
 	first  rowset.Row
+	ext    any // first's frame value
 	count  int64
 	states []aggState
 }
 
-func newPgroup(first rowset.Row, naggs int) *pgroup {
-	pg := &pgroup{first: first, states: make([]aggState, naggs)}
+func newPgroup(first rowset.Row, ext any, naggs int) *pgroup {
+	pg := &pgroup{first: first, ext: ext, states: make([]aggState, naggs)}
 	for i := range pg.states {
 		pg.states[i].allInt = true
 	}
@@ -397,39 +413,38 @@ type aggPlan struct {
 	argFns []Compiled // nil entry = COUNT(*): no per-row work
 }
 
-func newAggPlan(sel *SelectStmt, aggs []*FuncCall, schema *rowset.Schema) *aggPlan {
+func newAggPlan(sel *SelectStmt, aggs []*FuncCall, schema *rowset.Schema, resolve Resolver) *aggPlan {
 	p := &aggPlan{
 		aggs:   aggs,
 		keyFns: make([]Compiled, len(sel.GroupBy)),
 		argFns: make([]Compiled, len(aggs)),
 	}
 	for i, g := range sel.GroupBy {
-		p.keyFns[i] = Compile(g, schema, nil)
+		p.keyFns[i] = Compile(g, schema, resolve)
 	}
 	for i, f := range aggs {
 		if !f.Star {
-			p.argFns[i] = Compile(f.Args[0], schema, nil)
+			p.argFns[i] = Compile(f.Args[0], schema, resolve)
 		}
 	}
 	return p
 }
 
-// aggAccum streams one partition's rows into per-group partial states. Not
+// aggAccum streams one partition's rows into per-group partial states, with
+// the partition's frame values (nil unless the source is a Relation). Not
 // goroutine-safe — one accumulator per partition.
 type aggAccum struct {
 	*aggPlan
+	frames *frames
 	env    Env
 	groups map[string]*pgroup
 	order  []string
 	keyBuf []byte
 }
 
-func newAggAccum(p *aggPlan) *aggAccum {
-	return &aggAccum{aggPlan: p, groups: make(map[string]*pgroup)}
-}
-
-func (a *aggAccum) observe(r rowset.Row) error {
-	a.env.Row = r
+// observe folds live row i of b.
+func (a *aggAccum) observe(b rowset.Batch, i int) error {
+	a.frames.load(&a.env, b, i)
 	a.keyBuf = a.keyBuf[:0]
 	for _, kf := range a.keyFns {
 		v, err := kf(&a.env)
@@ -440,7 +455,7 @@ func (a *aggAccum) observe(r rowset.Row) error {
 	}
 	grp, ok := a.groups[string(a.keyBuf)]
 	if !ok {
-		grp = newPgroup(r, len(a.aggs))
+		grp = newPgroup(a.env.Row, a.env.Ext, len(a.aggs))
 		k := string(a.keyBuf)
 		a.groups[k] = grp
 		a.order = append(a.order, k)
@@ -485,7 +500,7 @@ func (a *aggAccum) merge(o *aggAccum) {
 // finishedGroup form the aggregation tail consumes.
 func (a *aggAccum) finish(sel *SelectStmt, schema *rowset.Schema) []finishedGroup {
 	if len(sel.GroupBy) == 0 && len(a.order) == 0 {
-		a.groups[""] = newPgroup(make(rowset.Row, schema.Len()), len(a.aggs))
+		a.groups[""] = newPgroup(make(rowset.Row, schema.Len()), nil, len(a.aggs))
 		a.order = append(a.order, "")
 	}
 	groups := make([]finishedGroup, 0, len(a.order))
@@ -495,7 +510,7 @@ func (a *aggAccum) finish(sel *SelectStmt, schema *rowset.Schema) []finishedGrou
 		for ai, f := range a.aggs {
 			vals[ai] = pg.states[ai].value(f, pg.count)
 		}
-		groups = append(groups, finishedGroup{first: pg.first, vals: vals})
+		groups = append(groups, finishedGroup{first: pg.first, ext: pg.ext, vals: vals})
 	}
 	return groups
 }

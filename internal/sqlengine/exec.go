@@ -198,11 +198,10 @@ func (e *Engine) QueryContext(ctx context.Context, sel *SelectStmt) (*rowset.Row
 	return e.query(ctx, sel, nil, storage.DefaultMorselSize)
 }
 
-// QueryRelation runs sel — its items, WHERE, ORDER BY, DISTINCT and TOP; FROM
-// is ignored — over the rows of rel instead of a FROM clause, through the same
-// pipeline QueryContext runs: the same partition rule and worker bound, the
-// same filter, projection, sort and TOP operators, the same spans. See Relation
-// for what the embedder supplies.
+// QueryRelation runs sel — FROM is ignored — over the rows of rel instead of a
+// FROM clause, through the same pipeline QueryContext runs: the same partition
+// rule and worker bound, the same filter, projection or aggregation, sort and
+// TOP operators, the same spans. See Relation for what the embedder supplies.
 func (e *Engine) QueryRelation(ctx context.Context, sel *SelectStmt, rel Relation) (*rowset.Rowset, error) {
 	return e.query(ctx, sel, &rel, storage.DefaultMorselSize)
 }
@@ -223,7 +222,7 @@ func (e *Engine) query(ctx context.Context, sel *SelectStmt, rel *Relation, part
 	}
 	defer src.flushSpans()
 	var out *rowset.Rowset
-	if rel == nil && needsAggregate(sel) {
+	if needsAggregate(sel) {
 		out, err = e.aggregate(ctx, t, sel, src)
 	} else {
 		out, err = e.project(ctx, t, sel, src)

@@ -296,20 +296,6 @@ func BindExpr(e Expr, args []rowset.Value) (Expr, error) {
 	return out, b.err
 }
 
-// BindOrderBy clones ORDER BY items with parameters substituted.
-func BindOrderBy(items []OrderItem, args []rowset.Value) ([]OrderItem, error) {
-	b := &binder{args: args}
-	out := b.orderBy(items)
-	return out, b.err
-}
-
-// BindSelectItems clones projection items with parameters substituted.
-func BindSelectItems(items []SelectItem, args []rowset.Value) ([]SelectItem, error) {
-	b := &binder{args: args}
-	out := b.items(items)
-	return out, b.err
-}
-
 type binder struct {
 	args []rowset.Value
 	err  error

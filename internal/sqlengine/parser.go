@@ -14,8 +14,8 @@ func Parse(src string) (Statement, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !s.AtEOF() {
-		return nil, lex.Errorf(s.Peek(), "unexpected input after statement: %s", s.Peek())
+	if err := s.ExpectEOF("statement"); err != nil {
+		return nil, err
 	}
 	return stmt, nil
 }
@@ -45,13 +45,29 @@ func ParseStatement(s *lex.Scanner) (Statement, error) {
 
 // ParseSelect parses a SELECT statement from the scanner.
 func ParseSelect(s *lex.Scanner) (*SelectStmt, error) {
+	sel, err := ParseSelectHead(s)
+	if err != nil {
+		return nil, err
+	}
+	if s.Accept("FROM") {
+		if sel.From, err = parseFrom(s); err != nil {
+			return nil, err
+		}
+	}
+	if err := ParseSelectTail(s, sel); err != nil {
+		return nil, err
+	}
+	return sel, nil
+}
+
+// ParseSelectHead parses the part of a SELECT before its FROM clause:
+// SELECT [DISTINCT] [TOP n] items. The DMX parser reads its own FROM clause
+// between this and ParseSelectTail.
+func ParseSelectHead(s *lex.Scanner) (*SelectStmt, error) {
 	if err := s.Expect("SELECT"); err != nil {
 		return nil, err
 	}
-	sel := &SelectStmt{}
-	if s.Accept("DISTINCT") {
-		sel.Distinct = true
-	}
+	sel := &SelectStmt{Distinct: s.Accept("DISTINCT")}
 	if s.Accept("TOP") {
 		t, err := s.Next()
 		if err != nil {
@@ -74,28 +90,25 @@ func ParseSelect(s *lex.Scanner) (*SelectStmt, error) {
 		}
 		sel.Items = append(sel.Items, item)
 		if !s.AcceptPunct(",") {
-			break
+			return sel, nil
 		}
 	}
-	if s.Accept("FROM") {
-		refs, err := parseFrom(s)
-		if err != nil {
-			return nil, err
-		}
-		sel.From = refs
-	}
+}
+
+// ParseSelectTail parses the clauses after FROM into sel: [WHERE cond]
+// [GROUP BY exprs] [HAVING cond] [ORDER BY exprs [ASC|DESC]].
+func ParseSelectTail(s *lex.Scanner, sel *SelectStmt) error {
+	var err error
 	if s.Accept("WHERE") {
-		e, err := ParseExpr(s)
-		if err != nil {
-			return nil, err
+		if sel.Where, err = ParseExpr(s); err != nil {
+			return err
 		}
-		sel.Where = e
 	}
 	if s.AcceptSeq("GROUP", "BY") {
 		for {
 			e, err := ParseExpr(s)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			sel.GroupBy = append(sel.GroupBy, e)
 			if !s.AcceptPunct(",") {
@@ -104,17 +117,15 @@ func ParseSelect(s *lex.Scanner) (*SelectStmt, error) {
 		}
 	}
 	if s.Accept("HAVING") {
-		e, err := ParseExpr(s)
-		if err != nil {
-			return nil, err
+		if sel.Having, err = ParseExpr(s); err != nil {
+			return err
 		}
-		sel.Having = e
 	}
 	if s.AcceptSeq("ORDER", "BY") {
 		for {
 			e, err := ParseExpr(s)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			item := OrderItem{Expr: e}
 			if s.Accept("DESC") {
@@ -128,7 +139,7 @@ func ParseSelect(s *lex.Scanner) (*SelectStmt, error) {
 			}
 		}
 	}
-	return sel, nil
+	return nil
 }
 
 func parseSelectItem(s *lex.Scanner) (SelectItem, error) {
@@ -156,7 +167,7 @@ func parseSelectItem(s *lex.Scanner) (SelectItem, error) {
 			return SelectItem{}, err
 		}
 		item.Alias = name
-	} else if t := s.Peek(); t.Kind == lex.Ident && !isClauseKeyword(t) {
+	} else if t := s.Peek(); t.Kind == lex.Ident && !IsClauseKeyword(t) {
 		// Implicit alias: SELECT a b
 		s.Next()
 		item.Alias = t.Text
@@ -164,9 +175,9 @@ func parseSelectItem(s *lex.Scanner) (SelectItem, error) {
 	return item, nil
 }
 
-// isClauseKeyword reports whether an identifier token begins a clause and so
+// IsClauseKeyword reports whether an identifier token begins a clause and so
 // cannot be an implicit alias.
-func isClauseKeyword(t lex.Token) bool {
+func IsClauseKeyword(t lex.Token) bool {
 	if t.Quoted {
 		return false
 	}
@@ -237,7 +248,7 @@ func parseTableRef(s *lex.Scanner) (TableRef, error) {
 			return TableRef{}, err
 		}
 		ref.Alias = a
-	} else if t := s.Peek(); t.Kind == lex.Ident && !isClauseKeyword(t) {
+	} else if t := s.Peek(); t.Kind == lex.Ident && !IsClauseKeyword(t) {
 		s.Next()
 		ref.Alias = t.Text
 	}
@@ -775,7 +786,7 @@ func parsePrimary(s *lex.Scanner) (Expr, error) {
 			}
 			// Clause keywords cannot start an expression; a column that
 			// really has such a name must be [bracketed].
-			if isClauseKeyword(t) {
+			if IsClauseKeyword(t) {
 				return nil, lex.Errorf(t, "expected expression, found %s", t)
 			}
 		}

@@ -236,3 +236,61 @@ func TestErrorsSurfaceInRowOrder(t *testing.T) {
 		t.Errorf("relation: err = %v, want the item's error on row 5", err)
 	}
 }
+
+// TestRelationAggregates: GROUP BY, HAVING and the aggregates run over a
+// relation as over a table — group keys and aggregate arguments read the
+// row's frame, a group's representative is its first row with that row's
+// frame — and the result is the one counted by hand, over one partition and
+// over 16-row partitions, on one worker and four.
+func TestRelationAggregates(t *testing.T) {
+	const n = 3000
+	byG := mustSelect(t, `SELECT t.g, COUNT(*) AS n, SUM(MOF('item')) AS s, MIN(t.id) AS lo, MOF('order') AS first
+		FROM r GROUP BY t.g HAVING MIN(t.id) > 0 ORDER BY t.g DESC`)
+	byM := mustSelect(t, `SELECT MOF('where') AS m, COUNT(*) AS n FROM r GROUP BY MOF('where') ORDER BY m`)
+	type group struct{ n, s, lo, first int64 }
+	gs := map[string]*group{}
+	mCount := make([]int64, 7)
+	for id := int64(0); id < n; id++ {
+		g, m := string(rune('a'+id%5)), id%7
+		if gs[g] == nil {
+			gs[g] = &group{lo: id, first: m}
+		}
+		gs[g].n++
+		gs[g].s += m
+		mCount[m]++
+	}
+	var wantG, wantM []rowset.Row
+	for _, g := range []string{"e", "d", "c", "b"} { // HAVING drops "a", whose MIN(t.id) is 0
+		wantG = append(wantG, rowset.Row{g, gs[g].n, gs[g].s, gs[g].lo, gs[g].first})
+	}
+	for m, c := range mCount {
+		wantM = append(wantM, rowset.Row{int64(m), c})
+	}
+	for _, cfg := range []struct{ workers, partRows int }{{1, storage.DefaultMorselSize}, {1, 16}, {4, 16}} {
+		for _, q := range []struct {
+			sel  *SelectStmt
+			want []rowset.Row
+		}{{byG, wantG}, {byM, wantM}} {
+			tr := newTestRelation(n)
+			e := NewEngine(storage.NewDatabase())
+			e.Workers = cfg.workers
+			rs, err := e.query(context.Background(), q.sel, &tr.Relation, cfg.partRows)
+			if err != nil {
+				t.Fatalf("workers=%d partRows=%d: %v", cfg.workers, cfg.partRows, err)
+			}
+			if got := tr.binds.Load(); got != n {
+				t.Errorf("workers=%d partRows=%d: %d binds for %d rows", cfg.workers, cfg.partRows, got, n)
+			}
+			if fmt.Sprint(rs.Rows()) != fmt.Sprint(q.want) {
+				t.Errorf("workers=%d partRows=%d:\n got %v\nwant %v", cfg.workers, cfg.partRows, rs.Rows(), q.want)
+			}
+		}
+	}
+	// Over no rows, the one group has no frame: what the relation serves is
+	// NULL like the rest of its representative row.
+	rs, err := NewEngine(storage.NewDatabase()).QueryRelation(context.Background(),
+		mustSelect(t, "SELECT COUNT(*), MOF('item') FROM r"), newTestRelation(0).Relation)
+	if err != nil || fmt.Sprint(rs.Rows()) != "[[0 <nil>]]" {
+		t.Errorf("empty relation: %v, %v; want one row [0 NULL]", rs, err)
+	}
+}

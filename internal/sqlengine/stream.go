@@ -828,10 +828,11 @@ func (e *Engine) workers() int {
 }
 
 // Relation is a row source an embedder supplies in place of a FROM clause, for
-// QueryRelation to run the filter → project → ORDER BY / DISTINCT / TOP half of
-// the pipeline over. The DMX provider's PREDICTION JOIN is one: the rows are
-// the cases, the resolver gives model columns and prediction functions their
-// meaning, and the binder tokenizes each case.
+// QueryRelation to run the filter → project or aggregate → ORDER BY / DISTINCT
+// / TOP half of the pipeline over. The DMX provider's PREDICTION JOIN is one:
+// the rows are the cases, the resolver gives model columns and prediction
+// functions their meaning, and the binder tokenizes each case. Its browsing
+// rowsets are others, with rows and a schema only.
 type Relation struct {
 	// Schema names the columns of Rows as expressions see them
 	// ("alias.column", like a FROM entry's).
@@ -842,10 +843,11 @@ type Relation struct {
 	// Bind is called once per partition, on the goroutine that runs it, and
 	// returns that partition's binder. The binder is called exactly once for
 	// every row the partition reads, in order and before the filter; what it
-	// returns is the row's Env.Ext for WHERE, the select items and the ORDER BY
-	// keys alike. The engine drops the value with the batch the row came in.
+	// returns is the row's Env.Ext for WHERE, the select items, the ORDER BY
+	// keys and the GROUP BY keys and aggregate arguments alike. The engine drops
+	// the value with the batch the row came in, or with the group it began.
 	Bind func() func(rowset.Row) (any, error)
-	// Kind and Label name the bind operator's span.
+	// Kind and Label name the span of the relation's operator.
 	Kind, Label string
 	// Untyped is the type declared for a computed output column no row gave a
 	// value (a SELECT declares rowset.TypeNull).
@@ -979,8 +981,9 @@ func (e *Engine) forEachPartition(ctx context.Context, t *obs.Trace, src *source
 		var fr *frames
 		if src.bind != nil {
 			bc := &bindCursor{src: cur, bind: src.bind()}
-			cur, fr = src.bindSpan.wrap(bc), &bc.frames
+			cur, fr = bc, &bc.frames
 		}
+		cur = src.bindSpan.wrap(cur)
 		if src.residual != nil || src.filter != nil {
 			cur = src.filter.wrap(&filterCursor{src: cur, cond: src.residual, frames: fr})
 		}
