@@ -51,11 +51,14 @@ bench:
 	$(GO) run ./bench
 
 # One pass of the two case-path benchmarks (tokenize and Decision_Trees
-# training on the nested caseset, with allocations) so they keep compiling and
-# running. Numbers are recorded in EXPERIMENTS.md; the partitioned PREDICTION
-# JOIN path is measured by `go run ./bench` (predict_batch).
+# training on the nested caseset) and of the two prediction-join benchmarks
+# (a whole-table NATURAL PREDICTION JOIN and a singleton one), with
+# allocations, so they keep compiling and running and the log shows what a
+# prediction allocates. Numbers are recorded in EXPERIMENTS.md; the
+# partitioned PREDICTION JOIN path is measured by `go run ./bench`
+# (predict_batch).
 bench-parallel:
-	$(GO) test -run '^$$' -bench 'BenchmarkTokenizeNested|BenchmarkTrainDecisionTreesNested' -benchtime=1x -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkTokenizeNested|BenchmarkTrainDecisionTreesNested|BenchmarkE4_PredictionJoinNatural|BenchmarkE4_PredictionSingleCase' -benchtime=1x -benchmem .
 
 # Instrumentation-overhead guard: fails when enabling the obs registry slows
 # the PREDICTION JOIN scan by more than 10% over WithObsRegistry(nil). The

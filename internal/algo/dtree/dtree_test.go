@@ -523,3 +523,35 @@ func TestPredictSharesTheLeafPrediction(t *testing.T) {
 		t.Error("two cases in one leaf got separate histograms")
 	}
 }
+
+// TestPredictBatchAllocatesColumnsOnly: filling a batch through
+// core.PredictInto copies every case's leaf prediction into the columns — the
+// leaf's own histogram when the batch carries histograms — and, without them,
+// allocates the columns and nothing per case.
+func TestPredictBatchAllocatesColumnsOnly(t *testing.T) {
+	cs := colorCaseset(1024)
+	target, _ := cs.Space.Lookup("class")
+	m := train(t, cs, []int{target}, nil)
+	var out core.PredictionBatch
+	fill := func(hist bool) {
+		out.Reset(cs.Len(), hist)
+		for i := range cs.Len() {
+			if err := core.PredictInto(m, cs.Case(i), target, "", &out, i); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	fill(true)
+	for _, i := range []int{0, 1, 517} {
+		p, _ := m.Predict(cs.Case(i), target)
+		if out.Estimate[i] != p.Estimate || out.Prob[i] != p.Prob || &out.Histogram[i][0] != &p.Histogram[0] {
+			t.Errorf("case %d: batch %v (%v), case %v (%v)", i, out.Estimate[i], out.Prob[i], p.Estimate, p.Prob)
+		}
+	}
+	if n := testing.AllocsPerRun(20, func() { fill(false) }); n > 2 {
+		t.Errorf("%v allocations per batch of %d cases, want the 2 of its columns", n, cs.Len())
+	}
+	if err := core.PredictInto(m, cs.Case(0), 0, "", &out, 0); err == nil {
+		t.Error("a prediction of an input attribute must fail")
+	}
+}

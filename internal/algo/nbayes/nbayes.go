@@ -8,11 +8,13 @@ package nbayes
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/rowset"
 )
 
 // ServiceName is the USING-clause name of this algorithm.
@@ -86,6 +88,8 @@ type classifier struct {
 	logPrior []float64
 	logDisc  [][][]float64
 	norm     [][]gaussNorm
+	// values[s] is class s as a prediction shows it, boxed once.
+	values []rowset.Value
 }
 
 // gaussNorm is a class-conditional Gaussian ready to evaluate: logNorm is
@@ -244,16 +248,21 @@ func (m *Model) trainOne(cs *core.Caseset, target int) (*classifier, error) {
 			}
 		}
 	}
-	cl.prepare(m.prm)
+	cl.prepare(m.prm, ta)
 	return cl, nil
 }
 
-// prepare computes the tables Predict reads.
-func (cl *classifier) prepare(prm params) {
+// prepare computes the tables Predict reads. A likelihood that cannot be
+// estimated — a class that never saw the input, a state no class saw, with
+// PSEUDOCOUNT 0 — is no evidence either way: it adds nothing, like a missing
+// value, where its logarithm would be -Inf or NaN for every class.
+func (cl *classifier) prepare(prm params, ta *core.Attribute) {
 	k := len(cl.prior)
 	cl.logPrior = make([]float64, k)
+	cl.values = make([]rowset.Value, k)
 	for s := range cl.logPrior {
 		cl.logPrior[s] = math.Log((cl.prior[s] + prm.laplace) / (cl.total + prm.laplace*float64(k)))
+		cl.values[s] = stateName(ta, s)
 	}
 	cl.logDisc = make([][][]float64, len(cl.disc))
 	cl.norm = make([][]gaussNorm, len(cl.gauss))
@@ -272,9 +281,13 @@ func (cl *classifier) prepare(prm params) {
 			for _, v := range table {
 				rowTotal += v
 			}
+			denom := rowTotal + prm.laplace*float64(len(table))
 			ll := make([]float64, len(table))
 			for st := range table {
-				ll[st] = math.Log((table[st] + prm.laplace) / (rowTotal + prm.laplace*float64(len(table))))
+				seen := slices.ContainsFunc(cl.disc[in], func(t []float64) bool { return t[st]+prm.laplace != 0 })
+				if denom > 0 && seen {
+					ll[st] = math.Log((table[st] + prm.laplace) / denom)
+				}
 			}
 			cl.logDisc[in][s] = ll
 		}
@@ -287,14 +300,45 @@ func (m *Model) AlgorithmName() string { return ServiceName }
 // Predict implements core.TrainedModel: posterior over target states via
 // log-likelihood accumulation.
 func (m *Model) Predict(c core.Case, target int) (core.Prediction, error) {
+	cl, err := m.classifier(target)
+	if err != nil {
+		return core.Prediction{}, err
+	}
+	probs := make([]float64, len(cl.prior))
+	m.posterior(cl, c, probs)
+	return cl.histogram(probs), nil
+}
+
+// PredictInto implements core.BatchPredictor: Predict's posterior, on the
+// stack while there are at most 16 classes, with a histogram built only when
+// out carries histograms or a NaN leaves the order to the histogram's own rule.
+func (m *Model) PredictInto(c core.Case, target int, out *core.PredictionBatch, i int) error {
+	cl, err := m.classifier(target)
+	if err != nil {
+		return err
+	}
+	var buf [16]float64
+	probs := append(buf[:0], cl.logPrior...)
+	m.posterior(cl, c, probs)
+	if s := cl.best(probs); s >= 0 && i >= len(out.Histogram) {
+		out.Estimate[i], out.Prob[i], out.Support[i], out.Stdev[i] = cl.values[s], probs[s], cl.prior[s], 0
+		return nil
+	}
+	out.Set(i, cl.histogram(probs))
+	return nil
+}
+
+func (m *Model) classifier(target int) (*classifier, error) {
 	cl, ok := m.classifiers[target]
 	if !ok {
-		return core.Prediction{}, fmt.Errorf("nbayes: attribute %q is not a prediction target",
-			m.space.Attr(target).Name)
+		return nil, fmt.Errorf("nbayes: attribute %q is not a prediction target", m.space.Attr(target).Name)
 	}
-	ta := m.space.Attr(target)
-	k := len(cl.prior)
-	logp := append(make([]float64, 0, k), cl.logPrior...)
+	return cl, nil
+}
+
+// posterior writes the probability of every class of cl given c to probs.
+func (m *Model) posterior(cl *classifier, c core.Case, probs []float64) {
+	logp := append(probs[:0], cl.logPrior...)
 	// Inputs and the case's cells are both in attribute order: walk them
 	// together, adding the terms in the order they were always added in.
 	cells, j := c.Cells(), 0
@@ -333,29 +377,53 @@ func (m *Model) Predict(c core.Case, target int) (core.Prediction, error) {
 			}
 		}
 	}
-	// Softmax in log space.
+	// Softmax in log space. Evidence that rules out every class — with
+	// PSEUDOCOUNT 0, one input's state seen only with one class and another's
+	// only with another — leaves the prior to decide.
 	maxLog := math.Inf(-1)
 	for _, lp := range logp {
 		if lp > maxLog {
 			maxLog = lp
 		}
 	}
+	if math.IsInf(maxLog, -1) {
+		copy(logp, cl.logPrior)
+		maxLog = slices.Max(logp)
+	}
 	var z float64
-	probs := make([]float64, k)
 	for s, lp := range logp {
 		probs[s] = math.Exp(lp - maxLog)
 		z += probs[s]
 	}
-	var p core.Prediction
-	for s := 0; s < k; s++ {
-		p.Histogram = append(p.Histogram, core.Bucket{
-			Value:   stateName(ta, s),
-			Prob:    probs[s] / z,
-			Support: cl.prior[s],
-		})
+	for s := range probs {
+		probs[s] /= z
+	}
+}
+
+// histogram is the prediction probs make: every class a bucket, most probable
+// first.
+func (cl *classifier) histogram(probs []float64) core.Prediction {
+	p := core.Prediction{Histogram: make([]core.Bucket, len(probs))}
+	for s, pr := range probs {
+		p.Histogram[s] = core.Bucket{Value: cl.values[s], Prob: pr, Support: cl.prior[s]}
 	}
 	p.SortHistogram()
-	return p, nil
+	return p
+}
+
+// best is the class SortHistogram puts first — the most probable, ties to the
+// lower value — or -1 when a probability is NaN, which orders with nothing.
+func (cl *classifier) best(probs []float64) int {
+	best := -1
+	for s, pr := range probs {
+		switch {
+		case math.IsNaN(pr):
+			return -1
+		case best < 0 || pr > probs[best] || pr == probs[best] && rowset.Compare(cl.values[s], cl.values[best]) < 0:
+			best = s
+		}
+	}
+	return best
 }
 
 func stateName(a *core.Attribute, s int) string {

@@ -323,3 +323,100 @@ func TestMeanVarClampsZeroFloor(t *testing.T) {
 		t.Fatalf("empty-stat variance not clamped: %v", v0)
 	}
 }
+
+// TestZeroPseudocountHasNoNaN: with PSEUDOCOUNT 0, a state no class ever saw
+// and an input one class never saw have no likelihood to estimate. They add
+// nothing, like a missing value; their logarithms used to turn every
+// posterior into NaN. Evidence that rules out every class — one input's state
+// seen only with a, another's only with b — leaves the prior.
+func TestZeroPseudocountHasNoNaN(t *testing.T) {
+	sp := space(
+		discrete("color", []string{"red", "blue", "green"}, false),
+		discrete("size", []string{"s", "m"}, false),
+		discrete("tone", []string{"light", "dark"}, false),
+		discrete("class", []string{"a", "b"}, true),
+	)
+	cs := &core.Caseset{Space: sp}
+	color, size, tone, class := 0, 1, 2, 3
+	for i := 0; i < 40; i++ {
+		c := core.NewCase()
+		c.Set(color, int64(i%2)) // red with a, blue with b
+		if i%2 == 0 {
+			c.Set(size, int64(i/2%2)) // only class a ever has a size
+		}
+		c.Set(tone, int64(1-i%2)) // dark with a, light with b
+		c.Set(class, int64(i%2))
+		cs.Append(c)
+	}
+	green := core.NewCase() // green occurs only without a class
+	green.Set(color, int64(2))
+	cs.Append(green)
+	tm, err := New().Train(cs, []int{class}, map[string]string{"PSEUDOCOUNT": "0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Probes as {color, size, tone}, -1 for a missing value; the last two rule
+	// out both classes.
+	probes := [][3]int64{{2, -1, -1}, {2, 0, -1}, {0, 1, -1}, {1, 0, -1}, {0, -1, 0}, {1, 0, 1}}
+	var out core.PredictionBatch
+	out.Reset(len(probes), true)
+	for i, cells := range probes {
+		c := core.NewCase()
+		for attr, v := range cells {
+			if v >= 0 {
+				c.Set(attr, v)
+			}
+		}
+		p, err := tm.Predict(c, class)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := core.PredictInto(tm, c, class, "", &out, i); err != nil {
+			t.Fatal(err)
+		}
+		var sum float64
+		for _, b := range p.Histogram {
+			if math.IsNaN(b.Prob) {
+				t.Fatalf("probe %d: NaN in posterior %+v", i, p.Histogram)
+			}
+			sum += b.Prob
+		}
+		if math.Abs(sum-1) > 1e-9 {
+			t.Errorf("probe %d: posterior sums to %v", i, sum)
+		}
+		if out.Estimate[i] != p.Estimate || out.Prob[i] != p.Prob || len(out.Histogram[i]) != len(p.Histogram) {
+			t.Errorf("probe %d: batch %v (%v), case %v (%v)", i, out.Estimate[i], out.Prob[i], p.Estimate, p.Prob)
+		}
+		// The green case and the ruled-out ones are decided by the prior
+		// alone: two classes of 20 cases.
+		if cells[0] == 2 && cells[1] < 0 || i >= 4 {
+			if p.Prob != 0.5 || p.Estimate != "a" {
+				t.Errorf("probe %d = %v (%v), want the prior's tie broken to a", i, p.Estimate, p.Prob)
+			}
+		}
+	}
+}
+
+// TestPredictBatchAllocatesColumnsOnly: filling a batch of 1024 cases without
+// histograms allocates the batch's two columns and nothing per case.
+func TestPredictBatchAllocatesColumnsOnly(t *testing.T) {
+	cs := spamCaseset(1024)
+	ci, _ := cs.Space.Lookup("class")
+	tm, err := New().Train(cs, []int{ci}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out core.PredictionBatch
+	n := testing.AllocsPerRun(20, func() {
+		out.Reset(cs.Len(), false)
+		for i := range cs.Len() {
+			_ = core.PredictInto(tm, cs.Case(i), ci, "", &out, i)
+		}
+	})
+	if n > 2 {
+		t.Errorf("%v allocations per batch of %d cases, want the 2 of its columns", n, cs.Len())
+	}
+	if len(out.Histogram) != 0 || out.Estimate[0] == nil {
+		t.Errorf("batch = %d histograms, estimate %v", len(out.Histogram), out.Estimate[0])
+	}
+}

@@ -70,6 +70,66 @@ func (p *Prediction) SortHistogram() {
 	}
 }
 
+// PredictionBatch holds one target's predictions for the cases of a batch, one
+// column per figure: case i's answer is element i of each column.
+type PredictionBatch struct {
+	Estimate []rowset.Value
+	Prob     []float64
+	Support  []float64
+	Stdev    []float64
+	// Histogram[i] is case i's histogram, most probable first. The column is
+	// empty unless the batch was made for histograms.
+	Histogram [][]Bucket
+}
+
+// Reset makes the batch's columns for n cases, with histograms only when hist
+// is set.
+func (b *PredictionBatch) Reset(n int, hist bool) {
+	f := make([]float64, 3*n) // the three figures share one allocation
+	*b = PredictionBatch{Estimate: make([]rowset.Value, n), Prob: f[:n:n], Support: f[n : 2*n : 2*n], Stdev: f[2*n:]}
+	if hist {
+		b.Histogram = make([][]Bucket, n)
+	}
+}
+
+// Set records p as case i's prediction. Its histogram is kept — shared, not
+// copied — only when the batch carries histograms.
+func (b *PredictionBatch) Set(i int, p Prediction) {
+	b.Estimate[i], b.Prob[i], b.Support[i], b.Stdev[i] = p.Estimate, p.Prob, p.Support, p.Stdev
+	if i < len(b.Histogram) {
+		b.Histogram[i] = p.Histogram
+	}
+}
+
+// BatchPredictor is implemented by models that write a prediction straight
+// into a batch's columns. PredictInto writes into element i of out the
+// figures Predict returns for c and target, and c's histogram only when out
+// carries histograms; what Predict would allocate for the rest, it need not.
+type BatchPredictor interface {
+	PredictInto(c Case, target int, out *PredictionBatch, i int) error
+}
+
+// PredictInto writes m's prediction for c into element i of out: of attribute
+// target, or — when table is not empty — of that nested TABLE column. It runs
+// the model's BatchPredictor form when there is one, and otherwise Predict or
+// PredictTable.
+func PredictInto(m TrainedModel, c Case, target int, table string, out *PredictionBatch, i int) error {
+	if bp, ok := m.(BatchPredictor); ok && table == "" {
+		return bp.PredictInto(c, target, out, i)
+	}
+	var p Prediction
+	var err error
+	if table == "" {
+		p, err = m.Predict(c, target)
+	} else {
+		p, err = m.PredictTable(c, table)
+	}
+	if err == nil {
+		out.Set(i, p)
+	}
+	return err
+}
+
 // TrainedModel is the result of running an algorithm over a caseset: a
 // predictor plus a browsable content graph. Implementations must be safe for
 // concurrent Predict calls.

@@ -53,13 +53,6 @@ func NewCase() Case { return Case{Weight: 1} }
 // reset empties the case for the next row, keeping the cell buffer.
 func (c *Case) reset() { *c = Case{cells: c.cells[:0], Weight: 1} }
 
-// Clone returns a copy of the case that owns its cells, for a caller that
-// tokenized into a reused buffer and must keep the result.
-func (c Case) Clone() Case {
-	c.cells = append(make([]Cell, 0, len(c.cells)), c.cells...)
-	return c
-}
-
 // Cells returns the case's cells in attribute order.
 func (c Case) Cells() []Cell { return c.cells }
 

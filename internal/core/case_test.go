@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -75,6 +76,31 @@ func TestFrozenTokenizeRowAllocatesNothing(t *testing.T) {
 	qty := mustLookup(t, tk.Space, "Product Purchases(Beer).Quantity")
 	if v, _ := c.Continuous(qty); v != 2 || c.ProbOf(van) != 0.25 || c.Discrete(mustLookup(t, tk.Space, "Zip")) != 0 || len(c.Cells()) != 7 {
 		t.Errorf("nested case = %+v", c.Cells())
+	}
+	// A batch tokenizes in the arena's own spare room: into a fresh arena, it
+	// allocates what sizing the arena's four slices does and nothing per row,
+	// and makes the cases one row at a time makes.
+	batch := []rowset.Row{rows["flat"], rows["nested"], rows["unseen"]}
+	var cs Cases
+	arena := testing.AllocsPerRun(100, func() {
+		var a Cases
+		a.Cells, a.Ends, a.Weights, a.Keys = slices.Grow(a.Cells, 1), slices.Grow(a.Ends, 1), slices.Grow(a.Weights, 1), slices.Grow(a.Keys, 1)
+		cs = a
+	})
+	if n := testing.AllocsPerRun(100, func() { cs = Cases{}; _ = cb.TokenizeRows(batch, &cs) }); n != arena {
+		t.Errorf("%v allocations per TokenizeRows of %d rows, want the arena's %v", n, len(batch), arena)
+	}
+	cs = Cases{}
+	if err := cb.TokenizeRows(batch, &cs); err != nil {
+		t.Fatal(err)
+	}
+	for i, row := range batch {
+		if err := cb.TokenizeRow(row, &c); err != nil {
+			t.Fatal(err)
+		}
+		if got := cs.Case(i).Cells(); !reflect.DeepEqual(got, c.Cells()) {
+			t.Errorf("batch case %d = %+v, want %+v", i, got, c.Cells())
+		}
 	}
 }
 

@@ -288,9 +288,12 @@ func (tk *Tokenizer) bindTable(c *ColumnDef, ords []int) (*tableBinding, error) 
 	return tb, nil
 }
 
-// TokenizeRows appends the case of every row to out, in order. The arena is
-// sized first, from the most cells the rows could make: grown by appending, it
-// would be reallocated — and copied — a few dozen times on the way.
+// TokenizeRows appends the case of every row to out, in order; on an error,
+// out holds the cases of the rows before the failing one. The arena is sized
+// first, from the most cells the rows could make: grown by appending, it would
+// be reallocated — and copied — a few dozen times on the way. Each case is
+// tokenized in the arena's spare room, so the rows allocate nothing past the
+// arena's four slices.
 func (cb *CaseBinder) TokenizeRows(rows []rowset.Row, out *Cases) error {
 	cells := 0
 	for _, row := range rows {
@@ -309,6 +312,7 @@ func (cb *CaseBinder) TokenizeRows(rows []rowset.Row, out *Cases) error {
 	out.Keys = slices.Grow(out.Keys, len(rows))
 	var c Case
 	for _, row := range rows {
+		c.cells = out.Cells[len(out.Cells):]
 		if err := cb.TokenizeRow(row, &c); err != nil {
 			return err
 		}

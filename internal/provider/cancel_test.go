@@ -9,11 +9,13 @@ import (
 	"time"
 )
 
-// predictionJoinQuery is a scan heavy enough that cancellation usually lands
-// mid-flight rather than before the first poll.
+// cancelStressQuery is a scan heavy enough that cancellation usually lands
+// mid-flight rather than before the first poll or after the last row: each
+// customer is predicted ten times over (a cross join), so the scan outlasts
+// most of the stress test's cancellation delays however fast a case scores.
 const cancelStressQuery = `SELECT t.[Customer ID], Predict([Age]), PredictProbability([Age])
 	FROM [Age Prediction]
-	NATURAL PREDICTION JOIN (SELECT * FROM Customers) AS t`
+	NATURAL PREDICTION JOIN (SELECT c.[Customer ID], c.Gender FROM Customers AS c, Customers AS d WHERE d.[Customer ID] <= 10) AS t`
 
 // TestCancelledContextAbortsBeforeWork covers the cheap guarantee: an
 // already-cancelled context never reaches execution and classifies as

@@ -154,18 +154,23 @@ func (pp *predictPlan) compileExpr(e sqlengine.Expr) sqlengine.Compiled {
 	return sqlengine.Compile(e, pp.schema, pp.resolve)
 }
 
-// caseBinder is the relation's per-partition hook: the binder it returns
-// tokenizes a source row where it lies, into a buffer the partition reuses,
-// and its result — a copy of the case, sized to fit, and an empty prediction
-// cache — is the frame WHERE, the select items and the ORDER BY keys of that
-// row all evaluate against. It reads only shared immutable state.
-func (pp *predictPlan) caseBinder() func(rowset.Row) (any, error) {
-	var scratch core.Case
-	return func(srcRow rowset.Row) (any, error) {
-		if err := pp.binder.TokenizeRow(srcRow, &scratch); err != nil {
-			return nil, err
+// caseBinder is the relation's per-partition hook. The binder it returns
+// tokenizes a batch of source rows, where they lie, into the batch's cases and
+// gives row i the frame {batch, i} that WHERE, the select items and the ORDER
+// BY keys of the row all evaluate against. Cases, frames and predictions are
+// fresh per batch, because a frame may outlive its batch, and the binder reads
+// only shared immutable state.
+func (pp *predictPlan) caseBinder() func([]rowset.Row, []any) (int, error) {
+	return func(rows []rowset.Row, ext []any) (int, error) {
+		b := &predictionBatch{entry: pp.entry}
+		b.preds = append(b.one[:0], make([]core.PredictionBatch, len(pp.targets))...)
+		err := pp.binder.TokenizeRows(rows, &b.cases)
+		frames := make([]predictionContext, b.cases.Len())
+		for i := range frames {
+			frames[i] = predictionContext{predictionBatch: b, i: i}
+			ext[i] = &frames[i]
 		}
-		return &predictionContext{entry: pp.entry, c: scratch.Clone(), preds: make([]cachedPrediction, len(pp.targets))}, nil
+		return len(frames), err
 	}
 }
 
@@ -295,13 +300,15 @@ func stripAlias(path []string, alias string) []string {
 }
 
 // predTarget is one model column a statement predicts, resolved when the
-// statement compiles: how to predict it and which slot of a case's prediction
-// cache holds the answer.
+// statement compiles: how to predict it, whether a select item reads its
+// histograms, and which slot of a batch's predictions holds the answer.
 type predTarget struct {
-	slot int
-	mc   *core.ColumnDef
-	attr int   // trained attribute index; scalar columns only
-	err  error // the column cannot be predicted; reported when first evaluated
+	slot  int
+	mc    *core.ColumnDef
+	attr  int    // trained attribute index; scalar columns only
+	table string // the TABLE column's name; nested tables only
+	hist  bool
+	err   error // the column cannot be predicted; reported when first evaluated
 }
 
 // target resolves a model column name to its predTarget; every spelling of one
@@ -320,48 +327,55 @@ func (pp *predictPlan) target(column string) *predTarget {
 		return t
 	}
 	t.mc = mc
-	if mc.Content != core.ContentTable {
-		if t.attr, ok = pp.entry.model.Space.Lookup(mc.Name); !ok {
-			t.err = fmt.Errorf("provider: column %q has no trained attribute", column)
-		}
+	if mc.Content == core.ContentTable {
+		// A nested table's prediction is its histogram.
+		t.table, t.hist = mc.Name, true
+	} else if t.attr, ok = pp.entry.model.Space.Lookup(mc.Name); !ok {
+		t.err = fmt.Errorf("provider: column %q has no trained attribute", column)
 	}
 	return t
 }
 
-// predictionContext is one case's frame state (sqlengine.Env.Ext): the
-// tokenized case and the predictions already made for it.
-type predictionContext struct {
+// predictionBatch is the model's side of one batch of source rows: their cases
+// and, by predTarget.slot, the columns of the predictions the statement reads,
+// made on the batch's first read of the target. A case is predicted when its
+// row first reads the target, so a row the WHERE drops, or one that never
+// reads a target, costs the model nothing.
+type predictionBatch struct {
 	entry *modelEntry
-	c     core.Case
-	preds []cachedPrediction // by predTarget.slot
+	cases core.Cases
+	preds []core.PredictionBatch
+	one   [1]core.PredictionBatch // preds, when the statement predicts one column
 }
 
-type cachedPrediction struct {
-	p    core.Prediction
-	done bool
+// predictionContext is one row's frame state (sqlengine.Env.Ext): case i of
+// its batch. Bit s of done says the case's prediction of the target in slot s
+// is in the batch's columns; a target in slot 64 or beyond has no bit and is
+// predicted on every read.
+type predictionContext struct {
+	*predictionBatch
+	i    int
+	done uint64
 }
 
-func caseOf(env *sqlengine.Env) *predictionContext { return env.Ext.(*predictionContext) }
-
-// predict returns the case's prediction for t, computing it at most once.
-func (pc *predictionContext) predict(t *predTarget) (core.Prediction, error) {
+// scored returns the predictions of t of the frame's batch and the frame's
+// case in it, predicting the case on the row's first read of t.
+func scored(env *sqlengine.Env, t *predTarget) (*core.PredictionBatch, int, error) {
 	if t.err != nil {
-		return core.Prediction{}, t.err
+		return nil, 0, t.err
 	}
-	cp := &pc.preds[t.slot]
-	if !cp.done {
-		var err error
-		if t.mc.Content == core.ContentTable {
-			cp.p, err = pc.entry.model.Trained.PredictTable(pc.c, t.mc.Name)
-		} else {
-			cp.p, err = pc.entry.model.Trained.Predict(pc.c, t.attr)
-		}
-		if err != nil {
-			return core.Prediction{}, err
-		}
-		cp.done = true
+	pc := env.Ext.(*predictionContext)
+	b, bit := &pc.preds[t.slot], uint64(1)<<t.slot
+	if b.Estimate == nil {
+		b.Reset(pc.cases.Len(), t.hist)
 	}
-	return cp.p, nil
+	if pc.done&bit == 0 {
+		if err := core.PredictInto(pc.entry.model.Trained, pc.cases.Case(pc.i), t.attr, t.table, b, pc.i); err != nil {
+			return nil, 0, err
+		}
+		pc.done |= bit
+	}
+	return b, pc.i, nil
 }
 
 // resolve is the statement's sqlengine.Resolver. Column references outside the
@@ -378,7 +392,7 @@ func (pp *predictPlan) resolve(e sqlengine.Expr) sqlengine.Compiled {
 		if !ok || !(strings.EqualFold(x.Qualifier, pp.model) || x.Qualifier == "" && mc.IsOutput()) {
 			return nil
 		}
-		return estimate(pp.target(x.Name), nil)
+		return estimate(pp.target(x.Name), allRows)
 	case *sqlengine.FuncCall:
 		if dmx.IsPredictionFunc(x.Name) {
 			return pp.predictionFunc(x)
@@ -388,36 +402,37 @@ func (pp *predictPlan) resolve(e sqlengine.Expr) sqlengine.Compiled {
 }
 
 // estimate compiles the prediction of t: the estimate of a scalar column, the
-// first maxRows (all when nil or <= 0) predicted rows of a nested table.
+// first maxRows (all when <= 0) predicted rows of a nested table.
 func estimate(t *predTarget, maxRows func(*sqlengine.Env) (int, error)) sqlengine.Compiled {
-	if t.mc == nil || t.mc.Content != core.ContentTable {
-		return statistic(t, func(p core.Prediction) rowset.Value { return p.Estimate })
+	if t.table == "" {
+		return statistic(t, func(b *core.PredictionBatch, i int) rowset.Value { return b.Estimate[i] })
 	}
-	return func(env *sqlengine.Env) (rowset.Value, error) {
-		n := 0
-		if maxRows != nil {
-			var err error
-			if n, err = maxRows(env); err != nil {
-				return nil, err
-			}
-		}
-		p, err := caseOf(env).predict(t)
+	return read(t, func(env *sqlengine.Env, b *core.PredictionBatch, i int) (rowset.Value, error) {
+		n, err := maxRows(env)
 		if err != nil {
 			return nil, err
 		}
-		return tableRowset(t.mc, p, n)
+		return tableRowset(t.mc, b.Histogram[i], n)
+	})
+}
+
+func allRows(*sqlengine.Env) (int, error) { return 0, nil }
+
+// read compiles a use of t's prediction: what get makes, in the row's frame,
+// of case i of the scored batch. A use that reads histograms sets t.hist.
+func read(t *predTarget, get func(env *sqlengine.Env, b *core.PredictionBatch, i int) (rowset.Value, error)) sqlengine.Compiled {
+	return func(env *sqlengine.Env) (rowset.Value, error) {
+		b, i, err := scored(env, t)
+		if err != nil {
+			return nil, err
+		}
+		return get(env, b, i)
 	}
 }
 
 // statistic compiles one figure of t's prediction.
-func statistic(t *predTarget, get func(core.Prediction) rowset.Value) sqlengine.Compiled {
-	return func(env *sqlengine.Env) (rowset.Value, error) {
-		p, err := caseOf(env).predict(t)
-		if err != nil {
-			return nil, err
-		}
-		return get(p), nil
-	}
+func statistic(t *predTarget, get func(b *core.PredictionBatch, i int) rowset.Value) sqlengine.Compiled {
+	return read(t, func(_ *sqlengine.Env, b *core.PredictionBatch, i int) (rowset.Value, error) { return get(b, i), nil })
 }
 
 // predictionFunc compiles a call to one of the DMX prediction functions.
@@ -433,7 +448,8 @@ func (pp *predictPlan) predictionFunc(f *sqlengine.FuncCall) sqlengine.Compiled 
 		}
 		wantID := f.Name == dmx.FuncCluster
 		return func(env *sqlengine.Env) (rowset.Value, error) {
-			p, err := cp.PredictCluster(caseOf(env).c)
+			pc := env.Ext.(*predictionContext)
+			p, err := cp.PredictCluster(pc.cases.Case(pc.i))
 			if err != nil {
 				return nil, err
 			}
@@ -454,50 +470,41 @@ func (pp *predictPlan) predictionFunc(f *sqlengine.FuncCall) sqlengine.Compiled 
 	t := pp.target(cr.Name)
 	switch f.Name {
 	case dmx.FuncPredict, dmx.FuncPredictAssociation:
-		if t.mc == nil {
-			return sqlengine.Failing(t.err)
-		}
-		var maxRows func(*sqlengine.Env) (int, error)
+		maxRows := allRows
 		if len(f.Args) > 1 {
 			maxRows = pp.intArg(f.Args[1])
 		}
 		return estimate(t, maxRows)
 	case dmx.FuncPredictProbability:
 		if len(f.Args) == 1 {
-			return statistic(t, func(p core.Prediction) rowset.Value { return p.Prob })
+			return statistic(t, func(b *core.PredictionBatch, i int) rowset.Value { return b.Prob[i] })
 		}
 		want := pp.compileExpr(f.Args[1])
-		return func(env *sqlengine.Env) (rowset.Value, error) {
-			p, err := caseOf(env).predict(t)
-			if err != nil {
-				return nil, err
-			}
+		t.hist = true
+		return read(t, func(env *sqlengine.Env, b *core.PredictionBatch, i int) (rowset.Value, error) {
 			v, err := want(env)
 			if err != nil {
 				return nil, err
 			}
 			v = rowset.Normalize(v)
-			for _, b := range p.Histogram {
-				if rowset.Equal(b.Value, v) {
-					return b.Prob, nil
+			for _, bucket := range b.Histogram[i] {
+				if rowset.Equal(bucket.Value, v) {
+					return bucket.Prob, nil
 				}
 			}
 			return 0.0, nil
-		}
+		})
 	case dmx.FuncPredictSupport:
-		return statistic(t, func(p core.Prediction) rowset.Value { return p.Support })
+		return statistic(t, func(b *core.PredictionBatch, i int) rowset.Value { return b.Support[i] })
 	case dmx.FuncPredictStdev:
-		return statistic(t, func(p core.Prediction) rowset.Value { return p.Stdev })
+		return statistic(t, func(b *core.PredictionBatch, i int) rowset.Value { return b.Stdev[i] })
 	case dmx.FuncPredictVariance:
-		return statistic(t, func(p core.Prediction) rowset.Value { return p.Stdev * p.Stdev })
+		return statistic(t, func(b *core.PredictionBatch, i int) rowset.Value { return b.Stdev[i] * b.Stdev[i] })
 	case dmx.FuncPredictHistogram:
-		return func(env *sqlengine.Env) (rowset.Value, error) {
-			p, err := caseOf(env).predict(t)
-			if err != nil {
-				return nil, err
-			}
-			return histogramRowset(cr.Name, p)
-		}
+		t.hist = true
+		return read(t, func(_ *sqlengine.Env, b *core.PredictionBatch, i int) (rowset.Value, error) {
+			return histogramRowset(cr.Name, b.Histogram[i])
+		})
 	}
 	return pp.rangeOf(f.Name, cr.Name, t)
 }
@@ -577,8 +584,8 @@ func (pp *predictPlan) rangeOf(fn, column string, t *predTarget) sqlengine.Compi
 	if len(a.Cuts) == 0 {
 		return sqlengine.Failing(fmt.Errorf("provider: %s requires a DISCRETIZED column, %q is not", fn, column))
 	}
-	return statistic(t, func(p core.Prediction) rowset.Value {
-		label, _ := p.Estimate.(string)
+	return statistic(t, func(b *core.PredictionBatch, i int) rowset.Value {
+		label, _ := b.Estimate[i].(string)
 		lo, hi, ok := a.BucketBounds(a.StateIndex(label))
 		switch {
 		case !ok:
@@ -594,7 +601,7 @@ func (pp *predictPlan) rangeOf(fn, column string, t *predTarget) sqlengine.Compi
 
 // tableRowset renders a nested-table prediction as a rowset whose key column
 // carries the model's nested key column name.
-func tableRowset(mc *core.ColumnDef, p core.Prediction, maxRows int) (rowset.Value, error) {
+func tableRowset(mc *core.ColumnDef, h []core.Bucket, maxRows int) (rowset.Value, error) {
 	keyName := "KEY"
 	for i := range mc.Table {
 		if mc.Table[i].Content == core.ContentKey {
@@ -608,7 +615,7 @@ func tableRowset(mc *core.ColumnDef, p core.Prediction, maxRows int) (rowset.Val
 		rowset.Column{Name: "$SUPPORT", Type: rowset.TypeDouble},
 	)
 	out := rowset.New(schema)
-	for i, b := range p.Histogram {
+	for i, b := range h {
 		if maxRows > 0 && i >= maxRows {
 			break
 		}
@@ -622,10 +629,10 @@ func tableRowset(mc *core.ColumnDef, p core.Prediction, maxRows int) (rowset.Val
 // histogramRowset renders PredictHistogram output (Section 3.2.4: "a
 // histogram provides multiple possible prediction values, each accompanied
 // by a probability and other statistics").
-func histogramRowset(column string, p core.Prediction) (*rowset.Rowset, error) {
+func histogramRowset(column string, h []core.Bucket) (*rowset.Rowset, error) {
 	valueType := rowset.TypeText
-	if len(p.Histogram) > 0 && rowset.TypeOf(p.Histogram[0].Value) != rowset.TypeNull {
-		valueType = rowset.TypeOf(p.Histogram[0].Value)
+	if len(h) > 0 && rowset.TypeOf(h[0].Value) != rowset.TypeNull {
+		valueType = rowset.TypeOf(h[0].Value)
 	}
 	schema := rowset.MustSchema(
 		rowset.Column{Name: column, Type: valueType},
@@ -634,7 +641,7 @@ func histogramRowset(column string, p core.Prediction) (*rowset.Rowset, error) {
 		rowset.Column{Name: "$VARIANCE", Type: rowset.TypeDouble},
 	)
 	out := rowset.New(schema)
-	for _, b := range p.Histogram {
+	for _, b := range h {
 		if err := out.AppendVals(b.Value, b.Prob, b.Support, b.Variance); err != nil {
 			return nil, err
 		}

@@ -183,8 +183,8 @@ func withoutColumnA(t *testing.T, e *Engine) *Relation {
 			}
 			return nil
 		},
-		Bind: func() func(rowset.Row) (any, error) {
-			return func(r rowset.Row) (any, error) { return aOf[r[0].(int64)], nil }
+		Bind: func() func([]rowset.Row, []any) (int, error) {
+			return perRow(func(r rowset.Row) (any, error) { return aOf[r[0].(int64)], nil })
 		},
 		Kind: "bind",
 	}

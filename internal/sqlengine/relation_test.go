@@ -61,8 +61,8 @@ func newTestRelation(n int) *testRelation {
 			}
 			return read(func(f *testFrame) *atomic.Int32 { return &f.order })
 		},
-		Bind: func() func(rowset.Row) (any, error) {
-			return func(r rowset.Row) (any, error) {
+		Bind: func() func([]rowset.Row, []any) (int, error) {
+			return perRow(func(r rowset.Row) (any, error) {
 				tr.binds.Add(1)
 				id := r[0].(int64)
 				f := &testFrame{id: id, m: id % 7}
@@ -71,11 +71,26 @@ func newTestRelation(n int) *testRelation {
 				}
 				tr.frames[id] = f
 				return f, nil
-			}
+			})
 		},
 		Kind: "bind", Label: "test",
 	}
 	return tr
+}
+
+// perRow makes a batch binder of a one-row one: it binds the batch's rows in
+// order and stops at the first that fails.
+func perRow(bind func(rowset.Row) (any, error)) func([]rowset.Row, []any) (int, error) {
+	return func(rows []rowset.Row, ext []any) (int, error) {
+		for i, r := range rows {
+			v, err := bind(r)
+			if err != nil {
+				return i, err
+			}
+			ext[i] = v
+		}
+		return len(rows), nil
+	}
 }
 
 func mustSelect(t *testing.T, q string) *SelectStmt {
@@ -222,13 +237,18 @@ func TestErrorsSurfaceInRowOrder(t *testing.T) {
 	// The same holds for a relation's binder.
 	tr := newTestRelation(200)
 	bind := tr.Bind
-	tr.Bind = func() func(rowset.Row) (any, error) {
+	tr.Bind = func() func([]rowset.Row, []any) (int, error) {
 		inner := bind()
-		return func(r rowset.Row) (any, error) {
-			if r[0].(int64) == 10 {
-				return nil, fmt.Errorf("bind_fails")
+		return func(rows []rowset.Row, ext []any) (int, error) {
+			for i, r := range rows {
+				if r[0].(int64) == 10 {
+					if n, err := inner(rows[:i], ext[:i]); err != nil {
+						return n, err
+					}
+					return i, fmt.Errorf("bind_fails")
+				}
 			}
-			return inner(r)
+			return inner(rows, ext)
 		}
 	}
 	_, err := e.QueryRelation(context.Background(), mustSelect(t, "SELECT (t.id <> 5 OR item_fails) FROM r"), tr.Relation)

@@ -281,12 +281,13 @@ func (f *frames) load(env *Env, b rowset.Batch, i int) int {
 }
 
 // bindCursor is the embedder's operator of a Relation query: it asks the
-// relation's binder for each source row's frame value, once, before the
-// filter, so WHERE, select items and ORDER BY keys of one row share it. It sits
-// directly on the partition's scan, whose batches carry no selection vector.
+// relation's binder for the frame values of each source batch, once, before
+// the filter, so WHERE, select items and ORDER BY keys of one row share them.
+// It sits directly on the partition's scan, whose batches carry no selection
+// vector.
 type bindCursor struct {
 	src  rowset.BatchCursor
-	bind func(rowset.Row) (any, error)
+	bind func([]rowset.Row, []any) (int, error)
 	frames
 	failed error // see cutShort
 }
@@ -303,10 +304,8 @@ func (c *bindCursor) NextBatch() (rowset.Batch, error) {
 		c.ext = make([]any, len(b.Rows))
 	}
 	c.ext = c.ext[:len(b.Rows)]
-	for i, r := range b.Rows {
-		if c.ext[i], err = c.bind(r); err != nil {
-			return cutShort(b, i, err, &c.failed)
-		}
+	if n, err := c.bind(b.Rows, c.ext); err != nil {
+		return cutShort(b, n, err, &c.failed)
 	}
 	return b, nil
 }
@@ -795,7 +794,7 @@ type source struct {
 	// bind operator's span, and the type it declares for an all-NULL column
 	// (the zero value is a SELECT's: rowset.TypeNull).
 	resolve  Resolver
-	bind     func() func(rowset.Row) (any, error)
+	bind     func() func([]rowset.Row, []any) (int, error)
 	bindSpan *opSpan
 	untyped  rowset.Type
 }
@@ -842,11 +841,15 @@ type Relation struct {
 	Resolve Resolver
 	// Bind is called once per partition, on the goroutine that runs it, and
 	// returns that partition's binder. The binder is called exactly once for
-	// every row the partition reads, in order and before the filter; what it
-	// returns is the row's Env.Ext for WHERE, the select items, the ORDER BY
-	// keys and the GROUP BY keys and aggregate arguments alike. The engine drops
-	// the value with the batch the row came in, or with the group it began.
-	Bind func() func(rowset.Row) (any, error)
+	// every batch the partition reads, in order and before the filter, and
+	// sets ext[i] — Env.Ext of rows[i] for WHERE, the select items, the ORDER
+	// BY keys and the GROUP BY keys and aggregate arguments alike. On an error
+	// it returns how many rows it bound before the failing one; those rows go
+	// on, and the error surfaces after them. The engine reuses ext for the next
+	// batch but drops each value only with the batch its row came in, or with
+	// the group the row began: values the binder hands out must outlive the
+	// call.
+	Bind func() func(rows []rowset.Row, ext []any) (int, error)
 	// Kind and Label name the span of the relation's operator.
 	Kind, Label string
 	// Untyped is the type declared for a computed output column no row gave a
