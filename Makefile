@@ -10,8 +10,9 @@ test:
 
 # Code-line counts the simplicity PRs quote: non-test Go with blank and
 # //-comment lines dropped, for the packages that hold the executors and the
-# model path (core + provider + algo share one line budget), the worker pool,
-# and everything outside bench/.
+# model path (core + provider + algo share one line budget), the training
+# source path (shape + storage), the worker pool, and everything outside
+# bench/.
 loc:
 	@count() { cat "$$@" | grep -v '^[[:space:]]*$$' | grep -vc '^[[:space:]]*//'; }; \
 	src() { find "$$@" -name '*.go' ! -name '*_test.go' ! -path './bench/*'; }; \
@@ -20,6 +21,8 @@ loc:
 		internal/core $$(count $$(src internal/core)) \
 		internal/algo $$(count $$(src internal/algo)) \
 		'core + provider + algo' $$(count $$(src internal/core internal/provider internal/algo)) \
+		internal/shape $$(count $$(src internal/shape)) \
+		internal/storage $$(count $$(src internal/storage)) \
 		internal/sqlengine $$(count $$(src internal/sqlengine)) \
 		internal/par $$(count $$(src internal/par)) \
 		'all outside bench/' $$(count $$(src .))
@@ -50,15 +53,15 @@ fuzz-smoke:
 bench:
 	$(GO) run ./bench
 
-# One pass of the two case-path benchmarks (tokenize and Decision_Trees
-# training on the nested caseset) and of the two prediction-join benchmarks
-# (a whole-table NATURAL PREDICTION JOIN and a singleton one), with
-# allocations, so they keep compiling and running and the log shows what a
-# prediction allocates. Numbers are recorded in EXPERIMENTS.md; the
-# partitioned PREDICTION JOIN path is measured by `go run ./bench`
-# (predict_batch).
+# One pass of the three case-path benchmarks (a whole INSERT INTO … SHAPE,
+# then tokenize and Decision_Trees training alone on the nested caseset) and
+# of the two prediction-join benchmarks (a whole-table NATURAL PREDICTION JOIN
+# and a singleton one), with allocations, so they keep compiling and running
+# and the log shows what a training case and a prediction allocate. Numbers
+# are recorded in EXPERIMENTS.md; the partitioned PREDICTION JOIN path is
+# measured by `go run ./bench` (predict_batch).
 bench-parallel:
-	$(GO) test -run '^$$' -bench 'BenchmarkTokenizeNested|BenchmarkTrainDecisionTreesNested|BenchmarkE4_PredictionJoinNatural|BenchmarkE4_PredictionSingleCase' -benchtime=1x -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkInsertNested|BenchmarkTokenizeNested|BenchmarkTrainDecisionTreesNested|BenchmarkE4_PredictionJoinNatural|BenchmarkE4_PredictionSingleCase' -benchtime=1x -benchmem .
 
 # Instrumentation-overhead guard: fails when enabling the obs registry slows
 # the PREDICTION JOIN scan by more than 10% over WithObsRegistry(nil). The

@@ -10,6 +10,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"runtime"
 	"testing"
 
 	"repro/internal/algo/discretize"
@@ -288,6 +289,42 @@ func nestedCaseset(b *testing.B) (*core.ModelDef, *rowset.Rowset) {
 		b.Fatal(err)
 	}
 	return def, rs
+}
+
+// BenchmarkInsertNested is the training path whole and in-process: INSERT
+// INTO … SHAPE of the paper's nested caseset at 5,000 customers — source
+// queries, case assembly, tokenize, discretize, Decision_Trees. Run with
+// -benchmem; allocs/case (the statement's allocations over the cases it
+// consumed) is the number to watch.
+func BenchmarkInsertNested(b *testing.B) {
+	const customers = 5000
+	p := benchWarehouse(b, customers)
+	mustExecB(b, p, `CREATE MINING MODEL [Bench Nested] ([Customer ID] LONG KEY, [Gender] TEXT DISCRETE,
+		[Age] DOUBLE DISCRETIZED PREDICT,
+		[Product Purchases] TABLE([Product Name] TEXT KEY, [Quantity] DOUBLE CONTINUOUS)) USING [Decision_Trees]`)
+	insert := `INSERT INTO [Bench Nested] ([Customer ID], [Gender], [Age], [Product Purchases]([Product Name], [Quantity]))
+		SHAPE {SELECT [Customer ID], Gender, Age FROM Customers ORDER BY [Customer ID]}
+		APPEND ({SELECT CustID, [Product Name], Quantity FROM Sales ORDER BY CustID}
+			RELATE [Customer ID] TO [CustID]) AS [Product Purchases]`
+	var ms runtime.MemStats
+	var mallocs uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		mustExecB(b, p, "DELETE FROM [Bench Nested]")
+		runtime.ReadMemStats(&ms)
+		mallocs -= ms.Mallocs
+		b.StartTimer()
+		if rs := mustExecB(b, p, insert); rs.Row(0)[0] != int64(customers) {
+			b.Fatalf("cases consumed = %v", rs.Row(0))
+		}
+		b.StopTimer()
+		runtime.ReadMemStats(&ms)
+		mallocs += ms.Mallocs
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(mallocs)/float64(b.N*customers), "allocs/case")
 }
 
 // BenchmarkTokenizeNested is the case path alone: source rows to coded cases,

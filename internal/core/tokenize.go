@@ -91,10 +91,14 @@ func (tk *Tokenizer) Tokenize(rs *rowset.Rowset) (*Caseset, error) {
 // ColumnSource says where one model column's values are in a source row: the
 // ordinal of the source column (-1 when nothing is bound to the model column)
 // and, for a TABLE column, the ordinal inside the nested rowset of each of its
-// nested columns.
+// nested columns. A TABLE column the source keeps apart from its rows (a SHAPE
+// APPEND, shape.Caseset) names its rows in Rows, and Nested indexes Rows'
+// column map; otherwise each source row holds the nested table as a
+// *rowset.Rowset cell.
 type ColumnSource struct {
 	Ord    int
 	Nested []int
+	Rows   *rowset.Groups
 }
 
 // BindByName binds every model column to the source column of the same name,
@@ -172,6 +176,9 @@ type columnBinding struct {
 }
 
 type tableBinding struct {
+	// rows holds the nested rows when the source keeps them apart; the
+	// ordinals below are then columns of its Base rows.
+	rows           *rowset.Groups
 	keyOrd, seqOrd int
 	exists         map[string]int32
 	// cols are the bound nested columns other than the key, attributes first.
@@ -211,7 +218,7 @@ func (tk *Tokenizer) NewCaseBinder(cols []ColumnSource) (*CaseBinder, error) {
 			cb.cols = append(cb.cols, b)
 		case ContentTable:
 			var err error
-			if b.table, err = tk.bindTable(c, cols[i].Nested); err != nil {
+			if b.table, err = tk.bindTable(c, cols[i]); err != nil {
 				return nil, err
 			}
 			cb.cols = append(cb.cols, b)
@@ -236,8 +243,8 @@ func (tk *Tokenizer) NewCaseBinder(cols []ColumnSource) (*CaseBinder, error) {
 	return cb, nil
 }
 
-func (tk *Tokenizer) bindTable(c *ColumnDef, ords []int) (*tableBinding, error) {
-	tb := &tableBinding{keyOrd: -1, seqOrd: -1}
+func (tk *Tokenizer) bindTable(c *ColumnDef, src ColumnSource) (*tableBinding, error) {
+	tb := &tableBinding{rows: src.Rows, keyOrd: -1, seqOrd: -1}
 	// The dictionaries of a published space are complete: a column without
 	// one has no attributes to find.
 	keysOf := func(column string) map[string]int32 {
@@ -251,8 +258,13 @@ func (tk *Tokenizer) bindTable(c *ColumnDef, ords []int) (*tableBinding, error) 
 	for j := range c.Table {
 		nc := &c.Table[j]
 		ord := -1
-		if j < len(ords) {
-			ord = ords[j]
+		if j < len(src.Nested) {
+			ord = src.Nested[j]
+		}
+		// Rows kept apart are read as stored: the child's projection is
+		// composed into the ordinal here, once.
+		if ord >= 0 && tb.rows != nil && tb.rows.Cols != nil {
+			ord = tb.rows.Cols[ord]
 		}
 		nb := nestedBinding{def: nc, ord: ord}
 		switch {
@@ -289,17 +301,23 @@ func (tk *Tokenizer) bindTable(c *ColumnDef, ords []int) (*tableBinding, error) 
 }
 
 // TokenizeRows appends the case of every row to out, in order; on an error,
-// out holds the cases of the rows before the failing one. The arena is sized
-// first, from the most cells the rows could make: grown by appending, it would
-// be reallocated — and copied — a few dozen times on the way. Each case is
-// tokenized in the arena's spare room, so the rows allocate nothing past the
-// arena's four slices.
+// out holds the cases of the rows before the failing one. rows[i] is case i
+// of the source, the one the groups of a TABLE column kept apart from the rows
+// (ColumnSource.Rows) hold at i. The arena is sized first, from the most cells
+// the rows could make — a kept-apart table's from its Ends, a *rowset.Rowset
+// cell's from its length: grown by appending, it would be reallocated — and
+// copied — a few dozen times on the way. Each case is tokenized in the arena's
+// spare room, so the rows allocate nothing past the arena's four slices.
 func (cb *CaseBinder) TokenizeRows(rows []rowset.Row, out *Cases) error {
-	cells := 0
-	for _, row := range rows {
-		cells += len(cb.cols)
-		for i := range cb.cols {
-			if tb := cb.cols[i].table; tb != nil {
+	cells := len(rows) * len(cb.cols)
+	for i := range cb.cols {
+		tb := cb.cols[i].table
+		switch {
+		case tb == nil || len(rows) == 0:
+		case tb.rows != nil:
+			cells += int(tb.rows.Ends[len(rows)-1]) * (1 + len(tb.cols))
+		default:
+			for _, row := range rows {
 				if nested, ok := row[cb.cols[i].ord].(*rowset.Rowset); ok {
 					cells += nested.Len() * (1 + len(tb.cols))
 				}
@@ -311,9 +329,9 @@ func (cb *CaseBinder) TokenizeRows(rows []rowset.Row, out *Cases) error {
 	out.Weights = slices.Grow(out.Weights, len(rows))
 	out.Keys = slices.Grow(out.Keys, len(rows))
 	var c Case
-	for _, row := range rows {
+	for i, row := range rows {
 		c.cells = out.Cells[len(out.Cells):]
-		if err := cb.TokenizeRow(row, &c); err != nil {
+		if err := cb.tokenizeRow(row, i, &c); err != nil {
 			return err
 		}
 		out.Append(c)
@@ -321,32 +339,42 @@ func (cb *CaseBinder) TokenizeRows(rows []rowset.Row, out *Cases) error {
 	return nil
 }
 
-// TokenizeRow overwrites c with the case of one source row, reusing c's cell
+// tokenizeRow overwrites c with the case of source row i, reusing c's cell
 // buffer: over a frozen tokenizer it allocates nothing once the buffer has
 // grown to fit (a SEQUENCE_TIME column's ordered keys excepted).
-func (cb *CaseBinder) TokenizeRow(row rowset.Row, c *Case) error {
+func (cb *CaseBinder) tokenizeRow(row rowset.Row, i int, c *Case) error {
 	tk := cb.tk
 	c.reset()
 	if cb.keyOrd >= 0 {
 		c.Key = row[cb.keyOrd]
 	}
-	for i := range cb.cols {
-		b := &cb.cols[i]
+	for k := range cb.cols {
+		b := &cb.cols[k]
+		if tb := b.table; tb != nil {
+			var nested []rowset.Row
+			var pos []int32
+			if g := tb.rows; g != nil {
+				lo, hi := g.Bounds(i)
+				if lo == hi {
+					continue
+				}
+				nested, pos = g.Base, g.Pos[lo:hi]
+			} else if v := row[b.ord]; v != nil {
+				rs, ok := v.(*rowset.Rowset)
+				if !ok {
+					return &NestedColumnTypeError{Column: b.def.Name, Got: rowset.TypeOf(v).String()}
+				}
+				nested = rs.Rows()
+			}
+			if err := tk.tokenizeNested(c, b.def, tb, nested, pos); err != nil {
+				return err
+			}
+			continue
+		}
 		v := row[b.ord]
 		switch b.def.Content {
 		case ContentAttribute:
 			if err := tk.setScalar(c, b.def, b.attr, v); err != nil {
-				return err
-			}
-		case ContentTable:
-			if v == nil {
-				continue
-			}
-			nested, ok := v.(*rowset.Rowset)
-			if !ok {
-				return &NestedColumnTypeError{Column: b.def.Name, Got: rowset.TypeOf(v).String()}
-			}
-			if err := tk.tokenizeNested(c, b.def, b.table, nested); err != nil {
 				return err
 			}
 		case ContentQualifier:
@@ -412,18 +440,27 @@ func (tk *Tokenizer) setState(c *Case, a *Attribute, idx int, v rowset.Value) {
 	c.put(idx, st, 0)
 }
 
-// tokenizeNested converts a nested table cell into existence and valued
-// attributes. When the nested table carries a SEQUENCE_TIME attribute the
-// nested keys are also recorded on the case in time order (Case.Sequences),
-// preserving the ordering that existence attributes alone discard — the raw
-// material for sequence-analysis services.
-func (tk *Tokenizer) tokenizeNested(c *Case, tcol *ColumnDef, tb *tableBinding, nested *rowset.Rowset) error {
+// tokenizeNested converts a case's nested table — rows[p] for p in pos, or
+// every row when pos is nil — into existence and valued attributes. When the
+// nested table carries a SEQUENCE_TIME attribute the nested keys are also
+// recorded on the case in time order (Case.Sequences), preserving the
+// ordering that existence attributes alone discard — the raw material for
+// sequence-analysis services.
+func (tk *Tokenizer) tokenizeNested(c *Case, tcol *ColumnDef, tb *tableBinding, rows []rowset.Row, pos []int32) error {
 	type seqEntry struct {
 		t   float64
 		key string
 	}
 	var seq []seqEntry
-	for _, nrow := range nested.Rows() {
+	n := len(rows)
+	if pos != nil {
+		n = len(pos)
+	}
+	for j := range n {
+		nrow := rows[j]
+		if pos != nil {
+			nrow = rows[pos[j]]
+		}
 		kv := nrow[tb.keyOrd]
 		if kv == nil {
 			continue

@@ -448,7 +448,7 @@ func TestFrozenTokenizationIsReadOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	var c Case
-	if err := cb.TokenizeRow(row, &c); err != nil {
+	if err := cb.tokenizeRow(row, 0, &c); err != nil {
 		t.Fatal(err)
 	}
 

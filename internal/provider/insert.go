@@ -12,6 +12,7 @@ import (
 	"repro/internal/lex"
 	"repro/internal/obs"
 	"repro/internal/rowset"
+	"repro/internal/shape"
 )
 
 func splitStatements(script string) ([]string, error) {
@@ -35,13 +36,14 @@ func (p *Provider) insertInto(ctx context.Context, ins *dmx.InsertInto) (*rowset
 		t.EndSpan(spSource)
 		return nil, err
 	}
-	spSource.SetRows(int64(src.Len()))
+	spSource.SetRows(int64(len(src.Rows)))
 	t.EndSpan(spSource)
-	t.AddRowsIn(int64(src.Len()))
+	t.AddRowsIn(int64(len(src.Rows)))
 	// The statement's column list and the model's columns compose into one
-	// plan over the source's own rows; nothing is copied or reshaped here.
+	// plan over the caseset's own rows — the parent rows and the stored child
+	// rows; nothing is copied or reshaped here.
 	spBind := t.StartSpan("bind", "")
-	cols, err := bindColumns(e.model.Def.Name, e.model.Def.Columns, ins.Bindings, src.Schema(), false)
+	cols, err := bindColumns(e.model.Def.Name, e.model.Def.Columns, ins.Bindings, src.Schema, src.Tables, false)
 	t.EndSpan(spBind)
 	if err != nil {
 		return nil, err
@@ -87,7 +89,7 @@ func (p *Provider) insertInto(ctx context.Context, ins *dmx.InsertInto) (*rowset
 	spTok := t.StartSpan("tokenize", "")
 	binder, err := tok.NewCaseBinder(cols)
 	if err == nil {
-		err = binder.TokenizeRows(src.Rows(), &full.Cases)
+		err = binder.TokenizeRows(src.Rows, &full.Cases)
 	}
 	if err != nil {
 		t.EndSpan(spTok)
@@ -129,13 +131,18 @@ func (p *Provider) insertInto(ctx context.Context, ins *dmx.InsertInto) (*rowset
 	return rs, nil
 }
 
-// executeSource runs a SHAPE or SELECT source against the SQL engine.
-func (p *Provider) executeSource(ctx context.Context, src dmx.Source) (*rowset.Rowset, error) {
+// executeSource runs a SHAPE or SELECT source against the SQL engine. A
+// SELECT is the caseset without APPENDs.
+func (p *Provider) executeSource(ctx context.Context, src dmx.Source) (*shape.Caseset, error) {
 	switch {
 	case src.Shape != nil:
-		return src.Shape.ExecuteContext(ctx, p.Engine)
+		return src.Shape.Run(ctx, p.Engine)
 	case src.Select != nil:
-		return p.Engine.QueryContext(ctx, src.Select)
+		rs, err := p.Engine.QueryContext(ctx, src.Select)
+		if err != nil {
+			return nil, err
+		}
+		return &shape.Caseset{Schema: rs.Schema(), Rows: rs.Rows()}, nil
 	}
 	return nil, fmt.Errorf("provider: statement has no data source")
 }
@@ -211,8 +218,10 @@ func (p *Provider) entropyLabels(full *core.Caseset, exclude int) []int {
 // positionally when the binding list covers every source column (the DMX
 // convention, with SKIP consuming unbound columns — the idiom for RELATE
 // keys) and by name otherwise; prediction joins pass byNameOnly because their
-// bindings are derived from names in the first place.
-func bindColumns(model string, cols []core.ColumnDef, bindings []dmx.Binding, src *rowset.Schema, byNameOnly bool) ([]core.ColumnSource, error) {
+// bindings are derived from names in the first place. tables are the TABLE
+// columns a caseset keeps apart from its rows, the last len(tables) columns of
+// src; a model TABLE column bound to one reads its rows from there.
+func bindColumns(model string, cols []core.ColumnDef, bindings []dmx.Binding, src *rowset.Schema, tables []rowset.Groups, byNameOnly bool) ([]core.ColumnSource, error) {
 	if len(bindings) == 0 {
 		for i := range cols {
 			bindings = append(bindings, dmx.Binding{Name: cols[i].Name})
@@ -244,14 +253,21 @@ func bindColumns(model string, cols []core.ColumnDef, bindings []dmx.Binding, sr
 			}
 		}
 		out[ci].Ord, bound = srcOrd, true
+		apart := srcOrd - (src.Len() - len(tables))
 		if cols[ci].Content != core.ContentTable {
+			if apart >= 0 {
+				return nil, fmt.Errorf("provider: model %s column %q: source column %q is a nested table", model, cols[ci].Name, src.Column(srcOrd).Name)
+			}
 			continue
 		}
 		nestedSrc := src.Column(srcOrd).Nested
 		if nestedSrc == nil {
 			return nil, fmt.Errorf("provider: model %s column %q: source column is not a nested table", model, cols[ci].Name)
 		}
-		nested, err := bindColumns(model, cols[ci].Table, b.Nested, nestedSrc, byNameOnly)
+		if apart >= 0 {
+			out[ci].Rows = &tables[apart]
+		}
+		nested, err := bindColumns(model, cols[ci].Table, b.Nested, nestedSrc, nil, byNameOnly)
 		if err != nil {
 			return nil, err
 		}

@@ -36,11 +36,13 @@ func (p *Provider) predictionSelect(ctx context.Context, ps *dmx.PredictionSelec
 	}
 	p.predsByModel.With(e.model.Def.Name).Inc()
 	spSource := t.StartSpanStage(obs.StageSource, "caseset", "")
-	src, err := p.executeSource(ctx, ps.Source)
+	cs, err := p.executeSource(ctx, ps.Source)
 	if err != nil {
 		t.EndSpan(spSource)
 		return nil, err
 	}
+	// The relation's rows carry their nested tables as cells.
+	src := cs.Rowset()
 	spSource.SetRows(int64(src.Len()))
 	t.EndSpan(spSource)
 	t.AddRowsIn(int64(src.Len()))
@@ -56,7 +58,7 @@ func (p *Provider) predictionSelect(ctx context.Context, ps *dmx.PredictionSelec
 		if err != nil {
 			return nil, err
 		}
-		if cols, err = bindColumns(def.Name, def.Columns, bindings, src.Schema(), true); err != nil {
+		if cols, err = bindColumns(def.Name, def.Columns, bindings, src.Schema(), nil, true); err != nil {
 			return nil, err
 		}
 	}

@@ -61,6 +61,28 @@ func (rs *Rowset) Row(i int) Row { return rs.rows[i] }
 // Rows returns the backing slice of rows; callers must treat it as read-only.
 func (rs *Rowset) Rows() []Row { return rs.rows }
 
+// Groups holds a nested TABLE column apart from the rows it belongs to: the
+// nested rows of row i are Base[p] for p in Pos[lo:hi], where lo, hi =
+// Bounds(i), and nested column k is column Cols[k] of a Base row (Cols nil:
+// the Base row's own layout). Base is shared with whoever produced it — a
+// table snapshot, a query's output — and read-only; Pos and Ends hold no
+// pointers, so the collector never scans them.
+type Groups struct {
+	Base []Row
+	Cols []int
+	// Pos lists positions in Base, grouped by row; Ends[i] closes row i's
+	// group.
+	Pos, Ends []int32
+}
+
+// Bounds returns where row i's group is in Pos.
+func (g *Groups) Bounds(i int) (lo, hi int) {
+	if i > 0 {
+		lo = int(g.Ends[i-1])
+	}
+	return lo, int(g.Ends[i])
+}
+
 // Append adds a row after normalizing values and checking arity.
 func (rs *Rowset) Append(r Row) error {
 	if len(r) != rs.schema.Len() {

@@ -41,6 +41,36 @@ func TestSchemaLookup(t *testing.T) {
 	}
 }
 
+// TestSchemaLookupAllocatesNothing: resolving a name — any case, qualified or
+// not — does not allocate, and non-ASCII and long names still fold like
+// strings.ToLower.
+func TestSchemaLookupAllocatesNothing(t *testing.T) {
+	long := strings.Repeat("Wide", 20)
+	s := MustSchema(
+		Column{Name: "Customer ID", Type: TypeLong},
+		Column{Name: "t.Age", Type: TypeDouble},
+		Column{Name: "Größe", Type: TypeText},
+		Column{Name: long, Type: TypeText},
+	)
+	for name, want := range map[string]int{
+		"Customer ID": 0, "customer id": 0, "CUSTOMER ID": 0, "c.[x].Customer ID": 0,
+		"t.Age": 1, "T.AGE": 1, "GRÖSSE": -1, "GRÖßE": 2, strings.ToUpper(long): 3, "x." + long: 3,
+	} {
+		i, ok := s.Lookup(name)
+		if !ok {
+			i = -1
+		}
+		if i != want {
+			t.Errorf("Lookup(%q) = %d, want %d", name, i, want)
+		}
+	}
+	for _, name := range []string{"Customer ID", "customer id", "CUSTOMER ID", "c.Customer ID", "T.AGE", "nope"} {
+		if n := testing.AllocsPerRun(100, func() { s.Lookup(name) }); n != 0 {
+			t.Errorf("Lookup(%q): %v allocations, want 0", name, n)
+		}
+	}
+}
+
 func TestSchemaProject(t *testing.T) {
 	s := custSchema(t)
 	p, ords, err := s.Project([]string{"Age", "Customer ID"})

@@ -3,6 +3,7 @@ package rowset
 import (
 	"fmt"
 	"strings"
+	"unicode/utf8"
 )
 
 // Column describes one column of a rowset. For TypeTable columns, Nested
@@ -65,17 +66,37 @@ func (s *Schema) Len() int { return len(s.Columns) }
 
 // Lookup returns the ordinal of the named column, case-insensitively.
 // It also accepts qualified names ("t.Age" matches column "Age", and matches
-// a column literally named "t.Age" first).
+// a column literally named "t.Age" first). An ASCII name of up to 64 bytes is
+// lower-cased in a stack buffer, so the lookup does not allocate.
 func (s *Schema) Lookup(name string) (int, bool) {
-	if i, ok := s.index[strings.ToLower(name)]; ok {
+	if i, ok := s.lookup(name); ok {
 		return i, true
 	}
 	if dot := strings.LastIndex(name, "."); dot >= 0 {
-		if i, ok := s.index[strings.ToLower(name[dot+1:])]; ok {
-			return i, true
-		}
+		return s.lookup(name[dot+1:])
 	}
 	return 0, false
+}
+
+func (s *Schema) lookup(name string) (int, bool) {
+	var buf [64]byte
+	if len(name) > len(buf) {
+		i, ok := s.index[strings.ToLower(name)]
+		return i, ok
+	}
+	for j := 0; j < len(name); j++ {
+		c := name[j]
+		if c >= utf8.RuneSelf {
+			i, ok := s.index[strings.ToLower(name)]
+			return i, ok
+		}
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		buf[j] = c
+	}
+	i, ok := s.index[string(buf[:len(name)])]
+	return i, ok
 }
 
 // Column returns the column at ordinal i.

@@ -3,9 +3,11 @@ package shape
 // Index-backed RELATE: when an APPEND child is a bare single-table SELECT,
 // the shaping service does not run the child query at all. It auto-creates a
 // hash index on the relate column and answers each parent key with one
-// O(bucket) lookup, projecting only the bucket rows — child rows that no
-// parent references are never touched, nothing is sorted, and nothing is
-// materialized beyond the buckets themselves.
+// O(bucket) lookup, all under one read lock (storage.Table.Groups) — child
+// rows that no parent references are never touched, nothing is sorted, and
+// nothing is copied: the caseset keeps positions into the table's snapshot
+// and the child's projection as a column map, which the case binder composes
+// into its own ordinals and Caseset.Rowset applies only when it renders.
 //
 // Eligibility is strict because the fast path must be row- and order-
 // identical to executing the child query:
@@ -20,11 +22,13 @@ package shape
 //     run leaves bucket rows in insertion order, which is exactly what the
 //     index lookup yields.
 //
-// Key matching is rowset.Key on both sides, the same function the grouped
-// fallback uses, so match semantics are identical for every column type.
+// Key matching is the storage hash index on both paths — the table's own
+// here, a transient one over the child query's output otherwise — so match
+// semantics, NULL keys matching nothing included, are identical for every
+// column type.
 
 import (
-	"fmt"
+	"context"
 	"strings"
 
 	"repro/internal/obs"
@@ -37,7 +41,7 @@ import (
 type relatePlan struct {
 	tbl    *storage.Table
 	keyCol string         // table column the index is built on
-	ords   []int          // table ordinal per projected output column
+	cols   []int          // table ordinal per output column
 	schema *rowset.Schema // child output schema (names as written, declared types)
 	label  string         // scan span label (table alias or name)
 	sorted bool           // child had the eligible ORDER BY form: emit a sort span
@@ -152,59 +156,22 @@ func compileRelatePlan(e *sqlengine.Engine, ap Append) *relatePlan {
 	return &relatePlan{
 		tbl:    tbl,
 		keyCol: tbl.Schema().Column(ords[keyItem]).Name,
-		ords:   ords,
+		cols:   ords,
 		schema: schema,
 		label:  alias,
 		sorted: sorted,
 	}
 }
 
-// identity reports whether the projection passes table rows through unshaped.
-func (p *relatePlan) identity() bool {
-	if len(p.ords) != p.tbl.Schema().Len() {
-		return false
-	}
-	for i, o := range p.ords {
-		if o != i {
-			return false
-		}
-	}
-	return true
-}
-
-// project shapes bucket rows into the child's output columns. Identity
-// projections share the table rows directly (the engine never mutates stored
-// rows).
-func (p *relatePlan) project(rows []rowset.Row) []rowset.Row {
-	if p.identity() {
-		return rows
-	}
-	out := make([]rowset.Row, len(rows))
-	for i, r := range rows {
-		pr := make(rowset.Row, len(p.ords))
-		for j, o := range p.ords {
-			pr[j] = r[o]
-		}
-		out[i] = pr
-	}
-	return out
-}
-
-// run answers one APPEND from the index: one bucket lookup per distinct
-// parent key. It records the same span tree executing the child would —
+// run answers one APPEND from the index: one bucket lookup per parent key. It
+// records the same span tree executing the child would —
 // shape(select(scan, project[, sort])) — so EXPLAIN output and the
 // plan-mirror invariant are unchanged; row counts reflect the bucket rows
-// actually fetched.
-func (p *relatePlan) run(t *obs.Trace, parent *rowset.Rowset, ap Append) (childGroup, int64, error) {
-	var g childGroup
-	parentOrd, ok := parent.Schema().Lookup(ap.ParentCol)
-	if !ok {
-		return g, 0, fmt.Errorf("shape: RELATE parent column %q not in parent query output %v",
-			ap.ParentCol, parent.Schema().Names())
-	}
+// handed to the caseset.
+func (p *relatePlan) run(ctx context.Context, t *obs.Trace, keys []rowset.Value) (rowset.Groups, int64, error) {
 	if !p.tbl.HasIndex(p.keyCol) {
 		if err := p.tbl.CreateIndex(p.keyCol); err != nil {
-			return g, 0, err
+			return rowset.Groups{}, 0, err
 		}
 	}
 
@@ -220,24 +187,9 @@ func (p *relatePlan) run(t *obs.Trace, parent *rowset.Rowset, ap Append) (childG
 		t.EndSpan(spSort)
 	}
 
-	byKey := make(map[string]*rowset.Rowset)
-	var total int64
-	var keyBuf []byte
-	var lookupErr error
-	for _, pr := range parent.Rows() {
-		v := pr[parentOrd]
-		keyBuf = rowset.AppendKey(keyBuf[:0], v)
-		if _, done := byKey[string(keyBuf)]; done {
-			continue
-		}
-		rows, err := p.tbl.LookupEqualRows(p.keyCol, v)
-		if err != nil {
-			lookupErr = err
-			break
-		}
-		total += int64(len(rows))
-		byKey[string(keyBuf)] = rowset.Adopt(p.schema, p.project(rows))
-	}
+	g, err := p.tbl.Groups(ctx, p.keyCol, keys)
+	g.Cols = p.cols
+	total := int64(len(g.Pos))
 
 	spScan.SetRows(total)
 	spProj.SetRows(total)
@@ -246,8 +198,5 @@ func (p *relatePlan) run(t *obs.Trace, parent *rowset.Rowset, ap Append) (childG
 	t.EndSpan(spSel)
 	spShape.SetRows(total)
 	t.EndSpan(spShape)
-	if lookupErr != nil {
-		return g, 0, lookupErr
-	}
-	return childGroup{byKey: byKey, schema: p.schema}, total, nil
+	return g, total, err
 }

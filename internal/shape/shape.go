@@ -24,6 +24,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/rowset"
 	"repro/internal/sqlengine"
+	"repro/internal/storage"
 )
 
 // Query is a parsed SHAPE statement (or a bare inner query with no appends).
@@ -135,24 +136,93 @@ func (q *Query) Execute(e *sqlengine.Engine) (*rowset.Rowset, error) {
 	return q.ExecuteContext(context.Background(), e) //dmlint:allow ctxflow — documented context-free convenience form; ExecuteContext is the primary API.
 }
 
-// childGroup holds one APPEND child's rows bucketed by relate key, ready to
-// attach to parent rows.
-type childGroup struct {
-	byKey  map[string]*rowset.Rowset
-	schema *rowset.Schema
+// Caseset is a shaped query's result as the executor assembles it, in one
+// pass and without copies: the parent query's rows exactly as the engine left
+// them and, per APPEND, the child rows grouped by parent as positions into the
+// rows they were read from — the table's snapshot when the RELATE index
+// answered, the child query's output otherwise. A NULL relate key matches
+// nothing: its case has an empty nested table, and a child with a NULL key
+// belongs to no case. Rowset renders the nested rowset that consumers outside
+// the provider's training path see.
+type Caseset struct {
+	// Schema is the parent query's columns, then one TABLE column per APPEND.
+	Schema *rowset.Schema
+	// Rows are the parent query's output rows, one per case.
+	Rows []rowset.Row
+	// Tables[a] holds APPEND a's children: column len(Rows[i])+a of case i.
+	Tables []rowset.Groups
 }
 
-// ExecuteContext is Execute with cancellation: ctx is checked between the
-// root query and each APPEND child, so a deep SHAPE tree aborts at the next
-// query boundary once ctx is done. When ctx carries an obs.Trace the
-// execution records a "shape" span with one "append" child span per APPEND
-// clause (a nested SHAPE child nests its own "shape" span underneath); the
-// inner SELECTs contribute their own operator spans through QueryContext.
+// Rowset renders the caseset as a hierarchical rowset: every parent row
+// followed by one nested *rowset.Rowset per APPEND. A caseset without APPENDs
+// is its parent rows, shared.
+func (c *Caseset) Rowset() *rowset.Rowset {
+	if len(c.Tables) == 0 {
+		return rowset.Adopt(c.Schema, c.Rows)
+	}
+	width := c.Schema.Len()
+	first := width - len(c.Tables)
+	nested := make([][]rowset.Row, len(c.Tables))
+	for a := range c.Tables {
+		nested[a] = childRows(&c.Tables[a])
+	}
+	vals := make([]rowset.Value, len(c.Rows)*width)
+	out := make([]rowset.Row, len(c.Rows))
+	for i, pr := range c.Rows {
+		row := vals[i*width : (i+1)*width : (i+1)*width]
+		copy(row, pr)
+		for a := range c.Tables {
+			var rows []rowset.Row
+			if lo, hi := c.Tables[a].Bounds(i); lo < hi {
+				rows = nested[a][lo:hi:hi]
+			}
+			row[first+a] = rowset.Adopt(c.Schema.Column(first+a).Nested, rows)
+		}
+		out[i] = row
+	}
+	return rowset.Adopt(c.Schema, out)
+}
+
+// childRows renders the rows g's positions name, in order, in the child
+// query's output layout.
+func childRows(g *rowset.Groups) []rowset.Row {
+	out := make([]rowset.Row, len(g.Pos))
+	n := len(g.Cols)
+	vals := make([]rowset.Value, len(g.Pos)*n)
+	for j, p := range g.Pos {
+		out[j] = g.Base[p]
+		if g.Cols != nil {
+			out[j] = vals[j*n : (j+1)*n : (j+1)*n]
+			for k, o := range g.Cols {
+				out[j][k] = g.Base[p][o]
+			}
+		}
+	}
+	return out
+}
+
+// ExecuteContext runs the shaped query and renders its caseset (Run, then
+// Caseset.Rowset).
+func (q *Query) ExecuteContext(ctx context.Context, e *sqlengine.Engine) (*rowset.Rowset, error) {
+	cs, err := q.Run(ctx, e)
+	if err != nil {
+		return nil, err
+	}
+	return cs.Rowset(), nil
+}
+
+// Run executes the shaped query and assembles its caseset. ctx is checked
+// between the root query and each APPEND child, and every
+// rowset.DefaultBatchSize parents while an APPEND's children are grouped.
+// When ctx carries an obs.Trace the execution records a "shape" span with one
+// "append" child span per APPEND clause (a nested SHAPE child nests its own
+// "shape" span underneath); the inner SELECTs contribute their own operator
+// spans through QueryContext.
 //
 // Eligible APPEND children (see compileRelatePlan) skip query execution
 // entirely: the relate column gets an automatically created hash index and
 // each parent key is answered by one bucket lookup.
-func (q *Query) ExecuteContext(ctx context.Context, e *sqlengine.Engine) (*rowset.Rowset, error) {
+func (q *Query) Run(ctx context.Context, e *sqlengine.Engine) (*Caseset, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -163,97 +233,64 @@ func (q *Query) ExecuteContext(ctx context.Context, e *sqlengine.Engine) (*rowse
 	if err != nil {
 		return nil, err
 	}
+	cs := &Caseset{Schema: parent.Schema(), Rows: parent.Rows()}
+	spShape.SetRows(int64(len(cs.Rows)))
 	if len(q.Appends) == 0 {
-		spShape.SetRows(int64(parent.Len()))
-		return parent, nil
+		return cs, nil
 	}
 
 	cols := append([]rowset.Column(nil), parent.Schema().Columns...)
-	groups := make([]childGroup, len(q.Appends))
-	for i, ap := range q.Appends {
+	keys := make([]rowset.Value, len(cs.Rows))
+	cs.Tables = make([]rowset.Groups, len(q.Appends))
+	for a, ap := range q.Appends {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		spAp := t.StartSpan("append", ap.As)
-		var g childGroup
-		var childRows int64
-		if plan := compileRelatePlan(e, ap); plan != nil {
-			g, childRows, err = plan.run(t, parent, ap)
-		} else {
-			g, childRows, err = runAppendChild(ctx, e, ap)
-		}
-		if err != nil {
-			t.EndSpan(spAp)
-			return nil, err
-		}
-		groups[i] = g
-		cols = append(cols, rowset.Column{Name: ap.As, Type: rowset.TypeTable, Nested: g.schema})
-		spAp.SetRows(childRows)
-		t.EndSpan(spAp)
-	}
-
-	schema, err := rowset.NewSchema(cols...)
-	if err != nil {
-		return nil, err
-	}
-	parentOrds := make([]int, len(q.Appends))
-	for i, ap := range q.Appends {
 		ord, ok := parent.Schema().Lookup(ap.ParentCol)
 		if !ok {
 			return nil, fmt.Errorf("shape: RELATE parent column %q not in parent query output %v",
 				ap.ParentCol, parent.Schema().Names())
 		}
-		parentOrds[i] = ord
-	}
-
-	out := rowset.New(schema)
-	for _, pr := range parent.Rows() {
-		row := make(rowset.Row, 0, schema.Len())
-		row = append(row, pr...)
-		for i := range q.Appends {
-			k := rowset.Key(pr[parentOrds[i]])
-			sub, ok := groups[i].byKey[k]
-			if !ok {
-				sub = rowset.New(groups[i].schema)
-			}
-			row = append(row, sub)
+		for i, r := range cs.Rows {
+			keys[i] = r[ord]
 		}
-		if err := out.Append(row); err != nil {
+		spAp := t.StartSpan("append", ap.As)
+		var nested *rowset.Schema
+		var childRows int64
+		if plan := compileRelatePlan(e, ap); plan != nil {
+			nested = plan.schema
+			cs.Tables[a], childRows, err = plan.run(ctx, t, keys)
+		} else {
+			nested, cs.Tables[a], childRows, err = runAppendChild(ctx, e, ap, keys)
+		}
+		if err != nil {
+			t.EndSpan(spAp)
 			return nil, err
 		}
+		cols = append(cols, rowset.Column{Name: ap.As, Type: rowset.TypeTable, Nested: nested})
+		spAp.SetRows(childRows)
+		t.EndSpan(spAp)
 	}
-	spShape.SetRows(int64(out.Len()))
-	return out, nil
+	if cs.Schema, err = rowset.NewSchema(cols...); err != nil {
+		return nil, err
+	}
+	return cs, nil
 }
 
 // runAppendChild is the general APPEND path: execute the child query (which
-// may itself be a SHAPE) and bucket its rows by relate key in one pass. The
-// buckets adopt the child's rows — already canonical, coming out of the
-// executor — instead of re-normalizing each one.
-func runAppendChild(ctx context.Context, e *sqlengine.Engine, ap Append) (childGroup, int64, error) {
-	var g childGroup
+// may itself be a SHAPE) and group its rows by relate key, in place.
+func runAppendChild(ctx context.Context, e *sqlengine.Engine, ap Append, keys []rowset.Value) (*rowset.Schema, rowset.Groups, int64, error) {
 	child, err := ap.Child.ExecuteContext(ctx, e)
 	if err != nil {
-		return g, 0, err
+		return nil, rowset.Groups{}, 0, err
 	}
 	keyOrd, ok := child.Schema().Lookup(ap.ChildCol)
 	if !ok {
-		return g, 0, fmt.Errorf("shape: RELATE child column %q not in child query output %v",
+		return nil, rowset.Groups{}, 0, fmt.Errorf("shape: RELATE child column %q not in child query output %v",
 			ap.ChildCol, child.Schema().Names())
 	}
-	buckets := make(map[string][]rowset.Row)
-	var keyBuf []byte
-	for _, r := range child.Rows() {
-		keyBuf = rowset.AppendKey(keyBuf[:0], r[keyOrd])
-		k := string(keyBuf)
-		buckets[k] = append(buckets[k], r)
-	}
-	byKey := make(map[string]*rowset.Rowset, len(buckets))
-	for k, rows := range buckets {
-		byKey[k] = rowset.Adopt(child.Schema(), rows)
-	}
-	g = childGroup{byKey: byKey, schema: child.Schema()}
-	return g, int64(child.Len()), nil
+	g, err := storage.GroupRows(ctx, child.Rows(), keyOrd, keys)
+	return child.Schema(), g, int64(child.Len()), err
 }
 
 // PlanSpan renders the shaped query's executor plan as a span tree without

@@ -1,7 +1,10 @@
 package storage
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/rowset"
@@ -84,6 +87,119 @@ func TestLookupEqualRows(t *testing.T) {
 	}
 	if _, err := tbl.LookupEqualRows("nosuch", int64(1)); err == nil {
 		t.Fatal("unknown column must error")
+	}
+}
+
+// TestGroups: one probe per key, answered as positions into the snapshot —
+// insertion order within a group, a key repeated gets its rows again, LONG
+// keys find DOUBLE rows, and NULL and absent keys get empty groups.
+func TestGroups(t *testing.T) {
+	tbl := NewTable("t", testSchema())
+	for i, id := range []any{int64(1), int64(2), nil, int64(1), nil} {
+		if err := tbl.Insert(rowset.Row{id, fmt.Sprint("n", i), float64(i % 2)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := tbl.Groups(t.Context(), "score", []rowset.Value{0.0}); err == nil {
+		t.Fatal("Groups over an unindexed column must error")
+	}
+	if err := tbl.CreateIndex("score"); err != nil {
+		t.Fatal(err)
+	}
+	g, err := tbl.Groups(t.Context(), "score", []rowset.Value{int64(1), nil, int64(7), 0.0, int64(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := [][]int32{{1, 3}, {}, {}, {0, 2, 4}, {1, 3}}
+	for i, w := range want {
+		lo, hi := g.Bounds(i)
+		if got := g.Pos[lo:hi]; !slices.Equal(got, w) {
+			t.Errorf("group %d = %v, want %v", i, got, w)
+		}
+	}
+	if len(g.Base) != 5 || g.Base[3][1] != "n3" {
+		t.Errorf("base = %v, want the table's rows", g.Base)
+	}
+	if err := tbl.CreateIndex("id"); err != nil {
+		t.Fatal(err)
+	}
+	if g, _ = tbl.Groups(t.Context(), "id", []rowset.Value{nil}); len(g.Pos) != 0 {
+		t.Errorf("a NULL key matched the NULL-keyed rows %v", g.Pos)
+	}
+}
+
+// TestGroupsOneSnapshot: every probe of one Groups call runs against the
+// snapshot it returns, however fast rows arrive — no position points past it.
+func TestGroupsOneSnapshot(t *testing.T) {
+	tbl := NewTable("t", testSchema())
+	if err := tbl.CreateIndex("id"); err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]rowset.Value, 200)
+	for i := range keys {
+		keys[i] = int64(i % 3)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := range 20000 {
+			if err := tbl.Insert(rowset.Row{int64(i % 3), "x", 0.0}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for range 200 {
+		g, err := tbl.Groups(t.Context(), "id", keys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range keys {
+			lo, hi := g.Bounds(i)
+			if want := (len(g.Base) + 2 - i%3) / 3; hi-lo != want {
+				t.Fatalf("key %v: %d rows of a %d-row snapshot, want %d", keys[i], hi-lo, len(g.Base), want)
+			}
+		}
+	}
+	<-done
+}
+
+// pollLimit is a context whose Err reports cancellation from its (n+1)th call
+// on. Done is nil, so only code that polls Err notices.
+type pollLimit struct {
+	context.Context
+	n int
+}
+
+func (c *pollLimit) Err() error {
+	if c.n == 0 {
+		return context.Canceled
+	}
+	c.n--
+	return nil
+}
+
+// TestGroupsPollsContext: a caller cancelled while its keys are being probed
+// gets ctx.Err() back within rowset.DefaultBatchSize keys.
+func TestGroupsPollsContext(t *testing.T) {
+	tbl := NewTable("t", testSchema())
+	if err := tbl.CreateIndex("id"); err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]rowset.Value, 3*rowset.DefaultBatchSize)
+	for i := range keys {
+		keys[i] = int64(i)
+	}
+	for polls := range 3 {
+		if _, err := tbl.Groups(&pollLimit{t.Context(), polls}, "id", keys); !errors.Is(err, context.Canceled) {
+			t.Errorf("cancelled at poll %d: err = %v, want context.Canceled", polls, err)
+		}
+	}
+	if _, err := tbl.Groups(&pollLimit{t.Context(), 3}, "id", keys); err != nil {
+		t.Errorf("three polls for %d keys: %v", len(keys), err)
+	}
+	if _, err := GroupRows(&pollLimit{t.Context(), 1}, tbl.Scan().Rows(), 0, keys); !errors.Is(err, context.Canceled) {
+		t.Errorf("GroupRows cancelled at its second poll: err = %v", err)
 	}
 }
 

@@ -6,6 +6,7 @@
 package storage
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -266,30 +267,78 @@ func (t *Table) LookupEqualRows(col string, v rowset.Value) ([]rowset.Row, error
 	return out, nil
 }
 
+// Groups answers one equality probe of the index on col per key, as a SHAPE
+// RELATE needs them: the rows equal to keys[i] are group i of the result, in
+// insertion order. Every probe runs under one read lock against the snapshot
+// returned as Base, so a concurrent write cannot mix two versions of the
+// table into one answer, and nothing is copied. A NULL key matches nothing,
+// as in SQL equality. ctx is polled every rowset.DefaultBatchSize keys.
+func (t *Table) Groups(ctx context.Context, col string, keys []rowset.Value) (rowset.Groups, error) {
+	ord, ok := t.schema.Lookup(col)
+	if !ok {
+		return rowset.Groups{}, fmt.Errorf("storage: table %s: unknown column %q", t.name, col)
+	}
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	idx, ok := t.indexes[t.schema.Column(ord).Name]
+	if !ok {
+		return rowset.Groups{}, fmt.Errorf("storage: table %s: no index on column %q", t.name, col)
+	}
+	return idx.groups(ctx, t.rows, keys)
+}
+
+// GroupRows is Groups over rows no table holds (a query's output), matched
+// on column ord.
+func GroupRows(ctx context.Context, rows []rowset.Row, ord int, keys []rowset.Value) (rowset.Groups, error) {
+	idx := newHashIndex(ord)
+	for pos, r := range rows {
+		idx.add(r[ord], pos)
+	}
+	return idx.groups(ctx, rows, keys)
+}
+
 // hashIndex maps value keys to row positions.
 type hashIndex struct {
 	ord  int
-	rows map[string][]int
+	rows map[string][]int32
 }
 
 func newHashIndex(ord int) *hashIndex {
-	return &hashIndex{ord: ord, rows: make(map[string][]int)}
+	return &hashIndex{ord: ord, rows: make(map[string][]int32)}
 }
 
 func (ix *hashIndex) add(v rowset.Value, pos int) {
 	k := rowset.Key(v)
-	ix.rows[k] = append(ix.rows[k], pos)
+	ix.rows[k] = append(ix.rows[k], int32(pos))
 }
 
 // lookup probes via an AppendKey scratch buffer and a map[string(bytes)]
 // access, which the compiler compiles without materializing the key string —
 // the probe itself does not allocate (the small stack buffer escapes only if
 // the key is unusually long).
-func (ix *hashIndex) lookup(v rowset.Value) []int {
+func (ix *hashIndex) lookup(v rowset.Value) []int32 {
 	var scratch [48]byte
 	return ix.rows[string(rowset.AppendKey(scratch[:0], v))]
 }
 
+// groups is Groups' body. Pos starts with room for every row of base, so it
+// grows only when keys repeat.
+func (ix *hashIndex) groups(ctx context.Context, base []rowset.Row, keys []rowset.Value) (rowset.Groups, error) {
+	g := rowset.Groups{Base: base, Pos: make([]int32, 0, len(base)), Ends: make([]int32, len(keys))}
+	for i, k := range keys {
+		if i%rowset.DefaultBatchSize == 0 {
+			if err := ctx.Err(); err != nil {
+				return rowset.Groups{}, err
+			}
+		}
+		if k != nil {
+			g.Pos = append(g.Pos, ix.lookup(k)...)
+		}
+		g.Ends[i] = int32(len(g.Pos))
+	}
+	return g, nil
+}
+
 func (ix *hashIndex) reset() {
-	ix.rows = make(map[string][]int)
+	ix.rows = make(map[string][]int32)
 }
