@@ -11,12 +11,12 @@ test:
 # Code-line counts the simplicity PRs quote: non-test Go with blank and
 # //-comment lines dropped, for the packages that hold the executors and the
 # model path (core + provider + algo share one line budget), the training
-# source path (shape + storage), the worker pool, and everything outside
-# bench/.
+# source path (shape + storage), the worker pool, the wire (server + client),
+# and everything outside bench/.
 loc:
 	@count() { cat "$$@" | grep -v '^[[:space:]]*$$' | grep -vc '^[[:space:]]*//'; }; \
 	src() { find "$$@" -name '*.go' ! -name '*_test.go' ! -path './bench/*'; }; \
-	printf '%-32s %6d\n' internal/provider/predict.go $$(count internal/provider/predict.go) \
+	printf '%-38s %6d\n' internal/provider/predict.go $$(count internal/provider/predict.go) \
 		internal/provider $$(count $$(src internal/provider)) \
 		internal/core $$(count $$(src internal/core)) \
 		internal/algo $$(count $$(src internal/algo)) \
@@ -25,6 +25,7 @@ loc:
 		internal/storage $$(count $$(src internal/storage)) \
 		internal/sqlengine $$(count $$(src internal/sqlengine)) \
 		internal/par $$(count $$(src internal/par)) \
+		'internal/dmserver + internal/dmclient' $$(count $$(src internal/dmserver internal/dmclient)) \
 		'all outside bench/' $$(count $$(src .))
 
 vet:

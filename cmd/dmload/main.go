@@ -347,7 +347,7 @@ func trainWorker(cfg phaseConfig, deadline time.Time) workerStats {
 // whole unit succeeded. Admission-control busy rejections are intentional
 // load shedding and counted separately from errors. With -slo set, any
 // statement over budget (or failing) is recorded with the server's query-log
-// seq from the stats trailer, so it can be pulled back out of
+// seq from the response's stats, so it can be pulled back out of
 // $SYSTEM.DM_QUERY_LOG / DM_FLIGHT_RECORDER by key after the run.
 func runOp(c *dmclient.Client, op workload.Op, st *workerStats) bool {
 	for _, stmt := range op.Statements {
@@ -373,8 +373,8 @@ func runOp(c *dmclient.Client, op workload.Op, st *workerStats) bool {
 	return true
 }
 
-// trailerSeq reads the last statement's seq from the client's stats trailer
-// (0 when the server did not report one).
+// trailerSeq reads the last statement's seq from the client's stats (0 when
+// the server ran with observability off or never answered).
 func trailerSeq(c *dmclient.Client) int64 {
 	if stats, ok := c.Stats(); ok {
 		return stats.Seq

@@ -12,7 +12,7 @@
 //	echo "SELECT 1;" | dmsql   # execute stdin, then exit
 //
 // -timing prints per-statement elapsed time; in remote mode the figure is
-// the server-side execution time from the protocol's stats trailer.
+// the server-side execution time from the stats every response carries.
 //
 // Shell commands: \help, \tables, \views, \models, \d <model>, \save, \quit.
 package main
@@ -169,10 +169,10 @@ func execute(sh *shell, stmt string) {
 	fmt.Print(rs.String())
 	fmt.Printf("(%d rows)\n", rs.Len())
 	if sh.timing {
-		// In remote mode prefer the server's own execution time over the
-		// round trip, when the protocol's stats trailer reported one. The
-		// trailer's seq is the statement's DM_QUERY_LOG/DM_FLIGHT_RECORDER
-		// join key — print it so a slow statement can be looked up later.
+		// In remote mode prefer the server's own execution time, from the
+		// response's stats, over the round trip. The stats' seq is the
+		// statement's DM_QUERY_LOG/DM_FLIGHT_RECORDER join key — print it so
+		// a slow statement can be looked up later.
 		var seq int64
 		if sh.remote != nil {
 			if stats, ok := sh.remote.Stats(); ok {

@@ -5,7 +5,7 @@ package dmclient
 
 import (
 	"bufio"
-	"fmt"
+	"errors"
 	"net"
 	"strings"
 	"sync"
@@ -25,7 +25,6 @@ type Option func(*config)
 type config struct {
 	dialTimeout    time.Duration
 	requestTimeout time.Duration
-	plainProtocol  bool
 }
 
 // WithDialTimeout bounds connection establishment (DefaultDialTimeout when
@@ -41,16 +40,9 @@ func WithRequestTimeout(d time.Duration) Option {
 	return func(c *config) { c.requestTimeout = d }
 }
 
-// WithPlainProtocol makes the client speak protocol v1 (no stats trailer),
-// for servers predating the v2 marker. Stats() then never reports.
-func WithPlainProtocol() Option {
-	return func(c *config) { c.plainProtocol = true }
-}
-
 // Client is a connection to a remote provider.
 type Client struct {
 	requestTimeout time.Duration
-	plain          bool
 
 	mu       sync.Mutex
 	conn     net.Conn
@@ -58,6 +50,10 @@ type Client struct {
 	bw       *bufio.Writer
 	stats    dmserver.ExecStats
 	hasStats bool
+	// broken is the first failure below the protocol (I/O or decode): the
+	// stream's position is lost, so the connection is closed and every
+	// later call returns this error.
+	broken error
 }
 
 // New connects to a dmserver at addr.
@@ -76,60 +72,55 @@ func New(addr string, opts ...Option) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
+	bw := bufio.NewWriter(conn)
+	// The preamble waits in the buffer and goes out with the first request:
+	// no round trip of its own.
+	bw.WriteString(dmserver.Preamble) //nolint:errcheck // bufio.Writer errors surface at Flush
 	return &Client{
 		requestTimeout: cfg.requestTimeout,
-		plain:          cfg.plainProtocol,
 		conn:           conn,
 		br:             bufio.NewReader(conn),
-		bw:             bufio.NewWriter(conn),
+		bw:             bw,
 	}, nil
 }
 
 // Execute runs one DMX/SQL command on the remote provider.
 func (c *Client) Execute(command string) (*rowset.Rowset, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.requestTimeout > 0 {
-		if err := c.conn.SetDeadline(time.Now().Add(c.requestTimeout)); err != nil {
-			return nil, err
-		}
-		defer c.conn.SetDeadline(time.Time{})
-	}
-	if c.plain {
-		if err := dmserver.WriteRequest(c.bw, command); err != nil {
-			return nil, err
-		}
-		return dmserver.ReadResponse(c.br)
-	}
-	if err := dmserver.WriteRequestStats(c.bw, command); err != nil {
-		return nil, err
-	}
-	rs, stats, err := dmserver.ReadResponseStats(c.br)
-	if stats != nil {
-		c.stats, c.hasStats = *stats, true
-	}
-	return rs, err
+	return c.roundTrip(dmserver.VerbExec, command, nil)
 }
 
-// roundTrip serializes one request/response exchange: write sends the framed
-// request, then one response is read and its stats (if any) recorded.
-func (c *Client) roundTrip(write func(*bufio.Writer) error) (*rowset.Rowset, error) {
+// roundTrip serializes one request/response exchange and records the
+// response's stats.
+func (c *Client) roundTrip(verb byte, text string, args []rowset.Value) (*rowset.Rowset, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.broken != nil {
+		return nil, c.broken
+	}
+	rs, stats, err := c.exchange(verb, text, args)
+	var remote *dmserver.RemoteError
+	if err == nil || errors.As(err, &remote) {
+		c.stats, c.hasStats = stats, true
+		return rs, err
+	}
+	c.broken = err
+	c.conn.Close()
+	return nil, err
+}
+
+// exchange writes one request and reads its response under the request
+// deadline.
+func (c *Client) exchange(verb byte, text string, args []rowset.Value) (*rowset.Rowset, dmserver.ExecStats, error) {
 	if c.requestTimeout > 0 {
 		if err := c.conn.SetDeadline(time.Now().Add(c.requestTimeout)); err != nil {
-			return nil, err
+			return nil, dmserver.ExecStats{}, err
 		}
 		defer c.conn.SetDeadline(time.Time{})
 	}
-	if err := write(c.bw); err != nil {
-		return nil, err
+	if err := dmserver.WriteRequest(c.bw, verb, text, args); err != nil {
+		return nil, dmserver.ExecStats{}, err
 	}
-	rs, stats, err := dmserver.ReadResponseStats(c.br)
-	if stats != nil {
-		c.stats, c.hasStats = *stats, true
-	}
-	return rs, err
+	return dmserver.ReadResponse(c.br)
 }
 
 // Prepare registers command on the remote provider under name, for later
@@ -149,27 +140,16 @@ func (c *Client) Deallocate(name string) error {
 // ExecutePrepared runs the remote prepared statement name with args bound to
 // its placeholders by position. Arguments travel in the protocol's binary
 // codec — never spliced into command text — so string values with quotes
-// round-trip exactly. Requires protocol v3 (any current server); clients
-// configured WithPlainProtocol cannot send parameters.
+// round-trip exactly.
 func (c *Client) ExecutePrepared(name string, args ...rowset.Value) (*rowset.Rowset, error) {
-	if c.plain {
-		return nil, fmt.Errorf("dmclient: server-side parameters require protocol v3 (client configured WithPlainProtocol)")
-	}
-	return c.roundTrip(func(bw *bufio.Writer) error {
-		return dmserver.WriteRequestExecutePrepared(bw, name, args)
-	})
+	return c.roundTrip(dmserver.VerbExecutePrepared, name, args)
 }
 
 // ExecuteParams runs command with positional args bound to its '?' or
 // '@name' placeholders — one-shot server-side parameters without a named
-// prepared statement. Requires protocol v3.
+// prepared statement.
 func (c *Client) ExecuteParams(command string, args ...rowset.Value) (*rowset.Rowset, error) {
-	if c.plain {
-		return nil, fmt.Errorf("dmclient: server-side parameters require protocol v3 (client configured WithPlainProtocol)")
-	}
-	return c.roundTrip(func(bw *bufio.Writer) error {
-		return dmserver.WriteRequestExecParams(bw, command, args)
-	})
+	return c.roundTrip(dmserver.VerbExecParams, command, args)
 }
 
 // quoteName brackets an identifier, escaping closing brackets, so arbitrary
@@ -178,12 +158,10 @@ func quoteName(name string) string {
 	return "[" + strings.ReplaceAll(name, "]", "]]") + "]"
 }
 
-// Stats returns the server-side execution summary (elapsed time, row count)
-// of the most recent Execute that carried one — failed statements report
-// too, with Rows 0, since the server trailers errors as well (StatusErrStats).
-// It reports false before the first completed request, when the server
-// predates the v2 error trailer, or when the client was configured with
-// WithPlainProtocol.
+// Stats returns the server-side execution summary (elapsed time, row count,
+// query-log seq) of the most recent request the server answered — failed
+// statements report too, with Rows 0. It reports false before the first
+// answered request.
 func (c *Client) Stats() (dmserver.ExecStats, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

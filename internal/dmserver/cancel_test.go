@@ -2,6 +2,7 @@ package dmserver_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net"
 	"strings"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/dmserver"
 	"repro/internal/provider"
 	"repro/internal/provider/providertest"
+	"repro/internal/rowset"
 )
 
 // bigProvider returns a provider with a table whose self cross join is
@@ -73,6 +75,46 @@ func TestBaseContextReachesStatements(t *testing.T) {
 	}
 	if last := recs[len(recs)-1]; last.ErrClass != "cancelled" {
 		t.Errorf("ErrClass = %q, want cancelled", last.ErrClass)
+	}
+}
+
+// TestTimedOutRequestBreaksClient is the regression test for a client that
+// kept its connection after a request timed out: the late response of the
+// timed-out statement was then read as the answer to the next one. A failure
+// below the protocol now closes the connection, and every later call returns
+// that same error.
+func TestTimedOutRequestBreaksClient(t *testing.T) {
+	p := bigProvider(t, 1200)
+	_, addr := startServer(t, p)
+	c, err := dmclient.New(addr, dmclient.WithRequestTimeout(5*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	before := p.Obs().QueryLog().Total()
+	_, first := c.Execute(crossJoinQuery)
+	var ne net.Error
+	if !errors.As(first, &ne) || !ne.Timeout() {
+		t.Fatalf("cross join under a 5ms request timeout = %v, want a timeout", first)
+	}
+	// Let the server finish the cross join, so its late response is already
+	// on the way when the next call reads.
+	for deadline := time.Now().Add(10 * time.Second); p.Obs().QueryLog().Total() == before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the cross join never finished on the server")
+		}
+	}
+	for _, call := range []func() (*rowset.Rowset, error){
+		func() (*rowset.Rowset, error) { return c.Execute("SELECT 'second' AS x") },
+		func() (*rowset.Rowset, error) { return c.ExecuteParams("SELECT ? AS x", "third") },
+	} {
+		rs, err := call()
+		if rs != nil {
+			t.Fatalf("call after a timeout returned a rowset: %v", rs.Rows())
+		}
+		if !errors.Is(err, first) {
+			t.Errorf("call after a timeout = %v, want the timeout %v", err, first)
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package dmserver_test
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/dmclient"
@@ -51,17 +50,4 @@ func TestClientStatsAfterFailure(t *testing.T) {
 		t.Errorf("Stats after success = %+v, %v; want rows %d", stats, ok, rs.Len())
 	}
 
-	// A plain-protocol client never reports stats, error or not.
-	cp, err := dmclient.New(addr, dmclient.WithPlainProtocol())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cp.Close()
-	if _, err := cp.Execute("SELECT * FROM NoSuchTable"); err == nil ||
-		!strings.Contains(err.Error(), "NoSuchTable") {
-		t.Fatalf("plain client error = %v", err)
-	}
-	if _, ok := cp.Stats(); ok {
-		t.Error("plain-protocol client must not report stats")
-	}
 }

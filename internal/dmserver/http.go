@@ -62,7 +62,7 @@ func DiagnosticsHandler(reg *obs.Registry) http.Handler {
 }
 
 // flightRecordJSON is the /debug/flightrecorder wire shape for one record.
-// Durations are microseconds to match the stats trailer and DM_* rowsets.
+// Durations are microseconds to match the wire stats and DM_* rowsets.
 type flightRecordJSON struct {
 	Seq         int64     `json:"seq"`
 	Start       string    `json:"start"`

@@ -1,25 +1,16 @@
 package dmserver
 
-// Protocol v3: server-side parameters. A request prefixed with TWO uvarint-0
-// markers (the v2 marker followed by another zero-length command) carries a
-// verb byte selecting the request shape; v3 implies the v2 stats trailer on
-// responses, so v3 clients always get server-side timing.
+// Request verbs and the args codec. Arguments travel in a tagged binary
+// codec, never as spliced command text, so quote-bearing strings round-trip
+// exactly:
 //
-//	request  := 0:uvarint 0:uvarint verb:byte body
-//	  verb 1 (exec):     body = cmdlen:uvarint command:bytes
-//	  verb 2 (prepared): body = namelen:uvarint name:bytes args
-//	  verb 3 (params):   body = cmdlen:uvarint command:bytes args
-//	  args = count:uvarint (tag:byte value)*
-//
-// Argument values travel in a tagged binary codec, never as spliced command
-// text, so quote-bearing strings round-trip exactly:
-//
-//	tag 0: NULL    (no value bytes)
-//	tag 1: BOOL    value = 1 byte, 0 or 1
-//	tag 2: LONG    value = zigzag varint
-//	tag 3: DOUBLE  value = 8 bytes, IEEE 754 big-endian
-//	tag 4: TEXT    value = len:uvarint bytes (UTF-8)
-//	tag 5: DATE    value = len:uvarint bytes (RFC 3339 with nanoseconds)
+//	args := count:uvarint (tag:byte value)*
+//	  tag 0: NULL    (no value bytes)
+//	  tag 1: BOOL    value = 1 byte, 0 or 1
+//	  tag 2: LONG    value = zigzag varint
+//	  tag 3: DOUBLE  value = 8 bytes, IEEE 754 big-endian
+//	  tag 4: TEXT    value = len:uvarint bytes (UTF-8)
+//	  tag 5: DATE    value = len:uvarint bytes (RFC 3339 with nanoseconds)
 
 import (
 	"bufio"
@@ -32,10 +23,9 @@ import (
 	"repro/internal/rowset"
 )
 
-// v3 request verbs.
+// Request verbs.
 const (
-	// VerbExec is a plain command execution — the v2 request re-expressed in
-	// the verb frame (used by clients that always speak v3).
+	// VerbExec runs one command.
 	VerbExec = 1
 	// VerbExecutePrepared runs a previously prepared statement by name with
 	// arguments bound to its placeholders.
@@ -61,58 +51,32 @@ const MaxArgs = 1 << 16
 
 // writeArgs encodes an argument vector in the tagged binary codec.
 func writeArgs(bw *bufio.Writer, args []rowset.Value) error {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], uint64(len(args)))
-	if _, err := bw.Write(buf[:n]); err != nil {
-		return err
-	}
+	writeUvarint(bw, uint64(len(args)))
 	for _, a := range args {
 		switch v := rowset.Normalize(a).(type) {
 		case nil:
-			if err := bw.WriteByte(argNull); err != nil {
-				return err
-			}
+			bw.WriteByte(argNull) //nolint:errcheck // bufio.Writer errors surface at Flush
 		case bool:
-			if err := bw.WriteByte(argBool); err != nil {
-				return err
-			}
 			b := byte(0)
 			if v {
 				b = 1
 			}
-			if err := bw.WriteByte(b); err != nil {
-				return err
-			}
+			bw.Write([]byte{argBool, b}) //nolint:errcheck
 		case int64:
-			if err := bw.WriteByte(argLong); err != nil {
-				return err
-			}
-			n := binary.PutVarint(buf[:], v)
-			if _, err := bw.Write(buf[:n]); err != nil {
-				return err
-			}
+			var buf [1 + binary.MaxVarintLen64]byte
+			buf[0] = argLong
+			bw.Write(buf[:1+binary.PutVarint(buf[1:], v)]) //nolint:errcheck
 		case float64:
-			if err := bw.WriteByte(argDouble); err != nil {
-				return err
-			}
-			binary.BigEndian.PutUint64(buf[:8], math.Float64bits(v))
-			if _, err := bw.Write(buf[:8]); err != nil {
-				return err
-			}
+			var buf [9]byte
+			buf[0] = argDouble
+			binary.BigEndian.PutUint64(buf[1:], math.Float64bits(v))
+			bw.Write(buf[:]) //nolint:errcheck
 		case string:
-			if err := bw.WriteByte(argText); err != nil {
-				return err
-			}
-			if err := writeFrame(bw, v); err != nil {
-				return err
-			}
+			bw.WriteByte(argText) //nolint:errcheck
+			writeFrame(bw, v)
 		case time.Time:
-			if err := bw.WriteByte(argDate); err != nil {
-				return err
-			}
-			if err := writeFrame(bw, v.Format(time.RFC3339Nano)); err != nil {
-				return err
-			}
+			bw.WriteByte(argDate) //nolint:errcheck
+			writeFrame(bw, v.Format(time.RFC3339Nano))
 		default:
 			return fmt.Errorf("dmserver: unsupported argument type %T", a)
 		}
@@ -122,7 +86,7 @@ func writeArgs(bw *bufio.Writer, args []rowset.Value) error {
 
 // readArgs decodes an argument vector written by writeArgs.
 func readArgs(br *bufio.Reader) ([]rowset.Value, error) {
-	count, err := binary.ReadUvarint(br)
+	count, err := rowset.ReadUvarint(br)
 	if err != nil {
 		return nil, err
 	}
@@ -148,7 +112,7 @@ func readArgs(br *bufio.Reader) ([]rowset.Value, error) {
 			}
 			args[i] = b == 1
 		case argLong:
-			v, err := binary.ReadVarint(br)
+			v, err := rowset.ReadVarint(br)
 			if err != nil {
 				return nil, err
 			}
@@ -174,52 +138,13 @@ func readArgs(br *bufio.Reader) ([]rowset.Value, error) {
 			if err != nil {
 				return nil, fmt.Errorf("dmserver: bad date argument: %w", err)
 			}
+			if ts.Format(time.RFC3339Nano) != s {
+				return nil, fmt.Errorf("dmserver: date argument %q is not in canonical form", s)
+			}
 			args[i] = ts
 		default:
 			return nil, fmt.Errorf("dmserver: bad argument tag %d", tag)
 		}
 	}
 	return args, nil
-}
-
-// writeV3Header writes the double-zero v3 marker and the verb byte.
-func writeV3Header(bw *bufio.Writer, verb byte) error {
-	if err := bw.WriteByte(0); err != nil { // v2 marker
-		return err
-	}
-	if err := bw.WriteByte(0); err != nil { // v3 marker
-		return err
-	}
-	return bw.WriteByte(verb)
-}
-
-// WriteRequestExecutePrepared frames an EXECUTE-by-name request with binary
-// arguments (shared with the client package).
-func WriteRequestExecutePrepared(w *bufio.Writer, name string, args []rowset.Value) error {
-	if err := writeV3Header(w, VerbExecutePrepared); err != nil {
-		return err
-	}
-	if err := writeFrame(w, name); err != nil {
-		return err
-	}
-	if err := writeArgs(w, args); err != nil {
-		return err
-	}
-	return w.Flush()
-}
-
-// WriteRequestExecParams frames a one-shot parameterized execution: the
-// command text with '?' or '@name' placeholders plus the binary argument
-// vector (shared with the client package).
-func WriteRequestExecParams(w *bufio.Writer, command string, args []rowset.Value) error {
-	if err := writeV3Header(w, VerbExecParams); err != nil {
-		return err
-	}
-	if err := writeFrame(w, command); err != nil {
-		return err
-	}
-	if err := writeArgs(w, args); err != nil {
-		return err
-	}
-	return w.Flush()
 }

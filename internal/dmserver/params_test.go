@@ -4,11 +4,11 @@ import (
 	"bufio"
 	"io"
 	"net"
-	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/dmclient"
+	"repro/internal/dmserver"
 	"repro/internal/provider/providertest"
 )
 
@@ -96,27 +96,7 @@ func TestRemoteParamsAllTypes(t *testing.T) {
 	}
 }
 
-func TestRemotePlainClientRejectsParams(t *testing.T) {
-	p := providertest.MustNew()
-	_, addr := startServer(t, p)
-	c, err := dmclient.New(addr, dmclient.WithPlainProtocol())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if _, err := c.ExecutePrepared("q", int64(1)); err == nil || !strings.Contains(err.Error(), "protocol v3") {
-		t.Errorf("plain ExecutePrepared = %v, want protocol v3 error", err)
-	}
-	if _, err := c.ExecuteParams("SELECT ?", int64(1)); err == nil || !strings.Contains(err.Error(), "protocol v3") {
-		t.Errorf("plain ExecuteParams = %v, want protocol v3 error", err)
-	}
-	// Plain commands still work over v1 framing.
-	if _, err := c.Execute("CREATE TABLE T (id LONG)"); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestRemoteBadVerbClosesConnection: an unknown v3 verb is a framing error —
+// TestRemoteBadVerbClosesConnection: an unknown verb is a framing error —
 // the server cannot know where the request ends, so it must drop the
 // connection rather than guess.
 func TestRemoteBadVerbClosesConnection(t *testing.T) {
@@ -127,8 +107,8 @@ func TestRemoteBadVerbClosesConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	// v3 preamble (uvarint 0, uvarint 0) then an undefined verb byte.
-	if _, err := conn.Write([]byte{0, 0, 0xFF}); err != nil {
+	// The preamble, then an undefined verb byte.
+	if _, err := conn.Write([]byte(dmserver.Preamble + "\xFF")); err != nil {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))

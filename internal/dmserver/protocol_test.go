@@ -3,12 +3,14 @@ package dmserver_test
 import (
 	"bufio"
 	"encoding/binary"
+	"io"
 	"net"
 	"testing"
 	"time"
 
 	"repro/internal/dmserver"
 	"repro/internal/provider/providertest"
+	"repro/internal/rowset"
 )
 
 // rawDial opens a plain TCP connection to poke the wire format directly.
@@ -22,15 +24,33 @@ func rawDial(t *testing.T, addr string) net.Conn {
 	return conn
 }
 
+// rawClient opens a raw connection whose writer already holds the preamble,
+// so the first request written carries it.
+func rawClient(t *testing.T, addr string) (*bufio.Reader, *bufio.Writer) {
+	t.Helper()
+	conn := rawDial(t, addr)
+	bw := bufio.NewWriter(conn)
+	bw.WriteString(dmserver.Preamble)
+	return bufio.NewReader(conn), bw
+}
+
+func exec(t *testing.T, br *bufio.Reader, bw *bufio.Writer, command string) (*rowset.Rowset, dmserver.ExecStats, error) {
+	t.Helper()
+	if err := dmserver.WriteRequest(bw, dmserver.VerbExec, command, nil); err != nil {
+		t.Fatal(err)
+	}
+	return dmserver.ReadResponse(br)
+}
+
 func TestOversizedCommandRejected(t *testing.T) {
 	p := providertest.MustNew()
 	_, addr := startServer(t, p)
 	conn := rawDial(t, addr)
 	// Claim a command far above MaxCommandLen; the server must drop the
 	// connection rather than allocate.
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], uint64(dmserver.MaxCommandLen)+1)
-	if _, err := conn.Write(buf[:n]); err != nil {
+	buf := append([]byte(dmserver.Preamble), dmserver.VerbExec)
+	buf = binary.AppendUvarint(buf, uint64(dmserver.MaxCommandLen)+1)
+	if _, err := conn.Write(buf); err != nil {
 		t.Fatal(err)
 	}
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
@@ -43,15 +63,10 @@ func TestOversizedCommandRejected(t *testing.T) {
 func TestGarbageFrameClosesConnection(t *testing.T) {
 	p := providertest.MustNew()
 	_, addr := startServer(t, p)
-	conn := rawDial(t, addr)
-	// A valid length prefix followed by a command that fails to parse gets
-	// an error response, not a dropped connection.
-	bw := bufio.NewWriter(conn)
-	if err := dmserver.WriteRequest(bw, "THIS IS NOT SQL"); err != nil {
-		t.Fatal(err)
-	}
-	br := bufio.NewReader(conn)
-	_, err := dmserver.ReadResponse(br)
+	br, bw := rawClient(t, addr)
+	// A well-framed command that fails to parse gets an error response, not
+	// a dropped connection.
+	_, _, err := exec(t, br, bw, "THIS IS NOT SQL")
 	if err == nil {
 		t.Fatal("garbage command must produce an error response")
 	}
@@ -59,10 +74,7 @@ func TestGarbageFrameClosesConnection(t *testing.T) {
 		t.Errorf("error type = %T", err)
 	}
 	// The connection still serves the next request.
-	if err := dmserver.WriteRequest(bw, "SELECT 1 + 1"); err != nil {
-		t.Fatal(err)
-	}
-	rs, err := dmserver.ReadResponse(br)
+	rs, _, err := exec(t, br, bw, "SELECT 1 + 1")
 	if err != nil || rs.Row(0)[0] != int64(2) {
 		t.Errorf("follow-up = %v, %v", rs, err)
 	}
@@ -71,7 +83,7 @@ func TestGarbageFrameClosesConnection(t *testing.T) {
 func TestBadStatusByte(t *testing.T) {
 	// ReadResponse on a stream with an unknown status byte errors cleanly.
 	br := bufio.NewReader(badStatusReader{})
-	if _, err := dmserver.ReadResponse(br); err == nil {
+	if _, _, err := dmserver.ReadResponse(br); err == nil {
 		t.Error("bad status byte must error")
 	}
 }
@@ -100,22 +112,14 @@ func TestRemoteErrorMessage(t *testing.T) {
 func TestStatsRequestGetsTrailer(t *testing.T) {
 	p := providertest.MustNew()
 	_, addr := startServer(t, p)
-	conn := rawDial(t, addr)
-	bw := bufio.NewWriter(conn)
-	br := bufio.NewReader(conn)
+	br, bw := rawClient(t, addr)
 
-	if err := dmserver.WriteRequestStats(bw, "SELECT 1 + 1"); err != nil {
-		t.Fatal(err)
-	}
-	rs, stats, err := dmserver.ReadResponseStats(br)
+	rs, stats, err := exec(t, br, bw, "SELECT 1 + 1")
 	if err != nil {
-		t.Fatalf("ReadResponseStats: %v", err)
+		t.Fatalf("ReadResponse: %v", err)
 	}
 	if rs.Row(0)[0] != int64(2) {
 		t.Errorf("result = %v", rs.Row(0))
-	}
-	if stats == nil {
-		t.Fatal("v2 request must carry a stats trailer")
 	}
 	if stats.Elapsed < 0 {
 		t.Errorf("Elapsed = %v, want >= 0", stats.Elapsed)
@@ -125,43 +129,14 @@ func TestStatsRequestGetsTrailer(t *testing.T) {
 	}
 }
 
-func TestPlainRequestUnchangedByV2(t *testing.T) {
-	// A v1 request (no marker) must get the original framing: StatusOK and
-	// no trailer, so clients predating the stats protocol parse unchanged.
-	p := providertest.MustNew()
-	_, addr := startServer(t, p)
-	conn := rawDial(t, addr)
-	bw := bufio.NewWriter(conn)
-	br := bufio.NewReader(conn)
-
-	if err := dmserver.WriteRequest(bw, "SELECT 1 + 1"); err != nil {
-		t.Fatal(err)
-	}
-	rs, stats, err := dmserver.ReadResponseStats(br)
-	if err != nil {
-		t.Fatalf("ReadResponseStats: %v", err)
-	}
-	if rs.Row(0)[0] != int64(2) {
-		t.Errorf("result = %v", rs.Row(0))
-	}
-	if stats != nil {
-		t.Errorf("v1 request must not get a stats trailer, got %+v", stats)
-	}
-}
-
 func TestStatsRequestErrorPath(t *testing.T) {
-	// A v2 request that fails gets StatusErrStats: the error message plus a
-	// stats trailer (rows 0), so a failed statement still reports wall time.
+	// A failed statement's response carries the error message and stats
+	// (rows 0), so a failed statement still reports wall time.
 	p := providertest.MustNew()
 	_, addr := startServer(t, p)
-	conn := rawDial(t, addr)
-	bw := bufio.NewWriter(conn)
-	br := bufio.NewReader(conn)
+	br, bw := rawClient(t, addr)
 
-	if err := dmserver.WriteRequestStats(bw, "THIS IS NOT SQL"); err != nil {
-		t.Fatal(err)
-	}
-	rs, stats, err := dmserver.ReadResponseStats(br)
+	rs, stats, err := exec(t, br, bw, "THIS IS NOT SQL")
 	if err == nil {
 		t.Fatal("garbage command must produce an error response")
 	}
@@ -171,9 +146,6 @@ func TestStatsRequestErrorPath(t *testing.T) {
 	if rs != nil {
 		t.Errorf("error response must carry no rowset, got %v", rs)
 	}
-	if stats == nil {
-		t.Fatal("v2 error response must carry a stats trailer")
-	}
 	if stats.Rows != 0 {
 		t.Errorf("failed statement reports %d rows, want 0", stats.Rows)
 	}
@@ -181,71 +153,29 @@ func TestStatsRequestErrorPath(t *testing.T) {
 		t.Errorf("Elapsed = %v, want >= 0", stats.Elapsed)
 	}
 
-	// The connection still serves requests after a trailered error.
-	if err := dmserver.WriteRequestStats(bw, "SELECT 1 + 1"); err != nil {
-		t.Fatal(err)
-	}
-	if rs, stats, err := dmserver.ReadResponseStats(br); err != nil || stats == nil || rs.Row(0)[0] != int64(2) {
-		t.Fatalf("follow-up after error = %v, %v, %v", rs, stats, err)
-	}
-}
-
-func TestPlainRequestErrorUnchangedByV2(t *testing.T) {
-	// A v1 request that fails keeps the original status-1 framing — no
-	// trailer — so old clients parse error responses unchanged.
-	p := providertest.MustNew()
-	_, addr := startServer(t, p)
-	conn := rawDial(t, addr)
-	bw := bufio.NewWriter(conn)
-	br := bufio.NewReader(conn)
-
-	if err := dmserver.WriteRequest(bw, "THIS IS NOT SQL"); err != nil {
-		t.Fatal(err)
-	}
-	rs, stats, err := dmserver.ReadResponseStats(br)
-	if err == nil {
-		t.Fatal("garbage command must produce an error response")
-	}
-	if _, ok := err.(*dmserver.RemoteError); !ok {
-		t.Errorf("error type = %T", err)
-	}
-	if rs != nil || stats != nil {
-		t.Errorf("v1 error response must carry no rowset/stats, got %v %v", rs, stats)
-	}
-	// Nothing left unread on the wire: the next request round-trips.
-	if err := dmserver.WriteRequest(bw, "SELECT 1 + 1"); err != nil {
-		t.Fatal(err)
-	}
-	if rs, err := dmserver.ReadResponse(br); err != nil || rs.Row(0)[0] != int64(2) {
-		t.Fatalf("follow-up after v1 error = %v, %v", rs, err)
+	// The connection still serves requests after an error.
+	if rs, _, err := exec(t, br, bw, "SELECT 1 + 1"); err != nil || rs.Row(0)[0] != int64(2) {
+		t.Fatalf("follow-up after error = %v, %v", rs, err)
 	}
 }
 
 func TestStatsTrailerCarriesSeq(t *testing.T) {
-	// A v2 statement's trailer carries the server's query-log seq, and that
-	// seq keys the statement's row in $SYSTEM.DM_QUERY_LOG.
+	// A statement's stats carry the server's query-log seq, and that seq
+	// keys the statement's row in $SYSTEM.DM_QUERY_LOG.
 	p := providertest.MustNew()
 	_, addr := startServer(t, p)
-	conn := rawDial(t, addr)
-	bw := bufio.NewWriter(conn)
-	br := bufio.NewReader(conn)
+	br, bw := rawClient(t, addr)
 
-	if err := dmserver.WriteRequestStats(bw, "SELECT 1 + 1"); err != nil {
-		t.Fatal(err)
-	}
-	_, stats, err := dmserver.ReadResponseStats(br)
+	_, stats, err := exec(t, br, bw, "SELECT 1 + 1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats == nil || stats.Seq <= 0 {
+	if stats.Seq <= 0 {
 		t.Fatalf("stats = %+v, want a positive Seq", stats)
 	}
 	first := stats.Seq
 
-	if err := dmserver.WriteRequestStats(bw, "SELECT 2 + 2"); err != nil {
-		t.Fatal(err)
-	}
-	if _, stats, err = dmserver.ReadResponseStats(br); err != nil {
+	if _, stats, err = exec(t, br, bw, "SELECT 2 + 2"); err != nil {
 		t.Fatal(err)
 	}
 	if stats.Seq <= first {
@@ -263,22 +193,17 @@ func TestStatsTrailerCarriesSeq(t *testing.T) {
 }
 
 func TestStatsTrailerErrorCarriesSeq(t *testing.T) {
-	// Failed statements are logged too — their trailer seq is how a client
-	// pulls the failure back out of the flight recorder.
+	// Failed statements are logged too — their seq is how a client pulls the
+	// failure back out of the flight recorder.
 	p := providertest.MustNew()
 	_, addr := startServer(t, p)
-	conn := rawDial(t, addr)
-	bw := bufio.NewWriter(conn)
-	br := bufio.NewReader(conn)
+	br, bw := rawClient(t, addr)
 
-	if err := dmserver.WriteRequestStats(bw, "THIS IS NOT SQL"); err != nil {
-		t.Fatal(err)
-	}
-	_, stats, err := dmserver.ReadResponseStats(br)
+	_, stats, err := exec(t, br, bw, "THIS IS NOT SQL")
 	if err == nil {
 		t.Fatal("garbage command must fail")
 	}
-	if stats == nil || stats.Seq <= 0 {
+	if stats.Seq <= 0 {
 		t.Fatalf("error stats = %+v, want a positive Seq", stats)
 	}
 	// Errors are always retained: the seq must hit the flight recorder.
@@ -287,27 +212,31 @@ func TestStatsTrailerErrorCarriesSeq(t *testing.T) {
 	}
 }
 
-func TestMixedProtocolVersionsOneConnection(t *testing.T) {
-	// The marker gates per request, so one connection can interleave v1 and
-	// v2 requests freely.
+// TestOldDialectRejected: a connection that does not open with the preamble
+// — the request bytes of the three older dialects, or the right magic with
+// another version — gets one error response, and then the server closes it.
+func TestOldDialectRejected(t *testing.T) {
 	p := providertest.MustNew()
 	_, addr := startServer(t, p)
-	conn := rawDial(t, addr)
-	bw := bufio.NewWriter(conn)
-	br := bufio.NewReader(conn)
-
-	for i := 0; i < 3; i++ {
-		if err := dmserver.WriteRequestStats(bw, "SELECT 1 + 1"); err != nil {
+	command := append(binary.AppendUvarint(nil, 12), "SELECT 1 + 1"...)
+	for name, raw := range map[string][]byte{
+		"v1":            command,
+		"v2":            append([]byte{0}, command...),
+		"v3":            append([]byte{0, 0, dmserver.VerbExec}, command...),
+		"wrong version": append([]byte("DMX\x02"), append([]byte{dmserver.VerbExec}, command...)...),
+	} {
+		conn := rawDial(t, addr)
+		if _, err := conn.Write(raw); err != nil {
 			t.Fatal(err)
 		}
-		if _, stats, err := dmserver.ReadResponseStats(br); err != nil || stats == nil {
-			t.Fatalf("round %d v2: stats=%v err=%v", i, stats, err)
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		br := bufio.NewReader(conn)
+		rs, _, err := dmserver.ReadResponse(br)
+		if _, ok := err.(*dmserver.RemoteError); !ok || rs != nil {
+			t.Errorf("%s: response = %v, %v; want one error response", name, rs, err)
 		}
-		if err := dmserver.WriteRequest(bw, "SELECT 2 + 2"); err != nil {
-			t.Fatal(err)
-		}
-		if _, stats, err := dmserver.ReadResponseStats(br); err != nil || stats != nil {
-			t.Fatalf("round %d v1: stats=%v err=%v", i, stats, err)
+		if _, err := br.ReadByte(); err != io.EOF {
+			t.Errorf("%s: read after the error response = %v, want EOF", name, err)
 		}
 	}
 }

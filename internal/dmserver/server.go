@@ -3,34 +3,32 @@
 // "analysis server" that owns the mining models, while the command surface
 // stays identical to the in-process API.
 //
-// Wire protocol (binary, one request/response pair at a time per connection):
+// Wire protocol (binary; one request/response pair at a time per connection):
 //
-//	request  := cmdlen:uvarint command:bytes
-//	response := status:byte payload
+//	connection := preamble (request response)*
+//	preamble   := "DMX" version:byte  (version 1)
+//	request   := verb:byte text:str [args]
+//	  verb 1 (exec):     text = command
+//	  verb 2 (prepared): text = prepared statement name, then args
+//	  verb 3 (params):   text = command with '?' or '@name' placeholders, then args
+//	response   := status:byte payload stats
 //	  status 0 (ok):  payload = rowset in the rowset binary codec
-//	  status 1 (err): payload = msglen:uvarint message:bytes
+//	  status 1 (err): payload = message:str
+//	stats      := elapsed-us:uvarint rows:uvarint seq:uvarint
+//	str        := len:uvarint bytes
 //
-// Protocol v2 (stats-aware clients) is gated behind an explicit marker so v1
-// clients keep parsing unchanged: a request prefixed with a uvarint 0 — a
-// zero-length command, otherwise meaningless — declares the client
-// v2-capable, and successful responses to such requests use status 2:
+// The args codec is in params.go. Every varint is in its minimal form, so a
+// frame has one byte form. The client sends the preamble once, ahead of its
+// first request; a change to this grammar bumps its version byte. A server
+// that reads any other preamble — the bytes of a request in an older dialect
+// included — sends one error response and closes the connection; status 1
+// keeps that error readable to those older clients.
 //
-//	request  := 0:uvarint cmdlen:uvarint command:bytes
-//	response := 2:byte rowset trailerlen:uvarint trailer:bytes
-//	  trailer = "elapsed-us=<n> rows=<n>"
-//
-// Error responses to v2 requests use status 3 — the v1 error frame followed
-// by the same stats trailer, so a failed statement still reports its
-// server-side wall time. v1 clients keep receiving status 1 unchanged:
-//
-//	response := 3:byte msglen:uvarint message:bytes trailerlen:uvarint trailer:bytes
-//
-// When the provider's observability registry is on, both trailer forms also
-// carry " seq=<n>": the statement's query-log sequence number, which joins
-// the server-side $SYSTEM.DM_QUERY_LOG and $SYSTEM.DM_FLIGHT_RECORDER rows
-// for that exact statement. The trailer grammar ignores unknown fields, so
-// pre-seq clients parse new-server trailers unchanged and new clients parse
-// pre-seq trailers as Seq 0 — no protocol rev needed in either direction.
+// Stats come with every response, errors included (rows 0), so a failed
+// statement still reports its server-side wall time. Seq is the statement's
+// query-log sequence number, 0 when the provider's observability is off: it
+// joins the server-side $SYSTEM.DM_QUERY_LOG and $SYSTEM.DM_FLIGHT_RECORDER
+// rows for that exact statement.
 //
 // Each connection is handled by its own goroutine and mapped onto one
 // provider.Session: prepared-statement names are scoped to the connection,
@@ -48,9 +46,8 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"net"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -58,16 +55,17 @@ import (
 	"repro/internal/rowset"
 )
 
+// Preamble opens every connection: the magic "DMX" and the protocol
+// version byte.
+const Preamble = "DMX\x01"
+
+// errPreamble marks a connection that did not open with Preamble.
+var errPreamble = errors.New("dmserver: not a DMX protocol version 1 client")
+
 // Status bytes.
 const (
 	StatusOK  = 0
 	StatusErr = 1
-	// StatusOKStats is the v2 success status: rowset followed by an
-	// elapsed-us/rows trailer. Sent only to clients that requested v2.
-	StatusOKStats = 2
-	// StatusErrStats is the v2 error status: the v1 error frame followed by
-	// the stats trailer. Sent only to clients that requested v2.
-	StatusErrStats = 3
 )
 
 // MaxCommandLen bounds a single command (16 MiB) so a broken client cannot
@@ -225,20 +223,22 @@ func (s *Server) handle(conn net.Conn) {
 	}
 	br := bufio.NewReader(conn)
 	bw := bufio.NewWriter(conn)
-	for {
+	for first := true; ; first = false {
 		if idle > 0 {
 			if err := conn.SetReadDeadline(time.Now().Add(idle)); err != nil {
 				return
 			}
 		}
-		req, err := readRequest(br)
+		req, err := readRequest(br, first)
 		if err != nil {
+			if errors.Is(err, errPreamble) {
+				writeResponse(bw, nil, err, ExecStats{}) //nolint:errcheck // the connection closes either way
+			}
 			if !errors.Is(err, io.EOF) && !isClosedConn(err) && !isTimeout(err) {
 				s.Logf("dmserver: read: %v", err)
 			}
 			return
 		}
-		wantStats := req.wantStats
 		// The deadline covers idle waiting only; command execution and the
 		// response write are not bounded by it.
 		if idle > 0 {
@@ -253,46 +253,25 @@ func (s *Server) handle(conn net.Conn) {
 		seqOpt := provider.WithSeqOut(&seq)
 		switch req.verb {
 		case VerbExecutePrepared:
-			rs, execErr = sess.ExecutePrepared(execCtx, req.name, req.args, seqOpt)
+			rs, execErr = sess.ExecutePrepared(execCtx, req.text, req.args, seqOpt)
 		case VerbExecParams:
-			rs, execErr = sess.ExecuteParams(execCtx, req.cmd, req.args, seqOpt)
+			rs, execErr = sess.ExecuteParams(execCtx, req.text, req.args, seqOpt)
 		default:
-			rs, execErr = sess.Execute(execCtx, req.cmd, seqOpt)
+			rs, execErr = sess.Execute(execCtx, req.text, seqOpt)
 		}
-		elapsed := time.Since(start)
+		stats := ExecStats{Elapsed: time.Since(start), Seq: seq}
+		if execErr == nil {
+			stats.Rows = int64(rs.Len())
+		}
 		cs.Request(execErr != nil)
-		if s.SlowQuery > 0 && elapsed >= s.SlowQuery {
-			s.Logf("dmserver: slow query (%s) from %s: %s", elapsed.Round(time.Microsecond), remote, truncate(req.label(), 200))
+		if s.SlowQuery > 0 && stats.Elapsed >= s.SlowQuery {
+			s.Logf("dmserver: slow query (%s) from %s: %s", stats.Elapsed.Round(time.Microsecond), remote, truncate(req.label(), 200))
 		}
-		if execErr != nil {
-			if wantStats {
-				err = writeErrorStats(bw, execErr, elapsed, seq)
-			} else {
-				err = writeError(bw, execErr)
+		if err := writeResponse(bw, rs, execErr, stats); err != nil {
+			var ne net.Error
+			if !errors.As(err, &ne) {
+				s.Logf("dmserver: write: %v", err)
 			}
-			if err != nil {
-				return
-			}
-			continue
-		}
-		status := byte(StatusOK)
-		if wantStats {
-			status = StatusOKStats
-		}
-		if err := bw.WriteByte(status); err != nil {
-			return
-		}
-		if err := rs.Encode(bw); err != nil {
-			s.Logf("dmserver: encode: %v", err)
-			return
-		}
-		if wantStats {
-			trailer := statsTrailer(elapsed, int64(rs.Len()), seq)
-			if err := writeFrame(bw, trailer); err != nil {
-				return
-			}
-		}
-		if err := bw.Flush(); err != nil {
 			return
 		}
 	}
@@ -306,137 +285,161 @@ func truncate(s string, n int) string {
 	return s[:n] + "..."
 }
 
-// request is one decoded client request. verb is 0 for v1/v2 plain-command
-// requests and a Verb* constant for v3.
+// request is one decoded client request.
 type request struct {
-	verb      byte
-	cmd       string // plain command, or the parameterized command (VerbExecParams)
-	name      string // prepared statement name (VerbExecutePrepared)
-	args      []rowset.Value
-	wantStats bool
+	verb byte
+	text string // the command, or the prepared statement's name (VerbExecutePrepared)
+	args []rowset.Value
 }
 
 // label is the request's statement text for log lines.
 func (r *request) label() string {
 	if r.verb == VerbExecutePrepared {
-		return "EXECUTE " + r.name
+		return "EXECUTE " + r.text
 	}
-	return r.cmd
+	return r.text
 }
 
-// readRequest reads one request. A uvarint-0 prefix (a zero-length command,
-// meaningless in v1) marks the request as coming from a v2 stats-aware
-// client; a second uvarint-0 upgrades to v3, where a verb byte selects the
-// request shape and binary arguments may follow (see params.go).
-func readRequest(br *bufio.Reader) (*request, error) {
-	n, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, err
-	}
-	req := &request{}
-	if n == 0 {
-		req.wantStats = true
-		n, err = binary.ReadUvarint(br)
-		if err != nil {
-			return nil, err
-		}
-		if n == 0 {
-			return readRequestV3(br, req)
+// readRequest reads one request; the connection's first request is read
+// with the preamble ahead of it.
+func readRequest(br *bufio.Reader, first bool) (*request, error) {
+	if first {
+		for i := 0; i < len(Preamble); i++ {
+			b, err := br.ReadByte()
+			if err != nil {
+				return nil, err
+			}
+			if b != Preamble[i] {
+				return nil, errPreamble
+			}
 		}
 	}
-	if n > MaxCommandLen {
-		return nil, fmt.Errorf("dmserver: command length %d exceeds limit", n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(br, buf); err != nil {
-		return nil, err
-	}
-	req.cmd = string(buf)
-	return req, nil
-}
-
-// readRequestV3 reads the verb byte and verb-specific body of a v3 request.
-func readRequestV3(br *bufio.Reader, req *request) (*request, error) {
 	verb, err := br.ReadByte()
 	if err != nil {
 		return nil, err
 	}
-	req.verb = verb
-	switch verb {
-	case VerbExec:
-		if req.cmd, err = readFrame(br); err != nil {
-			return nil, err
-		}
-	case VerbExecutePrepared:
-		if req.name, err = readFrame(br); err != nil {
-			return nil, err
-		}
-		if req.args, err = readArgs(br); err != nil {
-			return nil, err
-		}
-	case VerbExecParams:
-		if req.cmd, err = readFrame(br); err != nil {
-			return nil, err
-		}
-		if req.args, err = readArgs(br); err != nil {
-			return nil, err
-		}
-	default:
+	if verb != VerbExec && verb != VerbExecutePrepared && verb != VerbExecParams {
 		return nil, fmt.Errorf("dmserver: bad request verb %d", verb)
+	}
+	req := &request{verb: verb}
+	if req.text, err = readFrame(br); err != nil {
+		return nil, err
+	}
+	if verb != VerbExec {
+		if req.args, err = readArgs(br); err != nil {
+			return nil, err
+		}
 	}
 	return req, nil
 }
 
+// WriteRequest writes one request and flushes it (shared with the client
+// package). text is the command, or the prepared statement's name for
+// VerbExecutePrepared; args go with every verb but VerbExec.
+func WriteRequest(w *bufio.Writer, verb byte, text string, args []rowset.Value) error {
+	w.WriteByte(verb) //nolint:errcheck // bufio.Writer errors surface at Flush
+	writeFrame(w, text)
+	if verb != VerbExec {
+		if err := writeArgs(w, args); err != nil {
+			return err
+		}
+	}
+	return w.Flush()
+}
+
+// writeResponse writes one response and flushes it: the rowset on success,
+// else execErr's message, then the stats.
+func writeResponse(bw *bufio.Writer, rs *rowset.Rowset, execErr error, st ExecStats) error {
+	if execErr != nil {
+		bw.WriteByte(StatusErr) //nolint:errcheck // bufio.Writer errors surface at Flush
+		writeFrame(bw, execErr.Error())
+	} else {
+		bw.WriteByte(StatusOK) //nolint:errcheck
+		if err := rs.Encode(bw); err != nil {
+			return err
+		}
+	}
+	for _, v := range [...]int64{st.Elapsed.Microseconds(), st.Rows, st.Seq} {
+		writeUvarint(bw, uint64(v))
+	}
+	return bw.Flush()
+}
+
+// ReadResponse reads one response from br (shared with the client package).
+// A statement that failed on the server returns its stats with a
+// *RemoteError; any other error means the stream is broken and stats is
+// zero.
+func ReadResponse(br *bufio.Reader) (*rowset.Rowset, ExecStats, error) {
+	status, err := br.ReadByte()
+	if err != nil {
+		return nil, ExecStats{}, err
+	}
+	var rs *rowset.Rowset
+	var execErr error
+	switch status {
+	case StatusOK:
+		if rs, err = rowset.DecodeFrom(br); err != nil {
+			return nil, ExecStats{}, err
+		}
+	case StatusErr:
+		msg, err := readFrame(br)
+		if err != nil {
+			return nil, ExecStats{}, err
+		}
+		execErr = &RemoteError{Msg: msg}
+	default:
+		return nil, ExecStats{}, fmt.Errorf("dmserver: bad response status %d", status)
+	}
+	var v [3]uint64
+	for i := range v {
+		if v[i], err = rowset.ReadUvarint(br); err != nil {
+			return nil, ExecStats{}, fmt.Errorf("dmserver: read stats: %w", err)
+		}
+	}
+	if v[0] > math.MaxInt64/uint64(time.Microsecond) {
+		return nil, ExecStats{}, fmt.Errorf("dmserver: elapsed %dus out of range", v[0])
+	}
+	return rs, ExecStats{Elapsed: time.Duration(v[0]) * time.Microsecond, Rows: int64(v[1]), Seq: int64(v[2])}, execErr
+}
+
+// ExecStats is the server-side execution summary every response carries.
+type ExecStats struct {
+	// Elapsed is the statement's server-side wall time.
+	Elapsed time.Duration
+	// Rows is the number of result rows (0 for a failed statement).
+	Rows int64
+	// Seq is the statement's query-log sequence number: the join key into
+	// $SYSTEM.DM_QUERY_LOG and $SYSTEM.DM_FLIGHT_RECORDER on the server.
+	// Zero when the server ran with observability off.
+	Seq int64
+}
+
+// writeUvarint writes v as a uvarint.
+func writeUvarint(bw *bufio.Writer, v uint64) {
+	var buf [binary.MaxVarintLen64]byte
+	bw.Write(buf[:binary.PutUvarint(buf[:], v)]) //nolint:errcheck // bufio.Writer errors surface at Flush
+}
+
 // writeFrame writes a uvarint-length-prefixed string.
-func writeFrame(bw *bufio.Writer, s string) error {
-	var lenBuf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(lenBuf[:], uint64(len(s)))
-	if _, err := bw.Write(lenBuf[:n]); err != nil {
-		return err
-	}
-	_, err := bw.WriteString(s)
-	return err
+func writeFrame(bw *bufio.Writer, s string) {
+	writeUvarint(bw, uint64(len(s)))
+	bw.WriteString(s) //nolint:errcheck // bufio.Writer errors surface at Flush
 }
 
-func writeError(bw *bufio.Writer, execErr error) error {
-	if err := bw.WriteByte(StatusErr); err != nil {
-		return err
+// readFrame reads a uvarint-length-prefixed string.
+func readFrame(br *bufio.Reader) (string, error) {
+	n, err := rowset.ReadUvarint(br)
+	if err != nil {
+		return "", err
 	}
-	msg := execErr.Error()
-	var lenBuf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(lenBuf[:], uint64(len(msg)))
-	if _, err := bw.Write(lenBuf[:n]); err != nil {
-		return err
+	if n > MaxCommandLen {
+		return "", fmt.Errorf("dmserver: frame length %d exceeds limit", n)
 	}
-	if _, err := bw.WriteString(msg); err != nil {
-		return err
+	buf := make([]byte, n)
+	if _, err := io.ReadFull(br, buf); err != nil {
+		return "", err
 	}
-	return bw.Flush()
-}
-
-// statsTrailer renders the v2 trailer. seq 0 (observability off, or a
-// pre-seq code path) omits the field, matching what pre-seq servers sent.
-func statsTrailer(elapsed time.Duration, rows, seq int64) string {
-	t := fmt.Sprintf("elapsed-us=%d rows=%d", elapsed.Microseconds(), rows)
-	if seq > 0 {
-		t += fmt.Sprintf(" seq=%d", seq)
-	}
-	return t
-}
-
-// writeErrorStats writes the v2 error response: status 3, the error message
-// frame, then the stats trailer (rows is always 0 — the statement failed).
-func writeErrorStats(bw *bufio.Writer, execErr error, elapsed time.Duration, seq int64) error {
-	if err := bw.WriteByte(StatusErrStats); err != nil {
-		return err
-	}
-	if err := writeFrame(bw, execErr.Error()); err != nil {
-		return err
-	}
-	if err := writeFrame(bw, statsTrailer(elapsed, 0, seq)); err != nil {
-		return err
-	}
-	return bw.Flush()
+	return string(buf), nil
 }
 
 func isClosedConn(err error) bool {
@@ -446,146 +449,6 @@ func isClosedConn(err error) bool {
 func isTimeout(err error) bool {
 	var ne net.Error
 	return errors.As(err, &ne) && ne.Timeout()
-}
-
-// WriteRequest frames one command onto w (shared with the client package).
-func WriteRequest(w *bufio.Writer, command string) error {
-	var lenBuf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(lenBuf[:], uint64(len(command)))
-	if _, err := w.Write(lenBuf[:n]); err != nil {
-		return err
-	}
-	if _, err := w.WriteString(command); err != nil {
-		return err
-	}
-	return w.Flush()
-}
-
-// WriteRequestStats frames one command with the v2 marker, asking the server
-// for an elapsed-us/rows trailer on success. The marker is per-request, so a
-// client may mix stats and plain requests on one connection.
-func WriteRequestStats(w *bufio.Writer, command string) error {
-	if err := w.WriteByte(0); err != nil { // uvarint 0: the v2 marker
-		return err
-	}
-	return WriteRequest(w, command)
-}
-
-// ExecStats is the server-side execution summary carried by a v2 trailer.
-type ExecStats struct {
-	// Elapsed is the statement's server-side wall time.
-	Elapsed time.Duration
-	// Rows is the number of result rows.
-	Rows int64
-	// Seq is the statement's query-log sequence number: the join key into
-	// $SYSTEM.DM_QUERY_LOG and $SYSTEM.DM_FLIGHT_RECORDER on the server.
-	// Zero when the server predates the field or ran with observability off.
-	Seq int64
-}
-
-// ReadResponse reads one response from br (shared with the client package).
-// Stats trailers on v2 responses are read and discarded; use
-// ReadResponseStats to keep them.
-func ReadResponse(br *bufio.Reader) (*rowset.Rowset, error) {
-	rs, _, err := ReadResponseStats(br)
-	return rs, err
-}
-
-// ReadResponseStats reads one response from br. The stats pointer is non-nil
-// only for v2 responses (StatusOKStats, and StatusErrStats — where it is
-// returned alongside the *RemoteError so a failed statement still reports
-// its server-side wall time).
-func ReadResponseStats(br *bufio.Reader) (*rowset.Rowset, *ExecStats, error) {
-	status, err := br.ReadByte()
-	if err != nil {
-		return nil, nil, err
-	}
-	switch status {
-	case StatusOK:
-		rs, err := rowset.DecodeFrom(br)
-		return rs, nil, err
-	case StatusOKStats:
-		rs, err := rowset.DecodeFrom(br)
-		if err != nil {
-			return nil, nil, err
-		}
-		trailer, err := readFrame(br)
-		if err != nil {
-			return nil, nil, err
-		}
-		stats, err := parseStatsTrailer(trailer)
-		if err != nil {
-			return nil, nil, err
-		}
-		return rs, stats, nil
-	case StatusErr:
-		msg, err := readFrame(br)
-		if err != nil {
-			return nil, nil, err
-		}
-		return nil, nil, &RemoteError{Msg: msg}
-	case StatusErrStats:
-		msg, err := readFrame(br)
-		if err != nil {
-			return nil, nil, err
-		}
-		trailer, err := readFrame(br)
-		if err != nil {
-			return nil, nil, err
-		}
-		stats, err := parseStatsTrailer(trailer)
-		if err != nil {
-			return nil, nil, err
-		}
-		return nil, stats, &RemoteError{Msg: msg}
-	}
-	return nil, nil, fmt.Errorf("dmserver: bad response status %d", status)
-}
-
-// readFrame reads a uvarint-length-prefixed string.
-func readFrame(br *bufio.Reader) (string, error) {
-	n, err := binary.ReadUvarint(br)
-	if err != nil {
-		return "", err
-	}
-	if n > MaxCommandLen {
-		return "", fmt.Errorf("dmserver: oversized frame")
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(br, buf); err != nil {
-		return "", err
-	}
-	return string(buf), nil
-}
-
-// parseStatsTrailer parses "elapsed-us=<n> rows=<n> [seq=<n>]". Unknown
-// fields are ignored so the trailer can grow without another protocol rev;
-// seq is one such growth — old clients skip it, old servers omit it.
-func parseStatsTrailer(s string) (*ExecStats, error) {
-	var elapsedUS, rows, seq int64
-	sawElapsed := false
-	for _, field := range strings.Fields(s) {
-		key, val, ok := strings.Cut(field, "=")
-		if !ok {
-			continue
-		}
-		n, err := strconv.ParseInt(val, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("dmserver: bad stats trailer %q: %w", s, err)
-		}
-		switch key {
-		case "elapsed-us":
-			elapsedUS, sawElapsed = n, true
-		case "rows":
-			rows = n
-		case "seq":
-			seq = n
-		}
-	}
-	if !sawElapsed {
-		return nil, fmt.Errorf("dmserver: stats trailer %q missing elapsed-us", s)
-	}
-	return &ExecStats{Elapsed: time.Duration(elapsedUS) * time.Microsecond, Rows: rows, Seq: seq}, nil
 }
 
 // RemoteError is a provider-side error surfaced to the client.

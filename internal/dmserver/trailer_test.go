@@ -1,63 +1,61 @@
 package dmserver
 
 import (
+	"bufio"
+	"bytes"
+	"errors"
 	"testing"
 	"time"
+
+	"repro/internal/rowset"
 )
 
-// The stats trailer is the one spot where old and new binaries meet without
-// a protocol rev: servers grew a seq field, clients must accept trailers
-// with and without it, and servers must keep emitting something old clients
-// parse. These tests pin both directions.
+// The stats trail every response, success or failure, as three uvarints.
 
-func TestParseStatsTrailerPreSeqCompat(t *testing.T) {
-	// A trailer from a server predating the seq field: Seq stays zero.
-	stats, err := parseStatsTrailer("elapsed-us=1500 rows=3")
-	if err != nil {
+// encodeResponse is what the server writes for one statement.
+func encodeResponse(t *testing.T, rs *rowset.Rowset, execErr error, st ExecStats) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := writeResponse(bufio.NewWriter(&buf), rs, execErr, st); err != nil {
 		t.Fatal(err)
 	}
-	if stats.Elapsed != 1500*time.Microsecond || stats.Rows != 3 || stats.Seq != 0 {
-		t.Errorf("stats = %+v, want elapsed 1.5ms rows 3 seq 0", stats)
+	return buf.Bytes()
+}
+
+func oneRow(t *testing.T) *rowset.Rowset {
+	t.Helper()
+	rs := rowset.New(rowset.MustSchema(rowset.Column{Name: "x", Type: rowset.TypeLong}))
+	if err := rs.AppendVals(int64(7)); err != nil {
+		t.Fatal(err)
 	}
+	return rs
 }
 
 func TestParseStatsTrailerSeq(t *testing.T) {
-	stats, err := parseStatsTrailer("elapsed-us=42 rows=1 seq=977")
-	if err != nil {
-		t.Fatal(err)
+	// The stats a response is written with are the stats ReadResponse returns,
+	// after a rowset and after an error message alike.
+	want := ExecStats{Elapsed: 42 * time.Microsecond, Rows: 1, Seq: 977}
+	_, got, err := ReadResponse(bufio.NewReader(bytes.NewReader(encodeResponse(t, oneRow(t), nil, want))))
+	if err != nil || got != want {
+		t.Errorf("ok response stats = %+v, %v; want %+v", got, err, want)
 	}
-	if stats.Seq != 977 {
-		t.Errorf("Seq = %d, want 977", stats.Seq)
-	}
-}
-
-func TestParseStatsTrailerIgnoresUnknownFields(t *testing.T) {
-	// The growth rule that made seq possible: unknown keys are skipped, so
-	// future fields do not break this client either.
-	stats, err := parseStatsTrailer("elapsed-us=7 rows=0 seq=9 future-field=123")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Elapsed != 7*time.Microsecond || stats.Seq != 9 {
-		t.Errorf("stats = %+v", stats)
+	want.Rows = 0
+	_, got, err = ReadResponse(bufio.NewReader(bytes.NewReader(encodeResponse(t, nil, errors.New("boom"), want))))
+	var re *RemoteError
+	if !errors.As(err, &re) || re.Msg != "boom" || got != want {
+		t.Errorf("err response stats = %+v, %v; want %+v with boom", got, err, want)
 	}
 }
 
 func TestParseStatsTrailerMissingElapsed(t *testing.T) {
-	if _, err := parseStatsTrailer("rows=1 seq=5"); err == nil {
-		t.Error("trailer without elapsed-us must error")
-	}
-}
-
-func TestStatsTrailerOmitsZeroSeq(t *testing.T) {
-	// Seq 0 means "no query log entry": the field is omitted entirely so the
-	// bytes match what a pre-seq server sent.
-	got := statsTrailer(3*time.Microsecond, 2, 0)
-	if got != "elapsed-us=3 rows=2" {
-		t.Errorf("trailer = %q", got)
-	}
-	got = statsTrailer(3*time.Microsecond, 2, 41)
-	if got != "elapsed-us=3 rows=2 seq=41" {
-		t.Errorf("trailer = %q", got)
+	// A response cut off inside its stats is a broken stream, not a
+	// statement error: ReadResponse must not return a *RemoteError.
+	for _, execErr := range []error{nil, errors.New("boom")} {
+		full := encodeResponse(t, oneRow(t), execErr, ExecStats{Elapsed: time.Millisecond, Rows: 1, Seq: 5})
+		_, _, err := ReadResponse(bufio.NewReader(bytes.NewReader(full[:len(full)-3])))
+		var re *RemoteError
+		if err == nil || errors.As(err, &re) {
+			t.Errorf("truncated stats (execErr %v) = %v, want a decode error", execErr, err)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package rowset
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -20,8 +21,18 @@ import (
 //	str     := len:uvarint bytes
 //
 // Integers are varint-encoded; doubles are fixed 8-byte little-endian.
+// Decoding accepts only the minimal varint form and bool bytes 0 and 1, so
+// every accepted input re-encodes to the bytes it came from.
 
 const codecVersion = 1
+
+// maxPrealloc caps how many rows or columns a decoder reserves up front
+// (1.5 MiB of row headers): the counts come from the input, so a short input
+// claiming 2^62 rows must end in a read error, not in one huge allocation.
+// Results up to this size still decode into one allocation.
+const maxPrealloc = 1 << 16
+
+var errVarint = errors.New("rowset: decode: varint overflows or is not minimal")
 
 // Encode writes the rowset to w in the binary format.
 func (rs *Rowset) Encode(w io.Writer) error {
@@ -69,12 +80,17 @@ func decode(br *bufio.Reader) (*Rowset, error) {
 	if err != nil {
 		return nil, err
 	}
-	n, err := binary.ReadUvarint(br)
+	n, err := ReadUvarint(br)
 	if err != nil {
 		return nil, fmt.Errorf("rowset: decode row count: %w", err)
 	}
+	// A row of no columns takes no bytes, so nothing in the input bounds
+	// how many of them a count can claim.
+	if schema.Len() == 0 && n > 0 {
+		return nil, fmt.Errorf("rowset: decode: %d rows without columns", n)
+	}
 	rs := New(schema)
-	rs.rows = make([]Row, 0, n)
+	rs.rows = make([]Row, 0, min(n, maxPrealloc))
 	for i := uint64(0); i < n; i++ {
 		row := make(Row, schema.Len())
 		for j := range row {
@@ -110,11 +126,11 @@ func encodeSchema(w *bufio.Writer, s *Schema) error {
 }
 
 func decodeSchema(br *bufio.Reader) (*Schema, error) {
-	n, err := binary.ReadUvarint(br)
+	n, err := ReadUvarint(br)
 	if err != nil {
 		return nil, fmt.Errorf("rowset: decode schema: %w", err)
 	}
-	cols := make([]Column, 0, n)
+	cols := make([]Column, 0, min(n, maxPrealloc))
 	for i := uint64(0); i < n; i++ {
 		name, err := readString(br)
 		if err != nil {
@@ -206,8 +222,7 @@ func decodeValue(br *bufio.Reader) (Value, error) {
 	case TypeNull:
 		return nil, nil
 	case TypeLong:
-		n, err := binary.ReadVarint(br)
-		return n, err
+		return ReadVarint(br)
 	case TypeDouble:
 		var buf [8]byte
 		if _, err := io.ReadFull(br, buf[:]); err != nil {
@@ -218,9 +233,15 @@ func decodeValue(br *bufio.Reader) (Value, error) {
 		return readString(br)
 	case TypeBool:
 		b, err := br.ReadByte()
-		return b != 0, err
+		if err != nil {
+			return nil, err
+		}
+		if b > 1 {
+			return nil, fmt.Errorf("rowset: decode: bad bool byte %d", b)
+		}
+		return b == 1, nil
 	case TypeDate:
-		n, err := binary.ReadVarint(br)
+		n, err := ReadVarint(br)
 		if err != nil {
 			return nil, err
 		}
@@ -248,13 +269,54 @@ func writeString(w *bufio.Writer, s string) {
 	w.WriteString(s) //nolint:errcheck
 }
 
+// ReadUvarint reads a uvarint in its minimal encoding only, so a value has
+// one byte form; the wire frames built on this codec read theirs with it too.
+func ReadUvarint(br *bufio.Reader) (uint64, error) {
+	var x uint64
+	for i := 0; i < binary.MaxVarintLen64; i++ {
+		b, err := br.ReadByte()
+		if err != nil {
+			if i > 0 && err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, err
+		}
+		if b < 0x80 {
+			if (b == 0 && i > 0) || (i == binary.MaxVarintLen64-1 && b > 1) {
+				return 0, errVarint
+			}
+			return x | uint64(b)<<(7*i), nil
+		}
+		x |= uint64(b&0x7f) << (7 * i)
+	}
+	return 0, errVarint
+}
+
+// ReadVarint reads a zigzag varint in its minimal encoding only.
+func ReadVarint(br *bufio.Reader) (int64, error) {
+	ux, err := ReadUvarint(br)
+	x := int64(ux >> 1)
+	if ux&1 != 0 {
+		x = ^x
+	}
+	return x, err
+}
+
 func readString(br *bufio.Reader) (string, error) {
-	n, err := binary.ReadUvarint(br)
+	n, err := ReadUvarint(br)
 	if err != nil {
 		return "", err
 	}
 	if n > 1<<30 {
 		return "", fmt.Errorf("rowset: decode: string length %d too large", n)
+	}
+	if n > 1<<16 {
+		// Grow with the bytes that arrive rather than trust the length.
+		buf, err := io.ReadAll(io.LimitReader(br, int64(n)))
+		if err == nil && uint64(len(buf)) < n {
+			err = io.ErrUnexpectedEOF
+		}
+		return string(buf), err
 	}
 	buf := make([]byte, n)
 	if _, err := io.ReadFull(br, buf); err != nil {

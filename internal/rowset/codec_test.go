@@ -1,6 +1,7 @@
 package rowset
 
 import (
+	"bufio"
 	"bytes"
 	"math"
 	"testing"
@@ -21,7 +22,8 @@ func roundTrip(t *testing.T, rs *Rowset) *Rowset {
 	return got
 }
 
-func TestCodecScalars(t *testing.T) {
+// scalarRowset holds every scalar type, NULLs and edge values.
+func scalarRowset() *Rowset {
 	s := MustSchema(
 		Column{Name: "l", Type: TypeLong},
 		Column{Name: "d", Type: TypeDouble},
@@ -34,7 +36,25 @@ func TestCodecScalars(t *testing.T) {
 	mustAppend(rs, int64(-42), 3.125, "héllo", true, now)
 	mustAppend(rs, nil, nil, nil, nil, nil)
 	mustAppend(rs, int64(1<<40), math.Inf(1), "", false, time.Unix(0, 0).UTC())
+	return rs
+}
 
+// nestedRowset holds a nested table column, one nested table empty.
+func nestedRowset() *Rowset {
+	inner := New(MustSchema(Column{Name: "p", Type: TypeText}, Column{Name: "q", Type: TypeLong}))
+	mustAppend(inner, "TV", int64(1))
+	mustAppend(inner, "Beer", int64(6))
+	outer := New(MustSchema(
+		Column{Name: "id", Type: TypeLong},
+		Column{Name: "purchases", Type: TypeTable, Nested: inner.Schema()},
+	))
+	mustAppend(outer, int64(1), inner)
+	mustAppend(outer, int64(2), New(inner.Schema())) // empty nested table
+	return outer
+}
+
+func TestCodecScalars(t *testing.T) {
+	rs := scalarRowset()
 	got := roundTrip(t, rs)
 	if !got.Schema().Equal(rs.Schema()) {
 		t.Fatalf("schema mismatch: %v vs %v", got.Schema(), rs.Schema())
@@ -59,17 +79,7 @@ func TestCodecScalars(t *testing.T) {
 }
 
 func TestCodecNested(t *testing.T) {
-	inner := New(MustSchema(Column{Name: "p", Type: TypeText}, Column{Name: "q", Type: TypeLong}))
-	mustAppend(inner, "TV", int64(1))
-	mustAppend(inner, "Beer", int64(6))
-	outer := New(MustSchema(
-		Column{Name: "id", Type: TypeLong},
-		Column{Name: "purchases", Type: TypeTable, Nested: inner.Schema()},
-	))
-	mustAppend(outer, int64(1), inner)
-	mustAppend(outer, int64(2), New(inner.Schema())) // empty nested table
-
-	got := roundTrip(t, outer)
+	got := roundTrip(t, nestedRowset())
 	n := got.Row(0)[1].(*Rowset)
 	if n.Len() != 2 || n.Row(1)[0] != "Beer" || n.Row(1)[1] != int64(6) {
 		t.Errorf("nested decode wrong: %v", n.Rows())
@@ -105,6 +115,52 @@ func TestCodecBadInput(t *testing.T) {
 	if _, err := Decode(bytes.NewReader(trunc)); err == nil {
 		t.Error("truncated input must error")
 	}
+}
+
+// hugeCounts are short inputs that claim 2^62 rows (of no columns) and 2^62
+// columns: each must be a decode error, not a makeslice panic.
+var hugeCounts = [][]byte{
+	{codecVersion, 0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40},
+	{codecVersion, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40},
+}
+
+func TestCodecHugeCounts(t *testing.T) {
+	for _, in := range hugeCounts {
+		if _, err := Decode(bytes.NewReader(in)); err == nil {
+			t.Errorf("Decode(% x) accepted", in)
+		}
+	}
+}
+
+// FuzzDecode: Decode never panics, and every input it accepts re-encodes to
+// the bytes it was read from — so it also decodes back to the same rowset.
+func FuzzDecode(f *testing.F) {
+	for _, rs := range []*Rowset{scalarRowset(), nestedRowset(), New(MustSchema())} {
+		var buf bytes.Buffer
+		if err := rs.Encode(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	for _, in := range hugeCounts {
+		f.Add(in)
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		r := bytes.NewReader(in)
+		br := bufio.NewReader(r)
+		rs, err := DecodeFrom(br)
+		if err != nil {
+			return
+		}
+		read := in[:len(in)-r.Len()-br.Buffered()]
+		var out bytes.Buffer
+		if err := rs.Encode(&out); err != nil {
+			t.Fatalf("Encode of a decoded rowset: %v", err)
+		}
+		if !bytes.Equal(out.Bytes(), read) {
+			t.Fatalf("re-encoding % x differs from input % x", out.Bytes(), read)
+		}
+	})
 }
 
 // Property: arbitrary (long, double, text) rows survive a round trip.

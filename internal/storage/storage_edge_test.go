@@ -69,6 +69,23 @@ func TestLoadCorruptFile(t *testing.T) {
 	}
 }
 
+// TestLoadHugeCounts: a .tbl file that claims 2^62 rows (of no columns) or
+// 2^62 columns in a few bytes fails to load instead of panicking.
+func TestLoadHugeCounts(t *testing.T) {
+	for _, data := range [][]byte{
+		{1, 0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40},
+		{1, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40},
+	} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "Huge.tbl"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := NewDatabase().Load(dir); err == nil {
+			t.Errorf("table file % x loaded", data)
+		}
+	}
+}
+
 func TestLoadSkipsNonTableFiles(t *testing.T) {
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, "notes.txt"), []byte("hi"), 0o644); err != nil {
