@@ -55,14 +55,17 @@ bench:
 	$(GO) run ./bench
 
 # One pass of the three case-path benchmarks (a whole INSERT INTO … SHAPE,
-# then tokenize and Decision_Trees training alone on the nested caseset) and
-# of the two prediction-join benchmarks (a whole-table NATURAL PREDICTION JOIN
-# and a singleton one), with allocations, so they keep compiling and running
-# and the log shows what a training case and a prediction allocate. Numbers
-# are recorded in EXPERIMENTS.md; the partitioned PREDICTION JOIN path is
-# measured by `go run ./bench` (predict_batch).
+# then tokenize and Decision_Trees training alone on the nested caseset), of
+# the two prediction-join benchmarks (a whole-table NATURAL PREDICTION JOIN
+# and a singleton one) and of the SQL engine's partitioned JOIN … GROUP BY
+# (20k × 60k rows), with allocations, so they keep compiling and running and
+# the log shows what a training case, a prediction and a join allocate.
+# Numbers are recorded in EXPERIMENTS.md; the partitioned PREDICTION JOIN and
+# SQL join paths are measured by `go run ./bench` (predict_batch,
+# sql_analytic).
 bench-parallel:
 	$(GO) test -run '^$$' -bench 'BenchmarkInsertNested|BenchmarkTokenizeNested|BenchmarkTrainDecisionTreesNested|BenchmarkE4_PredictionJoinNatural|BenchmarkE4_PredictionSingleCase' -benchtime=1x -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkJoinAggregate' -benchtime=1x -benchmem ./internal/sqlengine
 
 # Instrumentation-overhead guard: fails when enabling the obs registry slows
 # the PREDICTION JOIN scan by more than 10% over WithObsRegistry(nil). The

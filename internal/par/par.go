@@ -1,8 +1,10 @@
 // Package par provides the bounded worker pool behind every parallel scan:
-// the SQL engine's statement partitions and hash-join key builds, and the
-// provider's INSERT INTO row reshaping. The index space is split into
-// contiguous chunks, one goroutine per chunk up to the worker bound, so results
-// keep their source order and callers can merge deterministically.
+// the SQL engine's statement partitions — a scan, the hash joins it probes,
+// and what the statement does with the rows — for a SELECT and for the rows an
+// embedder hands it (the provider's PREDICTION JOIN cases). The index space is
+// split into contiguous chunks, one goroutine per chunk up to the worker
+// bound, so results keep their source order and callers can merge
+// deterministically.
 package par
 
 import (

@@ -88,7 +88,7 @@ func (p *Provider) planSpan(ex *dmx.Explain) (*obs.Span, error) {
 		if sel, ok := sql.(*sqlengine.SelectStmt); ok {
 			// The engine's plan span resolves real tables, so it carries the
 			// cost-based choices (scan estimates, index pushdown, join
-			// build side) rather than the shape-only fallback.
+			// strategy and fan-out) rather than the shape-only fallback.
 			root.Add(p.Engine.PlanSpan(sel))
 		} else {
 			root.Add(obs.NewSpan("sql", fmt.Sprintf("%T", sql)))

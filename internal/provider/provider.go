@@ -200,8 +200,8 @@ func New(opts ...Option) (*Provider, error) {
 	for _, o := range opts {
 		o(p)
 	}
-	// The SQL engine's scan partitions and hash-join key builds share the
-	// provider's worker bound (<= 0 means GOMAXPROCS there too).
+	// The SQL engine's statement partitions share the provider's worker
+	// bound (<= 0 means GOMAXPROCS there too).
 	p.Engine.Workers = p.parallelism
 	if !p.obsSet {
 		p.obs = obs.NewRegistry(p.logCap)

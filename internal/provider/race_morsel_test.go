@@ -41,11 +41,11 @@ func morselProvider(t testing.TB) *Provider {
 	return p
 }
 
-// TestMorselParallelUnderConcurrentTraining runs partitioned GROUP BY and
-// scans plus hash-join builds from eight concurrent sessions while a training
-// loop churns the model catalog (train, drop, re-create — two snapshot swaps
-// per round). Under -race this proves the per-partition aggregation workers,
-// the shared table snapshot, and the join build side are race-clean against
+// TestMorselParallelUnderConcurrentTraining runs partitioned GROUP BY, scans
+// and hash joins from eight concurrent sessions while a training loop churns
+// the model catalog (train, drop, re-create — two snapshot swaps per round).
+// Under -race this proves the per-partition aggregation workers, the shared
+// table snapshot, and the join index the partitions probe are race-clean against
 // catalog commits; the byte comparison against single-threaded baselines
 // proves the partition-order merge keeps results deterministic under any
 // interleaving.

@@ -1,6 +1,7 @@
 package rowset
 
 import (
+	"math"
 	"testing"
 	"time"
 )
@@ -120,6 +121,7 @@ func TestAppendKeyMatchesKey(t *testing.T) {
 	vals := []Value{
 		nil,
 		int64(0), int64(42), int64(-7),
+		int64(MaxExactLong), int64(MaxExactLong + 1), int64(-MaxExactLong - 1), int64(math.MaxInt64),
 		float64(3.5), float64(42), float64(-0.25), float64(1e300),
 		"", "hello", "s\x00weird",
 		true, false,
@@ -141,6 +143,10 @@ func TestAppendKeyMatchesKey(t *testing.T) {
 	// LONG and DOUBLE of equal magnitude share a key either way.
 	if string(AppendKey(nil, int64(42))) != string(AppendKey(nil, float64(42))) {
 		t.Error("AppendKey: 42 (LONG) and 42.0 (DOUBLE) keys differ")
+	}
+	// Past 2^53 float64 merges integers; the LONG keys must not.
+	if Key(int64(MaxExactLong)) == Key(int64(MaxExactLong+1)) || Key(int64(MaxExactLong)) != Key(float64(MaxExactLong)) {
+		t.Error("Key: 2^53 and 2^53+1 (LONG) share a key, or 2^53 (LONG) and 2^53 (DOUBLE) do not")
 	}
 }
 

@@ -394,13 +394,25 @@ func Compare(a, b Value) int {
 // do group together — use Compare(a,b)==0 for that, which this calls).
 func Equal(a, b Value) bool { return Compare(a, b) == 0 }
 
+// MaxExactLong is the largest magnitude below which every int64 converts to
+// float64 exactly (2^53). Key renders a LONG inside ±MaxExactLong as the
+// number it equals, and one outside it under a tag of its own, because there
+// float64 would merge distinct integers.
+const MaxExactLong = 1 << 53
+
 // Key returns a string usable as a map key that is unique per distinct value
 // under Compare semantics. Numeric values of equal magnitude share a key
-// regardless of LONG/DOUBLE representation.
+// regardless of LONG/DOUBLE representation, except that a LONG outside
+// ±MaxExactLong keys exactly, apart from every DOUBLE.
 func Key(v Value) string {
 	switch x := v.(type) {
 	case nil:
 		return "\x00"
+	case int64:
+		if x < -MaxExactLong || x > MaxExactLong {
+			return "i" + strconv.FormatInt(x, 10)
+		}
+		return "n" + strconv.FormatFloat(float64(x), 'g', -1, 64)
 	case string:
 		return "s" + x
 	case bool:
@@ -429,6 +441,11 @@ func AppendKey(dst []byte, v Value) []byte {
 	switch x := v.(type) {
 	case nil:
 		return append(dst, '\x00')
+	case int64:
+		if x < -MaxExactLong || x > MaxExactLong {
+			return strconv.AppendInt(append(dst, 'i'), x, 10)
+		}
+		return strconv.AppendFloat(append(dst, 'n'), float64(x), 'g', -1, 64)
 	case string:
 		dst = append(dst, 's')
 		return append(dst, x...)

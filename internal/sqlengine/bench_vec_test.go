@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/rowset"
 	"repro/internal/storage"
 )
 
@@ -97,6 +98,44 @@ func BenchmarkPointIndexed(b *testing.B) {
 		}
 		if rs.Len() != 1 {
 			b.Fatalf("point lookup yielded %d rows", rs.Len())
+		}
+	}
+}
+
+// BenchmarkJoinAggregate is the sql_analytic join_agg shape at a third of its
+// size: 20000 customers (id LONG, g TEXT) joined to 60000 sales (cust LONG,
+// qty DOUBLE), three per customer, then grouped on the customer side. The
+// customers probe an index over the sales in 4096-row partitions; its
+// allocs/op shows whether the join allocates per joined row.
+func BenchmarkJoinAggregate(b *testing.B) {
+	const customers, sales = 20000, 60000
+	e := NewEngine(storage.NewDatabase())
+	for _, s := range []string{"CREATE TABLE C (id LONG, g TEXT)", "CREATE TABLE S (cust LONG, qty DOUBLE)"} {
+		if _, err := e.Exec(s); err != nil {
+			b.Fatal(err)
+		}
+	}
+	ct, _ := e.DB.Table("C")
+	st, _ := e.DB.Table("S")
+	for i := 0; i < customers; i++ {
+		if err := ct.Insert(rowset.Row{int64(i), fmt.Sprintf("g%d", i%2)}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < sales; i++ {
+		if err := st.Insert(rowset.Row{int64(i * 7 % customers), float64(i%9) / 4}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rs, err := e.Exec("SELECT C.g, COUNT(*), SUM(S.qty) FROM C JOIN S ON C.id = S.cust GROUP BY C.g")
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rs.Len() != 2 || rs.Row(0)[1].(int64)+rs.Row(1)[1].(int64) != sales {
+			b.Fatalf("join aggregate = %v, want 2 groups of %d sales", rs.Rows(), sales)
 		}
 	}
 }

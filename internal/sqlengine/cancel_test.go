@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/rowset"
@@ -132,5 +134,56 @@ func TestCancelCursorPreCancelled(t *testing.T) {
 	defer c.Close() //nolint:errcheck
 	if b, err := c.NextBatch(); !errors.Is(err, context.Canceled) || b.Len() != 0 {
 		t.Fatalf("NextBatch = %d rows, err %v; want 0 rows and context.Canceled", b.Len(), err)
+	}
+}
+
+// TestHashJoinCancelledMidStatement: cancelling a partitioned hash join while
+// it runs — 20000 Big rows probing an index whose every key has 1000 rows, 20
+// million joined rows — returns ctx.Err() promptly, and no partition
+// goroutine outlives the statement. A pre-cancelled context stops the index
+// build before any row is joined.
+func TestHashJoinCancelledMidStatement(t *testing.T) {
+	e := newBigEngine(t, 20000)
+	if _, err := e.Exec("CREATE TABLE Dup (id LONG)"); err != nil {
+		t.Fatal(err)
+	}
+	dup, _ := e.DB.Table("Dup")
+	for i := 0; i < 20000; i++ {
+		if err := dup.Insert(rowset.Row{int64(i % 20)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.Workers = 2
+	const q = "SELECT COUNT(*) FROM Big JOIN Dup ON Big.id = Dup.id JOIN Dup AS d ON Dup.id = d.id"
+	reg := obs.NewRegistry(0)
+	e.Instrument(reg)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := e.ExecContext(ctx, q); !errors.Is(err, context.Canceled) {
+		t.Fatalf("pre-cancelled: err = %v, want context.Canceled", err)
+	}
+	if n := reg.Counter(obs.MetricSQLBatchesTotal).Value(); n != 0 {
+		t.Errorf("pre-cancelled: %d batches flowed", n)
+	}
+
+	goroutines := runtime.NumGoroutine()
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	var cancelled time.Time
+	timer := time.AfterFunc(50*time.Millisecond, func() {
+		cancelled = time.Now()
+		cancel()
+	})
+	defer timer.Stop()
+	if _, err := e.ExecContext(ctx, q); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if late := time.Since(cancelled); late > 2*time.Second {
+		t.Errorf("returned %v after the cancellation", late)
+	}
+	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > goroutines; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the statement, %d before", runtime.NumGoroutine(), goroutines)
+		}
 	}
 }

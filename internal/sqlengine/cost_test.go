@@ -71,21 +71,23 @@ func runTraced(t *testing.T, e *Engine, q string) *obs.Span {
 	return tr.Root()
 }
 
-// TestJoinBuildSideIsCostBased: the hash join builds on whichever input the
-// stats say is smaller, regardless of join order in the statement text.
-func TestJoinBuildSideIsCostBased(t *testing.T) {
+// TestJoinLabelNamesStrategy: an equi-join is a hash join whichever side is
+// smaller — the index always covers the right input and the left probes it —
+// and every other join is a loop; the span label says which.
+func TestJoinLabelNamesStrategy(t *testing.T) {
 	e := costEngine(t)
-	// Small table on the left: build left, stream the big probe side.
-	root := runTraced(t, e, "SELECT SMALL.V, BIG.G FROM SMALL JOIN BIG ON SMALL.ID = BIG.ID")
-	joins := findSpans(root, "join")
-	if len(joins) != 1 || !strings.Contains(joins[0], "build=left") {
-		t.Errorf("small-left join label = %v, want build=left", joins)
-	}
-	// Small table on the right: build right.
-	root = runTraced(t, e, "SELECT SMALL.V, BIG.G FROM BIG JOIN SMALL ON BIG.ID = SMALL.ID")
-	joins = findSpans(root, "join")
-	if len(joins) != 1 || !strings.Contains(joins[0], "build=right") {
-		t.Errorf("small-right join label = %v, want build=right", joins)
+	for q, want := range map[string]string{
+		"SELECT SMALL.V, BIG.G FROM SMALL JOIN BIG ON SMALL.ID = BIG.ID":      "inner hash",
+		"SELECT SMALL.V, BIG.G FROM BIG JOIN SMALL ON BIG.ID = SMALL.ID":      "inner hash",
+		"SELECT SMALL.V, BIG.G FROM BIG LEFT JOIN SMALL ON SMALL.ID = BIG.ID": "left hash",
+		"SELECT SMALL.V, BIG.G FROM BIG JOIN SMALL ON BIG.ID < SMALL.ID":      "inner loop",
+		"SELECT SMALL.V, BIG.G FROM BIG, SMALL":                               "cross loop",
+	} {
+		root := runTraced(t, e, q)
+		joins := findSpans(root, "join")
+		if len(joins) != 1 || !strings.HasPrefix(joins[0], want+" batches=") {
+			t.Errorf("%s: join label = %v, want %q", q, joins, want)
+		}
 	}
 }
 
@@ -125,7 +127,7 @@ func TestPushdownPicksMostSelectiveIndex(t *testing.T) {
 }
 
 // TestCostPlanSpanMirrorsExecution: Engine.PlanSpan (the EXPLAIN surface)
-// reports the same build-side and pushdown decisions execution makes.
+// reports the same join-strategy and pushdown decisions execution makes.
 func TestCostPlanSpanMirrorsExecution(t *testing.T) {
 	e := costEngine(t)
 	for _, q := range []string{

@@ -65,11 +65,7 @@ func ResolveColumn(schema *rowset.Schema, qualifier, name string) (int, error) {
 	if qualifier == "" {
 		found := -1
 		for i, c := range schema.Columns {
-			cn := c.Name
-			if dot := strings.LastIndex(cn, "."); dot >= 0 {
-				cn = cn[dot+1:]
-			}
-			if strings.EqualFold(cn, name) {
+			if strings.EqualFold(bareName(c.Name), name) {
 				if found >= 0 {
 					return 0, fmt.Errorf("sqlengine: ambiguous column %q", name)
 				}
@@ -81,6 +77,12 @@ func ResolveColumn(schema *rowset.Schema, qualifier, name string) (int, error) {
 		}
 	}
 	return 0, unknownColumn(full)
+}
+
+// bareName is a column name without its qualifier: the text after the last
+// dot.
+func bareName(name string) string {
+	return name[strings.LastIndex(name, ".")+1:]
 }
 
 // unknownColumn is ResolveColumn's usual failure. It is formatted only when it

@@ -17,9 +17,8 @@ type Engine struct {
 	DB    *storage.Database
 	views viewCatalog
 
-	// Workers bounds the goroutines a statement's partitions and hash-join
-	// key builds run on; <= 0 means runtime.GOMAXPROCS(0). Results never
-	// depend on it.
+	// Workers bounds the goroutines a statement's partitions run on; <= 0
+	// means runtime.GOMAXPROCS(0). Results never depend on it.
 	Workers int
 
 	// Metric handles resolved by Instrument; nil-safe no-ops until then, so
@@ -181,13 +180,14 @@ func needsAggregate(sel *SelectStmt) bool {
 //	sort keys) or partial aggregate → merge in partition order → ORDER BY /
 //	DISTINCT / TOP
 //
-// A full scan of a base table is cut into storage.DefaultMorselSize-row
-// partitions that run on up to Workers goroutines; every other source is one
-// partition that runs inline on the calling goroutine (see partitionRanges),
-// where scan, streaming joins, filter, projection, DISTINCT and TOP pipeline
-// batch-at-a-time and TOP stops upstream work as soon as it has its rows.
-// Only ORDER BY, GROUP BY, hash-join build sides and the merge of several
-// partitions materialize.
+// A full scan of a base table — alone, or probing hash joins — is cut into
+// storage.DefaultMorselSize-row partitions that run on up to Workers
+// goroutines; every other source is one partition that runs inline on the
+// calling goroutine (see partitionRanges). Within a partition, scan, join
+// probes, filter, projection, DISTINCT and TOP pipeline batch-at-a-time and TOP
+// stops upstream work as soon as it has its rows. Only ORDER BY, GROUP BY, a
+// join's right input (a hash join's index, built once for every partition)
+// and the merge of several partitions materialize.
 //
 // Each executor node records one span — scan, join, filter, group-by, project,
 // sort — on the trace carried by ctx; the spans are created in plan order up
@@ -353,51 +353,27 @@ func (sel *SelectStmt) addTailSpans(sp *obs.Span) *obs.Span {
 // PlanSpan is the SELECT's cost-annotated executor plan: the span tree
 // sel.PlanSpan() declares, with scan labels carrying index-pushdown choices,
 // cardinality estimates and the partition fan-out ("cust index=id est=1",
-// "cust est=50000 morsels=13 workers=4") and join labels the build-side
-// decision ("inner build=left") — the same choices, from the same functions,
-// QueryContext would make right now against the live catalog and table
-// statistics. Falls back to the shape-only sel.PlanSpan() when the catalog
-// cannot resolve the statement (EXPLAIN must not fail where execution would
-// explain better).
+// "cust est=50000 morsels=13 workers=4") and join labels the strategy and the
+// fan-out of the probing partitions ("inner hash morsels=13 workers=4") — the
+// same choices, from the same functions, QueryContext would make right now
+// against the live catalog and table statistics. Falls back to the shape-only
+// sel.PlanSpan() when the catalog cannot resolve the statement (EXPLAIN must
+// not fail where execution would explain better).
 func (e *Engine) PlanSpan(sel *SelectStmt) *obs.Span {
 	if len(sel.From) == 0 {
 		return sel.PlanSpan()
 	}
-	scans := make([]*compiledScan, len(sel.From))
-	for i, ref := range sel.From {
-		cs, err := e.resolveScan(ref)
-		if err != nil {
-			return sel.PlanSpan()
-		}
-		scans[i] = cs
+	fc, err := e.resolveFrom(sel)
+	if err != nil {
+		return sel.PlanSpan()
 	}
-	planPushdown(sel.Where, scans)
+	// An unpushed scan's estimate is its exact row count.
+	n := len(partitionRanges(sel, fc.cuttable(), fc.scans[0].estimate, storage.DefaultMorselSize))
 	sp := obs.NewSpan("select", "")
-	accSchema := scans[0].schema
-	accEst := scans[0].estimate
-	for i, cs := range scans {
-		if i == 0 {
-			// An unpushed scan's estimate is its exact row count.
-			ranges := partitionRanges(sel, wholeTable(scans), cs.estimate, storage.DefaultMorselSize)
-			sp.Add(obs.NewSpan("scan", e.fanoutLabel(cs.label(), len(ranges))))
-			continue
-		}
+	sp.Add(obs.NewSpan("scan", e.fanoutLabel(fc.scans[0].label(), n)))
+	for i, cs := range fc.scans[1:] {
 		sp.Add(obs.NewSpan("scan", cs.label()))
-		strategy := "loop"
-		if cs.ref.Kind != JoinCross {
-			if _, _, ok := equiJoinOrdinals(cs.ref.On, accSchema, cs.schema); ok {
-				if buildLeft(-1, -1, accEst, cs.estimate) {
-					strategy = "build=left"
-				} else {
-					strategy = "build=right"
-				}
-			}
-		}
-		sp.Add(obs.NewSpan("join", joinLabel(cs.ref.Kind, strategy)))
-		if joined, err := concatSchemas(accSchema, cs.schema); err == nil {
-			accSchema = joined
-		}
-		accEst = joinEstimate(accEst, cs.estimate, cs.ref.Kind)
+		sp.Add(obs.NewSpan("join", e.joinLabel(cs.ref.Kind, fc.joins[i].hash, n)))
 	}
 	return sel.addTailSpans(sp)
 }
@@ -451,13 +427,9 @@ func expandStars(items []SelectItem, schema *rowset.Schema) ([]SelectItem, error
 				continue
 			}
 			matched = true
-			bare := name
-			if dot := strings.LastIndex(bare, "."); dot >= 0 {
-				bare = bare[dot+1:]
-			}
 			out = append(out, SelectItem{
 				Expr:  &ColumnRef{Name: name},
-				Alias: bare,
+				Alias: bareName(name),
 			})
 		}
 		if it.Qualifier != "" && !matched {

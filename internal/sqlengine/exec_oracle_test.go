@@ -620,6 +620,8 @@ func differentialDB(t *testing.T) *Engine {
 		t.Fatal(err)
 	}
 	mustOK("CREATE VIEW V AS SELECT id, city, age FROM C WHERE age > 30")
+	// x is declared LONG (its first value is) but holds doubles from id 40 on.
+	mustOK("CREATE VIEW W AS SELECT id, IIF(id < 40, id, id / 2.0) AS x FROM C")
 	// Text that contains what a naive composite key would use as separator and
 	// type tag: ('x|sy', 'z') and ('x', 'y|sz') are different rows.
 	mustOK("CREATE TABLE P (a TEXT, b TEXT, n LONG)")
@@ -670,6 +672,19 @@ var differentialFixtures = []string{
 	"SELECT a.name, b.name FROM C AS a JOIN C AS b ON a.id = b.id WHERE a.city = 'oslo'",
 	"SELECT COUNT(*) FROM C JOIN O ON C.id < O.cid",
 	"SELECT C.name, O.item, V.age FROM C JOIN O ON C.id = O.cid JOIN V ON C.id = V.id",
+	// Hash keys of every kind: TEXT, LONG = DOUBLE, DOUBLE, and mixed types.
+	"SELECT a.id, b.id FROM C AS a JOIN C AS b ON a.name = b.name WHERE a.id < 30",
+	"SELECT C.id, O.oid FROM C JOIN O ON C.age = O.amount",
+	"SELECT C.id, O.oid FROM C LEFT JOIN O ON C.score = O.amount WHERE C.id < 20",
+	"SELECT C.id, O.oid FROM C LEFT JOIN O ON C.city = O.cid",
+	"SELECT O.oid, C.name FROM O JOIN C ON O.cid = C.id ORDER BY C.name, O.oid",
+	// A LONG column holding doubles: on the index side, and probing one.
+	"SELECT C.id, W.id FROM C JOIN W ON C.id = W.x",
+	"SELECT W.id, W.x, C.id FROM W LEFT JOIN C ON W.x = C.id",
+	"SELECT a.id, b.id, b.x FROM W AS a JOIN W AS b ON a.x = b.x",
+	// A hash join whose output crosses the 1024-row batch size mid-row.
+	"SELECT a.id, b.id FROM C AS a JOIN C AS b ON a.city = b.city",
+	"SELECT a.id, b.name FROM C AS a LEFT JOIN C AS b ON a.city = b.city WHERE a.id > 10",
 	"SELECT city, COUNT(*), AVG(age) FROM C GROUP BY city ORDER BY city",
 	"SELECT city, SUM(score) FROM C GROUP BY city HAVING COUNT(*) > 10 ORDER BY city",
 	"SELECT COUNT(*), MAX(score), MIN(age) FROM C",
@@ -748,6 +763,8 @@ func TestDifferentialOracle(t *testing.T) {
 	e.Workers = 4
 	reg := obs.NewRegistry(0)
 	e.Instrument(reg)
+	morsels := reg.Counter(obs.MetricSQLMorselsTotal)
+	joinCut := false
 	for _, q := range differentialFixtures {
 		stmt, err := Parse(q)
 		if err != nil {
@@ -762,7 +779,9 @@ func TestDifferentialOracle(t *testing.T) {
 			t.Fatalf("%s: oracle: %v", q, err)
 		}
 		for _, partRows := range []int{storage.DefaultMorselSize, smallPartRows} {
+			before := morsels.Value()
 			got, err := queryAt(context.Background(), e, q, partRows)
+			joinCut = joinCut || (strings.Contains(q, " JOIN ") && morsels.Value() > before)
 			if err != nil {
 				t.Fatalf("%s: engine, %d-row partitions: %v", q, partRows, err)
 			}
@@ -771,8 +790,11 @@ func TestDifferentialOracle(t *testing.T) {
 	}
 	// The 16-row runs must actually have partitioned: most fixtures are full
 	// scans of one base table.
-	if n := reg.Counter(obs.MetricSQLMorselsTotal).Value(); n == 0 {
+	if n := morsels.Value(); n == 0 {
 		t.Fatal("no fixture ran as more than one partition")
+	}
+	if !joinCut {
+		t.Fatal("no join fixture ran as more than one partition")
 	}
 }
 

@@ -146,6 +146,51 @@ func TestNonEquiJoinFallback(t *testing.T) {
 	}
 }
 
+// TestLargeLongKeysStayDistinct: past 2^53 float64 merges integers, so
+// 9007199254740992 and 9007199254740993 would share a key through float64.
+// The hash join, GROUP BY and DISTINCT must tell them apart as the loop join
+// and the WHERE filter do, while 1 and 1.0 still group together.
+func TestLargeLongKeysStayDistinct(t *testing.T) {
+	e := NewEngine(storage.NewDatabase())
+	for _, s := range []string{
+		"CREATE TABLE A (k LONG, v TEXT)",
+		"CREATE TABLE B (k LONG, w TEXT)",
+		"CREATE TABLE F (x DOUBLE)",
+		"INSERT INTO A VALUES (9007199254740992, 'a0'), (9007199254740993, 'a1')",
+		"INSERT INTO B VALUES (9007199254740993, 'b1')",
+		"INSERT INTO F VALUES (9007199254740992), (1)",
+	} {
+		mustQuery(t, e, s)
+	}
+	render := func(rs *rowset.Rowset) string {
+		var rows []string
+		for _, r := range rs.Rows() {
+			vals := make([]string, len(r))
+			for i, v := range r {
+				vals[i] = rowset.FormatValue(v)
+			}
+			rows = append(rows, strings.Join(vals, " "))
+		}
+		return strings.Join(rows, "; ")
+	}
+	for _, c := range []struct{ q, want string }{
+		{"SELECT A.v, B.w FROM A JOIN B ON A.k = B.k", "a1 b1"},
+		{"SELECT A.v, B.w FROM B JOIN A ON B.k = A.k", "a1 b1"},
+		{"SELECT A.v, B.w FROM A JOIN B ON A.k = B.k AND 1 = 1", "a1 b1"},
+		{"SELECT A.v, B.w FROM A LEFT JOIN B ON A.k = B.k", "a0 NULL; a1 b1"},
+		{"SELECT v FROM A WHERE k = 9007199254740993", "a1"},
+		{"SELECT v, COUNT(*) FROM A GROUP BY k", "a0 1; a1 1"},
+		{"SELECT DISTINCT k FROM A", "9007199254740992; 9007199254740993"},
+		{"SELECT COUNT(*) FROM F GROUP BY IIF(x = 1, x, 1)", "2"}, // 1.0 and 1
+		// A LONG meets a DOUBLE by value inside ±2^53 only.
+		{"SELECT A.v FROM A JOIN F ON A.k = F.x", "a0"},
+	} {
+		if got := render(mustQuery(t, e, c.q)); got != c.want {
+			t.Errorf("%s = %q, want %q", c.q, got, c.want)
+		}
+	}
+}
+
 func TestGroupByAggregates(t *testing.T) {
 	e := newTestEngine(t)
 	rs := mustQuery(t, e, `SELECT Gender, COUNT(*) AS n, AVG(Age) AS avg_age, MIN(Age) AS lo, MAX(Age) AS hi

@@ -1,319 +1,261 @@
 package sqlengine
 
-// Streaming join operators. All three preserve the exact output order of the
-// old materialized join (left-major: left rows in their scan order, each
-// followed by its matches in right scan order) so results stay byte-identical:
+// Join operators. Both keep the left-major output order — left rows in their
+// scan order, each followed by its matches in right scan order — so the
+// partitions of a joined FROM clause merge to the rows of one front-to-back
+// pass:
 //
-//   - hashJoinStream: equi-join that builds a hash table over the right input
-//     and probes left rows a batch at a time — the probe side never
-//     materializes.
-//   - hashJoinBuildLeft: equi-join that builds over the LEFT input when a
-//     cardinality hint proves it is the smaller side. Building left while
-//     emitting left-major forces full materialization, so this strategy is
-//     chosen only when the build-side saving (a smaller hash table) is known,
-//     not guessed.
+//   - hashJoin: an equi-join. The statement builds one read-only joinIndex
+//     over the right input before its partitions run; each partition probes it
+//     with its own range of the left input, a batch at a time, and carves the
+//     batch's joined rows out of one value array.
 //   - loopJoin: cross joins and general ON expressions; materializes the right
 //     side once and streams the left, at most DefaultBatchSize joined rows per
-//     pull.
+//     pull. A statement with one runs as one partition.
 
 import (
 	"context"
+	"math"
 
-	"repro/internal/par"
 	"repro/internal/rowset"
-	"repro/internal/storage"
 )
 
-// newJoinCursor picks a join strategy for one FROM step, reporting the choice
-// ("build=left", "build=right", or "loop") for span labels. Exact cursor
-// sizes decide the hash-join build side when both are known; otherwise the
-// planner's cardinality estimates (lest/rest, negative = unknown) stand in,
-// turning the build-side choice into a cost-based decision instead of a
-// build-right default. workers bounds the parallel key precompute of a large
-// hash-join build, which cancelling ctx stops. Both inputs are owned by the
-// returned cursor (closed on Close or exhaustion); on error the caller still
-// owns them.
-func newJoinCursor(ctx context.Context, left, right rowset.BatchCursor, kind JoinKind, on Expr, lest, rest, workers int) (rowset.BatchCursor, string, error) {
-	schema, err := concatSchemas(left.Schema(), right.Schema())
-	if err != nil {
-		return nil, "", err
+// keyKind is how a joinIndex hashes keys, chosen from the declared types of
+// the two join columns. Every kind gives exactly rowset.Key equality — the
+// equality GROUP BY and DISTINCT use — whatever Go type a value turns out to
+// have: a value the kind does not expect converts to the key it equals, or
+// equals no key the index can hold.
+type keyKind uint8
+
+const (
+	keyBytes keyKind = iota // any other pair: rowset.AppendKey's bytes
+	keyText                 // TEXT = TEXT: the string
+	keyLong                 // LONG = LONG: the int64
+	keyFloat                // other numeric pairs: the float64's bits
+)
+
+func joinKeyKind(l, r rowset.Type) keyKind {
+	numeric := func(t rowset.Type) bool { return t == rowset.TypeLong || t == rowset.TypeDouble }
+	switch {
+	case l == rowset.TypeLong && r == rowset.TypeLong:
+		return keyLong
+	case numeric(l) && numeric(r):
+		return keyFloat
+	case l == rowset.TypeText && r == rowset.TypeText:
+		return keyText
 	}
-	if kind != JoinCross {
-		if lo, ro, ok := equiJoinOrdinals(on, left.Schema(), right.Schema()); ok {
-			if buildLeft(cursorSize(left), cursorSize(right), lest, rest) {
-				return &hashJoinBuildLeft{
-					ctx: ctx, left: left, right: right, schema: schema,
-					lo: lo, ro: ro, leftOuter: kind == JoinLeft, workers: workers,
-				}, "build=left", nil
-			}
-			return &hashJoinStream{
-				ctx: ctx, left: left, right: right, schema: schema,
-				lo: lo, ro: ro, leftOuter: kind == JoinLeft, workers: workers,
-				nullRight: make(rowset.Row, right.Schema().Len()),
-			}, "build=right", nil
+	return keyBytes
+}
+
+// numKey is v's key under keyLong or keyFloat; false means v equals no value
+// that has one. A LONG meets a DOUBLE only inside ±2^53, as under Key.
+func (k keyKind) numKey(v rowset.Value) (uint64, bool) {
+	switch x := v.(type) {
+	case int64:
+		if k == keyLong {
+			return uint64(x), true
+		}
+		if x >= -rowset.MaxExactLong && x <= rowset.MaxExactLong {
+			return floatKey(float64(x)), true
+		}
+	case float64:
+		if k == keyFloat {
+			return floatKey(x), true
+		}
+		if x == math.Trunc(x) && math.Abs(x) <= rowset.MaxExactLong && !(x == 0 && math.Signbit(x)) {
+			return uint64(int64(x)), true
+		}
+	default:
+		// TEXT, BOOLEAN, DATE, TABLE: no number equals them.
+	}
+	return 0, false
+}
+
+// floatKey is f's bits with every NaN made one, as Key renders them all
+// alike; -0 keeps its own bits, as Key keeps it apart from 0.
+func floatKey(f float64) uint64 {
+	if f != f {
+		return math.Float64bits(math.NaN())
+	}
+	return math.Float64bits(f)
+}
+
+// joinIndex is the hash index of a hash join's right input, built once per
+// statement and then only read, by every partition at once. Each distinct
+// non-NULL key has a dense id; the right rows of id are rows[pos[i]] for i in
+// [offs[id], offs[id+1]), in scan order.
+type joinIndex struct {
+	kind keyKind
+	nums map[uint64]int32 // keyLong, keyFloat
+	strs map[string]int32 // keyText, keyBytes
+	offs []int32
+	pos  []int32
+	rows []rowset.Row
+}
+
+// newJoinIndex drains right and indexes its rows by column ord under kind,
+// polling ctx as a partition's scan does. right is closed in every case.
+func newJoinIndex(ctx context.Context, right rowset.BatchCursor, ord int, kind keyKind) (*joinIndex, error) {
+	if done := ctx.Done(); done != nil {
+		right = &cancelCursor{src: right, ctx: ctx, done: done}
+	}
+	rows, err := drainRows(right)
+	if err != nil {
+		return nil, err
+	}
+	return indexRows(rows, ord, kind), nil
+}
+
+// indexRows indexes rows under kind, or under keyBytes once a value turns out
+// to have no key under kind (a view's column may hold another type than it
+// declares).
+func indexRows(rows []rowset.Row, ord int, kind keyKind) *joinIndex {
+	x := &joinIndex{kind: kind, rows: rows, nums: make(map[uint64]int32), strs: make(map[string]int32)}
+	ids := make([]int32, len(rows))
+	var scratch []byte
+	for i, r := range rows {
+		ids[i] = -1
+		if r[ord] == nil {
+			continue // NULL never matches in an equi-join
+		}
+		id, ok := x.find(r[ord], &scratch, true)
+		if !ok {
+			return indexRows(rows, ord, keyBytes)
+		}
+		ids[i] = id
+	}
+	// Counts, then run ends, then positions: each row lands at its run's
+	// cursor, which leaves offs[id] at the run's end — shift it back one.
+	keys := len(x.nums) + len(x.strs)
+	x.offs = make([]int32, keys+1)
+	for _, id := range ids {
+		if id >= 0 {
+			x.offs[id+1]++
 		}
 	}
-	lj := &loopJoin{
-		left: left, right: right, schema: schema,
-		nullRight: make(rowset.Row, right.Schema().Len()),
-		probe:     make(rowset.Row, 0, schema.Len()),
+	for k := 1; k <= keys; k++ {
+		x.offs[k] += x.offs[k-1]
 	}
-	if kind != JoinCross {
-		lj.on = Compile(on, schema, nil)
-		lj.leftOuter = kind == JoinLeft
+	x.pos = make([]int32, x.offs[keys])
+	for i, id := range ids {
+		if id >= 0 {
+			x.pos[x.offs[id]] = int32(i)
+			x.offs[id]++
+		}
 	}
-	return lj, "loop", nil
+	copy(x.offs[1:], x.offs[:keys])
+	x.offs[0] = 0
+	return x
 }
 
-// buildLeft decides the hash-join build side: exact cursor sizes win, the
-// planner's estimates fill in for unknowns, and build-right remains the
-// default when neither side's cardinality is established.
-func buildLeft(ls, rs, lest, rest int) bool {
-	if ls < 0 {
-		ls = lest
+// find returns the id of v's key; with add, an unseen key gets the next one.
+// false: v has no key under x.kind (and so equals no value that has one), or,
+// without add, the index holds no such key. Probing allocates nothing.
+func (x *joinIndex) find(v rowset.Value, scratch *[]byte, add bool) (int32, bool) {
+	switch x.kind {
+	case keyLong, keyFloat:
+		if k, ok := x.kind.numKey(v); ok {
+			return findKey(x.nums, k, add)
+		}
+		return 0, false
+	case keyText:
+		if s, ok := v.(string); ok {
+			return findKey(x.strs, s, add)
+		}
+		return 0, false
 	}
-	if rs < 0 {
-		rs = rest
+	*scratch = rowset.AppendKey((*scratch)[:0], v)
+	if id, ok := x.strs[string(*scratch)]; ok || !add {
+		return id, ok // map[string(bytes)] lookups do not copy the key
 	}
-	return ls >= 0 && rs >= 0 && ls < rs
+	return findKey(x.strs, string(*scratch), true)
 }
 
-// joinRows concatenates a left and right half into one output row.
-func joinRows(l, r rowset.Row) rowset.Row {
-	row := make(rowset.Row, 0, len(l)+len(r))
-	row = append(row, l...)
-	return append(row, r...)
+func findKey[K comparable](m map[K]int32, k K, add bool) (int32, bool) {
+	id, ok := m[k]
+	if !ok && add {
+		id, ok = int32(len(m)), true
+		m[k] = id
+	}
+	return id, ok
 }
 
-// hashJoinStream drains the right side into a hash table on first pull, then
-// streams left batches through it. NULL keys never match (SQL equi-join
-// semantics), matching the filter the build loop applies.
-type hashJoinStream struct {
-	ctx         context.Context // the statement's, for the parallel key precompute
-	left, right rowset.BatchCursor
-	schema      *rowset.Schema
-	lo, ro      int
-	leftOuter   bool
-	nullRight   rowset.Row
-	workers     int // parallel key workers for the build side (0 = sequential)
+// fill writes the values the statement reads of left row l and right row r
+// (nil: the NULL half of an unmatched LEFT JOIN row) into row, and returns it.
+func (j *fromJoin) fill(row, l, r rowset.Row) rowset.Row {
+	for k, o := range j.keepL {
+		row[k] = l[o]
+	}
+	if r != nil {
+		half := row[len(j.keepL):]
+		for k, o := range j.keepR {
+			half[k] = r[o]
+		}
+	}
+	return row
+}
 
-	built   bool
-	ht      map[string][]rowset.Row
+// hashJoin streams one partition's left input through the statement's shared
+// joinIndex. NULL keys never match (SQL equi-join semantics).
+type hashJoin struct {
+	*fromJoin
+	left rowset.BatchCursor
+	idx  *joinIndex
+
+	lb      rowset.Batch // current left batch
+	hits    [][]int32    // its live rows' matches
+	rest    int          // joined rows it has yet to yield
+	li, mi  int          // next pair: live row li, its match mi
 	scratch []byte
 	outBuf  []rowset.Row
 }
 
-func (j *hashJoinStream) build() error {
-	rows, err := drainRows(j.right)
-	if err != nil {
-		return err
-	}
-	keys, err := buildKeys(j.ctx, rows, j.ro, j.workers)
-	if err != nil {
-		return err
-	}
-	j.ht = make(map[string][]rowset.Row, len(rows))
-	for i, r := range rows {
-		if r[j.ro] == nil {
-			continue // NULL never matches in an equi-join
-		}
-		j.ht[keys[i]] = append(j.ht[keys[i]], r)
-	}
-	j.built = true
-	return nil
-}
-
-// parallelKeyMin is the build-side row count below which computing hash keys
-// on parallel workers costs more than it saves.
-const parallelKeyMin = 4096
-
-// buildKeys precomputes each row's join key ("" for NULL, which the insert
-// loops skip). Key rendering is the CPU-bound part of a hash-join build, so
-// large build sides compute keys on parallel workers over contiguous ranges;
-// the hash-table INSERTION afterward stays sequential in row order, keeping
-// bucket order — and therefore probe output order — identical to a
-// sequential build. Cancelling ctx abandons the precompute.
-func buildKeys(ctx context.Context, rows []rowset.Row, ord, workers int) ([]string, error) {
-	keys := make([]string, len(rows))
-	fill := func(lo, hi int) {
-		var scratch []byte
-		for i := lo; i < hi; i++ {
-			if v := rows[i][ord]; v != nil {
-				scratch = rowset.AppendKey(scratch[:0], v)
-				keys[i] = string(scratch)
-			}
-		}
-	}
-	if workers > 1 && len(rows) >= parallelKeyMin {
-		ms := storage.MorselRanges(len(rows), 0)
-		err := par.ForEachCtx(ctx, len(ms), workers, func(mi int) error {
-			fill(ms[mi].Lo, ms[mi].Hi)
-			return nil
-		})
-		return keys, err
-	}
-	fill(0, len(rows))
-	return keys, nil
-}
-
-// NextBatch probes a whole left batch against the hash table, assembling the
-// joined rows into a reused output buffer. A batch's worth of probes per
-// interface call; the joined rows themselves are freshly allocated (they are
-// result rows, retained by consumers).
-func (j *hashJoinStream) NextBatch() (rowset.Batch, error) {
-	if !j.built {
-		if err := j.build(); err != nil {
-			return rowset.Batch{}, err
-		}
-	}
-	for {
+// NextBatch yields up to DefaultBatchSize joined rows. One pass over a left
+// batch finds every row's matches and counts its joined rows; each output
+// batch then carves its rows out of one array. The rows go downstream and
+// are never reused; only the batch's row slice is.
+func (j *hashJoin) NextBatch() (rowset.Batch, error) {
+	for j.rest == 0 {
 		b, err := j.left.NextBatch()
 		if err != nil || b.Empty() {
 			return b, err
 		}
-		out := j.outBuf[:0]
-		n := b.Len()
-		for i := 0; i < n; i++ {
-			l := b.Row(i)
-			var matches []rowset.Row
-			if l[j.lo] != nil {
-				// map[string(bytes)] probes compile without materializing the key.
-				matches = j.ht[string(rowset.AppendKey(j.scratch[:0], l[j.lo]))]
-			}
-			if len(matches) == 0 {
-				if j.leftOuter {
-					out = append(out, joinRows(l, j.nullRight))
+		j.lb, j.li, j.mi, j.hits = b, 0, 0, j.hits[:0]
+		for i := 0; i < b.Len(); i++ {
+			var m []int32
+			if v := b.Row(i)[j.lo]; v != nil {
+				if id, ok := j.idx.find(v, &j.scratch, false); ok {
+					m = j.idx.pos[j.idx.offs[id]:j.idx.offs[id+1]]
 				}
-				continue
 			}
-			for _, r := range matches {
-				out = append(out, joinRows(l, r))
-			}
-		}
-		j.outBuf = out
-		if len(out) == 0 {
-			continue // no left row in this batch matched: keep pulling
-		}
-		return rowset.Batch{Rows: out}, nil
-	}
-}
-
-func (j *hashJoinStream) Schema() *rowset.Schema { return j.schema }
-
-func (j *hashJoinStream) Close() error {
-	j.ht = nil
-	err := j.left.Close()
-	if rerr := j.right.Close(); err == nil {
-		err = rerr
-	}
-	return err
-}
-
-// hashJoinBuildLeft builds the hash table over the left (smaller) side,
-// mapping keys to left row positions, then drains the right side once,
-// collecting each left row's matches. Output is emitted left-major afterward,
-// so the result order is identical to probing left-to-right.
-type hashJoinBuildLeft struct {
-	ctx         context.Context // the statement's, for the parallel key precompute
-	left, right rowset.BatchCursor
-	schema      *rowset.Schema
-	lo, ro      int
-	leftOuter   bool
-	workers     int // parallel key workers for the build side (0 = sequential)
-
-	out []rowset.Row
-	oi  int
-	ran bool
-}
-
-func (j *hashJoinBuildLeft) run() error {
-	defer j.left.Close()  //nolint:errcheck // drained to exhaustion
-	defer j.right.Close() //nolint:errcheck // drained to exhaustion
-	j.ran = true
-
-	leftRows, err := drainRows(j.left)
-	if err != nil {
-		return err
-	}
-	keys, err := buildKeys(j.ctx, leftRows, j.lo, j.workers)
-	if err != nil {
-		return err
-	}
-	ht := make(map[string][]int, len(leftRows))
-	for i, l := range leftRows {
-		if l[j.lo] == nil {
-			continue // NULL never matches
-		}
-		ht[keys[i]] = append(ht[keys[i]], i)
-	}
-	matches := make([][]rowset.Row, len(leftRows))
-	var scratch []byte
-	for {
-		b, err := j.right.NextBatch()
-		if err != nil {
-			return err
-		}
-		if b.Empty() {
-			break
-		}
-		n := b.Len()
-		for i := 0; i < n; i++ {
-			r := b.Row(i)
-			if r[j.ro] == nil {
-				continue
-			}
-			for _, li := range ht[string(rowset.AppendKey(scratch[:0], r[j.ro]))] {
-				matches[li] = append(matches[li], r)
+			j.hits = append(j.hits, m)
+			if j.rest += len(m); len(m) == 0 && j.kind == JoinLeft {
+				j.rest++
 			}
 		}
 	}
-	var nullRight rowset.Row
-	if j.leftOuter {
-		nullRight = make(rowset.Row, j.right.Schema().Len())
-	}
-	for i, l := range leftRows {
-		if len(matches[i]) == 0 {
-			if j.leftOuter {
-				j.out = append(j.out, joinRows(l, nullRight))
-			}
-			continue
+	n, width := min(j.rest, rowset.DefaultBatchSize), j.schema.Len()
+	j.rest -= n
+	vals := make([]rowset.Value, n*width)
+	out := j.outBuf[:0]
+	for len(out) < n {
+		l, m := j.lb.Row(j.li), j.hits[j.li]
+		if len(m) == 0 && j.kind == JoinLeft {
+			out = append(out, j.fill(vals[len(out)*width:][:width:width], l, nil))
 		}
-		for _, r := range matches[i] {
-			j.out = append(j.out, joinRows(l, r))
+		for ; j.mi < len(m) && len(out) < n; j.mi++ {
+			out = append(out, j.fill(vals[len(out)*width:][:width:width], l, j.idx.rows[m[j.mi]]))
 		}
-	}
-	return nil
-}
-
-// NextBatch streams the materialized output in zero-copy windows.
-func (j *hashJoinBuildLeft) NextBatch() (rowset.Batch, error) {
-	if !j.ran {
-		if err := j.run(); err != nil {
-			return rowset.Batch{}, err
+		if j.mi == len(m) {
+			j.li, j.mi = j.li+1, 0
 		}
 	}
-	if j.oi >= len(j.out) {
-		return rowset.Batch{}, nil
-	}
-	hi := j.oi + rowset.DefaultBatchSize
-	if hi > len(j.out) {
-		hi = len(j.out)
-	}
-	b := rowset.Batch{Rows: j.out[j.oi:hi]}
-	j.oi = hi
-	return b, nil
+	j.outBuf = out
+	return rowset.Batch{Rows: out}, nil
 }
 
-func (j *hashJoinBuildLeft) Schema() *rowset.Schema { return j.schema }
-
-func (j *hashJoinBuildLeft) Close() error {
-	j.oi, j.out = 0, nil
-	err := j.left.Close()
-	if rerr := j.right.Close(); err == nil {
-		err = rerr
-	}
-	return err
-}
+func (j *hashJoin) Schema() *rowset.Schema { return j.schema }
+func (j *hashJoin) Close() error           { return j.left.Close() }
 
 // loopJoin handles cross joins (on == nil: every pair) and arbitrary ON
 // expressions. The right side is materialized once; left batches stream
@@ -321,12 +263,10 @@ func (j *hashJoinBuildLeft) Close() error {
 // pair space — left batch, left row, right row — lives in the cursor, so a
 // pull stops at DefaultBatchSize joined rows and the next one resumes there.
 type loopJoin struct {
+	*fromJoin
 	left, right rowset.BatchCursor
-	schema      *rowset.Schema
 	on          Compiled
-	leftOuter   bool
 	env         Env
-	nullRight   rowset.Row
 
 	built     bool
 	rightRows []rowset.Row
@@ -346,6 +286,7 @@ func (j *loopJoin) NextBatch() (rowset.Batch, error) {
 		}
 		j.rightRows, j.built = rows, true
 	}
+	width := j.schema.Len()
 	out := j.outBuf[:0]
 	for len(out) < rowset.DefaultBatchSize {
 		if j.li >= j.lb.Len() {
@@ -374,13 +315,13 @@ func (j *loopJoin) NextBatch() (rowset.Batch, error) {
 				}
 				j.matched = true
 			}
-			out = append(out, joinRows(l, r))
+			out = append(out, j.fill(make(rowset.Row, width), l, r))
 		}
 		if j.ri < len(j.rightRows) {
 			break // out is full mid-row: resume at (li, ri) on the next pull
 		}
-		if !j.matched && j.leftOuter {
-			out = append(out, joinRows(l, j.nullRight))
+		if !j.matched && j.kind == JoinLeft {
+			out = append(out, j.fill(make(rowset.Row, width), l, nil))
 		}
 		j.li, j.ri, j.matched = j.li+1, 0, false
 	}

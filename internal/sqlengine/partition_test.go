@@ -29,9 +29,9 @@ func queryAt(ctx context.Context, e *Engine, q string, partRows int) (*rowset.Ro
 
 // TestPartitionRule pins down the partition rule: a full scan of a base table
 // is cut into partRows-row ranges whatever the statement does downstream —
-// filter, ORDER BY, DISTINCT, any aggregate — while index probes, joins,
-// views, FROM-less statements and streaming TOP run as one partition. The
-// layout never depends on the worker count.
+// filter, hash joins, ORDER BY, DISTINCT, any aggregate — while index probes,
+// loop and cross joins, views, FROM-less statements and streaming TOP run as
+// one partition. The layout never depends on the worker count.
 func TestPartitionRule(t *testing.T) {
 	cases := []struct {
 		q          string
@@ -51,9 +51,16 @@ func TestPartitionRule(t *testing.T) {
 		{"SELECT TOP 2 city, COUNT(*) FROM C GROUP BY city", 5}, // so does the grouping
 		{"SELECT TOP 5 name FROM C", 0},                         // streaming TOP keeps its early exit
 		{"SELECT DISTINCT TOP 3 city FROM C WHERE age > 20", 0},
-		{"SELECT name FROM C WHERE city = 'rome'", 0}, // index probe
-		{"SELECT C.name FROM C JOIN O ON C.id = O.cid", 0},
-		{"SELECT id FROM V", 0}, // the view's body runs at the default partition size
+		{"SELECT name FROM C WHERE city = 'rome'", 0},      // index probe
+		{"SELECT C.name FROM C JOIN O ON C.id = O.cid", 5}, // the probe side partitions
+		{"SELECT C.name FROM C JOIN O ON C.id < O.cid", 0}, // a loop join does not
+		{"SELECT C.name FROM C JOIN O ON C.id = O.cid JOIN V ON C.id = V.id", 5},
+		{"SELECT C.name FROM C LEFT JOIN O ON C.id = O.cid, V", 0}, // nor a cross join
+		{"SELECT V.id FROM V JOIN C ON V.id = C.id", 0},            // a view probes as one partition
+		{"SELECT TOP 5 C.name FROM C JOIN O ON C.id = O.cid", 0},
+		{"SELECT C.name FROM C JOIN O ON C.id = O.cid WHERE O.cid = 3", 5},       // an index probe builds
+		{"SELECT C.name FROM C JOIN O ON C.id = O.cid WHERE C.city = 'rome'", 0}, // but does not probe
+		{"SELECT id FROM V", 0},                                                  // the view's body runs at the default partition size
 		{"SELECT 1 + 2", 0},
 		{"SELECT id FROM T16", 0}, // exactly one range
 		{"SELECT id FROM T17", 2},
@@ -142,42 +149,6 @@ func TestPartitionedSpanShape(t *testing.T) {
 	}
 }
 
-// TestBuildKeysParallelMatchesSequential: the parallel hash-join key
-// precompute produces exactly the sequential keys (buildKeys is order- and
-// content-deterministic regardless of worker count).
-func TestBuildKeysParallelMatchesSequential(t *testing.T) {
-	n := parallelKeyMin + 123
-	rows := make([]rowset.Row, n)
-	for i := range rows {
-		var v rowset.Value = int64(i % 97)
-		if i%13 == 0 {
-			v = nil
-		}
-		rows[i] = rowset.Row{v}
-	}
-	seq, err := buildKeys(context.Background(), rows, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := buildKeys(context.Background(), rows, 0, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seq) != len(par) {
-		t.Fatalf("len %d != %d", len(seq), len(par))
-	}
-	for i := range seq {
-		if seq[i] != par[i] {
-			t.Fatalf("key %d: %q != %q", i, seq[i], par[i])
-		}
-	}
-	for i, r := range rows {
-		if (r[0] == nil) != (seq[i] == "") {
-			t.Fatalf("row %d: nil-key invariant broken", i)
-		}
-	}
-}
-
 // bigTable builds T (a LONG, g TEXT, b DOUBLE) with n rows whose DOUBLE
 // column is 0.1*i — not exact in binary, so any reassociation of its sums
 // shows in the last bits — with a NULL every 19th row.
@@ -200,13 +171,37 @@ func bigTable(t testing.TB, n int) *Engine {
 	return e
 }
 
+// addJoinTable adds U (k LONG, h TEXT, c DOUBLE) with n rows to bigTable's
+// engine: k = 7i mod 9000, so T's rows below 9000 meet one or two U rows and
+// the rest none; a NULL k every 23rd row; c = 0.3*i, not exact in binary.
+func addJoinTable(t testing.TB, e *Engine, n int) {
+	t.Helper()
+	if _, err := e.Exec("CREATE TABLE U (k LONG, h TEXT, c DOUBLE)"); err != nil {
+		t.Fatal(err)
+	}
+	tbl, _ := e.DB.Table("U")
+	for i := 0; i < n; i++ {
+		var k rowset.Value = int64(i * 7 % 9000)
+		if i%23 == 0 {
+			k = nil
+		}
+		if err := tbl.Insert(rowset.Row{k, string(rune('p' + i%3)), 0.3 * float64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestResultsIndependentOfWorkers: a result is a function of the data, never
-// of the worker count. Every statement shape — filter, sort, DISTINCT, and
-// aggregates including SUM/AVG/STDEV over doubles that are not exact in
-// binary — must encode to identical bytes with 1, 2 and 8 workers over a
-// table of several partitions.
+// of the worker count. Every statement shape — filter, sort, DISTINCT, hash
+// joins, and aggregates including SUM/AVG/STDEV over doubles that are not
+// exact in binary — must encode to identical bytes with 1, 2 and 8 workers
+// over tables of several partitions. The joins must have partitioned.
 func TestResultsIndependentOfWorkers(t *testing.T) {
 	e := bigTable(t, 20000)
+	addJoinTable(t, e, 12000)
+	reg := obs.NewRegistry(0)
+	e.Instrument(reg)
+	morsels := reg.Counter(obs.MetricSQLMorselsTotal)
 	for _, q := range []string{
 		"SELECT a, b FROM T WHERE a > 100 AND g = 'c'",
 		"SELECT a, g, b FROM T WHERE b > 500.5 ORDER BY b DESC, a",
@@ -218,7 +213,13 @@ func TestResultsIndependentOfWorkers(t *testing.T) {
 		"SELECT g, COUNT(*), SUM(b), AVG(b), MIN(b), MAX(a), STDEV(b) FROM T GROUP BY g",
 		"SELECT g, SUM(DISTINCT b), COUNT(DISTINCT a) FROM T WHERE a < 9000 GROUP BY g ORDER BY SUM(b) DESC",
 		"SELECT COUNT(*) FROM T WHERE b IS NULL",
+		"SELECT T.a, U.h, U.c FROM T JOIN U ON T.a = U.k WHERE T.g = 'c'",
+		"SELECT T.a, U.h, U.c FROM T LEFT JOIN U ON T.a = U.k",
+		"SELECT T.a, U.h, x.g FROM T JOIN U ON T.a = U.k JOIN T AS x ON U.k = x.a",
+		"SELECT T.g, COUNT(*), SUM(U.c), AVG(U.c), STDEV(U.c), SUM(T.b) FROM T JOIN U ON T.a = U.k GROUP BY T.g",
+		"SELECT U.h, T.g, COUNT(*), SUM(T.b), AVG(T.b), STDEV(T.b) FROM U JOIN T ON U.k = T.a GROUP BY U.h, T.g",
 	} {
+		before := morsels.Value()
 		var want []byte
 		for _, workers := range []int{1, 2, 8} {
 			e.Workers = workers
@@ -236,6 +237,34 @@ func TestResultsIndependentOfWorkers(t *testing.T) {
 				t.Errorf("%s: result with %d workers differs from the 1-worker result", q, workers)
 			}
 		}
+		if strings.Contains(q, "JOIN") && morsels.Value() == before {
+			t.Errorf("%s: ran as one partition", q)
+		}
+	}
+}
+
+// TestJoinFanoutInPlan: EXPLAIN's join label carries the fan-out of the
+// partitions that probe the index, from the same function execution labels
+// the join span with.
+func TestJoinFanoutInPlan(t *testing.T) {
+	e := bigTable(t, 20000)
+	addJoinTable(t, e, 12000)
+	e.Workers = 2
+	const q = "SELECT T.g, SUM(U.c) FROM T JOIN U ON T.a = U.k GROUP BY T.g"
+	st, err := Parse(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := findSpans(e.PlanSpan(st.(*SelectStmt)), "join")
+	if len(plan) != 1 || plan[0] != "inner hash morsels=5 workers=2" {
+		t.Fatalf("planned join label = %v, want [inner hash morsels=5 workers=2]", plan)
+	}
+	tr := obs.NewTrace(q, "")
+	if _, err := e.ExecContext(obs.WithTrace(context.Background(), tr), q); err != nil {
+		t.Fatal(err)
+	}
+	if exec := findSpans(tr.Root(), "join"); len(exec) != 1 || !strings.HasPrefix(exec[0], plan[0]+" batches=") {
+		t.Errorf("executed join label = %v, want the planned label and its batches", exec)
 	}
 }
 

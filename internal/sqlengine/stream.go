@@ -7,11 +7,10 @@ package sqlengine
 // rowset.Cursor survives only at the package's edges (storage table cursors in
 // DELETE/UPDATE, materialized rowsets).
 //
-// Operators that pipeline: scan, filter, equi-join probe side, projection,
-// DISTINCT, and TOP (which stops pulling — and therefore stops all upstream
-// work — after N rows). Operators that materialize, because their semantics
-// require seeing every input row first: ORDER BY, GROUP BY, and the hash-join
-// build side.
+// Operators that pipeline: scan, filter, join probes, projection, DISTINCT,
+// and TOP (which stops pulling — and therefore stops all upstream work — after
+// N rows). Operators that materialize, because their semantics require seeing
+// every input row first: ORDER BY, GROUP BY, and a join's right input.
 //
 // Scans are index-aware: a WHERE conjunct of the form `col = literal` whose
 // column resolves to exactly one FROM entry with a hash index is answered by
@@ -22,6 +21,7 @@ package sqlengine
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"strconv"
 	"strings"
@@ -124,9 +124,9 @@ func (c *cancelCursor) Schema() *rowset.Schema { return c.src.Schema() }
 func (c *cancelCursor) Close() error           { return c.src.Close() }
 func (c *cancelCursor) Size() int              { return cursorSize(c.src) }
 
-// sized is implemented by cursors that know exactly how many rows they will
-// yield (table snapshots, slices, materialized views). Join planning uses it
-// to pick the smaller hash-join build side.
+// sized is implemented by cursors that know how many rows they will yield at
+// most (table snapshots, slices, materialized views, and what filters them):
+// drains presize their output by it.
 type sized interface{ Size() int }
 
 // cursorSize returns the cursor's exact cardinality, or -1 when unknown.
@@ -497,8 +497,8 @@ type compiledScan struct {
 
 	// estimate is the scan's expected output cardinality: exact for views and
 	// unpushed table scans, rows/distinct from table statistics for pushed
-	// equalities. Join planning falls back to it when exact cursor sizes are
-	// unavailable.
+	// equalities. EXPLAIN shows it, and plans the fan-out of a whole-table
+	// scan by it.
 	estimate int
 }
 
@@ -714,10 +714,7 @@ func matchPush(c Expr, scans []*compiledScan) (int, pushedEq, bool) {
 	if !indexableEq(col.Type, val) {
 		return 0, pushedEq{}, false
 	}
-	bare := col.Name
-	if dot := strings.LastIndex(bare, "."); dot >= 0 {
-		bare = bare[dot+1:]
-	}
+	bare := bareName(col.Name)
 	if !cs.tbl.HasIndex(bare) {
 		return 0, pushedEq{}, false
 	}
@@ -727,14 +724,18 @@ func matchPush(c Expr, scans []*compiledScan) (int, pushedEq, bool) {
 // indexableEq reports whether probing an index bucket for v is equivalent to
 // evaluating `col = v` on every row. Index buckets use rowset.Key, predicate
 // equality uses rowset.Compare; the two agree within a type family but Key is
-// finer across families (bool vs number) and for DATE (Key keeps nanoseconds,
-// Compare collapses to seconds), so only same-family scalar probes push.
+// finer across families (bool vs number), for DATE (Key keeps nanoseconds,
+// Compare collapses to seconds) and between a LONG outside ±2^53 and a DOUBLE
+// (Compare rounds the LONG), so only same-family scalar probes push, and a
+// number meets the other numeric type only inside that range.
 func indexableEq(colType rowset.Type, v rowset.Value) bool {
 	switch colType {
 	case rowset.TypeLong, rowset.TypeDouble:
-		switch v.(type) {
-		case int64, float64:
-			return true
+		switch x := v.(type) {
+		case int64:
+			return colType == rowset.TypeLong || (x >= -rowset.MaxExactLong && x <= rowset.MaxExactLong)
+		case float64:
+			return colType == rowset.TypeDouble || math.Abs(x) < rowset.MaxExactLong
 		default:
 			return false
 		}
@@ -752,11 +753,12 @@ func indexableEq(colType rowset.Type, v rowset.Value) bool {
 }
 
 // partitionRanges is the partition rule, a function of the statement and its
-// input only (never of the worker count): a full scan — of a base table or of
-// the rows of an embedder's Relation — is cut into contiguous ranges of
-// partRows rows; every other source — an index probe, a view, a join — is one
-// partition, as is a non-aggregating TOP without ORDER BY, whose early exit
-// needs one front-to-back stream. nil means one partition: the whole input.
+// input only (never of the worker count): a full scan — of a base table,
+// alone or probing hash joins, or of the rows of an embedder's Relation — is
+// cut into contiguous ranges of partRows rows; every other source — an index
+// probe, a view, a loop or cross join — is one partition, as is a
+// non-aggregating TOP without ORDER BY, whose early exit needs one
+// front-to-back stream. nil means one partition: the whole input.
 func partitionRanges(sel *SelectStmt, fullScan bool, rows, partRows int) []storage.Morsel {
 	if !fullScan || rows <= partRows {
 		return nil
@@ -770,9 +772,120 @@ func partitionRanges(sel *SelectStmt, fullScan bool, rows, partRows int) []stora
 	return nil
 }
 
-// wholeTable reports whether the FROM clause reads one whole base table.
-func wholeTable(scans []*compiledScan) bool {
-	return len(scans) == 1 && scans[0].tbl != nil && scans[0].pushed == nil
+// fromClause is a FROM clause resolved against the catalog before any cursor
+// opens: its scans after index pushdown, the WHERE left to filter, its joins,
+// and the schema of the rows it yields.
+type fromClause struct {
+	scans    []*compiledScan
+	joins    []fromJoin // joins[i] joins scans[i+1] onto everything before it
+	residual Expr
+	schema   *rowset.Schema
+}
+
+// fromJoin is one join step: a hash join probing with left ordinal lo for
+// right ordinal ro, or (hash false) a loop join evaluating ON (unless it is a
+// cross join) over rows of onSchema — the left input's columns, then the
+// right's. Its output rows hold
+// only the columns the statement can read: keepL of the left input's, then
+// keepR of the right's, under schema.
+type fromJoin struct {
+	kind         JoinKind
+	hash         bool
+	lo, ro       int
+	key          keyKind
+	onSchema     *rowset.Schema
+	keepL, keepR []int
+	schema       *rowset.Schema
+}
+
+func (e *Engine) resolveFrom(sel *SelectStmt) (fromClause, error) {
+	fc := fromClause{scans: make([]*compiledScan, len(sel.From))}
+	for i, ref := range sel.From {
+		cs, err := e.resolveScan(ref)
+		if err != nil {
+			return fc, err
+		}
+		fc.scans[i] = cs
+	}
+	fc.residual = planPushdown(sel.Where, fc.scans)
+	fc.schema = fc.scans[0].schema
+	if len(fc.scans) == 1 {
+		return fc, nil
+	}
+	read := readNames(sel)
+	full := fc.schema // every column: its duplicates are the statement's error
+	for _, cs := range fc.scans[1:] {
+		var err error
+		if full, err = concatSchemas(full, cs.schema); err != nil {
+			return fc, err
+		}
+		j := fromJoin{kind: cs.ref.Kind}
+		if j.kind != JoinCross {
+			j.lo, j.ro, j.hash = equiJoinOrdinals(cs.ref.On, fc.schema, cs.schema)
+		}
+		if j.hash {
+			j.key = joinKeyKind(fc.schema.Column(j.lo).Type, cs.schema.Column(j.ro).Type)
+		} else if j.onSchema, err = concatSchemas(fc.schema, cs.schema); err != nil {
+			return fc, err
+		}
+		var cols []rowset.Column
+		j.keepL, cols = keepRead(fc.schema, read, nil)
+		j.keepR, cols = keepRead(cs.schema, read, cols)
+		if j.schema, err = rowset.NewSchema(cols...); err != nil {
+			return fc, err
+		}
+		fc.schema = j.schema
+		fc.joins = append(fc.joins, j)
+	}
+	return fc, nil
+}
+
+// readNames returns the lower-cased bare names of the columns a statement
+// refers to, or nil when a star reads every column.
+func readNames(sel *SelectStmt) map[string]bool {
+	for _, it := range sel.Items {
+		if it.Star {
+			return nil
+		}
+	}
+	read := make(map[string]bool)
+	walkStatementExprs(sel, func(e Expr) {
+		if cr, ok := e.(*ColumnRef); ok {
+			read[strings.ToLower(bareName(cr.Name))] = true
+		}
+	})
+	return read
+}
+
+// keepRead returns the ordinals of the columns of schema a reference among
+// read can resolve to — every one when read is nil — and appends the columns
+// to cols. A reference resolves to a column only if their bare names match,
+// so every resolution, ambiguity and unknown-column error stays as it was.
+func keepRead(schema *rowset.Schema, read map[string]bool, cols []rowset.Column) ([]int, []rowset.Column) {
+	var keep []int
+	for i, c := range schema.Columns {
+		if read == nil || read[strings.ToLower(bareName(c.Name))] {
+			keep = append(keep, i)
+			cols = append(cols, c)
+		}
+	}
+	return keep, cols
+}
+
+// cuttable reports whether the partition rule may cut the FROM clause: its
+// first entry reads a whole base table and every join is a hash join, which
+// each range probes on its own.
+func (fc *fromClause) cuttable() bool {
+	first := fc.scans[0]
+	if first.tbl == nil || first.pushed != nil {
+		return false
+	}
+	for _, j := range fc.joins {
+		if !j.hash {
+			return false
+		}
+	}
+	return true
 }
 
 // source is the planned FROM/WHERE half of a SELECT: n partitions of input
@@ -893,31 +1006,23 @@ func (e *Engine) planSource(ctx context.Context, t *obs.Trace, sel *SelectStmt, 
 		src.schema = rowset.MustSchema()
 		src.open = func(int) rowset.BatchCursor { return newSliceCursor(src.schema, []rowset.Row{{}}) }
 	default:
-		scans := make([]*compiledScan, len(sel.From))
-		for i, ref := range sel.From {
-			cs, err := e.resolveScan(ref)
-			if err != nil {
-				return nil, err
-			}
-			scans[i] = cs
+		fc, err := e.resolveFrom(sel)
+		if err != nil {
+			return nil, err
 		}
-		residual = planPushdown(sel.Where, scans)
-		first := scans[0]
+		residual = fc.residual
+		first := fc.scans[0]
 		rows, err := first.rows()
 		if err != nil {
 			return nil, err
 		}
-		open := e.partition(src, sel, first.schema, rows, wholeTable(scans), partRows)
+		open := e.partition(src, sel, first.schema, rows, fc.cuttable(), partRows)
 		spScan := src.span(t, "scan", e.fanoutLabel(first.label(), src.n))
-		src.open = func(i int) rowset.BatchCursor { return spScan.wrap(open(i)) }
-		if len(scans) > 1 {
-			acc, err := e.planJoins(ctx, t, src, scans)
-			if err != nil {
-				return nil, err
-			}
-			src.schema = acc.Schema()
-			src.open = func(int) rowset.BatchCursor { return acc }
+		scan := func(i int) rowset.BatchCursor { return spScan.wrap(open(i)) }
+		if src.open, err = e.planJoins(ctx, t, src, &fc, scan); err != nil {
+			return nil, err
 		}
+		src.schema = fc.schema
 	}
 	if residual != nil {
 		src.residual = Compile(residual, src.schema, src.resolve)
@@ -931,36 +1036,47 @@ func (e *Engine) planSource(ctx context.Context, t *obs.Trace, sel *SelectStmt, 
 	return src, nil
 }
 
-// planJoins folds scans[1:] onto the first scan (src.open(0)) left to right.
-func (e *Engine) planJoins(ctx context.Context, t *obs.Trace, src *source, scans []*compiledScan) (rowset.BatchCursor, error) {
-	acc := src.open(0)
-	accEst := scans[0].estimate
-	for _, cs := range scans[1:] {
+// planJoins reads the right input of every join of fc — into a hash join's
+// index, once, for every partition to share; or for a loop join, which only a
+// one-partition statement has — and returns the opener that stacks the joins
+// on partition i's scan.
+func (e *Engine) planJoins(ctx context.Context, t *obs.Trace, src *source, fc *fromClause, scan func(int) rowset.BatchCursor) (func(int) rowset.BatchCursor, error) {
+	open := scan
+	for i, cs := range fc.scans[1:] {
+		j, left := &fc.joins[i], open
 		rows, err := cs.rows()
 		if err != nil {
-			acc.Close() //nolint:errcheck // already failing
 			return nil, err
 		}
 		right := src.span(t, "scan", cs.label()).wrap(newSliceCursor(cs.schema, rows))
-		// Large hash-join builds precompute their keys on parallel workers.
-		jc, strategy, err := newJoinCursor(ctx, acc, right, cs.ref.Kind, cs.ref.On, accEst, cs.estimate, e.workers())
-		if err != nil {
-			acc.Close()   //nolint:errcheck // already failing
-			right.Close() //nolint:errcheck // already failing
-			return nil, err
+		var idx *joinIndex
+		if j.hash {
+			if idx, err = newJoinIndex(ctx, right, j.ro, j.key); err != nil {
+				return nil, err
+			}
 		}
-		acc = src.span(t, "join", joinLabel(cs.ref.Kind, strategy)).wrap(jc)
-		accEst = joinEstimate(accEst, cs.estimate, cs.ref.Kind)
+		spJoin := src.span(t, "join", e.joinLabel(j.kind, j.hash, src.n))
+		open = func(p int) rowset.BatchCursor {
+			if idx != nil {
+				return spJoin.wrap(&hashJoin{fromJoin: j, left: left(p), idx: idx})
+			}
+			lj := &loopJoin{fromJoin: j, left: left(p), right: right}
+			if j.kind != JoinCross {
+				lj.on = Compile(cs.ref.On, j.onSchema, nil)
+			}
+			return spJoin.wrap(lj)
+		}
 	}
-	return acc, nil
+	return open, nil
 }
 
-// forEachPartition opens every partition of src — its scan (or join) cursor,
-// the cancellation poll, a Relation's bind operator, the residual filter — and
-// hands it to fn, which owns the cursor; fr is the partition's frame values
-// (nil unless the source is a Relation), for the operators fn stacks on top.
-// Partitions run on up to e.Workers goroutines through par.ForEachCtx — the
-// statement's parallelism, which the trace records — and a single partition
+// forEachPartition opens every partition of src — its scan and the joins that
+// probe with it, the cancellation poll, a Relation's bind operator, the
+// residual filter — and hands it to fn, which owns the cursor; fr is the
+// partition's frame values (nil unless the source is a Relation), for the
+// operators fn stacks on top. Partitions run on up to e.Workers goroutines
+// through par.ForEachCtx — the statement's parallelism, which the trace
+// records, and the engine's only call into the pool — and a single partition
 // runs inline on the calling goroutine. fn is called at most once per index and
 // must only write state of its own partition; par.ForEachCtx's
 // lowest-index-error rule surfaces the error a front-to-back scan would have
@@ -994,28 +1110,13 @@ func (e *Engine) forEachPartition(ctx context.Context, t *obs.Trace, src *source
 	})
 }
 
-// joinLabel renders a join span label: the join kind plus the strategy the
-// planner picked ("build=left", "build=right", or "loop").
-func joinLabel(kind JoinKind, strategy string) string {
-	if strategy == "" {
-		return joinKindLabel(kind)
+// joinLabel renders a join span label for EXPLAIN and execution alike: the
+// join kind, the strategy, and the fan-out of the partitions that probe it
+// ("inner hash morsels=13 workers=2", "cross loop").
+func (e *Engine) joinLabel(kind JoinKind, hash bool, partitions int) string {
+	strategy := " loop"
+	if hash {
+		strategy = " hash"
 	}
-	return joinKindLabel(kind) + " " + strategy
-}
-
-// joinEstimate propagates cardinality estimates across one join step. It is
-// deliberately coarse: cross joins multiply, equi and general joins keep the
-// larger input (a safe upper bound for one-to-many key joins). A negative
-// input marks an unknown and poisons the result.
-func joinEstimate(l, r int, kind JoinKind) int {
-	if l < 0 || r < 0 {
-		return -1
-	}
-	if kind == JoinCross {
-		return l * r
-	}
-	if l > r {
-		return l
-	}
-	return r
+	return e.fanoutLabel(joinKindLabel(kind)+strategy, partitions)
 }

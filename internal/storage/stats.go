@@ -9,8 +9,8 @@ import (
 // TableStats is a point-in-time cardinality summary of one table: the row
 // count plus the number of distinct values per column. The cost-based parts
 // of the SQL planner use it to estimate the selectivity of an equality
-// predicate (rows / distinct) and to pick hash-join build sides when exact
-// cursor sizes are unknown.
+// predicate (rows / distinct), which picks the index a scan probes and shows
+// on EXPLAIN's scan labels.
 type TableStats struct {
 	// Rows is the table's row count when the stats were computed.
 	Rows int

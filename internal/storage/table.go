@@ -177,8 +177,7 @@ func (c *tableCursor) Next() (rowset.Row, error) {
 
 func (c *tableCursor) Schema() *rowset.Schema { return c.schema }
 
-// Size reports the snapshot's exact row count, a cardinality hint join
-// planners use to pick the smaller hash-join build side.
+// Size reports the snapshot's exact row count, which drains presize by.
 func (c *tableCursor) Size() int { return len(c.rows) }
 
 func (c *tableCursor) Close() error {
