@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race fuzz-smoke bench bench-parallel bench-smoke loadsmoke lint vulncheck check loc
+.PHONY: build test vet race fuzz-smoke bench bench-parallel bench-smoke heap-probe loadsmoke lint vulncheck check loc
 
 build:
 	$(GO) build ./...
@@ -74,6 +74,14 @@ bench-parallel:
 # the whole recorder+history pipeline.
 bench-smoke:
 	BENCH_SMOKE=1 $(GO) test -run TestObsOverheadSmoke -v .
+
+# What the stored 50k-customer warehouse costs the collector: live heap
+# objects, scannable heap bytes and one forced GC, then GC cycles and GC CPU
+# share over a fixed number of predict_batch and sql_analytic statements run
+# in-process (tools/heapprobe). Prints the EXPERIMENTS.md standing line;
+# fails only on an error, never on a number.
+heap-probe:
+	$(GO) run ./tools/heapprobe
 
 # Concurrency smoke: five seconds of mixed dmload traffic (8 reader
 # connections + a training loop) against an in-process dmserver. Fails on

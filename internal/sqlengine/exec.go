@@ -247,7 +247,7 @@ func (e *Engine) project(ctx context.Context, t *obs.Trace, sel *SelectStmt, src
 	}
 	names := outputNames(items)
 	plan := compileProjection(src.schema, items, names, sel.OrderBy, src.resolve)
-	spProj := src.span(t, "project", "")
+	spProj := src.span(t, "project", noLabel)
 	ordered := len(sel.OrderBy) > 0
 	streamTail := !ordered && src.n == 1
 	outs := make([][]rowset.Row, src.n)

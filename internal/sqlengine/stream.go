@@ -912,17 +912,21 @@ type source struct {
 	untyped  rowset.Type
 }
 
-// span records an operator span in plan order (nil on an untraced statement).
-func (src *source) span(t *obs.Trace, kind, label string) *opSpan {
-	sp := t.StartSpan(kind, label)
-	if sp == nil {
+// span records an operator span in plan order (nil on an untraced statement,
+// which never builds the label).
+func (src *source) span(t *obs.Trace, kind string, label func() string) *opSpan {
+	if t == nil {
 		return nil
 	}
+	sp := t.StartSpan(kind, label())
 	t.EndSpan(sp)
 	o := &opSpan{sp: sp, timed: t.Detailed()}
 	src.ops = append(src.ops, o)
 	return o
 }
+
+// noLabel labels a span whose operator has nothing to add to its kind.
+func noLabel() string { return "" }
 
 // flushSpans patches every operator span with what its cursors counted.
 func (src *source) flushSpans() {
@@ -1000,7 +1004,7 @@ func (e *Engine) planSource(ctx context.Context, t *obs.Trace, sel *SelectStmt, 
 	case rel != nil:
 		src.resolve, src.bind, src.untyped = rel.Resolve, rel.Bind, rel.Untyped
 		src.open = e.partition(src, sel, rel.Schema, rel.Rows, true, partRows)
-		src.bindSpan = src.span(t, rel.Kind, e.fanoutLabel(rel.Label, src.n))
+		src.bindSpan = src.span(t, rel.Kind, func() string { return e.fanoutLabel(rel.Label, src.n) })
 	case len(sel.From) == 0:
 		// FROM-less SELECT evaluates items once against an empty row.
 		src.schema = rowset.MustSchema()
@@ -1017,7 +1021,7 @@ func (e *Engine) planSource(ctx context.Context, t *obs.Trace, sel *SelectStmt, 
 			return nil, err
 		}
 		open := e.partition(src, sel, first.schema, rows, fc.cuttable(), partRows)
-		spScan := src.span(t, "scan", e.fanoutLabel(first.label(), src.n))
+		spScan := src.span(t, "scan", func() string { return e.fanoutLabel(first.label(), src.n) })
 		scan := func(i int) rowset.BatchCursor { return spScan.wrap(open(i)) }
 		if src.open, err = e.planJoins(ctx, t, src, &fc, scan); err != nil {
 			return nil, err
@@ -1031,7 +1035,7 @@ func (e *Engine) planSource(ctx context.Context, t *obs.Trace, sel *SelectStmt, 
 		// The filter span exists whenever the statement has a WHERE, even if
 		// index pushdown consumed every conjunct (residual == nil) — the plan
 		// shape must not depend on which indexes happened to exist.
-		src.filter = src.span(t, "filter", "")
+		src.filter = src.span(t, "filter", noLabel)
 	}
 	return src, nil
 }
@@ -1048,14 +1052,14 @@ func (e *Engine) planJoins(ctx context.Context, t *obs.Trace, src *source, fc *f
 		if err != nil {
 			return nil, err
 		}
-		right := src.span(t, "scan", cs.label()).wrap(newSliceCursor(cs.schema, rows))
+		right := src.span(t, "scan", cs.label).wrap(newSliceCursor(cs.schema, rows))
 		var idx *joinIndex
 		if j.hash {
 			if idx, err = newJoinIndex(ctx, right, j.ro, j.key); err != nil {
 				return nil, err
 			}
 		}
-		spJoin := src.span(t, "join", e.joinLabel(j.kind, j.hash, src.n))
+		spJoin := src.span(t, "join", func() string { return e.joinLabel(j.kind, j.hash, src.n) })
 		open = func(p int) rowset.BatchCursor {
 			if idx != nil {
 				return spJoin.wrap(&hashJoin{fromJoin: j, left: left(p), idx: idx})
