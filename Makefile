@@ -11,8 +11,9 @@ test:
 # Code-line counts the simplicity PRs quote: non-test Go with blank and
 # //-comment lines dropped, for the packages that hold the executors and the
 # model path (core + provider + algo share one line budget), the training
-# source path (shape + storage), the worker pool, the wire (server + client),
-# and everything outside bench/.
+# source path (shape + storage), the worker pool, the observability substrate
+# and the schema rowsets that surface it, the wire (server + client), and
+# everything outside bench/.
 loc:
 	@count() { cat "$$@" | grep -v '^[[:space:]]*$$' | grep -vc '^[[:space:]]*//'; }; \
 	src() { find "$$@" -name '*.go' ! -name '*_test.go' ! -path './bench/*'; }; \
@@ -25,6 +26,8 @@ loc:
 		internal/storage $$(count $$(src internal/storage)) \
 		internal/sqlengine $$(count $$(src internal/sqlengine)) \
 		internal/par $$(count $$(src internal/par)) \
+		internal/obs $$(count $$(src internal/obs)) \
+		internal/schemarowset $$(count $$(src internal/schemarowset)) \
 		'internal/dmserver + internal/dmclient' $$(count $$(src internal/dmserver internal/dmclient)) \
 		'all outside bench/' $$(count $$(src .))
 

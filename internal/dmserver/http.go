@@ -31,7 +31,7 @@ func DiagnosticsHandler(reg *obs.Registry) http.Handler {
 	})
 	mux.HandleFunc("/debug/flightrecorder", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		recs := reg.FlightRecorder().Snapshot()
+		recs := reg.QueryLog().Retained()
 		out := make([]flightRecordJSON, 0, len(recs))
 		for _, rec := range recs {
 			out = append(out, flightRecordJSON{

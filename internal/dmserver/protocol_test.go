@@ -207,7 +207,7 @@ func TestStatsTrailerErrorCarriesSeq(t *testing.T) {
 		t.Fatalf("error stats = %+v, want a positive Seq", stats)
 	}
 	// Errors are always retained: the seq must hit the flight recorder.
-	if _, ok := p.Obs().FlightRecorder().Find(stats.Seq); !ok {
+	if _, ok := p.Obs().QueryLog().FindRetained(stats.Seq); !ok {
 		t.Errorf("seq %d not retained in the flight recorder", stats.Seq)
 	}
 }

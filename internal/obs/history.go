@@ -35,33 +35,12 @@ type HistorySnapshot struct {
 	Points []HistoryPoint
 }
 
-// History is a bounded ring of snapshots.
+// History is the registry's bounded ring of snapshots.
 //
-//dmlint:guard mu: History.snaps, History.next, History.full
+//dmlint:guard mu: History.snaps
 type History struct {
 	mu    sync.Mutex
-	snaps []HistorySnapshot
-	next  int
-	full  bool
-}
-
-// NewHistory creates a history ring holding cap snapshots (DefaultHistoryCap
-// when cap <= 0).
-func NewHistory(cap int) *History {
-	if cap <= 0 {
-		cap = DefaultHistoryCap
-	}
-	return &History{snaps: make([]HistorySnapshot, cap)}
-}
-
-// Cap returns the ring capacity (0 on nil).
-func (h *History) Cap() int {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.snaps)
+	snaps ring[HistorySnapshot]
 }
 
 // Append stores one snapshot, evicting the oldest when full. Nil-safe.
@@ -70,13 +49,8 @@ func (h *History) Append(s HistorySnapshot) {
 		return
 	}
 	h.mu.Lock()
-	h.snaps[h.next] = s
-	h.next++
-	if h.next == len(h.snaps) {
-		h.next = 0
-		h.full = true
-	}
-	h.mu.Unlock()
+	defer h.mu.Unlock()
+	h.snaps.push(s)
 }
 
 // Snapshot returns retained snapshots oldest-first. Nil-safe.
@@ -86,14 +60,7 @@ func (h *History) Snapshot() []HistorySnapshot {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	var out []HistorySnapshot
-	if h.full {
-		out = make([]HistorySnapshot, 0, len(h.snaps))
-		out = append(out, h.snaps[h.next:]...)
-		out = append(out, h.snaps[:h.next]...)
-		return out
-	}
-	return append(out, h.snaps[:h.next]...)
+	return h.snaps.snapshot()
 }
 
 // History returns the registry's snapshot ring (nil on a nil registry).
@@ -133,8 +100,8 @@ func (r *Registry) RecordHistory(now time.Time) HistorySnapshot {
 	for _, v := range r.HistogramVecs() {
 		for _, child := range v.Snapshot() {
 			s.Points = append(s.Points,
-				HistoryPoint{Name: v.Name() + "_count", Label: child.Label, Value: child.Hist.Count},
-				HistoryPoint{Name: v.Name() + "_sum", Label: child.Label, Value: child.Hist.Sum})
+				HistoryPoint{Name: v.Name() + "_count", Label: child.Label, Value: child.Value.Count},
+				HistoryPoint{Name: v.Name() + "_sum", Label: child.Label, Value: child.Value.Sum})
 		}
 	}
 	// Counters()/Gauges()/Histograms()/*Vecs() each return name-sorted slices

@@ -6,11 +6,11 @@ import (
 )
 
 func TestHistoryRingWraps(t *testing.T) {
-	h := NewHistory(3)
+	h := newRing[HistorySnapshot](3)
 	for i := 1; i <= 5; i++ {
-		h.Append(HistorySnapshot{TS: time.Unix(int64(i), 0)})
+		h.push(HistorySnapshot{TS: time.Unix(int64(i), 0)})
 	}
-	snap := h.Snapshot()
+	snap := h.snapshot()
 	if len(snap) != 3 {
 		t.Fatalf("ring holds %d snapshots, want 3", len(snap))
 	}
@@ -21,13 +21,13 @@ func TestHistoryRingWraps(t *testing.T) {
 	}
 	var nilH *History
 	nilH.Append(HistorySnapshot{})
-	if nilH.Snapshot() != nil || nilH.Cap() != 0 {
+	if nilH.Snapshot() != nil {
 		t.Fatal("nil History misbehaves")
 	}
 }
 
 func TestRecordHistoryFlattensRegistry(t *testing.T) {
-	r := NewRegistry(0)
+	r := NewRegistry()
 	r.Counter("test_total").Add(7)
 	r.Gauge("test_gauge").Set(3)
 	r.Histogram("test_us").Observe(100)
@@ -80,7 +80,7 @@ func TestRecordHistoryFlattensRegistry(t *testing.T) {
 }
 
 func TestStartHistoryTicker(t *testing.T) {
-	r := NewRegistry(0)
+	r := NewRegistry()
 	r.Counter("test_total").Inc()
 	stop := r.StartHistoryTicker(5 * time.Millisecond)
 	deadline := time.Now().Add(2 * time.Second)

@@ -1,11 +1,17 @@
 // Package obs is the provider's observability substrate: monotonic counters,
-// log-scaled latency histograms, a bounded ring-buffer query log, and a
-// per-connection tracker. It exists so the provider can apply the paper's own
-// core move — "a provider describes information about itself to potential
-// consumers" through schema rowsets — to its runtime state: everything
-// collected here is surfaced as the $SYSTEM.DM_QUERY_LOG,
-// $SYSTEM.DM_PROVIDER_METRICS, and $SYSTEM.DM_CONNECTIONS rowsets and is
-// therefore queryable with plain SELECT statements.
+// gauges, log-scaled latency histograms and their labelled families, a
+// statement store, a metrics history, and a per-connection tracker. It exists
+// so the provider can apply the paper's own core move — "a provider describes
+// information about itself to potential consumers" through schema rowsets —
+// to its runtime state: everything collected here is surfaced as the
+// $SYSTEM.DM_QUERY_LOG, DM_FLIGHT_RECORDER, DM_PROVIDER_METRICS,
+// DM_METRICS_HISTORY and DM_CONNECTIONS rowsets and is therefore queryable
+// with plain SELECT statements.
+//
+// The statement store (QueryLog) records each completed statement once and
+// keeps it under two retention policies: the recent statements, and the ones
+// retained by interest (errors, slow outliers, a sample of normal traffic)
+// together with their span trees.
 //
 // The package is allocation-light by design: counters and histogram buckets
 // are atomics, hot-path handles are resolved once and cached by the caller,
@@ -109,12 +115,12 @@ func (h *Histogram) Observe(v int64) {
 	}
 	h.count.Add(1)
 	h.sum.Add(v)
-	i := bits.Len64(uint64(v))
-	if i >= histBuckets {
-		i = histBuckets - 1
-	}
-	h.buckets[i].Add(1)
+	h.buckets[bucketOf(v)].Add(1)
 }
+
+// bucketOf returns the log2 bucket of a non-negative value: its bit length,
+// clamped to the last bucket.
+func bucketOf(v int64) int { return min(bits.Len64(uint64(v)), histBuckets-1) }
 
 // BucketUpperBound returns the inclusive upper bound of bucket i (0 for
 // bucket 0; 2^i - 1 otherwise).
@@ -183,58 +189,83 @@ func (s HistSnapshot) Quantile(q float64) int64 {
 	return s.Buckets[len(s.Buckets)-1].UpperBound
 }
 
-// DefaultQueryLogCap is the query-log ring capacity used when a registry is
-// created without an explicit bound.
-const DefaultQueryLogCap = 256
-
 // Registry is the root of one provider instance's observability state: named
-// counters and histograms, the query log, and the connection tracker. The
-// name tables are locked; the metric values themselves are atomics, so the
-// lock is touched only when a handle is first resolved — callers cache
-// handles and the hot path never sees it.
+// counters, gauges, histograms and labelled families, the statement store,
+// the metrics history, and the connection tracker. The name tables are
+// locked; the metric values themselves are atomics, so the lock is touched
+// only when a handle is first resolved — callers cache handles and the hot
+// path never sees it.
 //
 // Registry methods are safe on a nil receiver: a nil registry hands out nil
 // handles, whose methods are no-ops, which is how observability is disabled
 // wholesale.
 //
-//dmlint:guard mu: Registry.counters, Registry.hists, Registry.gauges, Registry.counterVecs, Registry.histVecs, QueryLog.records, QueryLog.seq, ConnTracker.conns, ConnTracker.seq
+//dmlint:guard mu: names.m, ConnTracker.conns, ConnTracker.seq
 type Registry struct {
 	mu          sync.RWMutex
-	counters    map[string]*Counter
-	hists       map[string]*Histogram
-	gauges      map[string]*Gauge
-	counterVecs map[string]*CounterVec
-	histVecs    map[string]*HistogramVec
+	counters    names[Counter]
+	gauges      names[Gauge]
+	hists       names[Histogram]
+	counterVecs names[CounterVec]
+	histVecs    names[HistogramVec]
 
-	log      *QueryLog
-	recorder *FlightRecorder
-	history  *History
-	conns    *ConnTracker
+	log     *QueryLog
+	history *History
+	conns   *ConnTracker
 }
 
-// NewRegistry creates a registry whose query log keeps the last logCap
-// statements (DefaultQueryLogCap when logCap <= 0). The flight recorder
-// behind $SYSTEM.DM_FLIGHT_RECORDER keeps DefaultFlightRecorderCap span
-// trees; the metrics-history ring keeps DefaultHistoryCap snapshots.
-func NewRegistry(logCap int) *Registry {
-	r := &Registry{
-		counters:    make(map[string]*Counter),
-		hists:       make(map[string]*Histogram),
-		gauges:      make(map[string]*Gauge),
-		counterVecs: make(map[string]*CounterVec),
-		histVecs:    make(map[string]*HistogramVec),
-		log:         NewQueryLog(logCap),
-		recorder:    NewFlightRecorder(0),
-		history:     NewHistory(0),
-		conns:       &ConnTracker{},
-	}
-	r.recorder.considered = r.Counter(MetricFlightConsidered)
-	r.recorder.kept = r.CounterVec(MetricFlightKept, LabelReason)
+// NewRegistry creates a registry: its statement store keeps the last
+// DefaultQueryLogCap statements and DefaultFlightRecorderCap span trees, and
+// its metrics history keeps DefaultHistoryCap snapshots.
+func NewRegistry() *Registry {
+	r := &Registry{history: &History{snaps: newRing[HistorySnapshot](DefaultHistoryCap)}, conns: &ConnTracker{}}
+	r.log = newQueryLog(r.Counter(MetricFlightConsidered), r.CounterVec(MetricFlightKept, LabelReason))
 	// Pre-register the history counter so the very first snapshot already
 	// carries it (at zero) and successive snapshots show its delta.
 	r.Counter(MetricHistorySnapshots)
 	return r
 }
+
+// names is one of the registry's name tables; the registry's mu guards m.
+type names[M any] struct{ m map[string]*M }
+
+// get returns the metric called name, creating it with mk on first use.
+func (t *names[M]) get(mu *sync.RWMutex, name string, mk func() *M) *M {
+	mu.RLock()
+	v := t.m[name]
+	mu.RUnlock()
+	if v != nil {
+		return v
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if v = t.m[name]; v == nil {
+		if t.m == nil {
+			t.m = make(map[string]*M)
+		}
+		v = mk()
+		t.m[name] = v
+	}
+	return v
+}
+
+// list renders every entry of t through f, sorted by name.
+func list[M, S any](mu *sync.RWMutex, t *names[M], f func(name string, m *M) S) []S {
+	mu.RLock()
+	defer mu.RUnlock()
+	keys := make([]string, 0, len(t.m))
+	for k := range t.m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	out := make([]S, len(keys))
+	for i, k := range keys {
+		out[i] = f(k, t.m[k])
+	}
+	return out
+}
+
+func zero[M any]() *M { return new(M) }
 
 // Counter returns the named counter, creating it on first use. Returns nil
 // (a no-op counter) on a nil registry.
@@ -242,20 +273,7 @@ func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	c := r.counters[name]
-	r.mu.RUnlock()
-	if c != nil {
-		return c
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c := r.counters[name]; c != nil {
-		return c
-	}
-	c = &Counter{}
-	r.counters[name] = c
-	return c
+	return r.counters.get(&r.mu, name, zero[Counter])
 }
 
 // Histogram returns the named histogram, creating it on first use. Returns
@@ -264,20 +282,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	h := r.hists[name]
-	r.mu.RUnlock()
-	if h != nil {
-		return h
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h := r.hists[name]; h != nil {
-		return h
-	}
-	h = &Histogram{}
-	r.hists[name] = h
-	return h
+	return r.hists.get(&r.mu, name, zero[Histogram])
 }
 
 // Gauge returns the named gauge, creating it on first use. Returns nil (a
@@ -286,113 +291,36 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	g := r.gauges[name]
-	r.mu.RUnlock()
-	if g != nil {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g := r.gauges[name]; g != nil {
-		return g
-	}
-	g = &Gauge{}
-	r.gauges[name] = g
-	return g
+	return r.gauges.get(&r.mu, name, zero[Gauge])
 }
 
-// QueryLog returns the registry's statement log (nil on a nil registry).
+// CounterVec returns the named counter family keyed by the given label key,
+// creating it on first use. The key is fixed at creation; later calls with a
+// different key return the existing family unchanged. Returns nil (a no-op
+// family) on a nil registry.
+func (r *Registry) CounterVec(name, key string) *CounterVec {
+	if r == nil {
+		return nil
+	}
+	return r.counterVecs.get(&r.mu, name, func() *CounterVec { return &CounterVec{name: name, key: key} })
+}
+
+// HistogramVec returns the named histogram family keyed by the given label
+// key, creating it on first use. Returns nil (a no-op family) on a nil
+// registry.
+func (r *Registry) HistogramVec(name, key string) *HistogramVec {
+	if r == nil {
+		return nil
+	}
+	return r.histVecs.get(&r.mu, name, func() *HistogramVec { return &HistogramVec{name: name, key: key} })
+}
+
+// QueryLog returns the registry's statement store (nil on a nil registry).
 func (r *Registry) QueryLog() *QueryLog {
 	if r == nil {
 		return nil
 	}
 	return r.log
-}
-
-// CounterVec returns the named counter vec keyed by the given label key,
-// creating it on first use. The key is fixed at creation; later calls with a
-// different key return the existing vec unchanged. Returns nil (a no-op vec)
-// on a nil registry.
-func (r *Registry) CounterVec(name, key string) *CounterVec {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	v := r.counterVecs[name]
-	r.mu.RUnlock()
-	if v != nil {
-		return v
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if v := r.counterVecs[name]; v != nil {
-		return v
-	}
-	v = &CounterVec{name: name, key: key, max: DefaultVecMaxLabels, children: make(map[string]*Counter)}
-	r.counterVecs[name] = v
-	return v
-}
-
-// HistogramVec returns the named histogram vec keyed by the given label key,
-// creating it on first use. Returns nil (a no-op vec) on a nil registry.
-func (r *Registry) HistogramVec(name, key string) *HistogramVec {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	v := r.histVecs[name]
-	r.mu.RUnlock()
-	if v != nil {
-		return v
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if v := r.histVecs[name]; v != nil {
-		return v
-	}
-	v = &HistogramVec{name: name, key: key, max: DefaultVecMaxLabels, children: make(map[string]*Histogram)}
-	r.histVecs[name] = v
-	return v
-}
-
-// CounterVecs returns every registered counter vec, sorted by name.
-func (r *Registry) CounterVecs() []*CounterVec {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	out := make([]*CounterVec, 0, len(r.counterVecs))
-	for _, v := range r.counterVecs {
-		out = append(out, v)
-	}
-	r.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
-	return out
-}
-
-// HistogramVecs returns every registered histogram vec, sorted by name.
-func (r *Registry) HistogramVecs() []*HistogramVec {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	out := make([]*HistogramVec, 0, len(r.histVecs))
-	for _, v := range r.histVecs {
-		out = append(out, v)
-	}
-	r.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
-	return out
-}
-
-// FlightRecorder returns the registry's tail-based trace retention ring (nil
-// on a nil registry).
-func (r *Registry) FlightRecorder() *FlightRecorder {
-	if r == nil {
-		return nil
-	}
-	return r.recorder
 }
 
 // Connections returns the registry's connection tracker (nil on a nil
@@ -404,11 +332,14 @@ func (r *Registry) Connections() *ConnTracker {
 	return r.conns
 }
 
-// NamedCounter pairs a counter name with its current value.
+// NamedCounter pairs a counter or gauge name with its current value.
 type NamedCounter struct {
 	Name  string
 	Value int64
 }
+
+// NamedGauge pairs a gauge name with its current level.
+type NamedGauge = NamedCounter
 
 // NamedHistogram pairs a histogram name with its snapshot.
 type NamedHistogram struct {
@@ -421,35 +352,7 @@ func (r *Registry) Counters() []NamedCounter {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	out := make([]NamedCounter, 0, len(r.counters))
-	for name, c := range r.counters {
-		out = append(out, NamedCounter{Name: name, Value: c.Value()})
-	}
-	r.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// Histograms returns a sorted snapshot of every registered histogram.
-func (r *Registry) Histograms() []NamedHistogram {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	out := make([]NamedHistogram, 0, len(r.hists))
-	for name, h := range r.hists {
-		out = append(out, NamedHistogram{Name: name, Snap: h.Snapshot()})
-	}
-	r.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// NamedGauge pairs a gauge name with its current level.
-type NamedGauge struct {
-	Name  string
-	Value int64
+	return list(&r.mu, &r.counters, func(name string, c *Counter) NamedCounter { return NamedCounter{name, c.Value()} })
 }
 
 // Gauges returns a sorted snapshot of every registered gauge.
@@ -457,12 +360,29 @@ func (r *Registry) Gauges() []NamedGauge {
 	if r == nil {
 		return nil
 	}
-	r.mu.RLock()
-	out := make([]NamedGauge, 0, len(r.gauges))
-	for name, g := range r.gauges {
-		out = append(out, NamedGauge{Name: name, Value: g.Value()})
+	return list(&r.mu, &r.gauges, func(name string, g *Gauge) NamedGauge { return NamedGauge{name, g.Value()} })
+}
+
+// Histograms returns a sorted snapshot of every registered histogram.
+func (r *Registry) Histograms() []NamedHistogram {
+	if r == nil {
+		return nil
 	}
-	r.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
+	return list(&r.mu, &r.hists, func(name string, h *Histogram) NamedHistogram { return NamedHistogram{name, h.Snapshot()} })
+}
+
+// CounterVecs returns every registered counter family, sorted by name.
+func (r *Registry) CounterVecs() []*CounterVec {
+	if r == nil {
+		return nil
+	}
+	return list(&r.mu, &r.counterVecs, func(_ string, v *CounterVec) *CounterVec { return v })
+}
+
+// HistogramVecs returns every registered histogram family, sorted by name.
+func (r *Registry) HistogramVecs() []*HistogramVec {
+	if r == nil {
+		return nil
+	}
+	return list(&r.mu, &r.histVecs, func(_ string, v *HistogramVec) *HistogramVec { return v })
 }

@@ -10,7 +10,7 @@ import (
 )
 
 func TestCounterBasics(t *testing.T) {
-	r := NewRegistry(0)
+	r := NewRegistry()
 	c := r.Counter("x")
 	c.Inc()
 	c.Add(4)
@@ -39,7 +39,7 @@ func TestNilSafety(t *testing.T) {
 	if seq := r.QueryLog().Append(Record{}); seq != 0 {
 		t.Errorf("nil log Append = %d, want 0", seq)
 	}
-	if r.QueryLog().Snapshot() != nil || r.QueryLog().Total() != 0 || r.QueryLog().Cap() != 0 {
+	if r.QueryLog().Snapshot() != nil || r.QueryLog().Total() != 0 {
 		t.Error("nil log must be empty")
 	}
 	cs := r.Connections().Open("addr")
@@ -123,17 +123,14 @@ func TestHistogramOverflowClampsToLastBucket(t *testing.T) {
 }
 
 func TestQueryLogRingWraparound(t *testing.T) {
-	l := NewQueryLog(4)
+	l := newRing[Record](4)
 	for i := 1; i <= 10; i++ {
-		seq := l.Append(Record{Statement: fmt.Sprintf("q%d", i)})
-		if seq != int64(i) {
-			t.Fatalf("Append #%d returned seq %d", i, seq)
-		}
+		l.push(Record{Seq: int64(i), Statement: fmt.Sprintf("q%d", i)})
 	}
-	if l.Total() != 10 || l.Cap() != 4 {
-		t.Errorf("Total = %d Cap = %d", l.Total(), l.Cap())
+	if l.total != 10 {
+		t.Errorf("total = %d", l.total)
 	}
-	recs := l.Snapshot()
+	recs := l.snapshot()
 	if len(recs) != 4 {
 		t.Fatalf("snapshot = %d records", len(recs))
 	}
@@ -143,10 +140,16 @@ func TestQueryLogRingWraparound(t *testing.T) {
 			t.Errorf("record %d = seq %d %q", i, r.Seq, r.Statement)
 		}
 	}
+	// Only the last four pushes are still addressable.
+	for i, want := range map[int64]bool{-1: false, 0: false, 5: false, 6: true, 9: true, 10: false} {
+		if r, ok := l.at(i); ok != want || (ok && r.Seq != i+1) {
+			t.Errorf("at(%d) = seq %d, %v; want held=%v", i, r.Seq, ok, want)
+		}
+	}
 }
 
 func TestQueryLogTruncatesStatement(t *testing.T) {
-	l := NewQueryLog(2)
+	l := NewRegistry().QueryLog()
 	l.Append(Record{Statement: strings.Repeat("x", maxStatementLen+100)})
 	if got := len(l.Snapshot()[0].Statement); got != maxStatementLen {
 		t.Errorf("stored statement length = %d, want %d", got, maxStatementLen)
@@ -154,8 +157,15 @@ func TestQueryLogTruncatesStatement(t *testing.T) {
 }
 
 func TestQueryLogDefaultCap(t *testing.T) {
-	if NewQueryLog(0).Cap() != DefaultQueryLogCap {
-		t.Error("capacity <= 0 must fall back to DefaultQueryLogCap")
+	l := NewRegistry().QueryLog()
+	for i := 0; i <= DefaultQueryLogCap; i++ {
+		l.Append(Record{})
+	}
+	if got := len(l.Snapshot()); got != DefaultQueryLogCap {
+		t.Errorf("recent policy keeps %d records, want DefaultQueryLogCap", got)
+	}
+	if _, ok := l.Find(1); ok {
+		t.Error("the oldest record outlived DefaultQueryLogCap later ones")
 	}
 }
 
@@ -243,7 +253,7 @@ func TestConnTracker(t *testing.T) {
 // snapshotting from many goroutines; run under -race this validates the
 // locking scheme the dmlint guard annotation documents.
 func TestConcurrentRegistryAccess(t *testing.T) {
-	r := NewRegistry(8)
+	r := NewRegistry()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

@@ -139,7 +139,7 @@ func WritePrometheus(w io.Writer, r *Registry) error {
 			return err
 		}
 		for _, s := range v.Snapshot() {
-			if err := writeHistogramSeries(w, name, key, s.Label, s.Hist); err != nil {
+			if err := writeHistogramSeries(w, name, key, s.Label, s.Value); err != nil {
 				return err
 			}
 		}

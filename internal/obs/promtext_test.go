@@ -128,7 +128,7 @@ func parsePromText(t *testing.T, text string) map[string]float64 {
 }
 
 func TestWritePrometheus(t *testing.T) {
-	r := NewRegistry(0)
+	r := NewRegistry()
 	r.Counter("provider_statements_total").Add(7)
 	h := r.Histogram("provider_statement_latency_us")
 	h.Observe(10)
@@ -173,7 +173,7 @@ func TestWritePrometheus(t *testing.T) {
 // normalized, and backslashes, quotes, and newlines in label values are
 // escaped per the format.
 func TestWritePrometheusEscaping(t *testing.T) {
-	r := NewRegistry(0)
+	r := NewRegistry()
 	r.Counter("bad name-1.total").Add(1)
 	r.Counter("0starts_with_digit").Add(2)
 	v := r.CounterVec("labeled_total", "origin")
@@ -216,7 +216,7 @@ func TestWritePrometheusEscaping(t *testing.T) {
 // TestWritePrometheusHelpAndVecs: catalog metrics carry HELP lines, and vec
 // families render one labeled series per child under a single TYPE header.
 func TestWritePrometheusHelpAndVecs(t *testing.T) {
-	r := NewRegistry(0)
+	r := NewRegistry()
 	r.CounterVec(MetricStatementsByClass, LabelClass).With("PREDICT").Add(5)
 	r.CounterVec(MetricStatementsByClass, LabelClass).With("SQL").Add(2)
 	r.HistogramVec(MetricLatencyByClass, LabelClass).With("PREDICT").Observe(100)
@@ -263,7 +263,7 @@ func TestNormalizeMetricName(t *testing.T) {
 }
 
 func TestWritePrometheusCumulativeMonotone(t *testing.T) {
-	r := NewRegistry(0)
+	r := NewRegistry()
 	h := r.Histogram("h")
 	for i := int64(1); i < 5000; i *= 3 {
 		h.Observe(i)

@@ -16,8 +16,8 @@ import (
 // opened and closed before the workers fork, with the fan-out in its label,
 // and its row counts are copied on after they join — so spans need no
 // synchronization while they are being built. Once the statement finishes
-// the tree is immutable and may be read freely (the DM_TRACE rowset and
-// EXPLAIN ANALYZE both do).
+// the tree is immutable and may be read freely (the statement store keeps it
+// on the statement's Record, and EXPLAIN ANALYZE reads it).
 type Span struct {
 	// Kind is the operator kind (lower-case, stable: "scan", "filter", ...).
 	Kind string

@@ -128,16 +128,22 @@ func BenchmarkNilTraceSpan(b *testing.B) {
 }
 
 func TestRegistryFlightRecorder(t *testing.T) {
-	r := NewRegistry(0)
-	if r.FlightRecorder() == nil {
-		t.Fatal("registry has no flight recorder")
+	r := NewRegistry()
+	if r.QueryLog() == nil {
+		t.Fatal("registry has no statement store")
 	}
-	if r.FlightRecorder().Cap() != DefaultFlightRecorderCap {
-		t.Fatalf("recorder cap = %d, want %d", r.FlightRecorder().Cap(), DefaultFlightRecorderCap)
+	// Every statement is interesting here, so the retained policy fills to
+	// its capacity and no further.
+	for i := 0; i < 2*DefaultFlightRecorderCap; i++ {
+		stmt(r.QueryLog(), "SQL", "exec", 0)
+		stmt(r.QueryLog(), "SQL", "", 0)
+	}
+	if got := len(r.QueryLog().Retained()); got != DefaultFlightRecorderCap {
+		t.Fatalf("store retains %d records, want %d", got, DefaultFlightRecorderCap)
 	}
 	var nilReg *Registry
-	if nilReg.FlightRecorder() != nil {
-		t.Fatal("nil registry returned a flight recorder")
+	if nilReg.QueryLog() != nil {
+		t.Fatal("nil registry returned a statement store")
 	}
 }
 

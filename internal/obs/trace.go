@@ -37,21 +37,14 @@ type Trace struct {
 	// streaming pipeline interleaves all operators in one drain loop, so
 	// attributing wall time to individual operators costs two clock reads per
 	// row per operator; EXPLAIN ANALYZE asks for that explicitly, and the
-	// flight recorder (via detailSource) turns it on automatically while a
-	// statement class is running hot.
+	// statement store turns it on automatically while a statement class is
+	// running hot.
 	detailed bool
 
-	// detailSource, when set, is consulted once the statement class is known
+	// store, when set, is consulted once the statement class is known
 	// (SetKind) to decide whether this statement should record per-operator
-	// detail. In practice it is the registry's FlightRecorder.
-	detailSource Detailer
-}
-
-// Detailer decides whether a statement of the given class should record
-// detailed per-operator timing. Implemented by *FlightRecorder; any
-// implementation must tolerate concurrent calls.
-type Detailer interface {
-	ShouldDetail(class string) bool
+	// detail; see QueryLog.ShouldDetail.
+	store *QueryLog
 }
 
 // NewTrace starts a trace for one statement.
@@ -74,7 +67,7 @@ func (t *Trace) StartStage(s Stage) func() {
 	return func() { t.stages[s] += time.Since(begin) }
 }
 
-// SetKind labels the statement class. If a detail source is attached and
+// SetKind labels the statement class. If the trace watches a store that
 // reports the class as hot, per-operator timing switches on for the rest of
 // the statement — SetKind fires during dispatch, before the heavy stages run.
 func (t *Trace) SetKind(kind string) {
@@ -82,15 +75,15 @@ func (t *Trace) SetKind(kind string) {
 		return
 	}
 	t.kind = kind
-	if !t.detailed && t.detailSource != nil && t.detailSource.ShouldDetail(kind) {
+	if !t.detailed && t.store.ShouldDetail(kind) {
 		t.detailed = true
 	}
 }
 
-// SetDetailSource attaches the decider consulted by SetKind; see Detailer.
-func (t *Trace) SetDetailSource(d Detailer) {
+// SetStore attaches the statement store SetKind consults.
+func (t *Trace) SetStore(l *QueryLog) {
 	if t != nil {
-		t.detailSource = d
+		t.store = l
 	}
 }
 
@@ -144,28 +137,26 @@ func (t *Trace) ErrClass() string {
 	return t.errClass
 }
 
-// Finish converts the trace into a Record and seals the root span (total
-// elapsed time, result rows, statement kind as its label). errClass should be
-// "" for successful statements. Finish on a nil trace returns a zero Record.
+// Finish seals the root span (see SpanTree) and converts the trace into a
+// Record carrying it. errClass should be "" for successful statements.
+// Finish on a nil trace returns a zero Record.
 func (t *Trace) Finish(errClass string) Record {
 	if t == nil {
 		return Record{}
 	}
-	elapsed := time.Since(t.start)
-	t.root.Elapsed = elapsed
-	t.root.Rows = t.rowsOut
-	t.root.Label = t.kind
+	root := t.SpanTree(t.rowsOut)
 	return Record{
 		Start:       t.start,
 		Statement:   t.statement,
 		Kind:        t.kind,
 		Origin:      t.origin,
 		ErrClass:    errClass,
-		Elapsed:     elapsed,
+		Elapsed:     root.Elapsed,
 		Stages:      t.stages,
 		RowsIn:      t.rowsIn,
 		RowsOut:     t.rowsOut,
 		Parallelism: t.parallelism,
+		Root:        root,
 	}
 }
 

@@ -3,7 +3,7 @@ package obs
 import "testing"
 
 func TestCounterVecLabels(t *testing.T) {
-	r := NewRegistry(0)
+	r := NewRegistry()
 	v := r.CounterVec("test_by_class_total", "class")
 	v.With("PREDICT").Add(3)
 	v.With("SQL").Inc()
@@ -31,7 +31,7 @@ func TestCounterVecLabels(t *testing.T) {
 }
 
 func TestCounterVecCardinalityCap(t *testing.T) {
-	r := NewRegistry(0)
+	r := NewRegistry()
 	v := r.CounterVec("test_capped_total", "label")
 	for i := 0; i < DefaultVecMaxLabels+10; i++ {
 		v.With(string(rune('a' + i))).Inc()
@@ -57,7 +57,7 @@ func TestCounterVecCardinalityCap(t *testing.T) {
 }
 
 func TestHistogramVec(t *testing.T) {
-	r := NewRegistry(0)
+	r := NewRegistry()
 	v := r.HistogramVec("test_latency_us", "class")
 	v.With("PREDICT").Observe(100)
 	v.With("PREDICT").Observe(200)
@@ -66,10 +66,10 @@ func TestHistogramVec(t *testing.T) {
 	if len(snap) != 2 {
 		t.Fatalf("snapshot has %d labels, want 2", len(snap))
 	}
-	if snap[0].Label != "PREDICT" || snap[0].Hist.Count != 2 || snap[0].Hist.Sum != 300 {
+	if snap[0].Label != "PREDICT" || snap[0].Value.Count != 2 || snap[0].Value.Sum != 300 {
 		t.Fatalf("PREDICT series = %+v", snap[0])
 	}
-	if snap[1].Label != "SQL" || snap[1].Hist.Count != 1 {
+	if snap[1].Label != "SQL" || snap[1].Value.Count != 1 {
 		t.Fatalf("SQL series = %+v", snap[1])
 	}
 }

@@ -289,20 +289,20 @@ func TestExplainErrors(t *testing.T) {
 	}
 }
 
-// TestDMTraceRowset: $SYSTEM.DM_TRACE retains recent statements' span trees
-// and joins DM_QUERY_LOG on SEQ.
-func TestDMTraceRowset(t *testing.T) {
+// TestFlightRecorderRowsetJoinsQueryLog: $SYSTEM.DM_FLIGHT_RECORDER retains
+// recent statements' span trees and joins DM_QUERY_LOG on SEQ.
+func TestFlightRecorderRowsetJoinsQueryLog(t *testing.T) {
 	p := MustNew()
 	setupCustomerData(t, p, 40)
 	mustExec(t, p, createAgeModel)
 	mustExec(t, p, insertAgeModel)
 	mustExec(t, p, predictAgeQuery)
 
-	rs := mustExec(t, p, "SELECT * FROM $SYSTEM.DM_TRACE")
+	rs := mustExec(t, p, "SELECT * FROM $SYSTEM.DM_FLIGHT_RECORDER")
 	ord := func(name string) int {
 		o, ok := rs.Schema().Lookup(name)
 		if !ok {
-			t.Fatalf("DM_TRACE misses column %s", name)
+			t.Fatalf("DM_FLIGHT_RECORDER misses column %s", name)
 		}
 		return o
 	}
@@ -314,13 +314,19 @@ func TestDMTraceRowset(t *testing.T) {
 		}
 		seqs[seq][r[ord("OPERATOR")].(string)] = true
 	}
-	// Every logged statement so far must have a retained span tree whose SEQ
-	// matches a DM_QUERY_LOG record. (The DM_TRACE select itself is not yet
-	// finished, so it is absent.)
+	// Every retained span tree's SEQ must match a DM_QUERY_LOG record. (The
+	// DM_FLIGHT_RECORDER select itself is not yet finished, so it is absent.)
 	var predictSeq int64
+	logged := map[int64]bool{}
 	for _, rec := range p.Obs().QueryLog().Snapshot() {
+		logged[rec.Seq] = true
 		if rec.Kind == "PREDICT" {
 			predictSeq = rec.Seq
+		}
+	}
+	for seq := range seqs {
+		if !logged[seq] {
+			t.Errorf("retained SEQ %d joins no DM_QUERY_LOG record", seq)
 		}
 	}
 	if predictSeq == 0 {
@@ -333,6 +339,6 @@ func TestDMTraceRowset(t *testing.T) {
 		}
 	}
 	if len(seqs) < 4 {
-		t.Errorf("DM_TRACE retains %d statements, want at least 4", len(seqs))
+		t.Errorf("DM_FLIGHT_RECORDER retains %d statements, want at least 4", len(seqs))
 	}
 }

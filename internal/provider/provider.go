@@ -81,11 +81,11 @@ type Provider struct {
 	maxInFlight int
 
 	// obs is the observability registry behind the $SYSTEM.DM_QUERY_LOG,
-	// DM_PROVIDER_METRICS, and DM_CONNECTIONS schema rowsets. nil disables
-	// instrumentation entirely (all handles below become no-ops).
+	// DM_FLIGHT_RECORDER, DM_PROVIDER_METRICS, DM_METRICS_HISTORY and
+	// DM_CONNECTIONS schema rowsets. nil disables instrumentation entirely
+	// (all handles below become no-ops).
 	obs    *obs.Registry
 	obsSet bool // an option supplied obs explicitly (possibly nil)
-	logCap int  // query-log ring capacity for the default registry
 
 	// Cached hot-path metric handles (nil-safe when obs is nil).
 	execTotal       *obs.Counter
@@ -153,13 +153,6 @@ func WithObsRegistry(r *obs.Registry) Option {
 	return func(p *Provider) { p.obs, p.obsSet = r, true }
 }
 
-// WithQueryLogCapacity bounds the $SYSTEM.DM_QUERY_LOG ring buffer of the
-// provider's default registry (obs.DefaultQueryLogCap when n <= 0). It has
-// no effect when WithObsRegistry supplied a registry.
-func WithQueryLogCapacity(n int) Option {
-	return func(p *Provider) { p.logCap = n }
-}
-
 // WithPlanCacheCap bounds the plan cache's LRU capacity
 // (plancache.DefaultCap when n <= 0). Small caps are mainly useful in tests
 // that need eviction pressure.
@@ -204,7 +197,7 @@ func New(opts ...Option) (*Provider, error) {
 	// bound (<= 0 means GOMAXPROCS there too).
 	p.Engine.Workers = p.parallelism
 	if !p.obsSet {
-		p.obs = obs.NewRegistry(p.logCap)
+		p.obs = obs.NewRegistry()
 	}
 	p.execTotal = p.obs.Counter(obs.MetricStatementsTotal)
 	p.execErrors = p.obs.Counter(obs.MetricErrorsTotal)

@@ -84,7 +84,7 @@ func TestConcurrentSessionsWithHistoryAndRecorder(t *testing.T) {
 		t.Error("history ticker recorded no snapshots")
 	}
 	errs := 0
-	for _, rec := range p.Obs().FlightRecorder().Snapshot() {
+	for _, rec := range p.Obs().QueryLog().Retained() {
 		if rec.Reason == obs.KeepError {
 			errs++
 		}
@@ -122,7 +122,7 @@ func TestSeqRetrievableAfterBurst(t *testing.T) {
 		}
 	}
 
-	rec, ok := p.Obs().FlightRecorder().Find(seq)
+	rec, ok := p.Obs().QueryLog().FindRetained(seq)
 	if !ok {
 		t.Fatalf("seq %d no longer in the flight recorder after %d statements",
 			seq, 2*obs.DefaultFlightRecorderCap)

@@ -202,8 +202,9 @@ func (s *Session) Deallocate(name string) error {
 }
 
 // run wraps one statement execution with the admission gate plus the trace,
-// query-log, and metrics plumbing shared by every execution entry point.
-// label is what the query log records as the statement text. Rejections —
+// statement-store, and metrics plumbing shared by every execution entry
+// point: one store call records the finished statement and assigns its seq.
+// label is what the store records as the statement text. Rejections —
 // already-cancelled contexts, a closed session, admission busy — still get a
 // query-log record, so the log accounts for every submission.
 func (s *Session) run(ctx context.Context, label string, opts []ExecOption, fn func(context.Context, *obs.Trace) (*rowset.Rowset, error)) (*rowset.Rowset, error) {
@@ -218,9 +219,9 @@ func (s *Session) run(ctx context.Context, label string, opts []ExecOption, fn f
 	var t *obs.Trace
 	if p.obs != nil {
 		t = obs.NewTrace(label, cfg.origin)
-		// The flight recorder flips on per-operator detail while a statement
+		// The statement store flips on per-operator detail while a statement
 		// class is running hot; SetKind consults it during dispatch.
-		t.SetDetailSource(p.obs.FlightRecorder())
+		t.SetStore(p.obs.QueryLog())
 		ctx = obs.WithTrace(ctx, t)
 	}
 	var rs *rowset.Rowset
@@ -249,16 +250,6 @@ func (s *Session) run(ctx context.Context, label string, opts []ExecOption, fn f
 		if cfg.seqOut != nil {
 			*cfg.seqOut = seq
 		}
-		p.obs.FlightRecorder().Consider(obs.FlightRecord{
-			Seq:       seq,
-			Start:     rec.Start,
-			Statement: rec.Statement,
-			Kind:      rec.Kind,
-			Origin:    rec.Origin,
-			ErrClass:  rec.ErrClass,
-			Elapsed:   rec.Elapsed,
-			Root:      t.Root(),
-		})
 		p.execTotal.Inc()
 		p.latency.Observe(rec.Elapsed.Microseconds())
 		p.stmtsByClass.With(classLabel(rec.Kind)).Inc()

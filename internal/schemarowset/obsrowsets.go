@@ -11,9 +11,11 @@ import (
 )
 
 // This file applies the paper's self-description idea to the provider's
-// runtime state: the metrics, query log, and connection tracker collected by
-// internal/obs surface as three more $SYSTEM schema rowsets, so observability
-// is queryable with the same SELECT surface as everything else.
+// runtime state: the statement store, metrics, metrics history and
+// connection tracker collected by internal/obs surface as $SYSTEM schema
+// rowsets (DM_QUERY_LOG, DM_PROVIDER_METRICS, DM_METRICS_HISTORY,
+// DM_CONNECTIONS here; DM_FLIGHT_RECORDER in tracerowsets.go), so
+// observability is queryable with the same SELECT surface as everything else.
 
 // QueryLog renders $SYSTEM.DM_QUERY_LOG: the most recent statements, oldest
 // first, with per-stage timings in microseconds.
@@ -95,13 +97,13 @@ func ProviderMetrics(o *obs.Registry) (*rowset.Rowset, error) {
 	for _, v := range o.HistogramVecs() {
 		for _, s := range v.Snapshot() {
 			name := fmt.Sprintf("%s{%s=%q}", v.Name(), v.Key(), s.Label)
-			if err := rs.AppendVals(name+"_count", "histogram", nil, s.Hist.Count); err != nil {
+			if err := rs.AppendVals(name+"_count", "histogram", nil, s.Value.Count); err != nil {
 				return nil, err
 			}
-			if err := rs.AppendVals(name+"_sum", "histogram", nil, s.Hist.Sum); err != nil {
+			if err := rs.AppendVals(name+"_sum", "histogram", nil, s.Value.Sum); err != nil {
 				return nil, err
 			}
-			if err := rs.AppendVals(name+"_p95", "quantile", nil, s.Hist.Quantile(0.95)); err != nil {
+			if err := rs.AppendVals(name+"_p95", "quantile", nil, s.Value.Quantile(0.95)); err != nil {
 				return nil, err
 			}
 		}

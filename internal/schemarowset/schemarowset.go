@@ -24,7 +24,6 @@ const (
 	RowsetQueryLog       = "DM_QUERY_LOG"
 	RowsetMetrics        = "DM_PROVIDER_METRICS"
 	RowsetConnections    = "DM_CONNECTIONS"
-	RowsetTrace          = "DM_TRACE"
 	RowsetFlightRecorder = "DM_FLIGHT_RECORDER"
 	RowsetMetricsHistory = "DM_METRICS_HISTORY"
 )
@@ -33,7 +32,7 @@ const (
 func Names() []string {
 	return []string{
 		RowsetModels, RowsetColumns, RowsetServices, RowsetServiceParams, RowsetFunctions,
-		RowsetQueryLog, RowsetMetrics, RowsetConnections, RowsetTrace,
+		RowsetQueryLog, RowsetMetrics, RowsetConnections,
 		RowsetFlightRecorder, RowsetMetricsHistory,
 	}
 }
@@ -59,8 +58,6 @@ func Build(name string, models []*core.Model, reg *core.Registry, o *obs.Registr
 		return ProviderMetrics(o)
 	case RowsetConnections:
 		return Connections(o)
-	case RowsetTrace:
-		return TraceLog(o)
 	case RowsetFlightRecorder:
 		return FlightRecorder(o)
 	case RowsetMetricsHistory:

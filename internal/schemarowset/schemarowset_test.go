@@ -149,7 +149,7 @@ func TestMiningFunctions(t *testing.T) {
 
 func TestBuildDispatch(t *testing.T) {
 	models, reg := testModels(), testRegistry()
-	o := obs.NewRegistry(0)
+	o := obs.NewRegistry()
 	for _, name := range Names() {
 		rs, err := Build(name, models, reg, o)
 		if err != nil || rs == nil {
@@ -175,7 +175,7 @@ func TestBuildDispatch(t *testing.T) {
 }
 
 func TestObservabilityRowsets(t *testing.T) {
-	o := obs.NewRegistry(4)
+	o := obs.NewRegistry()
 	o.Counter("provider_statements_total").Add(3)
 	o.Histogram("provider_statement_latency_us").Observe(100)
 	o.Histogram("provider_statement_latency_us").Observe(5000)

@@ -6,11 +6,11 @@ import (
 )
 
 // This file renders operator span trees as rowsets: the EXPLAIN [ANALYZE]
-// result, and $SYSTEM.DM_TRACE (the retained span trees of recent
-// statements). Trees flatten in preorder; SPAN_ID/PARENT_ID/DEPTH rebuild the
+// result, and $SYSTEM.DM_FLIGHT_RECORDER (the span trees the statement store
+// retains). Trees flatten in preorder; SPAN_ID/PARENT_ID/DEPTH rebuild the
 // hierarchy client-side without any nested-table machinery.
 
-// spanColumns are the per-span columns shared by Explain and TraceLog.
+// spanColumns are the per-span columns shared by Explain and FlightRecorder.
 func spanColumns() []rowset.Column {
 	return []rowset.Column{
 		{Name: "SPAN_ID", Type: rowset.TypeLong},
@@ -67,32 +67,10 @@ func Explain(root *obs.Span, measured bool) (*rowset.Rowset, error) {
 	return rs, nil
 }
 
-// TraceLog renders $SYSTEM.DM_TRACE: the span trees currently retained by
-// the flight recorder, by ascending SEQ, one row per span. SEQ matches
-// DM_QUERY_LOG's SEQ so the two rowsets join. The rowset predates the flight
-// recorder and keeps its original column set; DM_FLIGHT_RECORDER adds the
-// retention metadata (why a statement was kept, against what threshold).
-func TraceLog(o *obs.Registry) (*rowset.Rowset, error) {
-	cols := append([]rowset.Column{
-		{Name: "SEQ", Type: rowset.TypeLong},
-		{Name: "STATEMENT", Type: rowset.TypeText},
-		{Name: "KIND", Type: rowset.TypeText},
-		{Name: "ERROR_CLASS", Type: rowset.TypeText},
-	}, spanColumns()...)
-	rs := rowset.New(rowset.MustSchema(cols...))
-	for _, r := range o.FlightRecorder().Snapshot() {
-		prefix := []rowset.Value{r.Seq, r.Statement, r.Kind, r.ErrClass}
-		if err := appendSpans(rs, r.Root, true, prefix); err != nil {
-			return nil, err
-		}
-	}
-	return rs, nil
-}
-
 // FlightRecorder renders $SYSTEM.DM_FLIGHT_RECORDER: every statement the
-// tail-based recorder retained — errors, busy rejections, cancellations,
-// over-p95 outliers, and a reservoir sample of normal traffic — by ascending
-// SEQ, one row per span. KEEP_REASON says why the statement survived;
+// statement store's retained policy holds — errors, busy rejections,
+// cancellations, over-p95 outliers, and a reservoir sample of normal traffic
+// — by ascending SEQ, one row per span. KEEP_REASON says why the statement survived;
 // THRESHOLD_US is the class p95 it was judged against (NULL while the class
 // was warming up). SEQ joins DM_QUERY_LOG and matches the seq field clients
 // receive in the wire stats trailer.
@@ -108,7 +86,7 @@ func FlightRecorder(o *obs.Registry) (*rowset.Rowset, error) {
 		{Name: "THRESHOLD_US", Type: rowset.TypeLong},
 	}, spanColumns()...)
 	rs := rowset.New(rowset.MustSchema(cols...))
-	for _, r := range o.FlightRecorder().Snapshot() {
+	for _, r := range o.QueryLog().Retained() {
 		var threshold rowset.Value
 		if r.ThresholdUS > 0 {
 			threshold = r.ThresholdUS

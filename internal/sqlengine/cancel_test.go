@@ -112,7 +112,7 @@ func TestLoopJoinPreCancelled(t *testing.T) {
 		"SELECT a.id, b.id FROM Big AS a, Big AS b",
 		"SELECT a.id, b.id FROM Big AS a LEFT JOIN Big AS b ON a.id < b.id",
 	} {
-		reg := obs.NewRegistry(0)
+		reg := obs.NewRegistry()
 		e.Instrument(reg)
 		if _, err := e.ExecContext(ctx, q); !errors.Is(err, context.Canceled) {
 			t.Fatalf("%s: err = %v, want context.Canceled", q, err)
@@ -155,7 +155,7 @@ func TestHashJoinCancelledMidStatement(t *testing.T) {
 	}
 	e.Workers = 2
 	const q = "SELECT COUNT(*) FROM Big JOIN Dup ON Big.id = Dup.id JOIN Dup AS d ON Dup.id = d.id"
-	reg := obs.NewRegistry(0)
+	reg := obs.NewRegistry()
 	e.Instrument(reg)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -761,7 +761,7 @@ var differentialFixtures = []string{
 func TestDifferentialOracle(t *testing.T) {
 	e := differentialDB(t)
 	e.Workers = 4
-	reg := obs.NewRegistry(0)
+	reg := obs.NewRegistry()
 	e.Instrument(reg)
 	morsels := reg.Counter(obs.MetricSQLMorselsTotal)
 	joinCut := false

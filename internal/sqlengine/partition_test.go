@@ -81,7 +81,7 @@ func TestPartitionRule(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		e.Workers = workers
 		for _, c := range cases {
-			reg := obs.NewRegistry(0)
+			reg := obs.NewRegistry()
 			e.Instrument(reg)
 			if _, err := queryAt(context.Background(), e, c.q, smallPartRows); err != nil {
 				t.Fatalf("%s: %v", c.q, err)
@@ -199,7 +199,7 @@ func addJoinTable(t testing.TB, e *Engine, n int) {
 func TestResultsIndependentOfWorkers(t *testing.T) {
 	e := bigTable(t, 20000)
 	addJoinTable(t, e, 12000)
-	reg := obs.NewRegistry(0)
+	reg := obs.NewRegistry()
 	e.Instrument(reg)
 	morsels := reg.Counter(obs.MetricSQLMorselsTotal)
 	for _, q := range []string{
@@ -283,7 +283,7 @@ func TestTopStopsEarly(t *testing.T) {
 			"SELECT TOP 5 x.a, y.b FROM T AS x, T AS y",
 		} {
 			e.Workers = workers
-			reg := obs.NewRegistry(0)
+			reg := obs.NewRegistry()
 			e.Instrument(reg)
 			tr := obs.NewTrace("q", "")
 			rs, err := e.ExecContext(obs.WithTrace(context.Background(), tr), q)

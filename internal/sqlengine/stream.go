@@ -177,8 +177,8 @@ func appendLive(dst []rowset.Row, b rowset.Batch) []rowset.Row {
 // partition's cursor adds its counts to the atomic totals when it ends, and
 // the statement's goroutine copies them onto the span (flush) once every
 // partition has finished, which is before anyone reads the tree (EXPLAIN
-// ANALYZE reads after execution, DM_TRACE retains trees only after the
-// statement finishes). Partition workers therefore never touch the span.
+// ANALYZE reads after execution, the statement store keeps trees only after
+// the statement finishes). Partition workers therefore never touch the span.
 type opSpan struct {
 	sp    *obs.Span
 	timed bool // EXPLAIN ANALYZE's detailed mode: two clock reads per pull

@@ -61,7 +61,7 @@ func TestObsOverheadSmoke(t *testing.T) {
 	}
 
 	plain := build(nil)
-	instrumented := build(obs.NewRegistry(0))
+	instrumented := build(obs.NewRegistry())
 	// Snapshot aggressively: at the default 5s interval a short benchmark
 	// round might never see a tick, and the gate is meant to price the
 	// history collector in.
