@@ -60,15 +60,19 @@ bench:
 # One pass of the three case-path benchmarks (a whole INSERT INTO … SHAPE,
 # then tokenize and Decision_Trees training alone on the nested caseset), of
 # the two prediction-join benchmarks (a whole-table NATURAL PREDICTION JOIN
-# and a singleton one) and of the SQL engine's partitioned JOIN … GROUP BY
-# (20k × 60k rows), with allocations, so they keep compiling and running and
-# the log shows what a training case, a prediction and a join allocate.
+# and a singleton one), of the SQL engine's partitioned JOIN … GROUP BY
+# (20k × 60k rows), of a RELATE's index probes (Table.Groups, 50k LONG keys
+# over 156k rows) and of EQUAL_AREAS cuts (50k values, 5 buckets), with
+# allocations, so they keep compiling and running and the log shows what a
+# training case, a prediction, a join and a probe allocate.
 # Numbers are recorded in EXPERIMENTS.md; the partitioned PREDICTION JOIN and
 # SQL join paths are measured by `go run ./bench` (predict_batch,
 # sql_analytic).
 bench-parallel:
 	$(GO) test -run '^$$' -bench 'BenchmarkInsertNested|BenchmarkTokenizeNested|BenchmarkTrainDecisionTreesNested|BenchmarkE4_PredictionJoinNatural|BenchmarkE4_PredictionSingleCase' -benchtime=1x -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkJoinAggregate' -benchtime=1x -benchmem ./internal/sqlengine
+	$(GO) test -run '^$$' -bench 'BenchmarkGroups' -benchtime=1x -benchmem ./internal/storage
+	$(GO) test -run '^$$' -bench 'BenchmarkEqualAreas' -benchtime=1x -benchmem ./internal/algo/discretize
 
 # Instrumentation-overhead guard: fails when enabling the obs registry slows
 # the PREDICTION JOIN scan by more than 10% over WithObsRegistry(nil). The

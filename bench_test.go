@@ -361,7 +361,7 @@ func BenchmarkTrainDecisionTreesNested(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := dtree.New().Train(cs, cs.Space.Targets(), nil); err != nil {
+		if _, err := dtree.New().Train(context.Background(), cs, cs.Space.Targets(), nil, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

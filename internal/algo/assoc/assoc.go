@@ -6,6 +6,7 @@
 package assoc
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strconv"
@@ -106,7 +107,7 @@ type Model struct {
 
 // Train implements core.Algorithm. Targets are ignored: itemsets form over
 // every existence attribute; PredictTable filters by table column.
-func (*Algorithm) Train(cs *core.Caseset, targets []int, p map[string]string) (core.TrainedModel, error) {
+func (*Algorithm) Train(ctx context.Context, cs *core.Caseset, targets []int, p map[string]string, _ int) (core.TrainedModel, error) {
 	prm, err := parseParams(p)
 	if err != nil {
 		return nil, err
@@ -168,6 +169,9 @@ func (*Algorithm) Train(cs *core.Caseset, targets []int, p map[string]string) (c
 	// Lk from Lk-1.
 	prev := frequent
 	for size := 2; size <= prm.maxSetSize && len(prev) > 1 && len(m.itemsets) < prm.maxItemsets; size++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		cands := candidates(prev)
 		if len(cands) == 0 {
 			break

@@ -1,6 +1,7 @@
 package assoc
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -49,7 +50,7 @@ func marketCaseset(n int) *core.Caseset {
 
 func trainAssoc(t *testing.T, cs *core.Caseset, params map[string]string) *Model {
 	t.Helper()
-	tm, err := New().Train(cs, nil, params)
+	tm, err := New().Train(context.Background(), cs, nil, params, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +200,7 @@ func TestErrors(t *testing.T) {
 		{"MAXIMUM_ITEMSET_COUNT": "0"},
 		{"HUH": "1"},
 	} {
-		if _, err := New().Train(cs, nil, p); err == nil {
+		if _, err := New().Train(context.Background(), cs, nil, p, 0); err == nil {
 			t.Errorf("params %v must fail", p)
 		}
 	}
@@ -208,10 +209,10 @@ func TestErrors(t *testing.T) {
 	sp.Add(core.Attribute{Name: "x", Column: "x", Kind: core.KindDiscrete, States: []string{"a"}})
 	flat := &core.Caseset{Space: sp}
 	flat.Append(core.NewCase())
-	if _, err := New().Train(flat, nil, nil); err == nil {
+	if _, err := New().Train(context.Background(), flat, nil, nil, 0); err == nil {
 		t.Error("no existence attributes must fail")
 	}
-	if _, err := New().Train(&core.Caseset{Space: sp}, nil, nil); err == nil {
+	if _, err := New().Train(context.Background(), &core.Caseset{Space: sp}, nil, nil, 0); err == nil {
 		t.Error("empty caseset must fail")
 	}
 	m := trainAssoc(t, cs, nil)

@@ -6,6 +6,7 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -173,7 +174,7 @@ type Model struct {
 // Train implements core.Algorithm. Clustering ignores targets: every
 // attribute participates in the embedding, and any attribute can be
 // "predicted" from cluster profiles afterwards.
-func (*Algorithm) Train(cs *core.Caseset, targets []int, p map[string]string) (core.TrainedModel, error) {
+func (*Algorithm) Train(ctx context.Context, cs *core.Caseset, targets []int, p map[string]string, _ int) (core.TrainedModel, error) {
 	prm, err := parseParams(p)
 	if err != nil {
 		return nil, err
@@ -197,6 +198,9 @@ func (*Algorithm) Train(cs *core.Caseset, targets []int, p map[string]string) (c
 	centroids := kmeansPlusPlusInit(points, k, rng)
 	assign := make([]int, len(points))
 	for iter := 0; iter < prm.maxIters; iter++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		changed := false
 		for i, pt := range points {
 			best, bestD := 0, math.Inf(1)

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -39,7 +40,7 @@ func blobs(n int) *core.Caseset {
 
 func trainK(t *testing.T, cs *core.Caseset, params map[string]string) *Model {
 	t.Helper()
-	tm, err := New().Train(cs, nil, params)
+	tm, err := New().Train(context.Background(), cs, nil, params, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,11 +192,11 @@ func TestErrors(t *testing.T) {
 		{"SEED": "x"},
 		{"NOPE": "1"},
 	} {
-		if _, err := New().Train(cs, nil, p); err == nil {
+		if _, err := New().Train(context.Background(), cs, nil, p, 0); err == nil {
 			t.Errorf("params %v must fail", p)
 		}
 	}
-	if _, err := New().Train(&core.Caseset{Space: core.NewAttributeSpace()}, nil, nil); err == nil {
+	if _, err := New().Train(context.Background(), &core.Caseset{Space: core.NewAttributeSpace()}, nil, nil, 0); err == nil {
 		t.Error("empty caseset must fail")
 	}
 	m := trainK(t, cs, nil)

@@ -16,6 +16,7 @@ package discretize
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 )
@@ -78,24 +79,39 @@ func EqualRanges(values []float64, k int) []float64 {
 }
 
 // EqualAreas returns quantile cuts so each bucket holds roughly the same
-// number of values.
+// number of values. Cut i is the (i*n/k)-th value in slices.Sort order
+// (cmp.Less: NaNs first); each is placed by selection on the range right of
+// the one before, so no full sort is needed.
 func EqualAreas(values []float64, k int) []float64 {
 	if len(values) == 0 || k < 2 {
 		return nil
 	}
-	sorted := append([]float64(nil), values...)
-	slices.Sort(sorted)
+	a := append([]float64(nil), values...)
+	// Move the NaNs to the front, where the sort order puts them, so that
+	// selection compares with < alone.
+	nans := 0
+	for i, v := range a {
+		if v != v {
+			a[i], a[nans] = a[nans], v
+			nans++
+		}
+	}
 	cuts := make([]float64, 0, k-1)
-	n := len(sorted)
+	n, lo := len(a), nans
 	for i := 1; i < k; i++ {
 		idx := i * n / k
-		if idx >= n {
-			idx = n - 1
+		if idx >= nans {
+			selectNth(a[lo:], idx-lo)
+			lo = idx
 		}
-		cuts = append(cuts, sorted[idx])
+		cuts = append(cuts, a[idx])
 	}
-	// Drop cuts at the maximum (they would create an empty last bucket).
-	maxV := sorted[n-1]
+	// Drop cuts at the maximum (they would create an empty last bucket). It
+	// lies in a[lo:], which holds no NaN unless every value is one.
+	maxV := a[n-1]
+	for _, v := range a[lo:] {
+		maxV = max(maxV, v)
+	}
 	out := cuts[:0]
 	for _, c := range cuts {
 		if c < maxV {
@@ -103,6 +119,47 @@ func EqualAreas(values []float64, k int) []float64 {
 		}
 	}
 	return dedupe(out)
+}
+
+// selectNth reorders a, which holds no NaN, so that a[nth] is the value
+// slices.Sort would put there, with nothing before it greater and nothing
+// after it smaller: Hoare's selection with a median-of-three pivot. Input
+// that defeats the pivot past 4·log2(n) rounds is sorted instead.
+func selectNth(a []float64, nth int) {
+	lo, hi := 0, len(a)-1
+	for budget := 4 * bits.Len(uint(len(a))); lo < hi; budget-- {
+		if budget == 0 {
+			slices.Sort(a[lo : hi+1])
+			return
+		}
+		p := median3(a[lo], a[(lo+hi)/2], a[hi])
+		i, j := lo, hi
+		for i <= j {
+			for a[i] < p {
+				i++
+			}
+			for a[j] > p {
+				j--
+			}
+			if i <= j {
+				a[i], a[j] = a[j], a[i]
+				i, j = i+1, j-1
+			}
+		}
+		// a[lo..j] <= p, a[i..hi] >= p, and everything between equals p.
+		switch {
+		case nth <= j:
+			hi = j
+		case nth >= i:
+			lo = i
+		default:
+			return
+		}
+	}
+}
+
+func median3(x, y, z float64) float64 {
+	return max(min(x, y), min(max(x, y), z))
 }
 
 // EntropyMDL recursively splits values to minimize class entropy, accepting

@@ -1,7 +1,9 @@
 package discretize
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -171,4 +173,85 @@ func TestCutsOrderedProperty(t *testing.T) {
 
 func isNaNOrInf(v float64) bool {
 	return v != v || v > 1e300 || v < -1e300
+}
+
+// equalAreasBySort is EqualAreas as it was before selection: sort a copy, read
+// the quantiles, drop cuts at the maximum. It is the reference the selection
+// must match.
+func equalAreasBySort(values []float64, k int) []float64 {
+	if len(values) == 0 || k < 2 {
+		return nil
+	}
+	sorted := append([]float64(nil), values...)
+	slices.Sort(sorted)
+	n := len(sorted)
+	var out []float64
+	for i := 1; i < k; i++ {
+		if c := sorted[i*n/k]; c < sorted[n-1] {
+			out = append(out, c)
+		}
+	}
+	return dedupe(out)
+}
+
+// TestEqualAreasMatchesSort: selection yields the sort-based cuts on seeded
+// inputs with heavy duplicates, NaN, ±Inf and ±0. Cuts compare as float64
+// (NaN equal to NaN): -0 and +0 tie in sort order, so either may be the one
+// selected.
+func TestEqualAreasMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	special := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1)}
+	same := func(a, b float64) bool { return a == b || (a != a && b != b) }
+	nan, inf, negZero := math.NaN(), math.Inf(1), math.Copysign(0, -1)
+	for _, vals := range [][]float64{
+		{nan}, {nan, nan, nan}, {1, nan}, {nan, 2, nan, 1}, {negZero, 0, negZero, 0},
+		{inf, -inf, nan, 0}, {3, 3, 3, 3, 3}, {5, 4, 3, 2, 1, 0},
+	} {
+		for k := 2; k <= 6; k++ {
+			if got, want := EqualAreas(vals, k), equalAreasBySort(vals, k); !slices.EqualFunc(got, want, same) {
+				t.Fatalf("EqualAreas(%v, %d) = %v, sorting gives %v", vals, k, got, want)
+			}
+		}
+	}
+	for trial := 0; trial < 400; trial++ {
+		n := 1 + rng.Intn(5000)
+		if trial%4 == 0 {
+			n = 1 + rng.Intn(12)
+		}
+		distinct := 1 + rng.Intn(n) // small counts give heavy duplicates
+		vals := make([]float64, n)
+		for i := range vals {
+			switch r := rng.Intn(20); {
+			case r == 0:
+				vals[i] = special[rng.Intn(len(special))]
+			case trial%3 == 0:
+				vals[i] = float64(rng.Intn(distinct))
+			default:
+				vals[i] = rng.NormFloat64()
+			}
+		}
+		if trial%5 == 0 {
+			slices.Sort(vals) // sorted input: the median-of-three's best case
+		}
+		k := 2 + rng.Intn(15)
+		got, want := EqualAreas(vals, k), equalAreasBySort(vals, k)
+		if !slices.EqualFunc(got, want, same) {
+			t.Fatalf("trial %d (n=%d k=%d): EqualAreas = %v, sorting gives %v", trial, n, k, got, want)
+		}
+	}
+}
+
+var benchCuts []float64
+
+func BenchmarkEqualAreas(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	vals := make([]float64, 50000)
+	for i := range vals {
+		vals[i] = float64(rng.Intn(90)) + rng.Float64()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchCuts = EqualAreas(vals, 5)
+	}
 }

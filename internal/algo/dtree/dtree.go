@@ -8,6 +8,7 @@
 package dtree
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"slices"
@@ -16,6 +17,7 @@ import (
 	"strings"
 
 	"repro/internal/core"
+	"repro/internal/par"
 )
 
 // ServiceName is the USING-clause name of this algorithm.
@@ -118,8 +120,16 @@ type node struct {
 	pred core.Prediction
 }
 
-// Train implements core.Algorithm.
-func (*Algorithm) Train(cs *core.Caseset, targets []int, p map[string]string) (core.TrainedModel, error) {
+// forkMinCases is the smallest selection whose children may grow on other
+// goroutines: below it a subtree is too cheap to be worth a task.
+const forkMinCases = 1024
+
+// Train implements core.Algorithm. The trees of the targets, and the sibling
+// subtrees of any node over at least forkMinCases cases, grow as tasks on at
+// most workers goroutines. Each task sums over the same selection in the same
+// order and children are stored by position, so the trees are the same at
+// every worker count.
+func (*Algorithm) Train(ctx context.Context, cs *core.Caseset, targets []int, p map[string]string, workers int) (core.TrainedModel, error) {
 	prm, err := parseParams(p)
 	if err != nil {
 		return nil, err
@@ -128,12 +138,19 @@ func (*Algorithm) Train(cs *core.Caseset, targets []int, p map[string]string) (c
 		return nil, fmt.Errorf("dtree: model has no PREDICT columns")
 	}
 	m := &Model{space: cs.Space, prm: prm, trees: make(map[int]*node), targetOrder: targets, caseCount: cs.Len()}
-	for _, t := range targets {
-		tree, err := m.growTree(cs, t)
-		if err != nil {
-			return nil, err
-		}
-		m.trees[t] = tree
+	forks := par.NewForks(workers)
+	trees, parts := make([]*node, len(targets)), make([]int, len(targets))
+	err = forks.Run(len(targets), func(i int, _ bool) error {
+		var err error
+		trees[i], parts[i], err = m.growTree(ctx, forks, cs, targets[i])
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i, t := range targets {
+		m.trees[t] = trees[i]
+		m.partitions += parts[i]
 	}
 	return m, nil
 }
@@ -180,6 +197,9 @@ func targetStates(a *core.Attribute) int {
 // fills the tables of every discrete-like input at once and gathers the
 // values of every continuous one.
 type grower struct {
+	ctx    context.Context // the Train call's; a grower lives no longer
+	forks  *par.Forks
+	tmpl   *grower // the tree's grower before any buffers: forked tasks copy it
 	m      *Model
 	cs     *core.Caseset
 	target int
@@ -189,16 +209,18 @@ type grower struct {
 	width   int
 	// class[i] is case i's target state (-1: missing), y[i] its target value
 	// and leafW[i] the weight it adds to a leaf's distribution, read out of
-	// the cases once for the whole tree.
+	// the cases once for the whole tree, and shared by its tasks.
 	class []int
 	y     []float64
 	leafW []float64
+	// parts counts the selections this grower split (Model.partitions).
+	parts int
 
 	// in is indexed by attribute ordinal. For a discrete-like input, rows is
 	// its number of states (exist: absent and present) and at the offset of
 	// its first row in table; for a continuous one rows is 0 and at its index
 	// in vals and have; for anything else at is -1. The three buffers are the
-	// current node's.
+	// current node's, and each task has its own.
 	in    []input
 	table []float64
 	vals  [][]float64 // values of a continuous input among the node's cases
@@ -229,9 +251,9 @@ func (g *grower) plan() {
 	g.table = make([]float64, size)
 }
 
-func (m *Model) growTree(cs *core.Caseset, target int) (*node, error) {
+func (m *Model) growTree(ctx context.Context, forks *par.Forks, cs *core.Caseset, target int) (*node, int, error) {
 	ta := m.space.Attr(target)
-	g := &grower{m: m, cs: cs, target: target, inputs: m.inputAttrs(target)}
+	g := &grower{ctx: ctx, forks: forks, m: m, cs: cs, target: target, inputs: m.inputAttrs(target)}
 	sel := make([]int, 0, cs.Len())
 	switch {
 	case ta.Kind == core.KindContinuous:
@@ -244,7 +266,7 @@ func (m *Model) growTree(cs *core.Caseset, target int) (*node, error) {
 			}
 		}
 	case ta.Kind == core.KindDiscrete && len(ta.States) == 0:
-		return nil, fmt.Errorf("dtree: target %q has no observed states", ta.Name)
+		return nil, 0, fmt.Errorf("dtree: target %q has no observed states", ta.Name)
 	default: // discrete-like
 		g.width = targetStates(ta) + 1
 		g.class, g.leafW = make([]int, cs.Len()), make([]float64, cs.Len())
@@ -263,8 +285,11 @@ func (m *Model) growTree(cs *core.Caseset, target int) (*node, error) {
 			}
 		}
 	}
+	g.tmpl = new(grower)
+	*g.tmpl = *g
 	g.plan()
-	return g.grow(sel, 0), nil
+	root, err := g.grow(sel, 0)
+	return root, g.parts, err
 }
 
 // add counts case i into the statistics vector v.
@@ -310,24 +335,30 @@ func (g *grower) impurity(v []float64) float64 {
 }
 
 // grow recursively builds a subtree over the selected case indexes.
-func (g *grower) grow(sel []int, depth int) *node {
+func (g *grower) grow(sel []int, depth int) (*node, error) {
+	select {
+	case <-g.ctx.Done(): // not Err, which takes a lock on every node
+		return nil, g.ctx.Err()
+	default:
+	}
 	n := g.makeLeaf(sel)
-	if !g.split(n, sel, depth) {
+	split, err := g.split(n, sel, depth)
+	if !split {
 		n.pred = g.m.leafPrediction(n, g.target)
 	}
-	return n
+	return n, err
 }
 
 // split turns the leaf n over sel into an interior node if a split is worth
 // it, growing the children; it reports whether it did.
-func (g *grower) split(n *node, sel []int, depth int) bool {
+func (g *grower) split(n *node, sel []int, depth int) (bool, error) {
 	m := g.m
 	if n.support < m.prm.minSupport || depth >= m.prm.maxDepth || pure(n, g.regress) {
-		return false
+		return false, nil
 	}
 	attr, thr, gain, ok := g.bestSplit(sel)
 	if !ok || gain <= m.prm.penalty {
-		return false
+		return false, nil
 	}
 	parts, missingSel := g.partition(sel, attr, thr)
 	// A split where all data lands in one part is useless. Missing values
@@ -342,7 +373,7 @@ func (g *grower) split(n *node, sel []int, depth int) bool {
 		}
 	}
 	if nonEmpty < 2 {
-		return false
+		return false, nil
 	}
 	parts[heaviest] = append(parts[heaviest], missingSel...)
 
@@ -351,10 +382,39 @@ func (g *grower) split(n *node, sel []int, depth int) bool {
 	n.missing = heaviest
 	n.score = gain
 	n.children = make([]*node, len(parts))
-	for i, p := range parts {
-		n.children[i] = g.grow(p, depth+1)
+	counts := make([]int, len(parts))
+	task := func(i int, forked bool) error {
+		switch { // the heaviest part is the last task, never forked
+		case i == len(parts)-1:
+			i = heaviest
+		case i >= heaviest:
+			i++
+		}
+		t := g // a task on this goroutine reuses g's buffers, idle meanwhile
+		if forked {
+			t = new(grower)
+			*t = *g.tmpl
+			t.plan()
+		}
+		var err error
+		n.children[i], err = t.grow(parts[i], depth+1)
+		if forked {
+			counts[i] = t.parts
+		}
+		return err
 	}
-	return true
+	var err error
+	if len(sel) < forkMinCases {
+		for i := 0; i < len(parts) && err == nil; i++ {
+			err = task(i, false)
+		}
+	} else {
+		err = g.forks.Run(len(parts), task)
+	}
+	for _, c := range counts {
+		g.parts += c
+	}
+	return true, err
 }
 
 // makeLeaf computes leaf statistics over the selection.
@@ -525,7 +585,7 @@ func (g *grower) continuousGain(vals []float64, have []int, base float64) (float
 // continuous ones two parts (<= thr, > thr). Cases with the attribute
 // missing are returned separately.
 func (g *grower) partition(sel []int, a int, thr float64) (parts [][]int, missing []int) {
-	g.m.partitions++
+	g.parts++
 	sa := g.m.space.Attr(a)
 	switch sa.Kind {
 	case core.KindContinuous:

@@ -1,10 +1,16 @@
 package dtree
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/rowset"
@@ -65,7 +71,7 @@ func colorCaseset(n int) *core.Caseset {
 
 func train(t *testing.T, cs *core.Caseset, targets []int, params map[string]string) *Model {
 	t.Helper()
-	tm, err := New().Train(cs, targets, params)
+	tm, err := New().Train(context.Background(), cs, targets, params, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,11 +255,11 @@ func TestBadParams(t *testing.T) {
 		{"NO_SUCH_PARAM": "1"},
 	}
 	for _, p := range bad {
-		if _, err := New().Train(cs, []int{target}, p); err == nil {
+		if _, err := New().Train(context.Background(), cs, []int{target}, p, 0); err == nil {
 			t.Errorf("params %v must fail", p)
 		}
 	}
-	if _, err := New().Train(cs, nil, nil); err == nil {
+	if _, err := New().Train(context.Background(), cs, nil, nil, 0); err == nil {
 		t.Error("no targets must fail")
 	}
 }
@@ -553,5 +559,127 @@ func TestPredictBatchAllocatesColumnsOnly(t *testing.T) {
 	}
 	if err := core.PredictInto(m, cs.Case(0), 0, "", &out, 0); err == nil {
 		t.Error("a prediction of an input attribute must fail")
+	}
+}
+
+// forkCaseset is a noisy rule over a discrete and a continuous input, with a
+// discrete and a continuous target, large enough that several nodes of each
+// tree hold forkMinCases cases or more.
+func forkCaseset(n int) *core.Caseset {
+	attrs := []core.Attribute{
+		discreteAttr("color", []string{"red", "blue", "green"}, false),
+		contAttr("x", false),
+		discreteAttr("class", []string{"hi", "lo"}, true),
+		contAttr("y", true),
+	}
+	attrs[3].IsInput = false
+	rng := rand.New(rand.NewSource(9))
+	var rows []map[string]rowset.Value
+	for i := 0; i < n; i++ {
+		x, color := rng.Float64()*100, int64(rng.Intn(3))
+		class := int64(0)
+		if (x > 40) != (color == 1) || rng.Float64() < 0.1 {
+			class = 1
+		}
+		y := x/10 + 50*float64(class) + rng.NormFloat64()
+		rows = append(rows, map[string]rowset.Value{"color": color, "x": x, "class": class, "y": y})
+	}
+	return buildCaseset(attrs, rows)
+}
+
+// TestTrainSameAtEveryWorkerCount: trees whose subtrees and targets grow as
+// parallel tasks have the same content, predictions and partition count at
+// every worker bound.
+func TestTrainSameAtEveryWorkerCount(t *testing.T) {
+	cs := forkCaseset(6000)
+	var forking func(*node) int
+	forking = func(n *node) int {
+		if n.attr < 0 || n.support < forkMinCases {
+			return 0
+		}
+		total := 1
+		for _, c := range n.children {
+			total += forking(c)
+		}
+		return total
+	}
+	var base *Model
+	var basePreds []core.Prediction
+	for _, workers := range []int{1, 2, 8} {
+		tm, err := New().Train(context.Background(), cs, cs.Space.Targets(), nil, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := tm.(*Model)
+		var preds []core.Prediction
+		for i := 0; i < cs.Len(); i += 7 {
+			for _, target := range cs.Space.Targets() {
+				p, err := m.Predict(cs.Case(i), target)
+				if err != nil {
+					t.Fatal(err)
+				}
+				preds = append(preds, p)
+			}
+		}
+		if base == nil {
+			base, basePreds = m, preds
+			n := 0
+			for _, tree := range m.trees {
+				n += forking(tree)
+			}
+			if n < 3 {
+				t.Fatalf("only %d nodes fork", n)
+			}
+			continue
+		}
+		if !reflect.DeepEqual(m.Content(), base.Content()) {
+			t.Errorf("workers=%d: content differs from workers=1", workers)
+		}
+		if !reflect.DeepEqual(preds, basePreds) {
+			t.Errorf("workers=%d: predictions differ from workers=1", workers)
+		}
+		if m.partitions != base.partitions || m.partitions != interiorNodes(m) {
+			t.Errorf("workers=%d: %d partitions, %d at workers=1, %d interior nodes", workers, m.partitions, base.partitions, interiorNodes(m))
+		}
+	}
+}
+
+// cancelAtPoll is a context cancelled on the n-th call of Done: growth polls
+// Done once per node, so Train is cancelled mid-growth.
+type cancelAtPoll struct {
+	context.Context
+	cancel context.CancelFunc
+	n      int32
+	polls  atomic.Int32
+}
+
+func (c *cancelAtPoll) Done() <-chan struct{} {
+	if c.polls.Add(1) == c.n {
+		c.cancel()
+	}
+	return c.Context.Done()
+}
+
+// TestTrainCancelledMidGrowth: cancelled while it grows its trees, Train
+// returns ctx.Err() and leaves no goroutine running.
+func TestTrainCancelledMidGrowth(t *testing.T) {
+	cs := forkCaseset(6000)
+	for _, workers := range []int{1, 4} {
+		goroutines := runtime.NumGoroutine()
+		inner, cancel := context.WithCancel(context.Background())
+		ctx := &cancelAtPoll{Context: inner, cancel: cancel, n: 20}
+		_, err := New().Train(ctx, cs, cs.Space.Targets(), nil, workers)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
+		}
+		if ctx.polls.Load() < 20 {
+			t.Fatalf("workers=%d: cancelled after growth ended", workers)
+		}
+		for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > goroutines; time.Sleep(10 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("workers=%d: %d goroutines after Train, %d before", workers, runtime.NumGoroutine(), goroutines)
+			}
+		}
 	}
 }

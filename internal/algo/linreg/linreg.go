@@ -8,6 +8,7 @@
 package linreg
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -94,7 +95,7 @@ type Model struct {
 }
 
 // Train implements core.Algorithm.
-func (*Algorithm) Train(cs *core.Caseset, targets []int, p map[string]string) (core.TrainedModel, error) {
+func (*Algorithm) Train(ctx context.Context, cs *core.Caseset, targets []int, p map[string]string, _ int) (core.TrainedModel, error) {
 	prm, err := parseParams(p)
 	if err != nil {
 		return nil, err
@@ -105,6 +106,9 @@ func (*Algorithm) Train(cs *core.Caseset, targets []int, p map[string]string) (c
 	m := &Model{space: cs.Space, regs: make(map[int]*regression),
 		targetOrder: targets, caseCount: cs.Len()}
 	for _, t := range targets {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		ta := cs.Space.Attr(t)
 		if ta.Kind != core.KindContinuous {
 			return nil, fmt.Errorf("linreg: target %q must be CONTINUOUS", ta.Name)

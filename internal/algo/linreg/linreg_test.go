@@ -1,6 +1,7 @@
 package linreg
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"strings"
@@ -58,7 +59,7 @@ func linearCaseset(n int, noise float64) *core.Caseset {
 func TestRecoversLinearModel(t *testing.T) {
 	cs := linearCaseset(500, 0.1)
 	yi, _ := cs.Space.Lookup("y")
-	tm, err := New().Train(cs, []int{yi}, nil)
+	tm, err := New().Train(context.Background(), cs, []int{yi}, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestRecoversLinearModel(t *testing.T) {
 func TestNoisyFitStillReasonable(t *testing.T) {
 	cs := linearCaseset(500, 3)
 	yi, _ := cs.Space.Lookup("y")
-	tm, err := New().Train(cs, []int{yi}, nil)
+	tm, err := New().Train(context.Background(), cs, []int{yi}, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestNoisyFitStillReasonable(t *testing.T) {
 func TestMissingInputsUseMeans(t *testing.T) {
 	cs := linearCaseset(300, 0.1)
 	yi, _ := cs.Space.Lookup("y")
-	tm, _ := New().Train(cs, []int{yi}, nil)
+	tm, _ := New().Train(context.Background(), cs, []int{yi}, nil, 0)
 	// An empty case predicts roughly the mean of y.
 	p, err := tm.Predict(core.NewCase(), yi)
 	if err != nil {
@@ -130,7 +131,7 @@ func TestMissingInputsUseMeans(t *testing.T) {
 func TestContent(t *testing.T) {
 	cs := linearCaseset(200, 0.1)
 	yi, _ := cs.Space.Lookup("y")
-	tm, _ := New().Train(cs, []int{yi}, nil)
+	tm, _ := New().Train(context.Background(), cs, []int{yi}, nil, 0)
 	root := tm.Content()
 	eq := root.Find(func(n *core.ContentNode) bool { return n.Type == core.NodeTree })
 	if eq == nil || !strings.Contains(eq.Caption, "R²") {
@@ -148,24 +149,24 @@ func TestErrors(t *testing.T) {
 	cs := linearCaseset(100, 0.1)
 	yi, _ := cs.Space.Lookup("y")
 	ci, _ := cs.Space.Lookup("color")
-	if _, err := New().Train(cs, nil, nil); err == nil {
+	if _, err := New().Train(context.Background(), cs, nil, nil, 0); err == nil {
 		t.Error("no targets must fail")
 	}
-	if _, err := New().Train(cs, []int{ci}, nil); err == nil {
+	if _, err := New().Train(context.Background(), cs, []int{ci}, nil, 0); err == nil {
 		t.Error("discrete target must fail")
 	}
-	if _, err := New().Train(cs, []int{yi}, map[string]string{"RIDGE": "-1"}); err == nil {
+	if _, err := New().Train(context.Background(), cs, []int{yi}, map[string]string{"RIDGE": "-1"}, 0); err == nil {
 		t.Error("bad ridge must fail")
 	}
-	if _, err := New().Train(cs, []int{yi}, map[string]string{"HUH": "1"}); err == nil {
+	if _, err := New().Train(context.Background(), cs, []int{yi}, map[string]string{"HUH": "1"}, 0); err == nil {
 		t.Error("unknown param must fail")
 	}
 	// Too few cases for the coefficient count.
 	tiny := linearCaseset(3, 0.1)
-	if _, err := New().Train(tiny, []int{yi}, nil); err == nil {
+	if _, err := New().Train(context.Background(), tiny, []int{yi}, nil, 0); err == nil {
 		t.Error("underdetermined fit must fail")
 	}
-	tm, _ := New().Train(cs, []int{yi}, nil)
+	tm, _ := New().Train(context.Background(), cs, []int{yi}, nil, 0)
 	x1i, _ := cs.Space.Lookup("x1")
 	if _, err := tm.Predict(core.NewCase(), x1i); err == nil {
 		t.Error("non-target prediction must fail")
@@ -209,7 +210,7 @@ func TestExistenceFeature(t *testing.T) {
 		c.Set(yi, y+rng.NormFloat64()*0.1)
 		cs.Append(c)
 	}
-	tm, err := New().Train(cs, []int{yi}, nil)
+	tm, err := New().Train(context.Background(), cs, []int{yi}, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package markov
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strconv"
@@ -90,7 +91,7 @@ type Model struct {
 
 // Train implements core.Algorithm. Targets are ignored; every table column
 // with recorded sequences gets a chain.
-func (*Algorithm) Train(cs *core.Caseset, targets []int, p map[string]string) (core.TrainedModel, error) {
+func (*Algorithm) Train(ctx context.Context, cs *core.Caseset, targets []int, p map[string]string, _ int) (core.TrainedModel, error) {
 	prm, err := parseParams(p)
 	if err != nil {
 		return nil, err
@@ -115,6 +116,9 @@ func (*Algorithm) Train(cs *core.Caseset, targets []int, p map[string]string) (c
 	if len(m.chains) == 0 {
 		return nil, fmt.Errorf("markov: no sequences observed — the model needs a nested TABLE " +
 			"with a SEQUENCE_TIME column")
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	sort.Strings(m.order)
 	for _, ch := range m.chains {

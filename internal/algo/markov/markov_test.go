@@ -1,6 +1,7 @@
 package markov
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -28,7 +29,7 @@ func cyclicCases(n int) *core.Caseset {
 
 func TestLearnsTransitions(t *testing.T) {
 	cs := cyclicCases(120)
-	tm, err := New().Train(cs, nil, nil)
+	tm, err := New().Train(context.Background(), cs, nil, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestLearnsTransitions(t *testing.T) {
 
 func TestEmptySequenceUsesStartState(t *testing.T) {
 	cs := cyclicCases(120)
-	tm, _ := New().Train(cs, nil, nil)
+	tm, _ := New().Train(context.Background(), cs, nil, nil, 0)
 	p, err := tm.PredictTable(core.NewCase(), "Clicks")
 	if err != nil {
 		t.Fatal(err)
@@ -75,7 +76,7 @@ func TestEmptySequenceUsesStartState(t *testing.T) {
 
 func TestUnknownLastStateFallsBack(t *testing.T) {
 	cs := cyclicCases(60)
-	tm, _ := New().Train(cs, nil, nil)
+	tm, _ := New().Train(context.Background(), cs, nil, nil, 0)
 	c := core.NewCase()
 	c.Sequences = []core.Sequence{{Table: "Clicks", Keys: []string{"ZZZ"}}}
 	p, err := tm.PredictTable(c, "Clicks")
@@ -94,7 +95,7 @@ func TestCaseWeightCounts(t *testing.T) {
 	light.Sequences = []core.Sequence{{Table: "S", Keys: []string{"x", "z"}}}
 	cs.Append(heavy)
 	cs.Append(light)
-	tm, err := New().Train(cs, nil, nil)
+	tm, err := New().Train(context.Background(), cs, nil, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,7 @@ func TestCaseWeightCounts(t *testing.T) {
 
 func TestContentTransitionGraph(t *testing.T) {
 	cs := cyclicCases(60)
-	tm, _ := New().Train(cs, nil, nil)
+	tm, _ := New().Train(context.Background(), cs, nil, nil, 0)
 	root := tm.Content()
 	// One chain node, 4 state nodes (start + A,B,C).
 	if len(root.Children) != 1 {
@@ -131,22 +132,22 @@ func TestContentTransitionGraph(t *testing.T) {
 
 func TestErrors(t *testing.T) {
 	cs := cyclicCases(10)
-	if _, err := New().Train(cs, nil, map[string]string{"PSEUDOCOUNT": "-1"}); err == nil {
+	if _, err := New().Train(context.Background(), cs, nil, map[string]string{"PSEUDOCOUNT": "-1"}, 0); err == nil {
 		t.Error("bad pseudocount must fail")
 	}
-	if _, err := New().Train(cs, nil, map[string]string{"X": "1"}); err == nil {
+	if _, err := New().Train(context.Background(), cs, nil, map[string]string{"X": "1"}, 0); err == nil {
 		t.Error("unknown param must fail")
 	}
-	if _, err := New().Train(&core.Caseset{Space: core.NewAttributeSpace()}, nil, nil); err == nil {
+	if _, err := New().Train(context.Background(), &core.Caseset{Space: core.NewAttributeSpace()}, nil, nil, 0); err == nil {
 		t.Error("empty caseset must fail")
 	}
 	// No sequences at all.
 	noSeq := &core.Caseset{Space: core.NewAttributeSpace()}
 	noSeq.Append(core.NewCase())
-	if _, err := New().Train(noSeq, nil, nil); err == nil {
+	if _, err := New().Train(context.Background(), noSeq, nil, nil, 0); err == nil {
 		t.Error("caseset without sequences must fail")
 	}
-	tm, _ := New().Train(cs, nil, nil)
+	tm, _ := New().Train(context.Background(), cs, nil, nil, 0)
 	if _, err := tm.Predict(core.NewCase(), 0); err == nil {
 		t.Error("scalar predict must fail")
 	}
@@ -164,7 +165,7 @@ func TestMultipleChains(t *testing.T) {
 		{Table: "Clicks", Keys: []string{"a", "b"}},
 	}
 	cs.Append(c)
-	tm, err := New().Train(cs, nil, nil)
+	tm, err := New().Train(context.Background(), cs, nil, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package nbayes
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"slices"
@@ -133,7 +134,7 @@ type Model struct {
 }
 
 // Train implements core.Algorithm.
-func (*Algorithm) Train(cs *core.Caseset, targets []int, p map[string]string) (core.TrainedModel, error) {
+func (*Algorithm) Train(ctx context.Context, cs *core.Caseset, targets []int, p map[string]string, _ int) (core.TrainedModel, error) {
 	prm, err := parseParams(p)
 	if err != nil {
 		return nil, err
@@ -144,6 +145,9 @@ func (*Algorithm) Train(cs *core.Caseset, targets []int, p map[string]string) (c
 	m := &Model{space: cs.Space, prm: prm, classifiers: make(map[int]*classifier),
 		targetOrder: targets, caseCount: cs.Len()}
 	for _, t := range targets {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		ta := cs.Space.Attr(t)
 		if ta.Kind == core.KindContinuous {
 			return nil, fmt.Errorf("nbayes: target %q is CONTINUOUS; use DISCRETIZED or another algorithm", ta.Name)

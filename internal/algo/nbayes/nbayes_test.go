@@ -1,6 +1,7 @@
 package nbayes
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -59,7 +60,7 @@ func spamCaseset(n int) *core.Caseset {
 func TestClassification(t *testing.T) {
 	cs := spamCaseset(400)
 	ci, _ := cs.Space.Lookup("class")
-	tm, err := New().Train(cs, []int{ci}, nil)
+	tm, err := New().Train(context.Background(), cs, []int{ci}, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestGaussianLikelihood(t *testing.T) {
 		}
 		cs.Append(c)
 	}
-	tm, err := New().Train(cs, []int{ci}, nil)
+	tm, err := New().Train(context.Background(), cs, []int{ci}, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +123,7 @@ func TestGaussianLikelihood(t *testing.T) {
 func TestPosteriorSumsToOne(t *testing.T) {
 	cs := spamCaseset(100)
 	ci, _ := cs.Space.Lookup("class")
-	tm, _ := New().Train(cs, []int{ci}, nil)
+	tm, _ := New().Train(context.Background(), cs, []int{ci}, nil, 0)
 	p, err := tm.Predict(core.NewCase(), ci)
 	if err != nil {
 		t.Fatal(err)
@@ -155,7 +156,7 @@ func TestMissingInputsFallBackToPrior(t *testing.T) {
 		}
 		cs.Append(c)
 	}
-	tm, _ := New().Train(cs, []int{ci}, nil)
+	tm, _ := New().Train(context.Background(), cs, []int{ci}, nil, 0)
 	p, _ := tm.Predict(core.NewCase(), ci)
 	if p.Estimate != "a" {
 		t.Errorf("empty case must follow prior: %v", p.Estimate)
@@ -171,7 +172,7 @@ func TestContinuousTargetRejected(t *testing.T) {
 	a.IsTarget = true
 	cs := &core.Caseset{Space: sp}
 	cs.Append(core.NewCase())
-	if _, err := New().Train(cs, []int{0}, nil); err == nil {
+	if _, err := New().Train(context.Background(), cs, []int{0}, nil, 0); err == nil {
 		t.Error("continuous target must be rejected")
 	}
 }
@@ -184,11 +185,11 @@ func TestBadParams(t *testing.T) {
 		{"MINIMUM_VARIANCE": "0"},
 		{"WHAT": "1"},
 	} {
-		if _, err := New().Train(cs, []int{ci}, p); err == nil {
+		if _, err := New().Train(context.Background(), cs, []int{ci}, p, 0); err == nil {
 			t.Errorf("params %v must fail", p)
 		}
 	}
-	if _, err := New().Train(cs, nil, nil); err == nil {
+	if _, err := New().Train(context.Background(), cs, nil, nil, 0); err == nil {
 		t.Error("no targets must fail")
 	}
 }
@@ -196,7 +197,7 @@ func TestBadParams(t *testing.T) {
 func TestPredictNonTarget(t *testing.T) {
 	cs := spamCaseset(50)
 	ci, _ := cs.Space.Lookup("class")
-	tm, _ := New().Train(cs, []int{ci}, nil)
+	tm, _ := New().Train(context.Background(), cs, []int{ci}, nil, 0)
 	oi, _ := cs.Space.Lookup("offer")
 	if _, err := tm.Predict(core.NewCase(), oi); err == nil {
 		t.Error("non-target prediction must fail")
@@ -209,7 +210,7 @@ func TestPredictNonTarget(t *testing.T) {
 func TestContent(t *testing.T) {
 	cs := spamCaseset(100)
 	ci, _ := cs.Space.Lookup("class")
-	tm, _ := New().Train(cs, []int{ci}, nil)
+	tm, _ := New().Train(context.Background(), cs, []int{ci}, nil, 0)
 	root := tm.Content()
 	if root.Type != core.NodeModel {
 		t.Fatal("bad root")
@@ -249,7 +250,7 @@ func TestExistenceInputs(t *testing.T) {
 		}
 		cs.Append(c)
 	}
-	tm, err := New().Train(cs, []int{ci}, nil)
+	tm, err := New().Train(context.Background(), cs, []int{ci}, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +283,7 @@ func TestConstantContinuousColumn(t *testing.T) {
 		c.Set(ci, int64(i%2))
 		cs.Append(c)
 	}
-	m, err := (&Algorithm{}).Train(cs, []int{ci}, nil)
+	m, err := (&Algorithm{}).Train(context.Background(), cs, []int{ci}, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +352,7 @@ func TestZeroPseudocountHasNoNaN(t *testing.T) {
 	green := core.NewCase() // green occurs only without a class
 	green.Set(color, int64(2))
 	cs.Append(green)
-	tm, err := New().Train(cs, []int{class}, map[string]string{"PSEUDOCOUNT": "0"})
+	tm, err := New().Train(context.Background(), cs, []int{class}, map[string]string{"PSEUDOCOUNT": "0"}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +403,7 @@ func TestZeroPseudocountHasNoNaN(t *testing.T) {
 func TestPredictBatchAllocatesColumnsOnly(t *testing.T) {
 	cs := spamCaseset(1024)
 	ci, _ := cs.Space.Lookup("class")
-	tm, err := New().Train(cs, []int{ci}, nil)
+	tm, err := New().Train(context.Background(), cs, []int{ci}, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

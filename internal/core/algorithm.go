@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"sort"
@@ -167,7 +168,9 @@ type Algorithm interface {
 	SupportsPredictTable() bool
 	// Train builds a model. targets lists the attribute indexes to learn;
 	// params carries USING-clause parameters (already upper-cased keys).
-	Train(cs *Caseset, targets []int, params map[string]string) (TrainedModel, error)
+	// Training stops with ctx.Err() once ctx is done, and runs on at most
+	// workers goroutines at once (<= 0: runtime.GOMAXPROCS(0)).
+	Train(ctx context.Context, cs *Caseset, targets []int, params map[string]string, workers int) (TrainedModel, error)
 }
 
 // Registry maps service names to algorithms, case-insensitively. It is the

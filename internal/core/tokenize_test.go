@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/rowset"
@@ -405,7 +406,7 @@ type fakeAlgo struct{}
 func (fakeAlgo) Name() string               { return "Fake" }
 func (fakeAlgo) Description() string        { return "fake" }
 func (fakeAlgo) SupportsPredictTable() bool { return false }
-func (fakeAlgo) Train(*Caseset, []int, map[string]string) (TrainedModel, error) {
+func (fakeAlgo) Train(context.Context, *Caseset, []int, map[string]string, int) (TrainedModel, error) {
 	return nil, nil
 }
 

@@ -165,7 +165,7 @@ func RunE2(ctx context.Context, cfg Config) (*Result, error) {
 	ageIdx, _ := cs.Space.Lookup("Age")
 	cuts := equalAreasCutsFromCases(cs, ageIdx, 5)
 	cs.DiscretizeAttr(ageIdx, cuts)
-	if _, err := dtree.New().Train(cs, cs.Space.Targets(), nil); err != nil {
+	if _, err := dtree.New().Train(ctx, cs, cs.Space.Targets(), nil, 0); err != nil {
 		return nil, err
 	}
 	outside := time.Since(start)

@@ -4,7 +4,8 @@
 // embedder hands it (the provider's PREDICTION JOIN cases). The index space is
 // split into contiguous chunks, one goroutine per chunk up to the worker
 // bound, so results keep their source order and callers can merge
-// deterministically.
+// deterministically. Forks bounds recursive fork-join work (growing a
+// decision tree's subtrees) under the same kind of worker bound.
 package par
 
 import (
@@ -117,6 +118,65 @@ func ForEachCtx(ctx context.Context, n, workers int, fn func(i int) error) error
 	}
 	if cancelled.Load() {
 		return ctx.Err()
+	}
+	return nil
+}
+
+// Forks bounds recursive fork-join work to a number of goroutines computing at
+// once, the first caller's included. A task forks onto a new goroutine only
+// while one is free and otherwise runs inline on its caller; a goroutine
+// waiting for the tasks it forked lends them its place meanwhile.
+type Forks struct {
+	free chan struct{} // one token per place no goroutine computes in
+}
+
+// NewForks bounds work to workers goroutines; workers <= 0 means
+// runtime.GOMAXPROCS(0). At 1 nothing forks.
+func NewForks(workers int) *Forks {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	f := &Forks{free: make(chan struct{}, workers)}
+	for i := 1; i < workers; i++ {
+		f.free <- struct{}{}
+	}
+	return f
+}
+
+// Run runs fn(i, forked) for every i in [0, n), forking each task but the last
+// while a goroutine is free, and returns once all have finished: the error of
+// the lowest failing index, as ForEachCtx does. forked tells a task whether it
+// runs on a new goroutine or on the caller's. The first caller and the tasks
+// may call Run.
+func (f *Forks) Run(n int, fn func(i int, forked bool) error) error {
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	forked := false
+	for i := 0; i < n; i++ {
+		if i < n-1 {
+			select {
+			case <-f.free:
+				forked = true
+				wg.Add(1)
+				go func() {
+					defer func() { f.free <- struct{}{}; wg.Done() }()
+					errs[i] = fn(i, true)
+				}()
+				continue
+			default:
+			}
+		}
+		errs[i] = fn(i, false)
+	}
+	if forked {
+		f.free <- struct{}{} // this goroutine computes nothing while it waits
+		wg.Wait()
+		<-f.free
+	}
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
 	}
 	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestForEachCoversEveryIndexOnce(t *testing.T) {
@@ -72,5 +73,57 @@ func TestForEachSequentialStopsAtFirstError(t *testing.T) {
 	}
 	if len(ran) != 4 {
 		t.Fatalf("ran %v, want [0 1 2 3]", ran)
+	}
+}
+
+// TestForksBoundAndCover: a recursive fan-out (4 ways, 3 levels) runs every
+// leaf once and never more than the bound at once; at bound 1 nothing forks.
+func TestForksBoundAndCover(t *testing.T) {
+	for _, workers := range []int{1, 2, 3, 8} {
+		f := NewForks(workers)
+		var ran [64]atomic.Int32
+		var active, peak atomic.Int32
+		var grow func(depth, id int) error
+		grow = func(depth, id int) error {
+			if depth == 3 {
+				n := active.Add(1)
+				for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+				}
+				time.Sleep(100 * time.Microsecond)
+				ran[id].Add(1)
+				active.Add(-1)
+				return nil
+			}
+			return f.Run(4, func(i int, forked bool) error {
+				if forked && workers == 1 {
+					t.Error("bound 1 forked a task")
+				}
+				return grow(depth+1, id*4+i)
+			})
+		}
+		if err := grow(0, 0); err != nil {
+			t.Fatal(err)
+		}
+		for id := range ran {
+			if c := ran[id].Load(); c != 1 {
+				t.Fatalf("workers=%d: leaf %d ran %d times", workers, id, c)
+			}
+		}
+		if p := peak.Load(); p > int32(workers) {
+			t.Errorf("workers=%d: %d leaves ran at once", workers, p)
+		}
+	}
+}
+
+func TestForksReturnsLowestIndexError(t *testing.T) {
+	f := NewForks(4)
+	err := f.Run(6, func(i int, _ bool) error {
+		if i >= 2 {
+			return fmt.Errorf("task %d", i)
+		}
+		return nil
+	})
+	if err == nil || err.Error() != "task 2" {
+		t.Fatalf("Run = %v, want task 2's error", err)
 	}
 }

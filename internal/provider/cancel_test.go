@@ -5,8 +5,12 @@ import (
 	"errors"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/algo/nbayes"
+	"repro/internal/core"
 )
 
 // cancelStressQuery is a scan heavy enough that cancellation usually lands
@@ -137,5 +141,83 @@ func TestDeadlineExceededClassifiesCancelled(t *testing.T) {
 	recs := p.Obs().QueryLog().Snapshot()
 	if last := recs[len(recs)-1]; last.ErrClass != "cancelled" {
 		t.Errorf("ErrClass = %q, want cancelled", last.ErrClass)
+	}
+}
+
+// blockingAlgorithm trains at once until block is set; then Train reports
+// that it started and waits for its context to be done.
+type blockingAlgorithm struct {
+	block   *atomic.Bool
+	started chan struct{}
+}
+
+func (blockingAlgorithm) Name() string               { return "Blocking" }
+func (blockingAlgorithm) Description() string        { return "waits for its context" }
+func (blockingAlgorithm) SupportsPredictTable() bool { return false }
+func (a blockingAlgorithm) Train(ctx context.Context, cs *core.Caseset, targets []int, params map[string]string, workers int) (core.TrainedModel, error) {
+	if !a.block.Load() {
+		return nbayes.New().Train(ctx, cs, targets, params, workers)
+	}
+	a.started <- struct{}{}
+	<-ctx.Done()
+	return nil, ctx.Err()
+}
+
+// TestInsertIntoCancelledMidTrain: an INSERT INTO whose context is cancelled,
+// or times out, while the algorithm trains returns the context's error, is
+// logged as cancelled, and leaves the published model as it was.
+func TestInsertIntoCancelledMidTrain(t *testing.T) {
+	p := MustNew()
+	algo := blockingAlgorithm{block: new(atomic.Bool), started: make(chan struct{}, 1)}
+	p.Registry.Register(algo)
+	setupCustomerData(t, p, 50)
+	mustExec(t, p, "CREATE MINING MODEL B ([Customer ID] LONG KEY, Age DOUBLE CONTINUOUS, Gender TEXT DISCRETE PREDICT) USING Blocking")
+	const insert = "INSERT INTO B ([Customer ID], Age, Gender) SELECT [Customer ID], Age, Gender FROM Customers"
+	mustExec(t, p, insert)
+	algo.block.Store(true)
+	caseCount := func() int {
+		e, err := p.entry("B")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e.model.CaseCount
+	}
+	trained := caseCount()
+
+	cancelOnStart := func() (context.Context, context.CancelFunc) {
+		ctx, cancel := context.WithCancel(context.Background())
+		go func() {
+			<-algo.started
+			cancel()
+		}()
+		return ctx, cancel
+	}
+	timeOut := func() (context.Context, context.CancelFunc) {
+		return context.WithTimeout(context.Background(), 50*time.Millisecond)
+	}
+	for _, tc := range []struct {
+		ctx  func() (context.Context, context.CancelFunc)
+		want error
+	}{{cancelOnStart, context.Canceled}, {timeOut, context.DeadlineExceeded}} {
+		ctx, cancel := tc.ctx()
+		_, err := p.NewSession().Execute(ctx, insert)
+		cancel()
+		if !errors.Is(err, tc.want) {
+			t.Fatalf("err = %v, want %v", err, tc.want)
+		}
+		if tc.want == context.DeadlineExceeded {
+			select {
+			case <-algo.started:
+			default:
+				t.Fatal("the statement timed out before training started")
+			}
+		}
+		recs := p.Obs().QueryLog().Snapshot()
+		if last := recs[len(recs)-1]; last.Statement != insert || last.ErrClass != "cancelled" {
+			t.Errorf("logged %q as %q, want the INSERT INTO as cancelled", last.Statement, last.ErrClass)
+		}
+		if n := caseCount(); n != trained {
+			t.Errorf("%v: the model has %d cases, want the %d it had", tc.want, n, trained)
+		}
 	}
 }

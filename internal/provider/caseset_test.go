@@ -193,8 +193,11 @@ func (c *pollLimit) Err() error {
 }
 
 // TestCancelDuringCaseAssembly: a training statement cancelled while SHAPE
-// groups its children — the statement's last polls of ctx, one every
-// rowset.DefaultBatchSize parents — returns ctx.Err() and publishes no model.
+// groups its children — one poll of ctx every rowset.DefaultBatchSize
+// parents — or at one of the three checks INSERT INTO makes after it (after
+// tokenizing, after discretizing, after training: the statement's last polls
+// of Err, since Decision_Trees watches Done) returns ctx.Err() and publishes
+// no model.
 func TestCancelDuringCaseAssembly(t *testing.T) {
 	p := MustNew()
 	setupCustomerData(t, p, 5000)
@@ -212,7 +215,7 @@ func TestCancelDuringCaseAssembly(t *testing.T) {
 	if all-few != 4 { // ⌈5000/1024⌉ grouping polls against ⌈100/1024⌉
 		t.Fatalf("%d polls over 5000 customers, %d over 100: want the grouping to poll every %d parents", all, few, rowset.DefaultBatchSize)
 	}
-	for _, n := range []int{all - 1, all - 3} {
+	for _, n := range []int{all - 1, all - 2, all - 3, all - 4, all - 6} {
 		_, err := p.NewSession().Execute(&pollLimit{Context: context.Background(), n: n}, insertAgeModel)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("cancelled at poll %d of %d: err = %v, want context.Canceled", n+1, all, err)

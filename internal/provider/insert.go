@@ -99,7 +99,15 @@ func (p *Provider) insertInto(ctx context.Context, ins *dmx.InsertInto) (*rowset
 	spTok.SetRows(int64(consumed))
 	t.EndSpan(spTok)
 
+	// A cancelled or timed-out statement stops between the stages, and
+	// training itself stops when ctx is done: nothing is saved or published.
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	if err := p.discretizePipeline(def, full); err != nil {
+		return nil, err
+	}
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 
@@ -108,7 +116,10 @@ func (p *Provider) insertInto(ctx context.Context, ins *dmx.InsertInto) (*rowset
 		return nil, err
 	}
 	targets := full.Space.Targets()
-	trained, err := algo.Train(full, targets, def.Params)
+	trained, err := algo.Train(ctx, full, targets, def.Params, p.parallelism)
+	if err == nil {
+		err = ctx.Err()
+	}
 	if err != nil {
 		return nil, err
 	}

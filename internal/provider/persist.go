@@ -1,6 +1,7 @@
 package provider
 
 import (
+	"context"
 	"encoding/gob"
 	"fmt"
 	"os"
@@ -216,7 +217,8 @@ func (p *Provider) loadModel(path string) error {
 			return fmt.Errorf("provider: load model %s: %w", mf.Def.Name, err)
 		}
 		full := &core.Caseset{Space: mf.Space, Cases: e.cases}
-		trained, err := algo.Train(full, mf.Space.Targets(), mf.Def.Params)
+		ctx := context.Background() //dmlint:allow ctxflow — load-time retrain; provider.New, the caller, has no context to pass.
+		trained, err := algo.Train(ctx, full, mf.Space.Targets(), mf.Def.Params, p.parallelism)
 		if err != nil {
 			return fmt.Errorf("provider: load model %s: retrain: %w", mf.Def.Name, err)
 		}

@@ -1,6 +1,7 @@
 package provider
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -117,7 +118,7 @@ type flakyAlgorithm struct {
 func (flakyAlgorithm) Name() string               { return "Flaky" }
 func (flakyAlgorithm) Description() string        { return "fails on chosen cases" }
 func (flakyAlgorithm) SupportsPredictTable() bool { return false }
-func (a flakyAlgorithm) Train(*core.Caseset, []int, map[string]string) (core.TrainedModel, error) {
+func (a flakyAlgorithm) Train(context.Context, *core.Caseset, []int, map[string]string, int) (core.TrainedModel, error) {
 	return flakyModel(a), nil
 }
 

@@ -395,7 +395,7 @@ func Compare(a, b Value) int {
 func Equal(a, b Value) bool { return Compare(a, b) == 0 }
 
 // MaxExactLong is the largest magnitude below which every int64 converts to
-// float64 exactly (2^53). Key renders a LONG inside ±MaxExactLong as the
+// float64 exactly (2^53). Key encodes a LONG inside ±MaxExactLong as the
 // number it equals, and one outside it under a tag of its own, because there
 // float64 would merge distinct integers.
 const MaxExactLong = 1 << 53
@@ -404,48 +404,23 @@ const MaxExactLong = 1 << 53
 // under Compare semantics. Numeric values of equal magnitude share a key
 // regardless of LONG/DOUBLE representation, except that a LONG outside
 // ±MaxExactLong keys exactly, apart from every DOUBLE.
-func Key(v Value) string {
-	switch x := v.(type) {
-	case nil:
-		return "\x00"
-	case int64:
-		if x < -MaxExactLong || x > MaxExactLong {
-			return "i" + strconv.FormatInt(x, 10)
-		}
-		return "n" + strconv.FormatFloat(float64(x), 'g', -1, 64)
-	case string:
-		return "s" + x
-	case bool:
-		if x {
-			return "b1"
-		}
-		return "b0"
-	case time.Time:
-		return "t" + strconv.FormatInt(x.UnixNano(), 10)
-	case *Rowset:
-		return fmt.Sprintf("T%p", x)
-	default:
-		if f, ok := ToFloat(v); ok {
-			return "n" + strconv.FormatFloat(f, 'g', -1, 64)
-		}
-	}
-	return fmt.Sprintf("?%v", v)
-}
+func Key(v Value) string { return string(AppendKey(nil, v)) }
 
-// AppendKey appends Key(v)'s bytes to dst and returns the extended slice. It
-// produces exactly the bytes of Key(v) without allocating an intermediate
-// string, so hot loops (hash-join probes, index lookups, grouping) can reuse
-// one scratch buffer and probe maps via the compiler's map[string(b)] fast
-// path. TestAppendKeyMatchesKey pins the byte-for-byte equivalence.
+// AppendKey appends Key(v)'s bytes to dst and returns the extended slice, so
+// hot loops (index probes, grouping) can reuse one scratch buffer and probe
+// maps via the compiler's map[string(b)] fast path. A number is a tag byte and
+// 8 fixed bytes: 'n' and the float64's KeyBits or, for a LONG outside
+// ±MaxExactLong, 'i' and the int64's; a DATE is 't' and its UnixNano. Key
+// bytes live only in memory: no file holds them.
 func AppendKey(dst []byte, v Value) []byte {
 	switch x := v.(type) {
 	case nil:
 		return append(dst, '\x00')
 	case int64:
 		if x < -MaxExactLong || x > MaxExactLong {
-			return strconv.AppendInt(append(dst, 'i'), x, 10)
+			return binary.BigEndian.AppendUint64(append(dst, 'i'), uint64(x))
 		}
-		return strconv.AppendFloat(append(dst, 'n'), float64(x), 'g', -1, 64)
+		return appendFloatKey(dst, float64(x))
 	case string:
 		dst = append(dst, 's')
 		return append(dst, x...)
@@ -455,17 +430,28 @@ func AppendKey(dst []byte, v Value) []byte {
 		}
 		return append(dst, 'b', '0')
 	case time.Time:
-		dst = append(dst, 't')
-		return strconv.AppendInt(dst, x.UnixNano(), 10)
+		return binary.BigEndian.AppendUint64(append(dst, 't'), uint64(x.UnixNano()))
 	case *Rowset:
 		return fmt.Appendf(dst, "T%p", x)
 	default:
 		if f, ok := ToFloat(v); ok {
-			dst = append(dst, 'n')
-			return strconv.AppendFloat(dst, f, 'g', -1, 64)
+			return appendFloatKey(dst, f)
 		}
 	}
 	return fmt.Appendf(dst, "?%v", v)
+}
+
+func appendFloatKey(dst []byte, f float64) []byte {
+	return binary.BigEndian.AppendUint64(append(dst, 'n'), KeyBits(f))
+}
+
+// KeyBits is the number part of f's key: its bits, with every NaN made one
+// and -0 kept apart from 0.
+func KeyBits(f float64) uint64 {
+	if f != f {
+		f = math.NaN()
+	}
+	return math.Float64bits(f)
 }
 
 // AppendKeyPart appends Key(v) to dst as one component of a composite key —

@@ -56,11 +56,11 @@ func (k keyKind) numKey(v rowset.Value) (uint64, bool) {
 			return uint64(x), true
 		}
 		if x >= -rowset.MaxExactLong && x <= rowset.MaxExactLong {
-			return floatKey(float64(x)), true
+			return rowset.KeyBits(float64(x)), true
 		}
 	case float64:
 		if k == keyFloat {
-			return floatKey(x), true
+			return rowset.KeyBits(x), true
 		}
 		if x == math.Trunc(x) && math.Abs(x) <= rowset.MaxExactLong && !(x == 0 && math.Signbit(x)) {
 			return uint64(int64(x)), true
@@ -69,15 +69,6 @@ func (k keyKind) numKey(v rowset.Value) (uint64, bool) {
 		// TEXT, BOOLEAN, DATE, TABLE: no number equals them.
 	}
 	return 0, false
-}
-
-// floatKey is f's bits with every NaN made one, as Key renders them all
-// alike; -0 keeps its own bits, as Key keeps it apart from 0.
-func floatKey(f float64) uint64 {
-	if f != f {
-		return math.Float64bits(math.NaN())
-	}
-	return math.Float64bits(f)
 }
 
 // joinIndex is the hash index of a hash join's right input, built once per

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/rowset"
 )
@@ -197,5 +198,23 @@ func TestLoadMissingDir(t *testing.T) {
 	db := NewDatabase()
 	if err := db.Load(filepath.Join(t.TempDir(), "nothere")); err != nil {
 		t.Errorf("missing dir must not error: %v", err)
+	}
+}
+
+// TestHashIndexLookupAllocatesNothing: probing an index encodes the key into a
+// stack buffer and reads the map through it, for every key kind a point
+// lookup or RELATE probe uses.
+func TestHashIndexLookupAllocatesNothing(t *testing.T) {
+	at := time.Date(2024, 5, 1, 12, 0, 0, 0, time.UTC)
+	for _, v := range []rowset.Value{int64(7), float64(2.5), at, "customer-7"} {
+		ix := newHashIndex(0)
+		ix.add(v, 0)
+		ix.add(v, 1)
+		if got := len(ix.lookup(v)); got != 2 {
+			t.Fatalf("lookup(%v) found %d rows, want 2", v, got)
+		}
+		if n := testing.AllocsPerRun(100, func() { ix.lookup(v) }); n != 0 {
+			t.Errorf("lookup(%v) allocates %v times, want 0", v, n)
+		}
 	}
 }

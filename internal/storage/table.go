@@ -294,19 +294,29 @@ func GroupRows(ctx context.Context, rows []rowset.Row, ord int, keys []rowset.Va
 	return idx.groups(ctx, rows, keys)
 }
 
-// hashIndex maps value keys to row positions.
+// hashIndex maps value keys to row positions: ids gives a key's slot in pos,
+// from 1; slot 0 is the empty list a missing key reads.
 type hashIndex struct {
-	ord  int
-	rows map[string][]int32
+	ord     int
+	ids     map[string]int32
+	pos     [][]int32
+	scratch []byte // add's key buffer
 }
 
 func newHashIndex(ord int) *hashIndex {
-	return &hashIndex{ord: ord, rows: make(map[string][]int32)}
+	return &hashIndex{ord: ord, ids: make(map[string]int32), pos: make([][]int32, 1)}
 }
 
+// add allocates a key string only for a key the index has not seen.
 func (ix *hashIndex) add(v rowset.Value, pos int) {
-	k := rowset.Key(v)
-	ix.rows[k] = append(ix.rows[k], int32(pos))
+	ix.scratch = rowset.AppendKey(ix.scratch[:0], v)
+	id := ix.ids[string(ix.scratch)]
+	if id == 0 {
+		id = int32(len(ix.pos))
+		ix.ids[string(ix.scratch)] = id
+		ix.pos = append(ix.pos, nil)
+	}
+	ix.pos[id] = append(ix.pos[id], int32(pos))
 }
 
 // lookup probes via an AppendKey scratch buffer and a map[string(bytes)]
@@ -315,7 +325,7 @@ func (ix *hashIndex) add(v rowset.Value, pos int) {
 // the key is unusually long).
 func (ix *hashIndex) lookup(v rowset.Value) []int32 {
 	var scratch [48]byte
-	return ix.rows[string(rowset.AppendKey(scratch[:0], v))]
+	return ix.pos[ix.ids[string(rowset.AppendKey(scratch[:0], v))]]
 }
 
 // groups is Groups' body. Pos starts with room for every row of base, so it
@@ -337,5 +347,5 @@ func (ix *hashIndex) groups(ctx context.Context, base []rowset.Row, keys []rowse
 }
 
 func (ix *hashIndex) reset() {
-	ix.rows = make(map[string][]int32)
+	*ix = *newHashIndex(ix.ord)
 }
