@@ -64,13 +64,18 @@ bench:
 # (20k × 60k rows), of a RELATE's index probes (Table.Groups, 50k LONG keys
 # over 156k rows) and of EQUAL_AREAS cuts (50k values, 5 buckets), with
 # allocations, so they keep compiling and running and the log shows what a
-# training case, a prediction, a join and a probe allocate.
+# training case, a prediction, a join and a probe allocate. The two callers
+# of par.Forks.Run — Decision_Trees training and the join's partitions — run
+# at -cpu 1,2: GOMAXPROCS changes inside one process, so a bound sized once
+# at package init rather than per Run call would show there (at 1 nothing
+# forks).
 # Numbers are recorded in EXPERIMENTS.md; the partitioned PREDICTION JOIN and
 # SQL join paths are measured by `go run ./bench` (predict_batch,
 # sql_analytic).
 bench-parallel:
-	$(GO) test -run '^$$' -bench 'BenchmarkInsertNested|BenchmarkTokenizeNested|BenchmarkTrainDecisionTreesNested|BenchmarkE4_PredictionJoinNatural|BenchmarkE4_PredictionSingleCase' -benchtime=1x -benchmem .
-	$(GO) test -run '^$$' -bench 'BenchmarkJoinAggregate' -benchtime=1x -benchmem ./internal/sqlengine
+	$(GO) test -run '^$$' -bench 'BenchmarkInsertNested|BenchmarkTokenizeNested|BenchmarkE4_PredictionJoinNatural|BenchmarkE4_PredictionSingleCase' -benchtime=1x -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkTrainDecisionTreesNested' -benchtime=1x -benchmem -cpu 1,2 .
+	$(GO) test -run '^$$' -bench 'BenchmarkJoinAggregate' -benchtime=1x -benchmem -cpu 1,2 ./internal/sqlengine
 	$(GO) test -run '^$$' -bench 'BenchmarkGroups' -benchtime=1x -benchmem ./internal/storage
 	$(GO) test -run '^$$' -bench 'BenchmarkEqualAreas' -benchtime=1x -benchmem ./internal/algo/discretize
 

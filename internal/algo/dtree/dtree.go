@@ -140,7 +140,7 @@ func (*Algorithm) Train(ctx context.Context, cs *core.Caseset, targets []int, p 
 	m := &Model{space: cs.Space, prm: prm, trees: make(map[int]*node), targetOrder: targets, caseCount: cs.Len()}
 	forks := par.NewForks(workers)
 	trees, parts := make([]*node, len(targets)), make([]int, len(targets))
-	err = forks.Run(len(targets), func(i int, _ bool) error {
+	err = forks.Run(ctx, len(targets), func(i int, _ bool) error {
 		var err error
 		trees[i], parts[i], err = m.growTree(ctx, forks, cs, targets[i])
 		return err
@@ -409,7 +409,7 @@ func (g *grower) split(n *node, sel []int, depth int) (bool, error) {
 			err = task(i, false)
 		}
 	} else {
-		err = g.forks.Run(len(parts), task)
+		err = g.forks.Run(g.ctx, len(parts), task)
 	}
 	for _, c := range counts {
 		g.parts += c

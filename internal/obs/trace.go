@@ -121,8 +121,10 @@ func (t *Trace) SetRowsOut(n int64) {
 	}
 }
 
-// SetParallelism records the goroutines one of the statement's scans ran on;
-// the statement's parallelism is the widest of them.
+// SetParallelism records the parallelism bound of one of the statement's
+// scans — min(workers, partitions) — not the goroutines that ran, which the
+// process-wide bound may hold lower; the statement's parallelism is the
+// widest of them.
 func (t *Trace) SetParallelism(workers int) {
 	if t != nil && workers > t.parallelism {
 		t.parallelism = workers

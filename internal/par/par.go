@@ -1,133 +1,35 @@
-// Package par provides the bounded worker pool behind every parallel scan:
-// the SQL engine's statement partitions — a scan, the hash joins it probes,
-// and what the statement does with the rows — for a SELECT and for the rows an
-// embedder hands it (the provider's PREDICTION JOIN cases). The index space is
-// split into contiguous chunks, one goroutine per chunk up to the worker
-// bound, so results keep their source order and callers can merge
-// deterministically. Forks bounds recursive fork-join work (growing a
-// decision tree's subtrees) under the same kind of worker bound.
+// Package par is the one way the provider spreads work over cores: the SQL
+// engine's statement partitions — a scan, the hash joins it probes, and what
+// the statement does with the rows, for a SELECT and for the cases of a
+// PREDICTION JOIN — and the sibling subtrees of a growing decision tree. A
+// caller runs tasks [0, n) through Forks.Run, which hands them out in index
+// order to helper goroutines while places are free and otherwise runs them
+// on the caller's goroutine. Callers give each task its own slot to write
+// and merge the slots in index order, so a result does not depend on what
+// ran where.
+//
+// Two bounds hold at once: a Forks' own (a statement's or a training's worker
+// count) and one process-wide, GOMAXPROCS(0)−1 helpers computing across every
+// Forks. Nothing ever waits for a place, so Run nests without deadlock.
 package par
 
 import (
 	"context"
 	"runtime"
-	"sync"
 	"sync/atomic"
 )
 
-// cancelPollMask sets how often workers poll for cancellation: every
-// (cancelPollMask+1) iterations. Polling a cancel context takes a lock, so
-// per-row checks would serialize the very scan the pool parallelizes; every
-// 32 rows keeps cancellation prompt (a row is a full model evaluation) at
-// negligible cost.
-const cancelPollMask = 31
+// helpers counts the helper goroutines computing process-wide, less the
+// places lent by goroutines waiting for their forks: the one CPU budget every
+// Forks shares.
+var helpers atomic.Int32
 
-// ForEachCtx runs fn(i) for every i in [0, n) on up to workers goroutines.
-// workers <= 0 means runtime.GOMAXPROCS(0). The index space is partitioned
-// into contiguous chunks; fn must therefore be safe to call concurrently for
-// distinct i but may assume it is called at most once per index.
-//
-// On error, remaining work is cancelled best-effort and the error with the
-// LOWEST index is returned — the same error a sequential left-to-right scan
-// would have surfaced first, keeping error reporting deterministic.
-//
-// Cancelling ctx stops the scan promptly (workers poll every few dozen
-// iterations) and ForEachCtx returns ctx.Err(); an fn error found before the
-// cancellation was observed still wins, keeping the deterministic-error
-// contract for races between failure and cancellation.
-func ForEachCtx(ctx context.Context, n, workers int, fn func(i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	done := ctx.Done()
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			if done != nil && i&cancelPollMask == 0 {
-				select {
-				case <-done:
-					return ctx.Err()
-				default:
-				}
-			}
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	// firstIdx holds the lowest failing index seen so far (n = none).
-	// Workers stop once every index they could contribute is above it.
-	var (
-		firstIdx  atomic.Int64
-		mu        sync.Mutex
-		firstErr  error
-		cancelled atomic.Bool
-	)
-	firstIdx.Store(int64(n))
-	fail := func(i int, err error) {
-		mu.Lock()
-		if int64(i) < firstIdx.Load() {
-			firstIdx.Store(int64(i))
-			firstErr = err
-		}
-		mu.Unlock()
-	}
-
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		start, end := w*chunk, (w+1)*chunk
-		if end > n {
-			end = n
-		}
-		if start >= end {
-			break
-		}
-		wg.Add(1)
-		go func(start, end int) {
-			defer wg.Done()
-			for i := start; i < end; i++ {
-				if done != nil && (i-start)&cancelPollMask == 0 {
-					select {
-					case <-done:
-						cancelled.Store(true)
-						return
-					default:
-					}
-				}
-				if int64(i) > firstIdx.Load() {
-					return // a lower index already failed; our results past it are moot
-				}
-				if err := fn(i); err != nil {
-					fail(i, err)
-					return
-				}
-			}
-		}(start, end)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
-	if cancelled.Load() {
-		return ctx.Err()
-	}
-	return nil
-}
-
-// Forks bounds recursive fork-join work to a number of goroutines computing at
-// once, the first caller's included. A task forks onto a new goroutine only
-// while one is free and otherwise runs inline on its caller; a goroutine
-// waiting for the tasks it forked lends them its place meanwhile.
+// Forks bounds fork-join work to a number of goroutines computing at once,
+// the caller's included. A goroutine waiting for its helpers lends its place,
+// in this bound and in the process-wide one, meanwhile.
 type Forks struct {
-	free chan struct{} // one token per place no goroutine computes in
+	max  int32        // helpers this Forks may have computing at once
+	busy atomic.Int32 // its helpers computing, less places lent
 }
 
 // NewForks bounds work to workers goroutines; workers <= 0 means
@@ -136,47 +38,105 @@ func NewForks(workers int) *Forks {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	f := &Forks{free: make(chan struct{}, workers)}
-	for i := 1; i < workers; i++ {
-		f.free <- struct{}{}
-	}
-	return f
+	return &Forks{max: int32(workers - 1)}
 }
 
-// Run runs fn(i, forked) for every i in [0, n), forking each task but the last
-// while a goroutine is free, and returns once all have finished: the error of
-// the lowest failing index, as ForEachCtx does. forked tells a task whether it
-// runs on a new goroutine or on the caller's. The first caller and the tasks
-// may call Run.
-func (f *Forks) Run(n int, fn func(i int, forked bool) error) error {
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	forked := false
-	for i := 0; i < n; i++ {
-		if i < n-1 {
-			select {
-			case <-f.free:
-				forked = true
-				wg.Add(1)
-				go func() {
-					defer func() { f.free <- struct{}{}; wg.Done() }()
-					errs[i] = fn(i, true)
-				}()
-				continue
-			default:
-			}
+// take claims a helper's place in both bounds, or reports that none is free.
+// It reads GOMAXPROCS on every call, never once at init, because go test -cpu
+// changes it within one process; a Run that cannot fork never reads it.
+func (f *Forks) take() bool {
+	if f.busy.Add(1) <= f.max {
+		if helpers.Add(1) < int32(runtime.GOMAXPROCS(0)) {
+			return true
 		}
-		errs[i] = fn(i, false)
+		helpers.Add(-1)
 	}
-	if forked {
-		f.free <- struct{}{} // this goroutine computes nothing while it waits
-		wg.Wait()
-		<-f.free
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
+	f.busy.Add(-1)
+	return false
+}
+
+func (f *Forks) release() { f.busy.Add(-1); helpers.Add(-1) }
+
+// Run runs fn(i, forked) for every i in [0, n) and returns once all have
+// finished. The caller hands out indices in order: while a place is free it
+// starts a helper goroutine with the next one, which keeps taking the next
+// until none is left; otherwise the caller runs it inline. The last task
+// never forks: the caller runs it once every other index is handed out.
+// forked tells a task whether it runs on a helper or on the caller's
+// goroutine; the caller and the tasks may call Run again.
+//
+// Once a task fails no further index is handed out, and every lower one was
+// handed out before it: Run returns the error of the lowest failing index,
+// the one a front-to-back loop would have hit first. A task that finds
+// ctx.Done() closed does not start and fails with ctx.Err().
+func (f *Forks) Run(ctx context.Context, n int, fn func(i int, forked bool) error) error {
+	r := &run{ctx: ctx, fn: fn, last: n - 1, handoff: make(chan struct{})}
+	for i := r.claim(); i < r.last; i = r.claim() {
+		if f.take() {
+			r.left.Add(1)
+			go r.help(f, i)
+		} else {
+			r.task(i, false)
 		}
+	}
+	if n > 0 && r.failed.Load() == nil {
+		r.task(r.last, false)
+	}
+	if r.left.Add(-1) != -1 {
+		f.release() // lend this place while waiting; the last helper gives one back
+		<-r.handoff
+	}
+	if fail := r.failed.Load(); fail != nil {
+		return fail.err
 	}
 	return nil
+}
+
+// run is one Run call's state, shared with its helpers.
+type run struct {
+	ctx    context.Context
+	fn     func(i int, forked bool) error
+	last   int
+	next   atomic.Int64            // the next index to hand out; last once a task failed
+	failed atomic.Pointer[failure] // the lowest failing index and its error
+	// left counts the running helpers, less one once the caller waits. A
+	// helper that brings it to -1 finishes after the caller lent its places,
+	// and hands its own over through handoff instead of releasing them.
+	left    atomic.Int32
+	handoff chan struct{}
+}
+
+type failure struct {
+	i   int
+	err error
+}
+
+func (r *run) claim() int { return int(r.next.Add(1) - 1) }
+
+func (r *run) task(i int, forked bool) {
+	var err error
+	select {
+	case <-r.ctx.Done():
+		err = r.ctx.Err()
+	default:
+		err = r.fn(i, forked)
+	}
+	for fail := r.failed.Load(); err != nil && (fail == nil || i < fail.i); fail = r.failed.Load() {
+		if r.failed.CompareAndSwap(fail, &failure{i, err}) {
+			r.next.Store(int64(r.last)) // hand out no further index
+			return
+		}
+	}
+}
+
+// help runs task i and then the next unclaimed ones below the last.
+func (r *run) help(f *Forks, i int) {
+	for ; i < r.last; i = r.claim() {
+		r.task(i, true)
+	}
+	if r.left.Add(-1) == -1 {
+		close(r.handoff)
+	} else {
+		f.release()
+	}
 }

@@ -70,9 +70,11 @@ type Provider struct {
 	// dir enables persistence when non-empty (see persist.go).
 	dir string
 
-	// parallelism bounds the worker pool used by the per-case scan loops
-	// (PREDICTION JOIN evaluation, INSERT INTO row reshaping). Defaults to
-	// runtime.GOMAXPROCS(0); 1 forces the sequential path.
+	// parallelism caps the goroutines one statement runs on: the partitions
+	// of its scans (SELECT, PREDICTION JOIN; Engine.Workers) and the subtrees
+	// a training grows (Decision_Trees), all through par.Forks.Run and within
+	// its process-wide bound. Defaults to runtime.GOMAXPROCS(0); 1 forces the
+	// sequential path.
 	parallelism int
 
 	// maxInFlight bounds concurrently executing statements per session
@@ -138,9 +140,9 @@ func WithDirectory(dir string) Option {
 	return func(p *Provider) { p.dir = dir }
 }
 
-// WithParallelism bounds the worker pool for the parallel scan paths.
-// n <= 0 restores the default (runtime.GOMAXPROCS(0)); n == 1 forces
-// sequential execution.
+// WithParallelism caps the goroutines one statement's partitions, or one
+// training's trees, run on. n <= 0 restores the default
+// (runtime.GOMAXPROCS(0)); n == 1 forces sequential execution.
 func WithParallelism(n int) Option {
 	return func(p *Provider) { p.parallelism = n }
 }

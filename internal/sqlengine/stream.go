@@ -1078,11 +1078,11 @@ func (e *Engine) planJoins(ctx context.Context, t *obs.Trace, src *source, fc *f
 // probe with it, the cancellation poll, a Relation's bind operator, the
 // residual filter — and hands it to fn, which owns the cursor; fr is the
 // partition's frame values (nil unless the source is a Relation), for the
-// operators fn stacks on top. Partitions run on up to e.Workers goroutines
-// through par.ForEachCtx — the statement's parallelism, which the trace
-// records, and the engine's only call into the pool — and a single partition
-// runs inline on the calling goroutine. fn is called at most once per index and
-// must only write state of its own partition; par.ForEachCtx's
+// operators fn stacks on top. Partitions run through par.Forks.Run, on up to
+// e.Workers goroutines (the statement's parallelism, which the trace records)
+// while the process-wide bound has places free and inline otherwise; a single
+// partition runs inline on the calling goroutine. fn is called at most once
+// per index and must only write state of its own partition; Run's
 // lowest-index-error rule surfaces the error a front-to-back scan would have
 // hit first.
 func (e *Engine) forEachPartition(ctx context.Context, t *obs.Trace, src *source, fn func(i int, cur rowset.BatchCursor, fr *frames) error) error {
@@ -1092,7 +1092,7 @@ func (e *Engine) forEachPartition(ctx context.Context, t *obs.Trace, src *source
 		t.SetParallelism(min(e.workers(), src.n))
 	}
 	done := ctx.Done()
-	return par.ForEachCtx(ctx, src.n, e.Workers, func(i int) error {
+	return par.NewForks(e.Workers).Run(ctx, src.n, func(i int, _ bool) error {
 		cur := src.open(i)
 		if done != nil {
 			// Cancellable statement: poll ctx between row batches so a Close'd

@@ -17,10 +17,10 @@ import (
 //     traced-cursor wrapper, a struct field). A span left open on an
 //     error or cancellation path corrupts the statement's span tree.
 //  2. Worker goroutines never touch the statement-owned trace: a
-//     function literal launched with `go` or handed to the par worker
-//     pool must not reference a *obs.Trace or *obs.Span captured from
-//     the enclosing statement goroutine. Fan-out is recorded in span
-//     labels by the owner instead.
+//     function literal launched with `go` or handed to any function or
+//     method of package par must not reference a *obs.Trace or
+//     *obs.Span captured from the enclosing statement goroutine. Fan-out
+//     is recorded in span labels by the owner instead.
 //
 // Scoped to repro/internal/.
 var SpanPair = &analysis.Analyzer{
@@ -92,8 +92,8 @@ func runSpanPair(p *analysis.Pass) error {
 
 // checkWorkerTraceEscape reports references to captured *obs.Trace or
 // *obs.Span values inside function literals that run on another
-// goroutine: `go func(){...}` bodies and literals passed to the
-// repro/internal/par worker pool.
+// goroutine: `go func(){...}` bodies and literals passed to a function or
+// method of repro/internal/par (Forks.Run).
 func checkWorkerTraceEscape(p *analysis.Pass) {
 	for _, f := range p.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -117,18 +117,15 @@ func checkWorkerTraceEscape(p *analysis.Pass) {
 	}
 }
 
-// isParCall reports whether call invokes a function from the par package.
+// isParCall reports whether call invokes a function or method of the par
+// package — par.NewForks(w).Run(...) as well as a package-level par.F(...).
 func isParCall(p *analysis.Pass, call *ast.CallExpr) bool {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return false
 	}
-	id, ok := ast.Unparen(sel.X).(*ast.Ident)
-	if !ok {
-		return false
-	}
-	pn, ok := p.Info.Uses[id].(*types.PkgName)
-	return ok && pn.Imported().Path() == "repro/internal/par"
+	fn, ok := p.Info.Uses[sel.Sel].(*types.Func)
+	return ok && fn.Pkg() != nil && fn.Pkg().Path() == "repro/internal/par"
 }
 
 // reportTraceCaptures flags identifiers inside fl whose object is a

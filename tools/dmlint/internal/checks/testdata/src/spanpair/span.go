@@ -59,7 +59,7 @@ func badGoroutineCapture(t *obs.Trace) {
 }
 
 func badTraceCapture(t *obs.Trace) error {
-	return par.ForEachCtx(context.TODO(), 4, 2, func(i int) error {
+	return par.NewForks(2).Run(context.TODO(), 4, func(i int, _ bool) error {
 		_ = t // want "trace t is captured by a par worker"
 		return nil
 	})
