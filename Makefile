@@ -11,7 +11,8 @@ test:
 # Code-line counts the simplicity PRs quote: non-test Go with blank and
 # //-comment lines dropped, for the packages that hold the executors and the
 # model path (core + provider + algo share one line budget), the training
-# source path (shape + storage), the worker pool, the observability substrate
+# source path (shape + storage), the SQL engine and the DMX parser and checker
+# that sit on its expression tree, the worker pool, the observability substrate
 # and the schema rowsets that surface it, the wire (server + client), and
 # everything outside bench/.
 loc:
@@ -25,6 +26,7 @@ loc:
 		internal/shape $$(count $$(src internal/shape)) \
 		internal/storage $$(count $$(src internal/storage)) \
 		internal/sqlengine $$(count $$(src internal/sqlengine)) \
+		'internal/dmx + internal/dmx/sem' $$(count $$(src internal/dmx)) \
 		internal/par $$(count $$(src internal/par)) \
 		internal/obs $$(count $$(src internal/obs)) \
 		internal/schemarowset $$(count $$(src internal/schemarowset)) \

@@ -232,45 +232,28 @@ func qualifySchema(src *rowset.Schema, alias string) *rowset.Schema {
 }
 
 // walkExpr visits an expression in prediction-item position, checking column
-// references and prediction-function calls.
+// references and prediction-function calls. Placeholders carry no name to
+// resolve (the provider type-checks them at prepare time), and a subquery
+// resolves against the relational engine, not this scope.
 func (c *checker) walkExpr(e sqlengine.Expr, pc *predCtx) {
-	switch x := e.(type) {
-	case nil, *sqlengine.Literal:
-	case *sqlengine.Param:
-		// Placeholders carry no name to resolve; the provider type-checks
-		// them at prepare time and binds literal values before execution.
-	case *sqlengine.ColumnRef:
-		c.resolveRef(x, pc)
-	case *sqlengine.FuncCall:
-		if dmx.IsPredictionFunc(x.Name) {
-			c.checkPredFunc(x, pc)
-			return
+	sqlengine.Inspect(e, func(n sqlengine.Expr) bool {
+		switch x := n.(type) {
+		case *sqlengine.ColumnRef:
+			c.resolveRef(x, pc)
+		case *sqlengine.FuncCall:
+			if dmx.IsPredictionFunc(x.Name) {
+				c.checkPredFunc(x, pc)
+				return false
+			}
+			if sqlengine.IsAggregate(x) {
+				c.errorf(x.Pos, "aggregate %s is not supported on a PREDICTION JOIN", x.Name)
+				return false
+			}
+		case *sqlengine.Subquery, *sqlengine.Exists:
+			return false
 		}
-		if sqlengine.IsAggregate(x) {
-			c.errorf(x.Pos, "aggregate %s is not supported on a PREDICTION JOIN", x.Name)
-			return
-		}
-		for _, a := range x.Args {
-			c.walkExpr(a, pc)
-		}
-	case *sqlengine.Binary:
-		c.walkExpr(x.L, pc)
-		c.walkExpr(x.R, pc)
-	case *sqlengine.Unary:
-		c.walkExpr(x.X, pc)
-	case *sqlengine.IsNull:
-		c.walkExpr(x.X, pc)
-	case *sqlengine.In:
-		c.walkExpr(x.X, pc)
-		for _, it := range x.List {
-			c.walkExpr(it, pc)
-		}
-		// x.Subquery resolves against the relational engine, not this scope.
-	case *sqlengine.Between:
-		c.walkExpr(x.X, pc)
-		c.walkExpr(x.Lo, pc)
-		c.walkExpr(x.Hi, pc)
-	}
+		return true
+	})
 }
 
 // resolveRef checks one column reference the executor would evaluate: first
@@ -611,33 +594,29 @@ func refPos(cr *sqlengine.ColumnRef, fb lex.Pos) lex.Pos {
 	return fb
 }
 
-// exprPos finds the first positioned node in an expression tree.
+// exprPos finds the first positioned node in an expression tree, preorder; an
+// IN or BETWEEN is located by its operand.
 func exprPos(e sqlengine.Expr) lex.Pos {
-	switch x := e.(type) {
-	case *sqlengine.ColumnRef:
-		return x.Pos
-	case *sqlengine.FuncCall:
-		if x.Pos.IsValid() {
-			return x.Pos
+	var pos lex.Pos
+	sqlengine.Inspect(e, func(n sqlengine.Expr) bool {
+		if pos.IsValid() {
+			return false
 		}
-		for _, a := range x.Args {
-			if p := exprPos(a); p.IsValid() {
-				return p
-			}
+		switch x := n.(type) {
+		case *sqlengine.ColumnRef:
+			pos = x.Pos
+		case *sqlengine.FuncCall:
+			pos = x.Pos
+		case *sqlengine.In:
+			pos = exprPos(x.X)
+			return false
+		case *sqlengine.Between:
+			pos = exprPos(x.X)
+			return false
+		case *sqlengine.Subquery, *sqlengine.Exists:
+			return false
 		}
-	case *sqlengine.Binary:
-		if p := exprPos(x.L); p.IsValid() {
-			return p
-		}
-		return exprPos(x.R)
-	case *sqlengine.Unary:
-		return exprPos(x.X)
-	case *sqlengine.IsNull:
-		return exprPos(x.X)
-	case *sqlengine.In:
-		return exprPos(x.X)
-	case *sqlengine.Between:
-		return exprPos(x.X)
-	}
-	return lex.Pos{}
+		return true
+	})
+	return pos
 }

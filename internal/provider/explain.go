@@ -20,7 +20,7 @@ import (
 // time and rows — as the result rowset.
 func (s *Session) explainStmt(ctx context.Context, ex *dmx.Explain) (*rowset.Rowset, error) {
 	if !ex.Analyze {
-		root, err := s.p.planSpan(ex)
+		root, err := s.p.planSpan(ctx, ex)
 		if err != nil {
 			return nil, err
 		}
@@ -67,7 +67,7 @@ func (s *Session) executeExplained(ctx context.Context, t *obs.Trace, ex *dmx.Ex
 // planSpan builds the plan-only span tree for a statement that has not run:
 // the same operator nodes execution would record, in execution order, with
 // zero Elapsed/Rows.
-func (p *Provider) planSpan(ex *dmx.Explain) (*obs.Span, error) {
+func (p *Provider) planSpan(ctx context.Context, ex *dmx.Explain) (*obs.Span, error) {
 	root := obs.NewSpan("statement", "")
 	switch st := ex.Stmt.(type) {
 	case nil:
@@ -89,7 +89,7 @@ func (p *Provider) planSpan(ex *dmx.Explain) (*obs.Span, error) {
 			// The engine's plan span resolves real tables, so it carries the
 			// cost-based choices (scan estimates, index pushdown, join
 			// strategy and fan-out) rather than the shape-only fallback.
-			root.Add(p.Engine.PlanSpan(sel))
+			root.Add(p.Engine.PlanSpan(ctx, sel))
 		} else {
 			root.Add(obs.NewSpan("sql", fmt.Sprintf("%T", sql)))
 		}

@@ -13,6 +13,7 @@ package provider
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -298,7 +299,7 @@ func (s *Session) runPlan(ctx context.Context, t *obs.Trace, pl *plan, args []ro
 		st := pl.sqlStmt
 		if len(pl.params) > 0 {
 			var err error
-			if st, err = sqlengine.BindStatement(st, bound); err != nil {
+			if st, err = sqlengine.Bind(st, bound); err != nil {
 				return nil, err
 			}
 		}
@@ -318,46 +319,29 @@ func (s *Session) runPlan(ctx context.Context, t *obs.Trace, pl *plan, args []ro
 	}
 }
 
-// bindDMX clones a DMX statement with parameter values substituted for
-// placeholders. Statements without placeholder positions pass through
-// unchanged (they are shared, immutable plan state).
+// bindDMX binds parameter values into a DMX statement's three SQL parts —
+// its SELECT, its ON clause and its source SELECT — copying only the paths to
+// placeholders. st itself is never written: it is shared, immutable plan
+// state.
 func bindDMX(st dmx.Statement, args []rowset.Value) (dmx.Statement, error) {
 	switch s := st.(type) {
 	case *dmx.PredictionSelect:
 		out := *s
-		var err error
-		if out.Select, err = sqlengine.BindSelect(s.Select, args); err != nil {
-			return nil, err
-		}
-		if out.On, err = sqlengine.BindExpr(s.On, args); err != nil {
-			return nil, err
-		}
-		if s.Source.Select != nil {
-			sel, err := sqlengine.BindSelect(s.Source.Select, args)
-			if err != nil {
-				return nil, err
-			}
-			out.Source = dmx.Source{Shape: s.Source.Shape, Select: sel}
-		}
-		return &out, nil
+		var errSel, errOn, errSrc error
+		out.Select, errSel = sqlengine.Bind(s.Select, args)
+		out.On, errOn = sqlengine.Bind(s.On, args)
+		out.Source.Select, errSrc = sqlengine.Bind(s.Source.Select, args)
+		return &out, errors.Join(errSel, errOn, errSrc)
 	case *dmx.RowsetSelect:
 		out := *s
 		var err error
-		if out.Select, err = sqlengine.BindSelect(s.Select, args); err != nil {
-			return nil, err
-		}
-		return &out, nil
+		out.Select, err = sqlengine.Bind(s.Select, args)
+		return &out, err
 	case *dmx.InsertInto:
-		if s.Source.Select == nil {
-			return st, nil
-		}
-		sel, err := sqlengine.BindSelect(s.Source.Select, args)
-		if err != nil {
-			return nil, err
-		}
 		out := *s
-		out.Source = dmx.Source{Shape: s.Source.Shape, Select: sel}
-		return &out, nil
+		var err error
+		out.Source.Select, err = sqlengine.Bind(s.Source.Select, args)
+		return &out, err
 	}
 	return st, nil
 }

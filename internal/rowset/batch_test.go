@@ -1,9 +1,6 @@
 package rowset
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
 func batchTestRowset(t *testing.T, n int) *Rowset {
 	t.Helper()
@@ -76,84 +73,3 @@ func TestSliceIterNextBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// FromCursor on a fresh cursor over a materialized rowset must return the
-// rowset itself — same backing rows, not copies (ISSUE 10 satellite: no
-// double bookkeeping).
-func TestFromCursorMaterializedFastPath(t *testing.T) {
-	rs := batchTestRowset(t, 8)
-	out, err := FromCursor(rs.Cursor())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out != rs {
-		t.Fatal("FromCursor did not return the underlying rowset")
-	}
-	for i := range rs.Rows() {
-		if &out.Rows()[i][0] != &rs.Rows()[i][0] {
-			t.Fatalf("row %d was copied", i)
-		}
-	}
-
-	// A partially-consumed cursor must NOT take the fast path: the result
-	// holds only the remaining rows.
-	c := rs.Cursor()
-	if _, err := c.Next(); err != nil {
-		t.Fatal(err)
-	}
-	rest, err := FromCursor(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rest == rs || rest.Len() != rs.Len()-1 {
-		t.Fatalf("partial drain: got %d rows (same=%v), want %d", rest.Len(), rest == rs, rs.Len()-1)
-	}
-}
-
-func TestFromCursorBatchDrainSelAware(t *testing.T) {
-	rs := batchTestRowset(t, 6)
-	// selBatches is a hybrid Cursor+BatchCursor, so FromCursor must prefer
-	// the batch drain (its Next reports an error if called).
-	src := &selBatches{schema: rs.Schema(), rows: rs.Rows()}
-	out, err := FromCursor(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int64{1, 3, 5}
-	if out.Len() != len(want) {
-		t.Fatalf("len = %d, want %d", out.Len(), len(want))
-	}
-	for i, w := range want {
-		if Compare(out.Row(i)[0], w) != 0 {
-			t.Fatalf("row %d = %v, want %d", i, out.Row(i)[0], w)
-		}
-	}
-}
-
-// selBatches yields one batch with a selection vector picking odd rows.
-type selBatches struct {
-	schema *Schema
-	rows   []Row
-	done   bool
-}
-
-func (s *selBatches) NextBatch() (Batch, error) {
-	if s.done {
-		return Batch{}, nil
-	}
-	s.done = true
-	sel := make([]int, 0, len(s.rows)/2)
-	for i := 1; i < len(s.rows); i += 2 {
-		sel = append(sel, i)
-	}
-	return Batch{Rows: s.rows, Sel: sel}, nil
-}
-
-func (s *selBatches) Next() (Row, error) {
-	return nil, errUnexpectedRowPull
-}
-
-var errUnexpectedRowPull = fmt.Errorf("row-at-a-time pull on a batch-preferred source")
-
-func (s *selBatches) Schema() *Schema { return s.schema }
-func (s *selBatches) Close() error    { return nil }

@@ -17,21 +17,31 @@ func TestCursorRoundTrip(t *testing.T) {
 	mustAppend(rs, nil, "z")
 
 	c := rs.Cursor()
-	out, err := FromCursor(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Len() != rs.Len() {
-		t.Fatalf("FromCursor len = %d, want %d", out.Len(), rs.Len())
-	}
-	for i := range rs.Rows() {
-		for j := range rs.Row(i) {
-			if !Equal(out.Row(i)[j], rs.Row(i)[j]) && !(out.Row(i)[j] == nil && rs.Row(i)[j] == nil) {
-				t.Fatalf("row %d col %d: got %v want %v", i, j, out.Row(i)[j], rs.Row(i)[j])
+	for i := 0; ; i++ {
+		r, err := c.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r == nil {
+			if i != rs.Len() {
+				t.Fatalf("cursor yielded %d rows, want %d", i, rs.Len())
+			}
+			break
+		}
+		for j := range r {
+			if !Equal(r[j], rs.Row(i)[j]) && !(r[j] == nil && rs.Row(i)[j] == nil) {
+				t.Fatalf("row %d col %d: got %v want %v", i, j, r[j], rs.Row(i)[j])
 			}
 		}
 	}
+	// An exhausted cursor keeps answering (nil, nil).
+	if r, err := c.Next(); err != nil || r != nil {
+		t.Fatalf("Next after exhaustion = (%v, %v), want (nil, nil)", r, err)
+	}
 	// Close is idempotent and terminal.
+	if err := c.Close(); err != nil {
+		t.Fatalf("first Close: %v", err)
+	}
 	if err := c.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
@@ -59,62 +69,6 @@ func TestCursorCloseStopsIteration(t *testing.T) {
 		t.Fatalf("Next after Close yielded %v", r)
 	}
 }
-
-func TestCursorOf(t *testing.T) {
-	s, err := NewSchema(Column{Name: "A", Type: TypeLong})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs := New(s)
-	mustAppend(rs, int64(7))
-
-	// A Cursor passes through unchanged.
-	c := rs.Cursor()
-	if CursorOf(c) != c {
-		t.Fatal("CursorOf(Cursor) did not pass through")
-	}
-	// A bare Iterator is wrapped with a no-op Close.
-	wrapped := CursorOf(plainIter{rs.Iter()})
-	if err := wrapped.Close(); err != nil {
-		t.Fatalf("wrapped Close: %v", err)
-	}
-	r, err := wrapped.Next()
-	if err != nil || r == nil {
-		t.Fatalf("wrapped Next = (%v, %v)", r, err)
-	}
-}
-
-// plainIter hides the Close method so CursorOf sees a bare Iterator.
-type plainIter struct{ it Iterator }
-
-func (p plainIter) Next() (Row, error) { return p.it.Next() }
-func (p plainIter) Schema() *Schema    { return p.it.Schema() }
-
-func TestFromCursorArityCheck(t *testing.T) {
-	s, err := NewSchema(Column{Name: "A", Type: TypeLong}, Column{Name: "B", Type: TypeLong})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := badArity{schema: s}
-	if _, err := FromCursor(CursorOf(&bad)); err == nil {
-		t.Fatal("FromCursor accepted a short row")
-	}
-}
-
-type badArity struct {
-	schema *Schema
-	done   bool
-}
-
-func (b *badArity) Next() (Row, error) {
-	if b.done {
-		return nil, nil
-	}
-	b.done = true
-	return Row{int64(1)}, nil
-}
-
-func (b *badArity) Schema() *Schema { return b.schema }
 
 func TestAppendKeyMatchesKey(t *testing.T) {
 	nested := New(mustSchema(t, Column{Name: "X", Type: TypeLong}))

@@ -261,9 +261,6 @@ type Cursor interface {
 	Close() error
 }
 
-// Iter returns an iterator over the materialized rowset.
-func (rs *Rowset) Iter() Iterator { return &sliceIter{rs: rs} }
-
 // Cursor returns a Cursor over the materialized rowset — the adapter that
 // lets fully-built rowsets (wire results, schema rowsets, tests) flow into
 // streaming operators.
@@ -288,96 +285,4 @@ func (it *sliceIter) Schema() *Schema { return it.rs.schema }
 func (it *sliceIter) Close() error {
 	it.i = it.rs.Len()
 	return nil
-}
-
-// CursorOf adapts an Iterator into a Cursor with a no-op Close. If it is
-// already a Cursor it is returned unchanged.
-func CursorOf(it Iterator) Cursor {
-	if c, ok := it.(Cursor); ok {
-		return c
-	}
-	return nopCloser{it}
-}
-
-type nopCloser struct{ Iterator }
-
-func (nopCloser) Close() error { return nil }
-
-// Materialize drains an iterator into a Rowset.
-func Materialize(it Iterator) (*Rowset, error) {
-	rs := New(it.Schema())
-	for {
-		r, err := it.Next()
-		if err != nil {
-			return nil, err
-		}
-		if r == nil {
-			return rs, nil
-		}
-		if err := rs.Append(r); err != nil {
-			return nil, err
-		}
-	}
-}
-
-// FromCursor drains a cursor into a Rowset without re-normalizing values:
-// the rows are adopted as-is (arity-checked only). It is the terminal
-// operator of the streaming executor, whose cursors yield rows that are
-// already in canonical form — storage rows are coerced on insert, computed
-// rows are normalized at projection. The cursor is closed before returning.
-func FromCursor(c Cursor) (*Rowset, error) {
-	defer c.Close() //nolint:errcheck // Close after exhaustion is a no-op
-	// Fast path: a cursor over an already-materialized rowset that has not
-	// been pulled from yet hands back its backing rowset directly — no
-	// row-by-row copy, no second bookkeeping of the same rows. The rowset's
-	// own Append validated arity when the rows went in.
-	if si, ok := c.(*sliceIter); ok && si.i == 0 {
-		si.i = si.rs.Len()
-		return si.rs, nil
-	}
-	rs := New(c.Schema())
-	want := rs.schema.Len()
-	if bc, ok := c.(BatchCursor); ok {
-		// Batch drain: one interface call per batch instead of per row. The
-		// batch buffer is producer-owned, so live rows are copied out (rows
-		// themselves are immutable and safe to retain).
-		for {
-			b, err := bc.NextBatch()
-			if err != nil {
-				return nil, err
-			}
-			if b.Empty() {
-				return rs, nil
-			}
-			if b.Sel == nil {
-				for _, r := range b.Rows {
-					if len(r) != want {
-						return nil, fmt.Errorf("rowset: cursor row has %d values, schema has %d columns", len(r), want)
-					}
-				}
-				rs.rows = append(rs.rows, b.Rows...)
-				continue
-			}
-			for _, i := range b.Sel {
-				r := b.Rows[i]
-				if len(r) != want {
-					return nil, fmt.Errorf("rowset: cursor row has %d values, schema has %d columns", len(r), want)
-				}
-				rs.rows = append(rs.rows, r)
-			}
-		}
-	}
-	for {
-		r, err := c.Next()
-		if err != nil {
-			return nil, err
-		}
-		if r == nil {
-			return rs, nil
-		}
-		if len(r) != want {
-			return nil, fmt.Errorf("rowset: cursor row has %d values, schema has %d columns", len(r), want)
-		}
-		rs.rows = append(rs.rows, r)
-	}
 }

@@ -187,25 +187,6 @@ func TestFlatWidth(t *testing.T) {
 	}
 }
 
-func TestIteratorAndMaterialize(t *testing.T) {
-	rs := New(custSchema(t))
-	mustAppend(rs, int64(1), "M", 20.0)
-	mustAppend(rs, int64(2), "F", 30.0)
-	it := rs.Iter()
-	got, err := Materialize(it)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Len() != 2 || got.Row(1)[2] != 30.0 {
-		t.Errorf("Materialize = %v", got.Rows())
-	}
-	// Exhausted iterator keeps returning nil.
-	r, err := it.Next()
-	if r != nil || err != nil {
-		t.Error("exhausted iterator must return nil,nil")
-	}
-}
-
 func TestStringRendering(t *testing.T) {
 	rs := New(custSchema(t))
 	mustAppend(rs, int64(1), "Male", 35.0)

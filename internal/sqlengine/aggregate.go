@@ -75,17 +75,16 @@ func (e *Engine) aggregate(ctx context.Context, t *obs.Trace, sel *SelectStmt, s
 // computed value.
 func statementAggs(sel *SelectStmt) ([]*FuncCall, error) {
 	var aggs []*FuncCall
+	add := func(f *FuncCall) { aggs = append(aggs, f) }
 	for _, it := range sel.Items {
 		if it.Star {
 			return nil, fmt.Errorf("sqlengine: SELECT * cannot be combined with aggregation")
 		}
-		collectAggs(it.Expr, &aggs)
+		aggregatesIn(it.Expr, add)
 	}
-	if sel.Having != nil {
-		collectAggs(sel.Having, &aggs)
-	}
+	aggregatesIn(sel.Having, add)
 	for _, o := range sel.OrderBy {
-		collectAggs(o.Expr, &aggs)
+		aggregatesIn(o.Expr, add)
 	}
 	for _, f := range aggs {
 		if !(f.Star && f.Name == "COUNT") && len(f.Args) != 1 {
@@ -186,33 +185,22 @@ func finishAggregate(sel *SelectStmt, src *source, aggs []*FuncCall, groups []fi
 	return rowset.FromRows(schema, outRows)
 }
 
-func collectAggs(e Expr, out *[]*FuncCall) {
-	switch x := e.(type) {
-	case *FuncCall:
-		if aggregateFuncs[x.Name] {
-			*out = append(*out, x)
-			return // aggregates cannot nest
+// aggregatesIn calls f on each aggregate call in e, looking neither into an
+// aggregate's arguments (aggregates cannot nest) nor into a subquery (its
+// aggregates are its own).
+func aggregatesIn(e Expr, f func(*FuncCall)) {
+	Inspect(e, func(x Expr) bool {
+		switch x := x.(type) {
+		case *Subquery, *Exists:
+			return false
+		case *FuncCall:
+			if aggregateFuncs[x.Name] {
+				f(x)
+				return false
+			}
 		}
-		for _, a := range x.Args {
-			collectAggs(a, out)
-		}
-	case *Binary:
-		collectAggs(x.L, out)
-		collectAggs(x.R, out)
-	case *Unary:
-		collectAggs(x.X, out)
-	case *IsNull:
-		collectAggs(x.X, out)
-	case *Between:
-		collectAggs(x.X, out)
-		collectAggs(x.Lo, out)
-		collectAggs(x.Hi, out)
-	case *In:
-		collectAggs(x.X, out)
-		for _, i := range x.List {
-			collectAggs(i, out)
-		}
-	}
+		return true
+	})
 }
 
 // aggState is one aggregate call site's mergeable partial state within one

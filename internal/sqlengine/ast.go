@@ -142,7 +142,7 @@ type In struct {
 	Negate bool
 	// Subquery, when set, supplies the list at execution time (the engine
 	// resolves it before evaluation).
-	Subquery *SelectStmt
+	Subquery *Subquery
 }
 
 func (*In) expr() {}

@@ -1,6 +1,7 @@
 package sqlengine
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -92,7 +93,7 @@ func BenchmarkPointIndexed(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rs, err := e.ExecStmt(stmts[i%len(stmts)])
+		rs, err := e.ExecStmtContext(context.Background(), stmts[i%len(stmts)])
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -187,3 +187,35 @@ func TestHashJoinCancelledMidStatement(t *testing.T) {
 		}
 	}
 }
+
+// TestPreCancelledInternalQueriesRunNothing: the queries a statement runs on
+// its own behalf — a view's body, a subquery, the SELECT of an INSERT … SELECT
+// — run under the statement's context, so under an already-cancelled one each
+// statement reports context.Canceled without producing a single batch (and the
+// INSERT writes no row).
+func TestPreCancelledInternalQueriesRunNothing(t *testing.T) {
+	e := newBigEngine(t, 200)
+	mustQuery(t, e, "CREATE VIEW Pairs AS SELECT a.id AS id FROM Big AS a, Big AS b WHERE a.id < b.id")
+	mustQuery(t, e, "CREATE TABLE Dst (id LONG)")
+	reg := obs.NewRegistry()
+	e.Instrument(reg)
+	batches := reg.Counter(obs.MetricSQLBatchesTotal)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, q := range []string{
+		"SELECT COUNT(*) FROM Pairs",
+		"SELECT (SELECT COUNT(*) FROM Big AS a, Big AS b WHERE a.id < b.id) AS n",
+		"INSERT INTO Dst SELECT a.id FROM Big AS a, Big AS b WHERE a.id < b.id",
+	} {
+		before := batches.Value()
+		if _, err := e.ExecContext(ctx, q); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: err = %v, want context.Canceled", q, err)
+		}
+		if n := batches.Value() - before; n != 0 {
+			t.Errorf("%s: %d batches ran under a cancelled context", q, n)
+		}
+	}
+	if rs := mustQuery(t, e, "SELECT COUNT(*) FROM Dst"); rs.Row(0)[0] != int64(0) {
+		t.Errorf("cancelled INSERT … SELECT wrote %v rows", rs.Row(0)[0])
+	}
+}

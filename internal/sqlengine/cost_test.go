@@ -1,6 +1,7 @@
 package sqlengine
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -138,7 +139,7 @@ func TestCostPlanSpanMirrorsExecution(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		planned := e.PlanSpan(st.(*SelectStmt))
+		planned := e.PlanSpan(context.Background(), st.(*SelectStmt))
 		root := runTraced(t, e, q)
 		for _, kind := range []string{"scan", "join"} {
 			plan, exec := findSpans(planned, kind), findSpans(root.Children[0], kind)

@@ -527,35 +527,9 @@ func IsAggregate(e Expr) bool {
 // ContainsAggregate reports whether the expression tree contains an
 // aggregate function call.
 func ContainsAggregate(e Expr) bool {
-	switch x := e.(type) {
-	case *FuncCall:
-		if aggregateFuncs[x.Name] {
-			return true
-		}
-		for _, a := range x.Args {
-			if ContainsAggregate(a) {
-				return true
-			}
-		}
-	case *Binary:
-		return ContainsAggregate(x.L) || ContainsAggregate(x.R)
-	case *Unary:
-		return ContainsAggregate(x.X)
-	case *IsNull:
-		return ContainsAggregate(x.X)
-	case *Between:
-		return ContainsAggregate(x.X) || ContainsAggregate(x.Lo) || ContainsAggregate(x.Hi)
-	case *In:
-		if ContainsAggregate(x.X) {
-			return true
-		}
-		for _, i := range x.List {
-			if ContainsAggregate(i) {
-				return true
-			}
-		}
-	}
-	return false
+	found := false
+	aggregatesIn(e, func(*FuncCall) { found = true })
+	return found
 }
 
 // call compiles a function call: the resolver's closure, else a builtin scalar

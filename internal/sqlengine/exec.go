@@ -84,11 +84,6 @@ func (e *Engine) ExecContext(ctx context.Context, sql string) (*rowset.Rowset, e
 	return e.ExecStmtContext(ctx, stmt)
 }
 
-// ExecStmt executes a parsed statement.
-func (e *Engine) ExecStmt(stmt Statement) (*rowset.Rowset, error) {
-	return e.ExecStmtContext(context.Background(), stmt) //dmlint:allow ctxflow — documented context-free convenience form; ExecStmtContext is the primary API.
-}
-
 // ExecStmtContext executes a parsed statement, recording operator spans on
 // the trace carried by ctx (if any).
 func (e *Engine) ExecStmtContext(ctx context.Context, stmt Statement) (*rowset.Rowset, error) {
@@ -103,6 +98,12 @@ func (e *Engine) ExecStmtContext(ctx context.Context, stmt Statement) (*rowset.R
 }
 
 func (e *Engine) execStmt(ctx context.Context, stmt Statement) (*rowset.Rowset, error) {
+	if _, ok := stmt.(*SelectStmt); !ok { // a SELECT resolves its own, in query
+		var err error
+		if stmt, err = e.resolveSubqueries(ctx, stmt); err != nil {
+			return nil, err
+		}
+	}
 	switch st := stmt.(type) {
 	case *SelectStmt:
 		return e.QueryContext(ctx, st)
@@ -117,7 +118,7 @@ func (e *Engine) execStmt(ctx context.Context, stmt Statement) (*rowset.Rowset, 
 		e.notifyDDL(st.Name)
 		return affected(0)
 	case *InsertStmt:
-		return e.execInsert(st)
+		return e.execInsert(ctx, st)
 	case *DeleteStmt:
 		return e.execDelete(st)
 	case *UpdateStmt:
@@ -129,7 +130,7 @@ func (e *Engine) execStmt(ctx context.Context, stmt Statement) (*rowset.Rowset, 
 		e.notifyDDL(st.Name)
 		return affected(0)
 	case *CreateViewStmt:
-		rs, err := e.execCreateView(st)
+		rs, err := e.execCreateView(ctx, st)
 		if err == nil {
 			e.notifyDDL(st.Name)
 		}
@@ -153,11 +154,6 @@ func affected(n int) (*rowset.Rowset, error) {
 }
 
 // ---------- SELECT ----------
-
-// Query executes a SELECT and returns the result rowset.
-func (e *Engine) Query(sel *SelectStmt) (*rowset.Rowset, error) {
-	return e.QueryContext(context.Background(), sel) //dmlint:allow ctxflow — documented context-free convenience form; QueryContext is the primary API.
-}
 
 // needsAggregate reports whether the SELECT runs through the aggregation
 // operator: explicit GROUP BY / HAVING, or an aggregate call in the items.
@@ -212,10 +208,11 @@ func (e *Engine) query(ctx context.Context, sel *SelectStmt, rel *Relation, part
 	t := obs.FromContext(ctx)
 	spSel := t.StartSpan("select", "")
 	defer t.EndSpan(spSel)
-	sel, err := e.resolveStatementSubqueries(sel)
+	resolved, err := e.resolveSubqueries(ctx, sel)
 	if err != nil {
 		return nil, err
 	}
+	sel = resolved.(*SelectStmt)
 	src, err := e.planSource(ctx, t, sel, rel, partRows)
 	if err != nil {
 		return nil, err
@@ -358,12 +355,13 @@ func (sel *SelectStmt) addTailSpans(sp *obs.Span) *obs.Span {
 // same choices, from the same functions, QueryContext would make right now
 // against the live catalog and table statistics. Falls back to the shape-only
 // sel.PlanSpan() when the catalog cannot resolve the statement (EXPLAIN must
-// not fail where execution would explain better).
-func (e *Engine) PlanSpan(sel *SelectStmt) *obs.Span {
+// not fail where execution would explain better). A view in FROM runs its
+// query under ctx, as execution would, to learn its size.
+func (e *Engine) PlanSpan(ctx context.Context, sel *SelectStmt) *obs.Span {
 	if len(sel.From) == 0 {
 		return sel.PlanSpan()
 	}
-	fc, err := e.resolveFrom(sel)
+	fc, err := e.resolveFrom(ctx, sel)
 	if err != nil {
 		return sel.PlanSpan()
 	}
@@ -501,7 +499,7 @@ func outputSchema(items []SelectItem, names []string, srcSchema *rowset.Schema, 
 
 // ---------- DML ----------
 
-func (e *Engine) execInsert(st *InsertStmt) (*rowset.Rowset, error) {
+func (e *Engine) execInsert(ctx context.Context, st *InsertStmt) (*rowset.Rowset, error) {
 	tbl, err := e.DB.Table(st.Table)
 	if err != nil {
 		return nil, err
@@ -537,7 +535,7 @@ func (e *Engine) execInsert(st *InsertStmt) (*rowset.Rowset, error) {
 
 	n := 0
 	if st.Query != nil {
-		res, err := e.Query(st.Query)
+		res, err := e.QueryContext(ctx, st.Query)
 		if err != nil {
 			return nil, err
 		}

@@ -88,7 +88,7 @@ func oracleSource(e *Engine, from []TableRef) (*rowset.Rowset, error) {
 func oracleScan(e *Engine, ref TableRef) (*rowset.Rowset, error) {
 	var scan *rowset.Rowset
 	if view, ok := e.views.get(ref.Name); ok {
-		vr, err := e.Query(view)
+		vr, err := e.QueryContext(context.Background(), view)
 		if err != nil {
 			return nil, fmt.Errorf("sqlengine: view %s: %w", ref.Name, err)
 		}
@@ -257,17 +257,16 @@ func oracleProject(sel *SelectStmt, src *rowset.Rowset) (*rowset.Rowset, error) 
 // projection and ORDER BY per group.
 func oracleAggregate(sel *SelectStmt, src *rowset.Rowset) (*rowset.Rowset, error) {
 	var aggs []*FuncCall
+	add := func(f *FuncCall) { aggs = append(aggs, f) }
 	for _, it := range sel.Items {
 		if it.Star {
 			return nil, fmt.Errorf("sqlengine: SELECT * cannot be combined with aggregation")
 		}
-		collectAggs(it.Expr, &aggs)
+		aggregatesIn(it.Expr, add)
 	}
-	if sel.Having != nil {
-		collectAggs(sel.Having, &aggs)
-	}
+	aggregatesIn(sel.Having, add)
 	for _, o := range sel.OrderBy {
-		collectAggs(o.Expr, &aggs)
+		aggregatesIn(o.Expr, add)
 	}
 	type group struct {
 		key  []rowset.Value

@@ -4,9 +4,9 @@ package sqlengine
 // '@name' (named). Placeholders parse into Param nodes; AssignParams gives
 // every node a slot ordinal at prepare time (named parameters share the slot
 // of their first occurrence), InferParamTypes fills in best-effort types from
-// the columns each placeholder is compared against, and BindStatement clones
-// the statement with Literal values substituted — so a cached plan is never
-// mutated and can be shared across concurrent executions.
+// the columns each placeholder is compared against, and Bind copies the path
+// to each placeholder with Literal values substituted — so a cached plan is
+// never mutated and can be shared across concurrent executions.
 
 import (
 	"fmt"
@@ -60,111 +60,36 @@ func (s ParamSlot) Label(i int) string {
 
 // ---------- collection ----------
 
-// walkExprTree visits every node of an expression preorder, descending into
-// subquery statements as well.
-func walkExprTree(e Expr, f func(Expr)) {
-	if e == nil {
-		return
-	}
-	f(e)
-	switch x := e.(type) {
-	case *Binary:
-		walkExprTree(x.L, f)
-		walkExprTree(x.R, f)
-	case *Unary:
-		walkExprTree(x.X, f)
-	case *IsNull:
-		walkExprTree(x.X, f)
-	case *Between:
-		walkExprTree(x.X, f)
-		walkExprTree(x.Lo, f)
-		walkExprTree(x.Hi, f)
-	case *In:
-		walkExprTree(x.X, f)
-		for _, it := range x.List {
-			walkExprTree(it, f)
-		}
-		if x.Subquery != nil {
-			walkStatementExprs(x.Subquery, f)
-		}
-	case *FuncCall:
-		for _, a := range x.Args {
-			walkExprTree(a, f)
-		}
-	case *Subquery:
-		walkStatementExprs(x.Query, f)
-	case *Exists:
-		walkStatementExprs(x.Query, f)
-	}
-}
-
-// walkStatementExprs visits every expression tree of a statement.
-func walkStatementExprs(st Statement, f func(Expr)) {
-	switch s := st.(type) {
-	case *SelectStmt:
-		for _, it := range s.Items {
-			if !it.Star {
-				walkExprTree(it.Expr, f)
-			}
-		}
-		for _, ref := range s.From {
-			walkExprTree(ref.On, f)
-		}
-		walkExprTree(s.Where, f)
-		for _, g := range s.GroupBy {
-			walkExprTree(g, f)
-		}
-		walkExprTree(s.Having, f)
-		for _, o := range s.OrderBy {
-			walkExprTree(o.Expr, f)
-		}
-	case *InsertStmt:
-		for _, row := range s.Rows {
-			for _, e := range row {
-				walkExprTree(e, f)
-			}
-		}
-		if s.Query != nil {
-			walkStatementExprs(s.Query, f)
-		}
-	case *DeleteStmt:
-		walkExprTree(s.Where, f)
-	case *UpdateStmt:
-		for _, sc := range s.Set {
-			walkExprTree(sc.Value, f)
-		}
-		walkExprTree(s.Where, f)
-	}
-}
-
 // CollectParams returns every Param node in the statement, ordered by source
 // position.
 func CollectParams(st Statement) []*Param {
-	var ps []*Param
-	walkStatementExprs(st, func(e Expr) {
-		if p, ok := e.(*Param); ok {
-			ps = append(ps, p)
-		}
-	})
-	sort.SliceStable(ps, func(i, j int) bool { return ps[i].TokPos < ps[j].TokPos })
-	return ps
+	return sortedParams(func(f func(Expr) bool) { inspectStatement(st, f) })
 }
 
 // WalkExprParams visits every Param under the given expression roots in
 // source order (the DMX layer's counterpart of CollectParams).
 func WalkExprParams(roots []Expr, f func(*Param)) {
-	var ps []*Param
-	for _, r := range roots {
-		walkExprTree(r, func(e Expr) {
-			if p, ok := e.(*Param); ok {
-				ps = append(ps, p)
-			}
-		})
-	}
-	sort.SliceStable(ps, func(i, j int) bool { return ps[i].TokPos < ps[j].TokPos })
+	ps := sortedParams(func(g func(Expr) bool) {
+		for _, r := range roots {
+			Inspect(r, g)
+		}
+	})
 	for _, p := range ps {
 		f(p)
 	}
+}
+
+// sortedParams returns the Params the walk reaches, in source order.
+func sortedParams(walk func(func(Expr) bool)) []*Param {
+	var ps []*Param
+	walk(func(e Expr) bool {
+		if p, ok := e.(*Param); ok {
+			ps = append(ps, p)
+		}
+		return true
+	})
+	sort.SliceStable(ps, func(i, j int) bool { return ps[i].TokPos < ps[j].TokPos })
+	return ps
 }
 
 // AssignOrdinals gives each collected Param its argument slot: positional
@@ -240,7 +165,7 @@ func InferParamTypes(st Statement, slots []ParamSlot, resolve func(*ColumnRef) (
 		}
 		return resolve(cr)
 	}
-	walkStatementExprs(st, func(e Expr) {
+	inspectStatement(st, func(e Expr) bool {
 		switch x := e.(type) {
 		case *Binary:
 			switch x.Op {
@@ -266,176 +191,43 @@ func InferParamTypes(st Statement, slots []ParamSlot, resolve func(*ColumnRef) (
 				}
 			}
 		}
+		return true
 	})
 }
 
 // ---------- binding ----------
 
-// BindStatement clones st with every Param replaced by the Literal value of
-// its argument slot. The original statement is never mutated, so a cached
-// plan can be bound concurrently. Arity must already be validated; an
-// unassigned or out-of-range ordinal is an error.
-func BindStatement(st Statement, args []rowset.Value) (Statement, error) {
-	b := &binder{args: args}
-	out := b.statement(st)
-	return out, b.err
-}
-
-// BindSelect is BindStatement narrowed to SELECT (the DMX layer substitutes
-// embedded source selects directly).
-func BindSelect(sel *SelectStmt, args []rowset.Value) (*SelectStmt, error) {
-	b := &binder{args: args}
-	out := b.selectStmt(sel)
-	return out, b.err
-}
-
-// BindExpr clones one expression with parameters substituted.
-func BindExpr(e Expr, args []rowset.Value) (Expr, error) {
-	b := &binder{args: args}
-	out := b.expr(e)
-	return out, b.err
-}
-
-type binder struct {
-	args []rowset.Value
-	err  error
-}
-
-func (b *binder) fail(format string, a ...any) {
-	if b.err == nil {
-		b.err = fmt.Errorf(format, a...)
-	}
-}
-
-func (b *binder) statement(st Statement) Statement {
-	switch s := st.(type) {
-	case *SelectStmt:
-		return b.selectStmt(s)
-	case *InsertStmt:
-		out := *s
-		if len(s.Rows) > 0 {
-			out.Rows = make([][]Expr, len(s.Rows))
-			for i, row := range s.Rows {
-				nr := make([]Expr, len(row))
-				for j, e := range row {
-					nr[j] = b.expr(e)
-				}
-				out.Rows[i] = nr
+// Bind returns n — a Statement, a *SelectStmt or an Expr — with every Param
+// replaced by the Literal value of its argument slot. Only the path from n to
+// each placeholder is copied and n is never written, so a cached plan can be
+// bound concurrently; n itself comes back when it holds no placeholder.
+// Arity must already be validated; an unassigned or out-of-range ordinal is
+// an error.
+func Bind[N any](n N, args []rowset.Value) (N, error) {
+	var err error
+	bind := func(e Expr) Expr {
+		p, ok := e.(*Param)
+		switch {
+		case !ok:
+			return nil
+		case p.Ordinal < 0 || p.Ordinal >= len(args):
+			if err == nil {
+				err = fmt.Errorf("sqlengine: parameter %s has no bound argument", p)
 			}
+			return p
 		}
-		if s.Query != nil {
-			out.Query = b.selectStmt(s.Query)
-		}
-		return &out
-	case *DeleteStmt:
-		out := *s
-		out.Where = b.expr(s.Where)
-		return &out
-	case *UpdateStmt:
-		out := *s
-		out.Set = make([]SetClause, len(s.Set))
-		for i, sc := range s.Set {
-			out.Set[i] = SetClause{Column: sc.Column, Value: b.expr(sc.Value)}
-		}
-		out.Where = b.expr(s.Where)
-		return &out
+		return &Literal{Val: args[p.Ordinal]}
 	}
-	return st
-}
-
-func (b *binder) selectStmt(sel *SelectStmt) *SelectStmt {
-	if sel == nil {
-		return nil
+	switch x := any(n).(type) {
+	case nil: // an absent clause, such as a missing ON
+	case Statement:
+		n = rewriteStatement(x, bind).(N)
+	case Expr:
+		n = rewrite(x, bind).(N)
+	default:
+		return n, fmt.Errorf("sqlengine: Bind of %T, which is neither a Statement nor an Expr", n)
 	}
-	out := *sel
-	out.Items = b.items(sel.Items)
-	if len(sel.From) > 0 {
-		out.From = append([]TableRef(nil), sel.From...)
-		for i := range out.From {
-			out.From[i].On = b.expr(out.From[i].On)
-		}
-	}
-	out.Where = b.expr(sel.Where)
-	if len(sel.GroupBy) > 0 {
-		out.GroupBy = make([]Expr, len(sel.GroupBy))
-		for i, g := range sel.GroupBy {
-			out.GroupBy[i] = b.expr(g)
-		}
-	}
-	out.Having = b.expr(sel.Having)
-	out.OrderBy = b.orderBy(sel.OrderBy)
-	return &out
-}
-
-func (b *binder) items(items []SelectItem) []SelectItem {
-	if len(items) == 0 {
-		return items
-	}
-	out := append([]SelectItem(nil), items...)
-	for i := range out {
-		if !out[i].Star {
-			out[i].Expr = b.expr(out[i].Expr)
-		}
-	}
-	return out
-}
-
-func (b *binder) orderBy(items []OrderItem) []OrderItem {
-	if len(items) == 0 {
-		return items
-	}
-	out := append([]OrderItem(nil), items...)
-	for i := range out {
-		out[i].Expr = b.expr(out[i].Expr)
-	}
-	return out
-}
-
-func (b *binder) expr(e Expr) Expr {
-	switch x := e.(type) {
-	case nil:
-		return nil
-	case *Param:
-		if x.Ordinal < 0 || x.Ordinal >= len(b.args) {
-			b.fail("sqlengine: parameter %s has no bound argument", x)
-			return x
-		}
-		return &Literal{Val: b.args[x.Ordinal]}
-	case *Binary:
-		return &Binary{Op: x.Op, L: b.expr(x.L), R: b.expr(x.R)}
-	case *Unary:
-		return &Unary{Op: x.Op, X: b.expr(x.X)}
-	case *IsNull:
-		return &IsNull{X: b.expr(x.X), Negate: x.Negate}
-	case *Between:
-		return &Between{X: b.expr(x.X), Lo: b.expr(x.Lo), Hi: b.expr(x.Hi), Negate: x.Negate}
-	case *In:
-		out := &In{X: b.expr(x.X), Negate: x.Negate, Subquery: x.Subquery}
-		if len(x.List) > 0 {
-			out.List = make([]Expr, len(x.List))
-			for i, it := range x.List {
-				out.List[i] = b.expr(it)
-			}
-		}
-		if x.Subquery != nil {
-			out.Subquery = b.selectStmt(x.Subquery)
-		}
-		return out
-	case *FuncCall:
-		out := &FuncCall{Name: x.Name, Star: x.Star, Distinct: x.Distinct, Pos: x.Pos}
-		if len(x.Args) > 0 {
-			out.Args = make([]Expr, len(x.Args))
-			for i, a := range x.Args {
-				out.Args[i] = b.expr(a)
-			}
-		}
-		return out
-	case *Subquery:
-		return &Subquery{Query: b.selectStmt(x.Query)}
-	case *Exists:
-		return &Exists{Query: b.selectStmt(x.Query)}
-	}
-	return e
+	return n, err
 }
 
 // ---------- referenced objects ----------
@@ -457,47 +249,40 @@ func ReferencedTables(st Statement) []string {
 		seen[key] = struct{}{}
 		out = append(out, key)
 	}
-	var visitStmt func(Statement)
-	visitExpr := func(e Expr) {
-		walkExprTree(e, func(x Expr) {
-			switch sub := x.(type) {
-			case *Subquery:
-				visitStmt(sub.Query)
-			case *Exists:
-				visitStmt(sub.Query)
-			case *In:
-				if sub.Subquery != nil {
-					visitStmt(sub.Subquery)
-				}
-			}
-		})
-	}
-	visitStmt = func(st Statement) {
-		switch s := st.(type) {
-		case *SelectStmt:
-			for _, ref := range s.From {
+	addFrom := func(sel *SelectStmt) {
+		if sel != nil {
+			for _, ref := range sel.From {
 				add(ref.Name)
 			}
-			walkStatementExprs(s, visitExpr)
-		case *InsertStmt:
-			add(s.Table)
-			if s.Query != nil {
-				visitStmt(s.Query)
-			}
-		case *DeleteStmt:
-			add(s.Table)
-		case *UpdateStmt:
-			add(s.Table)
-		case *CreateViewStmt:
-			add(s.Name)
-		case *DropViewStmt:
-			add(s.Name)
-		case *CreateTableStmt:
-			add(s.Name)
-		case *DropTableStmt:
-			add(s.Name)
 		}
 	}
-	visitStmt(st)
+	switch s := st.(type) {
+	case *SelectStmt:
+		addFrom(s)
+	case *InsertStmt:
+		add(s.Table)
+		addFrom(s.Query)
+	case *DeleteStmt:
+		add(s.Table)
+	case *UpdateStmt:
+		add(s.Table)
+	case *CreateViewStmt:
+		add(s.Name)
+	case *DropViewStmt:
+		add(s.Name)
+	case *CreateTableStmt:
+		add(s.Name)
+	case *DropTableStmt:
+		add(s.Name)
+	}
+	inspectStatement(st, func(e Expr) bool {
+		switch x := e.(type) {
+		case *Subquery:
+			addFrom(x.Query)
+		case *Exists:
+			addFrom(x.Query)
+		}
+		return true
+	})
 	return out
 }

@@ -1,6 +1,7 @@
 package sqlengine
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -91,13 +92,13 @@ func TestBindStatementClonesNotMutates(t *testing.T) {
 	if _, err := AssignParams(sel); err != nil {
 		t.Fatal(err)
 	}
-	bound, err := BindStatement(sel, []rowset.Value{int64(7), "s"})
+	bound, err := Bind[Statement](sel, []rowset.Value{int64(7), "s"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	bsel := bound.(*SelectStmt)
 	if bsel == sel {
-		t.Fatal("BindStatement must clone, not mutate")
+		t.Fatal("Bind must copy, not mutate")
 	}
 	// The bound tree carries literals...
 	if n := len(CollectParams(bsel)); n != 0 {
@@ -108,10 +109,11 @@ func TestBindStatementClonesNotMutates(t *testing.T) {
 		t.Errorf("original statement params = %d, want 2", n)
 	}
 	var lits []rowset.Value
-	walkStatementExprs(bsel, func(e Expr) {
+	inspectStatement(bsel, func(e Expr) bool {
 		if l, ok := e.(*Literal); ok {
 			lits = append(lits, l.Val)
 		}
+		return true
 	})
 	found := 0
 	for _, v := range lits {
@@ -129,8 +131,17 @@ func TestBindStatementArity(t *testing.T) {
 	if _, err := AssignParams(sel); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := BindStatement(sel, nil); err == nil {
+	if _, err := Bind(sel, nil); err == nil {
 		t.Error("binding zero args over one param must error")
+	}
+}
+
+func TestBindAbsentAndForeignNodes(t *testing.T) {
+	if e, err := Bind(Expr(nil), nil); e != nil || err != nil {
+		t.Errorf("Bind(nil Expr) = (%v, %v), want (nil, nil)", e, err)
+	}
+	if _, err := Bind(42, nil); err == nil {
+		t.Error("Bind of a non-AST value must error, not bind nothing")
 	}
 }
 
@@ -245,18 +256,86 @@ func FuzzParamBind(f *testing.F) {
 		for i := range args {
 			args[i] = int64(i)
 		}
-		bound, err := BindStatement(st, args)
+		bound, err := Bind(st, args)
 		if err != nil {
-			t.Fatalf("BindStatement(%q): %v", q, err)
+			t.Fatalf("Bind(%q): %v", q, err)
 		}
 		if n := len(CollectParams(bound)); n != 0 {
 			t.Fatalf("bound statement of %q still has %d params", q, n)
 		}
 		// Underbinding must fail, not panic (when there is at least one slot).
 		if len(slots) > 0 {
-			if _, err := BindStatement(st, args[:len(args)-1]); err == nil {
+			if _, err := Bind(st, args[:len(args)-1]); err == nil {
 				t.Fatalf("underbinding %q must error", q)
 			}
+		}
+	})
+}
+
+// renderStatement prints every expression node of st, subqueries included,
+// so a test can tell whether anything under st changed.
+func renderStatement(st Statement) string {
+	var b strings.Builder
+	inspectStatement(st, func(e Expr) bool {
+		b.WriteString(e.String())
+		b.WriteByte('\n')
+		return true
+	})
+	return b.String()
+}
+
+// FuzzBindStatement drives Bind with arbitrary statement text: for whatever
+// parses and gets its ordinals assigned, binding generated arguments leaves no
+// parameter behind, leaves the source statement as it was (a cached plan is
+// shared by concurrent executions), and hands a statement without
+// placeholders back as the same pointer.
+func FuzzBindStatement(f *testing.F) {
+	for _, seed := range []string{
+		"SELECT a FROM t WHERE x = ? AND y = @low AND z BETWEEN @low AND ?",
+		"SELECT '?' FROM t WHERE x = ? AND y = 'a@b'",
+		"SELECT a FROM t WHERE x = @v OR y = @V OR z = @other",
+		"SELECT a FROM t WHERE id = ? AND name LIKE ? AND age BETWEEN ? AND ?",
+		"SELECT a FROM T JOIN U ON T.id = U.id WHERE x IN (SELECT y FROM V)",
+		"SELECT a FROM t JOIN u ON t.id = u.id AND u.k = ? WHERE EXISTS (SELECT 1 FROM v WHERE v.z = ?)",
+		"SELECT (SELECT MAX(b) FROM u WHERE c = ?) AS m, IIF(a > ?, 1, 0) FROM t ORDER BY -a",
+		"SELECT * FROM a LEFT JOIN b ON a.x = b.y INNER JOIN c ON c.z = a.x, d",
+		"SELECT Gender, COUNT(*) FROM c WHERE Age > 30 AND Gender <> 'M' GROUP BY Gender HAVING COUNT(*) >= ? ORDER BY 2 DESC",
+		"SELECT DISTINCT TOP 3 a FROM t WHERE NOT a = 1 AND b IS NOT NULL AND c NOT IN (1, ?)",
+		"INSERT INTO t (a, b) VALUES (1, 'x'), (?, 'y')",
+		"INSERT INTO t SELECT * FROM u WHERE v = ?",
+		"UPDATE t SET a = 1, b = b + ? WHERE c IS NULL",
+		"DELETE FROM t WHERE a = ? OR a IN (SELECT b FROM u)",
+		"CREATE TABLE Customers ([Customer ID] LONG, Gender TEXT, Age DOUBLE, Active BOOL)",
+		"DROP TABLE t",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, q string) {
+		st, err := Parse(q)
+		if err != nil || st == nil {
+			return
+		}
+		slots, err := AssignParams(st)
+		if err != nil {
+			return
+		}
+		args := make([]rowset.Value, len(slots))
+		for i := range args {
+			args[i] = fmt.Sprintf("arg%d", i)
+		}
+		before := renderStatement(st)
+		bound, err := Bind(st, args)
+		if err != nil {
+			t.Fatalf("Bind(%q): %v", q, err)
+		}
+		if n := len(CollectParams(bound)); n != 0 {
+			t.Fatalf("bound %q still has %d params", q, n)
+		}
+		if after := renderStatement(st); after != before {
+			t.Fatalf("Bind changed its source %q:\n%s\nwas:\n%s", q, after, before)
+		}
+		if len(CollectParams(st)) == 0 && bound != st {
+			t.Fatalf("Bind copied %q, which has no placeholder", q)
 		}
 	})
 }

@@ -588,7 +588,7 @@ func parseInList(s *lex.Scanner, l Expr, neg bool) (Expr, error) {
 		if err := s.ExpectPunct(")"); err != nil {
 			return nil, err
 		}
-		return &In{X: l, Negate: neg, Subquery: sub}, nil
+		return &In{X: l, Negate: neg, Subquery: &Subquery{Query: sub}}, nil
 	}
 	var list []Expr
 	for {

@@ -255,7 +255,7 @@ func TestJoinFanoutInPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := findSpans(e.PlanSpan(st.(*SelectStmt)), "join")
+	plan := findSpans(e.PlanSpan(context.Background(), st.(*SelectStmt)), "join")
 	if len(plan) != 1 || plan[0] != "inner hash morsels=5 workers=2" {
 		t.Fatalf("planned join label = %v, want [inner hash morsels=5 workers=2]", plan)
 	}

@@ -5,6 +5,8 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -115,6 +117,50 @@ func TestOneExpressionCompiler(t *testing.T) {
 			}
 			return true
 		})
+	}
+}
+
+// TestOneTreeWalker guards the one-walker rule: the expression tree's shape is
+// known in two places only — compile, the evaluator, and mapChildren, the child
+// step the walker (Inspect) and the rewriter (rewrite) share — so every other
+// traversal is a caller of those two. Any hand-written traversal has to
+// type-switch over *Between to reach its operands; a type switch inside a
+// function literal handed to the walker or the rewriter dispatches on the node
+// being visited and is exempt.
+func TestOneTreeWalker(t *testing.T) {
+	walkers := map[string]bool{"Inspect": true, "inspectStatement": true, "rewrite": true, "rewriteStatement": true}
+	fset := token.NewFileSet()
+	var got []string
+	for _, file := range parseNonTest(t, fset, ".") {
+		for _, decl := range file.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				switch x := n.(type) {
+				case *ast.CallExpr:
+					if id, ok := x.Fun.(*ast.Ident); ok && walkers[id.Name] {
+						return false
+					}
+				case *ast.TypeSwitchStmt:
+					for _, stmt := range x.Body.List {
+						for _, typ := range stmt.(*ast.CaseClause).List {
+							if star, ok := typ.(*ast.StarExpr); ok {
+								if id, ok := star.X.(*ast.Ident); ok && id.Name == "Between" {
+									got = append(got, fn.Name.Name)
+								}
+							}
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	sort.Strings(got)
+	if want := []string{"compile", "mapChildren"}; !slices.Equal(got, want) {
+		t.Errorf("functions type-switching over *Between: %v, want %v; walk the tree with Inspect or rewrite", got, want)
 	}
 }
 

@@ -1,6 +1,7 @@
 package sqlengine
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -13,7 +14,7 @@ func pushScans(t *testing.T, e *Engine, refs ...TableRef) []*compiledScan {
 	t.Helper()
 	scans := make([]*compiledScan, len(refs))
 	for i, ref := range refs {
-		cs, err := e.resolveScan(ref)
+		cs, err := e.resolveScan(context.Background(), ref)
 		if err != nil {
 			t.Fatalf("resolveScan(%s): %v", ref.Name, err)
 		}

@@ -1,6 +1,7 @@
 package sqlengine
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -128,7 +129,7 @@ func TestPlanSpanStatesPartitioning(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		planned := e.PlanSpan(st.(*SelectStmt))
+		planned := e.PlanSpan(context.Background(), st.(*SelectStmt))
 		tr := obs.NewTrace("q", "")
 		if _, err := e.ExecContext(obs.WithTrace(t.Context(), tr), q); err != nil {
 			t.Fatal(err)

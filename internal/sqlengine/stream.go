@@ -517,13 +517,13 @@ func (e *Engine) TableSource(name string) (*storage.Table, bool) {
 	return tbl, true
 }
 
-func (e *Engine) resolveScan(ref TableRef) (*compiledScan, error) {
+func (e *Engine) resolveScan(ctx context.Context, ref TableRef) (*compiledScan, error) {
 	cs := &compiledScan{ref: ref}
 	var base *rowset.Schema
 	if view, ok := e.views.get(ref.Name); ok {
 		// Views are registered only after their query validates, and can
 		// reference only pre-existing views, so expansion cannot cycle.
-		vr, err := e.Query(view)
+		vr, err := e.QueryContext(ctx, view)
 		if err != nil {
 			return nil, fmt.Errorf("sqlengine: view %s: %w", ref.Name, err)
 		}
@@ -798,10 +798,10 @@ type fromJoin struct {
 	schema       *rowset.Schema
 }
 
-func (e *Engine) resolveFrom(sel *SelectStmt) (fromClause, error) {
+func (e *Engine) resolveFrom(ctx context.Context, sel *SelectStmt) (fromClause, error) {
 	fc := fromClause{scans: make([]*compiledScan, len(sel.From))}
 	for i, ref := range sel.From {
-		cs, err := e.resolveScan(ref)
+		cs, err := e.resolveScan(ctx, ref)
 		if err != nil {
 			return fc, err
 		}
@@ -849,10 +849,11 @@ func readNames(sel *SelectStmt) map[string]bool {
 		}
 	}
 	read := make(map[string]bool)
-	walkStatementExprs(sel, func(e Expr) {
+	inspectStatement(sel, func(e Expr) bool {
 		if cr, ok := e.(*ColumnRef); ok {
 			read[strings.ToLower(bareName(cr.Name))] = true
 		}
+		return true
 	})
 	return read
 }
@@ -1010,7 +1011,7 @@ func (e *Engine) planSource(ctx context.Context, t *obs.Trace, sel *SelectStmt, 
 		src.schema = rowset.MustSchema()
 		src.open = func(int) rowset.BatchCursor { return newSliceCursor(src.schema, []rowset.Row{{}}) }
 	default:
-		fc, err := e.resolveFrom(sel)
+		fc, err := e.resolveFrom(ctx, sel)
 		if err != nil {
 			return nil, err
 		}

@@ -1,13 +1,19 @@
 package sqlengine
 
-import "fmt"
+import (
+	"context"
+	"fmt"
+
+	"repro/internal/rowset"
+)
 
 // Uncorrelated subqueries: scalar (SELECT ...) expressions, x IN (SELECT ...)
-// and EXISTS (SELECT ...). The engine resolves them once per statement,
-// before row-at-a-time evaluation, by executing the inner query and grafting
-// its result into the expression tree as literals. Correlated subqueries
-// (inner references to outer columns) are out of scope and surface as
-// unknown-column errors from the inner query.
+// and EXISTS (SELECT ...), in any expression position of any statement. The
+// engine resolves them once per statement, before evaluation, by executing
+// the inner query under the statement's context and grafting its result into
+// the expression tree as literals. Correlated subqueries (inner references to
+// outer columns) are out of scope and surface as unknown-column errors from
+// the inner query.
 
 // Subquery is a parenthesized SELECT used as a scalar expression.
 type Subquery struct {
@@ -27,188 +33,64 @@ func (*Exists) expr() {}
 
 func (e *Exists) String() string { return "EXISTS (<subquery>)" }
 
-func containsSubquery(expr Expr) bool {
-	switch x := expr.(type) {
-	case *Subquery, *Exists:
-		return true
-	case *Binary:
-		return containsSubquery(x.L) || containsSubquery(x.R)
-	case *Unary:
-		return containsSubquery(x.X)
-	case *IsNull:
-		return containsSubquery(x.X)
-	case *Between:
-		return containsSubquery(x.X) || containsSubquery(x.Lo) || containsSubquery(x.Hi)
-	case *In:
-		if x.Subquery != nil || containsSubquery(x.X) {
-			return true
+// resolveSubqueries runs every subquery of st once, under ctx, and returns st
+// with the results grafted in as literals, in every expression position: a
+// scalar subquery becomes its one value (NULL when it returns no row), EXISTS
+// a boolean, and x IN (SELECT …) the list of the column's values. A subquery
+// nested in another is resolved when the outer one runs. st is never written.
+func (e *Engine) resolveSubqueries(ctx context.Context, st Statement) (Statement, error) {
+	var err error
+	run := func(sel *SelectStmt, what string) *rowset.Rowset {
+		if err != nil {
+			return nil
 		}
-		for _, it := range x.List {
-			if containsSubquery(it) {
-				return true
-			}
+		rs, qerr := e.QueryContext(ctx, sel)
+		switch {
+		case qerr != nil:
+			err = qerr
+		case what != "" && rs.Schema().Len() != 1:
+			err = fmt.Errorf("sqlengine: %s subquery returns %d columns", what, rs.Schema().Len())
+		default:
+			return rs
 		}
-	case *FuncCall:
-		for _, a := range x.Args {
-			if containsSubquery(a) {
-				return true
-			}
-		}
+		return nil
 	}
-	return false
-}
-
-// resolveSub executes every subquery in the expression once and returns a
-// tree with the results substituted.
-func (e *Engine) resolveSub(expr Expr) (Expr, error) {
-	switch x := expr.(type) {
-	case *Subquery:
-		rs, err := e.Query(x.Query)
-		if err != nil {
-			return nil, err
-		}
-		if rs.Schema().Len() != 1 {
-			return nil, fmt.Errorf("sqlengine: scalar subquery returns %d columns", rs.Schema().Len())
-		}
-		switch rs.Len() {
-		case 0:
-			return &Literal{Val: nil}, nil
-		case 1:
-			return &Literal{Val: rs.Row(0)[0]}, nil
-		}
-		return nil, fmt.Errorf("sqlengine: scalar subquery returned %d rows", rs.Len())
-	case *Exists:
-		rs, err := e.Query(x.Query)
-		if err != nil {
-			return nil, err
-		}
-		return &Literal{Val: rs.Len() > 0}, nil
-	case *In:
-		out := &In{Negate: x.Negate}
-		var err error
-		out.X, err = e.resolveSub(x.X)
-		if err != nil {
-			return nil, err
-		}
-		if x.Subquery != nil {
-			rs, err := e.Query(x.Subquery)
-			if err != nil {
-				return nil, err
+	var resolve func(Expr) Expr
+	resolve = func(x Expr) Expr {
+		switch s := x.(type) {
+		case *Subquery:
+			rs := run(s.Query, "scalar")
+			switch {
+			case rs == nil:
+			case rs.Len() == 0:
+				return &Literal{Val: nil}
+			case rs.Len() == 1:
+				return &Literal{Val: rs.Row(0)[0]}
+			default:
+				err = fmt.Errorf("sqlengine: scalar subquery returned %d rows", rs.Len())
 			}
-			if rs.Schema().Len() != 1 {
-				return nil, fmt.Errorf("sqlengine: IN subquery returns %d columns", rs.Schema().Len())
+			return x
+		case *Exists:
+			if rs := run(s.Query, ""); rs != nil {
+				return &Literal{Val: rs.Len() > 0}
+			}
+			return x
+		case *In:
+			if s.Subquery == nil {
+				return nil
+			}
+			out := &In{X: rewrite(s.X, resolve), Negate: s.Negate}
+			rs := run(s.Subquery.Query, "IN")
+			if rs == nil { // this or an earlier subquery failed
+				return x
 			}
 			for _, r := range rs.Rows() {
 				out.List = append(out.List, &Literal{Val: r[0]})
 			}
-			return out, nil
+			return out
 		}
-		for _, it := range x.List {
-			ri, err := e.resolveSub(it)
-			if err != nil {
-				return nil, err
-			}
-			out.List = append(out.List, ri)
-		}
-		return out, nil
-	case *Binary:
-		l, err := e.resolveSub(x.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := e.resolveSub(x.R)
-		if err != nil {
-			return nil, err
-		}
-		return &Binary{Op: x.Op, L: l, R: r}, nil
-	case *Unary:
-		in, err := e.resolveSub(x.X)
-		if err != nil {
-			return nil, err
-		}
-		return &Unary{Op: x.Op, X: in}, nil
-	case *IsNull:
-		in, err := e.resolveSub(x.X)
-		if err != nil {
-			return nil, err
-		}
-		return &IsNull{X: in, Negate: x.Negate}, nil
-	case *Between:
-		bx, err := e.resolveSub(x.X)
-		if err != nil {
-			return nil, err
-		}
-		lo, err := e.resolveSub(x.Lo)
-		if err != nil {
-			return nil, err
-		}
-		hi, err := e.resolveSub(x.Hi)
-		if err != nil {
-			return nil, err
-		}
-		return &Between{X: bx, Lo: lo, Hi: hi, Negate: x.Negate}, nil
-	case *FuncCall:
-		out := &FuncCall{Name: x.Name, Star: x.Star, Distinct: x.Distinct, Pos: x.Pos}
-		for _, a := range x.Args {
-			ra, err := e.resolveSub(a)
-			if err != nil {
-				return nil, err
-			}
-			out.Args = append(out.Args, ra)
-		}
-		return out, nil
+		return nil
 	}
-	return expr, nil
-}
-
-// resolveStatementSubqueries rewrites every expression position of a SELECT.
-func (e *Engine) resolveStatementSubqueries(sel *SelectStmt) (*SelectStmt, error) {
-	needs := false
-	for _, it := range sel.Items {
-		if !it.Star && containsSubquery(it.Expr) {
-			needs = true
-		}
-	}
-	needs = needs || containsSubquery(sel.Where) || containsSubquery(sel.Having)
-	for _, g := range sel.GroupBy {
-		needs = needs || containsSubquery(g)
-	}
-	for _, o := range sel.OrderBy {
-		needs = needs || containsSubquery(o.Expr)
-	}
-	if !needs {
-		return sel, nil
-	}
-	out := *sel
-	out.Items = append([]SelectItem(nil), sel.Items...)
-	for i := range out.Items {
-		if out.Items[i].Star {
-			continue
-		}
-		r, err := e.resolveSub(out.Items[i].Expr)
-		if err != nil {
-			return nil, err
-		}
-		out.Items[i].Expr = r
-	}
-	var err error
-	if out.Where, err = e.resolveSub(sel.Where); err != nil {
-		return nil, err
-	}
-	if out.Having, err = e.resolveSub(sel.Having); err != nil {
-		return nil, err
-	}
-	out.GroupBy = append([]Expr(nil), sel.GroupBy...)
-	for i := range out.GroupBy {
-		if out.GroupBy[i], err = e.resolveSub(out.GroupBy[i]); err != nil {
-			return nil, err
-		}
-	}
-	out.OrderBy = append([]OrderItem(nil), sel.OrderBy...)
-	for i := range out.OrderBy {
-		if out.OrderBy[i].Expr, err = e.resolveSub(out.OrderBy[i].Expr); err != nil {
-			return nil, err
-		}
-	}
-	return &out, nil
+	out := rewriteStatement(st, resolve)
+	return out, err
 }

@@ -1,6 +1,7 @@
 package sqlengine
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -79,13 +80,13 @@ func (e *Engine) ViewNames() []string {
 }
 
 // execCreateView registers a view after checking that its query runs.
-func (e *Engine) execCreateView(st *CreateViewStmt) (*rowset.Rowset, error) {
+func (e *Engine) execCreateView(ctx context.Context, st *CreateViewStmt) (*rowset.Rowset, error) {
 	if _, err := e.DB.Table(st.Name); err == nil {
 		return nil, fmt.Errorf("sqlengine: a table named %q already exists", st.Name)
 	}
 	// Validate eagerly: a view that cannot run is a user error now, not at
 	// first use.
-	if _, err := e.Query(st.Query); err != nil {
+	if _, err := e.QueryContext(ctx, st.Query); err != nil {
 		return nil, fmt.Errorf("sqlengine: view %q: %w", st.Name, err)
 	}
 	if err := e.views.put(st.Name, st.Query); err != nil {

@@ -48,12 +48,12 @@ func TestReplaceRebuildsIndexes(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	rs, err := tbl.LookupEqual("name", "new")
-	if err != nil || rs.Len() != 2 {
-		t.Errorf("index after replace = %d rows, %v", rs.Len(), err)
+	rows, err := tbl.LookupEqualRows("name", "new")
+	if err != nil || len(rows) != 2 {
+		t.Errorf("index after replace = %d rows, %v", len(rows), err)
 	}
-	rs, _ = tbl.LookupEqual("name", "old")
-	if rs.Len() != 0 {
+	rows, _ = tbl.LookupEqualRows("name", "old")
+	if len(rows) != 0 {
 		t.Error("stale index entry survived Replace")
 	}
 }

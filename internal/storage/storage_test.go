@@ -64,33 +64,33 @@ func TestIndexLookup(t *testing.T) {
 	if err := tbl.CreateIndex("name"); err != nil {
 		t.Fatal(err)
 	}
-	rs, err := tbl.LookupEqual("name", "n3")
+	rows, err := tbl.LookupEqualRows("name", "n3")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rs.Len() != 10 {
-		t.Errorf("indexed lookup = %d rows, want 10", rs.Len())
+	if len(rows) != 10 {
+		t.Errorf("indexed lookup = %d rows, want 10", len(rows))
 	}
 	// Unindexed lookup falls back to scan with same answer.
-	rs2, err := tbl.LookupEqual("score", 42.0)
+	rows2, err := tbl.LookupEqualRows("score", 42.0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rs2.Len() != 1 || rs2.Row(0)[0] != int64(42) {
-		t.Errorf("scan lookup wrong: %v", rs2.Rows())
+	if len(rows2) != 1 || rows2[0][0] != int64(42) {
+		t.Errorf("scan lookup wrong: %v", rows2)
 	}
 	// Index stays consistent after more inserts.
 	if err := tbl.Insert(rowset.Row{int64(100), "n3", 1.5}); err != nil {
 		t.Fatal(err)
 	}
-	rs3, _ := tbl.LookupEqual("name", "n3")
-	if rs3.Len() != 11 {
-		t.Errorf("index not maintained: %d", rs3.Len())
+	rows3, _ := tbl.LookupEqualRows("name", "n3")
+	if len(rows3) != 11 {
+		t.Errorf("index not maintained: %d", len(rows3))
 	}
 	if err := tbl.CreateIndex("nope"); err == nil {
 		t.Error("index on unknown column must error")
 	}
-	if _, err := tbl.LookupEqual("nope", 1); err == nil {
+	if _, err := tbl.LookupEqualRows("nope", 1); err == nil {
 		t.Error("lookup on unknown column must error")
 	}
 }
@@ -104,11 +104,11 @@ func TestIndexAfterTruncate(t *testing.T) {
 		t.Fatal(err)
 	}
 	tbl.Truncate()
-	rs, err := tbl.LookupEqual("id", int64(1))
+	rows, err := tbl.LookupEqualRows("id", int64(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rs.Len() != 0 {
+	if len(rows) != 0 {
 		t.Error("index must be reset on truncate")
 	}
 }

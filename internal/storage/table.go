@@ -217,25 +217,9 @@ func (t *Table) HasIndex(col string) bool {
 	return exists
 }
 
-// LookupEqual returns the rows whose indexed column equals v. It falls back
-// to a scan when no index exists on col.
-func (t *Table) LookupEqual(col string, v rowset.Value) (*rowset.Rowset, error) {
-	rows, err := t.LookupEqualRows(col, v)
-	if err != nil {
-		return nil, err
-	}
-	out := rowset.New(t.schema)
-	for _, r := range rows {
-		if err := out.Append(r); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// LookupEqualRows is LookupEqual without the Rowset: it returns the matching
-// rows directly (shared, read-only), in insertion order, doing O(bucket) work
-// when an index exists on col. It is the streaming executor's point-lookup
+// LookupEqualRows returns the rows whose column col equals v, directly
+// (shared, read-only), in insertion order, doing O(bucket) work when an index
+// exists on col and falling back to a scan when none does. It is the streaming executor's point-lookup
 // primitive, so it avoids both materialization and per-row re-normalization.
 func (t *Table) LookupEqualRows(col string, v rowset.Value) ([]rowset.Row, error) {
 	ord, ok := t.schema.Lookup(col)

@@ -9,9 +9,9 @@ import (
 )
 
 // CursorClose proves that every cursor a function acquires — a
-// rowset.Cursor from (*Rowset).Cursor(), (*Table).Cursor() or
-// rowset.CursorOf, or a rowset.BatchCursor from any SQL operator
-// constructor: anything whose result implements either interface — reaches
+// rowset.Cursor from (*Rowset).Cursor() or (*Table).Cursor(), or a
+// rowset.BatchCursor from any SQL operator constructor: anything whose
+// result implements either interface — reaches
 // Close on every path out of the function, including error returns and
 // early TOP/cancellation exits. Passing a cursor to another call,
 // returning it, or storing it in a field/slice/map/closure transfers
