@@ -86,7 +86,7 @@ func BenchmarkE1_CasesetVsJoin(b *testing.B) {
 	})
 	b.Run("ShapedCaseset", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := shape.ExecuteString(p.Engine, workload.PaperShape); err != nil {
+			if _, err := shape.ExecuteStringContext(context.Background(), p.Engine, workload.PaperShape); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -258,7 +258,7 @@ func BenchmarkE7_CaseAssembly(b *testing.B) {
 	p := benchWarehouse(b, benchScale)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rs, err := shape.ExecuteString(p.Engine, workload.PaperShape)
+		rs, err := shape.ExecuteStringContext(context.Background(), p.Engine, workload.PaperShape)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -282,7 +282,7 @@ func nestedCaseset(b *testing.B) (*core.ModelDef, *rowset.Rowset) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rs, err := shape.ExecuteString(p.Engine, `SHAPE {SELECT [Customer ID], Gender, Age FROM Customers ORDER BY [Customer ID]}
+	rs, err := shape.ExecuteStringContext(context.Background(), p.Engine, `SHAPE {SELECT [Customer ID], Gender, Age FROM Customers ORDER BY [Customer ID]}
 		APPEND ({SELECT CustID, [Product Name], Quantity FROM Sales ORDER BY CustID}
 			RELATE [Customer ID] TO [CustID]) AS [Product Purchases]`)
 	if err != nil {

@@ -1,6 +1,7 @@
 package dmx
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -38,19 +39,19 @@ func TestParseExplain(t *testing.T) {
 		t.Fatalf("inner statement = %T, want *InsertInto", ex.Stmt)
 	}
 
-	// Non-DMX inner commands keep Stmt nil and carry the raw text for the
-	// provider's prefix dispatch.
-	for _, src := range []string{
-		"EXPLAIN SELECT A FROM NotAModel",
-		"EXPLAIN ANALYZE SHAPE {SELECT A FROM T} APPEND ({SELECT B FROM U} RELATE A TO B) AS N",
+	// SQL and SHAPE inner commands are parsed too, into their own kinds, and
+	// carry their text like any other.
+	for src, want := range map[string]Statement{
+		"EXPLAIN SELECT A FROM NotAModel": &SQL{},
+		"EXPLAIN ANALYZE SHAPE {SELECT A FROM T} APPEND ({SELECT B FROM U} RELATE A TO B) AS N": &Shape{},
 	} {
 		st, err = Parse(src, isModel)
 		if err != nil {
 			t.Fatalf("Parse(%q): %v", src, err)
 		}
 		ex = st.(*Explain)
-		if ex.Stmt != nil {
-			t.Errorf("Parse(%q).Stmt = %T, want nil (non-DMX inner)", src, ex.Stmt)
+		if fmt.Sprintf("%T", ex.Stmt) != fmt.Sprintf("%T", want) {
+			t.Errorf("Parse(%q).Stmt = %T, want %T", src, ex.Stmt, want)
 		}
 		if ex.Command == "" || strings.HasPrefix(ex.Command, "EXPLAIN") {
 			t.Errorf("Parse(%q).Command = %q", src, ex.Command)

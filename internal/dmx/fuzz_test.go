@@ -5,11 +5,13 @@ import (
 	"testing"
 
 	"repro/internal/lex"
+	"repro/internal/workload"
 )
 
-// fuzzSeeds are the statements the parser tests hold plus the clauses a
-// SELECT over a provider rowset or a PREDICTION JOIN borrows from the SQL
-// grammar.
+// fuzzSeeds are the statements the parser tests hold, the clauses a SELECT
+// over a provider rowset or a PREDICTION JOIN borrows from the SQL grammar, the
+// SQL and SHAPE commands Parse hands to those parsers, and the EXPLAIN and
+// PREPARE forms of each.
 var fuzzSeeds = []string{
 	paperCreate, paperInsert, paperPrediction,
 	`CREATE MINING MODEL m ([A] TEXT DISCRETE) USING [x]`,
@@ -33,13 +35,35 @@ var fuzzSeeds = []string{
 	`PREPARE q AS SELECT * FROM $SYSTEM.DM_QUERY_LOG WHERE ELAPSED_US > ?`,
 	`EXECUTE q (1, -2.5, 'x', TRUE, NULL)`,
 	`DEALLOCATE PREPARE q`,
+	workload.PaperShape,
+	`SHAPE {SELECT a FROM t} APPEND ((SHAPE {SELECT b, c FROM u} APPEND ({SELECT c, d FROM v} RELATE c TO c) AS V) RELATE a TO b) AS U`,
+	`SHAPE {SELECT a FROM t} APPEND (SHAPE {SELECT b, c FROM u} APPEND ({SELECT c FROM v} RELATE c TO c) AS V RELATE a TO b) AS U`,
+	`CREATE TABLE Customers ([Customer ID] LONG, Gender TEXT, Age DOUBLE, Active BOOL)`,
+	`INSERT INTO t (a, b) VALUES (1, 'x'), (2, 'y')`,
+	`INSERT INTO t SELECT * FROM u`,
+	`DELETE FROM t WHERE a = 1`,
+	`UPDATE t SET a = 1, b = b + 1 WHERE c IS NULL`,
+	`DROP TABLE t`,
+	`SELECT c.*, s.Amount FROM c LEFT JOIN s ON c.id = s.id, d WHERE s.Amount BETWEEN ? AND @hi`,
 }
 
-// FuzzParseDMX: Parse never panics, and every error it returns is a
-// positioned lex error — a statement is rejected at a line and column, never
-// with a bare message.
-func FuzzParseDMX(f *testing.F) {
+// wrapped is every fuzz seed also under EXPLAIN, EXPLAIN ANALYZE and PREPARE.
+func wrapped() []string {
+	var out []string
 	for _, src := range fuzzSeeds {
+		out = append(out, src, "EXPLAIN "+src, "EXPLAIN ANALYZE "+src, "PREPARE w AS "+src)
+	}
+	return out
+}
+
+// FuzzParseDMX fuzzes the provider's one front end — DMX, and through it the
+// SQL and SHAPE parsers. Parse never panics; it returns a statement or an
+// error, never neither; every error is a positioned lex error — a statement is
+// rejected at a line and column, never with a bare message; and EXPLAIN <s>
+// parses if and only if s does (unless s is itself an EXPLAIN, or starts with
+// the word ANALYZE, which EXPLAIN would read as its own).
+func FuzzParseDMX(f *testing.F) {
+	for _, src := range wrapped() {
 		f.Add(src)
 	}
 	for _, def := range roundTripDefs() {
@@ -47,13 +71,21 @@ func FuzzParseDMX(f *testing.F) {
 	}
 	isModel := isModelNamed("m", "Age Prediction")
 	f.Fuzz(func(t *testing.T, src string) {
-		_, err := Parse(src, isModel)
-		if err == nil {
+		st, err := Parse(src, isModel)
+		if err == nil && st == nil {
+			t.Fatalf("Parse(%q) = nil, nil", src)
+		}
+		if err != nil {
+			var le *lex.Error
+			if !errors.As(err, &le) || le.Line < 1 || le.Col < 1 {
+				t.Fatalf("Parse(%q) = %T %v, want a positioned *lex.Error", src, err, err)
+			}
+		}
+		if first := lex.NewScanner(src).Peek(); first.Is("EXPLAIN") || first.Is("ANALYZE") {
 			return
 		}
-		var le *lex.Error
-		if !errors.As(err, &le) || le.Line < 1 || le.Col < 1 {
-			t.Fatalf("Parse(%q) = %T %v, want a positioned *lex.Error", src, err, err)
+		if _, xerr := Parse("EXPLAIN "+src, isModel); (xerr == nil) != (err == nil) {
+			t.Fatalf("Parse(%q) err = %v, but with EXPLAIN err = %v", src, err, xerr)
 		}
 	})
 }

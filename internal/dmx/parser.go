@@ -11,32 +11,16 @@ import (
 	"repro/internal/sqlengine"
 )
 
-// Parse parses one DMX statement. isModel reports whether a name refers to a
-// catalogued mining model; it disambiguates DMX INSERT/DELETE/SELECT from
-// plain SQL, which shares the surface syntax (the paper's central design
+// Parse parses one command: a DMX statement, or a SQL statement or standalone
+// SHAPE, which come back as *SQL and *Shape. isModel reports whether a name
+// refers to a catalogued mining model; it disambiguates DMX INSERT/DELETE/SELECT
+// from plain SQL, which shares the surface syntax (the paper's central design
 // decision — "maintain the SQL metaphor" — makes the two languages overlap).
-// Parse returns (nil, nil) when the statement is not DMX and should be
-// handled by the SQL engine.
 func Parse(src string, isModel func(string) bool) (Statement, error) {
 	s := lex.NewScanner(src)
-	if s.Peek().Is("EXPLAIN") {
-		return parseExplain(s, src, isModel)
-	}
-	if s.Peek().Is("PREPARE") {
-		return parsePrepare(s, src)
-	}
-	if s.Peek().Is("EXECUTE") {
-		return parseExecute(s)
-	}
-	if s.Peek().Is("DEALLOCATE") {
-		return parseDeallocate(s)
-	}
-	st, err := parseStatement(s, isModel)
+	st, err := parseCommand(s, src, isModel)
 	if err != nil {
 		return nil, err
-	}
-	if st == nil {
-		return nil, nil
 	}
 	if err := s.ExpectEOF("statement"); err != nil {
 		return nil, err
@@ -44,11 +28,24 @@ func Parse(src string, isModel func(string) bool) (Statement, error) {
 	return st, nil
 }
 
-// parseExplain parses EXPLAIN [ANALYZE] <statement>. The inner command is
-// captured as raw text (sliced from src at the token position after the
-// prefix) so the provider can re-dispatch commands that are not DMX — plain
-// SQL and SHAPE sources — exactly as it would have run them unprefixed. When
-// the inner command is DMX it is parsed here so semantic checks see it.
+// parseCommand parses the command at the scanner: a statement, or one of the
+// control statements EXPLAIN, PREPARE, EXECUTE and DEALLOCATE.
+func parseCommand(s *lex.Scanner, src string, isModel func(string) bool) (Statement, error) {
+	switch t := s.Peek(); {
+	case t.Is("EXPLAIN"):
+		return parseExplain(s, src, isModel)
+	case t.Is("PREPARE"):
+		return parsePrepare(s, src, isModel)
+	case t.Is("EXECUTE"):
+		return parseExecute(s)
+	case t.Is("DEALLOCATE"):
+		return parseDeallocate(s)
+	}
+	return parseStatement(s, isModel)
+}
+
+// parseExplain parses EXPLAIN [ANALYZE] <statement>, keeping the inner
+// statement's text beside it.
 func parseExplain(s *lex.Scanner, src string, isModel func(string) bool) (Statement, error) {
 	if err := s.Expect("EXPLAIN"); err != nil {
 		return nil, err
@@ -64,17 +61,16 @@ func parseExplain(s *lex.Scanner, src string, isModel func(string) bool) (Statem
 		return nil, lex.Errorf(s.Peek(), "EXPLAIN cannot be nested")
 	}
 	command := strings.TrimSpace(src[s.Peek().Pos:])
-	inner, err := Parse(command, isModel)
+	inner, err := parseCommand(s, src, isModel)
 	if err != nil {
 		return nil, err
 	}
 	return &Explain{Analyze: analyze, Stmt: inner, Command: command}, nil
 }
 
-// parsePrepare parses PREPARE <name> AS <statement>. The inner statement is
-// captured as raw text — the provider compiles it (DMX, SQL, or SHAPE) at
-// prepare time, the same late-dispatch trick EXPLAIN uses.
-func parsePrepare(s *lex.Scanner, src string) (Statement, error) {
+// parsePrepare parses PREPARE <name> AS <statement>, keeping the inner
+// statement's text beside it.
+func parsePrepare(s *lex.Scanner, src string, isModel func(string) bool) (Statement, error) {
 	if err := s.Expect("PREPARE"); err != nil {
 		return nil, err
 	}
@@ -95,11 +91,16 @@ func parsePrepare(s *lex.Scanner, src string) (Statement, error) {
 		return nil, lex.Errorf(t, "%s cannot be prepared", strings.ToUpper(t.Text))
 	}
 	command := strings.TrimSpace(src[s.Peek().Pos:])
-	return &Prepare{Name: nameTok.Text, Command: command, NamePos: nameTok.Position()}, nil
+	inner, err := parseStatement(s, isModel)
+	if err != nil {
+		return nil, err
+	}
+	return &Prepare{Name: nameTok.Text, Stmt: inner, Command: command, NamePos: nameTok.Position()}, nil
 }
 
-// parseExecute parses EXECUTE <name> [(arg, ...)] with literal argument
-// values: numbers (optionally negated), strings, TRUE, FALSE, NULL.
+// parseExecute parses EXECUTE <name> [(arg, ...)]. Each argument is a SQL
+// literal — a number (a negated one folds into it), a string, TRUE, FALSE or
+// NULL — and anything else is rejected where it starts.
 func parseExecute(s *lex.Scanner) (Statement, error) {
 	if err := s.Expect("EXECUTE"); err != nil {
 		return nil, err
@@ -109,69 +110,27 @@ func parseExecute(s *lex.Scanner) (Statement, error) {
 		return nil, err
 	}
 	ex := &ExecutePrepared{Name: nameTok.Text, NamePos: nameTok.Position()}
-	if s.AcceptPunct("(") {
-		if !s.AcceptPunct(")") {
-			for {
-				v, err := parseArgValue(s)
-				if err != nil {
-					return nil, err
-				}
-				ex.Args = append(ex.Args, v)
-				if s.AcceptPunct(",") {
-					continue
-				}
-				break
-			}
-			if err := s.ExpectPunct(")"); err != nil {
+	if s.AcceptPunct("(") && !s.AcceptPunct(")") {
+		for {
+			t := s.Peek()
+			e, err := sqlengine.ParseExpr(s)
+			if err != nil {
 				return nil, err
 			}
+			lit, ok := e.(*sqlengine.Literal)
+			if !ok {
+				return nil, lex.Errorf(t, "expected literal argument, found %s", t)
+			}
+			ex.Args = append(ex.Args, lit.Val)
+			if !s.AcceptPunct(",") {
+				break
+			}
 		}
-	}
-	if err := s.ExpectEOF("EXECUTE"); err != nil {
-		return nil, err
+		if err := s.ExpectPunct(")"); err != nil {
+			return nil, err
+		}
 	}
 	return ex, nil
-}
-
-// parseArgValue parses one EXECUTE argument literal.
-func parseArgValue(s *lex.Scanner) (rowset.Value, error) {
-	neg := s.AcceptPunct("-")
-	t, err := s.Next()
-	if err != nil {
-		return nil, err
-	}
-	switch {
-	case t.Kind == lex.Number:
-		if strings.ContainsAny(t.Text, ".eE") {
-			f, err := t.Float()
-			if err != nil {
-				return nil, lex.Errorf(t, "bad number %q", t.Text)
-			}
-			if neg {
-				f = -f
-			}
-			return f, nil
-		}
-		n, err := t.Int()
-		if err != nil {
-			return nil, lex.Errorf(t, "bad number %q", t.Text)
-		}
-		if neg {
-			n = -n
-		}
-		return n, nil
-	case neg:
-		return nil, lex.Errorf(t, "expected number after '-', found %s", t)
-	case t.Kind == lex.String:
-		return t.Text, nil
-	case t.Is("TRUE"):
-		return true, nil
-	case t.Is("FALSE"):
-		return false, nil
-	case t.Is("NULL"):
-		return nil, nil
-	}
-	return nil, lex.Errorf(t, "expected literal argument, found %s", t)
 }
 
 // parseDeallocate parses DEALLOCATE [PREPARE] <name>.
@@ -184,12 +143,11 @@ func parseDeallocate(s *lex.Scanner) (Statement, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := s.ExpectEOF("DEALLOCATE"); err != nil {
-		return nil, err
-	}
 	return &Deallocate{Name: name}, nil
 }
 
+// parseStatement parses a DMX statement, or failing that a SHAPE or a SQL
+// statement.
 func parseStatement(s *lex.Scanner, isModel func(string) bool) (Statement, error) {
 	switch {
 	case s.AcceptSeq("CREATE", "MINING", "MODEL"):
@@ -205,7 +163,7 @@ func parseStatement(s *lex.Scanner, isModel func(string) bool) (Statement, error
 		s.Accept("INSERT")
 		if !s.Accept("INTO") {
 			restore()
-			return nil, nil
+			return parseSQL(s)
 		}
 		// Optional MINING MODEL keywords (DMX allows INSERT INTO MINING MODEL m).
 		explicit := s.AcceptSeq("MINING", "MODEL")
@@ -215,7 +173,7 @@ func parseStatement(s *lex.Scanner, isModel func(string) bool) (Statement, error
 		}
 		if !explicit && !isModel(nameTok.Text) {
 			restore()
-			return nil, nil // plain SQL INSERT
+			return parseSQL(s) // INSERT INTO a table
 		}
 		return parseInsertInto(s, nameTok.Text, nameTok.Position())
 	case s.Peek().Is("DELETE"):
@@ -223,7 +181,7 @@ func parseStatement(s *lex.Scanner, isModel func(string) bool) (Statement, error
 		s.Accept("DELETE")
 		if !s.Accept("FROM") {
 			restore()
-			return nil, nil
+			return parseSQL(s)
 		}
 		name, err := s.Name()
 		if err != nil {
@@ -231,13 +189,28 @@ func parseStatement(s *lex.Scanner, isModel func(string) bool) (Statement, error
 		}
 		if !isModel(name) || !s.AtEOF() {
 			restore()
-			return nil, nil
+			return parseSQL(s)
 		}
 		return &DeleteFrom{Model: name}, nil
 	case s.Peek().Is("SELECT"):
 		return parseSelect(s, isModel)
+	case s.Peek().Is("SHAPE"):
+		q, err := shape.Parse(s)
+		if err != nil {
+			return nil, err
+		}
+		return &Shape{Query: q}, nil
 	}
-	return nil, s.Err()
+	return parseSQL(s)
+}
+
+// parseSQL parses the statement at the scanner as SQL.
+func parseSQL(s *lex.Scanner) (Statement, error) {
+	st, err := sqlengine.ParseStatement(s)
+	if err != nil {
+		return nil, err
+	}
+	return &SQL{Stmt: st}, nil
 }
 
 // ---------- CREATE MINING MODEL ----------
@@ -558,21 +531,22 @@ func parseSource(s *lex.Scanner) (Source, error) {
 
 // ---------- SELECT (prediction join, provider rowsets) ----------
 
-// parseSelect parses the SELECTs DMX owns. Their clauses are the SQL engine's
-// (sqlengine.ParseSelectHead and ParseSelectTail); what this reads is the FROM
-// between them. A SELECT whose FROM is none of DMX's is left to the SQL
-// parser: (nil, nil) with the scanner restored.
+// parseSelect parses a SELECT. Its clauses are the SQL engine's
+// (sqlengine.ParseSelectHead, ParseFrom and ParseSelectTail); what this reads
+// is the FROM between them. A FROM that names no DMX source is a SQL SELECT's,
+// and parsing carries on from it.
 func parseSelect(s *lex.Scanner, isModel func(string) bool) (Statement, error) {
-	restore := s.Mark()
 	sel, err := sqlengine.ParseSelectHead(s)
-	if err != nil || !s.Accept("FROM") {
-		restore()
-		return nil, nil // not DMX, or malformed: the SQL parser reports it
+	if err != nil {
+		return nil, err
 	}
+	if !s.Accept("FROM") {
+		return selectTail(s, &SQL{Stmt: sel}, sel)
+	}
+	from := s.Mark()
 	nameTok, err := s.NameToken()
 	if err != nil {
-		restore()
-		return nil, nil
+		return nil, err
 	}
 	name := nameTok.Text
 	switch {
@@ -602,14 +576,15 @@ func parseSelect(s *lex.Scanner, isModel func(string) bool) (Statement, error) {
 	case s.AcceptSeq("NATURAL", "PREDICTION", "JOIN"):
 		natural = true
 	case s.AcceptSeq("PREDICTION", "JOIN"):
+	case isModel(name):
+		// Browsing a model's content is SELECT ... FROM <model>.CONTENT.
+		return nil, lex.Errorf(nameTok, "SELECT FROM a mining model requires PREDICTION JOIN or .CONTENT")
 	default:
-		// SELECT ... FROM <model> with no join: only valid if the name is a
-		// model (content-style browse is not supported without .CONTENT).
-		restore()
-		if isModel(name) {
-			return nil, lex.Errorf(s.Peek(), "SELECT FROM a mining model requires PREDICTION JOIN or .CONTENT")
+		from()
+		if sel.From, err = sqlengine.ParseFrom(s); err != nil {
+			return nil, err
 		}
-		return nil, nil
+		return selectTail(s, &SQL{Stmt: sel}, sel)
 	}
 	ps := &PredictionSelect{Select: sel, Model: name, Natural: natural, ModelPos: nameTok.Position()}
 	if ps.Source, err = parseSource(s); err != nil {

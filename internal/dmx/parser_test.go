@@ -165,8 +165,10 @@ func TestParseInsertSkipAndSelect(t *testing.T) {
 
 func TestInsertIntoTableIsNotDMX(t *testing.T) {
 	st, err := Parse("INSERT INTO Customers VALUES (1)", isModelNamed("m"))
-	if err != nil || st != nil {
-		t.Errorf("plain SQL insert: st=%v err=%v", st, err)
+	if sql, ok := st.(*SQL); err != nil || !ok {
+		t.Errorf("plain SQL insert: st=%T err=%v, want *SQL", st, err)
+	} else if _, ok := sql.Stmt.(*sqlengine.InsertStmt); !ok {
+		t.Errorf("plain SQL insert parsed as %T", sql.Stmt)
 	}
 }
 
@@ -270,8 +272,10 @@ func TestParseDeleteAndDrop(t *testing.T) {
 	}
 	// DELETE FROM a table is SQL, not DMX.
 	st, err = Parse("DELETE FROM Customers WHERE a = 1", isModelNamed("m"))
-	if err != nil || st != nil {
-		t.Errorf("sql delete: %v %v", st, err)
+	if sql, ok := st.(*SQL); err != nil || !ok {
+		t.Errorf("sql delete: %T %v, want *SQL", st, err)
+	} else if _, ok := sql.Stmt.(*sqlengine.DeleteStmt); !ok {
+		t.Errorf("sql delete parsed as %T", sql.Stmt)
 	}
 	st, err = Parse("DROP MINING MODEL [m]", isModelNamed("m"))
 	if err != nil {
@@ -284,8 +288,10 @@ func TestParseDeleteAndDrop(t *testing.T) {
 
 func TestPlainSelectIsNotDMX(t *testing.T) {
 	st, err := Parse("SELECT a, b FROM Customers WHERE a > 1", isModelNamed("m"))
-	if err != nil || st != nil {
-		t.Errorf("plain select: %v %v", st, err)
+	if sql, ok := st.(*SQL); err != nil || !ok {
+		t.Errorf("plain select: %T %v, want *SQL", st, err)
+	} else if sel, ok := sql.Stmt.(*sqlengine.SelectStmt); !ok || len(sel.From) != 1 || sel.Where == nil {
+		t.Errorf("plain select parsed as %+v", sql.Stmt)
 	}
 }
 

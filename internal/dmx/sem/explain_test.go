@@ -8,8 +8,8 @@ import (
 )
 
 // TestCheckExplainDelegates: EXPLAIN binds as the statement it wraps, so a
-// plan is never produced for a statement that would not bind; non-DMX inner
-// commands (nil Stmt) pass through unchecked.
+// plan is never produced for a statement that would not bind; a SQL inner
+// statement has nothing for the binder to check.
 func TestCheckExplainDelegates(t *testing.T) {
 	cat := testCatalog(t)
 	isModel := func(n string) bool { _, err := cat.ModelDef(n); return err == nil }
@@ -34,7 +34,11 @@ func TestCheckExplainDelegates(t *testing.T) {
 		t.Fatalf("Check error = %T %v, want positioned diagnostics about Bogus", err, err)
 	}
 
-	if err := Check(&dmx.Explain{Command: "SELECT 1"}, cat); err != nil {
-		t.Fatalf("Check(EXPLAIN of non-DMX) = %v, want nil", err)
+	sql, err := dmx.Parse("EXPLAIN SELECT 1", isModel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Check(sql, cat); err != nil {
+		t.Fatalf("Check(EXPLAIN of SQL) = %v, want nil", err)
 	}
 }

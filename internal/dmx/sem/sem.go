@@ -66,12 +66,8 @@ func (ds Diagnostics) Error() string {
 // found (in source order).
 func Check(st dmx.Statement, cat Catalog) error {
 	// EXPLAIN is checked as the statement it wraps: a plan for a statement
-	// that would not bind is not worth rendering. A nil inner statement is a
-	// non-DMX command (SQL/SHAPE) that the binder has no metadata for.
+	// that would not bind is not worth rendering.
 	if ex, ok := st.(*dmx.Explain); ok {
-		if ex.Stmt == nil {
-			return nil
-		}
 		return Check(ex.Stmt, cat)
 	}
 	c := &checker{cat: cat}
@@ -151,12 +147,9 @@ func (c *checker) checkBinding(model string, cols []core.ColumnDef, b dmx.Bindin
 type predCtx struct {
 	def   *core.ModelDef
 	model string
-	alias string
 	// eval is the alias-qualified source schema the executor evaluates
 	// against; nil when the source schema cannot be inferred.
 	eval *rowset.Schema
-	// src is the raw (unqualified) source schema, used by the ON clause.
-	src *rowset.Schema
 }
 
 func (c *checker) checkPrediction(ps *dmx.PredictionSelect) {
@@ -165,9 +158,8 @@ func (c *checker) checkPrediction(ps *dmx.PredictionSelect) {
 		c.errorf(ps.ModelPos, "unknown mining model %q", ps.Model)
 		return
 	}
-	pc := &predCtx{def: def, model: ps.Model, alias: ps.Alias}
-	pc.src = c.sourceSchema(ps.Source)
-	pc.eval = qualifySchema(pc.src, ps.Alias)
+	src := c.sourceSchema(ps.Source)
+	pc := &predCtx{def: def, model: ps.Model, eval: qualifySchema(src, ps.Alias)}
 
 	sel := ps.Select
 	for _, it := range sel.Items {
@@ -177,16 +169,16 @@ func (c *checker) checkPrediction(ps *dmx.PredictionSelect) {
 		c.walkExpr(it.Expr, pc)
 	}
 	if !ps.Natural && ps.On != nil {
-		c.checkOn(ps.On, pc)
+		ps.OnBindings(def, src, c.errorf)
 	}
 	if sel.Where != nil {
 		c.walkExpr(sel.Where, pc)
 	}
 	if len(sel.GroupBy) > 0 {
-		c.errorf(exprPos(sel.GroupBy[0]), "GROUP BY is not supported on a PREDICTION JOIN")
+		c.errorf(dmx.ExprPos(sel.GroupBy[0]), "GROUP BY is not supported on a PREDICTION JOIN")
 	}
 	if sel.Having != nil {
-		c.errorf(exprPos(sel.Having), "HAVING is not supported on a PREDICTION JOIN")
+		c.errorf(dmx.ExprPos(sel.Having), "HAVING is not supported on a PREDICTION JOIN")
 	}
 	for _, o := range sel.OrderBy {
 		if cr, ok := o.Expr.(*sqlengine.ColumnRef); ok && cr.Qualifier == "" && namesItem(sel.Items, cr.Name) {
@@ -369,112 +361,6 @@ func argCountText(min, max int) string {
 	}
 }
 
-// ---- ON clause ----
-
-// checkOn validates the ON clause the way onClauseBindings interprets it: a
-// conjunction of equalities between model column paths and source column
-// paths, bound by name, with compatible column types.
-func (c *checker) checkOn(on sqlengine.Expr, pc *predCtx) {
-	switch x := on.(type) {
-	case *sqlengine.Binary:
-		switch x.Op {
-		case sqlengine.OpAnd:
-			c.checkOn(x.L, pc)
-			c.checkOn(x.R, pc)
-			return
-		case sqlengine.OpEq:
-			lc, ok1 := x.L.(*sqlengine.ColumnRef)
-			rc, ok2 := x.R.(*sqlengine.ColumnRef)
-			if !ok1 || !ok2 {
-				c.errorf(exprPos(on), "ON clause equality must compare columns, found %s", on)
-				return
-			}
-			c.checkOnPair(lc, rc, pc)
-			return
-		}
-	}
-	c.errorf(exprPos(on), "ON clause must be a conjunction of equalities, found %s", on)
-}
-
-func (c *checker) checkOnPair(l, r *sqlengine.ColumnRef, pc *predCtx) {
-	lp, rp := refPath(l), refPath(r)
-	var mRef, sRef *sqlengine.ColumnRef
-	var mPath, sPath []string
-	switch {
-	case pathHasPrefix(lp, pc.model):
-		mRef, sRef, mPath, sPath = l, r, lp[1:], stripAlias(rp, pc.alias)
-	case pathHasPrefix(rp, pc.model):
-		mRef, sRef, mPath, sPath = r, l, rp[1:], stripAlias(lp, pc.alias)
-	default:
-		c.errorf(refPos(l, lex.Pos{}), "ON clause equality does not reference model %q: %s = %s", pc.model, l, r)
-		return
-	}
-	switch len(mPath) {
-	case 1:
-		mc, ok := pc.def.Column(mPath[0])
-		if !ok {
-			c.errorf(mRef.Pos, "unknown column %q in model %s", mPath[0], pc.def.Name)
-			return
-		}
-		if mc.Content == core.ContentTable {
-			c.errorf(mRef.Pos, "TABLE column %q of model %s cannot be bound as a scalar in the ON clause", mc.Name, pc.def.Name)
-			return
-		}
-		if len(sPath) != 1 {
-			c.errorf(sRef.Pos, "ON clause binds scalar column %q to nested source path %q", mc.Name, strings.Join(sPath, "."))
-			return
-		}
-		if !strings.EqualFold(mc.Name, sPath[0]) {
-			c.errorf(sRef.Pos, "ON clause binds model column %q to differently-named source column %q; alias the source column to the model column name", mc.Name, sPath[0])
-			return
-		}
-		if pc.src != nil {
-			ord, ok := pc.src.Lookup(sPath[0])
-			if !ok {
-				c.errorf(sRef.Pos, "source has no column %q (source columns: %v)", sPath[0], pc.src.Names())
-				return
-			}
-			if st := pc.src.Column(ord).Type; !typesCompatible(mc.DataType, st) {
-				c.errorf(sRef.Pos, "ON clause binds model column %q (%s) to source column %q (%s): incompatible types",
-					mc.Name, mc.DataType, sPath[0], st)
-			}
-		}
-	case 2:
-		tc, ok := pc.def.Column(mPath[0])
-		if !ok || tc.Content != core.ContentTable {
-			c.errorf(mRef.Pos, "model %s has no nested table %q", pc.def.Name, mPath[0])
-			return
-		}
-		nc, ok := findColumn(tc.Table, mPath[1])
-		if !ok {
-			c.errorf(mRef.Pos, "unknown column %q in nested table %s of model %s", mPath[1], tc.Name, pc.def.Name)
-			return
-		}
-		if len(sPath) != 2 {
-			c.errorf(sRef.Pos, "ON clause binds nested column %s.%s to non-nested source path %q",
-				tc.Name, nc.Name, strings.Join(sPath, "."))
-			return
-		}
-		if !strings.EqualFold(nc.Name, sPath[1]) {
-			c.errorf(sRef.Pos, "ON clause binds nested column %q to differently-named source column %q", nc.Name, sPath[1])
-		}
-	default:
-		c.errorf(mRef.Pos, "model column path %q nests too deeply (at most table.column)",
-			strings.Join(mPath, "."))
-	}
-}
-
-// typesCompatible reports whether a model column of type m can bind a source
-// column of type s in an ON clause. The numeric types coerce to one another;
-// everything else must match exactly. Unknown source types skip the check.
-func typesCompatible(m, s rowset.Type) bool {
-	if s == rowset.TypeNull || m == s {
-		return true
-	}
-	numeric := func(t rowset.Type) bool { return t == rowset.TypeLong || t == rowset.TypeDouble }
-	return numeric(m) && numeric(s)
-}
-
 // ---- source schema inference ----
 
 // sourceSchema infers the output schema of an INSERT INTO / PREDICTION JOIN
@@ -566,57 +452,10 @@ func findColumn(cols []core.ColumnDef, name string) (*core.ColumnDef, bool) {
 	return nil, false
 }
 
-// refPath splits a possibly-qualified reference into its dot components.
-func refPath(c *sqlengine.ColumnRef) []string {
-	var parts []string
-	if c.Qualifier != "" {
-		parts = strings.Split(c.Qualifier, ".")
-	}
-	return append(parts, c.Name)
-}
-
-func pathHasPrefix(path []string, name string) bool {
-	return len(path) > 1 && strings.EqualFold(path[0], name)
-}
-
-func stripAlias(path []string, alias string) []string {
-	if alias != "" && len(path) > 1 && strings.EqualFold(path[0], alias) {
-		return path[1:]
-	}
-	return path
-}
-
 // refPos prefers the reference's own position, falling back to fb.
 func refPos(cr *sqlengine.ColumnRef, fb lex.Pos) lex.Pos {
 	if cr.Pos.IsValid() {
 		return cr.Pos
 	}
 	return fb
-}
-
-// exprPos finds the first positioned node in an expression tree, preorder; an
-// IN or BETWEEN is located by its operand.
-func exprPos(e sqlengine.Expr) lex.Pos {
-	var pos lex.Pos
-	sqlengine.Inspect(e, func(n sqlengine.Expr) bool {
-		if pos.IsValid() {
-			return false
-		}
-		switch x := n.(type) {
-		case *sqlengine.ColumnRef:
-			pos = x.Pos
-		case *sqlengine.FuncCall:
-			pos = x.Pos
-		case *sqlengine.In:
-			pos = exprPos(x.X)
-			return false
-		case *sqlengine.Between:
-			pos = exprPos(x.X)
-			return false
-		case *sqlengine.Subquery, *sqlengine.Exists:
-			return false
-		}
-		return true
-	})
-	return pos
 }

@@ -56,6 +56,9 @@ func (s *Scanner) Accept(keyword string) bool {
 
 // AcceptSeq consumes a sequence of keywords only if all match in order.
 func (s *Scanner) AcceptSeq(keywords ...string) bool {
+	if !s.Peek().Is(keywords[0]) {
+		return false // the common miss needs no restore point
+	}
 	restore := s.Mark()
 	for _, k := range keywords {
 		if !s.Accept(k) {

@@ -3,7 +3,6 @@ package provider
 import (
 	"context"
 
-	"repro/internal/dmx"
 	"repro/internal/rowset"
 )
 
@@ -23,10 +22,4 @@ func (p *Provider) ExecuteScript(script string) (*rowset.Rowset, error) {
 	s := p.NewSession()
 	defer s.Close()
 	return s.ExecuteScript(context.Background(), script)
-}
-
-func (p *Provider) ExecuteDMX(st dmx.Statement) (*rowset.Rowset, error) {
-	s := p.NewSession()
-	defer s.Close()
-	return s.execDMXChecked(context.Background(), st)
 }

@@ -1,6 +1,7 @@
 package provider
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -8,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dmx"
+	"repro/internal/lex"
 	"repro/internal/obs"
 	"repro/internal/rowset"
 	"repro/internal/sqlengine"
@@ -54,9 +56,14 @@ func (p *Provider) predictionSelect(ctx context.Context, ps *dmx.PredictionSelec
 	if ps.Natural {
 		cols = core.BindByName(def.Columns, src.Schema())
 	} else {
-		bindings, err := onClauseBindings(def, ps.Model, ps.Alias, ps.On, src.Schema())
-		if err != nil {
-			return nil, err
+		// The binder checked the clause when the statement compiled; the
+		// source's columns are bindColumns' to check.
+		var onErr error
+		bindings := ps.OnBindings(def, nil, func(_ lex.Pos, format string, args ...any) {
+			onErr = cmp.Or(onErr, fmt.Errorf("provider: "+format, args...))
+		})
+		if onErr != nil {
+			return nil, onErr
 		}
 		if cols, err = bindColumns(def.Name, def.Columns, bindings, src.Schema(), nil, true); err != nil {
 			return nil, err
@@ -174,131 +181,6 @@ func (pp *predictPlan) caseBinder() func([]rowset.Row, []any) (int, error) {
 		}
 		return len(frames), err
 	}
-}
-
-// onClauseBindings interprets the ON clause: a conjunction of equalities
-// between model column paths ([Model].[Col] or [Model].[Table].[Col]) and
-// source column paths (t.[Col] or t.[Table].[Col]).
-func onClauseBindings(def *core.ModelDef, model, alias string, on sqlengine.Expr, src *rowset.Schema) ([]dmx.Binding, error) {
-	pairs, err := equalityPairs(on)
-	if err != nil {
-		return nil, err
-	}
-	var scalars []dmx.Binding
-	nestedBy := make(map[string][]dmx.Binding) // lower table name → nested bindings
-	var nestedOrder []string
-	for _, pr := range pairs {
-		mPath, sPath, err := classifySides(model, alias, pr)
-		if err != nil {
-			return nil, err
-		}
-		if len(mPath) == 1 {
-			mc, ok := def.Column(mPath[0])
-			if !ok {
-				return nil, fmt.Errorf("provider: model %s has no column %q", model, mPath[0])
-			}
-			if len(sPath) != 1 {
-				return nil, fmt.Errorf("provider: ON clause binds scalar %q to nested source path %v", mc.Name, sPath)
-			}
-			if _, ok := src.Lookup(sPath[0]); !ok {
-				return nil, fmt.Errorf("provider: source has no column %q", sPath[0])
-			}
-			// bindColumns binds by the model column name; requiring source
-			// columns to share it keeps the semantics of the paper's
-			// examples without a separate rename layer.
-			if !strings.EqualFold(mc.Name, sPath[0]) {
-				return nil, fmt.Errorf("provider: ON clause binds model column %q to differently-named source column %q; "+
-					"alias the source column to the model column name", mc.Name, sPath[0])
-			}
-			scalars = append(scalars, dmx.Binding{Name: mc.Name})
-			continue
-		}
-		// Nested: mPath = [table, col].
-		tableCol, ok := def.Column(mPath[0])
-		if !ok || tableCol.Content != core.ContentTable {
-			return nil, fmt.Errorf("provider: model %s has no nested table %q", model, mPath[0])
-		}
-		if len(sPath) != 2 {
-			return nil, fmt.Errorf("provider: ON clause binds nested %s.%s to non-nested source path %v",
-				mPath[0], mPath[1], sPath)
-		}
-		if !strings.EqualFold(mPath[1], sPath[1]) {
-			return nil, fmt.Errorf("provider: ON clause binds nested column %q to differently-named source column %q",
-				mPath[1], sPath[1])
-		}
-		key := strings.ToLower(tableCol.Name)
-		if _, seen := nestedBy[key]; !seen {
-			nestedOrder = append(nestedOrder, tableCol.Name)
-		}
-		nestedBy[key] = append(nestedBy[key], dmx.Binding{Name: mPath[1]})
-	}
-	out := scalars
-	for _, tname := range nestedOrder {
-		out = append(out, dmx.Binding{Name: tname, Nested: nestedBy[strings.ToLower(tname)]})
-	}
-	return out, nil
-}
-
-// equalityPairs flattens an AND-tree of equality comparisons.
-func equalityPairs(e sqlengine.Expr) ([][2]*sqlengine.ColumnRef, error) {
-	b, ok := e.(*sqlengine.Binary)
-	if !ok {
-		return nil, fmt.Errorf("provider: ON clause must be a conjunction of equalities, found %s", e)
-	}
-	switch b.Op {
-	case sqlengine.OpAnd:
-		l, err := equalityPairs(b.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := equalityPairs(b.R)
-		if err != nil {
-			return nil, err
-		}
-		return append(l, r...), nil
-	case sqlengine.OpEq:
-		lc, ok1 := b.L.(*sqlengine.ColumnRef)
-		rc, ok2 := b.R.(*sqlengine.ColumnRef)
-		if !ok1 || !ok2 {
-			return nil, fmt.Errorf("provider: ON clause equality must compare columns, found %s", b)
-		}
-		return [][2]*sqlengine.ColumnRef{{lc, rc}}, nil
-	}
-	return nil, fmt.Errorf("provider: unsupported ON clause operator in %s", b)
-}
-
-// classifySides determines which side of an equality names the model and
-// returns (model path, source path) with qualifiers stripped.
-func classifySides(model, alias string, pr [2]*sqlengine.ColumnRef) (mPath, sPath []string, err error) {
-	a := refPath(pr[0])
-	b := refPath(pr[1])
-	switch {
-	case pathHasPrefix(a, model):
-		return a[1:], stripAlias(b, alias), nil
-	case pathHasPrefix(b, model):
-		return b[1:], stripAlias(a, alias), nil
-	}
-	return nil, nil, fmt.Errorf("provider: ON clause equality does not reference model %q: %s = %s",
-		model, pr[0], pr[1])
-}
-
-func refPath(c *sqlengine.ColumnRef) []string {
-	var parts []string
-	if c.Qualifier != "" {
-		parts = strings.Split(c.Qualifier, ".")
-	}
-	return append(parts, c.Name)
-}
-
-func pathHasPrefix(path []string, name string) bool {
-	return len(path) > 1 && strings.EqualFold(path[0], name)
-}
-
-func stripAlias(path []string, alias string) []string {
-	if alias != "" && len(path) > 1 && strings.EqualFold(path[0], alias) {
-		return path[1:]
-	}
-	return path
 }
 
 // predTarget is one model column a statement predicts, resolved when the

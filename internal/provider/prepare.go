@@ -1,11 +1,12 @@
 package provider
 
-// Prepared statements and the plan cache. Every plannable statement (SQL
-// SELECT/DML, DMX prediction and browsing selects, INSERT INTO a model)
-// compiles into a *plan: the parsed AST plus its parameter slots and the
-// catalog objects it references at their current versions. Plans are
-// immutable once built — parameter binding clones the AST — so one plan can
-// serve concurrent executions out of the LRU cache or a PREPARE handle.
+// Prepared statements and the plan cache. Every command compiles into a
+// *plan: the parsed statement plus its parameter slots and the catalog
+// objects it references at their current versions. Plannable statements (SQL
+// SELECT/DML, SHAPE, DMX prediction and browsing selects, INSERT INTO a
+// model) are cached. Plans are immutable once built — parameter binding
+// clones the AST — so one plan can serve concurrent executions out of the LRU
+// cache or a PREPARE handle.
 // DROP/CREATE of any referenced model, table, or view bumps that name's
 // version, which invalidates cached plans on lookup and makes prepared
 // statements replan (or fail with the new schema's real error) instead of
@@ -21,7 +22,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dmx"
 	"repro/internal/dmx/sem"
-	"repro/internal/lex"
 	"repro/internal/obs"
 	"repro/internal/plancache"
 	"repro/internal/rowset"
@@ -29,21 +29,19 @@ import (
 	"repro/internal/sqlengine"
 )
 
-// plan is one compiled statement. Exactly one of dmxStmt, sqlStmt, or
-// shapeCmd is set. A plan is immutable after compilation: the plan cache
-// hands the same *plan to concurrent executions, so any post-construction
-// write is a data race. Enforced by the planimmut analyzer.
+// plan is one compiled statement. A plan is immutable after compilation: the
+// plan cache hands the same *plan to concurrent executions, so any
+// post-construction write is a data race. Enforced by the planimmut analyzer.
 //
 //dmlint:immutable
 type plan struct {
-	kind     string                // statement class for traces and the query log
-	dmxStmt  dmx.Statement         // parsed DMX statement
-	sqlStmt  sqlengine.Statement   // parsed SQL statement
-	shapeCmd string                // raw standalone SHAPE command
-	params   []sqlengine.ParamSlot // placeholder slots, in argument order
-	deps     []plancache.Dep       // referenced catalog objects at compile versions
+	kind   string                // statement class for traces and the query log
+	stmt   dmx.Statement         // the parsed statement
+	inner  *plan                 // the compiled statement an EXPLAIN or a PREPARE wraps
+	params []sqlengine.ParamSlot // placeholder slots, in argument order
+	deps   []plancache.Dep       // referenced catalog objects at compile versions
 	// cacheable marks plans worth keeping: statements that re-execute
-	// meaningfully (queries, DML, model population). DDL and control
+	// meaningfully (queries, DML, SHAPE, model population). DDL and control
 	// statements compile but are never cached.
 	cacheable bool
 }
@@ -57,15 +55,9 @@ type preparedStmt struct {
 	plan    *plan
 }
 
-// compileCommand parses and compiles one command — DMX, SQL, or SHAPE — into
-// a plan, attributing parse and bind time to t.
-func (p *Provider) compileCommand(ctx context.Context, t *obs.Trace, command string) (*plan, error) {
-	if sc := lex.NewScanner(command); sc.Peek().Is("SHAPE") {
-		if commandHasParams(command) {
-			return nil, fmt.Errorf("provider: parameters are not supported inside SHAPE statements")
-		}
-		return &plan{kind: "SHAPE", shapeCmd: command}, nil
-	}
+// compile parses command — DMX, SQL, or SHAPE — and compiles it into a plan,
+// attributing parse and bind time to t.
+func (p *Provider) compile(t *obs.Trace, command string) (*plan, error) {
 	stopParse := t.StartStage(obs.StageParse)
 	st, err := dmx.Parse(command, p.IsModel)
 	stopParse()
@@ -73,106 +65,87 @@ func (p *Provider) compileCommand(ctx context.Context, t *obs.Trace, command str
 		t.SetErrClass("parse")
 		return nil, err
 	}
-	if st == nil {
-		stopParse = t.StartStage(obs.StageParse)
-		sqlSt, err := sqlengine.Parse(command)
-		stopParse()
-		if err != nil {
-			t.SetErrClass("parse")
-			return nil, err
-		}
-		return p.compileSQL(sqlSt)
-	}
-	return p.compileDMX(ctx, t, st)
+	return p.compileStmt(t, st)
 }
 
-// compileSQL assigns parameter slots, infers their types from the columns
-// they are compared against, and snapshots the referenced tables' versions.
-func (p *Provider) compileSQL(st sqlengine.Statement) (*plan, error) {
-	pl := &plan{kind: "SQL", sqlStmt: st}
-	switch st.(type) {
-	case *sqlengine.SelectStmt, *sqlengine.InsertStmt, *sqlengine.DeleteStmt, *sqlengine.UpdateStmt:
-		pl.cacheable = true
-	default:
-		// DDL compiles (so it can be prepared and re-run) but is never cached
-		// and takes no parameters.
-		if len(sqlengine.CollectParams(st)) > 0 {
-			return nil, fmt.Errorf("provider: parameters are not supported in DDL statements")
+// compileStmt semantic-checks a parsed statement (so PREPARE surfaces name and
+// type errors immediately), assigns its parameter slots, infers their types
+// from the columns they are compared against, and snapshots the versions of
+// the catalog objects it references.
+func (p *Provider) compileStmt(t *obs.Trace, st dmx.Statement) (*plan, error) {
+	pl := &plan{kind: statementKind(st), stmt: st}
+	deps := func(names ...string) []plancache.Dep { return p.versions.Snapshot(names) }
+	var err error
+	switch s := st.(type) {
+	case *dmx.SQL:
+		switch s.Stmt.(type) {
+		case *sqlengine.SelectStmt, *sqlengine.InsertStmt, *sqlengine.DeleteStmt, *sqlengine.UpdateStmt:
+		default:
+			// DDL compiles (so it can be prepared and re-run) but is never
+			// cached and takes no parameters.
+			if len(sqlengine.CollectParams(s.Stmt)) > 0 {
+				return nil, fmt.Errorf("provider: parameters are not supported in DDL statements")
+			}
+			return pl, nil
 		}
-		return pl, nil
+		if pl.params, err = sqlengine.AssignParams(s.Stmt); err != nil {
+			return nil, err
+		}
+		tables := sqlengine.ReferencedTables(s.Stmt)
+		sqlengine.InferParamTypes(s.Stmt, pl.params, p.columnTypeResolver(tables))
+		pl.deps, pl.cacheable = deps(tables...), true
+	case *dmx.Shape:
+		var tables []string
+		tables, err = shapeTables(s.Query)
+		pl.deps, pl.cacheable = deps(tables...), true
+	case *dmx.PredictionSelect:
+		pl.params, pl.deps, err = p.compileMining(t, st, s.Model, s.Source, &sqlengine.Subquery{Query: s.Select}, s.On)
+		pl.cacheable = true
+	case *dmx.InsertInto:
+		pl.params, pl.deps, err = p.compileMining(t, st, s.Model, s.Source)
+		pl.cacheable = true
+	case *dmx.RowsetSelect:
+		if pl.params, err = sqlengine.AssignParams(s.Select); err != nil {
+			return nil, err
+		}
+		pl.cacheable = true
+		if s.Model != "" {
+			pl.deps = deps(s.Model)
+		}
+	case *dmx.Explain:
+		pl.inner, err = p.compileStmt(t, s.Stmt)
+	case *dmx.Prepare:
+		pl.inner, err = p.compileStmt(t, s.Stmt)
+	default:
+		// Model DDL, DELETE FROM, EXECUTE and DEALLOCATE compile but are not
+		// cached and take no parameters.
 	}
-	slots, err := sqlengine.AssignParams(st)
 	if err != nil {
 		return nil, err
 	}
-	tables := sqlengine.ReferencedTables(st)
-	sqlengine.InferParamTypes(st, slots, p.columnTypeResolver(tables))
-	pl.params = slots
-	pl.deps = p.versions.Snapshot(tables)
 	return pl, nil
 }
 
-// compileDMX semantic-checks the statement (so PREPARE surfaces name and
-// type errors immediately), assigns parameter slots where DMX admits
-// placeholders, and snapshots dependency versions.
-func (p *Provider) compileDMX(ctx context.Context, t *obs.Trace, st dmx.Statement) (*plan, error) {
-	_ = ctx
-	pl := &plan{kind: statementKind(st), dmxStmt: st}
+// compileMining compiles a statement that reads a source into a model:
+// it semantic-checks st, then collects placeholder slots from the given
+// expression roots plus the source's SELECT (wrapped as a subquery so
+// statement-wide collection sees it), inferring types from the source tables.
+// It returns the slots and the model and the source tables at their current
+// versions; a SHAPE source takes no parameters.
+func (p *Provider) compileMining(t *obs.Trace, st dmx.Statement, model string, src dmx.Source, roots ...sqlengine.Expr) ([]sqlengine.ParamSlot, []plancache.Dep, error) {
 	stopBind := t.StartStage(obs.StageBind)
 	err := sem.Check(st, p)
 	stopBind()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	deps := func(names ...string) []plancache.Dep { return p.versions.Snapshot(names) }
-	switch s := st.(type) {
-	case *dmx.PredictionSelect:
-		if s.Source.Shape != nil && shapeHasParams(s.Source.Shape) {
-			return nil, fmt.Errorf("provider: parameters are not supported inside SHAPE sources")
-		}
-		slots, tables, err := p.dmxParams([]sqlengine.Expr{&sqlengine.Subquery{Query: s.Select}, s.On}, s.Source.Select)
-		if err != nil {
-			return nil, err
-		}
-		pl.params = slots
-		pl.deps = deps(append([]string{s.Model}, append(tables, shapeTables(s.Source.Shape)...)...)...)
-		pl.cacheable = true
-	case *dmx.InsertInto:
-		if s.Source.Shape != nil && shapeHasParams(s.Source.Shape) {
-			return nil, fmt.Errorf("provider: parameters are not supported inside SHAPE sources")
-		}
-		slots, tables, err := p.dmxParams(nil, s.Source.Select)
-		if err != nil {
-			return nil, err
-		}
-		pl.params = slots
-		pl.deps = deps(append([]string{s.Model}, append(tables, shapeTables(s.Source.Shape)...)...)...)
-		pl.cacheable = true
-	case *dmx.RowsetSelect:
-		slots, err := sqlengine.AssignParams(s.Select)
-		if err != nil {
-			return nil, err
-		}
-		pl.params, pl.cacheable = slots, true
-		if s.Model != "" {
-			pl.deps = deps(s.Model)
-		}
-	default:
-		// EXPLAIN, model DDL, DELETE FROM, and control statements compile but
-		// are not cached and take no parameters.
+	tables, err := shapeTables(src.Shape)
+	if err != nil {
+		return nil, nil, err
 	}
-	return pl, nil
-}
-
-// dmxParams collects placeholder slots from the given expression roots plus
-// an optional embedded source SELECT (wrapped as a subquery so statement-wide
-// collection sees it), inferring types from the source tables. It returns the
-// slots and the tables the source references.
-func (p *Provider) dmxParams(roots []sqlengine.Expr, src *sqlengine.SelectStmt) ([]sqlengine.ParamSlot, []string, error) {
-	var tables []string
-	if src != nil {
-		roots = append(roots, &sqlengine.Subquery{Query: src})
-		tables = sqlengine.ReferencedTables(src)
+	if src.Select != nil {
+		roots = append(roots, &sqlengine.Subquery{Query: src.Select})
+		tables = sqlengine.ReferencedTables(src.Select)
 	}
 	var ps []*sqlengine.Param
 	sqlengine.WalkExprParams(roots, func(pp *sqlengine.Param) { ps = append(ps, pp) })
@@ -180,10 +153,10 @@ func (p *Provider) dmxParams(roots []sqlengine.Expr, src *sqlengine.SelectStmt) 
 	if err != nil {
 		return nil, nil, err
 	}
-	if src != nil && len(slots) > 0 {
-		sqlengine.InferParamTypes(src, slots, p.columnTypeResolver(tables))
+	if src.Select != nil && len(slots) > 0 {
+		sqlengine.InferParamTypes(src.Select, slots, p.columnTypeResolver(tables))
 	}
-	return slots, tables, nil
+	return slots, p.versions.Snapshot(append(tables, model)), nil
 }
 
 // columnTypeResolver resolves a column reference to its declared type by
@@ -204,80 +177,52 @@ func (p *Provider) columnTypeResolver(tables []string) func(*sqlengine.ColumnRef
 	}
 }
 
-// shapeTables lists the tables a SHAPE query tree references (lower-cased).
-func shapeTables(q *shape.Query) []string {
-	var out []string
-	var walk func(q *shape.Query)
-	walk = func(q *shape.Query) {
-		if q == nil {
-			return
-		}
-		if q.Root != nil {
-			out = append(out, sqlengine.ReferencedTables(q.Root)...)
-		}
-		for _, a := range q.Appends {
-			walk(a.Child)
-		}
-	}
-	walk(q)
-	return out
-}
-
-// shapeHasParams reports whether any SELECT inside a SHAPE query tree
-// contains a parameter placeholder.
-func shapeHasParams(q *shape.Query) bool {
+// shapeTables walks a SHAPE tree's SELECTs (none for a nil tree) and lists the
+// tables they read, lower-cased. A placeholder in any of them is an error: a
+// SHAPE takes no parameters.
+func shapeTables(q *shape.Query) ([]string, error) {
 	if q == nil {
-		return false
+		return nil, nil
 	}
-	if q.Root != nil && len(sqlengine.CollectParams(q.Root)) > 0 {
-		return true
+	if len(sqlengine.CollectParams(q.Root)) > 0 {
+		return nil, errors.New("provider: parameters are not supported inside SHAPE statements")
 	}
+	tables := sqlengine.ReferencedTables(q.Root)
 	for _, a := range q.Appends {
-		if shapeHasParams(a.Child) {
-			return true
+		child, err := shapeTables(a.Child)
+		if err != nil {
+			return nil, err
 		}
+		tables = append(tables, child...)
 	}
-	return false
-}
-
-// commandHasParams scans raw command text for '?' or '@name' placeholder
-// tokens (quoted strings and bracketed identifiers are skipped by the lexer).
-func commandHasParams(command string) bool {
-	toks, err := lex.Tokenize(command)
-	if err != nil {
-		return false
-	}
-	for _, t := range toks {
-		if t.Kind == lex.Punct && t.Text == "?" {
-			return true
-		}
-		if t.Kind == lex.Ident && !t.Quoted && len(t.Text) > 1 && strings.HasPrefix(t.Text, "@") {
-			return true
-		}
-	}
-	return false
+	return tables, nil
 }
 
 // ---------- execution ----------
 
-// runPlan validates and coerces arguments against the plan's parameter
-// slots, binds them into a cloned AST, and dispatches. hasArgs distinguishes
-// "EXECUTE p ()" (zero arguments supplied) from plain execution of a
-// parameterized statement, which is an error.
-func (s *Session) runPlan(ctx context.Context, t *obs.Trace, pl *plan, args []rowset.Value, hasArgs bool) (*rowset.Rowset, error) {
+// runPlan labels the trace with the plan's statement class and executes it.
+// EXPLAIN ANALYZE calls execute directly, so the trace of the statement it
+// runs keeps the EXPLAIN label.
+func (s *Session) runPlan(ctx context.Context, t *obs.Trace, pl *plan, args []rowset.Value) (*rowset.Rowset, error) {
+	t.SetKind(pl.kind)
+	return s.execute(ctx, pl, args)
+}
+
+// execute validates and coerces args against the plan's parameter slots,
+// binds them into a copy of the statement, and dispatches it. Plans run
+// without a second semantic check: they were checked at compile time, and
+// dependency versioning guarantees the catalog they were checked against
+// still stands. Catalog reads resolve against the current immutable snapshot,
+// so no dispatch arm takes a lock.
+func (s *Session) execute(ctx context.Context, pl *plan, args []rowset.Value) (*rowset.Rowset, error) {
 	p := s.p
-	if len(pl.params) > 0 && !hasArgs {
-		return nil, fmt.Errorf("provider: statement has %d parameter(s); use PREPARE/EXECUTE to bind them", len(pl.params))
+	t := obs.FromContext(ctx)
+	if len(args) != len(pl.params) {
+		return nil, fmt.Errorf("provider: statement has %d parameter(s), got %d argument(s) (PREPARE/EXECUTE binds them)", len(pl.params), len(args))
 	}
-	if len(args) > 0 && len(pl.params) == 0 {
-		return nil, fmt.Errorf("provider: statement has no parameters but %d argument(s) were supplied", len(args))
-	}
-	var bound []rowset.Value
-	if len(pl.params) > 0 {
-		if len(args) != len(pl.params) {
-			return nil, fmt.Errorf("provider: statement has %d parameter(s), got %d argument(s)", len(pl.params), len(args))
-		}
-		bound = make([]rowset.Value, len(args))
+	st := pl.stmt
+	if len(args) > 0 {
+		bound := make([]rowset.Value, len(args))
 		for i, a := range args {
 			v := rowset.Normalize(a)
 			if typ := pl.params[i].Type; typ != rowset.TypeNull && v != nil {
@@ -289,42 +234,51 @@ func (s *Session) runPlan(ctx context.Context, t *obs.Trace, pl *plan, args []ro
 			}
 			bound[i] = v
 		}
-	}
-	switch {
-	case pl.shapeCmd != "":
-		t.SetKind("SHAPE")
-		defer t.StartStage(obs.StageSource)()
-		return shape.ExecuteStringContext(ctx, p.Engine, pl.shapeCmd)
-	case pl.sqlStmt != nil:
-		st := pl.sqlStmt
-		if len(pl.params) > 0 {
-			var err error
-			if st, err = sqlengine.Bind(st, bound); err != nil {
-				return nil, err
-			}
+		var err error
+		if st, err = bindParams(st, bound); err != nil {
+			return nil, err
 		}
-		t.SetKind("SQL")
+	}
+	switch st := st.(type) {
+	case *dmx.SQL:
 		defer t.StartStage(obs.StageScan)()
-		return p.Engine.ExecStmtContext(ctx, st)
-	default:
-		st := pl.dmxStmt
-		if len(pl.params) > 0 {
-			var err error
-			if st, err = bindDMX(st, bound); err != nil {
-				return nil, err
-			}
-		}
-		t.SetKind(pl.kind)
-		return s.execDMX(ctx, st)
+		return p.Engine.ExecStmtContext(ctx, st.Stmt)
+	case *dmx.Shape:
+		defer t.StartStage(obs.StageSource)()
+		return st.Query.ExecuteContext(ctx, p.Engine)
+	case *dmx.Explain:
+		return s.explain(ctx, st, pl.inner)
+	case *dmx.CreateModel:
+		return p.createModel(st.Def)
+	case *dmx.InsertInto:
+		return p.insertInto(ctx, st)
+	case *dmx.PredictionSelect:
+		return p.predictionSelect(ctx, st)
+	case *dmx.RowsetSelect:
+		return p.rowsetSelect(ctx, st)
+	case *dmx.DeleteFrom:
+		return p.deleteFrom(st.Model)
+	case *dmx.DropModel:
+		return p.dropModel(st.Name)
+	case *dmx.Prepare:
+		return s.register(st.Name, st.Command, pl.inner)
+	case *dmx.ExecutePrepared:
+		return s.runPrepared(ctx, t, st.Name, st.Args)
+	case *dmx.Deallocate:
+		return s.deallocateRS(st.Name)
 	}
+	return nil, fmt.Errorf("provider: unsupported statement %T", st)
 }
 
-// bindDMX binds parameter values into a DMX statement's three SQL parts —
-// its SELECT, its ON clause and its source SELECT — copying only the paths to
-// placeholders. st itself is never written: it is shared, immutable plan
-// state.
-func bindDMX(st dmx.Statement, args []rowset.Value) (dmx.Statement, error) {
+// bindParams binds parameter values into a statement's SQL parts — a SQL
+// statement, or a DMX statement's SELECT, ON clause and source SELECT —
+// copying only the paths to placeholders. st itself is never written: it is
+// shared, immutable plan state.
+func bindParams(st dmx.Statement, args []rowset.Value) (dmx.Statement, error) {
 	switch s := st.(type) {
+	case *dmx.SQL:
+		bound, err := sqlengine.Bind(s.Stmt, args)
+		return &dmx.SQL{Stmt: bound}, err
 	case *dmx.PredictionSelect:
 		out := *s
 		var errSel, errOn, errSrc error
@@ -358,40 +312,30 @@ func (p *Provider) planStale(pl *plan) bool {
 
 // ---------- PREPARE / EXECUTE / DEALLOCATE ----------
 
-// prepareNamed compiles command and registers it under name in this
-// session, returning the compiled plan. Names are session-scoped — the same
-// handle name on two sessions never collides. Duplicate names within a
-// session are an error: silently replacing a handle a concurrent statement
-// on this session is executing would be a trap (DEALLOCATE first, or pick a
-// fresh name).
-func (s *Session) prepareNamed(ctx context.Context, t *obs.Trace, name, command string) (*plan, error) {
+// register adds a compiled statement under name to this session. Names are
+// session-scoped — the same handle name on two sessions never collides.
+// Duplicate names within a session are an error: silently replacing a handle a
+// concurrent statement on this session is executing would be a trap
+// (DEALLOCATE first, or pick a fresh name).
+func (s *Session) register(name, command string, pl *plan) (*rowset.Rowset, error) {
 	key := strings.ToLower(name)
 	s.mu.Lock()
 	_, dup := s.prepared[key]
+	if !dup {
+		s.prepared[key] = &preparedStmt{name: name, command: command, plan: pl}
+	}
 	s.mu.Unlock()
 	if dup {
 		return nil, fmt.Errorf("provider: prepared statement %q already exists", name)
 	}
-	pl, err := s.p.compileCommand(ctx, t, command)
-	if err != nil {
-		return nil, err
-	}
-	ps := &preparedStmt{name: name, command: command, plan: pl}
-	s.mu.Lock()
-	if _, dup := s.prepared[key]; dup {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("provider: prepared statement %q already exists", name)
-	}
-	s.prepared[key] = ps
-	s.mu.Unlock()
 	s.p.preparedTotal.Inc()
-	return pl, nil
+	return status("statement prepared")
 }
 
 // runPrepared executes a prepared statement, replanning first when any
 // referenced catalog object changed since compilation — a plan bound to a
 // dropped or re-created schema never executes.
-func (s *Session) runPrepared(ctx context.Context, t *obs.Trace, name string, args []rowset.Value, hasArgs bool) (*rowset.Rowset, error) {
+func (s *Session) runPrepared(ctx context.Context, t *obs.Trace, name string, args []rowset.Value) (*rowset.Rowset, error) {
 	p := s.p
 	key := strings.ToLower(name)
 	s.mu.Lock()
@@ -406,7 +350,7 @@ func (s *Session) runPrepared(ctx context.Context, t *obs.Trace, name string, ar
 	}
 	if p.planStale(pl) {
 		p.preparedReplans.Inc()
-		fresh, err := p.compileCommand(ctx, t, ps.command)
+		fresh, err := p.compile(t, ps.command)
 		if err != nil {
 			return nil, fmt.Errorf("provider: prepared statement %q is stale (a referenced object changed) and failed to replan: %w", name, err)
 		}
@@ -416,7 +360,7 @@ func (s *Session) runPrepared(ctx context.Context, t *obs.Trace, name string, ar
 		pl = fresh
 	}
 	p.preparedExec.Inc()
-	return s.runPlan(ctx, t, pl, args, hasArgs)
+	return s.runPlan(ctx, t, pl, args)
 }
 
 // removePrepared drops a handle from this session, reporting whether it

@@ -134,7 +134,7 @@ func (s *Session) isClosed() bool {
 // $SYSTEM.DM_PROVIDER_METRICS.
 func (s *Session) Execute(ctx context.Context, command string, opts ...ExecOption) (*rowset.Rowset, error) {
 	return s.run(ctx, command, opts, func(ctx context.Context, t *obs.Trace) (*rowset.Rowset, error) {
-		return s.executeTracedArgs(ctx, t, command, nil, false)
+		return s.executeTracedArgs(ctx, t, command, nil)
 	})
 }
 
@@ -162,7 +162,7 @@ func (s *Session) ExecuteScript(ctx context.Context, script string, opts ...Exec
 // protocol's one-shot parameterized execution).
 func (s *Session) ExecuteParams(ctx context.Context, command string, args []rowset.Value, opts ...ExecOption) (*rowset.Rowset, error) {
 	return s.run(ctx, command, opts, func(ctx context.Context, t *obs.Trace) (*rowset.Rowset, error) {
-		return s.executeTracedArgs(ctx, t, command, args, true)
+		return s.executeTracedArgs(ctx, t, command, args)
 	})
 }
 
@@ -175,12 +175,12 @@ func (s *Session) Prepare(ctx context.Context, name, command string, opts ...Exe
 	n := 0
 	_, err := s.run(ctx, "PREPARE "+name+" AS "+command, opts, func(ctx context.Context, t *obs.Trace) (*rowset.Rowset, error) {
 		t.SetKind("PREPARE")
-		pl, err := s.prepareNamed(ctx, t, name, command)
+		pl, err := s.p.compile(t, command)
 		if err != nil {
 			return nil, err
 		}
 		n = len(pl.params)
-		return status("statement prepared")
+		return s.register(name, command, pl)
 	})
 	return n, err
 }
@@ -190,7 +190,7 @@ func (s *Session) Prepare(ctx context.Context, name, command string, opts ...Exe
 func (s *Session) ExecutePrepared(ctx context.Context, name string, args []rowset.Value, opts ...ExecOption) (*rowset.Rowset, error) {
 	return s.run(ctx, "EXECUTE "+name, opts, func(ctx context.Context, t *obs.Trace) (*rowset.Rowset, error) {
 		t.SetKind("EXECUTE")
-		return s.runPrepared(ctx, t, name, args, true)
+		return s.runPrepared(ctx, t, name, args)
 	})
 }
 

@@ -1,6 +1,7 @@
 package shape
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -37,7 +38,7 @@ func TestNullRelateKeysMatchNothing(t *testing.T) {
 		{"engine", "SELECT K, V FROM C WHERE 1 = 1", false},
 		{"index", "SELECT K, V FROM C", true},
 	} {
-		rs, err := ExecuteString(e, "SHAPE {SELECT K, Name FROM P} APPEND ({"+tc.child+"} RELATE K TO K) AS Kids")
+		rs, err := ExecuteStringContext(context.Background(), e, "SHAPE {SELECT K, Name FROM P} APPEND ({"+tc.child+"} RELATE K TO K) AS Kids")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -129,13 +129,6 @@ func ParseString(src string) (*Query, error) {
 	return q, nil
 }
 
-// Execute runs the shaped query against the engine and returns the
-// hierarchical rowset: the root query's columns plus one TABLE column per
-// APPEND, each cell holding the child rows whose relate key matches.
-func (q *Query) Execute(e *sqlengine.Engine) (*rowset.Rowset, error) {
-	return q.ExecuteContext(context.Background(), e) //dmlint:allow ctxflow — documented context-free convenience form; ExecuteContext is the primary API.
-}
-
 // Caseset is a shaped query's result as the executor assembles it, in one
 // pass and without copies: the parent query's rows exactly as the engine left
 // them and, per APPEND, the child rows grouped by parent as positions into the
@@ -202,7 +195,8 @@ func childRows(g *rowset.Groups) []rowset.Row {
 }
 
 // ExecuteContext runs the shaped query and renders its caseset (Run, then
-// Caseset.Rowset).
+// Caseset.Rowset): the root query's columns plus one TABLE column per APPEND,
+// each cell holding the child rows whose relate key matches.
 func (q *Query) ExecuteContext(ctx context.Context, e *sqlengine.Engine) (*rowset.Rowset, error) {
 	cs, err := q.Run(ctx, e)
 	if err != nil {
@@ -306,11 +300,6 @@ func (q *Query) PlanSpan() *obs.Span {
 		sp.Add(apSp)
 	}
 	return sp
-}
-
-// ExecuteString parses and executes a SHAPE statement in one call.
-func ExecuteString(e *sqlengine.Engine, src string) (*rowset.Rowset, error) {
-	return ExecuteStringContext(context.Background(), e, src) //dmlint:allow ctxflow — documented context-free convenience form; ExecuteStringContext is the primary API.
 }
 
 // ExecuteStringContext parses and executes a SHAPE statement in one call,

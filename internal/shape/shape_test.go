@@ -1,6 +1,7 @@
 package shape
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/rowset"
@@ -43,7 +44,7 @@ const paperShape = `SHAPE
 
 func TestPaperTable1(t *testing.T) {
 	e := paperEngine(t)
-	rs, err := ExecuteString(e, paperShape)
+	rs, err := ExecuteStringContext(context.Background(), e, paperShape)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestFlattenedVsShapedRowCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shaped, err := ExecuteString(e, paperShape)
+	shaped, err := ExecuteStringContext(context.Background(), e, paperShape)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestFlattenedVsShapedRowCount(t *testing.T) {
 
 func TestShapeNoAppend(t *testing.T) {
 	e := paperEngine(t)
-	rs, err := ExecuteString(e, "SHAPE {SELECT Gender FROM Customers}")
+	rs, err := ExecuteStringContext(context.Background(), e, "SHAPE {SELECT Gender FROM Customers}")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +119,7 @@ func TestNestedShape(t *testing.T) {
 				{SELECT [Product Type] AS PT, [Product Name] FROM Sales}
 				RELATE [Product Type] TO [PT]) AS [Products]
 			RELATE [Customer ID] TO [CustID]) AS [Types]`
-	rs, err := ExecuteString(e, src)
+	rs, err := ExecuteStringContext(context.Background(), e, src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +145,7 @@ func TestNestedShape(t *testing.T) {
 
 func TestShapeSchemaShape(t *testing.T) {
 	e := paperEngine(t)
-	rs, err := ExecuteString(e, paperShape)
+	rs, err := ExecuteStringContext(context.Background(), e, paperShape)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,12 +179,12 @@ func TestShapeParseErrors(t *testing.T) {
 
 func TestShapeBadRelateColumns(t *testing.T) {
 	e := paperEngine(t)
-	_, err := ExecuteString(e, `SHAPE {SELECT Gender FROM Customers}
+	_, err := ExecuteStringContext(context.Background(), e, `SHAPE {SELECT Gender FROM Customers}
 		APPEND ({SELECT CustID FROM Sales} RELATE [Customer ID] TO [CustID]) AS p`)
 	if err == nil {
 		t.Error("missing parent relate column must error")
 	}
-	_, err = ExecuteString(e, `SHAPE {SELECT [Customer ID] FROM Customers}
+	_, err = ExecuteStringContext(context.Background(), e, `SHAPE {SELECT [Customer ID] FROM Customers}
 		APPEND ({SELECT [Product Name] FROM Sales} RELATE [Customer ID] TO [CustID]) AS p`)
 	if err == nil {
 		t.Error("missing child relate column must error")

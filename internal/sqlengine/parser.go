@@ -50,7 +50,7 @@ func ParseSelect(s *lex.Scanner) (*SelectStmt, error) {
 		return nil, err
 	}
 	if s.Accept("FROM") {
-		if sel.From, err = parseFrom(s); err != nil {
+		if sel.From, err = ParseFrom(s); err != nil {
 			return nil, err
 		}
 	}
@@ -189,7 +189,10 @@ func IsClauseKeyword(t lex.Token) bool {
 	return false
 }
 
-func parseFrom(s *lex.Scanner) ([]TableRef, error) {
+// ParseFrom parses a FROM clause's table list after the FROM keyword: table
+// references joined by commas or [INNER|LEFT [OUTER]] JOIN ... ON. The DMX
+// parser calls it when a FROM it has looked into names no DMX source.
+func ParseFrom(s *lex.Scanner) ([]TableRef, error) {
 	var refs []TableRef
 	first, err := parseTableRef(s)
 	if err != nil {
@@ -381,6 +384,9 @@ func parseInsert(s *lex.Scanner) (Statement, error) {
 		}
 		ins.Query = q
 		return ins, nil
+	}
+	if err := s.Err(); err != nil {
+		return nil, err
 	}
 	return nil, lex.Errorf(s.Peek(), "expected VALUES or SELECT, found %s", s.Peek())
 }

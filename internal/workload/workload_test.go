@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"path/filepath"
 	"testing"
 
@@ -90,7 +91,7 @@ func TestPaperShapeRuns(t *testing.T) {
 	if _, err := Populate(db, Config{Customers: 50, Seed: 3}); err != nil {
 		t.Fatal(err)
 	}
-	rs, err := shape.ExecuteString(sqlengine.NewEngine(db), PaperShape)
+	rs, err := shape.ExecuteStringContext(context.Background(), sqlengine.NewEngine(db), PaperShape)
 	if err != nil {
 		t.Fatal(err)
 	}
