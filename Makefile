@@ -64,9 +64,11 @@ bench:
 # the two prediction-join benchmarks (a whole-table NATURAL PREDICTION JOIN
 # and a singleton one), of the SQL engine's partitioned JOIN … GROUP BY
 # (20k × 60k rows), of a RELATE's index probes (Table.Groups, 50k LONG keys
-# over 156k rows) and of EQUAL_AREAS cuts (50k values, 5 buckets), with
-# allocations, so they keep compiling and running and the log shows what a
-# training case, a prediction, a join and a probe allocate. The two callers
+# over 156k rows), of EQUAL_AREAS cuts (50k values, 5 buckets) and of the
+# rowset codec (encode and decode of a 50k-row result, repeated and distinct
+# TEXT), with allocations, so they keep compiling and running and the log
+# shows what a training case, a prediction, a join, a probe and a decoded row
+# allocate. The two callers
 # of par.Forks.Run — Decision_Trees training and the join's partitions — run
 # at -cpu 1,2: GOMAXPROCS changes inside one process, so a bound sized once
 # at package init rather than per Run call would show there (at 1 nothing
@@ -80,6 +82,7 @@ bench-parallel:
 	$(GO) test -run '^$$' -bench 'BenchmarkJoinAggregate' -benchtime=1x -benchmem -cpu 1,2 ./internal/sqlengine
 	$(GO) test -run '^$$' -bench 'BenchmarkGroups' -benchtime=1x -benchmem ./internal/storage
 	$(GO) test -run '^$$' -bench 'BenchmarkEqualAreas' -benchtime=1x -benchmem ./internal/algo/discretize
+	$(GO) test -run '^$$' -bench 'BenchmarkCodec' -benchtime=1x -benchmem ./internal/rowset
 
 # Instrumentation-overhead guard: fails when enabling the obs registry slows
 # the PREDICTION JOIN scan by more than 10% over WithObsRegistry(nil). The

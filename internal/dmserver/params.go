@@ -51,7 +51,7 @@ const MaxArgs = 1 << 16
 
 // writeArgs encodes an argument vector in the tagged binary codec.
 func writeArgs(bw *bufio.Writer, args []rowset.Value) error {
-	writeUvarint(bw, uint64(len(args)))
+	bw.Write(binary.AppendUvarint(room(bw, binary.MaxVarintLen64), uint64(len(args)))) //nolint:errcheck // bufio.Writer errors surface at Flush
 	for _, a := range args {
 		switch v := rowset.Normalize(a).(type) {
 		case nil:
@@ -63,14 +63,9 @@ func writeArgs(bw *bufio.Writer, args []rowset.Value) error {
 			}
 			bw.Write([]byte{argBool, b}) //nolint:errcheck
 		case int64:
-			var buf [1 + binary.MaxVarintLen64]byte
-			buf[0] = argLong
-			bw.Write(buf[:1+binary.PutVarint(buf[1:], v)]) //nolint:errcheck
+			bw.Write(binary.AppendVarint(append(room(bw, 1+binary.MaxVarintLen64), argLong), v)) //nolint:errcheck
 		case float64:
-			var buf [9]byte
-			buf[0] = argDouble
-			binary.BigEndian.PutUint64(buf[1:], math.Float64bits(v))
-			bw.Write(buf[:]) //nolint:errcheck
+			bw.Write(binary.BigEndian.AppendUint64(append(room(bw, 9), argDouble), math.Float64bits(v))) //nolint:errcheck
 		case string:
 			bw.WriteByte(argText) //nolint:errcheck
 			writeFrame(bw, v)
@@ -100,8 +95,7 @@ func readArgs(br *bufio.Reader) ([]rowset.Value, error) {
 			return nil, err
 		}
 		switch tag {
-		case argNull:
-			args[i] = nil
+		case argNull: // args[i] is already nil
 		case argBool:
 			b, err := br.ReadByte()
 			if err != nil {
@@ -118,11 +112,15 @@ func readArgs(br *bufio.Reader) ([]rowset.Value, error) {
 			}
 			args[i] = v
 		case argDouble:
-			var buf [8]byte
-			if _, err := io.ReadFull(br, buf[:]); err != nil {
+			b, err := br.Peek(8)
+			if err != nil {
+				if err == io.EOF && len(b) > 0 {
+					err = io.ErrUnexpectedEOF
+				}
 				return nil, err
 			}
-			args[i] = math.Float64frombits(binary.BigEndian.Uint64(buf[:]))
+			br.Discard(8) //nolint:errcheck // 8 bytes are buffered
+			args[i] = math.Float64frombits(binary.BigEndian.Uint64(b))
 		case argText:
 			s, err := readFrame(br)
 			if err != nil {

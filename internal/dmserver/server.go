@@ -360,7 +360,7 @@ func writeResponse(bw *bufio.Writer, rs *rowset.Rowset, execErr error, st ExecSt
 		}
 	}
 	for _, v := range [...]int64{st.Elapsed.Microseconds(), st.Rows, st.Seq} {
-		writeUvarint(bw, uint64(v))
+		bw.Write(binary.AppendUvarint(room(bw, binary.MaxVarintLen64), uint64(v))) //nolint:errcheck
 	}
 	return bw.Flush()
 }
@@ -414,16 +414,21 @@ type ExecStats struct {
 	Seq int64
 }
 
-// writeUvarint writes v as a uvarint.
-func writeUvarint(bw *bufio.Writer, v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	bw.Write(buf[:binary.PutUvarint(buf[:], v)]) //nolint:errcheck // bufio.Writer errors surface at Flush
+// room returns bw's free buffer, empty, after flushing bw if it has fewer
+// than n bytes free: the caller appends up to n bytes and writes them back
+// without allocating. Every varint and fixed-width number of a frame is
+// written this way.
+func room(bw *bufio.Writer, n int) []byte {
+	if bw.Available() < n {
+		bw.Flush() //nolint:errcheck // bufio.Writer errors surface at Flush
+	}
+	return bw.AvailableBuffer()
 }
 
 // writeFrame writes a uvarint-length-prefixed string.
 func writeFrame(bw *bufio.Writer, s string) {
-	writeUvarint(bw, uint64(len(s)))
-	bw.WriteString(s) //nolint:errcheck // bufio.Writer errors surface at Flush
+	bw.Write(binary.AppendUvarint(room(bw, binary.MaxVarintLen64), uint64(len(s)))) //nolint:errcheck // bufio.Writer errors surface at Flush
+	bw.WriteString(s)                                                               //nolint:errcheck
 }
 
 // readFrame reads a uvarint-length-prefixed string.

@@ -23,6 +23,19 @@ import (
 // Integers are varint-encoded; doubles are fixed 8-byte little-endian.
 // Decoding accepts only the minimal varint form and bool bytes 0 and 1, so
 // every accepted input re-encodes to the bytes it came from.
+//
+// Both directions work on byte windows rather than byte calls. The encoder
+// appends values into the bufio.Writer's own free buffer
+// (AvailableBuffer) and hands it back to Write when it fills, so it
+// allocates nothing. The decoder parses whole rows straight from the
+// reader's buffered bytes (Peek, then Discard): a row that runs past them,
+// holds a TABLE cell or has any malformed byte is read again a byte at a
+// time, and that slow path decides what is an error, so both accept exactly
+// the same inputs. Decoded rows are written into a Chunks (chunks.go): one
+// backing array per ChunkRows rows instead of one per row, and each TEXT
+// cell is looked up by its bytes in its column's intern dictionary and
+// copied and boxed only on a miss. The count the header gives sizes the
+// chunks, capped so a false count cannot force a large allocation.
 
 const codecVersion = 1
 
@@ -36,28 +49,107 @@ var errVarint = errors.New("rowset: decode: varint overflows or is not minimal")
 
 // Encode writes the rowset to w in the binary format.
 func (rs *Rowset) Encode(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if err := bw.WriteByte(codecVersion); err != nil {
+	e := encoder{bw: bufio.NewWriter(w)}
+	e.b = e.bw.AvailableBuffer()
+	if err := e.rowset(rs); err != nil {
 		return err
 	}
-	if err := encodeSchema(bw, rs.schema); err != nil {
-		return err
+	e.bw.Write(e.b) //nolint:errcheck // bufio.Writer errors surface at Flush
+	return e.bw.Flush()
+}
+
+// encoder appends the encoding into its writer's free buffer and hands that
+// buffer back to Write only when it fills, so encoding allocates nothing.
+type encoder struct {
+	bw *bufio.Writer
+	b  []byte // appended to bw.AvailableBuffer(), not yet written
+}
+
+// room makes sure n more bytes append to e.b without growing it, writing
+// out and flushing what it holds when they do not fit. Only a text longer
+// than the writer's whole buffer still grows e.b: the one encoding that
+// allocates.
+func (e *encoder) room(n int) {
+	if cap(e.b)-len(e.b) < n {
+		e.bw.Write(e.b) //nolint:errcheck // bufio.Writer errors surface at Flush
+		e.bw.Flush()    //nolint:errcheck
+		e.b = e.bw.AvailableBuffer()
 	}
-	writeUvarint(bw, uint64(rs.Len()))
+}
+
+// text appends the length-prefixed string s.
+func (e *encoder) text(s string) {
+	e.room(binary.MaxVarintLen64 + len(s))
+	e.b = append(binary.AppendUvarint(e.b, uint64(len(s))), s...)
+}
+
+// rowset writes the version byte, schema, row count and rows of rs: the
+// whole encoding, and the payload of a TABLE cell.
+func (e *encoder) rowset(rs *Rowset) error {
+	e.room(1)
+	e.b = append(e.b, codecVersion)
+	e.schema(rs.schema)
+	e.room(binary.MaxVarintLen64)
+	e.b = binary.AppendUvarint(e.b, uint64(rs.Len()))
 	for _, r := range rs.rows {
 		for _, v := range r {
-			if err := encodeValue(bw, v); err != nil {
+			if err := e.value(v); err != nil {
 				return err
 			}
 		}
 	}
-	return bw.Flush()
+	return nil
+}
+
+func (e *encoder) schema(s *Schema) {
+	e.room(binary.MaxVarintLen64)
+	e.b = binary.AppendUvarint(e.b, uint64(s.Len()))
+	for _, c := range s.Columns {
+		e.text(c.Name)
+		e.room(1)
+		e.b = append(e.b, byte(c.Type))
+		if c.Type == TypeTable {
+			nested := c.Nested
+			if nested == nil {
+				nested = MustSchema()
+			}
+			e.schema(nested)
+		}
+	}
+}
+
+func (e *encoder) value(v Value) error {
+	e.room(1 + binary.MaxVarintLen64)
+	switch x := v.(type) {
+	case nil:
+		e.b = append(e.b, byte(TypeNull))
+	case int64:
+		e.b = binary.AppendVarint(append(e.b, byte(TypeLong)), x)
+	case float64:
+		e.b = binary.LittleEndian.AppendUint64(append(e.b, byte(TypeDouble)), math.Float64bits(x))
+	case string:
+		e.b = append(e.b, byte(TypeText))
+		e.text(x)
+	case bool:
+		b := byte(0)
+		if x {
+			b = 1
+		}
+		e.b = append(e.b, byte(TypeBool), b)
+	case time.Time:
+		e.b = binary.AppendVarint(append(e.b, byte(TypeDate)), x.UnixNano())
+	case *Rowset:
+		e.b = append(e.b, byte(TypeTable))
+		return e.rowset(x)
+	default:
+		return fmt.Errorf("rowset: encode: unsupported value type %T", v)
+	}
+	return nil
 }
 
 // Decode reads a rowset in the binary format.
 func Decode(r io.Reader) (*Rowset, error) {
-	br := bufio.NewReader(r)
-	return decode(br)
+	return DecodeFrom(bufio.NewReader(r))
 }
 
 // DecodeFrom reads a rowset from an existing buffered reader, consuming
@@ -65,10 +157,6 @@ func Decode(r io.Reader) (*Rowset, error) {
 // format) use it to read several rowsets from one connection without losing
 // buffered bytes between messages.
 func DecodeFrom(br *bufio.Reader) (*Rowset, error) {
-	return decode(br)
-}
-
-func decode(br *bufio.Reader) (*Rowset, error) {
 	ver, err := br.ReadByte()
 	if err != nil {
 		return nil, fmt.Errorf("rowset: decode: %w", err)
@@ -84,43 +172,100 @@ func decode(br *bufio.Reader) (*Rowset, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rowset: decode row count: %w", err)
 	}
+	w := schema.Len()
 	// A row of no columns takes no bytes, so nothing in the input bounds
 	// how many of them a count can claim.
-	if schema.Len() == 0 && n > 0 {
+	if w == 0 && n > 0 {
 		return nil, fmt.Errorf("rowset: decode: %d rows without columns", n)
 	}
-	rs := New(schema)
-	rs.rows = make([]Row, 0, min(n, maxPrealloc))
+	rows := make([]Row, 0, min(n, maxPrealloc))
+	c := Chunks{want: int(min(n, math.MaxInt32))}
+	// Whole rows are parsed from the bytes already buffered; a row that
+	// runs past them, holds a TABLE cell or is malformed is read a byte at
+	// a time, and the window is taken afresh after it.
+	win, _ := br.Peek(br.Buffered())
+	off := 0
 	for i := uint64(0); i < n; i++ {
-		row := make(Row, schema.Len())
-		for j := range row {
-			v, err := decodeValue(br)
-			if err != nil {
+		row := c.next(w)
+		if k := c.parseRow(row, win[off:]); k > 0 {
+			off += k
+		} else {
+			br.Discard(off) //nolint:errcheck // off bytes are buffered
+			if err := c.readRow(br, row); err != nil {
 				return nil, err
 			}
-			row[j] = v
+			win, _ = br.Peek(br.Buffered())
+			off = 0
 		}
-		rs.rows = append(rs.rows, row)
+		rows = append(rows, row)
 	}
-	return rs, nil
+	br.Discard(off) //nolint:errcheck
+	return Adopt(schema, rows), nil
 }
 
-func encodeSchema(w *bufio.Writer, s *Schema) error {
-	writeUvarint(w, uint64(s.Len()))
-	for _, c := range s.Columns {
-		writeString(w, c.Name)
-		if err := w.WriteByte(byte(c.Type)); err != nil {
+// parseRow fills row from the front of b and returns the bytes it took, or
+// 0 when b does not hold the whole row, a cell is a TABLE or any byte is
+// malformed. It accepts exactly what readRow accepts.
+func (c *Chunks) parseRow(row Row, b []byte) int {
+	i := 0
+	for j := range row {
+		if i >= len(b) {
+			return 0
+		}
+		tag := Type(b[i])
+		i++
+		switch tag {
+		case TypeNull:
+			row[j] = nil
+		case TypeLong, TypeDate:
+			x, k := uvarint(b[i:])
+			if k == 0 {
+				return 0
+			}
+			i += k
+			if tag == TypeLong {
+				row[j] = unzigzag(x)
+			} else {
+				row[j] = time.Unix(0, unzigzag(x)).UTC()
+			}
+		case TypeDouble:
+			if len(b)-i < 8 {
+				return 0
+			}
+			row[j] = math.Float64frombits(binary.LittleEndian.Uint64(b[i:]))
+			i += 8
+		case TypeText:
+			n, k := uvarint(b[i:])
+			if k == 0 || n > uint64(len(b)-i-k) {
+				return 0
+			}
+			i += k
+			row[j] = c.text(j, b[i:i+int(n)])
+			i += int(n)
+		case TypeBool:
+			if i >= len(b) || b[i] > 1 {
+				return 0
+			}
+			row[j] = b[i] == 1
+			i++
+		default:
+			return 0
+		}
+	}
+	return i
+}
+
+// readRow fills row a byte at a time, interning its TEXT cells.
+func (c *Chunks) readRow(br *bufio.Reader, row Row) error {
+	for j := range row {
+		v, err := decodeValue(br)
+		if err != nil {
 			return err
 		}
-		if c.Type == TypeTable {
-			nested := c.Nested
-			if nested == nil {
-				nested = MustSchema()
-			}
-			if err := encodeSchema(w, nested); err != nil {
-				return err
-			}
+		if s, ok := v.(string); ok {
+			v = c.intern(j, s, v)
 		}
+		row[j] = v
 	}
 	return nil
 }
@@ -151,66 +296,6 @@ func decodeSchema(br *bufio.Reader) (*Schema, error) {
 		cols = append(cols, col)
 	}
 	return NewSchema(cols...)
-}
-
-func encodeValue(w *bufio.Writer, v Value) error {
-	switch x := v.(type) {
-	case nil:
-		return w.WriteByte(byte(TypeNull))
-	case int64:
-		if err := w.WriteByte(byte(TypeLong)); err != nil {
-			return err
-		}
-		writeVarint(w, x)
-	case float64:
-		if err := w.WriteByte(byte(TypeDouble)); err != nil {
-			return err
-		}
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(x))
-		_, err := w.Write(buf[:])
-		return err
-	case string:
-		if err := w.WriteByte(byte(TypeText)); err != nil {
-			return err
-		}
-		writeString(w, x)
-	case bool:
-		if err := w.WriteByte(byte(TypeBool)); err != nil {
-			return err
-		}
-		b := byte(0)
-		if x {
-			b = 1
-		}
-		return w.WriteByte(b)
-	case time.Time:
-		if err := w.WriteByte(byte(TypeDate)); err != nil {
-			return err
-		}
-		writeVarint(w, x.UnixNano())
-	case *Rowset:
-		if err := w.WriteByte(byte(TypeTable)); err != nil {
-			return err
-		}
-		if err := w.WriteByte(codecVersion); err != nil {
-			return err
-		}
-		if err := encodeSchema(w, x.schema); err != nil {
-			return err
-		}
-		writeUvarint(w, uint64(x.Len()))
-		for _, r := range x.rows {
-			for _, nv := range r {
-				if err := encodeValue(w, nv); err != nil {
-					return err
-				}
-			}
-		}
-	default:
-		return fmt.Errorf("rowset: encode: unsupported value type %T", v)
-	}
-	return nil
 }
 
 func decodeValue(br *bufio.Reader) (Value, error) {
@@ -247,26 +332,9 @@ func decodeValue(br *bufio.Reader) (Value, error) {
 		}
 		return time.Unix(0, n).UTC(), nil
 	case TypeTable:
-		return decode(br)
+		return DecodeFrom(br)
 	}
 	return nil, fmt.Errorf("rowset: decode: unknown value tag %d", tag)
-}
-
-func writeUvarint(w *bufio.Writer, v uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	w.Write(buf[:n]) //nolint:errcheck // bufio.Writer errors surface at Flush
-}
-
-func writeVarint(w *bufio.Writer, v int64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(buf[:], v)
-	w.Write(buf[:n]) //nolint:errcheck
-}
-
-func writeString(w *bufio.Writer, s string) {
-	writeUvarint(w, uint64(len(s)))
-	w.WriteString(s) //nolint:errcheck
 }
 
 // ReadUvarint reads a uvarint in its minimal encoding only, so a value has
@@ -295,11 +363,26 @@ func ReadUvarint(br *bufio.Reader) (uint64, error) {
 // ReadVarint reads a zigzag varint in its minimal encoding only.
 func ReadVarint(br *bufio.Reader) (int64, error) {
 	ux, err := ReadUvarint(br)
+	return unzigzag(ux), err
+}
+
+func unzigzag(ux uint64) int64 {
 	x := int64(ux >> 1)
 	if ux&1 != 0 {
 		x = ^x
 	}
-	return x, err
+	return x
+}
+
+// uvarint is ReadUvarint over the front of b: it returns the value and the
+// bytes it took, or 0 bytes when b holds no whole minimal uvarint (a
+// last byte of 0 after the first is not minimal).
+func uvarint(b []byte) (uint64, int) {
+	x, k := binary.Uvarint(b)
+	if k <= 0 || (k > 1 && b[k-1] == 0) {
+		return 0, 0
+	}
+	return x, k
 }
 
 func readString(br *bufio.Reader) (string, error) {
@@ -317,6 +400,13 @@ func readString(br *bufio.Reader) (string, error) {
 			err = io.ErrUnexpectedEOF
 		}
 		return string(buf), err
+	}
+	if n <= uint64(br.Buffered()) {
+		// Copy straight out of the buffer: one allocation, not two.
+		b, _ := br.Peek(int(n))
+		s := string(b)
+		br.Discard(int(n)) //nolint:errcheck // n bytes are buffered
+		return s, nil
 	}
 	buf := make([]byte, n)
 	if _, err := io.ReadFull(br, buf); err != nil {

@@ -3,8 +3,13 @@ package rowset
 import (
 	"bufio"
 	"bytes"
+	"errors"
+	"fmt"
+	"io"
 	"math"
+	"strings"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
 	"time"
 )
@@ -149,16 +154,30 @@ func FuzzDecode(f *testing.F) {
 		r := bytes.NewReader(in)
 		br := bufio.NewReader(r)
 		rs, err := DecodeFrom(br)
+		// A second decode a byte at a time takes the byte-at-a-time path
+		// for every row: it must fail where the windowed one fails, and
+		// otherwise give the same rowset from the same bytes.
+		r1 := bytes.NewReader(in)
+		br1 := bufio.NewReaderSize(iotest.OneByteReader(r1), 16)
+		rs1, err1 := DecodeFrom(br1)
+		if (err == nil) != (err1 == nil) {
+			t.Fatalf("windowed decode error %v, byte-at-a-time decode error %v", err, err1)
+		}
 		if err != nil {
 			return
 		}
 		read := in[:len(in)-r.Len()-br.Buffered()]
-		var out bytes.Buffer
-		if err := rs.Encode(&out); err != nil {
-			t.Fatalf("Encode of a decoded rowset: %v", err)
+		if read1 := in[:len(in)-r1.Len()-br1.Buffered()]; len(read1) != len(read) {
+			t.Fatalf("byte-at-a-time decode read %d bytes, windowed %d", len(read1), len(read))
 		}
-		if !bytes.Equal(out.Bytes(), read) {
-			t.Fatalf("re-encoding % x differs from input % x", out.Bytes(), read)
+		for _, got := range []*Rowset{rs, rs1} {
+			var out bytes.Buffer
+			if err := got.Encode(&out); err != nil {
+				t.Fatalf("Encode of a decoded rowset: %v", err)
+			}
+			if !bytes.Equal(out.Bytes(), read) {
+				t.Fatalf("re-encoding % x differs from input % x", out.Bytes(), read)
+			}
 		}
 	})
 }
@@ -203,4 +222,216 @@ func TestCodecRoundTripProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestDecodeStraddles decodes through a 16-byte buffer over a reader that
+// fills it whole, so the decoder's windows end at every multiple of 16
+// bytes. Each rowset holds one value kind — LONG, DOUBLE, TEXT, BOOL, DATE,
+// nested TABLE — after a pad cell whose length varies by row, so some rows
+// lie inside a window (parsed from it) and in others the value runs past a
+// window's end (read a byte at a time). Both must give the values encoded.
+func TestDecodeStraddles(t *testing.T) {
+	inner := New(MustSchema(Column{Name: "p", Type: TypeText}, Column{Name: "q", Type: TypeLong}))
+	mustAppend(inner, "TV", int64(1<<33))
+	mustAppend(inner, "Beer", int64(-6))
+	day := time.Date(2001, 4, 2, 9, 30, 0, 123, time.UTC)
+	for _, v := range []Value{int64(-1) << 40, math.Pi, "straddle", true, day, inner} {
+		col := Column{Name: "v", Type: TypeOf(v)}
+		if col.Type == TypeTable {
+			col.Nested = inner.Schema()
+		}
+		s := MustSchema(Column{Name: "pad", Type: TypeText}, col)
+		rows := make([]Row, 40)
+		for i := range rows {
+			rows[i] = Row{strings.Repeat("x", i%7), v}
+		}
+		rs := Adopt(s, rows)
+		one := MustSchema(col)
+		cell := len(encoded(t, Adopt(one, []Row{{v}}))) - len(encoded(t, Adopt(one, nil)))
+		off, straddled, inside := len(encoded(t, Adopt(s, nil))), 0, 0
+		for _, r := range rows {
+			end := off + 2 + len(r[0].(string)) + cell
+			if (end-cell)/16 != (end-1)/16 {
+				straddled++
+			}
+			if off/16 == (end-1)/16 {
+				inside++
+			}
+			off = end
+		}
+		if straddled == 0 || inside == 0 && col.Type != TypeTable {
+			t.Fatalf("%v: %d rows straddle a window's end, %d lie inside one", col.Type, straddled, inside)
+		}
+		in := encoded(t, rs)
+		got, err := DecodeFrom(bufio.NewReaderSize(bytes.NewReader(in), 16))
+		if err != nil {
+			t.Fatalf("%v: 16-byte windows: %v", col.Type, err)
+		}
+		sameRowsets(t, col.Type.String()+", 16-byte windows", got, rs)
+		if got, err = Decode(bytes.NewReader(in)); err != nil {
+			t.Fatal(err)
+		}
+		sameRowsets(t, col.Type.String(), got, rs)
+	}
+}
+
+// sameRowsets fails unless got and want hold equal values, nested tables
+// compared cell by cell and dates in the same location.
+func sameRowsets(t *testing.T, what string, got, want *Rowset) {
+	t.Helper()
+	if !got.Schema().Equal(want.Schema()) || got.Len() != want.Len() {
+		t.Fatalf("%s: %d rows of %v, want %d of %v", what, got.Len(), got.Schema(), want.Len(), want.Schema())
+	}
+	for i := range want.Rows() {
+		for j, w := range want.Row(i) {
+			g := got.Row(i)[j]
+			if wt, ok := w.(*Rowset); ok {
+				sameRowsets(t, fmt.Sprintf("%s row %d col %d", what, i, j), g.(*Rowset), wt)
+			} else if gt, ok := g.(time.Time); !Equal(g, w) || ok && gt.Location() != w.(time.Time).Location() {
+				t.Fatalf("%s row %d col %d: %#v, want %#v", what, i, j, g, w)
+			}
+		}
+	}
+}
+
+// TestDecodeRejectsNonMinimalInWindow: a malformed cell inside the buffered
+// window is rejected with the error the byte-at-a-time path gives.
+func TestDecodeRejectsNonMinimalInWindow(t *testing.T) {
+	rs := New(MustSchema(Column{Name: "l", Type: TypeLong}, Column{Name: "b", Type: TypeBool}))
+	mustAppend(rs, int64(1), true)
+	mustAppend(rs, int64(1), true)
+	var buf bytes.Buffer
+	if err := rs.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	ok := buf.Bytes()
+	// The second row's LONG 1 is the zigzag byte 0x02; 0x82 0x00 is the
+	// same value in a non-minimal form, and a bool byte of 2 is out of range.
+	row := []byte{byte(TypeLong), 0x02, byte(TypeBool), 1}
+	if !bytes.HasSuffix(ok, row) {
+		t.Fatalf("encoding % x does not end in % x", ok, row)
+	}
+	head := ok[:len(ok)-len(row)]
+	for _, bad := range [][]byte{
+		{byte(TypeLong), 0x82, 0x00, byte(TypeBool), 1},
+		{byte(TypeLong), 0x02, byte(TypeBool), 2},
+	} {
+		in := append(append([]byte(nil), head...), bad...)
+		_, err := Decode(bytes.NewReader(in))
+		_, err1 := DecodeFrom(bufio.NewReaderSize(iotest.OneByteReader(bytes.NewReader(in)), 16))
+		if err == nil || err1 == nil || err.Error() != err1.Error() {
+			t.Fatalf("decode of % x: windowed error %v, byte-at-a-time error %v", in, err, err1)
+		}
+	}
+	if _, err := Decode(bytes.NewReader(append(append([]byte(nil), head...), byte(TypeLong), 0x82, 0x00, byte(TypeBool), 1))); !errors.Is(err, errVarint) {
+		t.Fatalf("non-minimal varint: %v, want %v", err, errVarint)
+	}
+}
+
+// labelsResult has the shape of the bulk prediction result the wire carries:
+// n rows of (LONG id, TEXT label, DOUBLE probability), the label one of five
+// values, or distinct in every row when unique.
+func labelsResult(n int, unique bool) *Rowset {
+	s := MustSchema(
+		Column{Name: "id", Type: TypeLong},
+		Column{Name: "label", Type: TypeText},
+		Column{Name: "p", Type: TypeDouble},
+	)
+	labels := []string{"Low", "Medium", "High", "VeryHigh", "Unknown"}
+	rows := make([]Row, n)
+	for i := range rows {
+		label := labels[i%len(labels)]
+		if unique {
+			label = fmt.Sprintf("customer-%07d", i)
+		}
+		rows[i] = Row{int64(100000 + i), label, float64(i) / 7}
+	}
+	return Adopt(s, rows)
+}
+
+func encoded(tb testing.TB, rs *Rowset) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := rs.Encode(&buf); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestCodecAllocs guards the codec's allocation counts: encoding into a
+// bufio.Writer allocates nothing, decoding allocates the row slice, a chunk
+// per ChunkRows rows and the boxes of numbers and new texts — about 2 per
+// row here — and a one-row result allocates no more than the per-row
+// decoder it replaced (20, with the reader).
+func TestCodecAllocs(t *testing.T) {
+	const n = 50000
+	big := labelsResult(n, false)
+	bw := bufio.NewWriter(io.Discard)
+	if got := testing.AllocsPerRun(5, func() {
+		if err := big.Encode(bw); err != nil {
+			t.Fatal(err)
+		}
+	}); got > 8 {
+		t.Errorf("Encode of %d rows: %.0f allocations, want <= 8", n, got)
+	}
+	for _, c := range []struct {
+		rows  int
+		limit float64
+	}{{n, 2.1 * n}, {1, 20}} {
+		in := encoded(t, labelsResult(c.rows, false))
+		if got := testing.AllocsPerRun(5, func() {
+			if _, err := Decode(bytes.NewReader(in)); err != nil {
+				t.Fatal(err)
+			}
+		}); got > c.limit {
+			t.Errorf("Decode of %d rows: %.0f allocations, want <= %.0f", c.rows, got, c.limit)
+		}
+	}
+}
+
+// BenchmarkCodec encodes into a bufio.Writer and decodes the 50k-row labels
+// result, once with five distinct labels (every TEXT cell after the first
+// five an intern hit) and once with a distinct label per row (every cell a
+// miss, the dictionary full after 4096).
+func BenchmarkCodec(b *testing.B) {
+	for _, unique := range []bool{false, true} {
+		name := "labels"
+		if unique {
+			name = "unique"
+		}
+		rs := labelsResult(50000, unique)
+		in := encoded(b, rs)
+		b.Run(name+"/encode", func(b *testing.B) {
+			bw := bufio.NewWriter(io.Discard)
+			b.SetBytes(int64(len(in)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				if err := rs.Encode(bw); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(name+"/decode", func(b *testing.B) {
+			b.SetBytes(int64(len(in)))
+			b.ReportAllocs()
+			for range b.N {
+				if _, err := Decode(bytes.NewReader(in)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestCodecLongText: texts longer than the writer's and the reader's 4096-byte
+// buffers, one past the 64 KiB read-ahead limit, round trip between short
+// cells.
+func TestCodecLongText(t *testing.T) {
+	rs := New(MustSchema(Column{Name: "t", Type: TypeText}, Column{Name: "l", Type: TypeLong}))
+	for _, n := range []int{5000, 70000, 3} {
+		mustAppend(rs, strings.Repeat("w", n), int64(n))
+	}
+	got := roundTrip(t, rs)
+	sameRowsets(t, "long texts", got, rs)
 }

@@ -8,66 +8,20 @@ import (
 )
 
 // Stored row layout, and the snapshots and partitions read from it. A table
-// writes its rows into chunks: one []rowset.Value backing array per
-// DefaultMorselSize rows, and a stored row is the capacity-clipped subslice
-// chunk[lo:lo+w:lo+w], so an append on a row handed out reallocates instead
-// of writing into the next row. The first chunks are small and double —
-// 16, 16, 32, …, 2048 rows, 4096 in all — so a small table pins a small
-// array, and every chunk after them holds exactly the DefaultMorselSize rows
-// of one scan partition: a parallel consumer that splits a snapshot by
-// MorselRanges reads one contiguous chunk per partition past the first.
-// Because the partitions cover the snapshot in row order, merging
-// per-partition results in partition order reconstructs exactly the
-// sequential scan order — the property the engine leans on for
-// byte-identical parallel GROUP BY.
-//
-// TEXT cells equal to one already stored in the same column share its boxed
-// value through the column's intern dictionary, so the collector marks one
-// object per distinct text rather than one per cell. Numbers and dates stay
-// boxed per cell.
+// writes its rows through a rowset.Chunks, which lays them out in chunks and
+// interns their TEXT cells (see internal/rowset/chunks.go): the first chunks
+// are small and double — 16, 16, 32, …, 2048 rows, 4096 in all — and every
+// chunk after them holds exactly the DefaultMorselSize rows of one scan
+// partition, so a parallel consumer that splits a snapshot by MorselRanges
+// reads one contiguous chunk per partition past the first. Because the
+// partitions cover the snapshot in row order, merging per-partition results
+// in partition order reconstructs exactly the sequential scan order — the
+// property the engine leans on for byte-identical parallel GROUP BY.
 
 // DefaultMorselSize is the row count of a full chunk and of a scan
 // partition: big enough that per-partition scheduling overhead is noise,
 // small enough to load-balance skewed filters across workers.
-const DefaultMorselSize = 4096
-
-// firstChunkRows sizes a table's first chunk; later chunks double up to
-// DefaultMorselSize rows.
-const firstChunkRows = 16
-
-// maxInterned bounds each TEXT column's intern dictionary. A full dictionary
-// still answers hits; it only stops growing.
-const maxInterned = 4096
-
-// newInterns returns an empty intern dictionary for each TEXT column of
-// schema, and nil for every other column. A dictionary is read and written
-// only under the table's write lock.
-func newInterns(schema *rowset.Schema) []map[string]rowset.Value {
-	in := make([]map[string]rowset.Value, schema.Len())
-	for i := range in {
-		if schema.Column(i).Type == rowset.TypeText {
-			in[i] = make(map[string]rowset.Value)
-		}
-	}
-	return in
-}
-
-// intern returns the box dict holds for the text v, recording v as that box
-// while dict has room. Only identical strings merge, so no value changes; a
-// non-TEXT column (nil dict) and NULL keep v.
-func intern(dict map[string]rowset.Value, v rowset.Value) rowset.Value {
-	s, ok := v.(string)
-	if !ok || dict == nil {
-		return v
-	}
-	if box, ok := dict[s]; ok {
-		return box
-	}
-	if len(dict) < maxInterned {
-		dict[s] = v
-	}
-	return v
-}
+const DefaultMorselSize = rowset.ChunkRows
 
 // coerce returns r with every value normalized and coerced to its column's
 // type. When every value already has its column's type — the common case —
@@ -113,21 +67,11 @@ func (t *Table) coerceAll(rows []rowset.Row) ([]rowset.Row, error) {
 	return out, nil
 }
 
-// appendLocked copies the coerced row r into the free tail of the current
-// chunk — a fresh chunk when the row does not fit — interns its TEXT cells,
-// and commits it as the table's next row. t.mu must be held for writing.
+// appendLocked copies the coerced row r into the table's chunks, interning
+// its TEXT cells, and commits it as the table's next row. t.mu must be held
+// for writing.
 func (t *Table) appendLocked(r rowset.Row) {
-	w := len(r)
-	if cap(t.chunk)-len(t.chunk) < w {
-		t.chunk = make([]rowset.Value, 0, w*min(max(len(t.rows), firstChunkRows), DefaultMorselSize))
-	}
-	lo := len(t.chunk)
-	t.chunk = append(t.chunk, r...)
-	row := t.chunk[lo : lo+w : lo+w]
-	for i, dict := range t.interns {
-		row[i] = intern(dict, row[i])
-	}
-	t.rows = append(t.rows, row)
+	t.rows = append(t.rows, t.chunks.Append(r))
 }
 
 // Morsel is a half-open row range [Lo, Hi) over a snapshot.

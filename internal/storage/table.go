@@ -23,12 +23,9 @@ type Table struct {
 	// version counts data mutations (Insert/Replace/Truncate); see stats.go.
 	version atomic.Uint64
 
-	mu   sync.RWMutex
-	rows []rowset.Row // subslices of the chunks; see chunks.go
-	// chunk is the backing array the next row is written into, and interns
-	// the per-column TEXT dictionaries.
-	chunk   []rowset.Value
-	interns []map[string]rowset.Value
+	mu      sync.RWMutex
+	rows    []rowset.Row          // subslices of the chunks; see chunks.go
+	chunks  rowset.Chunks         // where the next row is written
 	indexes map[string]*hashIndex // keyed by lower-cased column name
 
 	// statsSnap holds the immutable cardinality summary last computed, tagged
@@ -41,7 +38,7 @@ type Table struct {
 
 // NewTable creates an empty table.
 func NewTable(name string, schema *rowset.Schema) *Table {
-	return &Table{name: name, schema: schema, interns: newInterns(schema), indexes: make(map[string]*hashIndex)}
+	return &Table{name: name, schema: schema, indexes: make(map[string]*hashIndex)}
 }
 
 // Name returns the table name.
@@ -103,7 +100,7 @@ func (t *Table) Replace(rows []rowset.Row) error {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.rows, t.chunk, t.interns = make([]rowset.Row, 0, len(coerced)), nil, newInterns(t.schema)
+	t.rows, t.chunks = make([]rowset.Row, 0, len(coerced)), rowset.Chunks{}
 	for _, r := range coerced {
 		t.appendLocked(r)
 	}
@@ -122,7 +119,7 @@ func (t *Table) Replace(rows []rowset.Row) error {
 func (t *Table) Truncate() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.rows, t.chunk, t.interns = nil, nil, newInterns(t.schema)
+	t.rows, t.chunks = nil, rowset.Chunks{}
 	for _, idx := range t.indexes {
 		idx.reset()
 	}
