@@ -85,10 +85,12 @@ bench-parallel:
 	$(GO) test -run '^$$' -bench 'BenchmarkCodec' -benchtime=1x -benchmem ./internal/rowset
 
 # Instrumentation-overhead guard: fails when enabling the obs registry slows
-# the PREDICTION JOIN scan by more than 10% over WithObsRegistry(nil). The
-# instrumented side runs with the flight recorder considering every statement
-# and the metrics-history ticker snapshotting, so the 10% budget prices in
-# the whole recorder+history pipeline.
+# the batch PREDICTION JOIN or a prepared point SELECT by more than 10% over
+# WithObsRegistry(nil), comparing the medians of alternating
+# instrumented/bare pairs. The instrumented side runs with the flight
+# recorder considering every statement and the metrics-history ticker
+# snapshotting, so the 10% budget prices in the whole recorder+history
+# pipeline.
 bench-smoke:
 	BENCH_SMOKE=1 $(GO) test -run TestObsOverheadSmoke -v .
 

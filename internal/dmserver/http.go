@@ -44,7 +44,7 @@ func DiagnosticsHandler(reg *obs.Registry) http.Handler {
 				ElapsedUS:   rec.Elapsed.Microseconds(),
 				Reason:      string(rec.Reason),
 				ThresholdUS: rec.ThresholdUS,
-				Root:        spanJSONTree(rec.Root),
+				Root:        spanJSONTree(rec.Root.Span()),
 			})
 		}
 		enc := json.NewEncoder(w)

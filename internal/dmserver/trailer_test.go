@@ -59,3 +59,57 @@ func TestParseStatsTrailerMissingElapsed(t *testing.T) {
 		}
 	}
 }
+
+// countingWriter counts the Write calls that reach it, as a connection
+// counts send calls.
+type countingWriter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
+// TestResponseIsOneWrite: a small response — the rowset and the stats
+// trailer — reaches the connection in one Write, and a response larger than
+// the writer's buffer still arrives whole: it decodes to the rowset it
+// encoded, byte for byte.
+func TestResponseIsOneWrite(t *testing.T) {
+	var conn countingWriter
+	if err := writeResponse(bufio.NewWriter(&conn), oneRow(t), nil, ExecStats{Rows: 1, Seq: 7}); err != nil {
+		t.Fatal(err)
+	}
+	if conn.writes != 1 {
+		t.Errorf("one-row response took %d writes, want 1", conn.writes)
+	}
+
+	big := rowset.New(rowset.MustSchema(
+		rowset.Column{Name: "id", Type: rowset.TypeLong},
+		rowset.Column{Name: "label", Type: rowset.TypeText},
+	))
+	for i := 0; i < 50000; i++ {
+		if err := big.Append([]rowset.Value{int64(i), "row"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	conn = countingWriter{}
+	if err := writeResponse(bufio.NewWriter(&conn), big, nil, ExecStats{Rows: 50000, Seq: 8}); err != nil {
+		t.Fatal(err)
+	}
+	got, st, err := ReadResponse(bufio.NewReader(&conn))
+	if err != nil || st.Seq != 8 || st.Rows != 50000 {
+		t.Fatalf("ReadResponse = %v, %+v", err, st)
+	}
+	var want, again bytes.Buffer
+	if err := big.Encode(&want); err != nil {
+		t.Fatal(err)
+	}
+	if err := got.Encode(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want.Bytes(), again.Bytes()) {
+		t.Error("the 50k-row response does not decode to the rowset it encoded")
+	}
+}

@@ -209,3 +209,54 @@ func TestBracketRoundTrip(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestLookupFold: the lookup finds what m[strings.ToLower(name)] finds, for
+// ASCII, non-ASCII and long names, and allocates nothing for a short ASCII
+// name with upper-case letters.
+func TestLookupFold(t *testing.T) {
+	long := strings.Repeat("Customer", 10)
+	m := map[string]int{"customers": 1, "customer id": 2, "ärger": 3, strings.ToLower(long): 4}
+	for name, want := range map[string]int{"Customers": 1, "CUSTOMER ID": 2, "ÄRGER": 3, long: 4, "Orders": 0} {
+		got, ok := LookupFold(m, name)
+		if got != want || ok != (want != 0) {
+			t.Errorf("LookupFold(%q) = %d, %v; want %d", name, got, ok, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { LookupFold(m, "Customer ID") }); n != 0 {
+		t.Errorf("LookupFold allocates %.1f objects, want 0", n)
+	}
+}
+
+// TestFoldEqual: FoldEqual agrees with comparing strings.ToLower of both
+// sides, ASCII or not, and allocates nothing on ASCII names.
+func TestFoldEqual(t *testing.T) {
+	names := []string{"", "a", "A", "ab", "Customer ID", "customer id", "CUSTOMER ID", "Customer IDs",
+		"Ärger", "ärger", "ÄRGER", "ärgeR", "Σ", "σ", "ς", "K", "\u212a", "k", "İ", "i̇", "x\xffy", "X\xffY"}
+	for _, a := range names {
+		for _, b := range names {
+			if got, want := FoldEqual(a, b), strings.ToLower(a) == strings.ToLower(b); got != want {
+				t.Errorf("FoldEqual(%q, %q) = %v, want %v", a, b, got, want)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { FoldEqual("Customers.Customer ID", "customers.customer id") }); n != 0 {
+		t.Errorf("FoldEqual allocates %.1f objects, want 0", n)
+	}
+}
+
+// TestFoldHash: names FoldEqual calls equal hash alike, the names here that
+// fold apart hash apart, and hashing an ASCII name allocates nothing.
+func TestFoldHash(t *testing.T) {
+	names := []string{"", "a", "A", "ab", "Customer ID", "customer id", "CUSTOMER ID", "Customer IDs",
+		"Ärger", "ärger", "ÄRGER", "ärgeR", "Σ", "σ", "ς", "K", "\u212a", "k", "İ", "i̇", "x\xffy", "X\xffY"}
+	for _, a := range names {
+		for _, b := range names {
+			if got, want := FoldHash(a) == FoldHash(b), FoldEqual(a, b); got != want {
+				t.Errorf("FoldHash(%q) == FoldHash(%q) is %v, want %v", a, b, got, want)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { FoldHash("Customers.Customer ID") }); n != 0 {
+		t.Errorf("FoldHash allocates %.1f objects, want 0", n)
+	}
+}

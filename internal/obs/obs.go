@@ -219,7 +219,7 @@ type Registry struct {
 // its metrics history keeps DefaultHistoryCap snapshots.
 func NewRegistry() *Registry {
 	r := &Registry{history: &History{snaps: newRing[HistorySnapshot](DefaultHistoryCap)}, conns: &ConnTracker{}}
-	r.log = newQueryLog(r.Counter(MetricFlightConsidered), r.CounterVec(MetricFlightKept, LabelReason))
+	r.log = newQueryLog(r)
 	// Pre-register the history counter so the very first snapshot already
 	// carries it (at zero) and successive snapshots show its delta.
 	r.Counter(MetricHistorySnapshots)

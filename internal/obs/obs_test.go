@@ -53,8 +53,8 @@ func TestNilSafety(t *testing.T) {
 	}
 
 	var tr *Trace
-	tr.StartStage(StageScan)()
-	tr.SetKind("SQL")
+	tr.StartStage(StageScan).Next(StageParse).Stop()
+	tr.SetClass("SQL", nil)
 	tr.AddRowsIn(1)
 	tr.SetRowsOut(1)
 	tr.SetParallelism(2)
@@ -173,12 +173,12 @@ func TestTraceStagesAndContext(t *testing.T) {
 	tr := NewTrace("SELECT 1", "test")
 	stop := tr.StartStage(StageScan)
 	time.Sleep(time.Millisecond)
-	stop()
+	stop.Stop()
 	// Accumulation: a second burst adds to the same stage.
 	stop = tr.StartStage(StageScan)
 	time.Sleep(time.Millisecond)
-	stop()
-	tr.SetKind("SQL")
+	stop.Stop()
+	tr.SetClass("SQL", nil)
 	tr.AddRowsIn(3)
 	tr.AddRowsIn(2)
 	tr.SetRowsOut(4)

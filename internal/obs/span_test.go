@@ -17,7 +17,7 @@ func TestSpanTreeStructure(t *testing.T) {
 	sib.SetRows(4)
 	tr.EndSpan(sib)
 	tr.SetRowsOut(4)
-	tr.SetKind("PREDICT")
+	tr.SetClass("PREDICT", nil)
 	rec := tr.Finish("")
 
 	root := tr.Root()
@@ -33,17 +33,23 @@ func TestSpanTreeStructure(t *testing.T) {
 	if len(root.Children) != 2 {
 		t.Fatalf("root has %d children, want 2", len(root.Children))
 	}
-	if root.Children[0] != outer || root.Children[1] != sib {
+	if root.Children[0].Kind != "caseset" || root.Children[1].Kind != "predict" || root.Children[1].Rows != 4 {
 		t.Fatalf("children out of order")
 	}
-	if len(outer.Children) != 1 || outer.Children[0] != inner {
-		t.Fatalf("nesting wrong: outer children %v", outer.Children)
+	outerSp := root.Children[0]
+	if len(outerSp.Children) != 1 || outerSp.Children[0].Kind != "scan" || outerSp.Children[0].Label != "Customers" {
+		t.Fatalf("nesting wrong: outer children %v", outerSp.Children)
 	}
-	if inner.Rows != 10 {
-		t.Fatalf("inner rows = %d, want 10", inner.Rows)
+	innerSp := outerSp.Children[0]
+	if innerSp.Rows != 10 {
+		t.Fatalf("inner rows = %d, want 10", innerSp.Rows)
 	}
-	if outer.Elapsed < inner.Elapsed {
-		t.Fatalf("outer elapsed %v < inner elapsed %v", outer.Elapsed, inner.Elapsed)
+	if outerSp.Elapsed < innerSp.Elapsed {
+		t.Fatalf("outer elapsed %v < inner elapsed %v", outerSp.Elapsed, innerSp.Elapsed)
+	}
+	// The record's tree is the same tree.
+	if got := rec.Root.Span(); len(got.Children) != 2 || got.Label != "PREDICT" {
+		t.Fatalf("record tree = %+v", got)
 	}
 }
 
@@ -53,8 +59,8 @@ func TestSpanStageFeedsTraceTimers(t *testing.T) {
 	time.Sleep(2 * time.Millisecond)
 	tr.EndSpan(sp)
 	rec := tr.Finish("")
-	if rec.Stages[StageScan] != sp.Elapsed {
-		t.Fatalf("scan stage %v != span elapsed %v", rec.Stages[StageScan], sp.Elapsed)
+	if elapsed := rec.Root.Span().Children[0].Elapsed; rec.Stages[StageScan] != elapsed {
+		t.Fatalf("scan stage %v != span elapsed %v", rec.Stages[StageScan], elapsed)
 	}
 	if rec.Stages[StageScan] <= 0 {
 		t.Fatalf("scan stage not recorded")
@@ -70,12 +76,13 @@ func TestEndSpanPopsAbandonedChildren(t *testing.T) {
 	tr.StartSpan("tokenize", "") // never ended: simulated early error return
 	tr.EndSpan(outer)
 	next := tr.StartSpan("scan", "")
+	next.SetRows(1)
 	tr.EndSpan(next)
 	root := tr.Root()
 	if len(root.Children) != 2 {
 		t.Fatalf("root has %d children, want 2 (train, scan)", len(root.Children))
 	}
-	if root.Children[1] != next {
+	if root.Children[1].Kind != "scan" || len(root.Children[0].Children) != 1 {
 		t.Fatalf("span after defensive pop nested wrongly")
 	}
 }

@@ -1,9 +1,11 @@
 package obs
 
 import (
-	"math/rand"
+	"math/rand/v2"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 	"unicode/utf8"
 )
@@ -70,13 +72,16 @@ type Record struct {
 	// Parallelism is the most goroutines any one of the statement's scans ran
 	// on: 1 for a single partition, 0 for a statement that scanned nothing.
 	Parallelism int
-	// Root is the completed, immutable span tree.
-	Root *Span
+	// Root is the span tree: the store's immutable copy on a retained
+	// record, nil on the recent ring's records.
+	Root Tree
 	// Reason is why the retained policy kept the statement ("" if it did not).
 	Reason KeepReason
 	// ThresholdUS is the class p95 (µs) the statement was judged against at
 	// completion; 0 while the class was still warming up.
 	ThresholdUS int64
+
+	class *Class // resolved by the statement's plan; nil: look it up by Kind
 }
 
 // truncateStatement cuts s to at most maxStatementLen bytes, backing off to
@@ -114,9 +119,11 @@ const (
 	// flightMaxClasses caps the per-class tracking map; further classes
 	// collapse into OverflowLabel.
 	flightMaxClasses = 32
-	// flightHotWindow is how long detailed per-op sampling stays armed for a
-	// class after a severe (>= 2x p95) outlier.
-	flightHotWindow = 2 * time.Second
+	// flightHotStatements is how many of a class's statements detailed per-op
+	// sampling stays armed for after a severe (>= 2x p95) outlier: a count,
+	// not a time, so a fast class under load — where scheduler and GC pauses
+	// make such outliers routine — is not detailed without end.
+	flightHotStatements = 16
 	// flightDetailEvery thins detailed sampling while a class is hot: one
 	// statement in flightDetailEvery records per-operator detail.
 	flightDetailEvery = 4
@@ -142,17 +149,43 @@ func keepPriority(r KeepReason) int {
 	return 2 // error, cancelled, slow
 }
 
-// classTrack is the store's per-statement-class moving latency envelope: a
-// decaying log2 histogram for the p95 threshold plus the hot-window state
-// that arms detailed sampling. Guarded by the owning store's mu.
-type classTrack struct {
-	seen       int64
-	buckets    [histBuckets]int64
-	hotUntil   time.Time
-	detailTick int64
+// epoch anchors Mono, and a trace's wall-clock start is epoch plus its
+// Mono reading (one clock read where time.Now takes two).
+var epoch = time.Now()
+
+// Mono reads the monotonic clock as an offset from a fixed instant, so the
+// difference of two readings is the time between them.
+func Mono() time.Duration { return time.Since(epoch) }
+
+// Class is one statement class (SQL, PREDICT, ...), resolved once — a plan
+// resolves it when it compiles — so a statement reaches its by-class counter
+// and histogram and its hot state without a map lookup, and its hot state
+// without a lock. It also holds the class's moving latency envelope: a
+// decaying log2 histogram for the p95 threshold, guarded by the owning
+// store's mu.
+type Class struct {
+	stmts   *Counter
+	latency *Histogram
+
+	seen    int64
+	buckets [histBuckets]int64
+
+	// hot counts down the class's statements left in its hot window.
+	hot atomic.Int64
 }
 
-func (ct *classTrack) observeLocked(us int64) {
+// shouldDetail reports whether the class's next statement should record
+// per-operator detail: true for one in flightDetailEvery of the
+// flightHotStatements statements after a >= 2x-p95 outlier, the first
+// included.
+func (c *Class) shouldDetail() bool {
+	if c == nil || c.hot.Load() <= 0 {
+		return false
+	}
+	return c.hot.Add(-1)%flightDetailEvery == flightDetailEvery-1
+}
+
+func (ct *Class) observeLocked(us int64) {
 	ct.buckets[bucketOf(max(us, 0))]++
 	ct.seen++
 	if ct.seen >= flightDecayLimit {
@@ -171,7 +204,7 @@ func (ct *classTrack) observeLocked(us int64) {
 // the latency regime 95% of traffic lives in — uniform traffic is never
 // flagged against itself. Returns 0 while the class has fewer than
 // flightMinSamples observations (threshold not yet trusted).
-func (ct *classTrack) p95Locked() int64 {
+func (ct *Class) p95Locked() int64 {
 	if ct.seen < flightMinSamples {
 		return 0
 	}
@@ -200,49 +233,66 @@ func (ct *classTrack) p95Locked() int64 {
 //
 // All methods are safe on a nil receiver.
 //
-//dmlint:guard mu: QueryLog.recent, QueryLog.slots, QueryLog.samples, QueryLog.normalSeen, QueryLog.classes, QueryLog.rng
+//dmlint:guard mu: QueryLog.recent, QueryLog.slots, QueryLog.slotKeys, QueryLog.samples, QueryLog.normalSeen, QueryLog.classes, QueryLog.rng
 type QueryLog struct {
 	mu         sync.Mutex
 	recent     ring[Record]
 	slots      []Record // retained: interesting statements
+	slotKeys   []int64  // per slot: its record's keepPriority<<48 | Seq
 	samples    []Record // retained: the reservoir of normal statements
 	normalSeen int64    // normal statements offered to the reservoir
-	classes    map[string]*classTrack
+	classes    map[string]*Class
 	// rng drives reservoir sampling; seeded deterministically so tests and
-	// repeated runs are reproducible.
+	// repeated runs are reproducible. PCG's state is two words, where the
+	// classic source's 4.8 KB table cost cache misses on every draw.
 	rng *rand.Rand
 
 	considered *Counter
 	kept       *CounterVec
+	byClass    *CounterVec // statements and latency by class
+	latByClass *HistogramVec
 }
 
-func newQueryLog(considered *Counter, kept *CounterVec) *QueryLog {
+func newQueryLog(reg *Registry) *QueryLog {
 	return &QueryLog{
 		recent:     newRing[Record](DefaultQueryLogCap),
-		classes:    make(map[string]*classTrack),
-		rng:        rand.New(rand.NewSource(1)),
-		considered: considered,
-		kept:       kept,
+		classes:    make(map[string]*Class),
+		rng:        rand.New(rand.NewPCG(1, 0)),
+		considered: reg.Counter(MetricFlightConsidered),
+		kept:       reg.CounterVec(MetricFlightKept, LabelReason),
+		byClass:    reg.CounterVec(MetricStatementsByClass, LabelClass),
+		latByClass: reg.HistogramVec(MetricLatencyByClass, LabelClass),
 	}
 }
 
 // Append records one completed statement under both policies, assigning its
-// Seq, and returns that Seq. A record without a span tree (Root == nil) goes
-// to the recent ring only. Safe on a nil store (returns 0).
+// Seq, counts it in its class's by-class families, and returns the Seq. A
+// record without a span tree (Root == nil) goes to the recent ring only. The
+// tree is the caller's (a trace's reused slab): it is copied, in one
+// allocation, only into a record the retained policy keeps, and no record of
+// the recent ring carries one. Safe on a nil store (returns 0).
 func (l *QueryLog) Append(r Record) int64 {
 	if l == nil {
 		return 0
 	}
 	r.Statement = truncateStatement(r.Statement)
-	if r.Root != nil {
+	tree := r.Root
+	r.Root = nil
+	if tree != nil {
 		l.considered.Inc()
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if r.class == nil {
+		r.class = l.classLocked(r.Kind)
+	}
+	r.class.stmts.Inc()
+	r.class.latency.Observe(r.Elapsed.Microseconds())
 	r.Seq = l.recent.total + 1
-	if r.Root != nil {
+	if tree != nil {
 		if slot := l.retainLocked(&r); slot != nil {
 			*slot = r
+			slot.Root = slices.Clone(tree)
 			l.kept.With(string(r.Reason)).Inc()
 		}
 	}
@@ -254,8 +304,7 @@ func (l *QueryLog) Append(r Record) int64 {
 // and returns the retained slot r goes to with r.Reason set — or nil when
 // the retained policy drops it.
 func (l *QueryLog) retainLocked(r *Record) *Record {
-	us := r.Elapsed.Microseconds()
-	ct := l.classLocked(r.Kind)
+	us, ct := r.Elapsed.Microseconds(), r.class
 	// Record-then-decide: the threshold is the envelope of *prior* traffic,
 	// then this statement's latency joins the envelope for the next one.
 	r.ThresholdUS = ct.p95Locked()
@@ -272,7 +321,7 @@ func (l *QueryLog) retainLocked(r *Record) *Record {
 	case r.ThresholdUS > 0 && us >= r.ThresholdUS:
 		reason = KeepSlow
 		if us >= 2*r.ThresholdUS {
-			ct.hotUntil = time.Now().Add(flightHotWindow)
+			ct.hot.Store(flightHotStatements)
 		}
 	default:
 		reason = KeepSample
@@ -281,7 +330,7 @@ func (l *QueryLog) retainLocked(r *Record) *Record {
 	if reason == KeepSample {
 		slot = l.sampleLocked()
 	} else {
-		slot = l.slotLocked(keepPriority(reason))
+		slot = l.slotLocked(keepPriority(reason), r.Seq)
 	}
 	if slot != nil {
 		r.Reason = reason
@@ -298,66 +347,64 @@ func (l *QueryLog) sampleLocked() *Record {
 		l.samples = append(l.samples, Record{})
 		return &l.samples[len(l.samples)-1]
 	}
-	if j := l.rng.Int63n(l.normalSeen); j < reservoirCap {
+	if j := l.rng.Int64N(l.normalSeen); j < reservoirCap {
 		return &l.samples[j]
 	}
 	return nil
 }
 
-// slotLocked returns the priority slot for a record of priority prio: a free
-// one, else the slot of the lowest-priority, oldest record — or nil when
-// that record outranks prio. Entries are compared in place, none copied.
-func (l *QueryLog) slotLocked(prio int) *Record {
+// slotLocked returns the priority slot for a record of priority prio and
+// sequence seq: a free one, else the slot of the lowest-priority, oldest
+// record — or nil when that record outranks prio. The victim is found in
+// slotKeys, one word per slot, so the records themselves are not read.
+func (l *QueryLog) slotLocked(prio int, seq int64) *Record {
+	key := int64(prio)<<48 | seq
 	if len(l.slots) < DefaultFlightRecorderCap-reservoirCap {
-		l.slots = append(l.slots, Record{})
+		l.slots, l.slotKeys = append(l.slots, Record{}), append(l.slotKeys, key)
 		return &l.slots[len(l.slots)-1]
 	}
-	vi, vp := 0, keepPriority(l.slots[0].Reason)
-	for i := 1; i < len(l.slots); i++ {
-		if p := keepPriority(l.slots[i].Reason); p < vp || (p == vp && l.slots[i].Seq < l.slots[vi].Seq) {
-			vi, vp = i, p
+	vi := 0
+	for i, k := range l.slotKeys {
+		if k < l.slotKeys[vi] {
+			vi = i
 		}
 	}
-	if vp > prio {
+	if int(l.slotKeys[vi]>>48) > prio {
 		return nil
 	}
+	l.slotKeys[vi] = key
 	return &l.slots[vi]
 }
 
-func (l *QueryLog) classLocked(kind string) *classTrack {
+// Class returns the statement class kind, creating it on first use; past
+// flightMaxClasses classes, new kinds share the OverflowLabel class. Nil on a
+// nil store.
+func (l *QueryLog) Class(kind string) *Class {
+	if l == nil {
+		return nil
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.classLocked(kind)
+}
+
+func (l *QueryLog) classLocked(kind string) *Class {
+	label := kind
 	if kind == "" {
-		kind = OverflowLabel
+		kind, label = OverflowLabel, "unknown"
 	}
 	ct := l.classes[kind]
 	if ct == nil {
 		if len(l.classes) >= flightMaxClasses && kind != OverflowLabel {
 			return l.classLocked(OverflowLabel)
 		}
-		ct = &classTrack{}
+		ct = &Class{
+			stmts:   l.byClass.With(label),
+			latency: l.latByClass.With(label),
+		}
 		l.classes[kind] = ct
 	}
 	return ct
-}
-
-// ShouldDetail reports whether a statement of the given class should record
-// detailed per-operator timing: true (thinned to one in flightDetailEvery)
-// while the class is hot — i.e. within flightHotWindow of a >= 2x-p95
-// outlier. False on a nil store.
-func (l *QueryLog) ShouldDetail(class string) bool {
-	if l == nil {
-		return false
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if class == "" {
-		class = OverflowLabel
-	}
-	ct := l.classes[class]
-	if ct == nil || time.Now().After(ct.hotUntil) {
-		return false
-	}
-	ct.detailTick++
-	return ct.detailTick%flightDetailEvery == 1
 }
 
 // Total returns the lifetime number of appended records.

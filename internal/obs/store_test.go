@@ -16,7 +16,7 @@ func stmt(l *QueryLog, kind, errClass string, elapsed time.Duration) int64 {
 		Kind:      kind,
 		ErrClass:  errClass,
 		Elapsed:   elapsed,
-		Root:      NewSpan("statement", ""),
+		Root:      make(Tree, 1),
 	})
 }
 
@@ -58,14 +58,14 @@ func TestRecorderKeepsSlowOverMovingP95(t *testing.T) {
 	// The 2x-p95 outlier armed detailed sampling for the class.
 	detailed := false
 	for i := 0; i < 2*flightDetailEvery; i++ {
-		if l.ShouldDetail("PREDICT") {
+		if l.Class("PREDICT").shouldDetail() {
 			detailed = true
 		}
 	}
 	if !detailed {
 		t.Fatal("hot class never asked for detail")
 	}
-	if l.ShouldDetail("SQL") {
+	if l.Class("SQL").shouldDetail() {
 		t.Fatal("cold class asked for detail")
 	}
 }
@@ -185,10 +185,10 @@ func TestRecorderReservoirSurvivesInterestingFlood(t *testing.T) {
 
 func TestRecorderNilSafe(t *testing.T) {
 	var l *QueryLog
-	if l.Append(Record{Root: NewSpan("statement", "")}) != 0 {
+	if l.Append(Record{Root: make(Tree, 1)}) != 0 {
 		t.Fatal("nil store assigned a seq")
 	}
-	if l.Retained() != nil || l.Snapshot() != nil || l.Total() != 0 || l.ShouldDetail("SQL") {
+	if l.Retained() != nil || l.Snapshot() != nil || l.Total() != 0 || l.Class("SQL").shouldDetail() {
 		t.Fatal("nil store misbehaves")
 	}
 	if _, ok := l.FindRetained(1); ok {
@@ -227,7 +227,7 @@ func TestStatementTruncatedAtRuneBoundary(t *testing.T) {
 		t.Fatalf("fixture: %d bytes, byte %d = %q", len(text), maxStatementLen-1, text[maxStatementLen-1])
 	}
 	l := NewRegistry().QueryLog()
-	seq := l.Append(Record{Statement: text, ErrClass: "exec", Root: NewSpan("statement", "")})
+	seq := l.Append(Record{Statement: text, ErrClass: "exec", Root: make(Tree, 1)})
 	recent, _ := l.Find(seq)
 	retained, _ := l.FindRetained(seq)
 	for _, got := range []string{recent.Statement, retained.Statement} {

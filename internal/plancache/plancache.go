@@ -230,10 +230,10 @@ func (v *Versions) Bump(name string) {
 
 // Get returns the current version of name.
 func (v *Versions) Get(name string) uint64 {
-	key := strings.ToLower(name)
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	return v.m[key]
+	n, _ := lex.LookupFold(v.m, name)
+	return n
 }
 
 // Epoch returns the global change counter.

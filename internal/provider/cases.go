@@ -18,13 +18,13 @@ import (
 // the SQL engine over a relation: the items, WHERE, GROUP BY, HAVING, ORDER BY,
 // DISTINCT and TOP are the engine's, as for any table.
 func (p *Provider) rowsetSelect(ctx context.Context, st *dmx.RowsetSelect) (*rowset.Rowset, error) {
-	defer obs.FromContext(ctx).StartStage(obs.StageScan)()
+	defer obs.FromContext(ctx).StartStage(obs.StageScan).Stop()
 	rs, err := p.providerRowset(st.Model, st.Rowset)
 	if err != nil {
 		return nil, err
 	}
 	return p.Engine.QueryRelation(ctx, st.Select, sqlengine.Relation{
-		Schema: rs.Schema(), Rows: rs.Rows(), Kind: "rowset", Label: st.Name(),
+		Schema: rs.Schema(), Rows: rs.Rows(), Kind: "rowset", Label: obs.Label{Text: st.Name()},
 	})
 }
 

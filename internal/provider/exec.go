@@ -47,6 +47,8 @@ func WithSeqOut(seq *int64) ExecOption {
 // PREPARE/EXECUTE/DEALLOCATE controls) are compiled on every execution.
 func (s *Session) executeTracedArgs(ctx context.Context, t *obs.Trace, command string, args []rowset.Value) (*rowset.Rowset, error) {
 	p := s.p
+	// The plan-cache lookup stands in for the parse, so it is the parse stage.
+	stage := t.StartStage(obs.StageParse)
 	key := plancache.Normalize(command)
 	v, ok := p.planCache.Get(key)
 	if !ok {
@@ -54,8 +56,9 @@ func (s *Session) executeTracedArgs(ctx context.Context, t *obs.Trace, command s
 		// this plan is being built, Put drops the store rather than caching
 		// a plan that may already be stale.
 		epoch := p.versions.Epoch()
-		pl, err := p.compile(t, command)
-		if err != nil {
+		pl, next, err := p.compileFrom(stage, command)
+		if stage = next; err != nil {
+			stage.Stop()
 			return nil, err
 		}
 		if pl.cacheable {
@@ -63,7 +66,7 @@ func (s *Session) executeTracedArgs(ctx context.Context, t *obs.Trace, command s
 		}
 		v = pl
 	}
-	return s.runPlan(ctx, t, v.(*plan), args)
+	return s.runPlan(ctx, stage, v.(*plan), args)
 }
 
 // statementKind labels a statement class for the query log.

@@ -27,14 +27,14 @@ func (s *Session) explain(ctx context.Context, ex *dmx.Explain, inner *plan) (*r
 		// ANALYZE still needs a span collector, so run under a local trace
 		// that lives only for this statement.
 		t = obs.NewTrace(ex.Command, "")
-		t.SetKind("EXPLAIN")
+		t.SetClass("EXPLAIN", nil)
 		ctx = obs.WithTrace(ctx, t)
 	}
 	// Per-operator wall time is sampled only under ANALYZE: detailed mode
 	// makes streaming operators read the clock around every row, a cost
 	// normal traced execution must not pay (spans there count rows only).
 	t.SetDetailed(true)
-	rs, err := s.execute(ctx, inner, nil)
+	rs, err := s.execute(ctx, t.StartStage(obs.StageBind), inner, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -49,7 +49,8 @@ func (p *Provider) insertInto(ctx context.Context, ins *dmx.InsertInto) (*rowset
 		return nil, err
 	}
 
-	spTrain := t.StartSpanStage(obs.StageTrain, "train", "algorithm="+e.model.Def.Algorithm)
+	spTrain := t.StartSpanStage(obs.StageTrain, "train", "")
+	spTrain.SetLabel(obs.Label{Text: "algorithm=", Arg: e.model.Def.Algorithm})
 	// The deferred EndSpan covers every error return below; any "tokenize"
 	// child abandoned by an early return is closed by EndSpan's defensive pop.
 	defer t.EndSpan(spTrain)

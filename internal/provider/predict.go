@@ -23,8 +23,13 @@ import (
 // through the model's frozen attribute space. Partitioning, cancellation,
 // filter, projection, ORDER BY and TOP are the engine's, shared with every SQL
 // SELECT; a singleton join is the one-row, one-partition case.
-func (p *Provider) predictionSelect(ctx context.Context, ps *dmx.PredictionSelect) (*rowset.Rowset, error) {
-	t := obs.FromContext(ctx)
+//
+// The statement goes on in the bind stage running on stage: resolving the
+// model and binding its columns to the source's are the bind stage, the
+// caseset is the source stage, and the engine's pass the scan stage.
+func (p *Provider) predictionSelect(ctx context.Context, stage obs.StageTimer, ps *dmx.PredictionSelect) (*rowset.Rowset, error) {
+	defer func() { stage.Stop() }()
+	t := stage.Trace()
 	e, err := p.entry(ps.Model)
 	if err != nil {
 		return nil, err
@@ -37,6 +42,8 @@ func (p *Provider) predictionSelect(ctx context.Context, ps *dmx.PredictionSelec
 		return nil, err
 	}
 	p.predsByModel.With(e.model.Def.Name).Inc()
+	stage.Stop()
+	stage = obs.StageTimer{}
 	spSource := t.StartSpanStage(obs.StageSource, "caseset", "")
 	cs, err := p.executeSource(ctx, ps.Source)
 	if err != nil {
@@ -47,6 +54,7 @@ func (p *Provider) predictionSelect(ctx context.Context, ps *dmx.PredictionSelec
 	src := cs.Rowset()
 	spSource.SetRows(int64(src.Len()))
 	t.EndSpan(spSource)
+	stage = t.StartStage(obs.StageBind)
 	t.AddRowsIn(int64(src.Len()))
 
 	// A NATURAL join binds by name whatever the source has; an ON clause says
@@ -104,12 +112,12 @@ func (p *Provider) predictionSelect(ctx context.Context, ps *dmx.PredictionSelec
 	}
 	// The frozen bench and DM_QUERY_LOG read the prediction scan's time from
 	// the scan stage, like a SQL SELECT's.
-	defer t.StartStage(obs.StageScan)()
+	stage = stage.Next(obs.StageScan)
 	return p.Engine.QueryRelation(ctx, ps.Select,
 		sqlengine.Relation{
 			Schema: evalSchema, Rows: src.Rows(),
 			Resolve: pp.resolve, Bind: pp.caseBinder,
-			Kind: "predict", Label: "model=" + ps.Model,
+			Kind: "predict", Label: obs.Label{Text: "model=", Arg: ps.Model},
 			// A DMX result declares a type for every column.
 			Untyped: rowset.TypeText,
 		})
@@ -198,12 +206,11 @@ type predTarget struct {
 // target resolves a model column name to its predTarget; every spelling of one
 // column shares a target, and so a cache slot.
 func (pp *predictPlan) target(column string) *predTarget {
-	key := strings.ToLower(column)
-	if t, ok := pp.targets[key]; ok {
+	if t, ok := lex.LookupFold(pp.targets, column); ok {
 		return t
 	}
 	t := &predTarget{slot: len(pp.targets)}
-	pp.targets[key] = t
+	pp.targets[strings.ToLower(column)] = t
 	def := pp.entry.model.Def
 	mc, ok := def.Column(column)
 	if !ok {

@@ -22,6 +22,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dmx"
 	"repro/internal/dmx/sem"
+	"repro/internal/lex"
 	"repro/internal/obs"
 	"repro/internal/plancache"
 	"repro/internal/rowset"
@@ -36,6 +37,7 @@ import (
 //dmlint:immutable
 type plan struct {
 	kind   string                // statement class for traces and the query log
+	class  *obs.Class            // kind, resolved in the statement store
 	stmt   dmx.Statement         // the parsed statement
 	inner  *plan                 // the compiled statement an EXPLAIN or a PREPARE wraps
 	params []sqlengine.ParamSlot // placeholder slots, in argument order
@@ -58,22 +60,32 @@ type preparedStmt struct {
 // compile parses command — DMX, SQL, or SHAPE — and compiles it into a plan,
 // attributing parse and bind time to t.
 func (p *Provider) compile(t *obs.Trace, command string) (*plan, error) {
-	stopParse := t.StartStage(obs.StageParse)
+	pl, stage, err := p.compileFrom(t.StartStage(obs.StageParse), command)
+	stage.Stop()
+	return pl, err
+}
+
+// compileFrom is compile with the parse stage already running on stage: it
+// parses, then compiles under the bind stage, and returns the plan with the
+// bind stage still running, for the execution that follows to go on from.
+func (p *Provider) compileFrom(stage obs.StageTimer, command string) (*plan, obs.StageTimer, error) {
 	st, err := dmx.Parse(command, p.IsModel)
-	stopParse()
+	stage = stage.Next(obs.StageBind)
 	if err != nil {
-		t.SetErrClass("parse")
-		return nil, err
+		stage.Trace().SetErrClass("parse")
+		return nil, stage, err
 	}
-	return p.compileStmt(t, st)
+	pl, err := p.compileStmt(st)
+	return pl, stage, err
 }
 
 // compileStmt semantic-checks a parsed statement (so PREPARE surfaces name and
 // type errors immediately), assigns its parameter slots, infers their types
 // from the columns they are compared against, and snapshots the versions of
 // the catalog objects it references.
-func (p *Provider) compileStmt(t *obs.Trace, st dmx.Statement) (*plan, error) {
-	pl := &plan{kind: statementKind(st), stmt: st}
+func (p *Provider) compileStmt(st dmx.Statement) (*plan, error) {
+	kind := statementKind(st)
+	pl := &plan{kind: kind, class: p.obs.QueryLog().Class(kind), stmt: st}
 	deps := func(names ...string) []plancache.Dep { return p.versions.Snapshot(names) }
 	var err error
 	switch s := st.(type) {
@@ -99,10 +111,10 @@ func (p *Provider) compileStmt(t *obs.Trace, st dmx.Statement) (*plan, error) {
 		tables, err = shapeTables(s.Query)
 		pl.deps, pl.cacheable = deps(tables...), true
 	case *dmx.PredictionSelect:
-		pl.params, pl.deps, err = p.compileMining(t, st, s.Model, s.Source, &sqlengine.Subquery{Query: s.Select}, s.On)
+		pl.params, pl.deps, err = p.compileMining(st, s.Model, s.Source, &sqlengine.Subquery{Query: s.Select}, s.On)
 		pl.cacheable = true
 	case *dmx.InsertInto:
-		pl.params, pl.deps, err = p.compileMining(t, st, s.Model, s.Source)
+		pl.params, pl.deps, err = p.compileMining(st, s.Model, s.Source)
 		pl.cacheable = true
 	case *dmx.RowsetSelect:
 		if pl.params, err = sqlengine.AssignParams(s.Select); err != nil {
@@ -113,9 +125,9 @@ func (p *Provider) compileStmt(t *obs.Trace, st dmx.Statement) (*plan, error) {
 			pl.deps = deps(s.Model)
 		}
 	case *dmx.Explain:
-		pl.inner, err = p.compileStmt(t, s.Stmt)
+		pl.inner, err = p.compileStmt(s.Stmt)
 	case *dmx.Prepare:
-		pl.inner, err = p.compileStmt(t, s.Stmt)
+		pl.inner, err = p.compileStmt(s.Stmt)
 	default:
 		// Model DDL, DELETE FROM, EXECUTE and DEALLOCATE compile but are not
 		// cached and take no parameters.
@@ -132,11 +144,8 @@ func (p *Provider) compileStmt(t *obs.Trace, st dmx.Statement) (*plan, error) {
 // statement-wide collection sees it), inferring types from the source tables.
 // It returns the slots and the model and the source tables at their current
 // versions; a SHAPE source takes no parameters.
-func (p *Provider) compileMining(t *obs.Trace, st dmx.Statement, model string, src dmx.Source, roots ...sqlengine.Expr) ([]sqlengine.ParamSlot, []plancache.Dep, error) {
-	stopBind := t.StartStage(obs.StageBind)
-	err := sem.Check(st, p)
-	stopBind()
-	if err != nil {
+func (p *Provider) compileMining(st dmx.Statement, model string, src dmx.Source, roots ...sqlengine.Expr) ([]sqlengine.ParamSlot, []plancache.Dep, error) {
+	if err := sem.Check(st, p); err != nil {
 		return nil, nil, err
 	}
 	tables, err := shapeTables(src.Shape)
@@ -200,51 +209,51 @@ func shapeTables(q *shape.Query) ([]string, error) {
 
 // ---------- execution ----------
 
-// runPlan labels the trace with the plan's statement class and executes it.
-// EXPLAIN ANALYZE calls execute directly, so the trace of the statement it
-// runs keeps the EXPLAIN label.
-func (s *Session) runPlan(ctx context.Context, t *obs.Trace, pl *plan, args []rowset.Value) (*rowset.Rowset, error) {
-	t.SetKind(pl.kind)
-	return s.execute(ctx, pl, args)
+// runPlan labels the trace with the plan's statement class and executes it,
+// going on from the stage running on stage (the plan lookup's). EXPLAIN
+// ANALYZE calls execute directly, so the trace of the statement it runs keeps
+// the EXPLAIN label.
+func (s *Session) runPlan(ctx context.Context, stage obs.StageTimer, pl *plan, args []rowset.Value) (*rowset.Rowset, error) {
+	stage.Trace().SetClass(pl.kind, pl.class)
+	return s.execute(ctx, stage, pl, args)
 }
 
-// execute validates and coerces args against the plan's parameter slots,
-// binds them into a copy of the statement, and dispatches it. Plans run
-// without a second semantic check: they were checked at compile time, and
-// dependency versioning guarantees the catalog they were checked against
-// still stands. Catalog reads resolve against the current immutable snapshot,
-// so no dispatch arm takes a lock.
-func (s *Session) execute(ctx context.Context, pl *plan, args []rowset.Value) (*rowset.Rowset, error) {
+// execute validates and coerces args against the plan's parameter slots and
+// binds them into a copy of the statement — the bind stage, which follows
+// the stage running on stage on the same clock reading — and dispatches it.
+// Plans run without a second semantic check: they were checked at compile
+// time, and dependency versioning guarantees the catalog they were checked
+// against still stands. Catalog reads resolve against the current immutable
+// snapshot, so no dispatch arm takes a lock.
+func (s *Session) execute(ctx context.Context, stage obs.StageTimer, pl *plan, args []rowset.Value) (*rowset.Rowset, error) {
 	p := s.p
-	t := obs.FromContext(ctx)
-	if len(args) != len(pl.params) {
-		return nil, fmt.Errorf("provider: statement has %d parameter(s), got %d argument(s) (PREPARE/EXECUTE binds them)", len(pl.params), len(args))
+	t := stage.Trace()
+	bind := stage.Next(obs.StageBind)
+	st, err := bindArgs(pl, args)
+	// A SQL statement's execution is its scan stage and a SHAPE's its source
+	// stage. A prediction goes on from the bind stage and times the rest
+	// itself, as every other statement times its own stages.
+	run := bind
+	switch st.(type) {
+	case *dmx.SQL:
+		run = bind.Next(obs.StageScan)
+	case *dmx.Shape:
+		run = bind.Next(obs.StageSource)
+	case *dmx.PredictionSelect:
+	default:
+		run.Stop()
+		run = obs.StageTimer{}
 	}
-	st := pl.stmt
-	if len(args) > 0 {
-		bound := make([]rowset.Value, len(args))
-		for i, a := range args {
-			v := rowset.Normalize(a)
-			if typ := pl.params[i].Type; typ != rowset.TypeNull && v != nil {
-				cv, err := rowset.Coerce(v, typ)
-				if err != nil {
-					return nil, fmt.Errorf("provider: parameter %s: %w", pl.params[i].Label(i), err)
-				}
-				v = cv
-			}
-			bound[i] = v
-		}
-		var err error
-		if st, err = bindParams(st, bound); err != nil {
-			return nil, err
-		}
+	if err != nil {
+		run.Stop()
+		return nil, err
 	}
 	switch st := st.(type) {
 	case *dmx.SQL:
-		defer t.StartStage(obs.StageScan)()
+		defer run.Stop()
 		return p.Engine.ExecStmtContext(ctx, st.Stmt)
 	case *dmx.Shape:
-		defer t.StartStage(obs.StageSource)()
+		defer run.Stop()
 		return st.Query.ExecuteContext(ctx, p.Engine)
 	case *dmx.Explain:
 		return s.explain(ctx, st, pl.inner)
@@ -253,7 +262,7 @@ func (s *Session) execute(ctx context.Context, pl *plan, args []rowset.Value) (*
 	case *dmx.InsertInto:
 		return p.insertInto(ctx, st)
 	case *dmx.PredictionSelect:
-		return p.predictionSelect(ctx, st)
+		return p.predictionSelect(ctx, run, st)
 	case *dmx.RowsetSelect:
 		return p.rowsetSelect(ctx, st)
 	case *dmx.DeleteFrom:
@@ -268,6 +277,31 @@ func (s *Session) execute(ctx context.Context, pl *plan, args []rowset.Value) (*
 		return s.deallocateRS(st.Name)
 	}
 	return nil, fmt.Errorf("provider: unsupported statement %T", st)
+}
+
+// bindArgs validates and coerces args against the plan's parameter slots and
+// binds them into a copy of the plan's statement (the statement itself when
+// it takes none).
+func bindArgs(pl *plan, args []rowset.Value) (dmx.Statement, error) {
+	if len(args) != len(pl.params) {
+		return pl.stmt, fmt.Errorf("provider: statement has %d parameter(s), got %d argument(s) (PREPARE/EXECUTE binds them)", len(pl.params), len(args))
+	}
+	if len(args) == 0 {
+		return pl.stmt, nil
+	}
+	bound := make([]rowset.Value, len(args))
+	for i, a := range args {
+		v := rowset.Normalize(a)
+		if typ := pl.params[i].Type; typ != rowset.TypeNull && v != nil {
+			cv, err := rowset.Coerce(v, typ)
+			if err != nil {
+				return pl.stmt, fmt.Errorf("provider: parameter %s: %w", pl.params[i].Label(i), err)
+			}
+			v = cv
+		}
+		bound[i] = v
+	}
+	return bindParams(pl.stmt, bound)
 }
 
 // bindParams binds parameter values into a statement's SQL parts — a SQL
@@ -337,21 +371,24 @@ func (s *Session) register(name, command string, pl *plan) (*rowset.Rowset, erro
 // dropped or re-created schema never executes.
 func (s *Session) runPrepared(ctx context.Context, t *obs.Trace, name string, args []rowset.Value) (*rowset.Rowset, error) {
 	p := s.p
-	key := strings.ToLower(name)
+	// Finding the plan is the parse stage of a prepared statement.
+	stage := t.StartStage(obs.StageParse)
 	s.mu.Lock()
-	ps, ok := s.prepared[key]
+	ps, ok := lex.LookupFold(s.prepared, name)
 	var pl *plan
 	if ok {
 		pl = ps.plan
 	}
 	s.mu.Unlock()
 	if !ok {
+		stage.Stop()
 		return nil, &core.NotFoundError{Kind: "prepared statement", Name: name}
 	}
 	if p.planStale(pl) {
 		p.preparedReplans.Inc()
-		fresh, err := p.compile(t, ps.command)
-		if err != nil {
+		fresh, next, err := p.compileFrom(stage, ps.command)
+		if stage = next; err != nil {
+			stage.Stop()
 			return nil, fmt.Errorf("provider: prepared statement %q is stale (a referenced object changed) and failed to replan: %w", name, err)
 		}
 		s.mu.Lock()
@@ -360,7 +397,7 @@ func (s *Session) runPrepared(ctx context.Context, t *obs.Trace, name string, ar
 		pl = fresh
 	}
 	p.preparedExec.Inc()
-	return s.runPlan(ctx, t, pl, args)
+	return s.runPlan(ctx, stage, pl, args)
 }
 
 // removePrepared drops a handle from this session, reporting whether it

@@ -26,6 +26,7 @@ import (
 	"repro/internal/algo/markov"
 	"repro/internal/algo/nbayes"
 	"repro/internal/core"
+	"repro/internal/lex"
 	"repro/internal/obs"
 	"repro/internal/plancache"
 	"repro/internal/rowset"
@@ -102,10 +103,9 @@ type Provider struct {
 	admQueueDepth   *obs.Gauge
 	admRejected     *obs.Counter
 
-	// Dimensional handles: per-statement-class and per-origin families
-	// (bounded-cardinality labels; see obs.DefaultVecMaxLabels).
-	stmtsByClass  *obs.CounterVec
-	latByClass    *obs.HistogramVec
+	// Dimensional handles: per-origin and per-model families
+	// (bounded-cardinality labels; see obs.DefaultVecMaxLabels). The
+	// per-class ones are reached through each plan's obs.Class.
 	stmtsByOrigin *obs.CounterVec
 	predsByModel  *obs.CounterVec
 	trainsByModel *obs.CounterVec
@@ -212,8 +212,6 @@ func New(opts ...Option) (*Provider, error) {
 	p.admInFlight = p.obs.Gauge(obs.MetricAdmissionInFlight)
 	p.admQueueDepth = p.obs.Gauge(obs.MetricAdmissionQueueDepth)
 	p.admRejected = p.obs.Counter(obs.MetricAdmissionRejected)
-	p.stmtsByClass = p.obs.CounterVec(obs.MetricStatementsByClass, obs.LabelClass)
-	p.latByClass = p.obs.HistogramVec(obs.MetricLatencyByClass, obs.LabelClass)
 	p.stmtsByOrigin = p.obs.CounterVec(obs.MetricStatementsByOrigin, obs.LabelOrigin)
 	p.predsByModel = p.obs.CounterVec(obs.MetricPredictionsByModel, obs.LabelModel)
 	p.trainsByModel = p.obs.CounterVec(obs.MetricTrainingsByModel, obs.LabelModel)
@@ -244,7 +242,7 @@ func (p *Provider) Obs() *obs.Registry { return p.obs }
 
 // IsModel reports whether name refers to a catalogued mining model.
 func (p *Provider) IsModel(name string) bool {
-	_, ok := p.snap.Load().models[strings.ToLower(name)]
+	_, ok := lex.LookupFold(p.snap.Load().models, name)
 	return ok
 }
 
@@ -261,7 +259,7 @@ func (p *Provider) Model(name string) (*core.Model, error) {
 
 // entry resolves a model against the current catalog snapshot, lock-free.
 func (p *Provider) entry(name string) (*modelEntry, error) {
-	e, ok := p.snap.Load().models[strings.ToLower(name)]
+	e, ok := lex.LookupFold(p.snap.Load().models, name)
 	if !ok {
 		return nil, &core.NotFoundError{Kind: "mining model", Name: name}
 	}

@@ -174,7 +174,7 @@ func (s *Session) ExecuteParams(ctx context.Context, command string, args []rows
 func (s *Session) Prepare(ctx context.Context, name, command string, opts ...ExecOption) (int, error) {
 	n := 0
 	_, err := s.run(ctx, "PREPARE "+name+" AS "+command, opts, func(ctx context.Context, t *obs.Trace) (*rowset.Rowset, error) {
-		t.SetKind("PREPARE")
+		t.SetClass("PREPARE", nil)
 		pl, err := s.p.compile(t, command)
 		if err != nil {
 			return nil, err
@@ -189,7 +189,7 @@ func (s *Session) Prepare(ctx context.Context, name, command string, opts ...Exe
 // placeholders, by position. It is the API form of EXECUTE <name> (...).
 func (s *Session) ExecutePrepared(ctx context.Context, name string, args []rowset.Value, opts ...ExecOption) (*rowset.Rowset, error) {
 	return s.run(ctx, "EXECUTE "+name, opts, func(ctx context.Context, t *obs.Trace) (*rowset.Rowset, error) {
-		t.SetKind("EXECUTE")
+		t.SetClass("EXECUTE", nil)
 		return s.runPrepared(ctx, t, name, args)
 	})
 }
@@ -219,9 +219,6 @@ func (s *Session) run(ctx context.Context, label string, opts []ExecOption, fn f
 	var t *obs.Trace
 	if p.obs != nil {
 		t = obs.NewTrace(label, cfg.origin)
-		// The statement store flips on per-operator detail while a statement
-		// class is running hot; SetKind consults it during dispatch.
-		t.SetStore(p.obs.QueryLog())
 		ctx = obs.WithTrace(ctx, t)
 	}
 	var rs *rowset.Rowset
@@ -252,8 +249,7 @@ func (s *Session) run(ctx context.Context, label string, opts []ExecOption, fn f
 		}
 		p.execTotal.Inc()
 		p.latency.Observe(rec.Elapsed.Microseconds())
-		p.stmtsByClass.With(classLabel(rec.Kind)).Inc()
-		p.latByClass.With(classLabel(rec.Kind)).Observe(rec.Elapsed.Microseconds())
+		t.Release()
 		if rec.Origin != "" {
 			p.stmtsByOrigin.With(rec.Origin).Inc()
 		}
@@ -267,15 +263,6 @@ func (s *Session) run(ctx context.Context, label string, opts []ExecOption, fn f
 		}
 	}
 	return rs, err
-}
-
-// classLabel maps a statement kind onto the vec label space; unclassified
-// statements group under "unknown" rather than an empty label.
-func classLabel(kind string) string {
-	if kind == "" {
-		return "unknown"
-	}
-	return kind
 }
 
 // admission is a session's statement gate: at most max statements in flight,

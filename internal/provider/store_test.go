@@ -1,6 +1,7 @@
 package provider
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"strings"
@@ -66,6 +67,45 @@ func TestErrorOutlivesRecentRing(t *testing.T) {
 	row, ok := rowsBySeq(t, p, "SELECT SEQ, KEEP_REASON FROM $SYSTEM.DM_FLIGHT_RECORDER")[seq]
 	if !ok || !strings.Contains(row, "error") {
 		t.Fatalf("DM_FLIGHT_RECORDER row for seq %d = %q, want it kept as error", seq, row)
+	}
+}
+
+// TestRetainedTreeOutlivesItsTrace: the span tree of a statement the flight
+// recorder keeps — here one that fails mid-execution, with its select, scan
+// and project spans recorded — is the store's own copy: its
+// DM_FLIGHT_RECORDER rows are byte-identical before and after the same
+// session runs 1 000 more statements, whose traces reuse the failed
+// statement's span slab.
+func TestRetainedTreeOutlivesItsTrace(t *testing.T) {
+	ctx := context.Background()
+	p := MustNew()
+	mustExec(t, p, "CREATE TABLE T (ID LONG, S TEXT)")
+	mustExec(t, p, "INSERT INTO T VALUES (1, 'a'), (2, 'b')")
+	sess := p.NewSession()
+	defer sess.Close()
+	var seq int64
+	if _, err := sess.Execute(ctx, "SELECT ID + S FROM T", WithSeqOut(&seq)); err == nil {
+		t.Fatal("TEXT arithmetic succeeded")
+	}
+	rows := func() []byte {
+		var buf bytes.Buffer
+		rs := mustExec(t, p, fmt.Sprintf("SELECT * FROM $SYSTEM.DM_FLIGHT_RECORDER WHERE SEQ = %d", seq))
+		if err := rs.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	before := rows()
+	if n := mustExec(t, p, fmt.Sprintf("SELECT * FROM $SYSTEM.DM_FLIGHT_RECORDER WHERE SEQ = %d", seq)).Len(); n != 4 {
+		t.Fatalf("the failed statement has %d spans retained, want 4 (statement, select, scan, project)", n)
+	}
+	for i := range 1000 {
+		if _, err := sess.Execute(ctx, fmt.Sprintf("SELECT S FROM T WHERE ID = %d ORDER BY S", i%2+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := rows(); !bytes.Equal(before, after) {
+		t.Fatalf("the retained rows of seq %d changed after 1000 more statements", seq)
 	}
 }
 

@@ -47,14 +47,20 @@ const maxPrealloc = 1 << 16
 
 var errVarint = errors.New("rowset: decode: varint overflows or is not minimal")
 
-// Encode writes the rowset to w in the binary format.
+// Encode writes the rowset to w in the binary format. When w is a
+// *bufio.Writer the encoding goes into its buffer and stays there for the
+// caller to flush with whatever follows (the wire's response trailer), so a
+// small response leaves in one write; any other writer gets everything
+// before Encode returns.
 func (rs *Rowset) Encode(w io.Writer) error {
 	e := encoder{bw: bufio.NewWriter(w)}
 	e.b = e.bw.AvailableBuffer()
 	if err := e.rowset(rs); err != nil {
 		return err
 	}
-	e.bw.Write(e.b) //nolint:errcheck // bufio.Writer errors surface at Flush
+	if _, err := e.bw.Write(e.b); err != nil || io.Writer(e.bw) == w {
+		return err
+	}
 	return e.bw.Flush()
 }
 

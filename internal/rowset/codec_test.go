@@ -435,3 +435,44 @@ func TestCodecLongText(t *testing.T) {
 	got := roundTrip(t, rs)
 	sameRowsets(t, "long texts", got, rs)
 }
+
+// TestEncodeFlushesOnlyItsOwnWriter: into a plain io.Writer (a buffer, a
+// hash, a file) Encode writes everything before it returns, small result or
+// large; into the caller's *bufio.Writer it leaves the bytes buffered for the
+// caller's one flush, and the flushed bytes are the same.
+func TestEncodeFlushesOnlyItsOwnWriter(t *testing.T) {
+	small := New(MustSchema(Column{Name: "x", Type: TypeLong}))
+	if err := small.AppendVals(int64(7)); err != nil {
+		t.Fatal(err)
+	}
+	large := New(MustSchema(Column{Name: "id", Type: TypeLong}, Column{Name: "s", Type: TypeText}))
+	for i := 0; i < 20000; i++ {
+		if err := large.AppendVals(int64(i), fmt.Sprintf("text %d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, rs := range []*Rowset{small, large} {
+		var plain bytes.Buffer
+		if err := rs.Encode(&plain); err != nil {
+			t.Fatal(err)
+		}
+		back, err := Decode(bufio.NewReader(bytes.NewReader(plain.Bytes())))
+		if err != nil || back.Len() != rs.Len() {
+			t.Fatalf("plain writer: decoded %v rows, err %v; want %d", back, err, rs.Len())
+		}
+		var conn bytes.Buffer
+		bw := bufio.NewWriter(&conn)
+		if err := rs.Encode(bw); err != nil {
+			t.Fatal(err)
+		}
+		if rs == small && conn.Len() != 0 {
+			t.Errorf("Encode flushed the caller's writer: %d bytes written", conn.Len())
+		}
+		if err := bw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(conn.Bytes(), plain.Bytes()) {
+			t.Errorf("%d rows: bytes through the caller's writer differ from a plain writer's", rs.Len())
+		}
+	}
+}

@@ -3,7 +3,8 @@ package rowset
 import (
 	"fmt"
 	"strings"
-	"unicode/utf8"
+
+	"repro/internal/lex"
 )
 
 // Column describes one column of a rowset. For TypeTable columns, Nested
@@ -30,21 +31,48 @@ func (c Column) String() string {
 // matching SQL identifier semantics.
 type Schema struct {
 	Columns []Column
-	index   map[string]int
+	// byHash maps each name's lex.FoldHash to its ordinal, so building a
+	// schema allocates no lower-cased names. A distinct name whose hash an
+	// earlier column already holds — a 64-bit collision — is left out of the
+	// map and found by scanning.
+	byHash map[uint64]int
 }
 
 // NewSchema builds a schema from columns. Duplicate names (case-insensitive)
 // are an error.
 func NewSchema(cols ...Column) (*Schema, error) {
-	s := &Schema{Columns: cols, index: make(map[string]int, len(cols))}
+	s := &Schema{Columns: cols, byHash: make(map[uint64]int, len(cols))}
 	for i, c := range cols {
-		key := strings.ToLower(c.Name)
-		if _, dup := s.index[key]; dup {
+		h := lex.FoldHash(c.Name)
+		if _, taken := s.byHash[h]; !taken {
+			s.byHash[h] = i
+		} else if _, dup := s.scan(c.Name, i); dup {
 			return nil, fmt.Errorf("rowset: duplicate column %q", c.Name)
 		}
-		s.index[key] = i
 	}
 	return s, nil
+}
+
+// find returns the ordinal of the named column, case-insensitively.
+func (s *Schema) find(name string) (int, bool) {
+	i, ok := s.byHash[lex.FoldHash(name)]
+	if !ok {
+		return 0, false
+	}
+	if lex.FoldEqual(s.Columns[i].Name, name) {
+		return i, true
+	}
+	return s.scan(name, len(s.Columns))
+}
+
+// scan returns the ordinal of the column among the first n named name.
+func (s *Schema) scan(name string, n int) (int, bool) {
+	for i, c := range s.Columns[:n] {
+		if lex.FoldEqual(c.Name, name) {
+			return i, true
+		}
+	}
+	return 0, false
 }
 
 // MustSchema is NewSchema that panics on error. It exists for schema
@@ -66,37 +94,16 @@ func (s *Schema) Len() int { return len(s.Columns) }
 
 // Lookup returns the ordinal of the named column, case-insensitively.
 // It also accepts qualified names ("t.Age" matches column "Age", and matches
-// a column literally named "t.Age" first). An ASCII name of up to 64 bytes is
-// lower-cased in a stack buffer, so the lookup does not allocate.
+// a column literally named "t.Age" first). An ASCII name is hashed and
+// compared in place, so the lookup does not allocate.
 func (s *Schema) Lookup(name string) (int, bool) {
-	if i, ok := s.lookup(name); ok {
+	if i, ok := s.find(name); ok {
 		return i, true
 	}
 	if dot := strings.LastIndex(name, "."); dot >= 0 {
-		return s.lookup(name[dot+1:])
+		return s.find(name[dot+1:])
 	}
 	return 0, false
-}
-
-func (s *Schema) lookup(name string) (int, bool) {
-	var buf [64]byte
-	if len(name) > len(buf) {
-		i, ok := s.index[strings.ToLower(name)]
-		return i, ok
-	}
-	for j := 0; j < len(name); j++ {
-		c := name[j]
-		if c >= utf8.RuneSelf {
-			i, ok := s.index[strings.ToLower(name)]
-			return i, ok
-		}
-		if 'A' <= c && c <= 'Z' {
-			c += 'a' - 'A'
-		}
-		buf[j] = c
-	}
-	i, ok := s.index[string(buf[:len(name)])]
-	return i, ok
 }
 
 // Column returns the column at ordinal i.

@@ -95,7 +95,7 @@ func FlightRecorder(o *obs.Registry) (*rowset.Rowset, error) {
 			r.Seq, r.Start, r.Statement, r.Kind, r.Origin, r.ErrClass,
 			string(r.Reason), threshold,
 		}
-		if err := appendSpans(rs, r.Root, true, prefix); err != nil {
+		if err := appendSpans(rs, r.Root.Span(), true, prefix); err != nil {
 			return nil, err
 		}
 	}

@@ -177,14 +177,11 @@ func (p *relatePlan) run(ctx context.Context, t *obs.Trace, keys []rowset.Value)
 
 	spShape := t.StartSpan("shape", "")
 	spSel := t.StartSpan("select", "")
-	spScan := t.StartSpan("scan", p.label+" index="+p.keyCol)
-	t.EndSpan(spScan)
-	spProj := t.StartSpan("project", "")
-	t.EndSpan(spProj)
-	var spSort *obs.Span
+	spScan := t.AddSpan("scan", obs.Label{Text: p.label, Index: p.keyCol})
+	spProj := t.AddSpan("project", obs.Label{})
+	var spSort obs.SpanRef
 	if p.sorted {
-		spSort = t.StartSpan("sort", "")
-		t.EndSpan(spSort)
+		spSort = t.AddSpan("sort", obs.Label{})
 	}
 
 	g, err := p.tbl.Groups(ctx, p.keyCol, keys)

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync/atomic"
 
+	"repro/internal/lex"
 	"repro/internal/obs"
 	"repro/internal/rowset"
 	"repro/internal/storage"
@@ -244,7 +245,7 @@ func (e *Engine) project(ctx context.Context, t *obs.Trace, sel *SelectStmt, src
 	}
 	names := outputNames(items)
 	plan := compileProjection(src.schema, items, names, sel.OrderBy, src.resolve)
-	spProj := src.span(t, "project", noLabel)
+	spProj := src.span(t, "project", obs.Label{}, src.n)
 	ordered := len(sel.OrderBy) > 0
 	streamTail := !ordered && src.n == 1
 	outs := make([][]rowset.Row, src.n)
@@ -252,13 +253,22 @@ func (e *Engine) project(ctx context.Context, t *obs.Trace, sel *SelectStmt, src
 	var batches atomic.Int64
 	err = e.forEachPartition(ctx, t, src, func(i int, cur rowset.BatchCursor, fr *frames) error {
 		proj := &projectCursor{projection: plan, src: cur, frames: fr}
-		out := spProj.wrap(proj)
+		// The drain counts what the projection emits, unless a streamed
+		// DISTINCT or TOP sits between them or the span times its operator.
+		var out rowset.BatchCursor = proj
+		counted := streamTail && (sel.Distinct || sel.Top != nil) || spProj.isTimed()
+		if counted {
+			out = spProj.wrap(i, proj)
+		}
 		if streamTail {
 			out = tailCursor(out, sel)
 		}
 		var nb int64
 		var err error
 		outs[i], keys[i], nb, err = drainWithKeys(out, proj)
+		if !counted {
+			spProj.tally(i, int64(len(outs[i])), nb)
+		}
 		batches.Add(nb)
 		return err
 	})
@@ -368,10 +378,10 @@ func (e *Engine) PlanSpan(ctx context.Context, sel *SelectStmt) *obs.Span {
 	// An unpushed scan's estimate is its exact row count.
 	n := len(partitionRanges(sel, fc.cuttable(), fc.scans[0].estimate, storage.DefaultMorselSize))
 	sp := obs.NewSpan("select", "")
-	sp.Add(obs.NewSpan("scan", e.fanoutLabel(fc.scans[0].label(), n)))
+	sp.Add(obs.NewSpan("scan", e.scanLabel(fc.scans[0], n).String()))
 	for i, cs := range fc.scans[1:] {
-		sp.Add(obs.NewSpan("scan", cs.label()))
-		sp.Add(obs.NewSpan("join", e.joinLabel(cs.ref.Kind, fc.joins[i].hash, n)))
+		sp.Add(obs.NewSpan("scan", e.scanLabel(cs, 1).String()))
+		sp.Add(obs.NewSpan("join", e.joinLabel(cs.ref.Kind, fc.joins[i].hash, n).String()))
 	}
 	return sel.addTailSpans(sp)
 }
@@ -437,10 +447,21 @@ func expandStars(items []SelectItem, schema *rowset.Schema) ([]SelectItem, error
 	return out, nil
 }
 
-// outputNames assigns unique output column names.
+// outputNames assigns unique output column names: a name already taken,
+// case-insensitively, gets its use count as a suffix.
 func outputNames(items []SelectItem) []string {
 	names := make([]string, len(items))
-	seen := make(map[string]int)
+	// uses[j] counts the uses of names[j]'s name; one entry per name is live
+	// (non-zero). A select list is short, so it is scanned, not hashed.
+	uses := make([]int, len(items))
+	taken := func(n string, upto int) int {
+		for j := range upto {
+			if uses[j] > 0 && lex.FoldEqual(names[j], n) {
+				return j
+			}
+		}
+		return -1
+	}
 	for i, it := range items {
 		var n string
 		switch {
@@ -453,13 +474,15 @@ func outputNames(items []SelectItem) []string {
 				n = it.Expr.String()
 			}
 		}
-		key := strings.ToLower(n)
-		if c, dup := seen[key]; dup {
-			seen[key] = c + 1
-			n = fmt.Sprintf("%s_%d", n, c+1)
-			key = strings.ToLower(n)
+		if j := taken(n, i); j >= 0 {
+			uses[j]++
+			n = fmt.Sprintf("%s_%d", n, uses[j])
 		}
-		seen[key] = 1
+		if j := taken(n, i); j >= 0 {
+			uses[j] = 1
+		} else {
+			uses[i] = 1
+		}
 		names[i] = n
 	}
 	return names

@@ -1,6 +1,7 @@
 package sqlengine
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -433,5 +434,43 @@ func TestAggregateInExpression(t *testing.T) {
 	rs := mustQuery(t, e, "SELECT MAX(Age) - MIN(Age) AS spread FROM Customers")
 	if rs.Row(0)[0] != 24.0 {
 		t.Errorf("spread = %v", rs.Row(0))
+	}
+}
+
+// TestOutputNamesSuffixRule: output names follow the case-insensitive
+// use-count rule the map-based naming had — checked against that rule as
+// oracle on select lists with repeats, case variants and names that collide
+// with a generated suffix.
+func TestOutputNamesSuffixRule(t *testing.T) {
+	oracle := func(ns []string) []string {
+		out := make([]string, len(ns))
+		seen := make(map[string]int)
+		for i, n := range ns {
+			key := strings.ToLower(n)
+			if c, dup := seen[key]; dup {
+				seen[key] = c + 1
+				n = fmt.Sprintf("%s_%d", n, c+1)
+				key = strings.ToLower(n)
+			}
+			seen[key] = 1
+			out[i] = n
+		}
+		return out
+	}
+	for _, list := range [][]string{
+		{"a", "b", "c"},
+		{"a", "A", "a", "a_2", "A_2", "a_3"},
+		{"x_2", "x", "X", "x", "x_3", "x"},
+		{"Gender", "gender", "GENDER", "Gender_2", "gender_3"},
+		{"Ärger", "ärger", "ÄRGER"},
+	} {
+		items := make([]SelectItem, len(list))
+		for i, n := range list {
+			items[i] = SelectItem{Expr: &ColumnRef{Name: n}}
+		}
+		got, want := outputNames(items), oracle(list)
+		if strings.Join(got, ",") != strings.Join(want, ",") {
+			t.Errorf("outputNames(%v) = %v, want %v", list, got, want)
+		}
 	}
 }

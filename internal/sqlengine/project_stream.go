@@ -263,7 +263,8 @@ func descFlags(order []OrderItem) []bool {
 // drainWithKeys pulls the projection to exhaustion, collecting output rows
 // and their parallel sort keys (read off proj after each pull — cur may be a
 // tracing wrapper around proj, or its DISTINCT/TOP tail on an unordered
-// statement); batches reports how many batches flowed.
+// statement); batches reports how many batches flowed. On an error, outs and
+// batches hold what flowed before it.
 func drainWithKeys(cur rowset.BatchCursor, proj *projectCursor) (outs, keys []rowset.Row, batches int64, err error) {
 	defer cur.Close() //nolint:errcheck // Close after exhaustion is a no-op
 	keyed := len(proj.orderPlan) > 0
@@ -276,7 +277,7 @@ func drainWithKeys(cur rowset.BatchCursor, proj *projectCursor) (outs, keys []ro
 	for {
 		b, err := cur.NextBatch()
 		if err != nil {
-			return nil, nil, batches, err
+			return outs, keys, batches, err
 		}
 		if b.Empty() {
 			break

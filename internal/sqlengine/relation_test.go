@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/rowset"
 	"repro/internal/storage"
 )
@@ -73,7 +74,7 @@ func newTestRelation(n int) *testRelation {
 				return f, nil
 			})
 		},
-		Kind: "bind", Label: "test",
+		Kind: "bind", Label: obs.Label{Text: "test"},
 	}
 	return tr
 }

@@ -23,9 +23,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -41,7 +39,7 @@ import (
 type sliceCursor struct {
 	schema *rowset.Schema
 	rows   []rowset.Row
-	i      int
+	i      int // rows handed out, which a scan span counts
 }
 
 func newSliceCursor(schema *rowset.Schema, rows []rowset.Row) *sliceCursor {
@@ -64,7 +62,6 @@ func (c *sliceCursor) NextBatch() (rowset.Batch, error) {
 func (c *sliceCursor) Schema() *rowset.Schema { return c.schema }
 
 func (c *sliceCursor) Close() error {
-	c.i = len(c.rows)
 	c.rows = nil
 	return nil
 }
@@ -172,92 +169,120 @@ func appendLive(dst []rowset.Row, b rowset.Batch) []rowset.Row {
 
 // ---------- span accounting ----------
 
-// opSpan is one operator's span plus the totals its cursors — one per
-// partition — report. The span was opened and closed at plan time; a
-// partition's cursor adds its counts to the atomic totals when it ends, and
-// the statement's goroutine copies them onto the span (flush) once every
+// opSpan is one streamed operator's span plus the cursors that count for it,
+// one per partition, each written only by its partition's goroutine: part0
+// serves a one-partition statement (and a join's right input, read once at
+// plan time), and a partitioned statement's other partitions get rest,
+// allocated once per operator. The span was added at plan time; the
+// statement's goroutine sums the cursors onto it (flush) once every
 // partition has finished, which is before anyone reads the tree (EXPLAIN
-// ANALYZE reads after execution, the statement store keeps trees only after
+// ANALYZE reads after execution, the statement store copies trees only after
 // the statement finishes). Partition workers therefore never touch the span.
 type opSpan struct {
-	sp    *obs.Span
+	sp    obs.SpanRef
 	timed bool // EXPLAIN ANALYZE's detailed mode: two clock reads per pull
-
-	rows, batches, nanos atomic.Int64
+	part0 opCursor
+	rest  []opCursor
 }
 
-// wrap decorates one partition's operator cursor with span accounting: the
+// wrap decorates partition i's operator cursor with span accounting: the
 // rows that actually flow through it and, when timed, its inclusive time (its
 // own work plus upstream pulls). A nil opSpan — the statement is untraced —
-// returns c unchanged, so untraced execution pays nothing.
-func (o *opSpan) wrap(c rowset.BatchCursor) rowset.BatchCursor {
+// returns c unchanged, so untraced execution pays nothing. An untimed span
+// needs no cursor of its own over a slice scan, which knows how many rows it
+// handed out, or over another span's cursor — an operator with no cursor of
+// its own, like a filter whose whole WHERE went into an index probe, counts
+// what that cursor counts.
+func (o *opSpan) wrap(i int, c rowset.BatchCursor) rowset.BatchCursor {
 	if o == nil {
 		return c
 	}
-	return &opCursor{src: c, op: o}
-}
-
-// flush copies the totals onto the span; over several partitions Elapsed is
-// the sum of their inclusive times.
-func (o *opSpan) flush() {
-	o.sp.Rows = o.rows.Load()
-	if o.timed {
-		o.sp.Elapsed = time.Duration(o.nanos.Load())
+	oc := &o.part0
+	if i > 0 {
+		oc = &o.rest[i-1]
 	}
-	if n := o.batches.Load(); n > 0 {
-		// Every traced SELECT gets here once per operator: one concatenation.
-		count := strconv.FormatInt(n, 10)
-		if o.sp.Label == "" {
-			o.sp.SetLabel("batches=" + count)
-		} else {
-			o.sp.SetLabel(o.sp.Label + " batches=" + count)
+	if !o.timed {
+		switch c := c.(type) {
+		case *opCursor:
+			*oc = opCursor{of: c}
+			return c
+		case *sliceCursor:
+			*oc = opCursor{scan: c}
+			return c
 		}
 	}
+	*oc = opCursor{src: c, timed: o.timed}
+	return oc
+}
+
+// isTimed reports whether the span times its operator (false when nil).
+func (o *opSpan) isTimed() bool { return o != nil && o.timed }
+
+// tally records partition i's counts for an operator its consumer counted.
+func (o *opSpan) tally(i int, rows, batches int64) {
+	if o == nil {
+		return
+	}
+	oc := &o.part0
+	if i > 0 {
+		oc = &o.rest[i-1]
+	}
+	*oc = opCursor{rows: rows, batches: batches}
+}
+
+// flush sums the partitions' counts onto the span; over several partitions
+// Elapsed is the sum of their inclusive times.
+func (o *opSpan) flush() {
+	c := o.part0.counts()
+	for i := range o.rest {
+		p := o.rest[i].counts()
+		c.rows, c.batches, c.elapsed = c.rows+p.rows, c.batches+p.batches, c.elapsed+p.elapsed
+	}
+	o.sp.SetCounts(c.rows, c.batches, c.elapsed, o.timed)
 }
 
 type opCursor struct {
-	src rowset.BatchCursor
-	op  *opSpan
+	src   rowset.BatchCursor
+	timed bool
+	// Set instead of src: the cursor whose counts these are, or the slice
+	// scan they are read off.
+	of   *opCursor
+	scan *sliceCursor
 
 	rows, batches int64
 	elapsed       time.Duration
 }
 
 func (c *opCursor) NextBatch() (rowset.Batch, error) {
-	var start time.Time
-	if c.op.timed {
-		start = time.Now()
+	var start time.Duration
+	if c.timed {
+		start = obs.Mono()
 	}
 	b, err := c.src.NextBatch()
-	if c.op.timed {
-		c.elapsed += time.Since(start)
+	if c.timed {
+		c.elapsed += obs.Mono() - start
 	}
 	if !b.Empty() {
 		c.rows += int64(b.Len())
 		c.batches++
-	} else {
-		c.report()
 	}
 	return b, err
 }
 
+func (c *opCursor) counts() opCursor {
+	switch {
+	case c.of != nil:
+		return c.of.counts()
+	case c.scan != nil:
+		n := int64(c.scan.i)
+		return opCursor{rows: n, batches: (n + rowset.DefaultBatchSize - 1) / rowset.DefaultBatchSize}
+	}
+	return *c
+}
+
 func (c *opCursor) Schema() *rowset.Schema { return c.src.Schema() }
-
-func (c *opCursor) Close() error {
-	c.report()
-	return c.src.Close()
-}
-
-func (c *opCursor) Size() int { return cursorSize(c.src) }
-
-// report adds the counts gathered since the last report to the operator's
-// totals; it runs at end of stream and again, adding nothing, on Close.
-func (c *opCursor) report() {
-	c.op.rows.Add(c.rows)
-	c.op.batches.Add(c.batches)
-	c.op.nanos.Add(int64(c.elapsed))
-	c.rows, c.batches, c.elapsed = 0, 0, 0
-}
+func (c *opCursor) Close() error           { return c.src.Close() }
+func (c *opCursor) Size() int              { return cursorSize(c.src) }
 
 // ---------- frames ----------
 
@@ -566,23 +591,24 @@ func (cs *compiledScan) rows() ([]rowset.Row, error) {
 	return cs.tbl.Snapshot(), nil
 }
 
-// label renders the scan for span output: the FROM alias, the pushed index
-// column (if any), and the cardinality estimate.
-func (cs *compiledScan) label() string {
-	label := cs.ref.AliasOrName()
+// scanLabel is the scan's span label: the FROM alias, the pushed index
+// column (if any), the cardinality estimate, and the fan-out of its
+// partitions.
+func (e *Engine) scanLabel(cs *compiledScan, partitions int) obs.Label {
+	l := obs.Label{Text: cs.ref.AliasOrName(), HasEst: true, Est: int64(cs.estimate)}
 	if cs.pushed != nil {
-		label += " index=" + cs.pushed.col
+		l.Index = cs.pushed.col
 	}
-	return fmt.Sprintf("%s est=%d", label, cs.estimate)
+	return e.fanout(l, partitions)
 }
 
-// fanoutLabel is label plus, when the input runs as more than one partition,
-// the fan-out.
-func (e *Engine) fanoutLabel(label string, partitions int) string {
-	if partitions <= 1 {
-		return label
+// fanout adds to l, when the input runs as more than one partition, the
+// fan-out.
+func (e *Engine) fanout(l obs.Label, partitions int) obs.Label {
+	if partitions > 1 {
+		l.Morsels, l.Workers = int32(partitions), int32(e.workers())
 	}
-	return fmt.Sprintf("%s morsels=%d workers=%d", label, partitions, e.workers())
+	return l
 }
 
 // planPushdown splits the WHERE conjunction and pushes eligible equality
@@ -899,9 +925,13 @@ type source struct {
 	n        int
 	open     func(i int) rowset.BatchCursor
 	residual Compiled
-	filter   *opSpan    // non-nil iff the statement is traced and has a WHERE
-	ops      []*opSpan  // every operator span of the statement, for flushSpans
-	opsBuf   [4]*opSpan // backs ops for the usual scan, filter, project
+	filter   *opSpan // non-nil iff the statement is traced and has a WHERE
+
+	// Every operator span of the statement, for flushSpans: the first ones
+	// (the usual scan, filter, project) in place, any further ones in more.
+	ops  [4]opSpan
+	nops int
+	more []*opSpan
 
 	// Set when the input is an embedder's Relation: its resolver, which every
 	// expression of the statement compiles with, its per-partition binder, the
@@ -913,25 +943,33 @@ type source struct {
 	untyped  rowset.Type
 }
 
-// span records an operator span in plan order (nil on an untraced statement,
-// which never builds the label).
-func (src *source) span(t *obs.Trace, kind string, label func() string) *opSpan {
+// span records an operator span in plan order, reading no clock (nil on an
+// untraced statement), for an operator wrapped on parts partitions.
+func (src *source) span(t *obs.Trace, kind string, label obs.Label, parts int) *opSpan {
 	if t == nil {
 		return nil
 	}
-	sp := t.StartSpan(kind, label())
-	t.EndSpan(sp)
-	o := &opSpan{sp: sp, timed: t.Detailed()}
-	src.ops = append(src.ops, o)
+	var o *opSpan
+	if src.nops < len(src.ops) {
+		o = &src.ops[src.nops]
+		src.nops++
+	} else {
+		o = new(opSpan)
+		src.more = append(src.more, o)
+	}
+	o.sp, o.timed = t.AddSpan(kind, label), t.Detailed()
+	if parts > 1 {
+		o.rest = make([]opCursor, parts-1)
+	}
 	return o
 }
 
-// noLabel labels a span whose operator has nothing to add to its kind.
-func noLabel() string { return "" }
-
 // flushSpans patches every operator span with what its cursors counted.
 func (src *source) flushSpans() {
-	for _, o := range src.ops {
+	for i := range src.ops[:src.nops] {
+		src.ops[i].flush()
+	}
+	for _, o := range src.more {
 		o.flush()
 	}
 }
@@ -969,7 +1007,8 @@ type Relation struct {
 	// call.
 	Bind func() func(rows []rowset.Row, ext []any) (int, error)
 	// Kind and Label name the span of the relation's operator.
-	Kind, Label string
+	Kind  string
+	Label obs.Label
 	// Untyped is the type declared for a computed output column no row gave a
 	// value (a SELECT declares rowset.TypeNull).
 	Untyped rowset.Type
@@ -999,13 +1038,12 @@ func (e *Engine) partition(src *source, sel *SelectStmt, schema *rowset.Schema, 
 // order PlanSpan declares them.
 func (e *Engine) planSource(ctx context.Context, t *obs.Trace, sel *SelectStmt, rel *Relation, partRows int) (*source, error) {
 	src := &source{n: 1}
-	src.ops = src.opsBuf[:0]
 	residual := sel.Where
 	switch {
 	case rel != nil:
 		src.resolve, src.bind, src.untyped = rel.Resolve, rel.Bind, rel.Untyped
 		src.open = e.partition(src, sel, rel.Schema, rel.Rows, true, partRows)
-		src.bindSpan = src.span(t, rel.Kind, func() string { return e.fanoutLabel(rel.Label, src.n) })
+		src.bindSpan = src.span(t, rel.Kind, e.fanout(rel.Label, src.n), src.n)
 	case len(sel.From) == 0:
 		// FROM-less SELECT evaluates items once against an empty row.
 		src.schema = rowset.MustSchema()
@@ -1022,8 +1060,8 @@ func (e *Engine) planSource(ctx context.Context, t *obs.Trace, sel *SelectStmt, 
 			return nil, err
 		}
 		open := e.partition(src, sel, first.schema, rows, fc.cuttable(), partRows)
-		spScan := src.span(t, "scan", func() string { return e.fanoutLabel(first.label(), src.n) })
-		scan := func(i int) rowset.BatchCursor { return spScan.wrap(open(i)) }
+		spScan := src.span(t, "scan", e.scanLabel(first, src.n), src.n)
+		scan := func(i int) rowset.BatchCursor { return spScan.wrap(i, open(i)) }
 		if src.open, err = e.planJoins(ctx, t, src, &fc, scan); err != nil {
 			return nil, err
 		}
@@ -1036,7 +1074,7 @@ func (e *Engine) planSource(ctx context.Context, t *obs.Trace, sel *SelectStmt, 
 		// The filter span exists whenever the statement has a WHERE, even if
 		// index pushdown consumed every conjunct (residual == nil) — the plan
 		// shape must not depend on which indexes happened to exist.
-		src.filter = src.span(t, "filter", noLabel)
+		src.filter = src.span(t, "filter", obs.Label{}, src.n)
 	}
 	return src, nil
 }
@@ -1053,23 +1091,23 @@ func (e *Engine) planJoins(ctx context.Context, t *obs.Trace, src *source, fc *f
 		if err != nil {
 			return nil, err
 		}
-		right := src.span(t, "scan", cs.label).wrap(newSliceCursor(cs.schema, rows))
+		right := src.span(t, "scan", e.scanLabel(cs, 1), 1).wrap(0, newSliceCursor(cs.schema, rows))
 		var idx *joinIndex
 		if j.hash {
 			if idx, err = newJoinIndex(ctx, right, j.ro, j.key); err != nil {
 				return nil, err
 			}
 		}
-		spJoin := src.span(t, "join", func() string { return e.joinLabel(j.kind, j.hash, src.n) })
+		spJoin := src.span(t, "join", e.joinLabel(j.kind, j.hash, src.n), src.n)
 		open = func(p int) rowset.BatchCursor {
 			if idx != nil {
-				return spJoin.wrap(&hashJoin{fromJoin: j, left: left(p), idx: idx})
+				return spJoin.wrap(p, &hashJoin{fromJoin: j, left: left(p), idx: idx})
 			}
 			lj := &loopJoin{fromJoin: j, left: left(p), right: right}
 			if j.kind != JoinCross {
 				lj.on = Compile(cs.ref.On, j.onSchema, nil)
 			}
-			return spJoin.wrap(lj)
+			return spJoin.wrap(p, lj)
 		}
 	}
 	return open, nil
@@ -1107,10 +1145,13 @@ func (e *Engine) forEachPartition(ctx context.Context, t *obs.Trace, src *source
 			bc := &bindCursor{src: cur, bind: src.bind()}
 			cur, fr = bc, &bc.frames
 		}
-		cur = src.bindSpan.wrap(cur)
-		if src.residual != nil || src.filter != nil {
-			cur = src.filter.wrap(&filterCursor{src: cur, cond: src.residual, frames: fr})
+		cur = src.bindSpan.wrap(i, cur)
+		if src.residual != nil {
+			cur = &filterCursor{src: cur, cond: src.residual, frames: fr}
 		}
+		// With the whole WHERE pushed into the scan the filter passes
+		// everything, so its span counts the scan's output.
+		cur = src.filter.wrap(i, cur)
 		return fn(i, cur, fr)
 	})
 }
@@ -1118,10 +1159,10 @@ func (e *Engine) forEachPartition(ctx context.Context, t *obs.Trace, src *source
 // joinLabel renders a join span label for EXPLAIN and execution alike: the
 // join kind, the strategy, and the fan-out of the partitions that probe it
 // ("inner hash morsels=13 workers=2", "cross loop").
-func (e *Engine) joinLabel(kind JoinKind, hash bool, partitions int) string {
+func (e *Engine) joinLabel(kind JoinKind, hash bool, partitions int) obs.Label {
 	strategy := " loop"
 	if hash {
 		strategy = " hash"
 	}
-	return e.fanoutLabel(joinKindLabel(kind)+strategy, partitions)
+	return e.fanout(obs.Label{Text: joinKindLabel(kind), Arg: strategy}, partitions)
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/lex"
 	"repro/internal/rowset"
 )
 
@@ -39,7 +40,7 @@ type viewCatalog struct {
 func (vc *viewCatalog) get(name string) (*SelectStmt, bool) {
 	vc.mu.RLock()
 	defer vc.mu.RUnlock()
-	v, ok := vc.views[strings.ToLower(name)]
+	v, ok := lex.LookupFold(vc.views, name)
 	return v, ok
 }
 

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/lex"
 	"repro/internal/rowset"
 )
 
@@ -41,7 +42,7 @@ func (db *Database) CreateTable(name string, schema *rowset.Schema) (*Table, err
 func (db *Database) Table(name string) (*Table, error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	t, ok := db.tables[strings.ToLower(name)]
+	t, ok := lex.LookupFold(db.tables, name)
 	if !ok {
 		return nil, fmt.Errorf("storage: no table named %q", name)
 	}

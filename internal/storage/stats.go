@@ -3,6 +3,7 @@ package storage
 import (
 	"strings"
 
+	"repro/internal/lex"
 	"repro/internal/rowset"
 )
 
@@ -25,7 +26,8 @@ func (s *TableStats) DistinctCount(col string) int {
 	if s == nil {
 		return 0
 	}
-	return s.Distinct[strings.ToLower(col)]
+	d, _ := lex.LookupFold(s.Distinct, col)
+	return d
 }
 
 // EqEstimate estimates how many rows an equality predicate on col selects:

@@ -218,3 +218,43 @@ func TestHashIndexLookupAllocatesNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestNameLookupsDoNotAllocate: a point statement resolves its table and the
+// distinct count behind its estimate by mixed-case names ("Customers",
+// "Customer ID"); neither lookup allocates, and both still match
+// case-insensitively and report a miss as before.
+func TestNameLookupsDoNotAllocate(t *testing.T) {
+	db := NewDatabase()
+	tbl, err := db.CreateTable("Customers", rowset.MustSchema(
+		rowset.Column{Name: "Customer ID", Type: rowset.TypeLong},
+		rowset.Column{Name: "Gender", Type: rowset.TypeText},
+	))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(1); i <= 10; i++ {
+		if err := tbl.Insert(rowset.Row{i, []string{"F", "M"}[i%2]}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stats := tbl.Stats()
+	if got, err := db.Table("CUSTOMERS"); err != nil || got != tbl {
+		t.Fatalf("Table(CUSTOMERS) = %v, %v", got, err)
+	}
+	if _, err := db.Table("Orders"); err == nil || err.Error() != `storage: no table named "Orders"` {
+		t.Fatalf("Table(Orders) error = %v", err)
+	}
+	if d := stats.DistinctCount("customer id"); d != 10 {
+		t.Fatalf("DistinctCount(customer id) = %d, want 10", d)
+	}
+	if d := stats.DistinctCount("Gender"); d != 2 {
+		t.Fatalf("DistinctCount(Gender) = %d, want 2", d)
+	}
+	n := testing.AllocsPerRun(100, func() {
+		db.Table("Customers")
+		stats.DistinctCount("Customer ID")
+	})
+	if n != 0 {
+		t.Fatalf("name lookups allocate %.1f objects, want 0", n)
+	}
+}

@@ -12,7 +12,7 @@ import (
 // cursorclose and spanpair analyzers. Both enforce the same shape of
 // invariant — "a resource acquired here must reach its release on every
 // path out of the function" — over different resources (rowset.Cursor,
-// *obs.Span).
+// obs.SpanRef).
 //
 // The walker is a conservative abstract interpreter over the statement
 // tree: it tracks local variables bound to a resource-producing call and

@@ -18,9 +18,10 @@ import (
 //     error or cancellation path corrupts the statement's span tree.
 //  2. Worker goroutines never touch the statement-owned trace: a
 //     function literal launched with `go` or handed to any function or
-//     method of package par must not reference a *obs.Trace or
-//     *obs.Span captured from the enclosing statement goroutine. Fan-out
-//     is recorded in span labels by the owner instead.
+//     method of package par must not reference a *obs.Trace, an
+//     obs.SpanRef or an obs.StageTimer (both handles on the trace's reused
+//     slab) captured from the enclosing statement goroutine. Fan-out is
+//     recorded in span labels by the owner instead.
 //
 // Scoped to repro/internal/.
 var SpanPair = &analysis.Analyzer{
@@ -44,7 +45,7 @@ func (spanSpec) acquires(p *analysis.Pass, call *ast.CallExpr, i int) bool {
 	if sel.Sel.Name != "StartSpan" && sel.Sel.Name != "StartSpanStage" {
 		return false
 	}
-	return isObsType(resultType(p, call, i), "Span")
+	return isObsType(resultType(p, call, i), "SpanRef")
 }
 
 func (spanSpec) releases(_ *analysis.Pass, call *ast.CallExpr) []*ast.Ident {
@@ -90,8 +91,8 @@ func runSpanPair(p *analysis.Pass) error {
 	return nil
 }
 
-// checkWorkerTraceEscape reports references to captured *obs.Trace or
-// *obs.Span values inside function literals that run on another
+// checkWorkerTraceEscape reports references to captured trace state —
+// traceState's types — inside function literals that run on another
 // goroutine: `go func(){...}` bodies and literals passed to a function or
 // method of repro/internal/par (Forks.Run).
 func checkWorkerTraceEscape(p *analysis.Pass) {
@@ -128,9 +129,23 @@ func isParCall(p *analysis.Pass, call *ast.CallExpr) bool {
 	return ok && fn.Pkg() != nil && fn.Pkg().Path() == "repro/internal/par"
 }
 
-// reportTraceCaptures flags identifiers inside fl whose object is a
-// Trace or Span declared outside the literal — statement-owned tracing
-// state leaking onto a worker goroutine.
+// traceState lists the obs types that are statement-owned tracing state,
+// with the noun a report names them by.
+var traceState = map[string]string{"Trace": "trace", "SpanRef": "span", "StageTimer": "stage timer"}
+
+// traceStateNoun returns t's noun if t is one of traceState's types.
+func traceStateNoun(t types.Type) (string, bool) {
+	for name, noun := range traceState {
+		if isObsType(t, name) {
+			return noun, true
+		}
+	}
+	return "", false
+}
+
+// reportTraceCaptures flags identifiers inside fl whose object is trace
+// state declared outside the literal — statement-owned tracing state
+// leaking onto a worker goroutine.
 func reportTraceCaptures(p *analysis.Pass, fl *ast.FuncLit, where string) {
 	ast.Inspect(fl.Body, func(n ast.Node) bool {
 		id, ok := n.(*ast.Ident)
@@ -141,7 +156,8 @@ func reportTraceCaptures(p *analysis.Pass, fl *ast.FuncLit, where string) {
 		if obj == nil {
 			return true
 		}
-		if !isObsType(obj.Type(), "Trace") && !isObsType(obj.Type(), "Span") {
+		noun, ok := traceStateNoun(obj.Type())
+		if !ok {
 			return true
 		}
 		// Declared inside the literal (its own params or locals) is fine.
@@ -149,14 +165,7 @@ func reportTraceCaptures(p *analysis.Pass, fl *ast.FuncLit, where string) {
 			return true
 		}
 		p.Reportf(id.Pos(), "%s %s is captured by a %s function literal; the trace is owned by the statement goroutine (record fan-out in span labels instead)",
-			strings.ToLower(typeShortName(obj.Type())), id.Name, where)
+			noun, id.Name, where)
 		return true
 	})
-}
-
-func typeShortName(t types.Type) string {
-	if isObsType(t, "Trace") {
-		return "Trace"
-	}
-	return "Span"
 }

@@ -48,7 +48,7 @@ func goodTransfer(t *obs.Trace) {
 	adopt(sp)
 }
 
-func adopt(sp *obs.Span) {}
+func adopt(sp obs.SpanRef) {}
 
 func badGoroutineCapture(t *obs.Trace) {
 	sp := t.StartSpan("scan", "cases")
@@ -61,6 +61,15 @@ func badGoroutineCapture(t *obs.Trace) {
 func badTraceCapture(t *obs.Trace) error {
 	return par.NewForks(2).Run(context.TODO(), 4, func(i int, _ bool) error {
 		_ = t // want "trace t is captured by a par worker"
+		return nil
+	})
+}
+
+func badStageTimerCapture(t *obs.Trace) error {
+	stage := t.StartStage(obs.StageScan)
+	defer stage.Stop()
+	return par.NewForks(2).Run(context.TODO(), 4, func(i int, _ bool) error {
+		stage.Stop() // want "stage timer stage is captured by a par worker"
 		return nil
 	})
 }
