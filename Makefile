@@ -62,24 +62,25 @@ bench:
 # One pass of the three case-path benchmarks (a whole INSERT INTO … SHAPE,
 # then tokenize and Decision_Trees training alone on the nested caseset), of
 # the two prediction-join benchmarks (a whole-table NATURAL PREDICTION JOIN
-# and a singleton one), of the SQL engine's partitioned JOIN … GROUP BY
-# (20k × 60k rows), of a RELATE's index probes (Table.Groups, 50k LONG keys
-# over 156k rows), of EQUAL_AREAS cuts (50k values, 5 buckets) and of the
-# rowset codec (encode and decode of a 50k-row result, repeated and distinct
-# TEXT), with allocations, so they keep compiling and running and the log
-# shows what a training case, a prediction, a join, a probe and a decoded row
-# allocate. The two callers
-# of par.Forks.Run — Decision_Trees training and the join's partitions — run
-# at -cpu 1,2: GOMAXPROCS changes inside one process, so a bound sized once
-# at package init rather than per Run call would show there (at 1 nothing
-# forks).
+# and a singleton one), of the SQL engine's four sql_analytic statements over
+# the 50k-customer warehouse (filter + ORDER BY, wide filter, GROUP BY, and
+# the partitioned JOIN … GROUP BY over 156k sales), of a RELATE's index
+# probes (Table.Groups, 50k LONG keys over 156k rows), of EQUAL_AREAS cuts
+# (50k values, 5 buckets) and of the rowset codec (encode and decode of a
+# 50k-row result, repeated and distinct TEXT), with allocations, so they keep
+# compiling and running and the log shows what a training case, a
+# prediction, a statement, a probe and a decoded row allocate. The callers of
+# par.Forks.Run — Decision_Trees training, and the statements' partitions and
+# join index build — run at -cpu 1,2: GOMAXPROCS changes inside one process,
+# so a bound sized once at package init rather than per Run call would show
+# there (at 1 nothing forks).
 # Numbers are recorded in EXPERIMENTS.md; the partitioned PREDICTION JOIN and
 # SQL join paths are measured by `go run ./bench` (predict_batch,
 # sql_analytic).
 bench-parallel:
 	$(GO) test -run '^$$' -bench 'BenchmarkInsertNested|BenchmarkTokenizeNested|BenchmarkE4_PredictionJoinNatural|BenchmarkE4_PredictionSingleCase' -benchtime=1x -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkTrainDecisionTreesNested' -benchtime=1x -benchmem -cpu 1,2 .
-	$(GO) test -run '^$$' -bench 'BenchmarkJoinAggregate' -benchtime=1x -benchmem -cpu 1,2 ./internal/sqlengine
+	$(GO) test -run '^$$' -bench 'BenchmarkWarehouseSQL' -benchtime=1x -benchmem -cpu 1,2 ./internal/sqlengine
 	$(GO) test -run '^$$' -bench 'BenchmarkGroups' -benchtime=1x -benchmem ./internal/storage
 	$(GO) test -run '^$$' -bench 'BenchmarkEqualAreas' -benchtime=1x -benchmem ./internal/algo/discretize
 	$(GO) test -run '^$$' -bench 'BenchmarkCodec' -benchtime=1x -benchmem ./internal/rowset

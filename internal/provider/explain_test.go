@@ -190,6 +190,40 @@ func TestExplainAnalyzePredict(t *testing.T) {
 	}
 }
 
+// TestExplainAnalyzeJoinBuildAndSortPath: EXPLAIN ANALYZE of a hash join
+// shows the index build apart from the probe — the right input's scan span
+// counts the rows indexed and times the build, the join span the probe — and
+// the sort span's label names the path the sort took, with the same operators
+// bare EXPLAIN plans.
+func TestExplainAnalyzeJoinBuildAndSortPath(t *testing.T) {
+	p := MustNew()
+	setupCustomerData(t, p, 5000)
+	sales := mustExec(t, p, "SELECT COUNT(*) FROM Sales").Row(0)[0].(int64)
+	const join = "SELECT c.Gender, s.Quantity FROM Customers c JOIN Sales s ON c.[Customer ID] = s.CustID ORDER BY "
+	for order, path := range map[string]string{
+		"c.[Customer ID]": "presorted", // the join keeps the customers' scan order
+		"s.Quantity DESC": "radix",
+		"c.Gender":        "compare",
+	} {
+		q := join + order
+		rows := decodeExplain(t, mustExec(t, p, "EXPLAIN ANALYZE "+q))
+		planned := decodeExplain(t, mustExec(t, p, "EXPLAIN "+q))
+		if got, want := operators(rows), operators(planned); got != want || got != "statement,select,scan,scan,join,project,sort" {
+			t.Fatalf("%s: EXPLAIN ANALYZE ran %s, EXPLAIN planned %s", q, got, want)
+		}
+		build, probe := rows[3], rows[4]
+		if build.rows != sales || build.elapsedUS == nil || build.elapsedUS.(int64) <= 0 {
+			t.Errorf("%s: right input's scan span = %v rows in %v us, want the %d rows indexed and the build's time", q, build.rows, build.elapsedUS, sales)
+		}
+		if probe.rows != sales || probe.elapsedUS == nil {
+			t.Errorf("%s: join span = %v rows in %v us, want %d joined rows and the probe's time", q, probe.rows, probe.elapsedUS, sales)
+		}
+		if sort := findOp(rows, "sort"); sort.label != path {
+			t.Errorf("%s: sort span label %q, want %q", q, sort.label, path)
+		}
+	}
+}
+
 // TestExplainAnalyzePredictPartitioned: a source above the partition size runs
 // the predict operator as partitions on the engine's workers; its span says so
 // the way a scan's does, ORDER BY adds the engine's sort, and DM_QUERY_LOG

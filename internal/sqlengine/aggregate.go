@@ -27,7 +27,7 @@ func (e *Engine) aggregate(ctx context.Context, t *obs.Trace, sel *SelectStmt, s
 	var batches atomic.Int64
 	err = e.forEachPartition(ctx, t, src, func(i int, cur rowset.BatchCursor, fr *frames) error {
 		defer cur.Close() //nolint:errcheck // engine cursors fail only via NextBatch
-		acc := &aggAccum{aggPlan: plan, frames: fr, groups: make(map[string]*pgroup)}
+		acc := &aggAccum{aggPlan: plan, frames: fr, keys: rowset.NewKeyTable(plan.keyKind, 0)}
 		parts[i] = acc
 		for {
 			b, err := cur.NextBatch()
@@ -375,18 +375,20 @@ func (s *aggState) value(f *FuncCall, groupRows int64) rowset.Value {
 	return math.Sqrt(variance)
 }
 
-// pgroup is one group's partial aggregation: its first row seen (within the
+// pgroup is one group's partial aggregation: its key (the GROUP BY value, or
+// the composite key bytes of several), its first row seen (within the
 // partition; the merge keeps the earliest partition's), the row count, and
 // one aggState per aggregate call site.
 type pgroup struct {
+	key    rowset.Value
 	first  rowset.Row
 	ext    any // first's frame value
 	count  int64
 	states []aggState
 }
 
-func newPgroup(first rowset.Row, ext any, naggs int) *pgroup {
-	pg := &pgroup{first: first, ext: ext, states: make([]aggState, naggs)}
+func newPgroup(key rowset.Value, first rowset.Row, ext any, naggs int) *pgroup {
+	pg := &pgroup{key: key, first: first, ext: ext, states: make([]aggState, naggs)}
 	for i := range pg.states {
 		pg.states[i].allInt = true
 	}
@@ -394,11 +396,14 @@ func newPgroup(first rowset.Row, ext any, naggs int) *pgroup {
 }
 
 // aggPlan is the statement's compiled group keys and aggregate arguments,
-// built once and shared read-only by every partition's accumulator.
+// built once and shared read-only by every partition's accumulator. One
+// GROUP BY column keys its groups by its declared type; any other list by
+// its composite key bytes.
 type aggPlan struct {
-	aggs   []*FuncCall
-	keyFns []Compiled
-	argFns []Compiled // nil entry = COUNT(*): no per-row work
+	aggs    []*FuncCall
+	keyFns  []Compiled
+	keyKind rowset.KeyKind
+	argFns  []Compiled // nil entry = COUNT(*): no per-row work
 }
 
 func newAggPlan(sel *SelectStmt, aggs []*FuncCall, schema *rowset.Schema, resolve Resolver) *aggPlan {
@@ -410,6 +415,14 @@ func newAggPlan(sel *SelectStmt, aggs []*FuncCall, schema *rowset.Schema, resolv
 	for i, g := range sel.GroupBy {
 		p.keyFns[i] = Compile(g, schema, resolve)
 	}
+	if len(sel.GroupBy) == 1 {
+		if cr, ok := sel.GroupBy[0].(*ColumnRef); ok {
+			if ord, err := ResolveColumn(schema, cr.Qualifier, cr.Name); err == nil {
+				t := schema.Column(ord).Type
+				p.keyKind = rowset.KeyKindOf(t, t)
+			}
+		}
+	}
 	for i, f := range aggs {
 		if !f.Star {
 			p.argFns[i] = Compile(f.Args[0], schema, resolve)
@@ -419,35 +432,46 @@ func newAggPlan(sel *SelectStmt, aggs []*FuncCall, schema *rowset.Schema, resolv
 }
 
 // aggAccum streams one partition's rows into per-group partial states, with
-// the partition's frame values (nil unless the source is a Relation). Not
+// the partition's frame values (nil unless the source is a Relation). A
+// group's id in keys is its index in groups, in first-seen order. Not
 // goroutine-safe — one accumulator per partition.
 type aggAccum struct {
 	*aggPlan
 	frames *frames
 	env    Env
-	groups map[string]*pgroup
-	order  []string
+	keys   *rowset.KeyTable
+	groups []*pgroup
 	keyBuf []byte
 }
 
 // observe folds live row i of b.
 func (a *aggAccum) observe(b rowset.Batch, i int) error {
 	a.frames.load(&a.env, b, i)
-	a.keyBuf = a.keyBuf[:0]
-	for _, kf := range a.keyFns {
-		v, err := kf(&a.env)
+	var key rowset.Value
+	if len(a.keyFns) == 1 {
+		v, err := a.keyFns[0](&a.env)
 		if err != nil {
 			return err
 		}
-		a.keyBuf = rowset.AppendKeyPart(a.keyBuf, v)
+		key = v
+	} else {
+		a.keyBuf = a.keyBuf[:0]
+		for _, kf := range a.keyFns {
+			v, err := kf(&a.env)
+			if err != nil {
+				return err
+			}
+			a.keyBuf = rowset.AppendKeyPart(a.keyBuf, v)
+		}
 	}
-	grp, ok := a.groups[string(a.keyBuf)]
-	if !ok {
-		grp = newPgroup(a.env.Row, a.env.Ext, len(a.aggs))
-		k := string(a.keyBuf)
-		a.groups[k] = grp
-		a.order = append(a.order, k)
+	id := a.id(key, a.keyBuf)
+	if int(id) == len(a.groups) {
+		if len(a.keyFns) != 1 {
+			key = string(a.keyBuf)
+		}
+		a.groups = append(a.groups, newPgroup(key, a.env.Row, a.env.Ext, len(a.aggs)))
 	}
+	grp := a.groups[id]
 	grp.count++
 	for ai, fn := range a.argFns {
 		if fn == nil {
@@ -464,18 +488,31 @@ func (a *aggAccum) observe(b rowset.Batch, i int) error {
 	return nil
 }
 
+// id returns the group id of key — or, for any number of GROUP BY keys but
+// one, of the composite key bytes kb — giving an unseen key the next one.
+func (a *aggAccum) id(key rowset.Value, kb []byte) int32 {
+	if len(a.keyFns) == 1 {
+		return a.keys.Add(key)
+	}
+	id, _ := a.keys.Bytes(kb, true)
+	return id
+}
+
 // merge folds o — the accumulator of the NEXT partition — into a: groups a
 // has not seen are appended in o's first-seen order, the others merge state
 // by state.
 func (a *aggAccum) merge(o *aggAccum) {
-	for _, k := range o.order {
-		pg := o.groups[k]
-		got, ok := a.groups[k]
-		if !ok {
-			a.groups[k] = pg
-			a.order = append(a.order, k)
+	for _, pg := range o.groups {
+		var kb []byte
+		if len(a.keyFns) != 1 {
+			kb = []byte(pg.key.(string))
+		}
+		id := a.id(pg.key, kb)
+		if int(id) == len(a.groups) {
+			a.groups = append(a.groups, pg)
 			continue
 		}
+		got := a.groups[id]
 		got.count += pg.count
 		for i, f := range a.aggs {
 			got.states[i].merge(&pg.states[i], f)
@@ -487,13 +524,11 @@ func (a *aggAccum) merge(o *aggAccum) {
 // rows yields one all-NULL group) and finalizes every state into the
 // finishedGroup form the aggregation tail consumes.
 func (a *aggAccum) finish(sel *SelectStmt, schema *rowset.Schema) []finishedGroup {
-	if len(sel.GroupBy) == 0 && len(a.order) == 0 {
-		a.groups[""] = newPgroup(make(rowset.Row, schema.Len()), nil, len(a.aggs))
-		a.order = append(a.order, "")
+	if len(sel.GroupBy) == 0 && len(a.groups) == 0 {
+		a.groups = append(a.groups, newPgroup(nil, make(rowset.Row, schema.Len()), nil, len(a.aggs)))
 	}
-	groups := make([]finishedGroup, 0, len(a.order))
-	for _, k := range a.order {
-		pg := a.groups[k]
+	groups := make([]finishedGroup, 0, len(a.groups))
+	for _, pg := range a.groups {
 		vals := make([]rowset.Value, len(a.aggs))
 		for ai, f := range a.aggs {
 			vals[ai] = pg.states[ai].value(f, pg.count)

@@ -6,8 +6,8 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/rowset"
 	"repro/internal/storage"
+	"repro/internal/workload"
 )
 
 // benchTable builds one table shaped like the dmbench warehouse scan target:
@@ -103,40 +103,39 @@ func BenchmarkPointIndexed(b *testing.B) {
 	}
 }
 
-// BenchmarkJoinAggregate is the sql_analytic join_agg shape at a third of its
-// size: 20000 customers (id LONG, g TEXT) joined to 60000 sales (cust LONG,
-// qty DOUBLE), three per customer, then grouped on the customer side. The
-// customers probe an index over the sales in 4096-row partitions; its
-// allocs/op shows whether the join allocates per joined row.
-func BenchmarkJoinAggregate(b *testing.B) {
-	const customers, sales = 20000, 60000
+// BenchmarkWarehouseSQL runs the four statements of the sql_analytic
+// workload (bench/workloads.go) over the synthetic warehouse at its size —
+// 50000 customers, seed 1, about 156000 sales — one sub-benchmark each: a
+// filter and a DOUBLE ORDER BY, a wide filter, a one-key GROUP BY, and a
+// LONG equi-join probed by the customers' partitions, then grouped. Run it
+// with -benchmem and -cpu 1,2: the join's index is read on the partition
+// workers.
+func BenchmarkWarehouseSQL(b *testing.B) {
 	e := NewEngine(storage.NewDatabase())
-	for _, s := range []string{"CREATE TABLE C (id LONG, g TEXT)", "CREATE TABLE S (cust LONG, qty DOUBLE)"} {
-		if _, err := e.Exec(s); err != nil {
-			b.Fatal(err)
-		}
+	if _, err := workload.Populate(e.DB, workload.Config{Customers: 50000, Seed: 1}); err != nil {
+		b.Fatal(err)
 	}
-	ct, _ := e.DB.Table("C")
-	st, _ := e.DB.Table("S")
-	for i := 0; i < customers; i++ {
-		if err := ct.Insert(rowset.Row{int64(i), fmt.Sprintf("g%d", i%2)}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	for i := 0; i < sales; i++ {
-		if err := st.Insert(rowset.Row{int64(i * 7 % customers), float64(i%9) / 4}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rs, err := e.Exec("SELECT C.g, COUNT(*), SUM(S.qty) FROM C JOIN S ON C.id = S.cust GROUP BY C.g")
+	for _, q := range []struct{ name, sql string }{
+		{"filter_sort", "SELECT [Customer ID], Gender, Age FROM Customers WHERE Age > 30 ORDER BY Age"},
+		{"filter_wide", "SELECT [Customer ID], Gender, Age FROM Customers WHERE Age > 21 AND Age < 60 AND Gender = 'Male' AND [Customer ID] > 0"},
+		{"group_by", "SELECT [Product Name], COUNT(*), SUM(Quantity) FROM Sales GROUP BY [Product Name]"},
+		{"join_agg", "SELECT c.Gender, COUNT(*), SUM(s.Quantity) FROM Customers c JOIN Sales s ON c.[Customer ID] = s.CustID GROUP BY c.Gender"},
+	} {
+		stmt, err := Parse(q.sql)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if rs.Len() != 2 || rs.Row(0)[1].(int64)+rs.Row(1)[1].(int64) != sales {
-			b.Fatalf("join aggregate = %v, want 2 groups of %d sales", rs.Rows(), sales)
-		}
+		b.Run(q.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rs, err := e.ExecStmtContext(context.Background(), stmt)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if rs.Len() == 0 {
+					b.Fatalf("%s: no rows", q.name)
+				}
+			}
+		})
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -184,6 +185,73 @@ func TestHashJoinCancelledMidStatement(t *testing.T) {
 	for deadline := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > goroutines; time.Sleep(10 * time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatalf("%d goroutines after the statement, %d before", runtime.NumGoroutine(), goroutines)
+		}
+	}
+}
+
+// tripCtx cancels itself the n-th time anybody asks for its Done channel, so
+// a test places a cancellation at a point of the statement's own progress —
+// its n-th poll — rather than of the clock.
+type tripCtx struct {
+	context.Context
+	cancel context.CancelFunc
+	n      atomic.Int64
+}
+
+func newTripCtx(n int64) *tripCtx {
+	c := &tripCtx{}
+	c.Context, c.cancel = context.WithCancel(context.Background())
+	c.n.Store(n)
+	return c
+}
+
+func (c *tripCtx) Done() <-chan struct{} {
+	if c.n.Add(-1) == 0 {
+		c.cancel()
+	}
+	return c.Context.Done()
+}
+
+// TestJoinIndexBuildCancelled: a hash join reads its 100000-row right input
+// into the index in morsels and polls ctx between them, so a cancellation
+// that lands during the build stops the statement there — context.Canceled,
+// the join never planned (the trace ends at the right input's scan), no batch
+// run. Successive polls are tried as the cancellation point until two of them
+// fall inside the build: one before its first morsel, one between morsels.
+func TestJoinIndexBuildCancelled(t *testing.T) {
+	e := newBigEngine(t, 100)
+	if _, err := e.Exec("CREATE TABLE Many (id LONG)"); err != nil {
+		t.Fatal(err)
+	}
+	many, _ := e.DB.Table("Many")
+	for i := 0; i < 100000; i++ {
+		if err := many.Insert(rowset.Row{int64(i % 5000)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.Workers = 2
+	reg := obs.NewRegistry()
+	e.Instrument(reg)
+	batches := reg.Counter(obs.MetricSQLBatchesTotal)
+	const q = "SELECT COUNT(*) FROM Big JOIN Many ON Big.id = Many.id"
+	inBuild := 0
+	for n := int64(1); inBuild < 2; n++ {
+		tr := obs.NewTrace(q, "")
+		ctx := newTripCtx(n)
+		before := batches.Value()
+		_, err := e.ExecContext(obs.WithTrace(ctx, tr), q)
+		ctx.cancel()
+		if err == nil {
+			t.Fatalf("the statement finished under a cancellation at poll %d; %d polls before it fell inside the index build", n, inBuild)
+		}
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled at poll %d: err = %v, want context.Canceled", n, err)
+		}
+		if spanKinds(tr.Root()) == "statement,select,scan,scan" {
+			inBuild++
+			if ran := batches.Value() - before; ran != 0 {
+				t.Errorf("cancelled at poll %d, inside the index build: %d batches ran", n, ran)
+			}
 		}
 	}
 }

@@ -31,6 +31,9 @@ type Engine struct {
 	morsels  *obs.Counter
 	parScans *obs.Counter
 
+	// qualified caches resolveScan's qualified table schemas (qualify).
+	qualified atomic.Pointer[map[qualifiedKey]*rowset.Schema]
+
 	// ddlHook, when set, is called with the object name after every
 	// successful CREATE/DROP of a table or view — the provider's plan cache
 	// hangs invalidation off it.
@@ -267,7 +270,7 @@ func (e *Engine) project(ctx context.Context, t *obs.Trace, sel *SelectStmt, src
 		var err error
 		outs[i], keys[i], nb, err = drainWithKeys(out, proj)
 		if !counted {
-			spProj.tally(i, int64(len(outs[i])), nb)
+			spProj.tally(i, int64(len(outs[i])), nb, 0)
 		}
 		batches.Add(nb)
 		return err
@@ -277,9 +280,13 @@ func (e *Engine) project(ctx context.Context, t *obs.Trace, sel *SelectStmt, src
 	}
 	e.batches.Add(batches.Load())
 	rows, sortKeys := concatRows(outs), concatRows(keys)
+	if ordered && plan.keyOrds != nil {
+		sortKeys = keysForOrds(rows, plan.keyOrds)
+	}
 	if ordered {
 		spSort := t.StartSpan("sort", "")
-		rowset.SortByKeys(rows, sortKeys, descFlags(sel.OrderBy))
+		path := rowset.SortByKeys(rows, sortKeys, descFlags(sel.OrderBy))
+		spSort.SetLabel(obs.Label{Text: path})
 		spSort.SetRows(int64(len(rows)))
 		t.EndSpan(spSort)
 	}

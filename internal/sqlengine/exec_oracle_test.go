@@ -623,6 +623,21 @@ func differentialDB(t *testing.T) *Engine {
 	mustOK("CREATE VIEW W AS SELECT id, IIF(id < 40, id, id / 2.0) AS x FROM C")
 	// Text that contains what a naive composite key would use as separator and
 	// type tag: ('x|sy', 'z') and ('x', 'y|sz') are different rows.
+	// x is declared LONG and holds LONGs, then DOUBLEs (some integral), then
+	// TEXT: its keys fall back to bytes.
+	mustOK("CREATE VIEW X AS SELECT id, IIF(id < 30, id, IIF(id < 50, id / 4.0, name)) AS x FROM C")
+	// LONGs beside 2^53 and the DOUBLEs nearest them, ±0 and NULL.
+	mustOK("CREATE TABLE B (k LONG, d DOUBLE)")
+	bt, _ := db.Table("B")
+	for _, r := range []rowset.Row{
+		{int64(1<<53 + 1), float64(1 << 53)}, {int64(1 << 53), float64(1<<53 + 2)},
+		{int64(-1<<53 - 1), float64(-1 << 53)}, {int64(3), 3.0}, {int64(0), math.Copysign(0, -1)},
+		{nil, nil}, {int64(1<<53 + 1), nil}, {int64(7), 0.0}, {int64(-1 << 53), 7.0},
+	} {
+		if err := bt.Insert(r); err != nil {
+			t.Fatal(err)
+		}
+	}
 	mustOK("CREATE TABLE P (a TEXT, b TEXT, n LONG)")
 	mustOK("INSERT INTO P VALUES ('x|sy', 'z', 1), ('x', 'y|sz', 2), ('x', 'y|sz', 3), ('', '|', 4), ('|', '', 5)")
 	return e
@@ -681,6 +696,38 @@ var differentialFixtures = []string{
 	"SELECT C.id, W.id FROM C JOIN W ON C.id = W.x",
 	"SELECT W.id, W.x, C.id FROM W LEFT JOIN C ON W.x = C.id",
 	"SELECT a.id, b.id, b.x FROM W AS a JOIN W AS b ON a.x = b.x",
+	// NULL keys on both sides, duplicate keys, LEFT JOIN rows that match
+	// nothing.
+	"SELECT a.oid, b.oid, a.cid FROM O AS a JOIN O AS b ON a.cid = b.cid",
+	"SELECT O.oid, O.cid, C.name FROM O LEFT JOIN C ON O.cid = C.id",
+	// A LONG column holding DOUBLE and TEXT, keyed by bytes: indexed, probing,
+	// and grouped.
+	"SELECT C.id, X.id, X.x FROM C JOIN X ON C.id = X.x",
+	"SELECT X.id, X.x, C.id FROM X LEFT JOIN C ON X.x = C.id",
+	"SELECT x, COUNT(*), MIN(id) FROM X GROUP BY x",
+	// LONGs beyond 2^53 meet DOUBLEs only where their Keys are equal.
+	"SELECT B.k, E.d FROM B JOIN B AS E ON B.k = E.d",
+	"SELECT E.d, B.k FROM B AS E LEFT JOIN B ON E.d = B.k",
+	// A key column that a later ON reads stays in the first join's rows.
+	"SELECT C.name, O.item, V.age FROM C JOIN O ON C.id = O.cid JOIN V ON O.cid = V.id",
+	// Every column of a join.
+	"SELECT * FROM C JOIN O ON C.id = O.cid",
+	"SELECT * FROM C LEFT JOIN O ON C.id = O.cid WHERE C.id > 60",
+	// One GROUP BY column of each typed kind, with NULLs.
+	"SELECT cid, COUNT(*), SUM(DISTINCT amount) FROM O GROUP BY cid",
+	"SELECT score, COUNT(*), MIN(name) FROM C GROUP BY score",
+	"SELECT city, COUNT(*), MAX(age) FROM C GROUP BY city ORDER BY city DESC",
+	"SELECT k, COUNT(*) FROM B GROUP BY k",
+	"SELECT d, COUNT(*) FROM B GROUP BY d",
+	// One ORDER BY key: presorted, radix (LONG and DOUBLE, both directions,
+	// ±0 and the limits) and the comparator (mixed LONG and DOUBLE).
+	"SELECT id, name FROM C ORDER BY id",
+	"SELECT id, name FROM C ORDER BY id DESC",
+	"SELECT oid, amount FROM O ORDER BY amount DESC",
+	"SELECT oid, cid FROM O WHERE cid IS NOT NULL ORDER BY cid",
+	"SELECT k, d FROM B WHERE k IS NOT NULL ORDER BY k DESC",
+	"SELECT k, d FROM B WHERE d IS NOT NULL ORDER BY d",
+	"SELECT id, x FROM W ORDER BY x DESC",
 	// A hash join whose output crosses the 1024-row batch size mid-row.
 	"SELECT a.id, b.id FROM C AS a JOIN C AS b ON a.city = b.city",
 	"SELECT a.id, b.name FROM C AS a LEFT JOIN C AS b ON a.city = b.city WHERE a.id > 10",
@@ -752,14 +799,14 @@ var differentialFixtures = []string{
 
 // TestDifferentialOracle is the two-way oracle: every fixture runs through
 // the reference executor above and through the engine — once at the default
-// partition size (the fixtures fit in one partition) and once cut into
-// 16-row partitions on four workers — and the engine must agree with the
-// reference byte for byte: same column names, same declared types, same rows
-// in the same order. Merging in partition order makes the partitioned runs'
-// row order identical too, so no fixture needs an unordered comparison.
+// partition size (the fixtures fit in one partition) and cut into 16-row
+// partitions, and a join's index read in 16-row morsels, on 1, 2 and 8
+// workers — and the engine must agree with the reference byte for byte: same
+// column names, same declared types, same rows in the same order. Merging in
+// partition order makes the partitioned runs' row order identical too, so no
+// fixture needs an unordered comparison.
 func TestDifferentialOracle(t *testing.T) {
 	e := differentialDB(t)
-	e.Workers = 4
 	reg := obs.NewRegistry()
 	e.Instrument(reg)
 	morsels := reg.Counter(obs.MetricSQLMorselsTotal)
@@ -777,14 +824,17 @@ func TestDifferentialOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: oracle: %v", q, err)
 		}
-		for _, partRows := range []int{storage.DefaultMorselSize, smallPartRows} {
+		for _, run := range []struct{ partRows, workers int }{
+			{storage.DefaultMorselSize, 4}, {smallPartRows, 1}, {smallPartRows, 2}, {smallPartRows, 8},
+		} {
+			e.Workers = run.workers
 			before := morsels.Value()
-			got, err := queryAt(context.Background(), e, q, partRows)
+			got, err := queryAt(context.Background(), e, q, run.partRows)
 			joinCut = joinCut || (strings.Contains(q, " JOIN ") && morsels.Value() > before)
 			if err != nil {
-				t.Fatalf("%s: engine, %d-row partitions: %v", q, partRows, err)
+				t.Fatalf("%s: engine, %d-row partitions: %v", q, run.partRows, err)
 			}
-			diffRowsets(t, fmt.Sprintf("%s [%d-row partitions]", q, partRows), got, want)
+			diffRowsets(t, fmt.Sprintf("%s [%d-row partitions, %d workers]", q, run.partRows, run.workers), got, want)
 		}
 	}
 	// The 16-row runs must actually have partitioned: most fixtures are full

@@ -354,3 +354,38 @@ func TestPartitionedLargeTable(t *testing.T) {
 		diffRowsets(t, q, got, want)
 	}
 }
+
+// TestJoinRowsCarryWhatIsReadAfter: a hash join's rows keep the columns the
+// statement reads after it — not a key column only its own or an earlier
+// join's ON reads, but one a later ON or the select list reads. A loop join
+// keeps what any of the statement reads, SELECT * every column.
+func TestJoinRowsCarryWhatIsReadAfter(t *testing.T) {
+	e := bigTable(t, 10)
+	addJoinTable(t, e, 10)
+	if _, err := e.Exec("CREATE TABLE V (vk LONG, vn TEXT)"); err != nil {
+		t.Fatal(err)
+	}
+	for q, want := range map[string]string{
+		"SELECT T.g, SUM(U.c) FROM T JOIN U ON T.a = U.k GROUP BY T.g":     "[T.g U.c]",
+		"SELECT T.g, V.vn FROM T JOIN U ON T.a = U.k JOIN V ON U.k = V.vk": "[T.g U.k] [T.g V.vn]",
+		"SELECT T.a, U.c FROM T JOIN U ON T.a = U.k":                       "[T.a U.c]",
+		"SELECT * FROM T JOIN U ON T.a = U.k":                              "[T.a T.g T.b U.k U.h U.c]",
+		"SELECT T.g, COUNT(*) FROM T JOIN U ON T.a + 1 = U.k GROUP BY T.g": "[T.a T.g U.k]",
+	} {
+		st, err := Parse(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fc, err := e.resolveFrom(context.Background(), st.(*SelectStmt))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, j := range fc.joins {
+			got = append(got, fmt.Sprint(j.schema.Names()))
+		}
+		if strings.Join(got, " ") != want {
+			t.Errorf("%s: joined rows %v, want %s", q, got, want)
+		}
+	}
+}

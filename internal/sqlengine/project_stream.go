@@ -139,7 +139,7 @@ type projectCursor struct {
 }
 
 // keysForOrds gathers ORDER BY key rows from projected output columns after
-// the drain (the keyOrds fast path). Single-key ORDER BY — the common case —
+// the merge (the keyOrds fast path). Single-key ORDER BY — the common case —
 // produces zero-copy one-column views into the output rows.
 func keysForOrds(outs []rowset.Row, ords []int) []rowset.Row {
 	keys := make([]rowset.Row, len(outs))
@@ -263,8 +263,9 @@ func descFlags(order []OrderItem) []bool {
 // drainWithKeys pulls the projection to exhaustion, collecting output rows
 // and their parallel sort keys (read off proj after each pull — cur may be a
 // tracing wrapper around proj, or its DISTINCT/TOP tail on an unordered
-// statement); batches reports how many batches flowed. On an error, outs and
-// batches hold what flowed before it.
+// statement; none under the keyOrds fast path, whose keys keysForOrds gathers
+// once the partitions' rows are merged); batches reports how many batches
+// flowed. On an error, outs and batches hold what flowed before it.
 func drainWithKeys(cur rowset.BatchCursor, proj *projectCursor) (outs, keys []rowset.Row, batches int64, err error) {
 	defer cur.Close() //nolint:errcheck // Close after exhaustion is a no-op
 	keyed := len(proj.orderPlan) > 0
@@ -287,11 +288,6 @@ func drainWithKeys(cur rowset.BatchCursor, proj *projectCursor) (outs, keys []ro
 		if keyed {
 			keys = append(keys, proj.batchKeys()...)
 		}
-	}
-	// keyOrds fast path: no keys flowed per row; gather them from the
-	// projected output columns in one pass.
-	if proj.keyOrds != nil {
-		keys = keysForOrds(outs, proj.keyOrds)
 	}
 	return outs, keys, batches, nil
 }

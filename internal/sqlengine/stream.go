@@ -21,6 +21,7 @@ package sqlengine
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math"
 	"runtime"
 	"strings"
@@ -218,8 +219,10 @@ func (o *opSpan) wrap(i int, c rowset.BatchCursor) rowset.BatchCursor {
 // isTimed reports whether the span times its operator (false when nil).
 func (o *opSpan) isTimed() bool { return o != nil && o.timed }
 
-// tally records partition i's counts for an operator its consumer counted.
-func (o *opSpan) tally(i int, rows, batches int64) {
+// tally records partition i's counts, and its time when timed, for an
+// operator that has no cursor of its own to count them: one its consumer
+// counted, or a hash join's index build.
+func (o *opSpan) tally(i int, rows, batches int64, elapsed time.Duration) {
 	if o == nil {
 		return
 	}
@@ -227,7 +230,7 @@ func (o *opSpan) tally(i int, rows, batches int64) {
 	if i > 0 {
 		oc = &o.rest[i-1]
 	}
-	*oc = opCursor{rows: rows, batches: batches}
+	*oc = opCursor{rows: rows, batches: batches, elapsed: elapsed}
 }
 
 // flush sums the partitions' counts onto the span; over several partitions
@@ -564,7 +567,33 @@ func (e *Engine) resolveScan(ctx context.Context, ref TableRef) (*compiledScan, 
 		cs.estimate = tbl.Len()
 		base = tbl.Schema()
 	}
-	q := ref.AliasOrName()
+	var err error
+	cs.schema, err = e.qualify(base, ref.AliasOrName(), cs.tbl != nil)
+	return cs, err
+}
+
+// qualifiedKey is a base schema under a FROM qualifier.
+type qualifiedKey struct {
+	base *rowset.Schema
+	q    string
+}
+
+// maxQualified bounds the engine's cache of qualified table schemas: a full
+// cache starts over.
+const maxQualified = 256
+
+// qualify returns base's schema with every column named "q.column". A table's
+// schema never changes, so with cache its qualified schema is kept, keyed by
+// the table's schema and q; a view's is new on every statement.
+func (e *Engine) qualify(base *rowset.Schema, q string, cache bool) (*rowset.Schema, error) {
+	key := qualifiedKey{base, q}
+	var cached map[qualifiedKey]*rowset.Schema
+	if p := e.qualified.Load(); p != nil {
+		cached = *p
+	}
+	if s, ok := cached[key]; ok {
+		return s, nil
+	}
 	cols := make([]rowset.Column, base.Len())
 	for i, c := range base.Columns {
 		cols[i] = rowset.Column{Name: q + "." + c.Name, Type: c.Type, Nested: c.Nested}
@@ -573,8 +602,16 @@ func (e *Engine) resolveScan(ctx context.Context, ref TableRef) (*compiledScan, 
 	if err != nil {
 		return nil, fmt.Errorf("sqlengine: %w (duplicate alias %q?)", err, q)
 	}
-	cs.schema = schema
-	return cs, nil
+	if cache {
+		// Copy on write, so readers take no lock; a lost race drops an entry.
+		m := make(map[qualifiedKey]*rowset.Schema, len(cached)+1)
+		if len(cached) < maxQualified {
+			maps.Copy(m, cached)
+		}
+		m[key] = schema
+		e.qualified.Store(&m)
+	}
+	return schema, nil
 }
 
 // rows returns the scan's input: the view's materialized rows, the index
@@ -818,7 +855,7 @@ type fromJoin struct {
 	kind         JoinKind
 	hash         bool
 	lo, ro       int
-	key          keyKind
+	key          rowset.KeyKind
 	onSchema     *rowset.Schema
 	keepL, keepR []int
 	schema       *rowset.Schema
@@ -850,9 +887,14 @@ func (e *Engine) resolveFrom(ctx context.Context, sel *SelectStmt) (fromClause, 
 			j.lo, j.ro, j.hash = equiJoinOrdinals(cs.ref.On, fc.schema, cs.schema)
 		}
 		if j.hash {
-			j.key = joinKeyKind(fc.schema.Column(j.lo).Type, cs.schema.Column(j.ro).Type)
+			j.key = rowset.KeyKindOf(fc.schema.Column(j.lo).Type, cs.schema.Column(j.ro).Type)
 		} else if j.onSchema, err = concatSchemas(fc.schema, cs.schema); err != nil {
 			return fc, err
+		}
+		// A column only this hash join's ON, or an earlier one, reads is not
+		// read after it.
+		if j.hash && read != nil {
+			Inspect(cs.ref.On, countRefs(read, -1))
 		}
 		var cols []rowset.Column
 		j.keepL, cols = keepRead(fc.schema, read, nil)
@@ -866,32 +908,39 @@ func (e *Engine) resolveFrom(ctx context.Context, sel *SelectStmt) (fromClause, 
 	return fc, nil
 }
 
-// readNames returns the lower-cased bare names of the columns a statement
-// refers to, or nil when a star reads every column.
-func readNames(sel *SelectStmt) map[string]bool {
+// readNames counts the references a statement makes to each lower-cased bare
+// column name, or returns nil when a star reads every column.
+func readNames(sel *SelectStmt) map[string]int {
 	for _, it := range sel.Items {
 		if it.Star {
 			return nil
 		}
 	}
-	read := make(map[string]bool)
-	inspectStatement(sel, func(e Expr) bool {
-		if cr, ok := e.(*ColumnRef); ok {
-			read[strings.ToLower(bareName(cr.Name))] = true
-		}
-		return true
-	})
+	read := make(map[string]int)
+	inspectStatement(sel, countRefs(read, 1))
 	return read
 }
 
-// keepRead returns the ordinals of the columns of schema a reference among
-// read can resolve to — every one when read is nil — and appends the columns
-// to cols. A reference resolves to a column only if their bare names match,
-// so every resolution, ambiguity and unknown-column error stays as it was.
-func keepRead(schema *rowset.Schema, read map[string]bool, cols []rowset.Column) ([]int, []rowset.Column) {
+// countRefs is an Inspect visitor that adds d to read's count of every column
+// reference's bare name.
+func countRefs(read map[string]int, d int) func(Expr) bool {
+	return func(e Expr) bool {
+		if cr, ok := e.(*ColumnRef); ok {
+			read[strings.ToLower(bareName(cr.Name))] += d
+		}
+		return true
+	}
+}
+
+// keepRead returns the ordinals of the columns of schema a reference counted
+// in read can resolve to — every one when read is nil — and appends the
+// columns to cols. A reference resolves to a column only if their bare names
+// match, so every resolution, ambiguity and unknown-column error stays as it
+// was.
+func keepRead(schema *rowset.Schema, read map[string]int, cols []rowset.Column) ([]int, []rowset.Column) {
 	var keep []int
 	for i, c := range schema.Columns {
-		if read == nil || read[strings.ToLower(bareName(c.Name))] {
+		if read == nil || read[strings.ToLower(bareName(c.Name))] > 0 {
 			keep = append(keep, i)
 			cols = append(cols, c)
 		}
@@ -1062,7 +1111,7 @@ func (e *Engine) planSource(ctx context.Context, t *obs.Trace, sel *SelectStmt, 
 		open := e.partition(src, sel, first.schema, rows, fc.cuttable(), partRows)
 		spScan := src.span(t, "scan", e.scanLabel(first, src.n), src.n)
 		scan := func(i int) rowset.BatchCursor { return spScan.wrap(i, open(i)) }
-		if src.open, err = e.planJoins(ctx, t, src, &fc, scan); err != nil {
+		if src.open, err = e.planJoins(ctx, t, src, &fc, scan, partRows); err != nil {
 			return nil, err
 		}
 		src.schema = fc.schema
@@ -1082,8 +1131,10 @@ func (e *Engine) planSource(ctx context.Context, t *obs.Trace, sel *SelectStmt, 
 // planJoins reads the right input of every join of fc — into a hash join's
 // index, once, for every partition to share; or for a loop join, which only a
 // one-partition statement has — and returns the opener that stacks the joins
-// on partition i's scan.
-func (e *Engine) planJoins(ctx context.Context, t *obs.Trace, src *source, fc *fromClause, scan func(int) rowset.BatchCursor) (func(int) rowset.BatchCursor, error) {
+// on partition i's scan. A hash join's index reads its keys in partRows-row
+// morsels; its right-input scan span counts the rows indexed and, when timed,
+// the time the index took to build.
+func (e *Engine) planJoins(ctx context.Context, t *obs.Trace, src *source, fc *fromClause, scan func(int) rowset.BatchCursor, partRows int) (func(int) rowset.BatchCursor, error) {
 	open := scan
 	for i, cs := range fc.scans[1:] {
 		j, left := &fc.joins[i], open
@@ -1091,12 +1142,18 @@ func (e *Engine) planJoins(ctx context.Context, t *obs.Trace, src *source, fc *f
 		if err != nil {
 			return nil, err
 		}
-		right := src.span(t, "scan", e.scanLabel(cs, 1), 1).wrap(0, newSliceCursor(cs.schema, rows))
+		spRight := src.span(t, "scan", e.scanLabel(cs, 1), 1)
 		var idx *joinIndex
+		var right rowset.BatchCursor
 		if j.hash {
-			if idx, err = newJoinIndex(ctx, right, j.ro, j.key); err != nil {
+			start := obs.Mono()
+			if idx, err = e.buildJoinIndex(ctx, rows, j.ro, j.key, partRows); err != nil {
 				return nil, err
 			}
+			n := int64(len(rows))
+			spRight.tally(0, n, (n+rowset.DefaultBatchSize-1)/rowset.DefaultBatchSize, obs.Mono()-start)
+		} else {
+			right = spRight.wrap(0, newSliceCursor(cs.schema, rows))
 		}
 		spJoin := src.span(t, "join", e.joinLabel(j.kind, j.hash, src.n), src.n)
 		open = func(p int) rowset.BatchCursor {
