@@ -70,18 +70,20 @@ bench:
 # 50k-row result, repeated and distinct TEXT), with allocations, so they keep
 # compiling and running and the log shows what a training case, a
 # prediction, a statement, a probe and a decoded row allocate. The callers of
-# par.Forks.Run — Decision_Trees training, and the statements' partitions and
-# join index build — run at -cpu 1,2: GOMAXPROCS changes inside one process,
-# so a bound sized once at package init rather than per Run call would show
-# there (at 1 nothing forks).
+# par.Forks.Run — the whole INSERT INTO and the tokenize alone (case ranges
+# encoded, listed and merged), Decision_Trees training, and the statements'
+# partitions and join index build — run at -cpu 1,2: GOMAXPROCS changes
+# inside one process, so a bound sized once at package init rather than per
+# Run call would show there (at 1 nothing forks). So does BenchmarkGroups,
+# whose probes run on the caller's goroutine at either count.
 # Numbers are recorded in EXPERIMENTS.md; the partitioned PREDICTION JOIN and
 # SQL join paths are measured by `go run ./bench` (predict_batch,
 # sql_analytic).
 bench-parallel:
-	$(GO) test -run '^$$' -bench 'BenchmarkInsertNested|BenchmarkTokenizeNested|BenchmarkE4_PredictionJoinNatural|BenchmarkE4_PredictionSingleCase' -benchtime=1x -benchmem .
-	$(GO) test -run '^$$' -bench 'BenchmarkTrainDecisionTreesNested' -benchtime=1x -benchmem -cpu 1,2 .
+	$(GO) test -run '^$$' -bench 'BenchmarkE4_PredictionJoinNatural|BenchmarkE4_PredictionSingleCase' -benchtime=1x -benchmem .
+	$(GO) test -run '^$$' -bench 'BenchmarkInsertNested|BenchmarkTokenizeNested|BenchmarkTrainDecisionTreesNested' -benchtime=1x -benchmem -cpu 1,2 .
 	$(GO) test -run '^$$' -bench 'BenchmarkWarehouseSQL' -benchtime=1x -benchmem -cpu 1,2 ./internal/sqlengine
-	$(GO) test -run '^$$' -bench 'BenchmarkGroups' -benchtime=1x -benchmem ./internal/storage
+	$(GO) test -run '^$$' -bench 'BenchmarkGroups' -benchtime=1x -benchmem -cpu 1,2 ./internal/storage
 	$(GO) test -run '^$$' -bench 'BenchmarkEqualAreas' -benchtime=1x -benchmem ./internal/algo/discretize
 	$(GO) test -run '^$$' -bench 'BenchmarkCodec' -benchtime=1x -benchmem ./internal/rowset
 

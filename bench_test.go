@@ -351,13 +351,12 @@ func BenchmarkTrainDecisionTreesNested(b *testing.B) {
 		b.Fatal(err)
 	}
 	age, _ := cs.Space.Lookup("Age")
-	var ages []float64
-	for i := 0; i < cs.Len(); i++ {
-		if v, ok := cs.Case(i).Continuous(age); ok {
-			ages = append(ages, v)
-		}
+	err = cs.Discretize(context.Background(), nil, age, func(ages []float64) ([]float64, error) {
+		return discretize.EqualAreas(ages, discretize.DefaultBuckets), nil
+	})
+	if err != nil {
+		b.Fatal(err)
 	}
-	cs.DiscretizeAttr(age, discretize.EqualAreas(ages, discretize.DefaultBuckets))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
+	"repro/internal/par"
 	"repro/internal/rowset"
 )
 
@@ -192,10 +194,7 @@ func (cs *Cases) Case(i int) Case {
 // Append copies c into the arena; the caller may reuse c's cell buffer.
 func (cs *Cases) Append(c Case) {
 	if c.Sequences != nil {
-		for len(cs.Seqs) < len(cs.Ends) {
-			cs.Seqs = append(cs.Seqs, nil)
-		}
-		cs.Seqs = append(cs.Seqs, c.Sequences)
+		cs.Seqs = append(append(cs.Seqs, make([][]Sequence, len(cs.Ends)-len(cs.Seqs))...), c.Sequences)
 	}
 	cs.Cells = append(cs.Cells, c.cells...)
 	cs.Ends = append(cs.Ends, int32(len(cs.Cells)))
@@ -245,38 +244,62 @@ type Caseset struct {
 	Cases
 }
 
-// TotalWeight sums case weights (SUPPORT-adjusted case count).
-func (cs *Caseset) TotalWeight() float64 {
-	var w float64
-	for _, x := range cs.Weights {
-		w += x
-	}
-	return w
+// Ranges returns how many ranges a training tokenize and the discretizer cut
+// n cases into.
+func Ranges(n int) int { return (n + tokenizeRange - 1) / tokenizeRange }
+
+// eachCell calls fn on every case's cell for attribute idx, each range of
+// cases a task on forks. A case's cells are sorted by attribute, so its scan
+// stops at the first cell past idx.
+func (cs *Cases) eachCell(ctx context.Context, forks *par.Forks, idx int, fn func(r int, cell *Cell)) error {
+	return forks.Run(ctx, Ranges(cs.Len()), func(r int, _ bool) error {
+		lo, first := int32(0), r*tokenizeRange
+		if first > 0 {
+			lo = cs.Ends[first-1]
+		}
+		for _, hi := range cs.Ends[first:min(cs.Len(), first+tokenizeRange)] {
+			for j := lo; j < hi && int(cs.Cells[j].Attr) <= idx; j++ {
+				if int(cs.Cells[j].Attr) == idx {
+					fn(r, &cs.Cells[j])
+				}
+			}
+			lo = hi
+		}
+		return nil
+	})
 }
 
-// DiscretizeAttr installs cut points for attribute idx and rewrites every
-// case's cell for it, in place, from a raw number to a bucket state. Bucket
-// labels become the attribute's discrete states.
-func (cs *Caseset) DiscretizeAttr(idx int, cuts []float64) {
+// Discretize installs cut points for attribute idx and rewrites every case's
+// cell for it, in place, from a raw number to a bucket state; bucket labels
+// become the attribute's discrete states. cutsOf computes the cuts from the
+// attribute's values in case order; an attribute no case has a value for is
+// left as it is. Each range of cases writes its values where its cases are,
+// and the ranges are closed up in order; Lo and Hi are folded over the values
+// as one front-to-back pass folds them.
+func (cs *Caseset) Discretize(ctx context.Context, forks *par.Forks, idx int, cutsOf func(values []float64) ([]float64, error)) error {
+	values, ends := make([]float64, cs.Len()), make([]int, Ranges(cs.Len()))
+	err := cs.eachCell(ctx, forks, idx, func(r int, c *Cell) { values[r*tokenizeRange+ends[r]], ends[r] = c.Value(), ends[r]+1 })
+	n := 0
+	for r, end := range ends {
+		n += copy(values[n:], values[r*tokenizeRange:r*tokenizeRange+end])
+	}
+	if err != nil || n == 0 {
+		return err
+	}
+	cuts, err := cutsOf(values[:n])
+	if err != nil {
+		return err
+	}
 	a := cs.Space.Attr(idx)
-	a.Cuts = append([]float64(nil), cuts...)
-	a.Kind = KindDiscrete
-	a.States = BucketLabels(cuts)
+	a.Cuts, a.Kind, a.States = append([]float64(nil), cuts...), KindDiscrete, BucketLabels(cuts)
 	a.indexStates()
-	first := true
-	for i := range cs.Cells {
-		cell := &cs.Cells[i]
-		if int(cell.Attr) != idx {
-			continue
-		}
-		f := cell.Value()
-		if first || f < a.Lo {
+	for i, f := range values[:n] {
+		if i == 0 || f < a.Lo {
 			a.Lo = f
 		}
-		if first || f > a.Hi {
+		if i == 0 || f > a.Hi {
 			a.Hi = f
 		}
-		first = false
-		cell.Code = int32(bucketOf(f, cuts))
 	}
+	return cs.eachCell(ctx, forks, idx, func(_ int, cell *Cell) { cell.Code = int32(bucketOf(cell.Value(), cuts)) })
 }

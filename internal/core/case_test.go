@@ -63,14 +63,14 @@ func TestFrozenTokenizeRowAllocatesNothing(t *testing.T) {
 	}
 	var c Case
 	for name, row := range rows {
-		if err := cb.tokenizeRow(row, 0, &c); err != nil { // grows the buffer once
+		if err := cb.tokenizeRow(row, 0, &c, nil); err != nil { // grows the buffer once
 			t.Fatal(err)
 		}
-		if n := testing.AllocsPerRun(200, func() { _ = cb.tokenizeRow(row, 0, &c) }); n != 0 {
+		if n := testing.AllocsPerRun(200, func() { _ = cb.tokenizeRow(row, 0, &c, nil) }); n != 0 {
 			t.Errorf("%s: %v allocations per frozen tokenizeRow, want 0", name, n)
 		}
 	}
-	if err := cb.tokenizeRow(rows["nested"], 0, &c); err != nil {
+	if err := cb.tokenizeRow(rows["nested"], 0, &c, nil); err != nil {
 		t.Fatal(err)
 	}
 	van := mustLookup(t, tk.Space, "Car Ownership(Van)")
@@ -88,15 +88,15 @@ func TestFrozenTokenizeRowAllocatesNothing(t *testing.T) {
 		a.Cells, a.Ends, a.Weights, a.Keys = slices.Grow(a.Cells, 1), slices.Grow(a.Ends, 1), slices.Grow(a.Weights, 1), slices.Grow(a.Keys, 1)
 		cs = a
 	})
-	if n := testing.AllocsPerRun(100, func() { cs = Cases{}; _ = cb.TokenizeRows(batch, &cs) }); n != arena {
+	if n := testing.AllocsPerRun(100, func() { cs = Cases{}; _ = cb.TokenizeRows(t.Context(), nil, batch, &cs) }); n != arena {
 		t.Errorf("%v allocations per TokenizeRows of %d rows, want the arena's %v", n, len(batch), arena)
 	}
 	cs = Cases{}
-	if err := cb.TokenizeRows(batch, &cs); err != nil {
+	if err := cb.TokenizeRows(t.Context(), nil, batch, &cs); err != nil {
 		t.Fatal(err)
 	}
 	for i, row := range batch {
-		if err := cb.tokenizeRow(row, 0, &c); err != nil {
+		if err := cb.tokenizeRow(row, 0, &c, nil); err != nil {
 			t.Fatal(err)
 		}
 		if got := cs.Case(i).Cells(); !reflect.DeepEqual(got, c.Cells()) {

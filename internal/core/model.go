@@ -69,16 +69,6 @@ func (d *ModelDef) Column(name string) (*ColumnDef, bool) {
 	return nil, false
 }
 
-// KeyColumn returns the model's top-level case key.
-func (d *ModelDef) KeyColumn() (*ColumnDef, bool) {
-	for i := range d.Columns {
-		if d.Columns[i].Content == ContentKey {
-			return &d.Columns[i], true
-		}
-	}
-	return nil, false
-}
-
 // OutputColumns returns the names of all prediction targets (scalar and
 // nested TABLE targets).
 func (d *ModelDef) OutputColumns() []string {
@@ -185,30 +175,6 @@ func findColumn(cols []ColumnDef, name string) (*ColumnDef, bool) {
 		}
 	}
 	return nil, false
-}
-
-// CasesetSchema derives the rowset schema a caseset must present to populate
-// this model: one column per model column (TABLE columns become nested
-// schemas). Used to validate INSERT INTO bindings.
-func (d *ModelDef) CasesetSchema() (*rowset.Schema, error) {
-	return columnsToSchema(d.Columns)
-}
-
-func columnsToSchema(cols []ColumnDef) (*rowset.Schema, error) {
-	out := make([]rowset.Column, 0, len(cols))
-	for i := range cols {
-		c := &cols[i]
-		if c.Content == ContentTable {
-			nested, err := columnsToSchema(c.Table)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, rowset.Column{Name: c.Name, Type: rowset.TypeTable, Nested: nested})
-			continue
-		}
-		out = append(out, rowset.Column{Name: c.Name, Type: c.DataType})
-	}
-	return rowset.NewSchema(out...)
 }
 
 // DDL renders the model definition back to CREATE MINING MODEL syntax.

@@ -125,29 +125,11 @@ func TestOutputColumnsAndLookups(t *testing.T) {
 	if len(out) != 1 || out[0] != "Age" {
 		t.Errorf("outputs = %v", out)
 	}
-	k, ok := def.KeyColumn()
-	if !ok || k.Name != "Customer ID" {
-		t.Errorf("key = %v %v", k, ok)
-	}
 	if _, ok := def.Column("gender"); !ok {
 		t.Error("case-insensitive column lookup failed")
 	}
 	if _, ok := def.Column("zzz"); ok {
 		t.Error("missing column lookup must fail")
-	}
-}
-
-func TestCasesetSchema(t *testing.T) {
-	s, err := agePredictionDef().CasesetSchema()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Len() != 4 {
-		t.Fatalf("schema = %v", s.Names())
-	}
-	i, _ := s.Lookup("Product Purchases")
-	if s.Column(i).Type != rowset.TypeTable || s.Column(i).Nested.Len() != 3 {
-		t.Errorf("nested schema = %+v", s.Column(i))
 	}
 }
 

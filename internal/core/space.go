@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"repro/internal/rowset"
@@ -98,7 +100,7 @@ func (a *Attribute) indexStates() {
 // codeOf looks v up in a dictionary keyed by display text (FormatValue). A
 // value that is not already a string is formatted into a stack buffer, so the
 // probe does not allocate.
-func codeOf(dict map[string]int32, v rowset.Value) (int32, bool) {
+func codeOf[V any](dict map[string]V, v rowset.Value) (V, bool) {
 	if s, ok := v.(string); ok {
 		i, ok := dict[s]
 		return i, ok
@@ -108,6 +110,39 @@ func codeOf(dict map[string]int32, v rowset.Value) (int32, bool) {
 	return i, ok
 }
 
+// nestedDict is one TABLE column's dictionary: from a nested key's display
+// text to the key's record, which holds in slot 0 the ordinal of the key's
+// existence attribute and in slot s that of its valued attribute for nested
+// column cols[s], each plus one (0: none). One probe serves a nested row.
+type nestedDict struct {
+	recs map[string][]int32
+	cols []string
+}
+
+// slot returns the record slot of a nested column ("" for existence); -1
+// when the dictionary has none and add is false.
+func (d *nestedDict) slot(column string, add bool) int {
+	if s := slices.Index(d.cols, column); s >= 0 || !add {
+		return s
+	}
+	d.cols = append(d.cols, column)
+	return len(d.cols) - 1
+}
+
+// set gives slot s of key's record the ordinal i.
+func (d *nestedDict) set(key string, s int, i int32) {
+	rec := append(d.recs[key], make([]int32, max(0, s+1-len(d.recs[key])))...)
+	rec[s], d.recs[key] = i+1, rec
+}
+
+// ord returns the ordinal in slot s of record rec (-1: none).
+func ord(rec []int32, s int) int32 {
+	if s < 0 || s >= len(rec) {
+		return -1
+	}
+	return rec[s] - 1
+}
+
 // AttributeSpace is the tokenized schema of a model: the full list of
 // attributes plus the relations (RELATED TO hierarchies) discovered while
 // tokenizing. The space is built during training and reused, frozen, at
@@ -115,19 +150,14 @@ func codeOf(dict map[string]int32, v rowset.Value) (int32, bool) {
 type AttributeSpace struct {
 	Attrs  []Attribute
 	byName map[string]int
-	// nested holds one dictionary per TABLE column (existence attributes)
-	// and per nested attribute column of it (valued attributes), from nested
-	// key to attribute ordinal: what a nested row costs to tokenize is a map
-	// probe per column, not a name built and hashed.
-	nested map[nestedColumn]map[string]int32
+	// nested holds one dictionary per TABLE column, from nested key to the
+	// ordinals of every attribute the key mints: what a nested row costs to
+	// tokenize is one map probe, not a name built and hashed per column.
+	nested map[string]*nestedDict
 	// Relations maps "column\x00keyValue" to the relation value, e.g.
 	// Product Purchases/"Ham" -> "Food".
 	Relations map[string]string
 }
-
-// nestedColumn names a nested-key dictionary: a TABLE column and, for valued
-// attributes, the nested attribute column ("" for existence attributes).
-type nestedColumn struct{ table, column string }
 
 // NewAttributeSpace returns an empty space.
 func NewAttributeSpace() *AttributeSpace {
@@ -154,20 +184,23 @@ func (s *AttributeSpace) index(i int) {
 	a := &s.Attrs[i]
 	s.byName[a.Name] = i
 	if a.Name != a.Column { // derived from a nested row
-		s.nestedKeys(a.Column, a.NestedColumn)[a.NestedKey] = int32(i)
+		d := s.dict(a.Column, true)
+		d.set(a.NestedKey, d.slot(a.NestedColumn, true), int32(i))
 	}
 	a.indexStates()
 }
 
-// nestedKeys returns the nested-key dictionary of a TABLE column's existence
-// attributes (column "") or of one of its valued attribute columns, making
-// it if need be — so not to be called on a published space.
-func (s *AttributeSpace) nestedKeys(table, column string) map[string]int32 {
-	k := nestedColumn{table, column}
-	if s.nested[k] == nil {
-		s.nested[k] = make(map[string]int32)
+// dict returns a TABLE column's nested-key dictionary. A missing one reads
+// empty; with add it is made and kept — so add is not for a published space.
+func (s *AttributeSpace) dict(table string, add bool) *nestedDict {
+	d := s.nested[table]
+	if d == nil {
+		d = &nestedDict{recs: make(map[string][]int32), cols: []string{""}}
+		if add {
+			s.nested[table] = d
+		}
 	}
-	return s.nested[k]
+	return d
 }
 
 // Lookup returns the index of the named attribute.
@@ -212,31 +245,23 @@ func (s *AttributeSpace) TableAttrs(column string) []int {
 // Relation returns the RELATED TO value recorded for a nested key of a
 // column ("Ham" in "Product Purchases" -> "Food").
 func (s *AttributeSpace) Relation(column, key string) (string, bool) {
-	v, ok := s.Relations[column+"\x00"+key]
+	v, ok := s.Relations[relationKey(column, key)]
 	return v, ok
 }
 
-func (s *AttributeSpace) setRelation(column, key, value string) {
-	s.Relations[column+"\x00"+key] = value
-}
+// relationKey is where Relations holds the relation of a column's key.
+func relationKey(column, key string) string { return column + "\x00" + key }
 
 // Clone deep-copies the space: attributes (including their state
 // dictionaries and cut points), the indexes, and the relation map. The
 // copy-on-write training path clones the published space before growing it,
 // so concurrent predictions keep reading the old snapshot untouched.
 func (s *AttributeSpace) Clone() *AttributeSpace {
-	out := &AttributeSpace{
-		Attrs:     make([]Attribute, len(s.Attrs)),
-		Relations: make(map[string]string, len(s.Relations)),
-	}
-	copy(out.Attrs, s.Attrs)
+	out := &AttributeSpace{Attrs: slices.Clone(s.Attrs), Relations: maps.Clone(s.Relations)}
 	for i := range out.Attrs {
 		a := &out.Attrs[i]
 		a.States = append([]string(nil), a.States...)
 		a.Cuts = append([]float64(nil), a.Cuts...)
-	}
-	for k, v := range s.Relations {
-		out.Relations[k] = v
 	}
 	out.Reindex()
 	return out
@@ -246,7 +271,7 @@ func (s *AttributeSpace) Clone() *AttributeSpace {
 // space arrives with. It must run before the space is shared.
 func (s *AttributeSpace) Reindex() {
 	s.byName = make(map[string]int, len(s.Attrs))
-	s.nested = make(map[nestedColumn]map[string]int32)
+	s.nested = make(map[string]*nestedDict)
 	for i := range s.Attrs {
 		s.index(i)
 	}

@@ -150,18 +150,6 @@ func TestCaseAccessors(t *testing.T) {
 	}
 }
 
-func TestTotalWeight(t *testing.T) {
-	cs := &Caseset{Space: NewAttributeSpace()}
-	for _, w := range []float64{1, 2, 3.5} {
-		c := NewCase()
-		c.Weight = w
-		cs.Append(c)
-	}
-	if cs.TotalWeight() != 6.5 || cs.Len() != 3 {
-		t.Errorf("total = %v len = %d", cs.TotalWeight(), cs.Len())
-	}
-}
-
 func TestAttributeKindString(t *testing.T) {
 	if KindDiscrete.String() != "DISCRETE" || KindExistence.String() != "EXISTENCE" {
 		t.Error("kind strings")

@@ -1,12 +1,15 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"sort"
 	"strings"
 
+	"repro/internal/par"
 	"repro/internal/rowset"
 )
 
@@ -52,9 +55,6 @@ func NewTokenizerWithSpace(def *ModelDef, space *AttributeSpace) *Tokenizer {
 // unseen states tokenize as missing values.
 func (tk *Tokenizer) Freeze() { tk.frozen = true }
 
-// Frozen reports whether the space is frozen.
-func (tk *Tokenizer) Frozen() bool { return tk.frozen }
-
 func scalarAttribute(c *ColumnDef) Attribute {
 	a := Attribute{
 		Name:         c.Name,
@@ -78,14 +78,15 @@ func scalarAttribute(c *ColumnDef) Attribute {
 }
 
 // Tokenize converts every row of a hierarchical caseset rowset into a Case,
-// binding columns by name.
+// binding columns by name, on up to GOMAXPROCS goroutines.
 func (tk *Tokenizer) Tokenize(rs *rowset.Rowset) (*Caseset, error) {
 	cb, err := tk.NewCaseBinder(BindByName(tk.Def.Columns, rs.Schema()))
 	if err != nil {
 		return nil, err
 	}
 	out := &Caseset{Space: tk.Space}
-	return out, cb.TokenizeRows(rs.Rows(), &out.Cases)
+	//dmlint:allow ctxflow — Tokenize is the context-free convenience form of TokenizeRows for callers holding a whole rowset.
+	return out, cb.TokenizeRows(context.Background(), par.NewForks(0), rs.Rows(), &out.Cases)
 }
 
 // ColumnSource says where one model column's values are in a source row: the
@@ -180,7 +181,7 @@ type tableBinding struct {
 	// ordinals below are then columns of its Base rows.
 	rows           *rowset.Groups
 	keyOrd, seqOrd int
-	exists         map[string]int32
+	dict           *nestedDict
 	// cols are the bound nested columns other than the key, attributes first.
 	cols []nestedBinding
 }
@@ -188,9 +189,9 @@ type tableBinding struct {
 type nestedBinding struct {
 	def *ColumnDef
 	ord int
-	// keys is the dictionary of the valued attributes an attribute column
-	// mints, or of the attributes a qualifier column qualifies.
-	keys map[string]int32
+	// slot is where in a key's record the attribute an attribute column mints
+	// is, or the one a qualifier column qualifies (-1: none).
+	slot int
 }
 
 // NewCaseBinder resolves what the values of every model column tokenize into,
@@ -244,16 +245,9 @@ func (tk *Tokenizer) NewCaseBinder(cols []ColumnSource) (*CaseBinder, error) {
 }
 
 func (tk *Tokenizer) bindTable(c *ColumnDef, src ColumnSource) (*tableBinding, error) {
-	tb := &tableBinding{rows: src.Rows, keyOrd: -1, seqOrd: -1}
-	// The dictionaries of a published space are complete: a column without
-	// one has no attributes to find.
-	keysOf := func(column string) map[string]int32 {
-		if tk.frozen {
-			return tk.Space.nested[nestedColumn{c.Name, column}]
-		}
-		return tk.Space.nestedKeys(c.Name, column)
-	}
-	tb.exists = keysOf("")
+	// The dictionary of a published space is complete: a column without one
+	// has no attributes to find.
+	tb := &tableBinding{rows: src.Rows, keyOrd: -1, seqOrd: -1, dict: tk.Space.dict(c.Name, !tk.frozen)}
 	var late []nestedBinding
 	for j := range c.Table {
 		nc := &c.Table[j]
@@ -279,14 +273,13 @@ func (tk *Tokenizer) bindTable(c *ColumnDef, src ColumnSource) (*tableBinding, e
 			if nc.AttrType == AttrSequenceTime && tb.seqOrd < 0 {
 				tb.seqOrd = ord
 			}
-			nb.keys = keysOf(nc.Name)
+			nb.slot = tb.dict.slot(nc.Name, !tk.frozen)
 			tb.cols = append(tb.cols, nb)
 		case nc.Content == ContentQualifier:
 			// A qualifier of the nested key qualifies the existence
 			// attribute; one of a nested attribute, the derived valued one.
-			nb.keys = tb.exists
 			if t, ok := findColumn(c.Table, nc.QualifierOf); ok && t.Content != ContentKey {
-				nb.keys = keysOf(t.Name)
+				nb.slot = tb.dict.slot(t.Name, !tk.frozen)
 			}
 			late = append(late, nb)
 		case !tk.frozen: // ContentRelation
@@ -300,38 +293,97 @@ func (tk *Tokenizer) bindTable(c *ColumnDef, src ColumnSource) (*tableBinding, e
 	return tb, nil
 }
 
-// TokenizeRows appends the case of every row to out, in order; on an error,
-// out holds the cases of the rows before the failing one. rows[i] is case i
-// of the source, the one the groups of a TABLE column kept apart from the rows
-// (ColumnSource.Rows) hold at i. The arena is sized first, from the most cells
-// the rows could make — a kept-apart table's from its Ends, a *rowset.Rowset
-// cell's from its length: grown by appending, it would be reallocated — and
-// copied — a few dozen times on the way. Each case is tokenized in the arena's
-// spare room, so the rows allocate nothing past the arena's four slices.
-func (cb *CaseBinder) TokenizeRows(rows []rowset.Row, out *Cases) error {
-	cells := len(rows) * len(cb.cols)
-	for i := range cb.cols {
-		tb := cb.cols[i].table
-		switch {
-		case tb == nil || len(rows) == 0:
-		case tb.rows != nil:
-			cells += int(tb.rows.Ends[len(rows)-1]) * (1 + len(tb.cols))
-		default:
-			for _, row := range rows {
-				if nested, ok := row[cb.cols[i].ord].(*rowset.Rowset); ok {
-					cells += nested.Len() * (1 + len(tb.cols))
-				}
-			}
-		}
-	}
-	out.Cells = slices.Grow(out.Cells, cells)
+// tokenizeRange is how many rows a training tokenize takes as one range. The
+// ranges depend on the row count alone, never on the worker count, so what
+// each one mints — and so the space — is the same at any parallelism. A few
+// thousand cases still spread over the workers, and the first range, which
+// runs alone, stays a small share of them.
+const tokenizeRange = 256
+
+// TokenizeRows appends the case of every row to out, in order. rows[i] is case
+// i of the source, the one the groups of a TABLE column kept apart from the
+// rows (ColumnSource.Rows) hold at i. On an error out holds the cases of the
+// rows before the failing one; a cancelled ctx leaves out as it was.
+//
+// Cases are encoded into out's spare room, sized first from the most cells
+// the rows could make: grown by appending, the arena would be reallocated —
+// and copied — a few dozen times on the way. A frozen binder encodes inline,
+// and allocates nothing per row. A training binder cuts the rows into fixed
+// ranges, each a task on forks with its own part of that room:
+//   - Each range encodes its rows against the space as it stood when the
+//     range started, and lists, in first-seen order, what the space lacked.
+//     The first range runs alone and is merged first, so the others mostly
+//     find what it minted instead of listing it again.
+//   - Merging the lists in range order grows the space exactly as one
+//     front-to-back pass would.
+//   - Each range that missed something encodes again, against the now
+//     read-only space; the parts are joined in range order.
+func (cb *CaseBinder) TokenizeRows(ctx context.Context, forks *par.Forks, rows []rowset.Row, out *Cases) error {
 	out.Ends = slices.Grow(out.Ends, len(rows))
 	out.Weights = slices.Grow(out.Weights, len(rows))
 	out.Keys = slices.Grow(out.Keys, len(rows))
+	out.Cells = slices.Grow(out.Cells, cb.cells(rows, 0, len(rows)))
+	if cb.tk.frozen || len(rows) == 0 {
+		return cb.encode(rows, 0, len(rows), out, nil)
+	}
+	span := func(r int) (int, int) { return r * tokenizeRange, min(len(rows), (r+1)*tokenizeRange) }
+	// A range's part of out: its cells in out's spare cell room, and its case
+	// facts where the range's cases go.
+	ps := make([]pass, Ranges(len(rows)))
+	for r, at, b := 0, len(out.Cells), out.Len(); r < len(ps); r++ {
+		lo, hi := span(r)
+		end := at + cb.cells(rows, lo, hi)
+		ps[r] = pass{seen: make(map[mint]int32), rels: make(map[string]string), cases: Cases{Cells: out.Cells[at:at:end],
+			Ends: out.Ends[b+lo : b+lo : b+hi], Weights: out.Weights[b+lo : b+lo : b+hi], Keys: out.Keys[b+lo : b+lo : b+hi]}}
+		at = end
+	}
+	encode := func(r int, _ bool) error { // from the range's first row not encoded yet
+		lo, hi := span(r)
+		ps[r].err = cb.encode(rows, lo+ps[r].cases.Len(), hi, &ps[r].cases, &ps[r])
+		return ps[r].err
+	}
+	n, err := len(ps), encode(0, false)
+	cb.merge(&ps[0])
+	if err == nil {
+		err = forks.Run(ctx, n-1, func(r int, forked bool) error { return encode(r+1, forked) })
+	}
+	if err != nil { // every range before the failing one ran; none after it counts
+		n = slices.IndexFunc(ps, func(p pass) bool { return p.err != nil }) + 1
+	}
+	for r := range n {
+		if r > 0 {
+			cb.merge(&ps[r])
+		}
+		if c := &ps[r].cases; ps[r].missed {
+			c.Cells, c.Ends, c.Weights, c.Keys, c.Seqs = c.Cells[:0], c.Ends[:0], c.Weights[:0], c.Keys[:0], nil
+		}
+	}
+	if err = forks.Run(ctx, n, encode); ctx.Err() != nil {
+		return ctx.Err()
+	}
+	// Join the parts: the cells close up over the slack, the ends are shifted
+	// by where their range's cells now start, and the weights and keys are
+	// already in place.
+	for r := range n {
+		c, at := &ps[r].cases, int32(len(out.Cells))
+		if len(c.Seqs) > 0 {
+			out.Seqs = append(append(out.Seqs, make([][]Sequence, out.Len()-len(out.Seqs))...), c.Seqs...)
+		}
+		out.Cells = append(out.Cells, c.Cells...)
+		for _, end := range c.Ends {
+			out.Ends = append(out.Ends, at+end)
+		}
+		out.Weights, out.Keys = out.Weights[:len(out.Ends)], out.Keys[:len(out.Ends)]
+	}
+	return err
+}
+
+// encode appends the cases of rows [lo, hi) to out, each in out's spare room.
+func (cb *CaseBinder) encode(rows []rowset.Row, lo, hi int, out *Cases, p *pass) error {
 	var c Case
-	for i, row := range rows {
+	for i := lo; i < hi; i++ {
 		c.cells = out.Cells[len(out.Cells):]
-		if err := cb.tokenizeRow(row, i, &c); err != nil {
+		if err := cb.tokenizeRow(rows[i], i, &c, p); err != nil {
 			return err
 		}
 		out.Append(c)
@@ -339,11 +391,108 @@ func (cb *CaseBinder) TokenizeRows(rows []rowset.Row, out *Cases) error {
 	return nil
 }
 
+// cells returns the most cells rows [lo, hi) can make: one per scalar
+// attribute, and per nested row of a kept-apart table (from its Ends) or of a
+// *rowset.Rowset cell, one plus one per nested column.
+func (cb *CaseBinder) cells(rows []rowset.Row, lo, hi int) int {
+	n := 0
+	for i := range cb.cols {
+		switch tb := cb.cols[i].table; {
+		case tb == nil && cb.cols[i].def.Content == ContentAttribute:
+			n += hi - lo
+		case tb == nil || lo == hi:
+		case tb.rows != nil:
+			a, _ := tb.rows.Bounds(lo)
+			_, b := tb.rows.Bounds(hi - 1)
+			n += (b - a) * (1 + len(tb.cols))
+		default:
+			for _, row := range rows[lo:hi] {
+				if nested, ok := row[cb.cols[i].ord].(*rowset.Rowset); ok {
+					n += nested.Len() * (1 + len(tb.cols))
+				}
+			}
+		}
+	}
+	return n
+}
+
+// pass is one range of a training tokenize: its cases, and what its rows need
+// that the space lacked when they were encoded — attributes, each a nested
+// key's record slot, and discrete states — listed in items, once each, in the
+// order a front-to-back pass would meet them. rels are the range's last
+// relation writes.
+type pass struct {
+	items  []mint
+	seen   map[mint]int32
+	rels   map[string]string
+	cases  Cases
+	missed bool // a row met something the space lacked: encode again after the merge
+	err    error
+}
+
+// mint is an attribute — slot of key's record in dictionary d, of TABLE
+// column tcol and nested column ncol (nil: existence) — or, with d nil, state
+// text of attribute attr (^item: an attribute the range mints itself).
+type mint struct {
+	d          *nestedDict
+	tcol, ncol *ColumnDef
+	slot       int
+	key, text  string
+	attr       int32
+}
+
+// list returns m's item number, listing m if the range has not yet.
+func (p *pass) list(m mint) int32 {
+	p.missed = true
+	if _, ok := p.seen[m]; !ok {
+		p.items, p.seen[m] = append(p.items, m), int32(len(p.items))
+	}
+	return p.seen[m]
+}
+
+// merge adds to the space what p lists and an earlier range did not add.
+func (cb *CaseBinder) merge(p *pass) {
+	sp := cb.tk.Space
+	ords := make([]int32, len(p.items))
+	for j, it := range p.items {
+		if it.d == nil {
+			a := it.attr
+			if a < 0 {
+				a = ords[^a]
+			}
+			if attr := sp.Attr(int(a)); attr.StateIndex(it.text) < 0 {
+				attr.addState(it.text)
+			}
+			continue
+		}
+		if ords[j] = ord(it.d.recs[it.key], it.slot); ords[j] < 0 {
+			ords[j] = int32(sp.Add(nestedAttribute(it.tcol, it.ncol, it.key)))
+			it.d.set(it.key, it.slot, ords[j])
+		}
+	}
+	maps.Copy(sp.Relations, p.rels)
+}
+
+// nestedAttribute is the attribute key of TABLE column tcol mints: its
+// existence attribute, or with ncol its valued attribute for that column.
+func nestedAttribute(tcol, ncol *ColumnDef, key string) Attribute {
+	a := Attribute{Name: tcol.Name + "(" + key + ")", Column: tcol.Name, NestedKey: key, Kind: KindExistence,
+		IsTarget: tcol.IsOutput(), IsInput: tcol.IsInput()}
+	if ncol != nil {
+		a.Name, a.NestedColumn, a.Kind = a.Name+"."+ncol.Name, ncol.Name, KindDiscrete
+		a.IsTarget, a.Distribution = a.IsTarget || ncol.IsOutput(), ncol.Distribution
+		if ncol.AttrType.IsNumericLike() {
+			a.Kind = KindContinuous
+		}
+	}
+	return a
+}
+
 // tokenizeRow overwrites c with the case of source row i, reusing c's cell
-// buffer: over a frozen tokenizer it allocates nothing once the buffer has
-// grown to fit (a SEQUENCE_TIME column's ordered keys excepted).
-func (cb *CaseBinder) tokenizeRow(row rowset.Row, i int, c *Case) error {
-	tk := cb.tk
+// buffer: over a frozen tokenizer (p nil) it allocates nothing once the
+// buffer has grown to fit (a SEQUENCE_TIME column's ordered keys excepted).
+// In a training, what the space lacks is listed in p.
+func (cb *CaseBinder) tokenizeRow(row rowset.Row, i int, c *Case, p *pass) error {
 	c.reset()
 	if cb.keyOrd >= 0 {
 		c.Key = row[cb.keyOrd]
@@ -366,7 +515,7 @@ func (cb *CaseBinder) tokenizeRow(row rowset.Row, i int, c *Case) error {
 				}
 				nested = rs.Rows()
 			}
-			if err := tk.tokenizeNested(c, b.def, tb, nested, pos); err != nil {
+			if err := cb.tokenizeNested(c, p, b.def, tb, nested, pos); err != nil {
 				return err
 			}
 			continue
@@ -374,16 +523,16 @@ func (cb *CaseBinder) tokenizeRow(row rowset.Row, i int, c *Case) error {
 		v := row[b.ord]
 		switch b.def.Content {
 		case ContentAttribute:
-			if err := tk.setScalar(c, b.def, b.attr, v); err != nil {
+			if err := cb.setScalar(c, p, b.def, b.attr, v); err != nil {
 				return err
 			}
 		case ContentQualifier:
 			if v != nil {
 				applyQualifier(c, b.def, b.attr, v)
 			}
-		case ContentRelation:
+		case ContentRelation: // bound only while training
 			if v != nil && row[b.relOrd] != nil {
-				tk.Space.setRelation(b.related, rowset.FormatValue(row[b.relOrd]), rowset.FormatValue(v))
+				p.rels[relationKey(b.related, rowset.FormatValue(row[b.relOrd]))] = rowset.FormatValue(v)
 			}
 		}
 	}
@@ -391,14 +540,14 @@ func (cb *CaseBinder) tokenizeRow(row rowset.Row, i int, c *Case) error {
 }
 
 // setScalar tokenizes one scalar attribute value into the case.
-func (tk *Tokenizer) setScalar(c *Case, col *ColumnDef, idx int, v rowset.Value) error {
+func (cb *CaseBinder) setScalar(c *Case, p *pass, col *ColumnDef, idx int, v rowset.Value) error {
 	if v == nil {
-		if col.NotNull && !tk.frozen {
+		if col.NotNull && !cb.tk.frozen {
 			return fmt.Errorf("core: column %q is NOT_NULL but the input has a NULL", col.Name)
 		}
 		return nil
 	}
-	a := tk.Space.Attr(idx)
+	a := cb.tk.Space.Attr(idx)
 	// Discretized attributes with installed cut points bucket incoming
 	// numeric values no matter their current Kind (training rewrites the
 	// kind to discrete; prediction inputs still arrive as raw numbers).
@@ -422,31 +571,28 @@ func (tk *Tokenizer) setScalar(c *Case, col *ColumnDef, idx int, v rowset.Value)
 		}
 		c.put(idx, numCode, f)
 	default: // KindDiscrete
-		tk.setState(c, a, idx, v)
+		setState(c, p, a, idx, v)
 	}
 	return nil
 }
 
-// setState gives discrete attribute idx the state v names, a new one while
-// training; a state unseen at prediction time is a missing value.
-func (tk *Tokenizer) setState(c *Case, a *Attribute, idx int, v rowset.Value) {
-	st, ok := codeOf(a.stateOf, v)
-	if !ok {
-		if tk.frozen {
-			return
-		}
-		st = a.addState(rowset.FormatValue(v))
+// setState gives discrete attribute idx the state v names. A state the space
+// lacks is listed while training, and else is a missing value.
+func setState(c *Case, p *pass, a *Attribute, idx int, v rowset.Value) {
+	if st, ok := codeOf(a.stateOf, v); ok {
+		c.put(idx, st, 0)
+	} else if p != nil {
+		p.list(mint{text: rowset.FormatValue(v), attr: int32(idx)})
 	}
-	c.put(idx, st, 0)
 }
 
 // tokenizeNested converts a case's nested table — rows[p] for p in pos, or
-// every row when pos is nil — into existence and valued attributes. When the
-// nested table carries a SEQUENCE_TIME attribute the nested keys are also
-// recorded on the case in time order (Case.Sequences), preserving the
-// ordering that existence attributes alone discard — the raw material for
-// sequence-analysis services.
-func (tk *Tokenizer) tokenizeNested(c *Case, tcol *ColumnDef, tb *tableBinding, rows []rowset.Row, pos []int32) error {
+// every row when pos is nil — into existence and valued attributes, one
+// dictionary probe per nested row. When the nested table carries a
+// SEQUENCE_TIME attribute the nested keys are also recorded on the case in
+// time order (Case.Sequences), preserving the ordering that existence
+// attributes alone discard — the raw material for sequence-analysis services.
+func (cb *CaseBinder) tokenizeNested(c *Case, p *pass, tcol *ColumnDef, tb *tableBinding, rows []rowset.Row, pos []int32) error {
 	type seqEntry struct {
 		t   float64
 		key string
@@ -470,23 +616,14 @@ func (tk *Tokenizer) tokenizeNested(c *Case, tcol *ColumnDef, tb *tableBinding, 
 				seq = append(seq, seqEntry{t: ts, key: rowset.FormatValue(kv)})
 			}
 		}
-		ex, ok := codeOf(tb.exists, kv)
-		if !ok {
-			if tk.frozen {
-				continue // unseen nested key at prediction time
-			}
-			key := rowset.FormatValue(kv)
-			ex = int32(tk.Space.Add(Attribute{
-				Name:      tcol.Name + "(" + key + ")",
-				Column:    tcol.Name,
-				NestedKey: key,
-				Kind:      KindExistence,
-				IsTarget:  tcol.IsOutput(),
-				IsInput:   tcol.IsInput(),
-			}))
+		rec, _ := codeOf(tb.dict.recs, kv)
+		if ex := ord(rec, 0); ex >= 0 {
+			c.put(int(ex), numCode, 1)
+		} else if p == nil {
+			continue // unseen nested key at prediction time
+		} else {
+			p.list(mint{d: tb.dict, tcol: tcol, key: rowset.FormatValue(kv)})
 		}
-		c.put(int(ex), numCode, 1)
-
 		for j := range tb.cols {
 			nb := &tb.cols[j]
 			v := nrow[nb.ord]
@@ -494,14 +631,16 @@ func (tk *Tokenizer) tokenizeNested(c *Case, tcol *ColumnDef, tb *tableBinding, 
 				continue
 			}
 			switch nb.def.Content {
-			case ContentRelation:
-				tk.Space.setRelation(tcol.Name, rowset.FormatValue(kv), rowset.FormatValue(v))
+			case ContentRelation: // bound only while training
+				p.rels[relationKey(tcol.Name, rowset.FormatValue(kv))] = rowset.FormatValue(v)
 			case ContentQualifier:
-				if idx, ok := codeOf(nb.keys, kv); ok {
+				if idx := ord(rec, nb.slot); idx >= 0 {
 					applyQualifier(c, nb.def, int(idx), v)
+				} else if p != nil {
+					p.missed = true // its attribute may be one the range lists
 				}
 			case ContentAttribute:
-				if err := tk.setNested(c, tcol, nb, kv, v); err != nil {
+				if err := cb.setNested(c, p, tcol, tb, nb, rec, kv, v); err != nil {
 					return err
 				}
 			}
@@ -519,42 +658,29 @@ func (tk *Tokenizer) tokenizeNested(c *Case, tcol *ColumnDef, tb *tableBinding, 
 }
 
 // setNested tokenizes the value v of nested attribute column nb in the nested
-// row keyed kv, minting the valued attribute the first time training sees the
-// (key, column) pair.
-func (tk *Tokenizer) setNested(c *Case, tcol *ColumnDef, nb *nestedBinding, kv, v rowset.Value) error {
-	ncol := nb.def
-	i, ok := codeOf(nb.keys, kv)
-	if !ok {
-		if tk.frozen {
+// row keyed kv, whose record in the table's dictionary is rec.
+func (cb *CaseBinder) setNested(c *Case, p *pass, tcol *ColumnDef, tb *tableBinding, nb *nestedBinding, rec []int32, kv, v rowset.Value) error {
+	idx := ord(rec, nb.slot)
+	switch {
+	case idx >= 0 && cb.tk.Space.Attr(int(idx)).Kind != KindContinuous:
+		setState(c, p, cb.tk.Space.Attr(int(idx)), int(idx), v)
+		return nil
+	case idx < 0 && p == nil:
+		return nil
+	case idx < 0: // a valued attribute this range lists: its kind comes from the column
+		it := p.list(mint{d: tb.dict, tcol: tcol, ncol: nb.def, slot: nb.slot, key: rowset.FormatValue(kv)})
+		if !nb.def.AttrType.IsNumericLike() {
+			p.list(mint{text: rowset.FormatValue(v), attr: ^it})
 			return nil
 		}
-		kind := KindDiscrete
-		if ncol.AttrType.IsNumericLike() {
-			kind = KindContinuous
-		}
-		key := rowset.FormatValue(kv)
-		i = int32(tk.Space.Add(Attribute{
-			Name:         tcol.Name + "(" + key + ")." + ncol.Name,
-			Column:       tcol.Name,
-			NestedColumn: ncol.Name,
-			NestedKey:    key,
-			Kind:         kind,
-			IsTarget:     tcol.IsOutput() || ncol.IsOutput(),
-			IsInput:      tcol.IsInput(),
-			Distribution: ncol.Distribution,
-		}))
-	}
-	idx := int(i)
-	a := tk.Space.Attr(idx)
-	if a.Kind != KindContinuous {
-		tk.setState(c, a, idx, v)
-		return nil
 	}
 	f, ok := rowset.ToFloat(v)
 	if !ok {
-		return fmt.Errorf("core: nested column %q: non-numeric value %v", ncol.Name, v)
+		return fmt.Errorf("core: nested column %q: non-numeric value %v", nb.def.Name, v)
 	}
-	c.put(idx, numCode, f)
+	if idx >= 0 {
+		c.put(int(idx), numCode, f)
+	}
 	return nil
 }
 
@@ -581,9 +707,18 @@ func applyQualifier(c *Case, col *ColumnDef, idx int, v rowset.Value) {
 }
 
 // bucketOf returns the discretization bucket of f given ascending cuts:
-// bucket i covers (cuts[i-1], cuts[i]]; bucket len(cuts) is the overflow.
+// bucket i covers (cuts[i-1], cuts[i]]; bucket len(cuts) is the overflow. It
+// is sort.SearchFloat64s(cuts, the float below f), without a call per step.
 func bucketOf(f float64, cuts []float64) int {
-	return sort.SearchFloat64s(cuts, math.Nextafter(f, math.Inf(-1)))
+	x, i, j := math.Nextafter(f, math.Inf(-1)), 0, len(cuts)
+	for i < j {
+		if h := int(uint(i+j) >> 1); !(cuts[h] >= x) {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	return i
 }
 
 // BucketBounds returns the numeric bounds of discretization bucket i,

@@ -230,7 +230,9 @@ func TestDiscretizeAttr(t *testing.T) {
 		t.Fatal(err)
 	}
 	vIdx, _ := tk.Space.Lookup("v")
-	cs.DiscretizeAttr(vIdx, []float64{5, 20})
+	if err := cs.Discretize(t.Context(), nil, vIdx, func([]float64) ([]float64, error) { return []float64{5, 20}, nil }); err != nil {
+		t.Fatal(err)
+	}
 	a := tk.Space.Attr(vIdx)
 	if a.Kind != KindDiscrete || len(a.States) != 3 {
 		t.Fatalf("attr after discretize = %+v", a)
@@ -292,8 +294,8 @@ func TestSupportQualifierSetsWeight(t *testing.T) {
 	if cs.Case(0).Weight != 3 || cs.Case(1).Weight != 1 {
 		t.Errorf("weights = %v %v", cs.Case(0).Weight, cs.Case(1).Weight)
 	}
-	if cs.TotalWeight() != 4 {
-		t.Errorf("total weight = %v", cs.TotalWeight())
+	if w := cs.Weights[0] + cs.Weights[1]; w != 4 {
+		t.Errorf("total weight = %v", w)
 	}
 }
 
@@ -449,7 +451,7 @@ func TestFrozenTokenizationIsReadOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	var c Case
-	if err := cb.tokenizeRow(row, 0, &c); err != nil {
+	if err := cb.tokenizeRow(row, 0, &c, nil); err != nil {
 		t.Fatal(err)
 	}
 

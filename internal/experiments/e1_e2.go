@@ -163,8 +163,11 @@ func RunE2(ctx context.Context, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	ageIdx, _ := cs.Space.Lookup("Age")
-	cuts := equalAreasCutsFromCases(cs, ageIdx, 5)
-	cs.DiscretizeAttr(ageIdx, cuts)
+	// The provider's discretization pipeline, for the outside path.
+	err = cs.Discretize(ctx, nil, ageIdx, func(ages []float64) ([]float64, error) { return discretize.EqualAreas(ages, 5), nil })
+	if err != nil {
+		return nil, err
+	}
 	if _, err := dtree.New().Train(ctx, cs, cs.Space.Targets(), nil, 0); err != nil {
 		return nil, err
 	}
@@ -259,16 +262,4 @@ func outsideModelDef() *core.ModelDef {
 			}},
 		},
 	}
-}
-
-// equalAreasCutsFromCases mirrors the provider's discretization pipeline for
-// the outside path.
-func equalAreasCutsFromCases(cs *core.Caseset, attr, buckets int) []float64 {
-	var vals []float64
-	for i := 0; i < cs.Len(); i++ {
-		if v, ok := cs.Case(i).Continuous(attr); ok {
-			vals = append(vals, v)
-		}
-	}
-	return discretize.EqualAreas(vals, buckets)
 }

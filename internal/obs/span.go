@@ -72,7 +72,7 @@ func (s *Span) walk(fn func(sp *Span, depth int), depth int) {
 //	Text Arg[ index=Index][ est=Est][ morsels=Morsels workers=Workers][ batches=Batches]
 //
 // with the fan-out only when Morsels > 1 and the batch count only when
-// Batches > 0 ("batches=N" alone when everything before it is empty).
+// Batches > 0, neither led by a space when everything before it is empty.
 type Label struct {
 	Text, Arg string // static text and what follows it verbatim: "model=", a model name
 	Index     string // a pushed index column
@@ -97,7 +97,10 @@ func (l Label) String() string {
 		b = strconv.AppendInt(append(b, " est="...), l.Est, 10)
 	}
 	if l.Morsels > 1 {
-		b = strconv.AppendInt(append(b, " morsels="...), int64(l.Morsels), 10)
+		if len(b) > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(append(b, "morsels="...), int64(l.Morsels), 10)
 		b = strconv.AppendInt(append(b, " workers="...), int64(l.Workers), 10)
 	}
 	if l.Batches > 0 {

@@ -43,8 +43,12 @@ func NewForks(workers int) *Forks {
 
 // take claims a helper's place in both bounds, or reports that none is free.
 // It reads GOMAXPROCS on every call, never once at init, because go test -cpu
-// changes it within one process; a Run that cannot fork never reads it.
+// changes it within one process; a Run that cannot fork never reads it. A nil
+// Forks has no places: its Run runs every task inline.
 func (f *Forks) take() bool {
+	if f == nil {
+		return false
+	}
 	if f.busy.Add(1) <= f.max {
 		if helpers.Add(1) < int32(runtime.GOMAXPROCS(0)) {
 			return true

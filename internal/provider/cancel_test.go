@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -11,6 +12,7 @@ import (
 
 	"repro/internal/algo/nbayes"
 	"repro/internal/core"
+	"repro/internal/obs"
 )
 
 // cancelStressQuery is a scan heavy enough that cancellation usually lands
@@ -219,5 +221,76 @@ func TestInsertIntoCancelledMidTrain(t *testing.T) {
 		if n := caseCount(); n != trained {
 			t.Errorf("%v: the model has %d cases, want the %d it had", tc.want, n, trained)
 		}
+	}
+}
+
+// pollCancel is a context that is cancelled from its (n+1)th Err call on. Done
+// is nil, so only code that polls Err notices, and each poll point in turn
+// can be made the one that finds the statement cancelled.
+type pollCancel struct {
+	context.Context
+	left atomic.Int64
+}
+
+func (c *pollCancel) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// findSpan returns the first span of operator op in the tree under sp.
+func findSpan(sp *obs.Span, op string) *obs.Span {
+	if sp == nil || sp.Kind == op {
+		return sp
+	}
+	for _, c := range sp.Children {
+		if found := findSpan(c, op); found != nil {
+			return found
+		}
+	}
+	return nil
+}
+
+// TestInsertIntoCancelledAtEveryPoll cancels an INSERT INTO at each of its
+// poll points in turn, those between the tokenizer's phases included: every
+// cancelled statement returns context.Canceled and publishes nothing, and the
+// first uncancelled one trains the model.
+func TestInsertIntoCancelledAtEveryPoll(t *testing.T) {
+	p := MustNew(WithParallelism(2))
+	setupCustomerData(t, p, 3000)
+	mustExec(t, p, strings.Replace(createAgeModel, "Decision_Trees_101", "Naive_Bayes", 1))
+	midTokenize := 0
+	for polls := int64(0); ; polls++ {
+		ctx := &pollCancel{Context: context.Background()}
+		ctx.left.Store(polls)
+		_, err := p.NewSession().Execute(ctx, insertAgeModel)
+		if err == nil {
+			break
+		}
+		if !errors.Is(err, context.Canceled) || polls > 200 {
+			t.Fatalf("cancelled at poll %d: err = %v, want context.Canceled", polls, err)
+		}
+		e, err := p.entry("Age Prediction")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.model.CaseCount != 0 || e.model.Space.Len() != 2 {
+			t.Fatalf("cancelled at poll %d: the published model has %d cases and %d attributes", polls, e.model.CaseCount, e.model.Space.Len())
+		}
+		log := p.Obs().QueryLog()
+		recs := log.Snapshot()
+		// A tokenize span that counts no cases ended before its cases did.
+		if rec, ok := log.FindRetained(recs[len(recs)-1].Seq); ok {
+			if tok := findSpan(rec.Root.Span(), "tokenize"); tok != nil && tok.Rows == 0 {
+				midTokenize++
+			}
+		}
+	}
+	if midTokenize == 0 {
+		t.Error("no poll point cancelled the statement while it tokenized")
+	}
+	if e, _ := p.entry("Age Prediction"); e.model.CaseCount != 3000 {
+		t.Errorf("the uncancelled INSERT trained %d cases, want 3000", e.model.CaseCount)
 	}
 }

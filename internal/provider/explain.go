@@ -71,6 +71,7 @@ func (p *Provider) planSpan(ctx context.Context, st dmx.Statement) *obs.Span {
 			train.SetLabel("algorithm=" + def.Algorithm)
 		}
 		train.Add(obs.NewSpan("tokenize", ""))
+		train.Add(obs.NewSpan("discretize", ""))
 		root.Add(train)
 	default:
 		// Catalogue and metadata statements have no operator pipeline; the

@@ -1,10 +1,12 @@
 package provider
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/rowset"
 )
 
@@ -83,7 +85,7 @@ func TestExplainPlanOnly(t *testing.T) {
 	if rows[0].operator != "statement" || !rows[0].parentNull || rows[0].depth != 0 {
 		t.Fatalf("first row is %+v, want depth-0 statement root with NULL parent", rows[0])
 	}
-	for _, op := range []string{"caseset", "shape", "append", "select", "scan", "bind", "train", "tokenize"} {
+	for _, op := range []string{"caseset", "shape", "append", "select", "scan", "bind", "train", "tokenize", "discretize"} {
 		if findOp(rows, op) == nil {
 			t.Errorf("plan misses operator %q (have %s)", op, operators(rows))
 		}
@@ -271,10 +273,37 @@ func TestExplainAnalyzeInsertExecutes(t *testing.T) {
 	if tr.rows.(int64) != 30 {
 		t.Errorf("train span rows = %v, want 30", tr.rows)
 	}
-	if findOp(rows, "tokenize") == nil || findOp(rows, "bind") == nil {
-		t.Errorf("INSERT tree misses bind/tokenize spans (have %s)", operators(rows))
+	if findOp(rows, "tokenize") == nil || findOp(rows, "discretize") == nil || findOp(rows, "bind") == nil {
+		t.Errorf("INSERT tree misses bind/tokenize/discretize spans (have %s)", operators(rows))
 	}
 	mustExec(t, p, predictAgeQuery) // trained: predicts without error
+}
+
+// TestExplainAnalyzeInsertPartitioned: over more cases than one range, the
+// INSERT's tokenize and discretize run in case ranges on the statement's
+// workers, and their spans say so the way a scan's does; both sit under train,
+// and EXPLAIN lists the same operators EXPLAIN ANALYZE measures.
+func TestExplainAnalyzeInsertPartitioned(t *testing.T) {
+	p := MustNew(WithParallelism(2))
+	setupCustomerData(t, p, manyCustomers)
+	mustExec(t, p, createAgeModel)
+	plan := decodeExplain(t, mustExec(t, p, "EXPLAIN "+insertAgeModel))
+	rows := decodeExplain(t, mustExec(t, p, "EXPLAIN ANALYZE "+insertAgeModel))
+	if got, want := operators(rows), operators(plan); got != want {
+		t.Errorf("EXPLAIN ANALYZE lists %s, EXPLAIN %s", got, want)
+	}
+	tr := findOp(rows, "train")
+	wantLabel := fmt.Sprintf("morsels=%d workers=2", core.Ranges(manyCustomers))
+	for _, op := range []string{"tokenize", "discretize"} {
+		sp := findOp(rows, op)
+		if sp == nil || tr == nil {
+			t.Fatalf("measured INSERT tree misses train/%s (have %s)", op, operators(rows))
+		}
+		if sp.label != wantLabel || sp.parentID != tr.spanID || sp.rows.(int64) != manyCustomers {
+			t.Errorf("%s span: label %q under span %d with %v rows; want %q under train (%d), %d rows",
+				op, sp.label, sp.parentID, sp.rows, wantLabel, tr.spanID, manyCustomers)
+		}
+	}
 }
 
 // TestExplainSQLAndShape: non-DMX commands explain too, re-dispatched by

@@ -3,6 +3,7 @@ package provider
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"slices"
 	"strings"
 
@@ -11,6 +12,7 @@ import (
 	"repro/internal/dmx"
 	"repro/internal/lex"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/rowset"
 	"repro/internal/shape"
 )
@@ -83,14 +85,16 @@ func (p *Provider) insertInto(ctx context.Context, ins *dmx.InsertInto) (*rowset
 	full := &core.Caseset{Space: space, Cases: cur.cases.Clone()}
 	before := full.Len()
 
-	// Tokenization stays on this single consumer goroutine: it grows the
-	// cloned attribute space, and state dictionaries are built in first-seen
-	// order, so a parallel tokenize would make attribute indexes depend on
-	// scheduling.
+	// Tokenizing and discretizing run on the statement's forks, in case
+	// ranges fixed by the case count alone. The space grows between the
+	// tokenizer's passes, in range order, on this goroutine, so attribute
+	// ordinals and state order do not depend on the worker count.
+	forks := par.NewForks(p.parallelism)
 	spTok := t.StartSpan("tokenize", "")
+	spTok.SetLabel(fanout(len(src.Rows), p.parallelism))
 	binder, err := tok.NewCaseBinder(cols)
 	if err == nil {
-		err = binder.TokenizeRows(src.Rows, &full.Cases)
+		err = binder.TokenizeRows(ctx, forks, src.Rows, &full.Cases)
 	}
 	if err != nil {
 		t.EndSpan(spTok)
@@ -105,7 +109,12 @@ func (p *Provider) insertInto(ctx context.Context, ins *dmx.InsertInto) (*rowset
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if err := p.discretizePipeline(def, full); err != nil {
+	spDisc := t.StartSpan("discretize", "")
+	spDisc.SetLabel(fanout(full.Len(), p.parallelism))
+	err = p.discretizePipeline(ctx, forks, def, full)
+	spDisc.SetRows(int64(full.Len()))
+	t.EndSpan(spDisc)
+	if err != nil {
 		return nil, err
 	}
 	if err := ctx.Err(); err != nil {
@@ -162,8 +171,10 @@ func (p *Provider) executeSource(ctx context.Context, src dmx.Source) (*shape.Ca
 // discretizePipeline installs cut points for every DISCRETIZED column that
 // does not have them yet. Cut points are computed once, from the first
 // training batch that mentions the attribute, and frozen thereafter —
-// prediction inputs bucket through the same cuts.
-func (p *Provider) discretizePipeline(def *core.ModelDef, full *core.Caseset) error {
+// prediction inputs bucket through the same cuts. Collecting the values and
+// rewriting the cells run by case range on forks; the cuts are computed over
+// the values in case order, as one pass would collect them.
+func (p *Provider) discretizePipeline(ctx context.Context, forks *par.Forks, def *core.ModelDef, full *core.Caseset) error {
 	for i := range def.Columns {
 		col := &def.Columns[i]
 		if col.Content != core.ContentAttribute || col.AttrType != core.AttrDiscretized {
@@ -173,27 +184,26 @@ func (p *Provider) discretizePipeline(def *core.ModelDef, full *core.Caseset) er
 		if !ok {
 			continue
 		}
-		attr := full.Space.Attr(idx)
-		if len(attr.Cuts) > 0 {
+		if len(full.Space.Attr(idx).Cuts) > 0 {
 			continue // already discretized in an earlier INSERT
 		}
-		values := make([]float64, 0, full.Len())
-		for i := range full.Cells {
-			if int(full.Cells[i].Attr) == idx {
-				values = append(values, full.Cells[i].Value())
-			}
-		}
-		if len(values) == 0 {
-			continue
-		}
-		labels := p.entropyLabels(full, idx)
-		cuts, err := discretize.Cuts(col.DiscretizeMethod, values, labels, col.DiscretizeBuckets)
+		err := full.Discretize(ctx, forks, idx, func(values []float64) ([]float64, error) {
+			return discretize.Cuts(col.DiscretizeMethod, values, p.entropyLabels(full, idx), col.DiscretizeBuckets)
+		})
 		if err != nil {
 			return fmt.Errorf("provider: column %q: %w", col.Name, err)
 		}
-		full.DiscretizeAttr(idx, cuts)
 	}
 	return nil
+}
+
+// fanout is the label of a stage that runs in case ranges: the ranges and the
+// worker bound, as a partitioned scan shows them.
+func fanout(cases, workers int) obs.Label {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return obs.Label{Morsels: int32(core.Ranges(cases)), Workers: int32(workers)}
 }
 
 // entropyLabels supplies class labels for supervised (ENTROPY) discretization

@@ -131,7 +131,7 @@ func TestPredictionNestedColumnTypeError(t *testing.T) {
 	}
 	// The schema claims a nested table but the cell carries a string.
 	var cs core.Cases
-	err = binder.TokenizeRows([]rowset.Row{{"Male", "not-a-rowset"}}, &cs)
+	err = binder.TokenizeRows(t.Context(), nil, []rowset.Row{{"Male", "not-a-rowset"}}, &cs)
 	var nte *core.NestedColumnTypeError
 	if !errors.As(err, &nte) {
 		t.Fatalf("err = %v, want *NestedColumnTypeError", err)
@@ -140,7 +140,7 @@ func TestPredictionNestedColumnTypeError(t *testing.T) {
 		t.Errorf("error names column %q, want Product Purchases", nte.Column)
 	}
 	// A nil cell still means an empty basket, not an error.
-	if err := binder.TokenizeRows([]rowset.Row{{"Male", nil}}, &cs); err != nil {
+	if err := binder.TokenizeRows(t.Context(), nil, []rowset.Row{{"Male", nil}}, &cs); err != nil {
 		t.Errorf("nil nested cell: %v", err)
 	}
 }

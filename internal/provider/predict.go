@@ -107,7 +107,7 @@ func (p *Provider) predictionSelect(ctx context.Context, stage obs.StageTimer, p
 	}
 
 	pp := &predictPlan{
-		entry: e, binder: binder,
+		ctx: ctx, entry: e, binder: binder,
 		schema: evalSchema, model: ps.Model, targets: make(map[string]*predTarget),
 	}
 	// The frozen bench and DM_QUERY_LOG read the prediction scan's time from
@@ -157,6 +157,9 @@ func (p *Provider) indexPredictionKeys(src dmx.Source, def *core.ModelDef, cols 
 // expression of the statement (through resolve) before it opens the first
 // partition; after that the plan is read-only and shared by every partition.
 type predictPlan struct {
+	// ctx is the statement's. The binder is frozen, so it tokenizes each batch
+	// inline, on the partition's goroutine.
+	ctx    context.Context
 	entry  *modelEntry
 	binder *core.CaseBinder
 
@@ -181,7 +184,7 @@ func (pp *predictPlan) caseBinder() func([]rowset.Row, []any) (int, error) {
 	return func(rows []rowset.Row, ext []any) (int, error) {
 		b := &predictionBatch{entry: pp.entry}
 		b.preds = append(b.one[:0], make([]core.PredictionBatch, len(pp.targets))...)
-		err := pp.binder.TokenizeRows(rows, &b.cases)
+		err := pp.binder.TokenizeRows(pp.ctx, nil, rows, &b.cases)
 		frames := make([]predictionContext, b.cases.Len())
 		for i := range frames {
 			frames[i] = predictionContext{predictionBatch: b, i: i}

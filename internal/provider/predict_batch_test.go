@@ -56,7 +56,7 @@ func TestPredictBatchMatchesPredict(t *testing.T) {
 			t.Fatal(err)
 		}
 		var cases core.Cases
-		if err := cb.TokenizeRows(src.Rows(), &cases); err != nil {
+		if err := cb.TokenizeRows(t.Context(), nil, src.Rows(), &cases); err != nil {
 			t.Fatal(err)
 		}
 		m := e.model.Trained

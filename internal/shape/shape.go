@@ -283,7 +283,7 @@ func runAppendChild(ctx context.Context, e *sqlengine.Engine, ap Append, keys []
 		return nil, rowset.Groups{}, 0, fmt.Errorf("shape: RELATE child column %q not in child query output %v",
 			ap.ChildCol, child.Schema().Names())
 	}
-	g, err := storage.GroupRows(ctx, child.Rows(), keyOrd, keys)
+	g, err := storage.GroupRows(ctx, child.Rows(), keyOrd, child.Schema().Column(keyOrd).Type, keys)
 	return child.Schema(), g, int64(child.Len()), err
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -199,7 +200,7 @@ func TestGroupsPollsContext(t *testing.T) {
 	if _, err := tbl.Groups(&pollLimit{t.Context(), 3}, "id", keys); err != nil {
 		t.Errorf("three polls for %d keys: %v", len(keys), err)
 	}
-	if _, err := GroupRows(&pollLimit{t.Context(), 1}, tbl.Scan().Rows(), 0, keys); !errors.Is(err, context.Canceled) {
+	if _, err := GroupRows(&pollLimit{t.Context(), 1}, tbl.Scan().Rows(), 0, rowset.TypeLong, keys); !errors.Is(err, context.Canceled) {
 		t.Errorf("GroupRows cancelled at its second poll: err = %v", err)
 	}
 }
@@ -272,4 +273,96 @@ func BenchmarkGroups(b *testing.B) {
 			b.Fatalf("Groups: %v (%d rows)", err, len(g.Pos))
 		}
 	}
+}
+
+// keyEqual is rowset.Key equality, the equality an index must keep.
+func keyEqual(a, b rowset.Value) bool {
+	return string(rowset.AppendKey(nil, a)) == string(rowset.AppendKey(nil, b))
+}
+
+// checkProbes probes column col of tbl (rows: its contents) with every key of
+// probes, through Groups and through LookupEqualRows, and wants
+// exactly the rows whose value is Key-equal to the probe; NULL matches
+// nothing in Groups.
+func checkProbes(t *testing.T, what string, g rowset.Groups, rows []rowset.Row, ord int, probes []rowset.Value, lookup func(rowset.Value) ([]rowset.Row, error)) {
+	t.Helper()
+	for i, k := range probes {
+		var want []int32
+		for pos, r := range rows {
+			if k != nil && keyEqual(r[ord], k) {
+				want = append(want, int32(pos))
+			}
+		}
+		lo, hi := g.Bounds(i)
+		if got := g.Pos[lo:hi]; !slices.Equal(got, want) {
+			t.Errorf("%s: Groups(%#v) = %v, want %v", what, k, got, want)
+		}
+		if lookup == nil || k == nil {
+			continue
+		}
+		got, err := lookup(k)
+		if err != nil || len(got) != len(want) {
+			t.Errorf("%s: LookupEqualRows(%#v) = %d rows (%v), want %d", what, k, len(got), err, len(want))
+		}
+	}
+}
+
+// TestIndexKeyEquality: an index keyed by its column's declared type finds
+// exactly the rows rowset.Key equality finds, whatever type a probe has: a
+// LONG index probed with DOUBLE keys (±0, 2^53 and its neighbours), a DOUBLE
+// one probed with LONGs, before and after Replace and Truncate, and rows of
+// a LONG column that hold a value no number equals.
+func TestIndexKeyEquality(t *testing.T) {
+	const two53 = int64(rowset.MaxExactLong)
+	probes := []rowset.Value{int64(0), 0.0, math.Copysign(0, -1), int64(1), 1.0, 1.5, two53, float64(two53),
+		two53 + 1, float64(two53 + 1), -two53 - 1, math.NaN(), nil, "1"}
+	ids := []rowset.Value{int64(0), int64(1), two53, two53 + 1, -two53 - 1, nil, int64(1)}
+	scores := []rowset.Value{0.0, math.Copysign(0, -1), 1.0, float64(two53), math.NaN(), nil, 1.5}
+	fill := func(n int) []rowset.Row {
+		rows := make([]rowset.Row, n)
+		for i := range rows {
+			rows[i] = rowset.Row{ids[i%len(ids)], "x", scores[i%len(scores)]}
+		}
+		return rows
+	}
+	tbl := NewTable("t", testSchema())
+	if err := tbl.InsertMany(fill(20)); err != nil {
+		t.Fatal(err)
+	}
+	for _, col := range []string{"id", "score"} {
+		if err := tbl.CreateIndex(col); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(what string) {
+		for ord, col := range map[int]string{0: "id", 2: "score"} {
+			g, err := tbl.Groups(t.Context(), col, probes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkProbes(t, what+" "+col, g, tbl.Snapshot(), ord, probes, func(k rowset.Value) ([]rowset.Row, error) {
+				return tbl.LookupEqualRows(col, k)
+			})
+		}
+	}
+	check("inserted")
+	if err := tbl.Replace(fill(9)[3:]); err != nil {
+		t.Fatal(err)
+	}
+	check("replaced")
+	tbl.Truncate()
+	check("truncated")
+	if err := tbl.InsertMany(fill(7)); err != nil {
+		t.Fatal(err)
+	}
+	check("refilled")
+
+	// A query's LONG column may hold TEXT: the index rekeys by Key bytes.
+	rows := fill(10)
+	rows[4][0] = "1"
+	g, err := GroupRows(t.Context(), rows, 0, rowset.TypeLong, probes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkProbes(t, "mixed LONG column", g, rows, 0, probes, nil)
 }

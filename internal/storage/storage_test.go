@@ -201,13 +201,13 @@ func TestLoadMissingDir(t *testing.T) {
 	}
 }
 
-// TestHashIndexLookupAllocatesNothing: probing an index encodes the key into a
-// stack buffer and reads the map through it, for every key kind a point
-// lookup or RELATE probe uses.
+// TestHashIndexLookupAllocatesNothing: probing an index allocates nothing, for
+// every key kind a point lookup or RELATE probe uses — numbers in the key
+// table's slots, strings in its map, and a DATE's key bytes in a stack buffer.
 func TestHashIndexLookupAllocatesNothing(t *testing.T) {
 	at := time.Date(2024, 5, 1, 12, 0, 0, 0, time.UTC)
 	for _, v := range []rowset.Value{int64(7), float64(2.5), at, "customer-7"} {
-		ix := newHashIndex(0)
+		ix := newHashIndex(0, rowset.TypeOf(v))
 		ix.add(v, 0)
 		ix.add(v, 1)
 		if got := len(ix.lookup(v)); got != 2 {

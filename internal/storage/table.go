@@ -104,13 +104,7 @@ func (t *Table) Replace(rows []rowset.Row) error {
 	for _, r := range coerced {
 		t.appendLocked(r)
 	}
-	for _, idx := range t.indexes {
-		idx.reset()
-		for pos, r := range t.rows {
-			idx.add(r[idx.ord], pos)
-		}
-	}
-	t.bumpVersion()
+	t.reindexLocked()
 	return nil
 }
 
@@ -120,8 +114,13 @@ func (t *Table) Truncate() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.rows, t.chunks = nil, rowset.Chunks{}
-	for _, idx := range t.indexes {
-		idx.reset()
+	t.reindexLocked()
+}
+
+// reindexLocked rebuilds every index over the table's new contents.
+func (t *Table) reindexLocked() {
+	for k, idx := range t.indexes {
+		t.indexes[k] = newHashIndex(idx.ord, idx.typ).build(t.rows)
 	}
 	t.bumpVersion()
 }
@@ -194,11 +193,7 @@ func (t *Table) CreateIndex(col string) error {
 	if _, exists := t.indexes[key]; exists {
 		return nil
 	}
-	idx := newHashIndex(ord)
-	for pos, r := range t.rows {
-		idx.add(r[ord], pos)
-	}
-	t.indexes[key] = idx
+	t.indexes[key] = newHashIndex(ord, t.schema.Column(ord).Type).build(t.rows)
 	return nil
 }
 
@@ -266,67 +261,71 @@ func (t *Table) Groups(ctx context.Context, col string, keys []rowset.Value) (ro
 }
 
 // GroupRows is Groups over rows no table holds (a query's output), matched
-// on column ord.
-func GroupRows(ctx context.Context, rows []rowset.Row, ord int, keys []rowset.Value) (rowset.Groups, error) {
-	idx := newHashIndex(ord)
-	for pos, r := range rows {
-		idx.add(r[ord], pos)
-	}
-	return idx.groups(ctx, rows, keys)
+// on column ord, declared typ.
+func GroupRows(ctx context.Context, rows []rowset.Row, ord int, typ rowset.Type, keys []rowset.Value) (rowset.Groups, error) {
+	return newHashIndex(ord, typ).build(rows).groups(ctx, rows, keys)
 }
 
-// hashIndex maps value keys to row positions: ids gives a key's slot in pos,
-// from 1; slot 0 is the empty list a missing key reads.
+// hashIndex maps value keys to row positions: ids gives every distinct key —
+// under rowset.Key equality, keyed as the column's declared type says — a
+// dense id, and pos[id] lists its rows.
 type hashIndex struct {
-	ord     int
-	ids     map[string]int32
-	pos     [][]int32
-	scratch []byte // add's key buffer
+	ord int
+	typ rowset.Type
+	ids *rowset.KeyTable
+	pos [][]int32
 }
 
-func newHashIndex(ord int) *hashIndex {
-	return &hashIndex{ord: ord, ids: make(map[string]int32), pos: make([][]int32, 1)}
+func newHashIndex(ord int, typ rowset.Type) *hashIndex {
+	return &hashIndex{ord: ord, typ: typ, ids: rowset.NewKeyTable(rowset.KeyKindOf(typ, typ), 0)}
 }
 
-// add allocates a key string only for a key the index has not seen.
-func (ix *hashIndex) add(v rowset.Value, pos int) {
-	ix.scratch = rowset.AppendKey(ix.scratch[:0], v)
-	id := ix.ids[string(ix.scratch)]
-	if id == 0 {
-		id = int32(len(ix.pos))
-		ix.ids[string(ix.scratch)] = id
-		ix.pos = append(ix.pos, nil)
+// build adds rows to the index, each at its position.
+func (ix *hashIndex) build(rows []rowset.Row) *hashIndex {
+	for pos, r := range rows {
+		ix.add(r[ix.ord], pos)
 	}
-	ix.pos[id] = append(ix.pos[id], int32(pos))
+	return ix
 }
 
-// lookup probes via an AppendKey scratch buffer and a map[string(bytes)]
-// access, which the compiler compiles without materializing the key string —
-// the probe itself does not allocate (the small stack buffer escapes only if
-// the key is unusually long).
+func (ix *hashIndex) add(v rowset.Value, pos int) {
+	if id := ix.ids.Add(v); int(id) < len(ix.pos) {
+		ix.pos[id] = append(ix.pos[id], int32(pos))
+	} else {
+		ix.pos = append(ix.pos, []int32{int32(pos)})
+	}
+}
+
+// lookup neither allocates nor writes, so probes may run side by side.
 func (ix *hashIndex) lookup(v rowset.Value) []int32 {
-	var scratch [48]byte
-	return ix.pos[ix.ids[string(rowset.AppendKey(scratch[:0], v))]]
+	if id, ok := ix.ids.Find(v); ok {
+		return ix.pos[id]
+	}
+	return nil
 }
 
-// groups is Groups' body. Pos starts with room for every row of base, so it
-// grows only when keys repeat.
+// groups is Groups' body, in two passes: the first probes every key,
+// leaving its id in Ends (-1: none) and summing the sizes of the groups; the
+// second copies the groups into a Pos of exactly that size.
 func (ix *hashIndex) groups(ctx context.Context, base []rowset.Row, keys []rowset.Value) (rowset.Groups, error) {
-	g := rowset.Groups{Base: base, Pos: make([]int32, 0, len(base)), Ends: make([]int32, len(keys))}
+	g, n := rowset.Groups{Base: base, Ends: make([]int32, len(keys))}, 0
 	for i, k := range keys {
 		if i%rowset.DefaultBatchSize == 0 {
 			if err := ctx.Err(); err != nil {
 				return rowset.Groups{}, err
 			}
 		}
-		if k != nil {
-			g.Pos = append(g.Pos, ix.lookup(k)...)
+		g.Ends[i] = -1
+		if id, ok := ix.ids.Find(k); ok && k != nil {
+			g.Ends[i], n = id, n+len(ix.pos[id])
+		}
+	}
+	g.Pos = make([]int32, 0, n)
+	for i, id := range g.Ends {
+		if id >= 0 {
+			g.Pos = append(g.Pos, ix.pos[id]...)
 		}
 		g.Ends[i] = int32(len(g.Pos))
 	}
 	return g, nil
-}
-
-func (ix *hashIndex) reset() {
-	*ix = *newHashIndex(ix.ord)
 }
