@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race fuzz-smoke bench bench-parallel bench-smoke heap-probe loadsmoke lint vulncheck check loc
+.PHONY: build test vet race fuzz-smoke bench bench-parallel bench-smoke heap-probe lint vulncheck check loc
 
 build:
 	$(GO) build ./...
@@ -104,17 +104,6 @@ bench-smoke:
 # fails only on an error, never on a number.
 heap-probe:
 	$(GO) run ./tools/heapprobe
-
-# Concurrency smoke: five seconds of mixed dmload traffic (8 reader
-# connections + a training loop) against an in-process dmserver. Fails on
-# any statement error or zero throughput. -slo surfaces over-budget
-# statements with their wire-correlated seq; -check-recorder then asserts
-# $SYSTEM.DM_FLIGHT_RECORDER is non-empty and joins DM_QUERY_LOG on SEQ.
-# No latency-ratio gate here: CI hosts are too small for stable
-# tail-latency comparisons (the ratio is measured and recorded in
-# EXPERIMENTS.md instead).
-loadsmoke:
-	$(GO) run ./cmd/dmload -conns 8 -duration 5s -scale 200 -slo 250ms -check-recorder
 
 # Project-specific static analysis (tools/dmlint) plus formatting and vet.
 # dmlint type-checks the module with the stdlib toolchain and enforces the

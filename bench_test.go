@@ -1,6 +1,8 @@
-// Package repro_test holds the benchmark harness: one BenchmarkE<n>_* per
-// experiment in DESIGN.md's index, wrapping the same code paths as
-// cmd/dmbench, plus micro-benchmarks for the hot provider paths. Run with
+// Package repro_test holds micro-benchmarks of the paths behind the paper's
+// claims, named BenchmarkE<n>_* after DESIGN.md's experiment index, plus
+// the hot provider paths. The claims themselves are test assertions in the
+// packages that own them; end-to-end performance is `go run ./bench`. Run
+// with
 //
 //	go test -bench=. -benchmem
 package repro_test
@@ -20,7 +22,6 @@ import (
 	"repro/internal/dmclient"
 	"repro/internal/dmserver"
 	"repro/internal/dmx"
-	"repro/internal/experiments"
 	"repro/internal/provider"
 	"repro/internal/provider/providertest"
 	"repro/internal/rowset"
@@ -89,32 +90,6 @@ func BenchmarkE1_CasesetVsJoin(b *testing.B) {
 			if _, err := shape.ExecuteStringContext(context.Background(), p.Engine, workload.PaperShape); err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
-}
-
-// ---------- E2: in-provider vs export pipeline ----------
-
-func BenchmarkE2_InDBvsExport(b *testing.B) {
-	b.Run("InProvider", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			p := benchWarehouse(b, benchScale)
-			mustExecB(b, p, benchCreateAge)
-			b.StartTimer()
-			mustExecB(b, p, benchInsertAge)
-		}
-	})
-	b.Run("ExportCSV", func(b *testing.B) {
-		p := benchWarehouse(b, benchScale)
-		dir := b.TempDir()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			n, err := workload.ExportCSV(p.DB, dir, "Customers", "Sales")
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(n)
 		}
 	})
 }
@@ -366,16 +341,6 @@ func BenchmarkTrainDecisionTreesNested(b *testing.B) {
 	}
 }
 
-// ---------- E8: cross-algorithm accuracy (fixed-work measurement) ----------
-
-func BenchmarkE8_Accuracy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Run(context.Background(), "E8", experiments.Config{Scale: 600, Seed: 1}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // ---------- E9: transport overhead ----------
 
 func BenchmarkE9_Server(b *testing.B) {
@@ -407,16 +372,6 @@ func BenchmarkE9_Server(b *testing.B) {
 			}
 		}
 	})
-}
-
-// ---------- E10: the paper's running example ----------
-
-func BenchmarkE10_PaperLifecycle(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Run(context.Background(), "E10", experiments.Config{Scale: 300, Seed: 1}); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // ---------- micro-benchmarks for hot paths ----------

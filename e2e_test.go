@@ -30,7 +30,7 @@ func builtBinary(t *testing.T, name string) string {
 		if buildErr != nil {
 			return
 		}
-		for _, b := range []string{"dmsql", "dmserver", "dmbench"} {
+		for _, b := range []string{"dmsql", "dmserver"} {
 			cmd := exec.Command("go", "build", "-o", filepath.Join(buildDir, b), "./cmd/"+b)
 			out, err := cmd.CombinedOutput()
 			if err != nil {
@@ -154,21 +154,5 @@ func TestDMServerBinary(t *testing.T) {
 	}
 	if rs.Row(0)[0] != int64(50) {
 		t.Errorf("demo customers = %v", rs.Row(0))
-	}
-}
-
-func TestDMBenchBinary(t *testing.T) {
-	bin := builtBinary(t, "dmbench")
-	out, err := exec.Command(bin, "-exp", "e1", "-scale", "100").CombinedOutput()
-	if err != nil {
-		t.Fatalf("dmbench: %v\n%s", err, out)
-	}
-	s := string(out)
-	if !strings.Contains(s, "E1") || !strings.Contains(s, "12") {
-		t.Errorf("E1 output unexpected:\n%s", s)
-	}
-	out, err = exec.Command(bin, "-list").CombinedOutput()
-	if err != nil || !strings.Contains(string(out), "E10") {
-		t.Errorf("dmbench -list: %v\n%s", err, out)
 	}
 }

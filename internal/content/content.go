@@ -148,32 +148,3 @@ func toXML(n *core.ContentNode) *xmlNode {
 	}
 	return x
 }
-
-// ReadXML parses a document produced by WriteXML back into a content graph,
-// returning the model name, algorithm, case count, and root node.
-func ReadXML(r io.Reader) (name, algorithm string, cases int, root *core.ContentNode, err error) {
-	var doc xmlModel
-	dec := xml.NewDecoder(r)
-	if err := dec.Decode(&doc); err != nil {
-		return "", "", 0, nil, fmt.Errorf("content: decode xml: %w", err)
-	}
-	return doc.Name, doc.Algorithm, doc.Cases, fromXML(doc.Root), nil
-}
-
-func fromXML(x *xmlNode) *core.ContentNode {
-	if x == nil {
-		return nil
-	}
-	n := &core.ContentNode{
-		ID: x.ID, Type: core.NodeType(x.Type), Caption: x.Caption,
-		Attribute: x.Attribute, Condition: x.Condition,
-		Support: x.Support, Score: x.Score,
-	}
-	for _, s := range x.States {
-		n.Distribution = append(n.Distribution, core.StateStat(s))
-	}
-	for _, c := range x.Children {
-		n.Children = append(n.Children, fromXML(c))
-	}
-	return n
-}

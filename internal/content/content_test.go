@@ -2,6 +2,9 @@ package content
 
 import (
 	"bytes"
+	"encoding/xml"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -104,7 +107,7 @@ func TestXMLRoundTrip(t *testing.T) {
 			t.Errorf("xml missing %q", want)
 		}
 	}
-	name, algo, cases, got, err := ReadXML(&buf)
+	name, algo, cases, got, err := readXML(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +132,37 @@ func TestXMLRoundTrip(t *testing.T) {
 }
 
 func TestReadXMLErrors(t *testing.T) {
-	if _, _, _, _, err := ReadXML(strings.NewReader("not xml")); err == nil {
+	if _, _, _, _, err := readXML(strings.NewReader("not xml")); err == nil {
 		t.Error("bad xml must fail")
 	}
+}
+
+// readXML parses a document produced by WriteXML back into a content graph,
+// returning the model name, algorithm, case count, and root node: the reader
+// side of the PMML round trip.
+func readXML(r io.Reader) (name, algorithm string, cases int, root *core.ContentNode, err error) {
+	var doc xmlModel
+	dec := xml.NewDecoder(r)
+	if err := dec.Decode(&doc); err != nil {
+		return "", "", 0, nil, fmt.Errorf("content: decode xml: %w", err)
+	}
+	return doc.Name, doc.Algorithm, doc.Cases, fromXML(doc.Root), nil
+}
+
+func fromXML(x *xmlNode) *core.ContentNode {
+	if x == nil {
+		return nil
+	}
+	n := &core.ContentNode{
+		ID: x.ID, Type: core.NodeType(x.Type), Caption: x.Caption,
+		Attribute: x.Attribute, Condition: x.Condition,
+		Support: x.Support, Score: x.Score,
+	}
+	for _, s := range x.States {
+		n.Distribution = append(n.Distribution, core.StateStat(s))
+	}
+	for _, c := range x.Children {
+		n.Children = append(n.Children, fromXML(c))
+	}
+	return n
 }

@@ -2,11 +2,13 @@ package shape
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"repro/internal/rowset"
 	"repro/internal/sqlengine"
 	"repro/internal/storage"
+	"repro/internal/workload"
 )
 
 // paperEngine recreates the exact data behind Table 1 of the paper:
@@ -94,6 +96,90 @@ func TestFlattenedVsShapedRowCount(t *testing.T) {
 	}
 	if shaped.Len() != 2 {
 		t.Errorf("shaped = %d cases", shaped.Len())
+	}
+}
+
+// TestTable1TwelveJoinRows is Table 1 and the sentence around it (E1): the
+// three-way join "will return a table of 12 rows", the caseset is one row
+// per case, and customer 1 comes back exactly as the table prints it. The
+// paper describes only customer 1; its 12 rows imply a second customer with
+// 2 purchases and 2 cars, the one free assumption.
+func TestTable1TwelveJoinRows(t *testing.T) {
+	e := paperEngine(t)
+	for _, s := range []string{
+		"INSERT INTO Sales VALUES (2, 'TV', 1, 'Electronic'), (2, 'Wine', 2, 'Beverage')",
+		"INSERT INTO Cars VALUES (2, 'Sedan', 1.0), (2, 'Bike', 0.5)",
+	} {
+		if _, err := e.Exec(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flat, err := e.Exec(`SELECT c.[Customer ID], c.Gender, c.[Hair Color], c.Age,
+			s.[Product Name], s.Quantity, s.[Product Type], k.Car, k.[Car Prob]
+		FROM Customers c
+		JOIN Sales s ON c.[Customer ID] = s.CustID
+		JOIN Cars k ON k.CustID = c.[Customer ID]`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shaped, err := ExecuteStringContext(context.Background(), e, paperShape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if flat.Len() != 12 || flat.FlatWidth() != 108 {
+		t.Errorf("flattened join = %d rows / %d cells, want 12 / 108", flat.Len(), flat.FlatWidth())
+	}
+	if shaped.Len() != 2 || shaped.FlatWidth() != 46 {
+		t.Errorf("caseset = %d cases / %d cells, want 2 / 46", shaped.Len(), shaped.FlatWidth())
+	}
+	c1 := shaped.Row(0)
+	if got, want := c1[:5], (rowset.Row{int64(1), "Male", "Black", 35.0, 1.0}); !reflect.DeepEqual(got, want) {
+		t.Errorf("customer 1 = %v, want %v", got, want)
+	}
+	purchases := []rowset.Row{
+		{int64(1), "TV", 1.0, "Electronic"}, {int64(1), "VCR", 1.0, "Electronic"},
+		{int64(1), "Ham", 2.0, "Food"}, {int64(1), "Beer", 6.0, "Beverage"},
+	}
+	if got := c1[5].(*rowset.Rowset).Rows(); !reflect.DeepEqual(got, purchases) {
+		t.Errorf("Product Purchases = %v, want %v", got, purchases)
+	}
+	cars := []rowset.Row{{int64(1), "Truck", 1.0}, {int64(1), "Van", 0.5}}
+	if got := c1[6].(*rowset.Rowset).Rows(); !reflect.DeepEqual(got, cars) {
+		t.Errorf("Car Ownership = %v, want %v", got, cars)
+	}
+}
+
+// TestJoinReplicationGrowsWithFanout is the case-assembly claim (E7): over
+// the generated warehouse the flattened join materializes at least three
+// rows per case and more as baskets widen, while SHAPE stays one row per
+// case.
+func TestJoinReplicationGrowsWithFanout(t *testing.T) {
+	const customers = 300
+	prev := 0
+	for _, noise := range []int{0, 25, 50} {
+		db := storage.NewDatabase()
+		if _, err := workload.Populate(db, workload.Config{Customers: customers, Seed: 1, ExtraNoiseProducts: noise}); err != nil {
+			t.Fatal(err)
+		}
+		e := sqlengine.NewEngine(db)
+		shaped, err := ExecuteStringContext(context.Background(), e, workload.PaperShape)
+		if err != nil {
+			t.Fatal(err)
+		}
+		flat, err := e.Exec(`SELECT c.[Customer ID], c.Gender, c.Age, s.[Product Name], s.Quantity, k.Car
+			FROM Customers c
+			JOIN Sales s ON c.[Customer ID] = s.CustID
+			LEFT JOIN Cars k ON k.CustID = c.[Customer ID]`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if shaped.Len() != customers {
+			t.Errorf("noise %d: caseset = %d rows, want %d", noise, shaped.Len(), customers)
+		}
+		if flat.Len() < 3*customers || flat.Len() <= prev {
+			t.Errorf("noise %d: flattened join = %d rows, want ≥ %d and more than %d", noise, flat.Len(), 3*customers, prev)
+		}
+		prev = flat.Len()
 	}
 }
 

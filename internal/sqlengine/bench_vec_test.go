@@ -10,8 +10,9 @@ import (
 	"repro/internal/workload"
 )
 
-// benchTable builds one table shaped like the dmbench warehouse scan target:
-// an integer key, a low-cardinality group column, and a numeric measure.
+// benchTable builds one table shaped like the generated warehouse's
+// Customers scan target: an integer key, a low-cardinality group column, and
+// a numeric measure.
 func benchTable(b *testing.B, n int) *Engine {
 	b.Helper()
 	e := NewEngine(storage.NewDatabase())

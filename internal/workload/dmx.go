@@ -1,90 +1,23 @@
-// DMX traffic generation for cmd/dmload: a deterministic mixed-statement
-// stream (point predictions, point SELECTs, $SYSTEM rowset reads) plus the
-// model DDL and retrain script the harness drives against a live server,
-// and the JSON report types dmload emits.
+// Statements for traffic that reads beside training: a point prediction, a
+// point SELECT, the model DDL, and the drop/create/retrain unit that swaps
+// catalog snapshots under the readers.
+
 package workload
 
-import (
-	"fmt"
-	"math/rand"
-	"sort"
-	"time"
-)
+import "fmt"
 
-// Mining models owned by the load harness. [Load Model] is trained once at
-// setup and serves the predict stream; [Load Train] is retrained in a loop
-// by the trainer connections so catalog snapshots keep swapping under the
-// readers.
+// Mining models of the read-while-train traffic. [Load Model] is trained
+// once at setup and serves the predictions; [Load Train] is retrained in a
+// loop so catalog snapshots keep swapping under the readers.
 const (
 	LoadModelName = "Load Model"
 	LoadTrainName = "Load Train"
 )
 
-// OpKind classifies a generated operation for per-class latency reporting.
-type OpKind string
-
-const (
-	OpPredict OpKind = "predict" // point PREDICTION JOIN against [Load Model]
-	OpSelect  OpKind = "select"  // point SQL SELECT on Customers
-	OpSystem  OpKind = "system"  // $SYSTEM schema rowset read
-	OpTrain   OpKind = "train"   // drop/create/retrain of [Load Train]
-)
-
-// Op is one generated unit of work. Its statements run in order on one
-// connection and the whole unit is timed as a single operation.
+// Op is one unit of work. Its statements run in order on one connection and
+// the whole unit is timed as a single operation.
 type Op struct {
-	Kind       OpKind
 	Statements []string
-}
-
-// MixWeights sets the relative frequency of the read-side statement classes.
-// Train traffic is not part of the mix: dedicated trainer connections loop
-// TrainOp so the read/train ratio is set by connection counts, not dice.
-type MixWeights struct {
-	Predict int
-	Select  int
-	System  int
-}
-
-// DefaultMixWeights is the 5:3:2 predict/select/system mix.
-func DefaultMixWeights() MixWeights { return MixWeights{Predict: 5, Select: 3, System: 2} }
-
-func (w MixWeights) total() int { return w.Predict + w.Select + w.System }
-
-// LoadMix deterministically generates the read-side operation stream for one
-// load connection. Two mixes built with the same seed yield the same stream,
-// so a run is reproducible given (seed, connections, duration).
-type LoadMix struct {
-	rng       *rand.Rand
-	customers int
-	w         MixWeights
-	sys       int
-}
-
-// NewLoadMix returns a generator over a warehouse of the given customer
-// count. Non-positive weights fall back to DefaultMixWeights.
-func NewLoadMix(seed int64, customers int, w MixWeights) *LoadMix {
-	if w.total() <= 0 {
-		w = DefaultMixWeights()
-	}
-	if customers < 1 {
-		customers = 1
-	}
-	return &LoadMix{rng: rand.New(rand.NewSource(seed)), customers: customers, w: w}
-}
-
-// Next returns the next operation in the stream.
-func (m *LoadMix) Next() Op {
-	id := m.rng.Intn(m.customers) + 1
-	switch n := m.rng.Intn(m.w.total()); {
-	case n < m.w.Predict:
-		return Op{Kind: OpPredict, Statements: []string{PredictStatement(id)}}
-	case n < m.w.Predict+m.w.Select:
-		return Op{Kind: OpSelect, Statements: []string{SelectStatement(id)}}
-	default:
-		m.sys++
-		return Op{Kind: OpSystem, Statements: []string{systemRowsets[m.sys%len(systemRowsets)]}}
-	}
 }
 
 // PredictStatement is a single-customer prediction against [Load Model]: the
@@ -99,14 +32,6 @@ func PredictStatement(id int) string {
 // SelectStatement is the plain-SQL point query over the Customers table.
 func SelectStatement(id int) string {
 	return fmt.Sprintf(`SELECT [Customer ID], Gender, Age FROM Customers WHERE [Customer ID] = %d`, id)
-}
-
-// systemRowsets are the $SYSTEM reads the mix rotates through — catalog and
-// metrics rowsets that read the provider's snapshot without touching tables.
-var systemRowsets = []string{
-	"SELECT * FROM $SYSTEM.MINING_MODELS",
-	"SELECT * FROM $SYSTEM.DM_PROVIDER_METRICS",
-	"SELECT * FROM $SYSTEM.MINING_COLUMNS",
 }
 
 const loadModelColumns = `(
@@ -133,72 +58,10 @@ func LoadSetupStatements() []string {
 // full training pass. The drop/create pair forces two catalog snapshot swaps
 // and the INSERT holds the training commit for the length of a scan+train.
 func TrainOp() Op {
-	return Op{Kind: OpTrain, Statements: []string{
+	return Op{Statements: []string{
 		fmt.Sprintf(`DROP MINING MODEL [%s]`, LoadTrainName),
 		fmt.Sprintf(`CREATE MINING MODEL [%s] %s`, LoadTrainName, loadModelColumns),
 		fmt.Sprintf(`INSERT INTO [%s] ([Customer ID], [Gender], [Hair Color], [Age])
 	%s`, LoadTrainName, loadTrainSource),
 	}}
-}
-
-// LoadClass summarizes one latency class of a load run. Quantiles are exact
-// (computed over every recorded sample, not a sketch).
-type LoadClass struct {
-	Name      string  `json:"name"`
-	Ops       int64   `json:"ops"`
-	OpsPerSec float64 `json:"ops_per_sec"`
-	P50Micros int64   `json:"p50_micros"`
-	P95Micros int64   `json:"p95_micros"`
-	P99Micros int64   `json:"p99_micros"`
-}
-
-// LoadReport is the machine-readable result of a cmd/dmload run. The
-// "read-idle" and "read-training" classes aggregate every read operation
-// (predict/select/system) by phase; TrainingReadP95Ratio is the headline
-// number — how much training traffic inflates read tail latency.
-type LoadReport struct {
-	Connections      int     `json:"connections"`
-	TrainConnections int     `json:"train_connections"`
-	Scale            int     `json:"scale"`
-	Seed             int64   `json:"seed"`
-	Seconds          float64 `json:"seconds"`
-	OpenLoopRate     float64 `json:"open_loop_rate,omitempty"`
-
-	Ops            int64   `json:"ops"`
-	Errors         int64   `json:"errors"`
-	BusyRejections int64   `json:"busy_rejections"`
-	OpsPerSec      float64 `json:"ops_per_sec"`
-
-	Classes []LoadClass `json:"classes"`
-
-	ReadP95IdleMicros     int64   `json:"read_p95_idle_micros"`
-	ReadP95TrainingMicros int64   `json:"read_p95_training_micros"`
-	TrainingReadP95Ratio  float64 `json:"training_read_p95_ratio"`
-}
-
-// SummarizeClass builds a LoadClass from raw samples. The sample slice is
-// sorted in place.
-func SummarizeClass(name string, samples []time.Duration, elapsed time.Duration) LoadClass {
-	sort.Slice(samples, func(i, j int) bool { return samples[i] < samples[j] })
-	c := LoadClass{
-		Name:      name,
-		Ops:       int64(len(samples)),
-		P50Micros: QuantileMicros(samples, 0.50),
-		P95Micros: QuantileMicros(samples, 0.95),
-		P99Micros: QuantileMicros(samples, 0.99),
-	}
-	if s := elapsed.Seconds(); s > 0 {
-		c.OpsPerSec = float64(len(samples)) / s
-	}
-	return c
-}
-
-// QuantileMicros returns the q-quantile of an ascending-sorted sample set in
-// microseconds, 0 when empty.
-func QuantileMicros(sorted []time.Duration, q float64) int64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(q * float64(len(sorted)-1))
-	return sorted[i].Microseconds()
 }

@@ -1,5 +1,5 @@
 // Package workload generates the synthetic customer warehouse used by the
-// examples and the experiment harness. The paper's examples run against a
+// examples, the tests and the benchmark. The paper's examples run against a
 // Customers / Product-Purchases / Car-Ownership star schema that we cannot
 // obtain (it was Microsoft's internal demo data), so this package plants a
 // controlled equivalent with known structure:
@@ -9,7 +9,7 @@
 //   - a deterministic association rule (Beer buyers also buy Chips);
 //   - product → product-type relations (the paper's RELATED TO example).
 //
-// The planted structure gives the accuracy experiments ground truth: an
+// The planted structure gives the accuracy tests ground truth: an
 // algorithm that works recovers the archetypes, the age/gender split, and
 // the basket rule.
 package workload

@@ -2,7 +2,6 @@ package workload
 
 import (
 	"context"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/shape"
@@ -131,42 +130,6 @@ func TestPopulateErrors(t *testing.T) {
 	}
 	if _, err := Populate(db, Config{Customers: 10, Seed: 1}); err == nil {
 		t.Error("double populate must fail (tables exist)")
-	}
-}
-
-func TestCSVRoundTrip(t *testing.T) {
-	db := storage.NewDatabase()
-	if _, err := Populate(db, Config{Customers: 80, Seed: 11}); err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	bytes, err := ExportCSV(db, dir, "Customers", "Sales", "Cars")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes <= 0 {
-		t.Error("no bytes exported")
-	}
-	rs, err := ImportCSV(filepath.Join(dir, "Customers.csv"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	orig, _ := db.Table("Customers")
-	if rs.Len() != orig.Len() {
-		t.Fatalf("imported %d rows, want %d", rs.Len(), orig.Len())
-	}
-	// Types survive: Customer ID is LONG, Age DOUBLE.
-	if _, ok := rs.Row(0)[0].(int64); !ok {
-		t.Errorf("id type = %T", rs.Row(0)[0])
-	}
-	if _, ok := rs.Row(0)[3].(float64); !ok {
-		t.Errorf("age type = %T", rs.Row(0)[3])
-	}
-}
-
-func TestImportCSVErrors(t *testing.T) {
-	if _, err := ImportCSV(filepath.Join(t.TempDir(), "missing.csv")); err == nil {
-		t.Error("missing file must fail")
 	}
 }
 
