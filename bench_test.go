@@ -321,6 +321,26 @@ func BenchmarkTokenizeNested(b *testing.B) {
 // and discretized once.
 func BenchmarkTrainDecisionTreesNested(b *testing.B) {
 	def, rs := nestedCaseset(b)
+	benchTrainDecisionTrees(b, def, rs)
+}
+
+// BenchmarkTrainDecisionTreesFlat is the trainer alone on the flat caseset the
+// dt_flat statement of `go run ./bench -workload train_nested` trains on: 50,000
+// customers, Gender and Hair Color predicting Age discretized.
+func BenchmarkTrainDecisionTreesFlat(b *testing.B) {
+	p := benchWarehouse(b, 50000)
+	mustExecB(b, p, `CREATE MINING MODEL [Bench Flat] ([Customer ID] LONG KEY, [Gender] TEXT DISCRETE,
+		[Hair Color] TEXT DISCRETE, [Age] DOUBLE DISCRETIZED PREDICT) USING [Decision_Trees]`)
+	def, err := p.ModelDef("Bench Flat")
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchTrainDecisionTrees(b, def, mustExecB(b, p, "SELECT [Customer ID], Gender, [Hair Color], Age FROM Customers ORDER BY [Customer ID]"))
+}
+
+// benchTrainDecisionTrees tokenizes rs for def and discretizes Age once, then
+// times Decision_Trees training alone.
+func benchTrainDecisionTrees(b *testing.B, def *core.ModelDef, rs *rowset.Rowset) {
 	cs, err := core.NewTokenizer(def).Tokenize(rs)
 	if err != nil {
 		b.Fatal(err)

@@ -148,6 +148,14 @@ func (cell Cell) Value() float64 {
 	return cell.Num
 }
 
+// Cell returns attribute i's cell, with ok=false when the case has none.
+func (c Case) Cell(i int) (Cell, bool) {
+	if at, ok := c.find(i); ok {
+		return c.cells[at], true
+	}
+	return Cell{}, false
+}
+
 // Has reports whether attribute i is present in the case.
 func (c Case) Has(i int) bool {
 	_, ok := c.find(i)
@@ -178,13 +186,21 @@ type Cases struct {
 // Len returns the number of cases.
 func (cs *Cases) Len() int { return len(cs.Ends) }
 
-// Case returns a view of case i; its cells alias the arena.
-func (cs *Cases) Case(i int) Case {
+// CellsOf returns case i's cells; they alias the arena.
+func (cs *Cases) CellsOf(i int) []Cell {
 	lo := int32(0)
 	if i > 0 {
 		lo = cs.Ends[i-1]
 	}
-	c := Case{cells: cs.Cells[lo:cs.Ends[i]:cs.Ends[i]], Weight: cs.Weights[i], Key: cs.Keys[i]}
+	return cs.Cells[lo:cs.Ends[i]:cs.Ends[i]]
+}
+
+// CellOf returns case i's cell for attribute a, with ok=false when it has none.
+func (cs *Cases) CellOf(i, a int) (Cell, bool) { return Case{cells: cs.CellsOf(i)}.Cell(a) }
+
+// Case returns a view of case i; its cells alias the arena.
+func (cs *Cases) Case(i int) Case {
+	c := Case{cells: cs.CellsOf(i), Weight: cs.Weights[i], Key: cs.Keys[i]}
 	if i < len(cs.Seqs) {
 		c.Sequences = cs.Seqs[i]
 	}
