@@ -1,6 +1,7 @@
 package rowset
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -77,7 +78,39 @@ func FuzzSortByKeys(f *testing.F) {
 		if kind%4 < 2 && len(keys) > 1 && path == "compare" {
 			t.Errorf("a column of kind %d took the compare path", kind%4)
 		}
+		// The same keys as the second column of the rows they order.
+		rows := make([]Row, len(keys))
+		for i, k := range keys {
+			rows[i] = Row{int32(i), k[0]}
+		}
+		if got := SortByColumn(rows, 1, desc); got != path {
+			t.Errorf("SortByColumn took %s, SortByKeys %s (keys %v, desc %v)", got, path, keys, desc)
+		}
+		for i, r := range rows {
+			if r[0] != want[i] {
+				t.Fatalf("SortByColumn put row %v at %d, the comparator sort row %d (keys %v, desc %v)", r[0], i, want[i], keys, desc)
+			}
+		}
 	})
+}
+
+// TestSortByColumnAllocs: rows already in order by the column cost nothing to
+// sort; rows out of order cost the radix pass's buffers, never key rows.
+func TestSortByColumnAllocs(t *testing.T) {
+	rows := make([]Row, 50000)
+	for i := range rows {
+		rows[i] = Row{int64(i), float64(i) / 3, fmt.Sprint(100000 + i)}
+	}
+	for col := range rows[0] {
+		if n := testing.AllocsPerRun(5, func() { SortByColumn(rows, col, false) }); n != 0 {
+			t.Errorf("column %d in order: %v allocations", col, n)
+		}
+	}
+	rev := slices.Clone(rows)
+	slices.Reverse(rev)
+	if n := testing.AllocsPerRun(1, func() { SortByColumn(slices.Clone(rev), 0, false) }); n > 6 {
+		t.Errorf("column 0 reversed: %v allocations, want the clone and the radix buffers", n)
+	}
 }
 
 // TestSortPaths: which path a key column takes.
@@ -102,8 +135,12 @@ func TestSortPaths(t *testing.T) {
 		for i, v := range c.keys {
 			keys[i] = Row{v}
 		}
+		rows := slices.Clone(keys)
 		if got := SortByKeys(identity(len(keys)), keys, []bool{c.desc}); got != c.want {
 			t.Errorf("SortByKeys(%v, desc %v) took %q, want %q", c.keys, c.desc, got, c.want)
+		}
+		if got := SortByColumn(rows, 0, c.desc); got != c.want {
+			t.Errorf("SortByColumn(%v, desc %v) took %q, want %q", c.keys, c.desc, got, c.want)
 		}
 	}
 }

@@ -280,12 +280,17 @@ func (e *Engine) project(ctx context.Context, t *obs.Trace, sel *SelectStmt, src
 	}
 	e.batches.Add(batches.Load())
 	rows, sortKeys := concatRows(outs), concatRows(keys)
-	if ordered && plan.keyOrds != nil {
+	if ordered && len(plan.keyOrds) > 1 {
 		sortKeys = keysForOrds(rows, plan.keyOrds)
 	}
 	if ordered {
 		spSort := t.StartSpan("sort", "")
-		path := rowset.SortByKeys(rows, sortKeys, descFlags(sel.OrderBy))
+		var path string
+		if len(plan.keyOrds) == 1 {
+			path = rowset.SortByColumn(rows, plan.keyOrds[0], sel.OrderBy[0].Desc)
+		} else {
+			path = rowset.SortByKeys(rows, sortKeys, descFlags(sel.OrderBy))
+		}
 		spSort.SetLabel(obs.Label{Text: path})
 		spSort.SetRows(int64(len(rows)))
 		t.EndSpan(spSort)

@@ -719,8 +719,9 @@ var differentialFixtures = []string{
 	"SELECT city, COUNT(*), MAX(age) FROM C GROUP BY city ORDER BY city DESC",
 	"SELECT k, COUNT(*) FROM B GROUP BY k",
 	"SELECT d, COUNT(*) FROM B GROUP BY d",
-	// One ORDER BY key: presorted, radix (LONG and DOUBLE, both directions,
-	// ±0 and the limits) and the comparator (mixed LONG and DOUBLE).
+	// One ORDER BY key, read off the output rows: presorted, radix (LONG and
+	// DOUBLE, both directions, ±0 and the limits), TEXT and the comparator
+	// (mixed LONG and DOUBLE).
 	"SELECT id, name FROM C ORDER BY id",
 	"SELECT id, name FROM C ORDER BY id DESC",
 	"SELECT oid, amount FROM O ORDER BY amount DESC",
@@ -728,6 +729,8 @@ var differentialFixtures = []string{
 	"SELECT k, d FROM B WHERE k IS NOT NULL ORDER BY k DESC",
 	"SELECT k, d FROM B WHERE d IS NOT NULL ORDER BY d",
 	"SELECT id, x FROM W ORDER BY x DESC",
+	"SELECT id, name FROM C ORDER BY name",
+	"SELECT id, city FROM C ORDER BY city DESC",
 	// A hash join whose output crosses the 1024-row batch size mid-row.
 	"SELECT a.id, b.id FROM C AS a JOIN C AS b ON a.city = b.city",
 	"SELECT a.id, b.name FROM C AS a LEFT JOIN C AS b ON a.city = b.city WHERE a.id > 10",

@@ -138,18 +138,11 @@ type projectCursor struct {
 	keyBuf []rowset.Row
 }
 
-// keysForOrds gathers ORDER BY key rows from projected output columns after
-// the merge (the keyOrds fast path). Single-key ORDER BY — the common case —
-// produces zero-copy one-column views into the output rows.
+// keysForOrds gathers the key rows of an ORDER BY on several projected
+// output columns after the merge (the keyOrds fast path); one such column is
+// sorted in place by rowset.SortByColumn instead.
 func keysForOrds(outs []rowset.Row, ords []int) []rowset.Row {
 	keys := make([]rowset.Row, len(outs))
-	if len(ords) == 1 {
-		o := ords[0]
-		for i, r := range outs {
-			keys[i] = r[o : o+1 : o+1]
-		}
-		return keys
-	}
 	w := len(ords)
 	arena := make(rowset.Row, len(outs)*w)
 	for i, r := range outs {
@@ -263,8 +256,8 @@ func descFlags(order []OrderItem) []bool {
 // drainWithKeys pulls the projection to exhaustion, collecting output rows
 // and their parallel sort keys (read off proj after each pull — cur may be a
 // tracing wrapper around proj, or its DISTINCT/TOP tail on an unordered
-// statement; none under the keyOrds fast path, whose keys keysForOrds gathers
-// once the partitions' rows are merged); batches reports how many batches
+// statement; none under the keyOrds fast path, whose keys are read off the
+// merged rows); batches reports how many batches
 // flowed. On an error, outs and batches hold what flowed before it.
 func drainWithKeys(cur rowset.BatchCursor, proj *projectCursor) (outs, keys []rowset.Row, batches int64, err error) {
 	defer cur.Close() //nolint:errcheck // Close after exhaustion is a no-op
