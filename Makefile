@@ -63,7 +63,9 @@ bench:
 # then tokenize and Decision_Trees training alone on the nested caseset, and
 # Decision_Trees training alone on the 50k flat caseset), of
 # the two prediction-join benchmarks (a whole-table NATURAL PREDICTION JOIN
-# and a singleton one), of the SQL engine's four sql_analytic statements over
+# and a singleton one) at 1,000 customers, of predict_batch's two whole-table
+# joins at 50,000 (BenchmarkPredictBatch: the source streams in 4096-row
+# partitions), of the SQL engine's four sql_analytic statements over
 # the 50k-customer warehouse (filter + ORDER BY, wide filter, GROUP BY, and
 # the partitioned JOIN … GROUP BY over 156k sales), of a RELATE's index
 # probes (Table.Groups, 50k LONG keys over 156k rows), of EQUAL_AREAS cuts
@@ -72,17 +74,19 @@ bench:
 # compiling and running and the log shows what a training case, a
 # prediction, a statement, a probe and a decoded row allocate. The callers of
 # par.Forks.Run — the whole INSERT INTO and the tokenize alone (case ranges
-# encoded, listed and merged), both Decision_Trees trainings, and the statements'
-# partitions and join index build — run at -cpu 1,2: GOMAXPROCS changes
+# encoded, listed and merged), both Decision_Trees trainings, the prediction
+# joins' partitions, and the statements' partitions and join index build —
+# run at -cpu 1,2: GOMAXPROCS changes
 # inside one process, so a bound sized once at package init rather than per
 # Run call would show there (at 1 nothing forks). So does BenchmarkGroups,
 # whose probes run on the caller's goroutine at either count.
-# Numbers are recorded in EXPERIMENTS.md; the partitioned PREDICTION JOIN and
-# SQL join paths are measured by `go run ./bench` (predict_batch,
-# sql_analytic).
+# Numbers are recorded in EXPERIMENTS.md; end to end, the partitioned
+# PREDICTION JOIN and SQL join paths are measured by `go run ./bench`
+# (predict_batch, sql_analytic).
 bench-parallel:
 	$(GO) test -run '^$$' -bench 'BenchmarkE4_PredictionJoinNatural|BenchmarkE4_PredictionSingleCase' -benchtime=1x -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkInsertNested|BenchmarkTokenizeNested|BenchmarkTrainDecisionTrees(Nested|Flat)' -benchtime=1x -benchmem -cpu 1,2 .
+	$(GO) test -run '^$$' -bench 'BenchmarkPredictBatch' -benchtime=1x -benchmem -cpu 1,2 .
 	$(GO) test -run '^$$' -bench 'BenchmarkWarehouseSQL' -benchtime=1x -benchmem -cpu 1,2 ./internal/sqlengine
 	$(GO) test -run '^$$' -bench 'BenchmarkGroups' -benchtime=1x -benchmem -cpu 1,2 ./internal/storage
 	$(GO) test -run '^$$' -bench 'BenchmarkEqualAreas' -benchtime=1x -benchmem ./internal/algo/discretize

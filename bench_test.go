@@ -179,6 +179,31 @@ func BenchmarkE4_PredictionSingleCase(b *testing.B) {
 	}
 }
 
+// BenchmarkPredictBatch runs the two statements of `go run ./bench -workload
+// predict_batch`: whole-table NATURAL PREDICTION JOINs of flat Decision_Trees
+// and Naive_Bayes models over 50,000 customers, one sub-benchmark each. At
+// this size the source scan runs as 4096-row partitions; the BenchmarkE4_*
+// joins read 1,000 rows, one partition.
+func BenchmarkPredictBatch(b *testing.B) {
+	p := benchWarehouse(b, 50000)
+	for _, m := range []struct{ name, service string }{{"dt_flat", "Decision_Trees"}, {"nb_flat", "Naive_Bayes"}} {
+		model := "Bench Flat " + m.service
+		mustExecB(b, p, fmt.Sprintf(`CREATE MINING MODEL [%s] ([Customer ID] LONG KEY, [Gender] TEXT DISCRETE,
+			[Hair Color] TEXT DISCRETE, [Age] DOUBLE DISCRETIZED PREDICT) USING [%s]`, model, m.service))
+		mustExecB(b, p, fmt.Sprintf(`INSERT INTO [%s] ([Customer ID], [Gender], [Hair Color], [Age])
+			SELECT [Customer ID], Gender, [Hair Color], Age FROM Customers ORDER BY [Customer ID]`, model))
+		q := fmt.Sprintf(`SELECT t.[Customer ID], [%s].[Age], PredictProbability([Age]) FROM [%s]
+			NATURAL PREDICTION JOIN (SELECT [Customer ID], Gender, [Hair Color] FROM Customers) AS t`, model, model)
+		mustExecB(b, p, q) // the first join indexes [Customer ID]
+		b.Run(m.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				mustExecB(b, p, q)
+			}
+		})
+	}
+}
+
 // ---------- E5: content and PMML ----------
 
 func BenchmarkE5_ContentRowset(b *testing.B) {

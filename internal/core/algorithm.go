@@ -81,15 +81,22 @@ type PredictionBatch struct {
 	// Histogram[i] is case i's histogram, most probable first. The column is
 	// empty unless the batch was made for histograms.
 	Histogram [][]Bucket
+	figures   []float64 // Prob, Support and Stdev, end to end
 }
 
-// Reset makes the batch's columns for n cases, with histograms only when hist
-// is set.
+// Reset makes the batch's columns for n cases, cleared, with histograms only
+// when hist is set. It reuses the room the columns already have.
 func (b *PredictionBatch) Reset(n int, hist bool) {
-	f := make([]float64, 3*n) // the three figures share one allocation
-	*b = PredictionBatch{Estimate: make([]rowset.Value, n), Prob: f[:n:n], Support: f[n : 2*n : 2*n], Stdev: f[2*n:]}
+	if cap(b.Estimate) < n || cap(b.figures) < 3*n {
+		*b = PredictionBatch{Estimate: make([]rowset.Value, n), figures: make([]float64, 3*n)}
+	}
+	f := b.figures[:3*n]
+	clear(f)
+	b.Estimate, b.Prob, b.Support, b.Stdev = b.Estimate[:n], f[:n:n], f[n:2*n:2*n], f[2*n:]
+	clear(b.Estimate)
+	b.Histogram = b.Histogram[:0]
 	if hist {
-		b.Histogram = make([][]Bucket, n)
+		b.Histogram = append(b.Histogram, make([][]Bucket, n)...)
 	}
 }
 

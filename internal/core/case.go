@@ -218,6 +218,11 @@ func (cs *Cases) Append(c Case) {
 	cs.Keys = append(cs.Keys, c.Key)
 }
 
+// Reset empties cs and keeps its room for the next cases.
+func (cs *Cases) Reset() {
+	cs.Cells, cs.Ends, cs.Weights, cs.Keys, cs.Seqs = cs.Cells[:0], cs.Ends[:0], cs.Weights[:0], cs.Keys[:0], cs.Seqs[:0]
+}
+
 // Clone copies the arena and its side arrays, so growing or discretizing the
 // copy never reaches the original. Keys and sequences are immutable and shared.
 func (cs *Cases) Clone() Cases {

@@ -59,8 +59,16 @@ func (p *Provider) planSpan(ctx context.Context, st dmx.Statement) *obs.Span {
 	case *dmx.Shape:
 		root.Add(st.Query.PlanSpan())
 	case *dmx.PredictionSelect:
-		root.Add(sourcePlanSpan(st.Source))
-		root.Add(relationPlanSpan(st.Select, "predict", "model="+st.Model))
+		// A source that streams is planned inside the select, its operators
+		// ahead of the predict operator they feed.
+		sel := relationPlanSpan(st.Select, "predict", "model="+st.Model)
+		if in, _ := p.Engine.PlanInput(ctx, st.Source.Select); in != nil {
+			root.Add(obs.NewSpan("caseset", ""))
+			sel.Children = append(p.Engine.InputPlanSpans(st.Select, in), sel.Children...)
+		} else {
+			root.Add(sourcePlanSpan(st.Source))
+		}
+		root.Add(sel)
 	case *dmx.RowsetSelect:
 		root.Add(relationPlanSpan(st.Select, "rowset", st.Name()))
 	case *dmx.InsertInto:

@@ -100,9 +100,10 @@ func TestExplainPlanOnly(t *testing.T) {
 	}
 	// A prediction statement lists the source's operators, then the predict
 	// operator and the SQL engine's own filter, project and sort — the order
-	// execution records them in.
+	// execution records them in. A source that only reads columns streams, so
+	// its scan and projection sit in the statement's select.
 	rows = decodeExplain(t, mustExec(t, p, "EXPLAIN "+predictAgeQuery+" WHERE t.Age > 30 ORDER BY Predict([Age])"))
-	if got, want := operators(rows), "statement,caseset,select,scan,project,select,predict,filter,project,sort"; got != want {
+	if got, want := operators(rows), "statement,caseset,select,scan,project,predict,filter,project,sort"; got != want {
 		t.Errorf("EXPLAIN of a prediction join lists %s, want %s", got, want)
 	}
 	// The statement was planned, not run: the model must still be untrained.
@@ -234,8 +235,12 @@ func TestExplainAnalyzePredictPartitioned(t *testing.T) {
 	p := trainedProviderWorkers(t, 2, manyCustomers)
 	rows := decodeExplain(t, mustExec(t, p, "EXPLAIN ANALYZE "+predictAgeQuery+
 		" WHERE t.Age > 30 ORDER BY Predict([Age]), t.[Customer ID]"))
-	if got, want := operators(rows), "statement,caseset,select,scan,project,select,predict,filter,project,sort"; got != want {
+	if got, want := operators(rows), "statement,caseset,select,scan,project,predict,filter,project,sort"; got != want {
 		t.Errorf("operators = %s, want %s", got, want)
+	}
+	// The streamed source's scan runs in the statement's partitions.
+	if sc := findOp(rows, "scan"); !strings.Contains(sc.label, "morsels=3 workers=2") || sc.rows.(int64) != manyCustomers {
+		t.Errorf("scan span = %q over %v rows, want the fan-out of the source's partitions", sc.label, sc.rows)
 	}
 	pr := findOp(rows, "predict")
 	if !strings.HasPrefix(pr.label, "model=Age Prediction morsels=3 workers=2 batches=") {

@@ -25,7 +25,7 @@ func (e *Engine) aggregate(ctx context.Context, t *obs.Trace, sel *SelectStmt, s
 	defer t.EndSpan(sp)
 	parts := make([]*aggAccum, src.n)
 	var batches atomic.Int64
-	err = e.forEachPartition(ctx, t, src, func(i int, cur rowset.BatchCursor, fr *frames) error {
+	err = e.forEachPartition(ctx, t, src, true, true, func(i int, cur rowset.BatchCursor, fr *frames) error {
 		defer cur.Close() //nolint:errcheck // engine cursors fail only via NextBatch
 		acc := &aggAccum{aggPlan: plan, frames: fr, keys: rowset.NewKeyTable(plan.keyKind, 0)}
 		parts[i] = acc

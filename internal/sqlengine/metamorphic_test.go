@@ -183,7 +183,7 @@ func withoutColumnA(t *testing.T, e *Engine) *Relation {
 			}
 			return nil
 		},
-		Bind: func() func([]rowset.Row, []any) (int, error) {
+		Bind: func(bool) func([]rowset.Row, []any) (int, error) {
 			return perRow(func(r rowset.Row) (any, error) { return aOf[r[0].(int64)], nil })
 		},
 		Kind: "bind",

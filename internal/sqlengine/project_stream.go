@@ -130,6 +130,11 @@ type projectCursor struct {
 	frames *frames
 	env    Env
 	failed error // see cutShort
+	// reuse lets the output rows of one batch be written over by the next:
+	// nothing downstream keeps them (a streamed input's rows, bound and
+	// copied from before the next pull).
+	reuse bool
+	arena rowset.Row
 
 	// The reused output-row buffer, and the per-batch sort keys (parallel to
 	// the last returned batch's live rows; read via batchKeys before the next
@@ -189,9 +194,9 @@ func (p *projectCursor) NextBatch() (rowset.Batch, error) {
 		return b, nil
 	}
 	n := b.Len()
-	// Output rows and key rows are carved out of one fresh arena allocation
-	// per batch instead of one per row. The arenas must be fresh (not reused
-	// buffers): downstream drains retain the individual rows.
+	// Output rows and key rows are carved out of one arena allocation per
+	// batch instead of one per row. The arenas are fresh unless reuse says
+	// otherwise: downstream drains retain the individual rows.
 	kk := len(p.orderPlan)
 	var keyArena rowset.Row
 	if p.orderPlan != nil {
@@ -214,7 +219,10 @@ func (p *projectCursor) NextBatch() (rowset.Batch, error) {
 	}
 	p.outBuf = p.outBuf[:0]
 	w := len(p.ords)
-	arena := make(rowset.Row, n*w)
+	if !p.reuse || cap(p.arena) < n*w {
+		p.arena = make(rowset.Row, n*w)
+	}
+	arena := p.arena[:n*w]
 	for i := 0; i < n; i++ {
 		p.frames.load(&p.env, b, i)
 		out := arena[i*w : (i+1)*w : (i+1)*w]
@@ -242,7 +250,6 @@ func (p *projectCursor) batchKeys() []rowset.Row { return p.keyBuf }
 // (outputSchema), and no operator above a projection asks for its schema.
 func (p *projectCursor) Schema() *rowset.Schema { return nil }
 func (p *projectCursor) Close() error           { return p.src.Close() }
-func (p *projectCursor) Size() int              { return cursorSize(p.src) }
 
 // descFlags extracts the per-key descending flags for rowset.SortByKeys.
 func descFlags(order []OrderItem) []bool {
@@ -253,21 +260,16 @@ func descFlags(order []OrderItem) []bool {
 	return d
 }
 
-// drainWithKeys pulls the projection to exhaustion, collecting output rows
-// and their parallel sort keys (read off proj after each pull — cur may be a
-// tracing wrapper around proj, or its DISTINCT/TOP tail on an unordered
-// statement; none under the keyOrds fast path, whose keys are read off the
-// merged rows); batches reports how many batches
-// flowed. On an error, outs and batches hold what flowed before it.
-func drainWithKeys(cur rowset.BatchCursor, proj *projectCursor) (outs, keys []rowset.Row, batches int64, err error) {
+// drainWithKeys pulls the projection to exhaustion, appending output rows
+// to outs and their parallel sort keys to keys (read off proj after each pull
+// — cur may be a tracing wrapper around proj, or its DISTINCT/TOP tail on an
+// unordered statement; none under the keyOrds fast path, whose keys are read
+// off the merged rows); batches reports how many batches flowed. On an
+// error, outs and batches hold what flowed before it.
+func drainWithKeys(cur rowset.BatchCursor, proj *projectCursor, outs, keys []rowset.Row) ([]rowset.Row, []rowset.Row, int64, error) {
 	defer cur.Close() //nolint:errcheck // Close after exhaustion is a no-op
 	keyed := len(proj.orderPlan) > 0
-	if n := cursorSize(cur); n > 0 {
-		outs = make([]rowset.Row, 0, n) // upper bound: filters shrink it
-		if keyed {
-			keys = make([]rowset.Row, 0, n)
-		}
-	}
+	var batches int64
 	for {
 		b, err := cur.NextBatch()
 		if err != nil {

@@ -62,7 +62,7 @@ func newTestRelation(n int) *testRelation {
 			}
 			return read(func(f *testFrame) *atomic.Int32 { return &f.order })
 		},
-		Bind: func() func([]rowset.Row, []any) (int, error) {
+		Bind: func(bool) func([]rowset.Row, []any) (int, error) {
 			return perRow(func(r rowset.Row) (any, error) {
 				tr.binds.Add(1)
 				id := r[0].(int64)
@@ -238,8 +238,8 @@ func TestErrorsSurfaceInRowOrder(t *testing.T) {
 	// The same holds for a relation's binder.
 	tr := newTestRelation(200)
 	bind := tr.Bind
-	tr.Bind = func() func([]rowset.Row, []any) (int, error) {
-		inner := bind()
+	tr.Bind = func(reuse bool) func([]rowset.Row, []any) (int, error) {
+		inner := bind(reuse)
 		return func(rows []rowset.Row, ext []any) (int, error) {
 			for i, r := range rows {
 				if r[0].(int64) == 10 {
