@@ -15,6 +15,29 @@ import (
 // must cost less than the smallest buffer it would take otherwise: key rows
 // (24 B a row) or a radix image (8 B a row).
 func TestOrderByOneColumnAllocatesNoKeys(t *testing.T) {
+	bytes := warehouseBytes(t)
+	const sel = "SELECT [Customer ID], Gender, Age FROM Customers"
+	plain, ordered := bytes(sel, 50000), bytes(sel+" ORDER BY [Customer ID]", 50000)
+	if extra := int64(ordered) - int64(plain); extra >= 8*50000 {
+		t.Errorf("ORDER BY [Customer ID] allocates %d B more than the plain SELECT (%d B), want under %d", extra, plain, 8*50000)
+	}
+}
+
+// TestTopAllocatesWhatItKeeps: a TOP without ORDER BY trims inside the one
+// partition it scans, so its output grows to the rows it keeps: 3.9 KB a
+// run. A result slice sized to the 50k Customers rows costs 1.2 MB (24 B a
+// row).
+func TestTopAllocatesWhatItKeeps(t *testing.T) {
+	bytes := warehouseBytes(t)
+	if got := bytes("SELECT TOP 10 * FROM Customers", 10); got >= 8*50000 {
+		t.Errorf("SELECT TOP 10 allocates %d B, want under %d", got, 8*50000)
+	}
+}
+
+// warehouseBytes populates the 50k-customer warehouse and returns what one
+// run of a statement allocates, averaged over five runs that must each return
+// rows rows.
+func warehouseBytes(t *testing.T) func(sql string, rows int) uint64 {
 	if testing.Short() {
 		t.Skip("populates the 50k-customer warehouse")
 	}
@@ -22,7 +45,7 @@ func TestOrderByOneColumnAllocatesNoKeys(t *testing.T) {
 	if _, err := workload.Populate(e.DB, workload.Config{Customers: 50000, Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
-	bytes := func(sql string) uint64 {
+	return func(sql string, rows int) uint64 {
 		stmt, err := Parse(sql)
 		if err != nil {
 			t.Fatal(err)
@@ -31,16 +54,11 @@ func TestOrderByOneColumnAllocatesNoKeys(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for range runs {
-			if rs, err := e.ExecStmtContext(context.Background(), stmt); err != nil || rs.Len() != 50000 {
+			if rs, err := e.ExecStmtContext(context.Background(), stmt); err != nil || rs.Len() != rows {
 				t.Fatalf("%s: %v", sql, err)
 			}
 		}
 		runtime.ReadMemStats(&after)
 		return (after.TotalAlloc - before.TotalAlloc) / runs
-	}
-	const sel = "SELECT [Customer ID], Gender, Age FROM Customers"
-	plain, ordered := bytes(sel), bytes(sel+" ORDER BY [Customer ID]")
-	if extra := int64(ordered) - int64(plain); extra >= 8*50000 {
-		t.Errorf("ORDER BY [Customer ID] allocates %d B more than the plain SELECT (%d B), want under %d", extra, plain, 8*50000)
 	}
 }
