@@ -195,14 +195,18 @@ func TestExplainAnalyzePredict(t *testing.T) {
 
 // TestExplainAnalyzeJoinBuildAndSortPath: EXPLAIN ANALYZE of a hash join
 // shows the index build apart from the probe — the right input's scan span
-// counts the rows indexed and times the build, the join span the probe — and
-// the sort span's label names the path the sort took, with the same operators
-// bare EXPLAIN plans.
+// counts the rows indexed, the join span times the probe — and the sort
+// span's label names the path the sort took, with the same operators bare
+// EXPLAIN plans. The three joins run on one provider over one Sales version:
+// the first builds Sales' join index (its scan label says "built" and the span
+// times the build), the next two reuse it ("reused", no build time), and bare
+// EXPLAIN says which a run would do now.
 func TestExplainAnalyzeJoinBuildAndSortPath(t *testing.T) {
 	p := MustNew()
 	setupCustomerData(t, p, 5000)
 	sales := mustExec(t, p, "SELECT COUNT(*) FROM Sales").Row(0)[0].(int64)
 	const join = "SELECT c.Gender, s.Quantity FROM Customers c JOIN Sales s ON c.[Customer ID] = s.CustID ORDER BY "
+	runs := 0
 	for order, path := range map[string]string{
 		"c.[Customer ID]": "presorted", // the join keeps the customers' scan order
 		"s.Quantity DESC": "radix",
@@ -215,8 +219,18 @@ func TestExplainAnalyzeJoinBuildAndSortPath(t *testing.T) {
 			t.Fatalf("%s: EXPLAIN ANALYZE ran %s, EXPLAIN planned %s", q, got, want)
 		}
 		build, probe := rows[3], rows[4]
-		if build.rows != sales || build.elapsedUS == nil || build.elapsedUS.(int64) <= 0 {
-			t.Errorf("%s: right input's scan span = %v rows in %v us, want the %d rows indexed and the build's time", q, build.rows, build.elapsedUS, sales)
+		if build.rows != sales {
+			t.Errorf("%s: right input's scan span = %v rows, want the %d rows indexed", q, build.rows, sales)
+		}
+		if runs++; runs == 1 {
+			if !strings.Contains(build.label, "join-index=built") || build.elapsedUS == nil || build.elapsedUS.(int64) <= 0 {
+				t.Errorf("%s: first run's right input scan span = %q in %v us, want the index built and the build's time", q, build.label, build.elapsedUS)
+			}
+		} else if !strings.Contains(build.label, "join-index=reused") || build.elapsedUS == nil || build.elapsedUS.(int64) != 0 {
+			t.Errorf("%s: run %d's right input scan span = %q in %v us, want the index reused and no build time", q, runs, build.label, build.elapsedUS)
+		}
+		if !strings.Contains(planned[3].label, "join-index=reused") {
+			t.Errorf("%s: EXPLAIN after a run plans the right input scan as %q, want the index reused", q, planned[3].label)
 		}
 		if probe.rows != sales || probe.elapsedUS == nil {
 			t.Errorf("%s: join span = %v rows in %v us, want %d joined rows and the probe's time", q, probe.rows, probe.elapsedUS, sales)

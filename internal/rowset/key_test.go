@@ -65,19 +65,13 @@ func checkKeyEquality(t *testing.T, a, b Value) {
 }
 
 // TestKeyTableIDs: ids are dense and in first-seen order, survive the table's
-// growth and its turn to bytes when a value has no key under its kind, and
-// AddNum agrees with Add.
+// growth and its turn to bytes when a value has no key under its kind.
 func TestKeyTableIDs(t *testing.T) {
 	for _, kind := range []KeyKind{KeyBytes, KeyText, KeyLong, KeyFloat} {
 		tab := NewKeyTable(kind, 0)
 		for i := 0; i < 3000; i++ {
 			if id := tab.Add(int64(i)); id != int32(i) {
 				t.Fatalf("kind %d: Add(%d) = %d, want %d", kind, i, id, i)
-			}
-		}
-		if k, ok := kind.NumKey(int64(5)); ok {
-			if id := tab.AddNum(k); id != 5 || tab.Len() != 3000 {
-				t.Errorf("kind %d: AddNum(5) = %d with %d ids, want 5 of 3000", kind, id, tab.Len())
 			}
 		}
 		if id := tab.Add(nil); id != 3000 {

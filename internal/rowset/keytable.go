@@ -102,13 +102,6 @@ func (t *KeyTable) Add(v Value) int32 {
 // Find returns v's id; false when the table holds no key equal to v's.
 func (t *KeyTable) Find(v Value) (int32, bool) { return t.lookup(v, false) }
 
-// AddNum is Add for a value whose NumKey under the table's kind is k, while
-// the table keys numbers.
-func (t *KeyTable) AddNum(k uint64) int32 {
-	id, _ := t.num(k, true)
-	return id
-}
-
 // Bytes returns the id of a KeyBytes table's key b, a composite key the
 // caller built (AppendKeyPart); with add, an unseen key gets the next id.
 func (t *KeyTable) Bytes(b []byte, add bool) (int32, bool) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/obs"
@@ -21,11 +22,12 @@ func (e *Engine) aggregate(ctx context.Context, t *obs.Trace, sel *SelectStmt, s
 		return nil, err
 	}
 	plan := newAggPlan(sel, aggs, src.schema, src.resolve)
+	plan.copyFirst = src.rewrites
 	sp := t.StartSpan("group-by", "")
 	defer t.EndSpan(sp)
 	parts := make([]*aggAccum, src.n)
 	var batches atomic.Int64
-	err = e.forEachPartition(ctx, t, src, true, true, func(i int, cur rowset.BatchCursor, fr *frames) error {
+	err = e.forEachPartition(ctx, t, src, false, true, func(i int, cur rowset.BatchCursor, fr *frames) error {
 		defer cur.Close() //nolint:errcheck // engine cursors fail only via NextBatch
 		acc := &aggAccum{aggPlan: plan, frames: fr, keys: rowset.NewKeyTable(plan.keyKind, 0)}
 		parts[i] = acc
@@ -404,6 +406,9 @@ type aggPlan struct {
 	keyFns  []Compiled
 	keyKind rowset.KeyKind
 	argFns  []Compiled // nil entry = COUNT(*): no per-row work
+	// copyFirst: an input row may be written over by the next batch (a
+	// join's reused value array), so a group keeps a copy of its first.
+	copyFirst bool
 }
 
 func newAggPlan(sel *SelectStmt, aggs []*FuncCall, schema *rowset.Schema, resolve Resolver) *aggPlan {
@@ -469,7 +474,11 @@ func (a *aggAccum) observe(b rowset.Batch, i int) error {
 		if len(a.keyFns) != 1 {
 			key = string(a.keyBuf)
 		}
-		a.groups = append(a.groups, newPgroup(key, a.env.Row, a.env.Ext, len(a.aggs)))
+		first := a.env.Row
+		if a.copyFirst {
+			first = slices.Clone(first)
+		}
+		a.groups = append(a.groups, newPgroup(key, first, a.env.Ext, len(a.aggs)))
 	}
 	grp := a.groups[id]
 	grp.count++

@@ -430,8 +430,13 @@ func (e *Engine) addFromSpans(sp *obs.Span, sel *SelectStmt, fc *fromClause) *ob
 	n := len(partitionRanges(sel, fc.cuttable(), fc.scans[0].estimate, storage.DefaultMorselSize))
 	sp.Add(obs.NewSpan("scan", e.scanLabel(fc.scans[0], n).String()))
 	for i, cs := range fc.scans[1:] {
-		sp.Add(obs.NewSpan("scan", e.scanLabel(cs, 1).String()))
-		sp.Add(obs.NewSpan("join", e.joinLabel(cs.ref.Kind, fc.joins[i].hash, n).String()))
+		j, label := &fc.joins[i], e.scanLabel(cs, 1)
+		if j.hash {
+			// A run now would build the index unless the table has it cached.
+			label = e.joinScanLabel(cs, !cs.bare() || cs.tbl.CachedKeyIndex(j.ro, j.key) == nil)
+		}
+		sp.Add(obs.NewSpan("scan", label.String()))
+		sp.Add(obs.NewSpan("join", e.joinLabel(cs.ref.Kind, j.hash, n).String()))
 	}
 	return sp
 }

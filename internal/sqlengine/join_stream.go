@@ -5,135 +5,48 @@ package sqlengine
 // partitions of a joined FROM clause merge to the rows of one front-to-back
 // pass:
 //
-//   - hashJoin: an equi-join. The statement builds one read-only joinIndex
-//     over the right input before its partitions run; each partition probes it
-//     with its own range of the left input, a batch at a time, and carves the
-//     batch's joined rows out of one value array.
+//   - hashJoin: an equi-join. The statement takes one read-only
+//     storage.KeyIndex of the right input before its partitions run — a stored
+//     table's cached one, or one built for the statement; each partition
+//     probes it with its own range of the left input, a batch at a time, and
+//     carves the batch's joined rows out of one value array.
 //   - loopJoin: cross joins and general ON expressions; materializes the right
 //     side once and streams the left, at most DefaultBatchSize joined rows per
 //     pull. A statement with one runs as one partition.
 
 import (
-	"context"
-	"sync/atomic"
-
-	"repro/internal/par"
 	"repro/internal/rowset"
 	"repro/internal/storage"
 )
 
-// joinIndex is the hash index of a hash join's right input, built once per
-// statement and then only read, by every partition at once. Its key table
-// gives each distinct non-NULL key a dense id; the right rows of id are
-// rows[pos[i]] for i in [offs[id], offs[id+1]), in scan order.
-type joinIndex struct {
-	keys *rowset.KeyTable
-	offs []int32
-	pos  []int32
-	rows []rowset.Row
-}
-
-// buildJoinIndex indexes rows — the right input's stored rows, read in place —
-// by column ord under kind. A LONG or DOUBLE key is read first, in morsels of
-// morselRows rows on up to e.Workers goroutines that poll ctx between morsels:
-// the row header, interface and box per row that miss the cache. Its ids are
-// then given on one goroutine. Any other key, or a numeric column holding a
-// value with no number key (a view's LONG column may hold TEXT), is added by
-// its value on one goroutine.
-func (e *Engine) buildJoinIndex(ctx context.Context, rows []rowset.Row, ord int, kind rowset.KeyKind, morselRows int) (*joinIndex, error) {
-	// Room for a key per four rows: a foreign key's table grows no more.
-	x := &joinIndex{keys: rowset.NewKeyTable(kind, len(rows)/4), rows: rows}
-	ids := make([]int32, len(rows)) // -1: NULL, which never matches in an equi-join
-	ranges := storage.MorselRanges(len(rows), morselRows)
-	byValue := kind != rowset.KeyLong && kind != rowset.KeyFloat
-	if !byValue {
-		nums := make([]uint64, len(rows))
-		var slow atomic.Bool
-		err := par.NewForks(e.Workers).Run(ctx, len(ranges), func(m int, _ bool) error {
-			noNum := false
-			for i := ranges[m].Lo; i < ranges[m].Hi; i++ {
-				v := rows[i][ord]
-				k, ok := kind.NumKey(v)
-				if nums[i] = k; v == nil {
-					ids[i] = -1
-				} else if !ok {
-					noNum = true
-				}
-			}
-			if noNum {
-				slow.Store(true)
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		if byValue = slow.Load(); !byValue {
-			for i, id := range ids {
-				if id == 0 {
-					ids[i] = x.keys.AddNum(nums[i])
-				}
-			}
-		}
-	}
-	if byValue {
-		for _, m := range ranges {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			for i := m.Lo; i < m.Hi; i++ {
-				ids[i] = -1
-				if v := rows[i][ord]; v != nil {
-					ids[i] = x.keys.Add(v)
-				}
-			}
-		}
-	}
-	// Counts, then run ends, then positions: each row lands at its run's
-	// cursor, which leaves offs[id] at the run's end — shift it back one.
-	keys := x.keys.Len()
-	x.offs = make([]int32, keys+1)
-	for _, id := range ids {
-		if id >= 0 {
-			x.offs[id+1]++
-		}
-	}
-	for k := 1; k <= keys; k++ {
-		x.offs[k] += x.offs[k-1]
-	}
-	x.pos = make([]int32, x.offs[keys])
-	for i, id := range ids {
-		if id >= 0 {
-			x.pos[x.offs[id]] = int32(i)
-			x.offs[id]++
-		}
-	}
-	copy(x.offs[1:], x.offs[:keys])
-	x.offs[0] = 0
-	return x, nil
-}
-
 // fill writes the values the statement reads of left row l and right row r
-// (nil: the NULL half of an unmatched LEFT JOIN row) into row, and returns it.
+// (nil: the NULL half of an unmatched LEFT JOIN row) into row, which may hold
+// an earlier batch's values, and returns it.
 func (j *fromJoin) fill(row, l, r rowset.Row) rowset.Row {
 	for k, o := range j.keepL {
 		row[k] = l[o]
 	}
-	if r != nil {
-		half := row[len(j.keepL):]
-		for k, o := range j.keepR {
-			half[k] = r[o]
-		}
+	half := row[len(j.keepL):]
+	if r == nil {
+		clear(half)
+		return row
+	}
+	for k, o := range j.keepR {
+		half[k] = r[o]
 	}
 	return row
 }
 
 // hashJoin streams one partition's left input through the statement's shared
-// joinIndex. NULL keys never match (SQL equi-join semantics).
+// key index. NULL keys never match (SQL equi-join semantics).
 type hashJoin struct {
 	*fromJoin
 	left rowset.BatchCursor
-	idx  *joinIndex
+	idx  *storage.KeyIndex
+	// reuse lets the joined rows of one batch be written over by the next:
+	// nothing downstream keeps them (source.reuseRows).
+	reuse bool
+	vals  []rowset.Value
 
 	lb     rowset.Batch // current left batch
 	hits   [][]int32    // its live rows' matches
@@ -144,8 +57,8 @@ type hashJoin struct {
 
 // NextBatch yields up to DefaultBatchSize joined rows. One pass over a left
 // batch finds every row's matches and counts its joined rows; each output
-// batch then carves its rows out of one array. The rows go downstream and
-// are never reused; only the batch's row slice is.
+// batch then carves its rows out of one value array, a fresh one unless
+// reuse says the last batch's may be written over.
 func (j *hashJoin) NextBatch() (rowset.Batch, error) {
 	for j.rest == 0 {
 		b, err := j.left.NextBatch()
@@ -154,12 +67,7 @@ func (j *hashJoin) NextBatch() (rowset.Batch, error) {
 		}
 		j.lb, j.li, j.mi, j.hits = b, 0, 0, j.hits[:0]
 		for i := 0; i < b.Len(); i++ {
-			var m []int32
-			if v := b.Row(i)[j.lo]; v != nil {
-				if id, ok := j.idx.keys.Find(v); ok {
-					m = j.idx.pos[j.idx.offs[id]:j.idx.offs[id+1]]
-				}
-			}
+			m := j.idx.Lookup(b.Row(i)[j.lo])
 			j.hits = append(j.hits, m)
 			if j.rest += len(m); len(m) == 0 && j.kind == JoinLeft {
 				j.rest++
@@ -168,7 +76,10 @@ func (j *hashJoin) NextBatch() (rowset.Batch, error) {
 	}
 	n, width := min(j.rest, rowset.DefaultBatchSize), j.schema.Len()
 	j.rest -= n
-	vals := make([]rowset.Value, n*width)
+	if !j.reuse || cap(j.vals) < n*width {
+		j.vals = make([]rowset.Value, n*width)
+	}
+	vals := j.vals[:n*width]
 	out := j.outBuf[:0]
 	for len(out) < n {
 		l, m := j.lb.Row(j.li), j.hits[j.li]
@@ -176,7 +87,7 @@ func (j *hashJoin) NextBatch() (rowset.Batch, error) {
 			out = append(out, j.fill(vals[len(out)*width:][:width:width], l, nil))
 		}
 		for ; j.mi < len(m) && len(out) < n; j.mi++ {
-			out = append(out, j.fill(vals[len(out)*width:][:width:width], l, j.idx.rows[m[j.mi]]))
+			out = append(out, j.fill(vals[len(out)*width:][:width:width], l, j.idx.Rows[m[j.mi]]))
 		}
 		if j.mi == len(m) {
 			j.li, j.mi = j.li+1, 0

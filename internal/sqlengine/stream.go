@@ -615,6 +615,10 @@ func (e *Engine) qualify(base *rowset.Schema, q string, cache bool) (*rowset.Sch
 	return schema, nil
 }
 
+// bare reports whether the scan reads a stored table whole: no view, no
+// pushed index probe.
+func (cs *compiledScan) bare() bool { return cs.view == nil && cs.pushed == nil }
+
 // rows returns the scan's input: the view's materialized rows, the index
 // bucket of a pushed equality, or the table's snapshot. Rows are shared and
 // un-renormalized: table rows were coerced on insert, view rows were
@@ -997,9 +1001,10 @@ type source struct {
 	bind     func(reuse bool) func([]rowset.Row, []any) (int, error)
 	bindSpan *opSpan
 	untyped  rowset.Type
-	// reuseRows, set by forEachPartition, lets a streamed input's projection
-	// reuse its output rows from batch to batch.
-	reuseRows bool
+	// reuseRows, set by forEachPartition, lets a hash join and a streamed
+	// input's projection reuse their output rows from batch to batch; rewrites
+	// says the source has either, so its rows may then be written over.
+	reuseRows, rewrites bool
 }
 
 // span records an operator span in plan order, reading no clock (nil on an
@@ -1168,7 +1173,7 @@ func (e *Engine) planFrom(ctx context.Context, t *obs.Trace, src *source, sel *S
 	open := e.partition(src, sel, first.schema, rows, fc.cuttable(), partRows)
 	spScan := src.span(t, "scan", e.scanLabel(first, src.n), src.n)
 	scan := func(i int) rowset.BatchCursor { return spScan.wrap(i, open(i)) }
-	src.open, err = e.planJoins(ctx, t, src, fc, scan, partRows)
+	src.open, err = e.planJoins(ctx, t, src, fc, scan)
 	src.schema = fc.schema
 	if len(fc.joins) > 0 {
 		src.size = -1
@@ -1186,6 +1191,7 @@ func (e *Engine) planInput(ctx context.Context, t *obs.Trace, src *source, sel *
 	cond, spFilter := e.planFilter(t, src, in.sel.Where, in.fc.residual)
 	spProj := src.span(t, "project", obs.Label{}, src.n)
 	scan := src.open
+	src.rewrites = true
 	src.open = func(i int) rowset.BatchCursor {
 		cur := filtered(i, scan(i), cond, nil, spFilter)
 		return spProj.wrap(i, &projectCursor{projection: in.proj, src: cur, reuse: src.reuseRows})
@@ -1237,36 +1243,46 @@ func (e *Engine) PlanInput(ctx context.Context, sel *SelectStmt) (*Input, error)
 }
 
 // planJoins reads the right input of every join of fc — into a hash join's
-// index, once, for every partition to share; or for a loop join, which only a
-// one-partition statement has — and returns the opener that stacks the joins
-// on partition i's scan. A hash join's index reads its keys in partRows-row
-// morsels; its right-input scan span counts the rows indexed and, when timed,
-// the time the index took to build.
-func (e *Engine) planJoins(ctx context.Context, t *obs.Trace, src *source, fc *fromClause, scan func(int) rowset.BatchCursor, partRows int) (func(int) rowset.BatchCursor, error) {
+// key index, once, for every partition to share; or for a loop join, which
+// only a one-partition statement has — and returns the opener that stacks the
+// joins on partition i's scan. A hash join's right-input scan span counts the
+// rows indexed, says whether the index was built or reused and, when timed,
+// times a build.
+func (e *Engine) planJoins(ctx context.Context, t *obs.Trace, src *source, fc *fromClause, scan func(int) rowset.BatchCursor) (func(int) rowset.BatchCursor, error) {
 	open := scan
 	for i, cs := range fc.scans[1:] {
 		j, left := &fc.joins[i], open
-		rows, err := cs.rows()
-		if err != nil {
-			return nil, err
-		}
-		spRight := src.span(t, "scan", e.scanLabel(cs, 1), 1)
-		var idx *joinIndex
+		var idx *storage.KeyIndex
 		var right rowset.BatchCursor
+		spRight := src.span(t, "scan", e.scanLabel(cs, 1), 1)
 		if j.hash {
 			start := obs.Mono()
-			if idx, err = e.buildJoinIndex(ctx, rows, j.ro, j.key, partRows); err != nil {
+			var built bool
+			var err error
+			if idx, built, err = cs.keyIndex(ctx, j); err != nil {
 				return nil, err
 			}
-			n := int64(len(rows))
-			spRight.tally(0, n, (n+rowset.DefaultBatchSize-1)/rowset.DefaultBatchSize, obs.Mono()-start)
+			var took time.Duration
+			if built {
+				took = obs.Mono() - start
+			}
+			n := int64(len(idx.Rows))
+			spRight.tally(0, n, (n+rowset.DefaultBatchSize-1)/rowset.DefaultBatchSize, took)
+			if spRight != nil {
+				spRight.sp.SetLabel(e.joinScanLabel(cs, built))
+			}
 		} else {
+			rows, err := cs.rows()
+			if err != nil {
+				return nil, err
+			}
 			right = spRight.wrap(0, newSliceCursor(cs.schema, rows))
 		}
+		src.rewrites = src.rewrites || j.hash
 		spJoin := src.span(t, "join", e.joinLabel(j.kind, j.hash, src.n), src.n)
 		open = func(p int) rowset.BatchCursor {
 			if idx != nil {
-				return spJoin.wrap(p, &hashJoin{fromJoin: j, left: left(p), idx: idx})
+				return spJoin.wrap(p, &hashJoin{fromJoin: j, left: left(p), idx: idx, reuse: src.reuseRows})
 			}
 			lj := &loopJoin{fromJoin: j, left: left(p), right: right}
 			if j.kind != JoinCross {
@@ -1276,6 +1292,31 @@ func (e *Engine) planJoins(ctx context.Context, t *obs.Trace, src *source, fc *f
 		}
 	}
 	return open, nil
+}
+
+// keyIndex returns the key index hash join j probes the scan with, and
+// whether this call built it: a bare stored table's, cached per data version,
+// or — a view, a pushed index probe — one built over the scan's rows.
+func (cs *compiledScan) keyIndex(ctx context.Context, j *fromJoin) (*storage.KeyIndex, bool, error) {
+	if cs.bare() {
+		return cs.tbl.KeyIndex(ctx, j.ro, j.key)
+	}
+	rows, err := cs.rows()
+	if err != nil {
+		return nil, false, err
+	}
+	idx, err := storage.BuildKeyIndex(ctx, rows, j.ro, j.key)
+	return idx, true, err
+}
+
+// joinScanLabel is the label of a hash join's right-input scan: scanLabel's,
+// and whether the join's key index was built for the statement or reused.
+func (e *Engine) joinScanLabel(cs *compiledScan, built bool) obs.Label {
+	l := e.scanLabel(cs, 1)
+	if l.Arg = " join-index=built"; !built {
+		l.Arg = " join-index=reused"
+	}
+	return l
 }
 
 // forEachPartition opens every partition of src — its scan and the joins that

@@ -111,5 +111,10 @@ func (t *Table) computeStatsRLocked() *TableStats {
 	return s
 }
 
-// bumpVersion invalidates cached statistics after a data mutation.
-func (t *Table) bumpVersion() { t.version.Add(1) }
+// bumpVersion invalidates cached statistics after a data mutation and drops
+// the cached key indexes, so none pins the old snapshot. t.mu must be held for
+// writing.
+func (t *Table) bumpVersion() {
+	t.version.Add(1)
+	t.keyIdx.Store(nil)
+}

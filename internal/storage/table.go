@@ -34,6 +34,9 @@ type Table struct {
 	// taking the write lock — a stats lookup never blocks behind an insert
 	// burst, and vice versa.
 	statsSnap atomic.Pointer[statsSnapshot]
+	// keyIdx holds the hash joins' key indexes over the current data version
+	// the same way (see keyindex.go); every write drops them.
+	keyIdx atomic.Pointer[keyIndexes]
 }
 
 // NewTable creates an empty table.
@@ -257,13 +260,17 @@ func (t *Table) Groups(ctx context.Context, col string, keys []rowset.Value) (ro
 	if !ok {
 		return rowset.Groups{}, fmt.Errorf("storage: table %s: no index on column %q", t.name, col)
 	}
-	return idx.groups(ctx, t.rows, keys)
+	return groups(ctx, idx, t.rows, keys)
 }
 
 // GroupRows is Groups over rows no table holds (a query's output), matched
-// on column ord, declared typ.
+// on column ord, declared typ, through a KeyIndex built over them.
 func GroupRows(ctx context.Context, rows []rowset.Row, ord int, typ rowset.Type, keys []rowset.Value) (rowset.Groups, error) {
-	return newHashIndex(ord, typ).build(rows).groups(ctx, rows, keys)
+	x, err := BuildKeyIndex(ctx, rows, ord, rowset.KeyKindOf(typ, typ))
+	if err != nil {
+		return rowset.Groups{}, err
+	}
+	return groups(ctx, x, rows, keys)
 }
 
 // hashIndex maps value keys to row positions: ids gives every distinct key —
@@ -304,10 +311,17 @@ func (ix *hashIndex) lookup(v rowset.Value) []int32 {
 	return nil
 }
 
-// groups is Groups' body, in two passes: the first probes every key,
-// leaving its id in Ends (-1: none) and summing the sizes of the groups; the
-// second copies the groups into a Pos of exactly that size.
-func (ix *hashIndex) groups(ctx context.Context, base []rowset.Row, keys []rowset.Value) (rowset.Groups, error) {
+func (ix *hashIndex) find(v rowset.Value) (int32, bool) { return ix.ids.Find(v) }
+func (ix *hashIndex) bucket(id int32) []int32           { return ix.pos[id] }
+
+// groups is Groups' body over ix — a table's hashIndex or a KeyIndex — in two
+// passes: the first probes every key, leaving its id in Ends (-1: none) and
+// summing the sizes of the groups; the second copies the groups into a Pos of
+// exactly that size.
+func groups(ctx context.Context, ix interface {
+	find(rowset.Value) (int32, bool)
+	bucket(int32) []int32
+}, base []rowset.Row, keys []rowset.Value) (rowset.Groups, error) {
 	g, n := rowset.Groups{Base: base, Ends: make([]int32, len(keys))}, 0
 	for i, k := range keys {
 		if i%rowset.DefaultBatchSize == 0 {
@@ -316,14 +330,14 @@ func (ix *hashIndex) groups(ctx context.Context, base []rowset.Row, keys []rowse
 			}
 		}
 		g.Ends[i] = -1
-		if id, ok := ix.ids.Find(k); ok && k != nil {
-			g.Ends[i], n = id, n+len(ix.pos[id])
+		if id, ok := ix.find(k); ok && k != nil {
+			g.Ends[i], n = id, n+len(ix.bucket(id))
 		}
 	}
 	g.Pos = make([]int32, 0, n)
 	for i, id := range g.Ends {
 		if id >= 0 {
-			g.Pos = append(g.Pos, ix.pos[id]...)
+			g.Pos = append(g.Pos, ix.bucket(id)...)
 		}
 		g.Ends[i] = int32(len(g.Pos))
 	}
