@@ -68,6 +68,32 @@ func TestWriteTable(t *testing.T) {
 	}
 }
 
+// TestWriteLedger pins a traced pair's table: the base's per-layer metrics in
+// name order, then those only the head reports, each with its unit, both
+// values and their ratio, and a dash for a missing side or a zero base.
+func TestWriteLedger(t *testing.T) {
+	base := run{layers: map[string]layer{"engine_ms": {20, "ms"}, "gc_cycles": {0, "count"}, "old_only": {3, "1/op"}}}
+	head := run{layers: map[string]layer{"engine_ms": {12.5, "ms"}, "gc_cycles": {2, "count"}, "alloc_bytes_per_op": {1.5e6, "B/op"}}}
+	var b strings.Builder
+	writeLedger(&b, base, head)
+	want := "| per-layer metric | unit | base | head | head / base |\n" +
+		"|---|---|---:|---:|---:|\n" +
+		"| `engine_ms` | ms | 20 | 12.5 | 0.625 |\n" +
+		"| `gc_cycles` | count | 0 | 2 | – |\n" +
+		"| `old_only` | 1/op | 3 | – | – |\n" +
+		"| `alloc_bytes_per_op` | B/op | – | 1500000 | – |\n"
+	if got := b.String(); got != want {
+		t.Errorf("ledger:\n%s\nwant:\n%s", got, want)
+	}
+	parsed, err := parseReport(report("sql_analytic", 0, 30, 1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l := parsed["sql_analytic"].layers["engine_ms"]; l != (layer{1, "ms"}) {
+		t.Errorf("parsed per-layer engine_ms = %+v, want 1 ms", l)
+	}
+}
+
 // TestBound: a head median more than the bound worse is out of it, in either
 // direction.
 func TestBound(t *testing.T) {
@@ -106,7 +132,7 @@ func TestMeasureRemovesOnlyItsDirectory(t *testing.T) {
 	if err := os.WriteFile(keep, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := measure("no-such-revision-anywhere", 1, []int{1}, "", parent); err == nil {
+	if err := measure("no-such-revision-anywhere", 1, []int{1}, "", parent, true); err == nil {
 		t.Fatal("measure succeeded on a revision that does not exist")
 	}
 	entries, err := os.ReadDir(parent)
