@@ -75,7 +75,7 @@ bench:
 # prediction, a statement, a probe and a decoded row allocate. The callers of
 # par.Forks.Run — the whole INSERT INTO and the tokenize alone (case ranges
 # encoded, listed and merged), both Decision_Trees trainings, the prediction
-# joins' partitions, and the statements' partitions and join index build —
+# joins' partitions, and the statements' partitions —
 # run at -cpu 1,2: GOMAXPROCS changes
 # inside one process, so a bound sized once at package init rather than per
 # Run call would show there (at 1 nothing forks). So does BenchmarkGroups,
