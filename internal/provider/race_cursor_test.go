@@ -11,11 +11,11 @@ import (
 
 // TestConcurrentCursorsUnderParallelPredict drives every streaming surface at
 // once against one provider: parallel PREDICTION JOIN scans (whose workers
-// share the materialized source and auto-create the key-column index),
+// share the materialized source and auto-declare the key-column index),
 // indexed point-lookup SELECTs (scan cursors + index pushdown probes), and
 // SHAPE statements whose RELATE fast path auto-creates and reads the Sales
 // index. Run under -race it proves the cursor pipeline, the shared table
-// snapshots, and concurrent CreateIndex calls are race-clean; the byte
+// snapshots, concurrent CreateIndex calls and key index builds are race-clean; the byte
 // comparison against a pre-computed baseline proves no interleaving perturbs
 // any result.
 func TestConcurrentCursorsUnderParallelPredict(t *testing.T) {
@@ -87,9 +87,10 @@ func TestConcurrentCursorsUnderParallelPredict(t *testing.T) {
 }
 
 // TestPredictionJoinAutoIndexesKey pins the auto-index behaviour: a
-// prediction join whose source is a bare single-table SELECT leaves a hash
-// index behind on the table column bound to the model's KEY column, and only
-// on that column.
+// prediction join whose source is a bare single-table SELECT declares an
+// index on the table column bound to the model's KEY column, and only on that
+// column. Its source is a full scan, so it builds no key index; the first
+// point lookup does.
 func TestPredictionJoinAutoIndexesKey(t *testing.T) {
 	p := MustNew()
 	setupCustomerData(t, p, 20)
@@ -111,10 +112,23 @@ func TestPredictionJoinAutoIndexesKey(t *testing.T) {
 	if tbl.HasIndex("Gender") || tbl.HasIndex("Age") {
 		t.Error("prediction join indexed a non-key column")
 	}
+	cached := func() (n int) {
+		for ord, c := range tbl.Schema().Columns {
+			if tbl.CachedKeyIndex(ord, rowset.KeyKindOf(c.Type, c.Type)) != nil {
+				n++
+			}
+		}
+		return n
+	}
+	if n := cached(); n != 0 {
+		t.Errorf("prediction join over a bare scan left %d key indexes cached, want none", n)
+	}
 	// The indexed table must answer a pushed-down point lookup identically.
 	rs := mustExec(t, p, "SELECT Gender FROM Customers WHERE [Customer ID] = 3")
 	if rs.Len() != 1 {
 		t.Errorf("indexed point lookup returned %d rows, want 1", rs.Len())
 	}
-	var _ rowset.Value = rs.Row(0)[0]
+	if n := cached(); n != 1 {
+		t.Errorf("after the point lookup %d key indexes are cached, want the key column's", n)
+	}
 }

@@ -54,11 +54,18 @@ func TestConcurrentSessionsWithHistoryAndRecorder(t *testing.T) {
 			}
 		}(w)
 	}
+	// The readers run ten rounds and on until the ticker has recorded a
+	// snapshot, so the two overlap however the goroutines are scheduled.
+	deadline := time.Now().Add(10 * time.Second)
 	for w := 0; w < 2; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < 10; i++ {
+			for i := 0; i < 10 || p.Obs().History().Snapshot() == nil; i++ {
+				if time.Now().After(deadline) {
+					errc <- fmt.Errorf("history ticker recorded no snapshot in 10s of reads")
+					return
+				}
 				for _, stmt := range []string{
 					"SELECT * FROM $SYSTEM.DM_FLIGHT_RECORDER",
 					"SELECT * FROM $SYSTEM.DM_METRICS_HISTORY",
@@ -78,8 +85,8 @@ func TestConcurrentSessionsWithHistoryAndRecorder(t *testing.T) {
 		t.Error(err)
 	}
 
-	// The window was long enough for the ticker to have fired at least once,
-	// and every error statement must have been retained.
+	// The ticker fired while the readers ran, and every error statement must
+	// have been retained.
 	if p.Obs().History().Snapshot() == nil {
 		t.Error("history ticker recorded no snapshots")
 	}

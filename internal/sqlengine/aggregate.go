@@ -219,7 +219,7 @@ type aggState struct {
 	allInt bool
 	best   rowset.Value // MIN/MAX candidate; nil until a value arrives
 	vals   []rowset.Value
-	seen   map[string]struct{} // DISTINCT only: rowset.Key of every entry of vals
+	seen   *rowset.KeyTable // DISTINCT only: the keys of vals, KeyBytes
 }
 
 // retainsValues reports whether f's state is the retained value list rather
@@ -293,14 +293,12 @@ func (s *aggState) add(f *FuncCall, v rowset.Value) error {
 // occurrence.
 func (s *aggState) retain(v rowset.Value, distinct bool) {
 	if distinct {
-		k := rowset.Key(v)
-		if _, dup := s.seen[k]; dup {
-			return
-		}
 		if s.seen == nil {
-			s.seen = make(map[string]struct{})
+			s.seen = rowset.NewKeyTable(rowset.KeyBytes, 0)
 		}
-		s.seen[k] = struct{}{}
+		if n := s.seen.Len(); int(s.seen.Add(v)) < n {
+			return // an earlier value's id
+		}
 	}
 	s.vals = append(s.vals, v)
 }

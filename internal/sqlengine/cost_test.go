@@ -11,13 +11,14 @@ import (
 )
 
 // costEngine builds SMALL (5 rows) and BIG (100 rows, 50 distinct G values,
-// 100 distinct ID values) with indexes on BIG.ID and BIG.G.
+// 100 distinct ID values, and N: 4 distinct values and 20 NULLs) with
+// indexes on BIG.ID, BIG.G and BIG.N.
 func costEngine(t *testing.T) *Engine {
 	t.Helper()
 	e := NewEngine(storage.NewDatabase())
 	steps := []string{
 		"CREATE TABLE SMALL (ID LONG, V TEXT)",
-		"CREATE TABLE BIG (ID LONG, G TEXT)",
+		"CREATE TABLE BIG (ID LONG, G TEXT, N LONG)",
 	}
 	for _, s := range steps {
 		if _, err := e.Exec(s); err != nil {
@@ -35,12 +36,16 @@ func costEngine(t *testing.T) *Engine {
 		if i > 1 {
 			ins.WriteString(", ")
 		}
-		fmt.Fprintf(&ins, "(%d, 'g%d')", i, i%50)
+		n := fmt.Sprint(i % 4)
+		if i%5 == 0 {
+			n = "NULL"
+		}
+		fmt.Fprintf(&ins, "(%d, 'g%d', %s)", i, i%50, n)
 	}
 	if _, err := e.Exec(ins.String()); err != nil {
 		t.Fatal(err)
 	}
-	for _, col := range []string{"ID", "G"} {
+	for _, col := range []string{"ID", "G", "N"} {
 		tbl, err := e.DB.Table("BIG")
 		if err != nil {
 			t.Fatal(err)
@@ -106,6 +111,12 @@ func TestScanSpanCarriesEstimate(t *testing.T) {
 	scans = findSpans(root, "scan")
 	if len(scans) != 1 || !strings.Contains(scans[0], "index=ID") || !strings.Contains(scans[0], "est=1") {
 		t.Errorf("indexed scan label = %v, want index=ID est=1", scans)
+	}
+	// NULL counts as one value: 100 rows over 4 values and NULL.
+	root = runTraced(t, e, "SELECT G FROM BIG WHERE N = 3")
+	scans = findSpans(root, "scan")
+	if len(scans) != 1 || !strings.Contains(scans[0], "index=N") || !strings.Contains(scans[0], "est=20 ") {
+		t.Errorf("indexed scan over NULLs label = %v, want index=N est=20", scans)
 	}
 }
 

@@ -290,3 +290,48 @@ func TestJoinsBesideInserts(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestPointProbeSharesJoinIndex: declaring an index builds nothing; a pushed
+// point probe on [Customer ID] reads the column's cached key index, so a
+// LONG = LONG join on that column plans and runs it reused, and after an
+// INSERT the next probe sees the new row.
+func TestPointProbeSharesJoinIndex(t *testing.T) {
+	e := NewEngine(storage.NewDatabase())
+	for _, q := range []string{
+		"CREATE TABLE T (a LONG)",
+		"INSERT INTO T VALUES (1), (2), (3)",
+		"CREATE TABLE Customers ([Customer ID] LONG, Gender TEXT)",
+		"INSERT INTO Customers VALUES (1, 'F'), (2, 'M'), (3, 'F')",
+	} {
+		mustQuery(t, e, q)
+	}
+	c, _ := e.DB.Table("Customers")
+	if err := c.CreateIndex("Customer ID"); err != nil {
+		t.Fatal(err)
+	}
+	if c.CachedKeyIndex(0, rowset.KeyLong) != nil {
+		t.Fatal("CreateIndex built the key index")
+	}
+	const point = "SELECT Gender FROM Customers WHERE [Customer ID] = 2"
+	if scans := findSpans(runTraced(t, e, point), "scan"); len(scans) != 1 || !strings.Contains(scans[0], "index=Customer ID") {
+		t.Fatalf("point probe scan = %v, want the index on Customer ID", scans)
+	}
+	if c.CachedKeyIndex(0, rowset.KeyLong) == nil {
+		t.Fatal("the point probe left no key index cached")
+	}
+	const join = "SELECT T.a, Customers.Gender FROM T JOIN Customers ON T.a = Customers.[Customer ID]"
+	st, err := Parse(join)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if scans := findSpans(e.PlanSpan(t.Context(), st.(*SelectStmt)), "scan"); len(scans) != 2 || !strings.Contains(scans[1], "join-index=reused") {
+		t.Errorf("planned join scans = %v, want the right input's index reused", scans)
+	}
+	if l := joinIndexLabel(t, e, join); !strings.Contains(l, "join-index=reused") {
+		t.Errorf("join after the point probe: right scan = %q, want the index reused", l)
+	}
+	mustQuery(t, e, "INSERT INTO Customers VALUES (2, 'X')")
+	if rs := mustQuery(t, e, point); rs.Len() != 2 || rs.Row(1)[0] != "X" {
+		t.Errorf("probe after INSERT = %v, want M and the new X", rs.Rows())
+	}
+}

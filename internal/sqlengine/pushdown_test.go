@@ -23,6 +23,16 @@ func pushScans(t *testing.T, e *Engine, refs ...TableRef) []*compiledScan {
 	return scans
 }
 
+// push runs planPushdown over scans and returns the residual.
+func push(t *testing.T, where Expr, scans []*compiledScan) Expr {
+	t.Helper()
+	res, err := planPushdown(t.Context(), where, scans)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func eq(l, r Expr) Expr  { return &Binary{Op: OpEq, L: l, R: r} }
 func and(l, r Expr) Expr { return &Binary{Op: OpAnd, L: l, R: r} }
 func col(q, n string) Expr {
@@ -37,7 +47,7 @@ func TestPushdownApplies(t *testing.T) {
 	e := differentialDB(t)
 
 	scans := pushScans(t, e, TableRef{Name: "C"})
-	res := planPushdown(eq(col("", "city"), lit("rome")), scans)
+	res := push(t, eq(col("", "city"), lit("rome")), scans)
 	if res != nil {
 		t.Errorf("residual = %v, want nil", res)
 	}
@@ -48,7 +58,7 @@ func TestPushdownApplies(t *testing.T) {
 	// Literal on the left, plus a residual conjunct.
 	scans = pushScans(t, e, TableRef{Name: "C"})
 	rest := &Binary{Op: OpGt, L: col("", "age"), R: lit(int64(30))}
-	res = planPushdown(and(eq(lit("oslo"), col("", "city")), rest), scans)
+	res = push(t, and(eq(lit("oslo"), col("", "city")), rest), scans)
 	if scans[0].pushed == nil || scans[0].pushed.val != "oslo" {
 		t.Errorf("pushed = %+v, want city=oslo", scans[0].pushed)
 	}
@@ -59,7 +69,7 @@ func TestPushdownApplies(t *testing.T) {
 	// A second equality on the same scan stays in the residual: one probe
 	// per scan.
 	scans = pushScans(t, e, TableRef{Name: "C"})
-	res = planPushdown(and(eq(col("", "city"), lit("rome")), eq(col("", "city"), lit("oslo"))), scans)
+	res = push(t, and(eq(col("", "city"), lit("rome")), eq(col("", "city"), lit("oslo"))), scans)
 	if scans[0].pushed == nil || res == nil {
 		t.Errorf("pushed = %+v residual = %v, want one pushed + one residual", scans[0].pushed, res)
 	}
@@ -67,7 +77,7 @@ func TestPushdownApplies(t *testing.T) {
 	// Inner-join right side is eligible.
 	scans = pushScans(t, e, TableRef{Name: "C"}, TableRef{Name: "O", Kind: JoinInner,
 		On: eq(col("C", "id"), col("O", "cid"))})
-	res = planPushdown(eq(col("O", "cid"), lit(int64(3))), scans)
+	res = push(t, eq(col("O", "cid"), lit(int64(3))), scans)
 	if res != nil || scans[1].pushed == nil || scans[1].pushed.col != "cid" {
 		t.Errorf("inner-join right side: residual = %v pushed = %+v", res, scans[1].pushed)
 	}
@@ -101,7 +111,7 @@ func TestPushdownRefusals(t *testing.T) {
 	}
 	for _, tc := range cases {
 		scans := pushScans(t, e, tc.refs...)
-		res := planPushdown(tc.where, scans)
+		res := push(t, tc.where, scans)
 		for i, cs := range scans {
 			if cs.pushed != nil {
 				t.Errorf("%s: scan %d pushed %+v, want refusal", tc.name, i, cs.pushed)

@@ -27,6 +27,34 @@ func (x *KeyIndex) Lookup(v rowset.Value) []int32 {
 	return nil
 }
 
+// LookupRows returns the rows Lookup finds, shared, in snapshot order.
+func (x *KeyIndex) LookupRows(v rowset.Value) []rowset.Row {
+	pos := x.Lookup(v)
+	if len(pos) == 0 {
+		return nil
+	}
+	out := make([]rowset.Row, len(pos))
+	for i, p := range pos {
+		out[i] = x.Rows[p]
+	}
+	return out
+}
+
+// EqEstimate is how many rows an equality on the column is expected to
+// select, which the SQL planner picks a pushed probe by and EXPLAIN shows:
+// the rows over the distinct values, NULL counting as one, at least 1 while
+// there are rows.
+func (x *KeyIndex) EqEstimate() int {
+	if len(x.Rows) == 0 {
+		return 0
+	}
+	d := x.keys.Len()
+	if len(x.pos) < len(x.Rows) {
+		d++ // the NULLs, which the index leaves out
+	}
+	return max(len(x.Rows)/d, 1)
+}
+
 func (x *KeyIndex) find(v rowset.Value) (int32, bool) { return x.keys.Find(v) }
 func (x *KeyIndex) bucket(id int32) []int32           { return x.pos[x.offs[id]:x.offs[id+1]] }
 
@@ -71,6 +99,13 @@ func BuildKeyIndex(ctx context.Context, rows []rowset.Row, ord int, kind rowset.
 	copy(x.offs[1:], x.offs[:keys])
 	x.offs[0] = 0
 	return x, nil
+}
+
+// bumpVersion moves the data version on after a write and drops the cached key
+// indexes, so none pins the old snapshot. t.mu must be held for writing.
+func (t *Table) bumpVersion() {
+	t.version.Add(1)
+	t.keyIdx.Store(nil)
 }
 
 // keyIndexes is the copy-on-write set of a table's cached key indexes, all

@@ -213,3 +213,37 @@ func TestKeyIndexBesideInserts(t *testing.T) {
 	}
 	checkKeyIndex(t, "after the inserts", x, rows, 0)
 }
+
+// TestCreateIndexDeclares: CreateIndex only declares the column indexed. The
+// first probe builds its key index, and later probes, Groups among them, read
+// the same one; its estimate is rows over distinct values, NULL counting as
+// one.
+func TestCreateIndexDeclares(t *testing.T) {
+	tbl := NewTable("t", testSchema())
+	if err := tbl.InsertMany(keyedRows(100)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.CreateIndex("id"); err != nil {
+		t.Fatal(err)
+	}
+	if !tbl.HasIndex("id") || tbl.keyIdx.Load() != nil {
+		t.Fatal("CreateIndex built a key index")
+	}
+	if rows, err := tbl.LookupEqualRows("id", int64(3)); err != nil || len(rows) != 13 {
+		t.Fatalf("LookupEqualRows(id, 3) = %d rows (%v), want 13", len(rows), err)
+	}
+	x := tbl.CachedKeyIndex(0, rowset.KeyLong)
+	if x == nil {
+		t.Fatal("the probe cached no key index")
+	}
+	if g, err := tbl.Groups(t.Context(), "id", []rowset.Value{int64(3)}); err != nil || len(g.Pos) != 13 {
+		t.Fatalf("Groups(id, 3) = %d rows (%v), want 13", len(g.Pos), err)
+	}
+	if tbl.CachedKeyIndex(0, rowset.KeyLong) != x {
+		t.Error("Groups built another index at the same version")
+	}
+	// Seven ids and NULL over 100 rows.
+	if e := x.EqEstimate(); e != 100/8 {
+		t.Errorf("EqEstimate = %d, want %d", e, 100/8)
+	}
+}

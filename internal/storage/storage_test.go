@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -201,28 +202,31 @@ func TestLoadMissingDir(t *testing.T) {
 	}
 }
 
-// TestHashIndexLookupAllocatesNothing: probing an index allocates nothing, for
-// every key kind a point lookup or RELATE probe uses — numbers in the key
+// TestKeyIndexLookupAllocatesNothing: probing a key index allocates nothing,
+// for every key kind a point lookup or RELATE probe uses — numbers in the key
 // table's slots, strings in its map, and a DATE's key bytes in a stack buffer.
-func TestHashIndexLookupAllocatesNothing(t *testing.T) {
+func TestKeyIndexLookupAllocatesNothing(t *testing.T) {
 	at := time.Date(2024, 5, 1, 12, 0, 0, 0, time.UTC)
 	for _, v := range []rowset.Value{int64(7), float64(2.5), at, "customer-7"} {
-		ix := newHashIndex(0, rowset.TypeOf(v))
-		ix.add(v, 0)
-		ix.add(v, 1)
-		if got := len(ix.lookup(v)); got != 2 {
-			t.Fatalf("lookup(%v) found %d rows, want 2", v, got)
+		typ := rowset.TypeOf(v)
+		x, err := BuildKeyIndex(t.Context(), []rowset.Row{{v}, {nil}, {v}}, 0, rowset.KeyKindOf(typ, typ))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if n := testing.AllocsPerRun(100, func() { ix.lookup(v) }); n != 0 {
-			t.Errorf("lookup(%v) allocates %v times, want 0", v, n)
+		if got := x.Lookup(v); !slices.Equal(got, []int32{0, 2}) {
+			t.Fatalf("Lookup(%v) = %v, want [0 2]", v, got)
+		}
+		if n := testing.AllocsPerRun(100, func() { x.Lookup(v) }); n != 0 {
+			t.Errorf("Lookup(%v) allocates %v times, want 0", v, n)
 		}
 	}
 }
 
-// TestNameLookupsDoNotAllocate: a point statement resolves its table and the
-// distinct count behind its estimate by mixed-case names ("Customers",
-// "Customer ID"); neither lookup allocates, and both still match
-// case-insensitively and report a miss as before.
+// TestNameLookupsDoNotAllocate: a point statement resolves its table by a
+// mixed-case name ("Customers") and reads the estimate behind its plan from
+// the probed column's cached key index; neither allocates, the name still
+// matches case-insensitively and reports a miss as before, and the estimate is
+// rows over distinct values.
 func TestNameLookupsDoNotAllocate(t *testing.T) {
 	db := NewDatabase()
 	tbl, err := db.CreateTable("Customers", rowset.MustSchema(
@@ -237,22 +241,26 @@ func TestNameLookupsDoNotAllocate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	stats := tbl.Stats()
+	for ord, kind := range []rowset.KeyKind{rowset.KeyLong, rowset.KeyText} {
+		if _, _, err := tbl.KeyIndex(t.Context(), ord, kind); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if got, err := db.Table("CUSTOMERS"); err != nil || got != tbl {
 		t.Fatalf("Table(CUSTOMERS) = %v, %v", got, err)
 	}
 	if _, err := db.Table("Orders"); err == nil || err.Error() != `storage: no table named "Orders"` {
 		t.Fatalf("Table(Orders) error = %v", err)
 	}
-	if d := stats.DistinctCount("customer id"); d != 10 {
-		t.Fatalf("DistinctCount(customer id) = %d, want 10", d)
+	if e := tbl.CachedKeyIndex(0, rowset.KeyLong).EqEstimate(); e != 1 {
+		t.Fatalf("EqEstimate(Customer ID) = %d, want 1", e)
 	}
-	if d := stats.DistinctCount("Gender"); d != 2 {
-		t.Fatalf("DistinctCount(Gender) = %d, want 2", d)
+	if e := tbl.CachedKeyIndex(1, rowset.KeyText).EqEstimate(); e != 5 {
+		t.Fatalf("EqEstimate(Gender) = %d, want 5", e)
 	}
 	n := testing.AllocsPerRun(100, func() {
 		db.Table("Customers")
-		stats.DistinctCount("Customer ID")
+		tbl.CachedKeyIndex(0, rowset.KeyLong).EqEstimate()
 	})
 	if n != 0 {
 		t.Fatalf("name lookups allocate %.1f objects, want 0", n)
