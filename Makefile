@@ -68,7 +68,8 @@ bench:
 # partitions), of the SQL engine's four sql_analytic statements over
 # the 50k-customer warehouse (filter + ORDER BY, wide filter, GROUP BY, and
 # the partitioned JOIN … GROUP BY over 156k sales), of a RELATE's index
-# probes (Table.Groups, 50k LONG keys over 156k rows), of EQUAL_AREAS cuts
+# probes (Table.Groups, 50k LONG keys over 156k rows, reading the table's
+# cached key index, which an untimed first call builds), of EQUAL_AREAS cuts
 # (50k values, 5 buckets) and of the rowset codec (encode and decode of a
 # 50k-row result, repeated and distinct TEXT), with allocations, so they keep
 # compiling and running and the log shows what a training case, a

@@ -14,7 +14,7 @@ import (
 )
 
 // warehouseServer serves a provider over a generated warehouse of the given
-// size, with the point reads' hash index on Customers.
+// size, with the point reads' index declared on Customers.
 func warehouseServer(t *testing.T, customers int) (*provider.Provider, string) {
 	t.Helper()
 	p := providertest.MustNew()

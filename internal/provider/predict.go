@@ -142,10 +142,11 @@ func (p *Provider) predictionSource(ctx context.Context, src dmx.Source) (sqleng
 	return sqlengine.Relation{Schema: rs.Schema(), Rows: rs.Rows()}, nil
 }
 
-// indexPredictionKeys auto-creates a hash index on each source-table column
-// bound to one of the model's KEY columns. Best-effort: only a bare
-// single-table source names a table to index, and a failure to build the
-// index never fails the statement — the scan path works without it.
+// indexPredictionKeys declares an index on each source-table column bound to
+// one of the model's KEY columns, for the point lookups that follow; the
+// statement's own full scan builds none. Best-effort: only a bare
+// single-table source names a table to index, and a failure to declare
+// never fails the statement — the scan path works without it.
 func (p *Provider) indexPredictionKeys(src dmx.Source, def *core.ModelDef, cols []core.ColumnSource) {
 	if src.Select == nil || len(src.Select.From) != 1 {
 		return

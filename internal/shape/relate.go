@@ -1,9 +1,9 @@
 package shape
 
 // Index-backed RELATE: when an APPEND child is a bare single-table SELECT,
-// the shaping service does not run the child query at all. It auto-creates a
-// hash index on the relate column and answers each parent key with one
-// O(bucket) lookup, all under one read lock (storage.Table.Groups) — child
+// the shaping service does not run the child query at all. It declares the
+// relate column indexed and answers each parent key with one O(bucket) lookup
+// of its key index, all against one snapshot (storage.Table.Groups) — child
 // rows that no parent references are never touched, nothing is sorted, and
 // nothing is copied: the caseset keeps positions into the table's snapshot
 // and the child's projection as a column map, which the case binder composes
@@ -22,7 +22,7 @@ package shape
 //     run leaves bucket rows in insertion order, which is exactly what the
 //     index lookup yields.
 //
-// Key matching is the storage hash index on both paths — the table's own
+// Key matching is the storage key index on both paths — the table's own
 // here, a transient one over the child query's output otherwise — so match
 // semantics, NULL keys matching nothing included, are identical for every
 // column type.

@@ -214,8 +214,8 @@ func (q *Query) ExecuteContext(ctx context.Context, e *sqlengine.Engine) (*rowse
 // spans through QueryContext.
 //
 // Eligible APPEND children (see compileRelatePlan) skip query execution
-// entirely: the relate column gets an automatically created hash index and
-// each parent key is answered by one bucket lookup.
+// entirely: the relate column is declared indexed and each parent key is
+// answered by one bucket lookup of its key index.
 func (q *Query) Run(ctx context.Context, e *sqlengine.Engine) (*Caseset, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

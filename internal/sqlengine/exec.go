@@ -408,7 +408,7 @@ func (sel *SelectStmt) addTailSpans(sp *obs.Span) *obs.Span {
 // "cust est=50000 morsels=13 workers=4") and join labels the strategy and the
 // fan-out of the probing partitions ("inner hash morsels=13 workers=4") — the
 // same choices, from the same functions, QueryContext would make right now
-// against the live catalog and table statistics. Falls back to the shape-only
+// against the live catalog and its key indexes. Falls back to the shape-only
 // sel.PlanSpan() when the catalog cannot resolve the statement (EXPLAIN must
 // not fail where execution would explain better). A view in FROM runs its
 // query under ctx, as execution would, to learn its size.
