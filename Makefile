@@ -61,7 +61,11 @@ bench:
 
 # One pass of the four case-path benchmarks (a whole INSERT INTO … SHAPE,
 # then tokenize and Decision_Trees training alone on the nested caseset, and
-# Decision_Trees training alone on the 50k flat caseset), of
+# Decision_Trees training alone on the 50k flat caseset), of case assembly
+# alone (BenchmarkE7_CaseAssembly: the paper's SHAPE at 1,000 customers,
+# children read through the key index, and train_nested's dt_nested_tenth
+# SHAPE at 50,000, whose filtered child the engine drains in partitions and
+# groups unprojected), of
 # the two prediction-join benchmarks (a whole-table NATURAL PREDICTION JOIN
 # and a singleton one) at 1,000 customers, of predict_batch's two whole-table
 # joins at 50,000 (BenchmarkPredictBatch: the source streams in 4096-row
@@ -75,8 +79,9 @@ bench:
 # compiling and running and the log shows what a training case, a
 # prediction, a statement, a probe and a decoded row allocate. The callers of
 # par.Forks.Run — the whole INSERT INTO and the tokenize alone (case ranges
-# encoded, listed and merged), both Decision_Trees trainings, the prediction
-# joins' partitions, and the statements' partitions —
+# encoded, listed and merged), both Decision_Trees trainings, the filtered
+# APPEND child's partitions, the prediction joins' partitions, and the
+# statements' partitions —
 # run at -cpu 1,2: GOMAXPROCS changes
 # inside one process, so a bound sized once at package init rather than per
 # Run call would show there (at 1 nothing forks). So does BenchmarkGroups,
@@ -87,6 +92,7 @@ bench:
 bench-parallel:
 	$(GO) test -run '^$$' -bench 'BenchmarkE4_PredictionJoinNatural|BenchmarkE4_PredictionSingleCase' -benchtime=1x -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkInsertNested|BenchmarkTokenizeNested|BenchmarkTrainDecisionTrees(Nested|Flat)' -benchtime=1x -benchmem -cpu 1,2 .
+	$(GO) test -run '^$$' -bench 'BenchmarkE7_CaseAssembly' -benchtime=1x -benchmem -cpu 1,2 .
 	$(GO) test -run '^$$' -bench 'BenchmarkPredictBatch' -benchtime=1x -benchmem -cpu 1,2 .
 	$(GO) test -run '^$$' -bench 'BenchmarkWarehouseSQL' -benchtime=1x -benchmem -cpu 1,2 ./internal/sqlengine
 	$(GO) test -run '^$$' -bench 'BenchmarkGroups' -benchtime=1x -benchmem -cpu 1,2 ./internal/storage

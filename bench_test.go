@@ -254,17 +254,36 @@ func BenchmarkE6_Discretize(b *testing.B) {
 
 // ---------- E7: case assembly ----------
 
+// BenchmarkE7_CaseAssembly assembles and renders a caseset: the paper's
+// two-APPEND SHAPE over the 1,000-customer warehouse, whose children are read
+// in place through the tables' key indexes, and the dt_nested_tenth SHAPE of
+// `go run ./bench -workload train_nested` over the 50,000-customer one, whose
+// filtered child is scanned in partitions and grouped without a copy.
 func BenchmarkE7_CaseAssembly(b *testing.B) {
-	p := benchWarehouse(b, benchScale)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rs, err := shape.ExecuteStringContext(context.Background(), p.Engine, workload.PaperShape)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rs.Len() != benchScale {
-			b.Fatalf("cases = %d", rs.Len())
-		}
+	for _, c := range []struct {
+		name             string
+		customers, cases int
+		shape            string
+	}{
+		{"paper", benchScale, benchScale, workload.PaperShape},
+		{"filtered", 50000, 5000, `SHAPE {SELECT [Customer ID], Gender, Age FROM Customers WHERE [Customer ID] <= 5000 ORDER BY [Customer ID]}
+			APPEND ({SELECT CustID, [Product Name], Quantity FROM Sales WHERE CustID <= 5000 ORDER BY CustID}
+				RELATE [Customer ID] TO [CustID]) AS [Product Purchases]`},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			p := benchWarehouse(b, c.customers)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rs, err := shape.ExecuteStringContext(context.Background(), p.Engine, c.shape)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if rs.Len() != c.cases {
+					b.Fatalf("cases = %d", rs.Len())
+				}
+			}
+		})
 	}
 }
 

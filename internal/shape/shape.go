@@ -24,7 +24,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/rowset"
 	"repro/internal/sqlengine"
-	"repro/internal/storage"
 )
 
 // Query is a parsed SHAPE statement (or a bare inner query with no appends).
@@ -132,11 +131,11 @@ func ParseString(src string) (*Query, error) {
 // Caseset is a shaped query's result as the executor assembles it, in one
 // pass and without copies: the parent query's rows exactly as the engine left
 // them and, per APPEND, the child rows grouped by parent as positions into the
-// rows they were read from — the table's snapshot when the RELATE index
-// answered, the child query's output otherwise. A NULL relate key matches
-// nothing: its case has an empty nested table, and a child with a NULL key
-// belongs to no case. Rowset renders the nested rowset that consumers outside
-// the provider's training path see.
+// rows the engine read them from (sqlengine.Engine.Related) — a table's
+// snapshot, the rows a scan, filter or join kept, or a child query's output.
+// A NULL relate key matches nothing: its case has an empty nested table, and
+// a child with a NULL key belongs to no case. Rowset renders the nested rowset
+// that consumers outside the provider's training path see.
 type Caseset struct {
 	// Schema is the parent query's columns, then one TABLE column per APPEND.
 	Schema *rowset.Schema
@@ -209,13 +208,13 @@ func (q *Query) ExecuteContext(ctx context.Context, e *sqlengine.Engine) (*rowse
 // between the root query and each APPEND child, and every
 // rowset.DefaultBatchSize parents while an APPEND's children are grouped.
 // When ctx carries an obs.Trace the execution records a "shape" span with one
-// "append" child span per APPEND clause (a nested SHAPE child nests its own
-// "shape" span underneath); the inner SELECTs contribute their own operator
-// spans through QueryContext.
+// "append" child span per APPEND clause, counting the child rows its groups
+// hold; the SELECTs contribute their own operator spans, and a nested SHAPE
+// child nests its own "shape" span.
 //
-// Eligible APPEND children (see compileRelatePlan) skip query execution
-// entirely: the relate column is declared indexed and each parent key is
-// answered by one bucket lookup of its key index.
+// The SQL engine reads every SELECT child and groups it by the relate column
+// (sqlengine.Engine.Related); a nested SHAPE child runs whole, and its rows
+// are grouped (sqlengine.RelatedRows).
 func (q *Query) Run(ctx context.Context, e *sqlengine.Engine) (*Caseset, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -250,20 +249,21 @@ func (q *Query) Run(ctx context.Context, e *sqlengine.Engine) (*Caseset, error) 
 		}
 		spAp := t.StartSpan("append", ap.As)
 		var nested *rowset.Schema
-		var childRows int64
-		if plan := compileRelatePlan(e, ap); plan != nil {
-			nested = plan.schema
-			cs.Tables[a], childRows, err = plan.run(ctx, t, keys)
+		if len(ap.Child.Appends) == 0 {
+			nested, cs.Tables[a], err = e.Related(ctx, ap.Child.Root, ap.ChildCol, keys)
 		} else {
-			nested, cs.Tables[a], childRows, err = runAppendChild(ctx, e, ap, keys)
+			var child *rowset.Rowset
+			if child, err = ap.Child.ExecuteContext(ctx, e); err == nil {
+				nested = child.Schema()
+				cs.Tables[a], err = sqlengine.RelatedRows(ctx, child, ap.ChildCol, keys)
+			}
 		}
+		spAp.SetRows(int64(len(cs.Tables[a].Pos)))
+		t.EndSpan(spAp)
 		if err != nil {
-			t.EndSpan(spAp)
 			return nil, err
 		}
 		cols = append(cols, rowset.Column{Name: ap.As, Type: rowset.TypeTable, Nested: nested})
-		spAp.SetRows(childRows)
-		t.EndSpan(spAp)
 	}
 	if cs.Schema, err = rowset.NewSchema(cols...); err != nil {
 		return nil, err
@@ -271,32 +271,21 @@ func (q *Query) Run(ctx context.Context, e *sqlengine.Engine) (*Caseset, error) 
 	return cs, nil
 }
 
-// runAppendChild is the general APPEND path: execute the child query (which
-// may itself be a SHAPE) and group its rows by relate key, in place.
-func runAppendChild(ctx context.Context, e *sqlengine.Engine, ap Append, keys []rowset.Value) (*rowset.Schema, rowset.Groups, int64, error) {
-	child, err := ap.Child.ExecuteContext(ctx, e)
-	if err != nil {
-		return nil, rowset.Groups{}, 0, err
-	}
-	keyOrd, ok := child.Schema().Lookup(ap.ChildCol)
-	if !ok {
-		return nil, rowset.Groups{}, 0, fmt.Errorf("shape: RELATE child column %q not in child query output %v",
-			ap.ChildCol, child.Schema().Names())
-	}
-	g, err := storage.GroupRows(ctx, child.Rows(), keyOrd, child.Schema().Column(keyOrd).Type, keys)
-	return child.Schema(), g, int64(child.Len()), err
-}
-
 // PlanSpan renders the shaped query's executor plan as a span tree without
 // running it, mirroring the spans ExecuteContext records: a "shape" node over
 // the root SELECT's plan, with one "append" node per APPEND clause holding
-// the child's plan.
+// the child's plan — a SELECT child's as the engine reads it
+// (sqlengine.SelectStmt.RelatedPlanSpan), a nested SHAPE's own.
 func (q *Query) PlanSpan() *obs.Span {
 	sp := obs.NewSpan("shape", "")
 	sp.Add(q.Root.PlanSpan())
 	for _, ap := range q.Appends {
 		apSp := obs.NewSpan("append", ap.As)
-		apSp.Add(ap.Child.PlanSpan())
+		if len(ap.Child.Appends) == 0 {
+			apSp.Add(ap.Child.Root.RelatedPlanSpan(ap.ChildCol))
+		} else {
+			apSp.Add(ap.Child.PlanSpan())
+		}
 		sp.Add(apSp)
 	}
 	return sp

@@ -532,21 +532,6 @@ type compiledScan struct {
 	estimate int
 }
 
-// TableSource resolves name to a base table, reporting false when the name
-// is unknown or names a view (views shadow tables in FROM resolution). It
-// lets higher layers — the shape service's RELATE planner — ask whether an
-// index-backed lookup would read the same rows a FROM clause would.
-func (e *Engine) TableSource(name string) (*storage.Table, bool) {
-	if _, ok := e.views.get(name); ok {
-		return nil, false
-	}
-	tbl, err := e.DB.Table(name)
-	if err != nil {
-		return nil, false
-	}
-	return tbl, true
-}
-
 func (e *Engine) resolveScan(ctx context.Context, ref TableRef) (*compiledScan, error) {
 	cs := &compiledScan{ref: ref}
 	var base *rowset.Schema
