@@ -32,13 +32,19 @@ var relateChildren = []relateChild{
 	{"SELECT CK AS Ref, Item, Qty AS Amount FROM C ORDER BY Ref", "Ref", "Item", "Amount"},
 }
 
-// engineForm adds an always-true WHERE, which no RELATE index answers.
-func (c relateChild) engineForm() string {
+// forms are the child as written, which the RELATE index answers; with an
+// always-true WHERE, which the engine reads unprojected; and with a TOP no
+// child reaches, which the engine runs whole — the reference.
+func (c relateChild) forms() []string {
+	filtered := c.sel + " WHERE 1 = 1"
 	if at := strings.Index(c.sel, " ORDER BY"); at >= 0 {
-		return c.sel[:at] + " WHERE 1 = 1" + c.sel[at:]
+		filtered = c.sel[:at] + " WHERE 1 = 1" + c.sel[at:]
 	}
-	return c.sel + " WHERE 1 = 1"
+	return []string{c.sel, filtered, "SELECT TOP 1000000 " + strings.TrimPrefix(c.sel, "SELECT ")}
 }
+
+// relatePaths are the ways the engine reads the forms, in forms' order.
+var relatePaths = []string{"index", "scan", "query"}
 
 // relateTables fills P (K LONG, Name TEXT) and C from seed: a fifth of the
 // parent keys and a quarter of the child keys NULL, parent keys repeating,
@@ -69,12 +75,17 @@ func relateTables(t *testing.T, p *Provider, seed int64) {
 	}
 }
 
-// shapeBytes runs a SHAPE and returns its encoded output, and whether a scan
-// of the run was an index probe.
-func shapeBytes(t *testing.T, p *Provider, src string) ([]byte, bool) {
+// shapeBytes runs a SHAPE with one APPEND and returns its encoded caseset,
+// and how the engine read the child: "index" (a key index probe), "scan" (its
+// FROM clause's rows, unprojected) or "query" (run whole).
+func shapeBytes(t *testing.T, p *Provider, src string) ([]byte, string) {
 	t.Helper()
+	q, err := shape.ParseString(src)
+	if err != nil {
+		t.Fatalf("%s: %v", src, err)
+	}
 	tr := obs.NewTrace("shape", "")
-	rs, err := shape.ExecuteStringContext(obs.WithTrace(t.Context(), tr), p.Engine, src)
+	cs, err := q.Run(obs.WithTrace(t.Context(), tr), p.Engine)
 	if err != nil {
 		t.Fatalf("%s: %v", src, err)
 	}
@@ -82,15 +93,20 @@ func shapeBytes(t *testing.T, p *Provider, src string) ([]byte, bool) {
 	tr.Root().Walk(func(sp *obs.Span, _ int) {
 		indexed = indexed || sp.Kind == "scan" && strings.Contains(sp.Label, "index=")
 	})
-	return encoded(t, rs), indexed
+	path := "query"
+	if cs.Tables[0].Cols != nil {
+		path = map[bool]string{true: "index", false: "scan"}[indexed]
+	}
+	return encoded(t, cs.Rowset()), path
 }
 
-// TestRelatePathsAgree: an APPEND child the RELATE index answers gives the
-// caseset — and the model trained on it — that running the child through the
-// engine gives. Every eligible child form runs twice, as written and with an
-// always-true WHERE, over seeded tables with NULL-dense keys, repeated parent
-// keys, parents without children and LONG parent keys against DOUBLE child
-// keys.
+// TestRelatePathsAgree: however the engine reads an APPEND child — probing
+// the RELATE index, reading its FROM clause's rows unprojected, or running it
+// whole — the caseset, and the model trained on it, is byte for byte the one
+// running it whole gives. Every eligible child form runs in the three forms
+// that take the three paths, over seeded tables with NULL-dense keys,
+// repeated parent keys, parents without children and LONG parent keys
+// against DOUBLE child keys.
 func TestRelatePathsAgree(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		p := MustNew()
@@ -99,13 +115,19 @@ func TestRelatePathsAgree(t *testing.T) {
 			shapeOf := func(child string) string {
 				return fmt.Sprintf("SHAPE {SELECT K, Name FROM P} APPEND ({%s} RELATE K TO %s) AS Kids", child, c.key)
 			}
-			byIndex, indexed := shapeBytes(t, p, shapeOf(c.sel))
-			byEngine, engineIndexed := shapeBytes(t, p, shapeOf(c.engineForm()))
-			if !indexed || engineIndexed {
-				t.Fatalf("%s: index probe as written %v, with WHERE %v; want true, false", c.sel, indexed, engineIndexed)
+			forms := c.forms()
+			var casesets [3][]byte
+			for i, child := range forms {
+				var path string
+				casesets[i], path = shapeBytes(t, p, shapeOf(child))
+				if path != relatePaths[i] {
+					t.Fatalf("%s: read by %s, want %s", child, path, relatePaths[i])
+				}
 			}
-			if string(byIndex) != string(byEngine) {
-				t.Errorf("seed %d, %s: the two paths' casesets differ", seed, c.sel)
+			for i := range 2 {
+				if string(casesets[i]) != string(casesets[2]) {
+					t.Errorf("seed %d, %s: the caseset read by %s differs from the executed child's", seed, forms[i], relatePaths[i])
+				}
 			}
 			if c.item == "" {
 				continue
@@ -115,21 +137,23 @@ func TestRelatePathsAgree(t *testing.T) {
 				nested += fmt.Sprintf(", [%s] DOUBLE CONTINUOUS", c.qty)
 				bind += fmt.Sprintf(", [%s]", c.qty)
 			}
-			var models [2]string
-			for i, child := range []string{c.sel, c.engineForm()} {
+			var models [3]string
+			for i, child := range forms {
 				mustExec(t, p, "CREATE MINING MODEL M (K LONG KEY, Name TEXT DISCRETE PREDICT, Kids TABLE("+nested+")) USING Decision_Trees")
 				mustExec(t, p, "INSERT INTO M (K, Name, Kids("+bind+")) "+shapeOf(child))
 				models[i] = string(encoded(t, mustExec(t, p, "SELECT * FROM M.CASES"))) + string(encoded(t, mustExec(t, p, "SELECT * FROM M.CONTENT")))
 				mustExec(t, p, "DROP MINING MODEL M")
 			}
-			if models[0] != models[1] {
-				t.Errorf("seed %d, %s: the models trained through the two paths differ", seed, c.sel)
+			for i := range 2 {
+				if models[i] != models[2] {
+					t.Errorf("seed %d, %s: the model trained on the caseset read by %s differs from the executed child's", seed, forms[i], relatePaths[i])
+				}
 			}
 		}
 	}
 }
 
-// TestNullRelateKeyTrainsNoChildren: through INSERT INTO, on either path, a
+// TestNullRelateKeyTrainsNoChildren: through INSERT INTO, on every path, a
 // NULL-keyed customer's case has no Product Purchases attributes — it does not
 // train on every sale whose customer is unknown.
 func TestNullRelateKeyTrainsNoChildren(t *testing.T) {
@@ -138,7 +162,7 @@ func TestNullRelateKeyTrainsNoChildren(t *testing.T) {
 	mustExec(t, p, "INSERT INTO P VALUES (1, 'a'), (NULL, 'b'), (2, 'a')")
 	mustExec(t, p, "CREATE TABLE C (K LONG, Item TEXT)")
 	mustExec(t, p, "INSERT INTO C VALUES (1, 'x'), (NULL, 'orphan1'), (NULL, 'orphan2'), (2, 'y')")
-	for _, child := range []string{"SELECT K, Item FROM C", "SELECT K, Item FROM C WHERE 1 = 1"} {
+	for _, child := range (relateChild{sel: "SELECT K, Item FROM C"}).forms() {
 		mustExec(t, p, "CREATE MINING MODEL N (K LONG KEY, Name TEXT DISCRETE PREDICT, [Product Purchases] TABLE(Item TEXT KEY)) USING Decision_Trees")
 		mustExec(t, p, "INSERT INTO N (K, Name, [Product Purchases](Item)) SHAPE {SELECT K, Name FROM P} APPEND ({"+child+"} RELATE K TO K) AS [Product Purchases]")
 		e, err := p.entry("N")
